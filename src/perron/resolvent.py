@@ -38,6 +38,9 @@ from .measure import GridFunction, WeightFunctional, check_same_space, pair
 NEAR_SINGULAR = 1e-12
 AT_EIGENVALUE = 1e-12
 MAX_CONDITION = 1e12
+# Newton, the residue extraction and value/derivative pairs revisit only
+# the current shift; older factorizations are dropped
+LU_CACHE_SHIFTS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +106,8 @@ class BirmanSchwingerEvaluator:
     Two backends solve (lam*I - R) x = v: a cached LU factorization
     (default) and a Neumann series whose convergence is guarded by the
     weighted sup-norm of the remainder.  The evaluator is immutable
-    apart from the internal LU cache, which never changes results.
+    apart from the internal LU cache, which holds the last
+    LU_CACHE_SHIFTS shifts and never changes results.
     """
 
     def __init__(
@@ -156,6 +160,8 @@ class BirmanSchwingerEvaluator:
                 f"{1.0 / max(rcond, 1e-300):.3e}"
             )
         self._lu_cache[key] = (lu, piv)
+        if len(self._lu_cache) > LU_CACHE_SHIFTS:
+            del self._lu_cache[next(iter(self._lu_cache))]
         return lu, piv
 
     def _solve_neumann(self, lam: float, v: np.ndarray) -> np.ndarray:
@@ -216,7 +222,11 @@ class BirmanSchwingerEvaluator:
 
         Solves the transposed shifted system against the functional's
         acting vector; z realizes f -> phi[(lam*I - R)^-1 f] as z . f.
+        The LU backend reuses the factorization of lam.
         """
         self._require_above_radius(lam)
+        phi = self.functional.acting_vector()
+        if self.solver == "direct_lu":
+            return lu_solve(self._factorize(lam), phi, trans=1)
         shifted = lam * np.eye(self.space.size) - self._rem_op
-        return np.linalg.solve(shifted.T, self.functional.acting_vector())
+        return np.linalg.solve(shifted.T, phi)

@@ -1,12 +1,16 @@
 """Dominant eigenvalue, eigenfunction, and rank-one spectral projection.
 
 The dominant eigenvalue of T is located as the unique root of the
-Birman-Schwinger function above the remainder radius: bracket by
-geometric expansion (D is strictly increasing there and tends to 1),
-then safeguarded Newton with bisection fallback.  The eigenfunction and
-the rank-one spectral projection fall out of the residue of the
-factorized resolvent at that root; a deflated power iteration provides
-the second-radius diagnostic certifying strict dominance.
+Birman-Schwinger function above the remainder radius.  D is increasing
+and concave there, so Newton climbs to the root from any point with
+D < 0.  That start is the lower end of a Collatz-Wielandt bracket on
+rho(T) from a few power steps; when it is unusable, the root is
+bracketed by geometric expansion up from the remainder radius instead
+(D tends to 1 at infinity).  Newton keeps a bisection fallback inside
+the bracket.  The eigenfunction and the rank-one spectral projection
+fall out of the residue of the factorized resolvent at that root; a
+deflated power iteration provides the second-radius diagnostic
+certifying strict dominance.
 """
 
 from __future__ import annotations
@@ -63,14 +67,45 @@ class SpectralResult:
     evaluator: BirmanSchwingerEvaluator
 
 
+def _collatz_wielandt(t_op: np.ndarray):
+    """Bracket lo <= rho(T) <= hi from up to 8 power steps of T on the
+    ones vector, stopping once its relative width is at most 1e-3.
+
+    For nonnegative T and positive x, min_i (Tx)_i/x_i and max_i (Tx)_i/x_i
+    enclose rho(T) (Collatz 1942, Wielandt 1950), and the bracket tightens
+    monotonically along power iterates.  Returns None once an iterate has
+    a zero entry, since the ratios are then undefined.
+    """
+    x = np.ones(t_op.shape[0])
+    for _ in range(8):
+        y = t_op @ x
+        if not np.all(y > 0):
+            return None
+        ratios = y / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= 1e-3 * hi:
+            break
+        x = y / hi
+    return lo, hi
+
+
 def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     """Unique root of D above the remainder radius.
 
-    Expands geometrically from the radius estimate until the sign flips
-    (D < 0 just above the radius whenever a root exists, D -> 1 at
-    infinity), then runs Newton safeguarded by the bracket.  Raises
-    NoSignChangeError when D stays positive up to 10 * ||T||, which
-    signals a certificate too weak to see the dominant eigenvalue.
+    On (rho(R), inf) D is increasing and concave (D' = alpha phi[R_lam^2 u]
+    > 0, D'' = -2 alpha phi[R_lam^3 u] <= 0), so Newton started at any
+    point with D < 0 climbs to the root without overshooting.  The start
+    is the lower end of a Collatz-Wielandt bracket on rho(T) = lambda0,
+    taken from a few O(n^2) power steps; its upper end bounds the root
+    and is never evaluated.  When that start is unusable (an iterate
+    with a zero entry, a lower end at or below the radius estimate, or
+    D >= 0 there from rounding) the root is bracketed instead by
+    geometric expansion from the radius estimate (D < 0 just above the
+    radius whenever a root exists, D -> 1 at infinity).  Newton then
+    runs safeguarded by the bracket.  Raises NoSignChangeError, with
+    alpha, the radius estimate, the Collatz-Wielandt bracket and the
+    last D value, when D stays positive up to 10 * ||T||, which signals
+    a certificate too weak to see the dominant eigenvalue.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -83,22 +118,29 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         # the series backend converges only above the remainder norm, and
         # impractically slowly right at it; keep a workable margin
         rho = max(rho, ev.remainder_norm * (1.0 + 1e-3))
+    cw = _collatz_wielandt(ev.split.kernel.operator_matrix())
+    if cw is not None and cw[0] > rho:
+        try:
+            d_lo = ev.value(cw[0])
+        except IllConditionedError:
+            d_lo = None
+        if d_lo is not None and d_lo < 0:
+            return _newton(ev, cw[0], d_lo, cw[0], cw[1], tol)
+
     cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
     delta = 1e-6
-
-    def eval_d(lam):
-        return ev.value(lam)
-
     lo = rho * (1.0 + delta) if rho > 0 else delta * max(ev.operator_norm, 1e-300)
     d_lo = None
     for _ in range(8):  # ill-conditioning right above rho(R): back off outward
         try:
-            d_lo = eval_d(lo)
+            d_lo = ev.value(lo)
             break
         except IllConditionedError:
             lo = rho + (lo - rho) * 4.0
     if d_lo is None:
-        raise NoSignChangeError("shifted remainder is ill-conditioned above its radius")
+        raise _no_sign_change(
+            "shifted remainder is ill-conditioned above its radius", ev, rho, cw, None
+        )
 
     shrink = 0
     while d_lo >= 0 and shrink < 60:
@@ -107,15 +149,16 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         if lo_new <= rho or lo_new == lo:
             break
         try:
-            d_new = eval_d(lo_new)
+            d_new = ev.value(lo_new)
         except IllConditionedError:
             break
         lo, d_lo = lo_new, d_new
         shrink += 1
     if d_lo >= 0:
-        raise NoSignChangeError(
+        raise _no_sign_change(
             "D has no sign change above the remainder radius: certificate too "
-            "weak or the radius estimate is an overestimate"
+            "weak or the radius estimate is an overestimate",
+            ev, rho, cw, d_lo,
         )
 
     hi = None
@@ -124,17 +167,35 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     while hi is None:
         k += 1
         cand = min(rho + offset * (2.0**k), cap)
-        d_cand = eval_d(cand)
+        d_cand = ev.value(cand)
         if d_cand > 0:
             hi = cand
         else:
             lo, d_lo = cand, d_cand
             if cand >= cap:
-                raise NoSignChangeError(f"D stayed negative up to {cap}")
+                raise _no_sign_change(f"D stayed negative up to {cap}", ev, rho, cw, d_cand)
 
     x = 0.5 * (lo + hi)
+    return _newton(ev, x, ev.value(x), lo, hi, tol)
+
+
+def _no_sign_change(
+    reason: str, ev: BirmanSchwingerEvaluator, rho: float, cw, d_last: float | None
+) -> NoSignChangeError:
+    bracket = "not computed" if cw is None else f"[{cw[0]:.6e}, {cw[1]:.6e}]"
+    last = "not evaluated" if d_last is None else f"{d_last:.6e}"
+    return NoSignChangeError(
+        f"{reason} (alpha = {ev.alpha:.6e}, remainder radius estimate {rho:.6e}, "
+        f"Collatz-Wielandt bracket {bracket}, last D = {last})"
+    )
+
+
+def _newton(
+    ev: BirmanSchwingerEvaluator, x: float, dx: float, lo: float, hi: float, tol: float
+) -> float:
+    """Newton on D from x, where dx = D(x), safeguarded by the bracket
+    [lo, hi]; stops once |D| <= tol * max(1, D' x)."""
     for _ in range(200):
-        dx = eval_d(x)
         if dx > 0:
             hi = x
         else:
@@ -146,6 +207,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
             return float(0.5 * (lo + hi))
         step = x - dx / dpx if dpx > 0 else None
         x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        dx = ev.value(x)
     raise NotConvergentError("root refinement did not converge")
 
 
@@ -291,8 +353,8 @@ def solve(
     t_op = kernel.operator_matrix()
     tw = t_op @ w_fun.values
     eig_residual = float(np.max(np.abs(tw - lambda0 * w_fun.values)) / w_fun.sup_norm())
-    p2 = p_mat @ p_mat
-    proj_idem = _operator_inf_norm(p2 - p_mat)
+    # rank one: P^2 - P = (b[a] - 1) P
+    proj_idem = abs(projection_raw.coupling() - 1.0) * _operator_inf_norm(p_mat)
     lr = left_row.acting_vector()
     left_residual = float(
         np.max(np.abs(t_op.T @ lr - lambda0 * lr)) / max(np.max(np.abs(lr)), 1e-300)

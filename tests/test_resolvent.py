@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perron as pr
+from perron.cli import _write_dcurve
 from perron.errors import (
     AtEigenvalueError,
     BelowSpectralRadiusError,
@@ -313,3 +314,23 @@ class TestOperatorResolvent:
         first = ev.resolve_operator(4.0, f).values
         second = ev.resolve_operator(4.0, f).values  # cached factorization
         np.testing.assert_array_equal(first, second)
+
+    def test_lu_cache_holds_at_most_two_shifts(self, tmp_path):
+        sp = pr.make_interval_space(0, 1, 60, "midpoint")
+        res = pr.solve(pr.gaussian_kernel(sp, 0.35))
+        ev = res.evaluator
+        assert len(ev._lu_cache) <= 2
+        _write_dcurve(ev, tmp_path / "dcurve.csv", None, None, 200)
+        assert len(ev._lu_cache) <= 2
+
+    def test_left_solve_matches_dense_transposed_solve(self):
+        rng = np.random.default_rng(47)
+        sp = pr.make_interval_space(0, 1, 40, "midpoint")
+        k = random_positive_kernel(sp, rng)
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
+        lam = 2.0 * ev.operator_norm
+        shifted = lam * np.eye(40) - k.operator_matrix() + ev.alpha * np.outer(
+            ev.profile.values, ev.functional.acting_vector()
+        )
+        dense = np.linalg.solve(shifted.T, ev.functional.acting_vector())
+        np.testing.assert_allclose(ev.left_remainder_solve(lam), dense, rtol=1e-10)

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import perron as pr
-from perron.errors import NoSignChangeError, SlowConvergenceError
+import perron.resolvent
+from perron.cli import _prepare, _resolve_certificate
+from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
 from conftest import random_positive_kernel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def evaluator_for(kernel, strategy="row_min"):
@@ -37,8 +43,9 @@ class TestFindDominant:
             alpha=1e-12, profile=counting2.ones(), functional=counting2.functional([0.5, 0.5])
         )
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, cert))
-        with pytest.raises(NoSignChangeError):
+        with pytest.raises(NoSignChangeError) as excinfo:
             pr.find_dominant(ev, tol=1e-12)
+        assert f"{ev.remainder_radius:.6e}" in str(excinfo.value)
 
     def test_tol_validation(self, constant_unit):
         with pytest.raises(ValueError):
@@ -48,6 +55,120 @@ class TestFindDominant:
         split = pr.rank_one_split(symmetric_2x2, pr.extract_minorization(symmetric_2x2))
         ev = pr.BirmanSchwingerEvaluator(split, solver="neumann")
         assert pr.find_dominant(ev, tol=1e-12) == pytest.approx(3.0, abs=1e-9)
+
+
+def expansion_root(ev, tol=1e-12):
+    """Oracle root search without the Collatz-Wielandt start: geometric
+    expansion up from just above the remainder radius, then Newton
+    safeguarded by the bracket; direct LU backend only."""
+    rho = ev.remainder_radius
+    cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
+    lo = rho * (1.0 + 1e-6) if rho > 0 else 1e-6 * max(ev.operator_norm, 1e-300)
+    d_lo = None
+    for _ in range(8):
+        try:
+            d_lo = ev.value(lo)
+            break
+        except IllConditionedError:
+            lo = rho + (lo - rho) * 4.0
+    assert d_lo is not None
+    shrink = 0
+    while d_lo >= 0 and shrink < 60:
+        lo_new = rho + (lo - rho) * 0.5
+        if lo_new <= rho or lo_new == lo:
+            break
+        try:
+            d_new = ev.value(lo_new)
+        except IllConditionedError:
+            break
+        lo, d_lo = lo_new, d_new
+        shrink += 1
+    assert d_lo < 0
+    hi = None
+    offset = lo - rho
+    k = 0
+    while hi is None:
+        k += 1
+        cand = min(rho + offset * (2.0**k), cap)
+        if ev.value(cand) > 0:
+            hi = cand
+        else:
+            lo = cand
+            assert cand < cap
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        dx = ev.value(x)
+        if dx > 0:
+            hi = x
+        else:
+            lo = x
+        dpx = ev.derivative(x)
+        if abs(dx) <= tol * max(1.0, abs(dpx) * x):
+            return float(x)
+        if hi - lo <= 8 * np.finfo(float).eps * max(1.0, x):
+            return float(0.5 * (lo + hi))
+        step = x - dx / dpx if dpx > 0 else None
+        x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    raise AssertionError("oracle root refinement did not converge")
+
+
+def config_kernels():
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg, config_dir, kernel = _prepare(str(path))
+        cert = _resolve_certificate(cfg, kernel, config_dir)
+        if isinstance(cert, pr.MinorizationCertificate):
+            yield path.stem, kernel, cert
+
+
+ROOT_CASES = [
+    (f"seed{seed}", random_positive_kernel(space, np.random.default_rng(seed)), None)
+    for seed, space in (
+        (52, pr.make_counting_space(25)),
+        (53, pr.make_counting_space(20)),
+        (53, pr.make_interval_space(0, 1, 40, "midpoint")),
+        (54, pr.make_counting_space(30)),
+        (55, pr.make_counting_space(18)),
+        (56, pr.make_interval_space(0, 2, 35, "midpoint")),
+        (57, pr.make_counting_space(40)),
+        (58, pr.make_counting_space(15)),
+    )
+] + list(config_kernels())
+
+
+class TestRootSearch:
+    def test_gaussian_needs_few_factorizations(self, monkeypatch):
+        calls = []
+        real = perron.resolvent.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        pr.solve(pr.gaussian_kernel(sp, 0.35))
+        assert len(calls) <= 6
+
+    def test_weak_certificate_fallback_matches_power_oracle(self):
+        # sigma = 0.1: the Collatz-Wielandt lower end lies below the
+        # remainder radius estimate, so the expansion bracket is used
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        k = pr.gaussian_kernel(sp, 0.1)
+        lam = pr.solve(k).lambda0
+        oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
+        assert abs(lam - oracle) <= 1e-8 * lam
+
+    @pytest.mark.parametrize(
+        "kernel, certificate",
+        [case[1:] for case in ROOT_CASES],
+        ids=[case[0] for case in ROOT_CASES],
+    )
+    def test_root_matches_expansion_search(self, kernel, certificate):
+        cert = certificate or pr.extract_minorization(kernel)
+        split = pr.rank_one_split(kernel, cert)
+        lam = pr.find_dominant(pr.BirmanSchwingerEvaluator(split))
+        reference = expansion_root(pr.BirmanSchwingerEvaluator(split))
+        assert abs(lam - reference) <= 1e-12 * reference
 
 
 class TestEigenfunction:
@@ -150,6 +271,20 @@ class TestProjection:
         p_residue = pr.spectral_projection(res.evaluator, res.lambda0).matrix()
         p_normalized = res.projection.matrix()
         np.testing.assert_allclose(p_residue, p_normalized, atol=1e-10)
+
+    def test_idempotency_diagnostic_matches_dense_product(self):
+        rng = np.random.default_rng(59)
+        kernels = [
+            random_positive_kernel(pr.make_counting_space(12), rng),
+            random_positive_kernel(pr.make_interval_space(0, 1, 30, "midpoint"), rng),
+            pr.gaussian_kernel(pr.make_interval_space(0, 1, 50, "gauss_legendre"), 0.3),
+            pr.constant_kernel(pr.make_interval_space(0, 2, 20, "trapezoid"), 0.5),
+        ]
+        for k in kernels:
+            res = pr.solve(k)
+            p = pr.spectral_projection(res.evaluator, res.lambda0).matrix()
+            dense = np.abs(p @ p - p).sum(axis=1).max()
+            assert abs(res.diagnostics.proj_idempotency - dense) <= 1e-12
 
     def test_projection_columns_span_the_eigenfunction(self):
         # residue-eigenvector consistency: every nonzero column of the
