@@ -37,8 +37,14 @@ class Kernel:
             raise DimensionMismatchError(
                 f"kernel must be {n} x {n}, got {entries.shape}"
             )
-        scale = max(1.0, float(np.abs(entries).max()))
-        if float(entries.min()) < -NONNEG_SLACK * scale:
+        # min and max propagate nan and reach inf, so they screen every entry
+        lo, hi = float(entries.min()), float(entries.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            bad = np.argwhere(~np.isfinite(entries))
+            where = ", ".join(f"{entries[i, j]} at ({i}, {j})" for i, j in bad[:3])
+            more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+            raise ValueError(f"kernel entries must be finite: {where}{more}")
+        if lo < -NONNEG_SLACK * max(1.0, -lo, hi):
             raise ValueError("kernel entries must be nonnegative")
         np.clip(entries, 0.0, None, out=entries)
         entries.flags.writeable = False

@@ -4,13 +4,15 @@ The dominant eigenvalue of T is located as the unique root of the
 Birman-Schwinger function above the remainder radius.  D is increasing
 and concave there, so Newton climbs to the root from any point with
 D < 0.  That start is the lower end of a Collatz-Wielandt bracket on
-rho(T) from a few power steps; when it is unusable, the root is
-bracketed by geometric expansion up from the remainder radius instead
-(D tends to 1 at infinity).  Newton keeps a bisection fallback inside
-the bracket.  The eigenfunction and the rank-one spectral projection
-fall out of the residue of the factorized resolvent at that root; a
-deflated power iteration provides the second-radius diagnostic
-certifying strict dominance.
+rho(T), run by power steps to rounding level or to a budget worth about
+one LU factorization.  When D at the start already meets the stopping
+rule it is the root, and the solve factorizes only there; when the
+start is unusable, the root is bracketed by geometric expansion up from
+the remainder radius instead (D tends to 1 at infinity).  Newton keeps
+a bisection fallback inside the bracket.  The eigenfunction and the
+rank-one spectral projection fall out of the residue of the factorized
+resolvent at that root; a deflated power iteration provides the
+second-radius diagnostic certifying strict dominance.
 """
 
 from __future__ import annotations
@@ -68,24 +70,33 @@ class SpectralResult:
 
 
 def _collatz_wielandt(t_op: np.ndarray):
-    """Bracket lo <= rho(T) <= hi from up to 8 power steps of T on the
-    ones vector, stopping once its relative width is at most 1e-3.
+    """Bracket lo <= rho(T) <= hi from power steps of T on the ones vector.
 
     For nonnegative T and positive x, min_i (Tx)_i/x_i and max_i (Tx)_i/x_i
-    enclose rho(T) (Collatz 1942, Wielandt 1950), and the bracket tightens
-    monotonically along power iterates.  Returns None once an iterate has
-    a zero entry, since the ratios are then undefined.
+    enclose rho(T) (Collatz 1942, Wielandt 1950).  Every positive iterate
+    gives such a pair, so the running max of the lower ends and the running
+    min of the upper ends is still a bracket.  Stepping stops once its
+    relative width is at rounding level (16 eps), once a step no longer
+    narrows it, or after max(8, n / 4) steps.  That budget is about one
+    LU factorization: a step is 2 n^2 flops against 2 n^3 / 3, so one LU
+    is worth n / 3 steps in flops, less the call overhead that makes an
+    LU worth only 5-8 steps below n = 60, where the floor of 8 applies.
+    Returns None once an iterate has a zero entry, since the ratios are
+    then undefined.
     """
-    x = np.ones(t_op.shape[0])
-    for _ in range(8):
+    n = t_op.shape[0]
+    x = np.ones(n)
+    lo, hi = 0.0, np.inf
+    for _ in range(max(8, n // 4)):
         y = t_op @ x
         if not np.all(y > 0):
             return None
         ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= 1e-3 * hi:
+        width = hi - lo
+        lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        if hi - lo <= 16 * np.finfo(float).eps * hi or hi - lo >= width:
             break
-        x = y / hi
+        x = y / y.max()
     return lo, hi
 
 
@@ -95,17 +106,23 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     On (rho(R), inf) D is increasing and concave (D' = alpha phi[R_lam^2 u]
     > 0, D'' = -2 alpha phi[R_lam^3 u] <= 0), so Newton started at any
     point with D < 0 climbs to the root without overshooting.  The start
-    is the lower end of a Collatz-Wielandt bracket on rho(T) = lambda0,
-    taken from a few O(n^2) power steps; its upper end bounds the root
-    and is never evaluated.  When that start is unusable (an iterate
-    with a zero entry, a lower end at or below the radius estimate, or
-    D >= 0 there from rounding) the root is bracketed instead by
-    geometric expansion from the radius estimate (D < 0 just above the
-    radius whenever a root exists, D -> 1 at infinity).  Newton then
-    runs safeguarded by the bracket.  Raises NoSignChangeError, with
-    alpha, the radius estimate, the Collatz-Wielandt bracket and the
-    last D value, when D stays positive up to 10 * ||T||, which signals
-    a certificate too weak to see the dominant eigenvalue.
+    is the lower end lo of a Collatz-Wielandt bracket on rho(T) = lambda0,
+    taken from O(n^2) power steps run to rounding level or to a budget
+    worth about one LU (see _collatz_wielandt); its upper end bounds the
+    root and is never evaluated.  lo is returned as it is when
+    |D(lo)| <= tol * max(1, D'(lo) lo), the stopping rule of Newton,
+    whatever the sign of D(lo): the bracket may be exact, or rounding may
+    lift lo just past the root.  Then the one factorization at lo is all
+    the solve needs.  Otherwise Newton runs from lo when D(lo) < 0.  When
+    the start is unusable (an iterate with a zero entry, a lower end at
+    or below the radius estimate, or D(lo) > 0 beyond the stopping
+    rule) the root is bracketed instead by geometric expansion from the
+    radius estimate (D < 0 just above the radius whenever a root exists,
+    D -> 1 at infinity).  Newton then runs safeguarded by the bracket.
+    Raises NoSignChangeError, with alpha, the radius estimate, the
+    Collatz-Wielandt bracket and the last D value, when D stays positive
+    up to 10 * ||T||, which signals a certificate too weak to see the
+    dominant eigenvalue.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -124,8 +141,11 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
             d_lo = ev.value(cw[0])
         except IllConditionedError:
             d_lo = None
-        if d_lo is not None and d_lo < 0:
-            return _newton(ev, cw[0], d_lo, cw[0], cw[1], tol)
+        if d_lo is not None:
+            if d_lo < 0:
+                return _newton(ev, cw[0], d_lo, cw[0], cw[1], tol)
+            if d_lo <= tol * max(1.0, ev.derivative(cw[0]) * cw[0]):
+                return cw[0]
 
     cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
     delta = 1e-6

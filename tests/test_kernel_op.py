@@ -40,6 +40,16 @@ class TestApply:
         with pytest.raises(ValueError):
             pr.Kernel(np.array([[1.0, -0.5], [0.0, 1.0]]), counting2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, counting2, bad):
+        with pytest.raises(ValueError, match=rf"finite: {bad} at \(0, 1\)"):
+            pr.Kernel(np.array([[1.0, bad], [0.5, 1.0]]), counting2)
+
+    def test_non_finite_message_counts_the_rest(self):
+        sp = pr.make_counting_space(3)
+        with pytest.raises(ValueError, match=r"at \(0, 2\) and 6 more$"):
+            pr.Kernel(np.full((3, 3), np.nan), sp)
+
 
 class TestIterate:
     def test_base_case(self, symmetric_2x2):

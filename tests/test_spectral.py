@@ -120,6 +120,7 @@ def config_kernels():
             yield path.stem, kernel, cert
 
 
+CONFIG_CASES = list(config_kernels())
 ROOT_CASES = [
     (f"seed{seed}", random_positive_kernel(space, np.random.default_rng(seed)), None)
     for seed, space in (
@@ -132,31 +133,79 @@ ROOT_CASES = [
         (57, pr.make_counting_space(40)),
         (58, pr.make_counting_space(15)),
     )
-] + list(config_kernels())
+] + CONFIG_CASES
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """List that grows by one on every LU factorization."""
+    calls = []
+    real = perron.resolvent.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+    return calls
 
 
 class TestRootSearch:
-    def test_gaussian_needs_few_factorizations(self, monkeypatch):
-        calls = []
-        real = perron.resolvent.lu_factor
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+    def test_gaussian_needs_few_factorizations(self, lu_calls):
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         pr.solve(pr.gaussian_kernel(sp, 0.35))
-        assert len(calls) <= 6
+        assert len(lu_calls) == 1
 
-    def test_weak_certificate_fallback_matches_power_oracle(self):
-        # sigma = 0.1: the Collatz-Wielandt lower end lies below the
-        # remainder radius estimate, so the expansion bracket is used
+    def test_exact_bracket_kernels_take_one_factorization(self, lu_calls, constant_unit):
+        # the Collatz-Wielandt bracket is exact: D(lo) = 0 up to rounding
+        pr.solve(constant_unit)
+        assert len(lu_calls) == 1
+        lu_calls.clear()
+        sp = pr.make_interval_space(0, 1, 30, "midpoint")
+        rng = np.random.default_rng(51)
+        v = rng.uniform(0.2, 1.2, 30)
+        u = rng.uniform(0.2, 1.2, 30)
+        k = pr.separable_kernel(sp, v, u)
+        pr.solve(k, certificate=pr.extract_minorization(k, "user", profile=v, density=u))
+        assert len(lu_calls) == 1
+
+    def test_weak_certificate_takes_at_most_two_factorizations(self, lu_calls):
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
-        k = pr.gaussian_kernel(sp, 0.1)
+        k = pr.gaussian_kernel(sp, 0.15)
         lam = pr.solve(k).lambda0
+        assert len(lu_calls) <= 2
         oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
         assert abs(lam - oracle) <= 1e-8 * lam
+
+    @pytest.mark.parametrize("sigma", np.linspace(0.3, 0.5, 11))
+    def test_gaussian_root_at_rounding_level(self, sigma):
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        k = pr.gaussian_kernel(sp, sigma)
+        lam = pr.solve(k).lambda0
+        # midpoint weights are uniform, so the operator matrix is symmetric
+        reference = float(np.linalg.eigvalsh(k.operator_matrix()).max())
+        assert abs(lam - reference) <= 1e-14 * reference
+
+    def test_weak_certificate_fallback_matches_power_oracle(self):
+        # a heterogeneous matrix: the power steps converge slowly, and
+        # within their budget the Collatz-Wielandt lower end stays below
+        # the remainder radius estimate, so the expansion bracket is used
+        rng = np.random.default_rng(0)
+        k = pr.Kernel(np.exp(4.0 * rng.standard_normal((30, 30))), pr.make_counting_space(30))
+        res = pr.solve(k)
+        lo, _ = perron.spectral._collatz_wielandt(k.operator_matrix())
+        assert lo <= res.evaluator.remainder_radius
+        oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
+        assert abs(res.lambda0 - oracle) <= 1e-8 * res.lambda0
+
+    @pytest.mark.parametrize(
+        "kernel, certificate",
+        [case[1:] for case in CONFIG_CASES],
+        ids=[case[0] for case in CONFIG_CASES],
+    )
+    def test_config_solve_takes_one_factorization(self, lu_calls, kernel, certificate):
+        pr.solve(kernel, certificate=certificate)
+        assert len(lu_calls) == 1
 
     @pytest.mark.parametrize(
         "kernel, certificate",
