@@ -5,11 +5,12 @@ Birman-Schwinger function above the remainder radius.  D is increasing
 and concave there, so Newton climbs to the root from any point with
 D < 0.  That start is the lower end of a Collatz-Wielandt bracket on
 rho(T), run by power steps to rounding level or to a budget worth about
-one LU factorization.  When D at the start already meets the stopping
-rule it is the root, and the solve factorizes only there; when the
-start is unusable, the root is bracketed by geometric expansion up from
-the remainder radius instead (D tends to 1 at infinity).  Newton keeps
-a bisection fallback inside the bracket.  The eigenfunction and the
+D at one new shift (an LU factorization and its solves).  When D at the
+start already meets the stopping rule it is the root, and the solve
+factorizes only there; when the start is unusable, the root is
+bracketed by geometric expansion up from the remainder radius instead
+(D tends to 1 at infinity).  Newton keeps a bisection fallback inside
+the bracket.  The eigenfunction and the
 rank-one spectral projection fall out of the residue of the factorized
 resolvent at that root; a deflated power iteration provides the
 second-radius diagnostic certifying strict dominance.
@@ -77,17 +78,19 @@ def _collatz_wielandt(t_op: np.ndarray):
     gives such a pair, so the running max of the lower ends and the running
     min of the upper ends is still a bracket.  Stepping stops once its
     relative width is at rounding level (16 eps), once a step no longer
-    narrows it, or after max(8, n / 4) steps.  That budget is about one
-    LU factorization: a step is 2 n^2 flops against 2 n^3 / 3, so one LU
-    is worth n / 3 steps in flops, less the call overhead that makes an
-    LU worth only 5-8 steps below n = 60, where the floor of 8 applies.
+    narrows it, or after max(8, min(n / 6, 128)) steps, about the cost of
+    D at one new shift (factorization, condition estimate and solve).
+    Measured with BLAS on one thread, such a shift costs 4-10 steps below
+    n = 100, about n / 6 steps from n = 200 to 800, and 130-150 steps from
+    n = 1200 to 2000, where the matrix no longer fits in cache and a step
+    is bound by memory traffic.
     Returns None once an iterate has a zero entry, since the ratios are
     then undefined.
     """
     n = t_op.shape[0]
     x = np.ones(n)
     lo, hi = 0.0, np.inf
-    for _ in range(max(8, n // 4)):
+    for _ in range(max(8, min(n // 6, 128))):
         y = t_op @ x
         if not np.all(y > 0):
             return None
@@ -108,8 +111,8 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     point with D < 0 climbs to the root without overshooting.  The start
     is the lower end lo of a Collatz-Wielandt bracket on rho(T) = lambda0,
     taken from O(n^2) power steps run to rounding level or to a budget
-    worth about one LU (see _collatz_wielandt); its upper end bounds the
-    root and is never evaluated.  lo is returned as it is when
+    worth about D at one new shift (see _collatz_wielandt); its upper end
+    bounds the root and is never evaluated.  lo is returned as it is when
     |D(lo)| <= tol * max(1, D'(lo) lo), the stopping rule of Newton,
     whatever the sign of D(lo): the bracket may be exact, or rounding may
     lift lo just past the root.  Then the one factorization at lo is all
@@ -144,7 +147,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         if d_lo is not None:
             if d_lo < 0:
                 return _newton(ev, cw[0], d_lo, cw[0], cw[1], tol)
-            if d_lo <= tol * max(1.0, ev.derivative(cw[0]) * cw[0]):
+            if _converged(cw[0], d_lo, ev.derivative(cw[0]), tol):
                 return cw[0]
 
     cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
@@ -210,6 +213,11 @@ def _no_sign_change(
     )
 
 
+def _converged(x: float, dx: float, dpx: float, tol: float) -> bool:
+    """The stopping rule of the root search: |D(x)| <= tol * max(1, D'(x) x)."""
+    return abs(dx) <= tol * max(1.0, abs(dpx) * x)
+
+
 def _newton(
     ev: BirmanSchwingerEvaluator, x: float, dx: float, lo: float, hi: float, tol: float
 ) -> float:
@@ -221,7 +229,7 @@ def _newton(
         else:
             lo = x
         dpx = ev.derivative(x)
-        if abs(dx) <= tol * max(1.0, abs(dpx) * x):
+        if _converged(x, dx, dpx, tol):
             return float(x)
         if hi - lo <= 8 * np.finfo(float).eps * max(1.0, x):
             return float(0.5 * (lo + hi))

@@ -184,7 +184,9 @@ class TestRootSearch:
         lam = pr.solve(k).lambda0
         # midpoint weights are uniform, so the operator matrix is symmetric
         reference = float(np.linalg.eigvalsh(k.operator_matrix()).max())
-        assert abs(lam - reference) <= 1e-14 * reference
+        # the largest gap seen on this grid is 2.3e-15, about 10 eps; both
+        # the root and the reference carry rounding error, so allow 64 eps
+        assert abs(lam - reference) <= 64 * np.finfo(float).eps * reference
 
     def test_weak_certificate_fallback_matches_power_oracle(self):
         # a heterogeneous matrix: the power steps converge slowly, and
