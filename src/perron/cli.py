@@ -32,7 +32,6 @@ from .doeblin import (
     verify_certificate,
 )
 from .errors import (
-    BelowSpectralRadiusError,
     DimensionMismatchError,
     NotMinorizableError,
     PerronError,
@@ -296,14 +295,13 @@ def _write_dcurve(evaluator, path: Path, lam_min, lam_max, points):
         lam_min = rho * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12)
     if lam_max is None:
         lam_max = 2.0 * max(evaluator.operator_norm, lam_min * 1.5)
-    if lam_min <= rho:
-        raise BelowSpectralRadiusError(lam_min, rho)
     grid = np.geomspace(lam_min, lam_max, points)
-    rows = []
-    for lam in grid:
-        rows.append((float(lam), evaluator.value(lam), evaluator.derivative(lam)))
-    _write_csv(path, ["lambda", "D", "D_prime"], rows)
-    values = [r[1] for r in rows]
+    values, slopes = evaluator.curve(grid)
+    _write_csv(
+        path,
+        ["lambda", "D", "D_prime"],
+        [(float(lam), float(d), float(dp)) for lam, d, dp in zip(grid, values, slopes)],
+    )
     bracket = None
     for i in range(1, len(values)):
         if values[i - 1] < 0 <= values[i]:
@@ -461,14 +459,17 @@ def verify(config_path, out_flag):
         ev = result.evaluator
         grid = np.geomspace(max(ev.remainder_radius * 1.0001, lam * 1e-3), 10 * ev.operator_norm, 64)
         grid = grid[grid > ev.remainder_radius]
-        dvals = [ev.value(x) for x in grid]
-        record("bs_monotone", bool(np.all(np.diff(dvals) > 0)), "64-point geometric scan")
-        sign_changes = int(np.sum(np.diff(np.sign(dvals)) != 0))
+        # the scan and the finite-difference probes are one grid, so one
+        # Schur form serves both
+        probes = np.array([lam * 1.5, lam * 3.0])
+        h = 1e-5 * probes
+        m = grid.size
+        dvals, slopes = ev.curve(np.concatenate([grid, probes - h, probes + h, probes]))
+        record("bs_monotone", bool(np.all(np.diff(dvals[:m]) > 0)), "64-point geometric scan")
+        sign_changes = int(np.sum(np.diff(np.sign(dvals[:m])) != 0))
         record("bs_single_root", sign_changes == 1, f"{sign_changes} sign change(s)")
-        for probe in (lam * 1.5, lam * 3.0):
-            h = 1e-5 * probe
-            fd = (ev.value(probe + h) - ev.value(probe - h)) / (2 * h)
-            an = ev.derivative(probe)
+        fds = (dvals[m + 2 : m + 4] - dvals[m : m + 2]) / (2 * h)
+        for probe, fd, an in zip(probes, fds, slopes[m + 4 :]):
             rel = abs(fd - an) / abs(an)
             record(f"bs_derivative_at_{probe:.6g}", rel <= 1e-6, f"fd mismatch {rel:.3e}")
 

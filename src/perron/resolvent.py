@@ -14,6 +14,15 @@ also its Fredholm determinant, det(I - a x b) = 1 - b[a].  D increases
 strictly on (rho(R), inf), tends to 1 at infinity, and its unique root
 there is the dominant eigenvalue of T.  Everything here works for real
 lam above the remainder's spectral radius; no eigensolver is involved.
+
+A shift lam used alone (the root search, the residue at the root) costs
+one LU factorization of lam*I - R.  A whole grid of shifts (the D-curve,
+the verify scan) goes through one real Schur form R = Q S Q^T instead:
+back-substitution on the quasi-triangular S costs O(n^2) per shift, the
+Bartels-Stewart reduction used for frequency responses (Laub 1981).
+Measured with BLAS on one thread, the Schur form costs as much as about
+40 LU shifts at n = 600 (0.13 s against 3.2 ms) and about 23 at n = 2000
+(1.7 s against 73 ms), fewer than the 67-200 points of every CLI grid.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, schur
 
 from .doeblin import RankOneSplit
 from .errors import (
@@ -100,14 +109,31 @@ def fredholm_det_rank_one(op: RankOneOperator) -> float:
     return 1.0 - op.coupling()
 
 
+def _shifted_2x2_solve(block: np.ndarray, lams: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(lam*I - block)^-1 r at every shift, r[j] holding row j per shift.
+
+    A 2x2 block of a real Schur form has a complex pair mu, |mu| <= rho(R);
+    above rho(R) its determinant |lam - mu|^2 is positive."""
+    (a, b), (c, d) = block
+    det = (lams - a) * (lams - d) - b * c
+    return np.stack([(lams - d) * r[0] + b * r[1], c * r[0] + (lams - a) * r[1]]) / det
+
+
+def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
+    return IllConditionedError(
+        f"shifted remainder at lambda = {lam} has condition estimate {condition:.3e}"
+    )
+
+
 class BirmanSchwingerEvaluator:
     """Evaluates D(lam), its derivative, and resolvent applications.
 
     Two backends solve (lam*I - R) x = v: a cached LU factorization
     (default) and a Neumann series whose convergence is guarded by the
-    weighted sup-norm of the remainder.  The evaluator is immutable
-    apart from the internal LU cache, which holds the last
-    LU_CACHE_SHIFTS shifts and never changes results.
+    weighted sup-norm of the remainder.  ``curve`` evaluates a whole grid
+    of shifts through one Schur form, whatever the backend.  The
+    evaluator is immutable apart from the internal LU cache, which holds
+    the last LU_CACHE_SHIFTS shifts and never changes results.
     """
 
     def __init__(
@@ -129,6 +155,9 @@ class BirmanSchwingerEvaluator:
         self.profile = split.certificate.profile
         self.functional = split.certificate.functional
         self._rem_op = split.remainder.operator_matrix()
+        # ||lam*I - R||_inf in O(n) per shift: off-diagonal row sums of |R|
+        self._rem_diag = np.diagonal(self._rem_op)
+        self._rem_offdiag = np.abs(self._rem_op).sum(axis=1) - np.abs(self._rem_diag)
         self.remainder_norm = split.remainder.weighted_inf_norm()
         self.operator_norm = split.kernel.weighted_inf_norm()
         power = spectral_radius_oracle(split.remainder, tol=radius_tol)
@@ -144,21 +173,25 @@ class BirmanSchwingerEvaluator:
         if lam <= self.remainder_radius:
             raise BelowSpectralRadiusError(lam, self.remainder_radius)
 
+    def _shifted_inf_norm(self, lam):
+        """||lam*I - R||_inf for a shift or an array of shifts, O(n) each."""
+        shifted_diag = np.abs(np.subtract.outer(lam, self._rem_diag))
+        return np.max(shifted_diag + self._rem_offdiag, axis=-1)
+
     def _factorize(self, lam: float):
         key = float(lam)
         cached = self._lu_cache.get(key)
         if cached is not None:
             return cached
-        shifted = lam * np.eye(self.space.size) - self._rem_op
-        anorm = float(np.abs(shifted).sum(axis=1).max())
-        lu, piv = lu_factor(shifted)
-        gecon = get_lapack_funcs(("gecon",), (shifted,))[0]
-        rcond, info = gecon(lu, anorm, norm="I")
+        # the one n x n array of this shift: built in Fortran order, so LAPACK
+        # factors it in place instead of copying it
+        shifted = np.negative(self._rem_op, order="F")
+        shifted.flat[:: self.space.size + 1] += lam
+        lu, piv = lu_factor(shifted, overwrite_a=True)
+        gecon = get_lapack_funcs(("gecon",), (lu,))[0]
+        rcond, info = gecon(lu, float(self._shifted_inf_norm(lam)), norm="I")
         if info != 0 or rcond <= 1.0 / MAX_CONDITION:
-            raise IllConditionedError(
-                f"shifted remainder at lambda = {lam} has condition estimate "
-                f"{1.0 / max(rcond, 1e-300):.3e}"
-            )
+            raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
         self._lu_cache[key] = (lu, piv)
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
@@ -205,6 +238,53 @@ class BirmanSchwingerEvaluator:
         once = self.resolve_remainder(lam, self.profile)
         twice = self.resolve_remainder(lam, once)
         return self.alpha * pair(self.functional, twice)
+
+    def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """D and D' at every shift of lams, through one real Schur form of R.
+
+        With R = Q S Q^T, (lam*I - R)^-k u = Q (lam*I - S)^-k Q^T u.  One
+        back-substitution over the 1x1 and 2x2 diagonal blocks of S runs
+        for all shifts at once and carries three right-hand sides: Q^T u
+        (giving D), its own solution again (giving D'), and Q^T 1 (the
+        condition guard).  R >= 0 entrywise, so above rho(R) the resolvent
+        is nonnegative and ||(lam*I - R)^-1||_inf = ||(lam*I - R)^-1 1||_inf;
+        with ||lam*I - R||_inf from the cached row sums this is the
+        condition number the LU path estimates with gecon.  Raises
+        BelowSpectralRadiusError at the first shift not above the radius
+        estimate, then IllConditionedError at the first shift whose
+        condition exceeds MAX_CONDITION.  The result does not depend on
+        the solver backend, and nothing is cached.  The Schur form costs
+        about 40 LU shifts at n = 600 and about 23 at n = 2000 (see the
+        module docstring); every grid the CLI samples has more points.
+        """
+        lams = np.asarray(lams, dtype=float)
+        for lam in lams:
+            self._require_above_radius(float(lam))
+        s, q = schur(self._rem_op, output="real")
+        n, m = self.space.size, lams.size
+        rhs = np.stack([self.profile.values, np.ones(n)]) @ q   # rows Q^T u, Q^T 1
+        # y[k] holds, per shift: (lam - S)^-1 Q^T u, (lam - S)^-1 Q^T 1, (lam - S)^-2 Q^T u
+        y = np.empty((n, 3, m))
+        k = n
+        while k > 0:
+            i = k - 2 if k >= 2 and s[k - 1, k - 2] != 0.0 else k - 1
+            acc = (s[i:k, k:] @ y[k:].reshape(n - k, 3 * m)).reshape(k - i, 3, m)
+            r = rhs[:, i:k].T[:, :, None] + acc[:, :2]
+            if k - i == 1:
+                y[i, :2] = r[0] / (lams - s[i, i])
+                y[i, 2] = (acc[0, 2] + y[i, 0]) / (lams - s[i, i])
+            else:
+                y[i:k, :2] = _shifted_2x2_solve(s[i:k, i:k], lams, r)
+                y[i:k, 2] = _shifted_2x2_solve(s[i:k, i:k], lams, acc[:, 2] + y[i:k, 0])
+            k = i
+        psi = q.T @ self.functional.acting_vector()
+        d_values = 1.0 - self.alpha * (psi @ y[:, 0])
+        d_prime = self.alpha * (psi @ y[:, 2])
+        cond = self._shifted_inf_norm(lams) * np.abs(q @ y[:, 1]).max(axis=0)
+        bad = np.flatnonzero(~(cond < MAX_CONDITION))
+        if bad.size:
+            raise _ill_conditioned(float(lams[bad[0]]), float(cond[bad[0]]))
+        return d_values, d_prime
 
     def resolve_operator(self, lam: float, f: GridFunction) -> GridFunction:
         """(lam*I - T)^-1 f via the factorized formula."""

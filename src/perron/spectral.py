@@ -125,7 +125,10 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     Raises NoSignChangeError, with alpha, the radius estimate, the
     Collatz-Wielandt bracket and the last D value, when D stays positive
     up to 10 * ||T||, which signals a certificate too weak to see the
-    dominant eigenvalue.
+    dominant eigenvalue.  When the upper end of the bracket already lies
+    below the radius estimate (beyond a few eps of rounding), no root can
+    lie above the estimate, and the error is raised before any
+    factorization.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable in double precision")
@@ -139,6 +142,12 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         # impractically slowly right at it; keep a workable margin
         rho = max(rho, ev.remainder_norm * (1.0 + 1e-3))
     cw = _collatz_wielandt(ev.split.kernel.operator_matrix())
+    if cw is not None and cw[1] * (1.0 + 4 * np.finfo(float).eps) < rho:
+        # rho(T) <= hi < rho: D has no root above the radius estimate
+        raise _no_sign_change(
+            "the Collatz-Wielandt upper end is below the remainder radius estimate",
+            ev, rho, cw, None,
+        )
     if cw is not None and cw[0] > rho:
         try:
             d_lo = ev.value(cw[0])
@@ -417,14 +426,25 @@ class DominanceReport:
     proj_idempotency: float
 
 
+def _deflate(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I - P) T (I - P) for P = a b^T, as the O(n^2) rank-two update
+    T - a (T^T b)^T - (T a - (b . T a) a) b^T."""
+    ta = t_op @ a
+    deflated = t_op - np.outer(a, b @ t_op)
+    deflated -= np.outer(ta - (b @ ta) * a, b)
+    return deflated
+
+
 def verify_dominance(kernel: Kernel, result: SpectralResult) -> DominanceReport:
     """Deflation check: remove the rank-one projection and measure the
     spectral radius of what is left."""
-    t_op = kernel.operator_matrix()
-    p = result.projection.matrix()
-    eye = np.eye(kernel.size)
-    deflated = (eye - p) @ t_op @ (eye - p)
-    rho2 = growth_radius(deflated)
+    rho2 = growth_radius(
+        _deflate(
+            kernel.operator_matrix(),
+            result.projection.range_vector.values,
+            result.projection.functional.acting_vector(),
+        )
+    )
     return DominanceReport(
         lambda0=result.lambda0,
         second_radius=rho2,

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import perron as pr
+from perron.cli import _prepare, _resolve_certificate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -34,3 +39,12 @@ def constant_unit(unit_interval_64):
 
 def random_positive_kernel(space, rng, low=0.05, high=1.05):
     return pr.Kernel(rng.uniform(low, high, (space.size, space.size)), space)
+
+
+def config_kernels():
+    """(name, kernel, certificate) for every shipped config with a certificate."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg, config_dir, kernel = _prepare(str(path))
+        cert = _resolve_certificate(cfg, kernel, config_dir)
+        if isinstance(cert, pr.MinorizationCertificate):
+            yield path.stem, kernel, cert

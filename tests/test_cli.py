@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import perron as pr
+import perron.resolvent
 from perron.cli import main
 
 
@@ -34,6 +35,17 @@ def constant_config(tmp_path):
             },
         },
     )
+
+
+def gaussian_config(n, mode):
+    return {
+        "kernel": {"family": "gaussian", "sigma": 0.35},
+        "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": n, "rule": "midpoint"},
+        "certificate": {"strategy": "row_min"},
+        "solver": {"mode": mode, "tol": 1e-12},
+        "outputs": {"report": "report.json", "eigenfunction": "eigenfunction.csv",
+                    "dcurve": "dcurve.csv"},
+    }
 
 
 @pytest.fixture
@@ -170,6 +182,34 @@ class TestSolveCommand:
             assert result.exit_code == 0
         assert (out_a / "eigenfunction.csv").read_bytes() == (out_b / "eigenfunction.csv").read_bytes()
         assert (out_a / "dcurve.csv").read_bytes() == (out_b / "dcurve.csv").read_bytes()
+
+    def test_dcurve_output_takes_one_factorization(self, runner, tmp_path, monkeypatch):
+        calls = []
+        real = perron.resolvent.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+        cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        assert len((tmp_path / "o" / "dcurve.csv").read_text().splitlines()) == 201
+        assert len(calls) <= 1
+
+    def test_neumann_mode_writes_the_dcurve(self, runner, tmp_path):
+        # the dcurve starts at 1.001 rho(R), below the remainder norm where
+        # the Neumann series converges; the curve does not use the series
+        curves = {}
+        for mode in ("neumann", "direct_lu"):
+            cfg = write_config(tmp_path / f"{mode}.json", gaussian_config(100, mode))
+            out = tmp_path / mode
+            result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            lines = (out / "dcurve.csv").read_text().splitlines()[1:]
+            curves[mode] = np.array([[float(v) for v in line.split(",")] for line in lines])
+        np.testing.assert_allclose(curves["neumann"], curves["direct_lu"], rtol=1e-9)
 
     def test_separable_expression_kernel(self, runner, tmp_path):
         cfg = write_config(

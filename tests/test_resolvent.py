@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import schur
 
 import perron as pr
 from perron.cli import _write_dcurve
 from perron.errors import (
     AtEigenvalueError,
     BelowSpectralRadiusError,
+    IllConditionedError,
     NearSingularError,
     NotConvergentError,
     PoleError,
 )
-from conftest import random_positive_kernel
+from conftest import config_kernels, random_positive_kernel
 
 
 def make_rank_one(space, a_values, b_density):
@@ -334,3 +336,87 @@ class TestOperatorResolvent:
         )
         dense = np.linalg.solve(shifted.T, ev.functional.acting_vector())
         np.testing.assert_allclose(ev.left_remainder_solve(lam), dense, rtol=1e-10)
+
+
+def pointwise_curve(ev, lams):
+    return (
+        np.array([ev.value(lam) for lam in lams]),
+        np.array([ev.derivative(lam) for lam in lams]),
+    )
+
+
+CONFIG_CASES = list(config_kernels())
+CURVE_KERNELS = [
+    (f"seed{seed}-n{n}", random_positive_kernel(pr.make_counting_space(n), np.random.default_rng(seed)))
+    for seed, n in ((60, 7), (61, 25), (62, 80))
+] + [
+    (f"lognormal{seed}", pr.Kernel(
+        np.exp(1.5 * np.random.default_rng(seed).standard_normal((30, 30))),
+        pr.make_counting_space(30),
+    ))
+    for seed in (63, 64)
+]
+
+
+class TestCurve:
+    @pytest.mark.parametrize("kernel", [k for _, k in CURVE_KERNELS], ids=[i for i, _ in CURVE_KERNELS])
+    def test_matches_pointwise_with_complex_blocks(self, kernel):
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+        s, _ = schur(ev.split.remainder.operator_matrix(), output="real")
+        assert np.any(np.diag(s, -1) != 0.0)  # the 2x2 block path runs
+        lams = np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 40)
+        d, dp = ev.curve(lams)
+        d_ref, dp_ref = pointwise_curve(ev, lams)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "kernel, cert", [case[1:] for case in CONFIG_CASES], ids=[case[0] for case in CONFIG_CASES]
+    )
+    def test_matches_pointwise_on_configs(self, kernel, cert):
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, cert))
+        lams = np.geomspace(ev.remainder_radius * 1.001 + 1e-9, 10 * ev.operator_norm, 40)
+        d, dp = ev.curve(lams)
+        d_ref, dp_ref = pointwise_curve(ev, lams)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
+
+    def test_independent_of_backend(self):
+        k = random_positive_kernel(pr.make_counting_space(20), np.random.default_rng(65))
+        split = pr.rank_one_split(k, pr.extract_minorization(k))
+        direct = pr.BirmanSchwingerEvaluator(split)
+        neumann = pr.BirmanSchwingerEvaluator(split, solver="neumann")
+        # starts below the remainder norm, where the series cannot run
+        lams = np.geomspace(direct.remainder_radius * 1.001, 10 * direct.operator_norm, 30)
+        assert lams[0] < neumann.remainder_norm
+        for a, b in zip(direct.curve(lams), neumann.curve(lams)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_below_radius_rejected_where_value_is(self, symmetric_evaluator):
+        ev = symmetric_evaluator
+        for lam in (0.5, ev.remainder_radius):
+            with pytest.raises(BelowSpectralRadiusError):
+                ev.value(lam)
+            with pytest.raises(BelowSpectralRadiusError) as info:
+                ev.curve([4.0, lam, 5.0])
+            assert info.value.lam == lam
+
+    def test_ill_conditioned_where_value_is(self):
+        # the remainder is a nonnormal chain, R = diag + 5 * superdiagonal, under
+        # a rank-one part with a nonconstant profile; its shifted condition
+        # number exceeds MAX_CONDITION up to lambda ~ 0.65
+        n = 12
+        rem = np.diag(np.linspace(0.1, 0.2, n)) + 5.0 * np.eye(n, k=1)
+        k = pr.Kernel(np.linspace(1.0, 0.1, n)[:, None] + rem, pr.make_counting_space(n))
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
+        lam = 0.5
+        with pytest.raises(IllConditionedError) as pointwise:
+            ev.value(lam)
+        with pytest.raises(IllConditionedError) as batched:
+            ev.curve([10.0, lam, 20.0])
+        assert "lambda = 0.5 " in str(batched.value)
+        # the exact condition of a nonnegative inverse and gecon's estimate
+        condition = [float(str(e.value).split()[-1]) for e in (batched, pointwise)]
+        assert condition[0] == pytest.approx(condition[1], rel=1e-2)
+        ev.curve([0.8, 10.0])
+        ev.value(0.8)

@@ -1,15 +1,10 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import perron as pr
 import perron.resolvent
-from perron.cli import _prepare, _resolve_certificate
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
-from conftest import random_positive_kernel
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import config_kernels, random_positive_kernel
 
 
 def evaluator_for(kernel, strategy="row_min"):
@@ -112,14 +107,6 @@ def expansion_root(ev, tol=1e-12):
     raise AssertionError("oracle root refinement did not converge")
 
 
-def config_kernels():
-    for path in sorted(CONFIGS.glob("*.json")):
-        cfg, config_dir, kernel = _prepare(str(path))
-        cert = _resolve_certificate(cfg, kernel, config_dir)
-        if isinstance(cert, pr.MinorizationCertificate):
-            yield path.stem, kernel, cert
-
-
 CONFIG_CASES = list(config_kernels())
 ROOT_CASES = [
     (f"seed{seed}", random_positive_kernel(space, np.random.default_rng(seed)), None)
@@ -187,6 +174,15 @@ class TestRootSearch:
         # the largest gap seen on this grid is 2.3e-15, about 10 eps; both
         # the root and the reference carry rounding error, so allow 64 eps
         assert abs(lam - reference) <= 64 * np.finfo(float).eps * reference
+
+    def test_no_root_above_radius_estimate_fails_before_any_factorization(self, lu_calls):
+        # a certificate this weak leaves rho(R) within 1e-8 of rho(T): the
+        # inflated radius estimate lies above the Collatz-Wielandt upper end
+        rng = np.random.default_rng(1)
+        k = pr.Kernel(np.exp(4.0 * rng.standard_normal((20, 20))), pr.make_counting_space(20))
+        with pytest.raises(NoSignChangeError, match="last D = not evaluated"):
+            pr.solve(k)
+        assert len(lu_calls) == 0
 
     def test_weak_certificate_fallback_matches_power_oracle(self):
         # a heterogeneous matrix: the power steps converge slowly, and
@@ -389,6 +385,24 @@ class TestSeries:
 
 
 class TestDominance:
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            pr.gaussian_kernel(pr.make_interval_space(0, 1, 120, "midpoint"), 0.35),
+            random_positive_kernel(pr.make_counting_space(30), np.random.default_rng(66)),
+        ],
+        ids=["gaussian", "random"],
+    )
+    def test_rank_two_deflation_matches_dense_product(self, kernel):
+        res = pr.solve(kernel)
+        t_op, p = kernel.operator_matrix(), res.projection.matrix()
+        eye = np.eye(kernel.size)
+        dense = (eye - p) @ t_op @ (eye - p)
+        fast = perron.spectral._deflate(
+            t_op, res.projection.range_vector.values, res.projection.functional.acting_vector()
+        )
+        assert np.abs(fast - dense).max() <= 1e-12 * np.abs(t_op).max()
+
     def test_symmetric_2x2_gap(self, symmetric_2x2):
         res = pr.solve(symmetric_2x2)
         report = pr.verify_dominance(symmetric_2x2, res)
