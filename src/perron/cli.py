@@ -459,19 +459,29 @@ def verify(config_path, out_flag):
         ev = result.evaluator
         grid = np.geomspace(max(ev.remainder_radius * 1.0001, lam * 1e-3), 10 * ev.operator_norm, 64)
         grid = grid[grid > ev.remainder_radius]
-        # the scan and the finite-difference probes are one grid, so one
-        # Schur form serves both
+        # the scan, the finite-difference probes and lambda0 are one grid, so
+        # one Schur form serves all of them
         probes = np.array([lam * 1.5, lam * 3.0])
         h = 1e-5 * probes
         m = grid.size
-        dvals, slopes = ev.curve(np.concatenate([grid, probes - h, probes + h, probes]))
+        dvals, slopes = ev.curve(np.concatenate([grid, probes - h, probes + h, probes, [lam]]))
         record("bs_monotone", bool(np.all(np.diff(dvals[:m]) > 0)), "64-point geometric scan")
         sign_changes = int(np.sum(np.diff(np.sign(dvals[:m])) != 0))
         record("bs_single_root", sign_changes == 1, f"{sign_changes} sign change(s)")
         fds = (dvals[m + 2 : m + 4] - dvals[m : m + 2]) / (2 * h)
-        for probe, fd, an in zip(probes, fds, slopes[m + 4 :]):
+        for probe, fd, an in zip(probes, fds, slopes[m + 4 : m + 6]):
             rel = abs(fd - an) / abs(an)
             record(f"bs_derivative_at_{probe:.6g}", rel <= 1e-6, f"fd mismatch {rel:.3e}")
+        # the Schur curve against the LU path that found the root and scaled
+        # the residue; the solve left lambda0 factorized, so this costs no LU
+        d_gap = abs(dvals[-1] - ev.value(lam))
+        dp_lu = ev.derivative(lam)
+        dp_gap = abs(slopes[-1] - dp_lu) / abs(dp_lu)
+        record(
+            "bs_curve_matches_lu",
+            d_gap <= 1e-9 and dp_gap <= 1e-9,
+            f"at lambda0: D gap {d_gap:.3e}, D' relative gap {dp_gap:.3e}",
+        )
 
         lam_test = 2.0 * ev.operator_norm
         seq = build_corrected_kernels(split, 6)

@@ -22,7 +22,9 @@ back-substitution on the quasi-triangular S costs O(n^2) per shift, the
 Bartels-Stewart reduction used for frequency responses (Laub 1981).
 Measured with BLAS on one thread, the Schur form costs as much as about
 40 LU shifts at n = 600 (0.13 s against 3.2 ms) and about 23 at n = 2000
-(1.7 s against 73 ms), fewer than the 67-200 points of every CLI grid.
+(1.7 s against 73 ms).  The grids the CLI builds itself have more points
+(200 for the D-curve, 71 for the verify scan); a shorter grid asked for
+with `perron dcurve --points` is slower than one LU per point.
 """
 
 from __future__ import annotations
@@ -255,7 +257,8 @@ class BirmanSchwingerEvaluator:
         condition exceeds MAX_CONDITION.  The result does not depend on
         the solver backend, and nothing is cached.  The Schur form costs
         about 40 LU shifts at n = 600 and about 23 at n = 2000 (see the
-        module docstring); every grid the CLI samples has more points.
+        module docstring), so a grid with fewer shifts is slower here than
+        one LU per shift.
         """
         lams = np.asarray(lams, dtype=float)
         for lam in lams:

@@ -145,7 +145,8 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     if cw is not None and cw[1] * (1.0 + 4 * np.finfo(float).eps) < rho:
         # rho(T) <= hi < rho: D has no root above the radius estimate
         raise _no_sign_change(
-            "the Collatz-Wielandt upper end is below the remainder radius estimate",
+            f"the Collatz-Wielandt upper end is {rho / cw[1] - 1.0:.3e} relative "
+            "below the remainder radius estimate",
             ev, rho, cw, None,
         )
     if cw is not None and cw[0] > rho:

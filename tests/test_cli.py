@@ -357,6 +357,37 @@ class TestVerifyCommand:
         assert "PASS  power_doeblin_certificate" in result.output
         assert "N = 2" in result.output
 
+    def test_curve_is_checked_against_the_lu_path(self, runner, tmp_path, monkeypatch):
+        calls = []
+        real = perron.resolvent.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+        cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert "PASS  bs_curve_matches_lu" in result.output
+        # one LU for each of the two solves, plus the resolvent identity;
+        # the comparison reuses the factorization at lambda0
+        assert len(calls) == 3
+
+    def test_curve_disagreeing_with_the_lu_path_fails(self, runner, tmp_path, monkeypatch):
+        real = perron.resolvent.BirmanSchwingerEvaluator.curve
+
+        def skewed(self, lams):
+            d, dp = real(self, lams)
+            return d, dp * (1.0 + 1e-8)
+
+        monkeypatch.setattr(perron.resolvent.BirmanSchwingerEvaluator, "curve", skewed)
+        cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 3
+        assert "FAIL  bs_curve_matches_lu" in result.output
+        assert "FAIL  bs_derivative" not in result.output
+
     def test_random_positive_kernel_passes(self, runner, tmp_path):
         rng = np.random.default_rng(99)
         rows = "\n".join(

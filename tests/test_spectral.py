@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,8 +182,10 @@ class TestRootSearch:
         # inflated radius estimate lies above the Collatz-Wielandt upper end
         rng = np.random.default_rng(1)
         k = pr.Kernel(np.exp(4.0 * rng.standard_normal((20, 20))), pr.make_counting_space(20))
-        with pytest.raises(NoSignChangeError, match="last D = not evaluated"):
+        with pytest.raises(NoSignChangeError, match="last D = not evaluated") as info:
             pr.solve(k)
+        # the bracket and the estimate agree to 7 digits; the reason states the gap
+        assert re.search(r"upper end is \d\.\d{3}e-\d\d relative below", str(info.value))
         assert len(lu_calls) == 0
 
     def test_weak_certificate_fallback_matches_power_oracle(self):
