@@ -30,6 +30,7 @@ from .corrected_kernels import (
     moment_scalars,
     neumann_kernel_resolvent,
     neumann_tail_bound,
+    probe_resolvent_identity,
     rank_one_norm,
     variant_expansion,
     verify_bell_expansion,

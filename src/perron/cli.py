@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .change_of_measure import MeasureChange, conjugate_kernel, transform_schur
-from .corrected_kernels import build_corrected_kernels, verify_resolvent_identity
+from .corrected_kernels import probe_resolvent_identity
 from .doeblin import (
     MinorizationCertificate,
     NotMinorizable,
@@ -62,6 +62,7 @@ EXIT_NOT_MINORIZABLE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_SEED = 20240808
+PROBES = 4  # columns of the probe block for the kernel resolvent identity
 OUT_ENV = "PERRON_OUT"
 
 THRESHOLDS = {
@@ -82,11 +83,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write over the file in place and cut it to the new length.
+
+    Truncating a non-empty file to zero on open can stall for tens of
+    milliseconds on some file systems; cutting only the stale tail after
+    the write does not.  The inode, its permissions and any symlink in
+    the path are kept.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        size = len(data)
+        while data:
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\r\n".join(lines) + "\r\n")
+    _write_text(path, "\r\n".join(lines) + "\r\n")
 
 
 def _load_config(path: str) -> dict:
@@ -255,7 +275,7 @@ def _solve_impl(config_path, out_flag):
             },
         }
         report_path = out / outputs.get("report", "report.json")
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
         eig_path = out / outputs.get("eigenfunction", "eigenfunction.csv")
         _write_csv(
             eig_path,
@@ -383,7 +403,7 @@ def power_doeblin(config_path, n_max, out_flag):
     text = "\n".join(lines)
     click.echo(text)
     out = _out_dir(out_flag)
-    (out / cfg.get("outputs", {}).get("report", "power_doeblin.txt")).write_text(text + "\n")
+    _write_text(out / cfg.get("outputs", {}).get("report", "power_doeblin.txt"), text + "\n")
     sys.exit(EXIT_OK)
 
 
@@ -484,8 +504,8 @@ def verify(config_path, out_flag):
         )
 
         lam_test = 2.0 * ev.operator_norm
-        seq = build_corrected_kernels(split, 6)
-        ident = verify_resolvent_identity(seq, lam_test)
+        probes = 1.0 + np.random.default_rng(seed).uniform(0.0, 1.0, (kernel.size, PROBES))
+        ident = probe_resolvent_identity(split, lam_test, probes)
         record(
             "kernel_resolvent_identity",
             ident.relative_residual <= 1e-9,

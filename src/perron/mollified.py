@@ -15,6 +15,14 @@ points as the widths shrink.  The recursion
 
 then converges to the exact point-subtraction recursion, which
 ``convergence_study`` measures against shrinking widths.
+
+Both recursions subtract multiples of K, so every iterate is a
+combination sum_j c_j K^(j) of the iterated kernels with j <= n+1: the
+recursion runs on the coefficients, and a functional enters only
+through its values on the powers.  ``convergence_study`` composes
+K^(2) .. K^(m+1) once (m products) and shares them between the point
+recursion and every width; the error of each step is the norm of one
+combination, sum_j (c_j^{e} - c_j) K^(j).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, GridTooCoarseError
-from .kernel_op import Kernel, compose
+from .kernel_op import Kernel
 from .measure import MeasureSpace, check_same_space
 
 
@@ -87,6 +95,40 @@ def mollified_functional(state, psi: Mollifier, eta: Mollifier) -> float:
     return float(psi.acting_vector() @ kernel.entries @ eta.acting_vector())
 
 
+def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
+    """The iterated kernels K^(1) .. K^(m+1), stacked: m compositions."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    w = kernel.space.weights[:, np.newaxis]
+    powers = np.empty((m + 1, kernel.size, kernel.size))
+    powers[0] = kernel.entries
+    for j in range(1, m + 1):
+        powers[j] = kernel.entries @ (w * powers[j - 1])
+    return powers
+
+
+def _subtraction_coefficients(values: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients c with G_n = sum_j c[n, j] K^(j+1) for the recursion
+
+        G_0 = K,    G_{n+1} = K-compose(G_n) - K * f[G_n],
+
+    given the values f_j = f[K^(j+1)] of a linear functional f.  Composing
+    with K shifts every coefficient up one power, and the subtracted
+    scalar f[G_n] = sum_j c[n, j] f_j lands on K^(1).
+    """
+    coeffs = np.zeros((m + 1, m + 1))
+    coeffs[0, 0] = 1.0
+    for n in range(m):
+        coeffs[n + 1, 1:] = coeffs[n, :-1]
+        coeffs[n + 1, 0] = -float(coeffs[n] @ values)
+    return coeffs
+
+
+def _mollified_values(powers: np.ndarray, psi: Mollifier, eta: Mollifier) -> np.ndarray:
+    """phi_{e,d}[K^(j+1)] for every stacked power."""
+    return powers @ eta.acting_vector() @ psi.acting_vector()
+
+
 def mollified_recursion(
     kernel: Kernel,
     alpha: float,
@@ -104,32 +146,34 @@ def mollified_recursion(
     rank-one range equal to span{K}; ``"profile"`` subtracts
     alpha * profile(x) * phi[G_n] instead, matching the minorization
     shape.  Both variants are exposed because they coincide only when
-    the kernel itself is the certified direction.
+    the kernel itself is the certified direction.  The kernel direction
+    runs as a coefficient recursion over the powers of K.
     """
     if direction not in ("kernel", "profile"):
         raise ValueError(f"unknown direction {direction!r}")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if direction == "profile":
+    if direction == "kernel":
+        powers = _kernel_powers(kernel, m)
+        coeffs = _subtraction_coefficients(_mollified_values(powers, psi, eta), m)
+        iterates = [np.tensordot(c, powers, axes=1) for c in coeffs]
+    else:
         profile_values = np.asarray(
             profile.values if hasattr(profile, "values") else profile, dtype=float
         )
-        subtract_direction = alpha * profile_values[:, np.newaxis] * np.ones(
-            (1, kernel.size)
-        )
-    else:
-        subtract_direction = kernel.entries
+        subtract_direction = alpha * profile_values[:, np.newaxis]
+        iterates = [kernel.entries]
+        for _ in range(m):
+            current = iterates[-1]
+            scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
+            iterates.append(
+                kernel.entries @ (kernel.space.weights[:, np.newaxis] * current)
+                - subtract_direction * scalar
+            )
     states = [LiftedKernelState.from_kernel(kernel, p)]
-    current = kernel.entries
-    for _ in range(m):
-        scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
-        nxt = (
-            kernel.entries @ (kernel.space.weights[:, np.newaxis] * current)
-            - subtract_direction * scalar
-        )
-        k = _signed_kernel(nxt, kernel.space)
+    for entries in iterates[1:]:
+        k = _signed_kernel(entries, kernel.space)
         states.append(LiftedKernelState(k, kernel_space_norm(k, p)))
-        current = nxt
     return states
 
 
@@ -150,18 +194,16 @@ def _signed_kernel(entries: np.ndarray, space: MeasureSpace) -> Kernel:
 
 def point_recursion(kernel: Kernel, x0_index: int, y0_index: int, m: int) -> list:
     """Exact point-subtraction recursion using the node value at (x0, y0):
-    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0)."""
+    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0), run as a coefficient
+    recursion over the powers of K."""
     n = kernel.size
     if not (0 <= x0_index < n and 0 <= y0_index < n):
         raise IndexError("reference indices out of range")
-    out = [kernel]
-    current = kernel.entries
-    w = kernel.space.weights
-    for _ in range(m):
-        scalar = float(current[x0_index, y0_index])
-        current = kernel.entries @ (w[:, np.newaxis] * current) - kernel.entries * scalar
-        out.append(_signed_kernel(current, kernel.space))
-    return out
+    powers = _kernel_powers(kernel, m)
+    coeffs = _subtraction_coefficients(powers[:, x0_index, y0_index], m)
+    return [kernel] + [
+        _signed_kernel(np.tensordot(c, powers, axes=1), kernel.space) for c in coeffs[1:]
+    ]
 
 
 @dataclass(frozen=True)
@@ -207,19 +249,17 @@ def convergence_study(
         raise GridTooCoarseError(
             f"width {smallest} captures fewer than two nodes around {cx}"
         )
-    exact = point_recursion(kernel, ix, iy, m)
+    powers = _kernel_powers(kernel, m)
+    exact = _subtraction_coefficients(powers[:, ix, iy], m)
     errors = []
     per_step = []
     for eps in widths:
         psi = Mollifier(cx, eps, kernel.space)
         eta = Mollifier(cy, eps, kernel.space)
-        states = mollified_recursion(kernel, 1.0, None, psi, eta, m, direction="kernel", p=p)
+        gap = _subtraction_coefficients(_mollified_values(powers, psi, eta), m) - exact
         step_errors = tuple(
-            kernel_space_norm(
-                _signed_kernel(states[n].kernel.entries - exact[n].entries, kernel.space),
-                p,
-            )
-            for n in range(m + 1)
+            kernel_space_norm(_signed_kernel(np.tensordot(c, powers, axes=1), kernel.space), p)
+            for c in gap
         )
         per_step.append(step_errors)
         errors.append(max(step_errors))

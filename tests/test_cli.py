@@ -1,12 +1,18 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import perron as pr
+import perron.kernel_op
 import perron.resolvent
 from perron.cli import main
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -182,6 +188,31 @@ class TestSolveCommand:
             assert result.exit_code == 0
         assert (out_a / "eigenfunction.csv").read_bytes() == (out_b / "eigenfunction.csv").read_bytes()
         assert (out_a / "dcurve.csv").read_bytes() == (out_b / "dcurve.csv").read_bytes()
+
+    def test_rerun_with_shorter_output_leaves_no_stale_tail(self, runner, tmp_path):
+        # outputs are overwritten in place: same inode, mode and symlink
+        long_cfg = write_config(tmp_path / "long.json", gaussian_config(60, "direct_lu"))
+        short_cfg = write_config(tmp_path / "short.json", gaussian_config(12, "direct_lu"))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert runner.invoke(main, ["solve", "--config", long_cfg, "--out", str(out)]).exit_code == 0
+        (out / "dcurve.csv").rename(tmp_path / "curve.csv")
+        (out / "dcurve.csv").symlink_to(tmp_path / "curve.csv")
+        (out / "eigenfunction.csv").chmod(0o600)
+        sizes = {name: (out / name).stat().st_size for name in ("report.json", "eigenfunction.csv")}
+        inodes = {name: (out / name).stat().st_ino for name in sizes}
+        for target in (out, fresh):
+            result = runner.invoke(main, ["solve", "--config", short_cfg, "--out", str(target)])
+            assert result.exit_code == 0, result.output
+        assert all((out / name).stat().st_size < size for name, size in sizes.items())
+        for name in ("eigenfunction.csv", "dcurve.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        reports = [json.loads((d / "report.json").read_text()) for d in (out, fresh)]
+        for report in reports:
+            report.pop("timings_s")
+        assert reports[0] == reports[1]
+        assert {name: (out / name).stat().st_ino for name in inodes} == inodes
+        assert (out / "eigenfunction.csv").stat().st_mode & 0o777 == 0o600
+        assert (out / "dcurve.csv").is_symlink()
 
     def test_dcurve_output_takes_one_factorization(self, runner, tmp_path, monkeypatch):
         calls = []
@@ -370,9 +401,27 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert "PASS  bs_curve_matches_lu" in result.output
-        # one LU for each of the two solves, plus the resolvent identity;
-        # the comparison reuses the factorization at lambda0
+        # one LU for the solve, two for the measure-change solve; the
+        # comparison reuses the factorization at lambda0
         assert len(calls) == 3
+
+    def test_kernel_checks_compose_no_kernels(self, runner, monkeypatch):
+        # the corrected-kernel recursion and the resolvent identity run on
+        # a block of probes; the dense form composed 34 kernels here
+        calls = []
+        real = perron.kernel_op.compose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("perron") and getattr(module, "compose", None) is real:
+                monkeypatch.setattr(module, "compose", counting)
+        result = runner.invoke(main, ["verify", "--config", str(CONFIGS / "gaussian_interval.json")])
+        assert result.exit_code == 0, result.output
+        assert "PASS  kernel_resolvent_identity" in result.output
+        assert len(calls) == 0
 
     def test_curve_disagreeing_with_the_lu_path_fails(self, runner, tmp_path, monkeypatch):
         real = perron.resolvent.BirmanSchwingerEvaluator.curve

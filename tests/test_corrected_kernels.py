@@ -1,8 +1,11 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import perron as pr
-from perron.errors import NotConvergentError
+from perron.errors import DimensionMismatchError, NotConvergentError
 from conftest import random_positive_kernel
 
 
@@ -138,6 +141,114 @@ class TestSubtractionIdentity:
         lam = 2.0 * k.weighted_inf_norm()
         report = pr.verify_resolvent_identity(seq, lam)
         assert report.relative_residual <= 1e-9
+
+
+
+def gaussian_split(n=200):
+    sp = pr.make_interval_space(0, 1, n, "midpoint")
+    return split_for(pr.gaussian_kernel(sp, 0.35))
+
+
+def probe_block(n, seed=20240808):
+    return 1.0 + np.random.default_rng(seed).uniform(0.0, 1.0, (n, 4))
+
+
+def remainder_entry(split, eps):
+    entries = split.remainder.entries.copy()
+    n = split.kernel.size
+    entries[n // 3, n // 2] *= 1 + eps
+    return dataclasses.replace(split, remainder=pr.Kernel(entries, split.kernel.space))
+
+
+def remainder_column(split, eps):
+    entries = split.remainder.entries.copy()
+    entries[:, split.kernel.size // 2] *= 1 + eps
+    return dataclasses.replace(split, remainder=pr.Kernel(entries, split.kernel.space))
+
+
+def scaled_alpha(split, eps):
+    cert = dataclasses.replace(split.certificate, alpha=split.certificate.alpha * (1 + eps))
+    return dataclasses.replace(split, certificate=cert)
+
+
+def dense_identity(split, lam):
+    return pr.verify_resolvent_identity(pr.build_corrected_kernels(split, 6), lam)
+
+
+class TestProbeIdentity:
+    """The probe form runs the checks of the dense form on K o V for a
+    block V of four positive probes; it must reach the same verdict."""
+
+    def test_clean_split_matches_dense_residual(self):
+        split = gaussian_split()
+        lam = 2.0 * split.kernel.weighted_inf_norm()
+        dense = dense_identity(split, lam)
+        probe = pr.probe_resolvent_identity(split, lam, probe_block(split.kernel.size))
+        assert probe.relative_residual <= 1e-12
+        assert 0.5 <= probe.relative_residual / dense.relative_residual <= 2.0
+
+    @pytest.mark.parametrize(
+        "defect, eps",
+        [
+            (remainder_entry, 1e-3),
+            (remainder_entry, 1e-6),
+            (remainder_column, 1e-3),
+            (remainder_column, 1e-6),
+            (scaled_alpha, 1e-8),
+        ],
+    )
+    def test_inconsistent_split_raises_in_both_forms(self, defect, eps):
+        split = defect(gaussian_split(), eps)
+        lam = 2.0 * split.kernel.weighted_inf_norm()
+        with pytest.raises(NotConvergentError, match="forms disagree at step n = 1"):
+            dense_identity(split, lam)
+        with pytest.raises(NotConvergentError, match="forms disagree at step n = 1"):
+            pr.probe_resolvent_identity(split, lam, probe_block(split.kernel.size))
+
+    @pytest.mark.parametrize(
+        "defect, eps",
+        [
+            # below the two-form tolerance: one remainder entry 1e-8 off
+            # leaves a residual near 1e-11, well inside the 1e-9 bound of
+            # ``perron verify``, in both forms alike
+            (remainder_entry, 1e-8),
+            (remainder_column, 1e-8),
+            (scaled_alpha, 1e-10),
+        ],
+    )
+    def test_small_defect_gives_the_same_residual_in_both_forms(self, defect, eps):
+        split = defect(gaussian_split(), eps)
+        lam = 2.0 * split.kernel.weighted_inf_norm()
+        dense = dense_identity(split, lam)
+        probe = pr.probe_resolvent_identity(split, lam, probe_block(split.kernel.size))
+        assert dense.relative_residual <= 1e-9 and probe.relative_residual <= 1e-9
+        assert dense.relative_residual > 1e-12
+        assert 0.5 <= probe.relative_residual / dense.relative_residual <= 2.0
+
+    def test_disagreement_message_carries_step_gap_and_tolerance(self):
+        split = remainder_entry(gaussian_split(60), 1e-4)
+        k = split.kernel
+        w = k.space.weights[:, np.newaxis]
+        cert = split.certificate
+        subtract_form = k.entries @ (w * k.entries) - cert.alpha * np.outer(
+            cert.profile.values, cert.functional.acting_vector() @ k.entries
+        )
+        gap = np.abs(subtract_form - split.remainder.entries @ (w * k.entries)).max()
+        tolerance = 1e-10 * max(1.0, k.entries.max()) ** 2 * max(1.0, k.space.total_mass())
+        with pytest.raises(NotConvergentError) as info:
+            pr.build_corrected_kernels(split, 6)
+        found = re.search(r"step n = (\d+): gap (\S+) > tolerance (\S+);", str(info.value))
+        assert found, str(info.value)
+        assert int(found.group(1)) == 1
+        assert float(found.group(2)) == pytest.approx(gap, rel=1e-3)
+        assert float(found.group(3)) == pytest.approx(tolerance, rel=1e-3)
+
+    def test_rejects_malformed_probes(self):
+        split = gaussian_split(20)
+        with pytest.raises(DimensionMismatchError):
+            pr.probe_resolvent_identity(split, 2.0, np.ones((19, 4)))
+        with pytest.raises(ValueError):
+            pr.probe_resolvent_identity(split, 2.0, -np.ones((20, 4)))
 
 
 class TestBellPolynomial:
