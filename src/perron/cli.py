@@ -89,7 +89,11 @@ def _write_text(path: Path, text: str) -> None:
     Truncating a non-empty file to zero on open can stall for tens of
     milliseconds on some file systems; cutting only the stale tail after
     the write does not.  The inode, its permissions and any symlink in
-    the path are kept.
+    the path are kept.  The stall avoided is most likely the file
+    system's flush on replace-via-truncate (ext4 ``auto_da_alloc``), a
+    crash-safety feature: a run killed between the write and the cut,
+    or a power loss before the overwritten blocks reach the disk, can
+    leave the new content followed by a stale tail of the old file.
     """
     data = memoryview(text.encode())
     fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)

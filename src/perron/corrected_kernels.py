@@ -21,9 +21,11 @@ two-form cross-check), the series and the identity are written once,
 for an n x k column block B in place of K: G_n B, H B and
 (lam*I - T) H B = K B - P H B.  The dense functions start from B = K.
 ``probe_resolvent_identity`` starts from B = K o V for a block V of k
-positive probes, so each composition costs O(n^2 k) instead of O(n^3);
-a nonzero defect survives the product with a continuous random block
-with probability one (Freivalds 1977).
+positive probes, so each composition costs O(n^2 k) instead of O(n^3).
+In exact arithmetic a nonzero defect survives the product with a
+continuous random block with probability one (Freivalds 1977); at a
+tolerance, a defect that cancels against K applied to the probes' mean
+is damped (see ``probe_resolvent_identity``).
 
 The ordered expansion of (T - P)^n applied to K collapses into partial
 Bell polynomials of the moment scalars b_j = phi[T^j profile].  This
@@ -224,10 +226,13 @@ def probe_resolvent_identity(
     ``verify_resolvent_identity``, applied to the columns of K o V.
 
     V is an n x k block of positive probe functions.  Every composition
-    becomes a product with k columns, O(n^2 k) instead of O(n^3); a
-    defect in the split survives the projection onto random continuous
-    probes with probability one (Freivalds).  The residual is relative
-    to sup |K o V|.
+    becomes a product with k columns, O(n^2 k) instead of O(n^3).  In
+    exact arithmetic a defect in the split survives the projection onto
+    random continuous probes with probability one (Freivalds).  At the
+    cross-check's tolerance a signed defect E with E K 1 near zero is
+    damped: positive probes are close to a constant times the all-ones
+    function once K has smoothed them, so such a defect can pass here
+    and fail the dense check.  The residual is relative to sup |K o V|.
     """
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[0] != split.kernel.size:

@@ -17,11 +17,13 @@ then converges to the exact point-subtraction recursion, which
 ``convergence_study`` measures against shrinking widths.
 
 Both recursions subtract multiples of K, so every iterate is a
-combination sum_j c_j K^(j) of the iterated kernels with j <= n+1: the
-recursion runs on the coefficients, and a functional enters only
-through its values on the powers.  ``convergence_study`` composes
-K^(2) .. K^(m+1) once (m products) and shares them between the point
-recursion and every width; the error of each step is the norm of one
+combination sum_j c_j K^(j) of the iterated kernels with j <= n+1, and
+a functional enters only through its values on the powers.
+``point_recursion`` and ``mollified_recursion`` iterate the kernels
+directly, one composition per step.  ``convergence_study`` instead
+composes K^(2) .. K^(m+1) once (m products), runs both recursions on
+the coefficients c_j and shares the powers between the point recursion
+and every width; the error of each step is the norm of one
 combination, sum_j (c_j^{e} - c_j) K^(j).
 """
 
@@ -146,34 +148,32 @@ def mollified_recursion(
     rank-one range equal to span{K}; ``"profile"`` subtracts
     alpha * profile(x) * phi[G_n] instead, matching the minorization
     shape.  Both variants are exposed because they coincide only when
-    the kernel itself is the certified direction.  The kernel direction
-    runs as a coefficient recursion over the powers of K.
+    the kernel itself is the certified direction.
     """
     if direction not in ("kernel", "profile"):
         raise ValueError(f"unknown direction {direction!r}")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if direction == "kernel":
-        powers = _kernel_powers(kernel, m)
-        coeffs = _subtraction_coefficients(_mollified_values(powers, psi, eta), m)
-        iterates = [np.tensordot(c, powers, axes=1) for c in coeffs]
-    else:
+    if direction == "profile":
         profile_values = np.asarray(
             profile.values if hasattr(profile, "values") else profile, dtype=float
         )
-        subtract_direction = alpha * profile_values[:, np.newaxis]
-        iterates = [kernel.entries]
-        for _ in range(m):
-            current = iterates[-1]
-            scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
-            iterates.append(
-                kernel.entries @ (kernel.space.weights[:, np.newaxis] * current)
-                - subtract_direction * scalar
-            )
+        subtract_direction = alpha * profile_values[:, np.newaxis] * np.ones(
+            (1, kernel.size)
+        )
+    else:
+        subtract_direction = kernel.entries
     states = [LiftedKernelState.from_kernel(kernel, p)]
-    for entries in iterates[1:]:
-        k = _signed_kernel(entries, kernel.space)
+    current = kernel.entries
+    for _ in range(m):
+        scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
+        nxt = (
+            kernel.entries @ (kernel.space.weights[:, np.newaxis] * current)
+            - subtract_direction * scalar
+        )
+        k = _signed_kernel(nxt, kernel.space)
         states.append(LiftedKernelState(k, kernel_space_norm(k, p)))
+        current = nxt
     return states
 
 
@@ -194,16 +194,18 @@ def _signed_kernel(entries: np.ndarray, space: MeasureSpace) -> Kernel:
 
 def point_recursion(kernel: Kernel, x0_index: int, y0_index: int, m: int) -> list:
     """Exact point-subtraction recursion using the node value at (x0, y0):
-    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0), run as a coefficient
-    recursion over the powers of K."""
+    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0)."""
     n = kernel.size
     if not (0 <= x0_index < n and 0 <= y0_index < n):
         raise IndexError("reference indices out of range")
-    powers = _kernel_powers(kernel, m)
-    coeffs = _subtraction_coefficients(powers[:, x0_index, y0_index], m)
-    return [kernel] + [
-        _signed_kernel(np.tensordot(c, powers, axes=1), kernel.space) for c in coeffs[1:]
-    ]
+    out = [kernel]
+    current = kernel.entries
+    w = kernel.space.weights
+    for _ in range(m):
+        scalar = float(current[x0_index, y0_index])
+        current = kernel.entries @ (w[:, np.newaxis] * current) - kernel.entries * scalar
+        out.append(_signed_kernel(current, kernel.space))
+    return out
 
 
 @dataclass(frozen=True)

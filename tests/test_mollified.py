@@ -176,61 +176,26 @@ class TestPointRecursion:
             pr.point_recursion(symmetric_2x2, 5, 0, 1)
 
 
-
-def loop_point_recursion(kernel, ix, iy, m):
-    """The point recursion run directly: one composition per step."""
-    w = kernel.space.weights[:, np.newaxis]
-    out = [kernel.entries]
-    for _ in range(m):
-        current = out[-1]
-        out.append(kernel.entries @ (w * current) - kernel.entries * current[ix, iy])
-    return out
-
-
-def loop_mollified_recursion(kernel, psi, eta, m):
-    """The kernel-direction mollified recursion run directly."""
-    w = kernel.space.weights[:, np.newaxis]
-    out = [kernel.entries]
-    for _ in range(m):
-        current = out[-1]
-        scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
-        out.append(kernel.entries @ (w * current) - kernel.entries * scalar)
-    return out
-
-
 def loop_study_errors(kernel, ix, iy, widths, m):
-    """Per-step errors of ``convergence_study`` from the direct loops."""
-    exact = loop_point_recursion(kernel, ix, iy, m)
+    """Per-step errors of ``convergence_study`` from the public recursions,
+    which compose once per step and per width."""
+    exact = pr.point_recursion(kernel, ix, iy, m)
     cx, cy = kernel.space.nodes[ix], kernel.space.nodes[iy]
     per_step = []
     for eps in widths:
         psi = pr.Mollifier(cx, eps, kernel.space)
         eta = pr.Mollifier(cy, eps, kernel.space)
-        states = loop_mollified_recursion(kernel, psi, eta, m)
-        per_step.append([np.abs(g - e).max() for g, e in zip(states, exact)])
+        states = pr.mollified_recursion(kernel, 1.0, None, psi, eta, m)
+        per_step.append(
+            [np.abs(st.kernel.entries - e.entries).max() for st, e in zip(states, exact)]
+        )
     return np.array(per_step)
 
 
 class TestSharedPowers:
-    """The coefficient recursions over shared powers of K against the
-    direct loops, which compose once per step and per width.  The
-    Gaussian entries are at most one, so 1e-14 is absolute rounding."""
-
-    def test_point_recursion_matches_loop(self):
-        sp = pr.make_interval_space(0, 1, 120, "midpoint")
-        k = pr.gaussian_kernel(sp, 0.3)
-        got = pr.point_recursion(k, 40, 70, 4)
-        for g, e in zip(got, loop_point_recursion(k, 40, 70, 4)):
-            np.testing.assert_allclose(g.entries, e, rtol=0, atol=1e-14)
-
-    def test_mollified_recursion_matches_loop(self):
-        sp = pr.make_interval_space(0, 1, 120, "midpoint")
-        k = pr.gaussian_kernel(sp, 0.3)
-        psi = pr.Mollifier(0.4, 0.1, sp)
-        eta = pr.Mollifier(0.6, 0.05, sp)
-        states = pr.mollified_recursion(k, 1.0, None, psi, eta, 4)
-        for st, e in zip(states, loop_mollified_recursion(k, psi, eta, 4)):
-            np.testing.assert_allclose(st.kernel.entries, e, rtol=0, atol=1e-14)
+    """The coefficient recursions of ``convergence_study`` over shared
+    powers of K against the loops of ``point_recursion`` and
+    ``mollified_recursion``."""
 
     @pytest.mark.parametrize(
         "n, sigma, widths, m",
