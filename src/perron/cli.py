@@ -481,10 +481,12 @@ def verify(config_path, out_flag):
         record("oracle_agreement", delta <= 1e-7, f"relative delta {delta:.3e}")
 
         ev = result.evaluator
-        grid = np.geomspace(max(ev.remainder_radius * 1.0001, lam * 1e-3), 10 * ev.operator_norm, 64)
+        # the scan starts below lambda0 even where rho(R) is within 1e-4 of it
+        start = min(ev.remainder_radius * 1.0001, 0.5 * (ev.remainder_radius + lam))
+        grid = np.geomspace(max(start, lam * 1e-3), 10 * ev.operator_norm, 64)
         grid = grid[grid > ev.remainder_radius]
         # the scan, the finite-difference probes and lambda0 are one grid, so
-        # one Schur form serves all of them
+        # one factorization serves all of them
         probes = np.array([lam * 1.5, lam * 3.0])
         h = 1e-5 * probes
         m = grid.size
@@ -496,7 +498,7 @@ def verify(config_path, out_flag):
         for probe, fd, an in zip(probes, fds, slopes[m + 4 : m + 6]):
             rel = abs(fd - an) / abs(an)
             record(f"bs_derivative_at_{probe:.6g}", rel <= 1e-6, f"fd mismatch {rel:.3e}")
-        # the Schur curve against the LU path that found the root and scaled
+        # the curve against the LU path that found the root and scaled
         # the residue; the solve left lambda0 factorized, so this costs no LU
         d_gap = abs(dvals[-1] - ev.value(lam))
         dp_lu = ev.derivative(lam)
@@ -508,7 +510,7 @@ def verify(config_path, out_flag):
         )
 
         lam_test = 2.0 * ev.operator_norm
-        probes = 1.0 + np.random.default_rng(seed).uniform(0.0, 1.0, (kernel.size, PROBES))
+        probes = np.random.default_rng(seed).uniform(0.0, 1.0, (kernel.size, PROBES)) - 0.5
         ident = probe_resolvent_identity(split, lam_test, probes)
         record(
             "kernel_resolvent_identity",

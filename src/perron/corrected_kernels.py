@@ -21,11 +21,12 @@ two-form cross-check), the series and the identity are written once,
 for an n x k column block B in place of K: G_n B, H B and
 (lam*I - T) H B = K B - P H B.  The dense functions start from B = K.
 ``probe_resolvent_identity`` starts from B = K o V for a block V of k
-positive probes, so each composition costs O(n^2 k) instead of O(n^3).
-In exact arithmetic a nonzero defect survives the product with a
-continuous random block with probability one (Freivalds 1977); at a
-tolerance, a defect that cancels against K applied to the probes' mean
-is damped (see ``probe_resolvent_identity``).
+probes, so each composition costs O(n^2 k) instead of O(n^3).  In exact
+arithmetic a nonzero defect survives the product with a continuous
+random block with probability one (Freivalds 1977); at a tolerance, a
+defect that cancels against K applied to the probes' mean is damped,
+which is why ``perron verify`` draws centred probes (see
+``probe_resolvent_identity``).
 
 The ordered expansion of (T - P)^n applied to K collapses into partial
 Bell polynomials of the moment scalars b_j = phi[T^j profile].  This
@@ -78,10 +79,13 @@ def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int) -> list:
     defining forms (subtract-then-integrate vs remainder-compose) at every
     step.  The block is K itself for the kernels, K o V for probes V."""
     kernel = split.kernel
+    # the block enters at its own size, unfloored: a centred probe block is
+    # small, and a defect must show at the same relative size as in K
+    block = float(np.abs(start).max()) or 1.0
     scale = (
         max(1.0, float(np.abs(kernel.entries).max()))
         * max(1.0, kernel.space.total_mass())
-        * max(1.0, float(np.abs(start).max()))
+        * block
     )
     blocks = [start]
     for n in range(1, m + 1):
@@ -225,22 +229,23 @@ def probe_resolvent_identity(
     """The checks of ``build_corrected_kernels`` to order 6 and of
     ``verify_resolvent_identity``, applied to the columns of K o V.
 
-    V is an n x k block of positive probe functions.  Every composition
-    becomes a product with k columns, O(n^2 k) instead of O(n^3).  In
-    exact arithmetic a defect in the split survives the projection onto
-    random continuous probes with probability one (Freivalds).  At the
+    V is an n x k block of probe functions.  Every composition becomes a
+    product with k columns, O(n^2 k) instead of O(n^3).  In exact
+    arithmetic a defect in the split survives the projection onto random
+    continuous probes with probability one (Freivalds).  At the
     cross-check's tolerance a signed defect E with E K 1 near zero is
-    damped: positive probes are close to a constant times the all-ones
-    function once K has smoothed them, so such a defect can pass here
-    and fail the dense check.  The residual is relative to sup |K o V|.
+    damped when V has a large mean: positive probes are close to a
+    constant times the all-ones function once K has smoothed them, so
+    such a defect can pass here and fail the dense check.  Centred
+    probes (mean zero) carry no constant part, and the tolerance scales
+    with sup |K o V| itself, so they reach the dense verdict.  The
+    residual is relative to sup |K o V|.
     """
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[0] != split.kernel.size:
         raise DimensionMismatchError(
             f"probes must be {split.kernel.size} x k, got {probes.shape}"
         )
-    if not np.all(probes > 0):
-        raise ValueError("probes must be entrywise positive")
     start = _apply(split.kernel, probes)
     blocks = _corrected_blocks(split, start, 6)
     h = _series_block(split, blocks, lam, 1e-13, 10_000)

@@ -13,18 +13,23 @@ D is the Birman-Schwinger function of the rank-one perturbation; it is
 also its Fredholm determinant, det(I - a x b) = 1 - b[a].  D increases
 strictly on (rho(R), inf), tends to 1 at infinity, and its unique root
 there is the dominant eigenvalue of T.  Everything here works for real
-lam above the remainder's spectral radius; no eigensolver is involved.
+lam above the remainder's spectral radius; the root search involves no
+eigensolver.
 
 A shift lam used alone (the root search, the residue at the root) costs
 one LU factorization of lam*I - R.  A whole grid of shifts (the D-curve,
-the verify scan) goes through one real Schur form R = Q S Q^T instead:
-back-substitution on the quasi-triangular S costs O(n^2) per shift, the
-Bartels-Stewart reduction used for frequency responses (Laub 1981).
-Measured with BLAS on one thread, the Schur form costs as much as about
-40 LU shifts at n = 600 (0.13 s against 3.2 ms) and about 23 at n = 2000
-(1.7 s against 73 ms).  The grids the CLI builds itself have more points
-(200 for the D-curve, 71 for the verify scan); a shorter grid asked for
-with `perron dcurve --points` is slower than one LU per point.
+the verify scan) shares one factorization instead.  For a symmetric
+kernel that is one symmetric eigendecomposition of T, after which D and
+D' are secular sums at O(n) per shift (Golub 1973); for any other
+kernel it is one real Schur form R = Q S Q^T, and back-substitution on
+the quasi-triangular S costs O(n^2) per shift, the Bartels-Stewart
+reduction used for frequency responses (Laub 1981).  Measured with BLAS
+on one thread, the eigendecomposition costs as much as about 6 LU
+shifts at n = 600 (12 ms against 2.2 ms) and at n = 2000 (0.35 s
+against 61 ms); the Schur form about 50 (0.11 s) and 25 (1.5 s).  The
+grids the CLI builds itself have more points (200 for the D-curve, 71
+for the verify scan); a shorter grid asked for with
+`perron dcurve --points` is slower than one LU per point.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, schur
+from scipy.linalg import eigh, get_lapack_funcs, lu_factor, lu_solve, schur
 
 from .doeblin import RankOneSplit
 from .errors import (
@@ -133,7 +138,8 @@ class BirmanSchwingerEvaluator:
     Two backends solve (lam*I - R) x = v: a cached LU factorization
     (default) and a Neumann series whose convergence is guarded by the
     weighted sup-norm of the remainder.  ``curve`` evaluates a whole grid
-    of shifts through one Schur form, whatever the backend.  The
+    of shifts through one eigendecomposition of a symmetric kernel, or
+    one Schur form of any other, whatever the backend.  The
     evaluator is immutable apart from the internal LU cache, which holds
     the last LU_CACHE_SHIFTS shifts and never changes results.
     """
@@ -242,27 +248,84 @@ class BirmanSchwingerEvaluator:
         return self.alpha * pair(self.functional, twice)
 
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
-        """D and D' at every shift of lams, through one real Schur form of R.
+        """D and D' at every shift of lams, from one factorization for the grid.
 
-        With R = Q S Q^T, (lam*I - R)^-k u = Q (lam*I - S)^-k Q^T u.  One
-        back-substitution over the 1x1 and 2x2 diagonal blocks of S runs
-        for all shifts at once and carries three right-hand sides: Q^T u
-        (giving D), its own solution again (giving D'), and Q^T 1 (the
-        condition guard).  R >= 0 entrywise, so above rho(R) the resolvent
-        is nonnegative and ||(lam*I - R)^-1||_inf = ||(lam*I - R)^-1 1||_inf;
-        with ||lam*I - R||_inf from the cached row sums this is the
-        condition number the LU path estimates with gecon.  Raises
+        A symmetric kernel goes through one symmetric eigendecomposition
+        of T (``_symmetric_resolvents``), any other through one real Schur
+        form of R (``_schur_resolvents``); the route follows from the
+        kernel entries alone.  Both give, per shift, D, D' and
+        (lam*I - R)^-1 1 for the condition guard.  R >= 0 entrywise, so
+        above rho(R) the resolvent is nonnegative and
+        ||(lam*I - R)^-1||_inf = ||(lam*I - R)^-1 1||_inf; with
+        ||lam*I - R||_inf from the cached row sums this is the condition
+        number the LU path estimates with gecon.  Raises
         BelowSpectralRadiusError at the first shift not above the radius
         estimate, then IllConditionedError at the first shift whose
         condition exceeds MAX_CONDITION.  The result does not depend on
-        the solver backend, and nothing is cached.  The Schur form costs
-        about 40 LU shifts at n = 600 and about 23 at n = 2000 (see the
-        module docstring), so a grid with fewer shifts is slower here than
-        one LU per shift.
+        the solver backend, and nothing is cached.  The factorization
+        costs as much as about 6 LU shifts (symmetric) or 25 to 50
+        (Schur) at n = 600 to 2000 (see the module docstring), so a grid
+        with fewer shifts is slower here than one LU per shift.
         """
         lams = np.asarray(lams, dtype=float)
         for lam in lams:
             self._require_above_radius(float(lam))
+        entries = self.split.kernel.entries
+        if np.array_equal(entries, entries.T):
+            d_values, d_prime, inv_ones = self._symmetric_resolvents(lams)
+        else:
+            d_values, d_prime, inv_ones = self._schur_resolvents(lams)
+        cond = self._shifted_inf_norm(lams) * np.abs(inv_ones).max(axis=0)
+        bad = np.flatnonzero(~(cond < MAX_CONDITION))
+        if bad.size:
+            raise _ill_conditioned(float(lams[bad[0]]), float(cond[bad[0]]))
+        return d_values, d_prime
+
+    def _symmetric_resolvents(self, lams: np.ndarray):
+        """D, D' and (lam*I - R)^-1 1 per shift, for a symmetric kernel.
+
+        With R = T - alpha*u x phi, det(lam*I - T) = det(lam*I - R) D(lam)
+        and 1/D = 1 + alpha*phi[(lam*I - T)^-1 u].  T = K W is similar to
+        S = W^1/2 K W^1/2 = V diag(mu) V^T, so with a = V^T W^1/2 u and
+        b = V^T W^-1/2 phi the pairing is the secular sum
+        sum_k a_k b_k / (lam - mu_k), O(n) per shift (Golub 1973).  The
+        top eigenvalue mu_top = lambda0 is divided out, so D stays finite
+        there: with delta = lam - mu_top and G the sum over k != top,
+        N = delta (1 + alpha G) + alpha a_top b_top gives D = delta / N
+        and D' = alpha (a_top b_top + delta^2 sum a_k b_k/(lam - mu_k)^2) / N^2.
+        (lam*I - R)^-1 1 follows from Sherman-Morrison in the same basis
+        (e = V^T W^1/2 1), with one n x n by n x m product back.  The
+        formulas hold for T - alpha*u x phi, which differs from the clamped
+        remainder of ``rank_one_split`` only by its slack.
+        """
+        root_w = np.sqrt(self.space.weights)
+        mu, v = eigh(root_w[:, None] * self.split.kernel.entries * root_w)
+        phi = self.functional.acting_vector()
+        a, b, e = np.stack([root_w * self.profile.values, phi / root_w, root_w]) @ v
+        alpha, top = self.alpha, a[-1] * b[-1]
+        delta = lams - mu[-1]
+        inv = 1.0 / (lams - mu[:-1, None])   # (n-1) x m
+        ab = a[:-1] * b[:-1]
+        g = ab @ inv
+        denom = delta * (1.0 + alpha * g) + alpha * top
+        d_values = delta / denom
+        d_prime = alpha * (top + delta**2 * (ab @ inv**2)) / denom**2
+        # phi[(lam - T)^-1 1] / (1 + alpha*phi[(lam - T)^-1 u]), pole-free
+        c_rest = (b[:-1] * e[:-1]) @ inv
+        coupling = (delta * c_rest + b[-1] * e[-1]) / denom
+        z = np.empty((mu.size, lams.size))
+        z[:-1] = (e[:-1, None] - alpha * a[:-1, None] * coupling) * inv
+        z[-1] = (e[-1] * (1.0 + alpha * g) - alpha * a[-1] * c_rest) / denom
+        return d_values, d_prime, (v @ z) / root_w[:, None]
+
+    def _schur_resolvents(self, lams: np.ndarray):
+        """D, D' and (lam*I - R)^-1 1 per shift, through a real Schur form.
+
+        With R = Q S Q^T, (lam*I - R)^-k u = Q (lam*I - S)^-k Q^T u.  One
+        back-substitution over the 1x1 and 2x2 diagonal blocks of S runs
+        for all shifts at once and carries three right-hand sides: Q^T u
+        (giving D), its own solution again (giving D'), and Q^T 1.
+        """
         s, q = schur(self._rem_op, output="real")
         n, m = self.space.size, lams.size
         rhs = np.stack([self.profile.values, np.ones(n)]) @ q   # rows Q^T u, Q^T 1
@@ -283,11 +346,7 @@ class BirmanSchwingerEvaluator:
         psi = q.T @ self.functional.acting_vector()
         d_values = 1.0 - self.alpha * (psi @ y[:, 0])
         d_prime = self.alpha * (psi @ y[:, 2])
-        cond = self._shifted_inf_norm(lams) * np.abs(q @ y[:, 1]).max(axis=0)
-        bad = np.flatnonzero(~(cond < MAX_CONDITION))
-        if bad.size:
-            raise _ill_conditioned(float(lams[bad[0]]), float(cond[bad[0]]))
-        return d_values, d_prime
+        return d_values, d_prime, q @ y[:, 1]
 
     def resolve_operator(self, lam: float, f: GridFunction) -> GridFunction:
         """(lam*I - T)^-1 f via the factorized formula."""

@@ -437,6 +437,17 @@ class TestVerifyCommand:
         assert "FAIL  bs_curve_matches_lu" in result.output
         assert "FAIL  bs_derivative" not in result.output
 
+    def test_scan_starts_below_lambda0_when_the_radius_is_close(self, runner, tmp_path):
+        # sigma = 0.1 at n = 200: rho(R) / lambda0 = 0.9999992, so a scan
+        # starting at 1.0001 rho(R) lay wholly above lambda0 and saw no
+        # sign change
+        payload = gaussian_config(200, "direct_lu")
+        payload["kernel"]["sigma"] = 0.1
+        cfg = write_config(tmp_path / "g.json", payload)
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert "PASS  bs_monotone" in result.output
+        assert "PASS  bs_single_root: 1 sign change(s)" in result.output
+
     def test_random_positive_kernel_passes(self, runner, tmp_path):
         rng = np.random.default_rng(99)
         rows = "\n".join(

@@ -153,6 +153,21 @@ def probe_block(n, seed=20240808):
     return 1.0 + np.random.default_rng(seed).uniform(0.0, 1.0, (n, 4))
 
 
+def centred_block(n, seed=20240808):
+    """The probe block of ``perron verify``: U(0, 1) - 1/2."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, (n, 4)) - 0.5
+
+
+def identity_verdict(run):
+    """"raise" when the two-form cross-check raises, else "pass" or "fail"
+    against the 1e-9 bound of ``perron verify``."""
+    try:
+        report = run()
+    except NotConvergentError:
+        return "raise"
+    return "pass" if report.relative_residual <= 1e-9 else "fail"
+
+
 def remainder_entry(split, eps):
     entries = split.remainder.entries.copy()
     n = split.kernel.size
@@ -191,7 +206,8 @@ def dense_identity(split, lam):
 
 class TestProbeIdentity:
     """The probe form runs the checks of the dense form on K o V for a
-    block V of four positive probes; it must reach the same verdict."""
+    block V of four probes, positive or centred; it must reach the same
+    verdict."""
 
     def test_clean_split_matches_dense_residual(self):
         split = gaussian_split()
@@ -241,22 +257,47 @@ class TestProbeIdentity:
         assert dense.relative_residual > 1e-12
         assert 0.5 <= probe.relative_residual / dense.relative_residual <= 2.0
 
-    def test_moved_mass_is_damped_by_positive_probes(self):
-        # Positive probes are about 1.5 times the constant function, and K
-        # smooths their noise, so the gap of a defect that cancels against
-        # K 1 is about 50 times smaller in the probe form than in the
-        # dense form (5.7e-10 against 3.0e-8 at eps = 1e-5).  At eps = 1e-6
-        # the dense form still raises while the probe form passes with a
-        # residual inside the 1e-9 bound of ``perron verify``: the verdicts
-        # differ.  The guarantee of a random probe block is one of exact
-        # arithmetic; at a tolerance it holds only for defects that do not
-        # cancel against the probes' mean.
-        split = moved_mass(gaussian_split(), 1e-6)
+    def test_moved_mass_gets_the_dense_verdict(self):
+        # Positive probes are about 1.5 times the constant function once K
+        # has smoothed them, so the gap of a defect that cancels against K 1
+        # was about 50 times smaller in the probe form than in the dense form:
+        # at eps = 1e-6 the dense form raised and the probe form passed.
+        # Centred probes carry no constant part, and the two-form tolerance
+        # scales with the block's own size, so the verdicts agree.
+        for eps, raises in ((1e-6, True), (1e-7, True), (1e-8, False)):
+            split = moved_mass(gaussian_split(), eps)
+            lam = 2.0 * split.kernel.weighted_inf_norm()
+            dense = identity_verdict(lambda: dense_identity(split, lam))
+            probe = identity_verdict(
+                lambda: pr.probe_resolvent_identity(split, lam, centred_block(split.kernel.size))
+            )
+            assert dense == probe == ("raise" if raises else "pass"), eps
+
+    @pytest.mark.parametrize(
+        "defect, eps",
+        [
+            (None, 0.0),
+            (remainder_entry, 1e-6),
+            (remainder_entry, 1e-8),
+            (remainder_column, 1e-6),
+            (remainder_column, 1e-8),
+            (scaled_alpha, 1e-8),
+            (scaled_alpha, 1e-10),
+        ],
+    )
+    def test_centred_probes_give_the_dense_verdict(self, defect, eps):
+        split = gaussian_split() if defect is None else defect(gaussian_split(), eps)
         lam = 2.0 * split.kernel.weighted_inf_norm()
-        with pytest.raises(NotConvergentError, match="forms disagree at step n = 1"):
-            dense_identity(split, lam)
-        probe = pr.probe_resolvent_identity(split, lam, probe_block(split.kernel.size))
-        assert 1e-12 < probe.relative_residual <= 1e-9
+        dense = identity_verdict(lambda: dense_identity(split, lam))
+        probe = identity_verdict(
+            lambda: pr.probe_resolvent_identity(split, lam, centred_block(split.kernel.size))
+        )
+        assert dense == probe
+
+    def test_all_zero_probe_block_passes(self):
+        split = gaussian_split(20)
+        report = pr.probe_resolvent_identity(split, 2.0, np.zeros((20, 4)))
+        assert report.residual == 0.0
 
     def test_disagreement_message_carries_step_gap_and_tolerance(self):
         split = remainder_entry(gaussian_split(60), 1e-4)
@@ -267,7 +308,8 @@ class TestProbeIdentity:
             cert.profile.values, cert.functional.acting_vector() @ k.entries
         )
         gap = np.abs(subtract_form - split.remainder.entries @ (w * k.entries)).max()
-        tolerance = 1e-10 * max(1.0, k.entries.max()) ** 2 * max(1.0, k.space.total_mass())
+        top = k.entries.max()
+        tolerance = 1e-10 * max(1.0, top) * max(1.0, k.space.total_mass()) * top
         with pytest.raises(NotConvergentError) as info:
             pr.build_corrected_kernels(split, 6)
         found = re.search(r"step n = (\d+): gap (\S+) > tolerance (\S+);", str(info.value))
@@ -280,8 +322,6 @@ class TestProbeIdentity:
         split = gaussian_split(20)
         with pytest.raises(DimensionMismatchError):
             pr.probe_resolvent_identity(split, 2.0, np.ones((19, 4)))
-        with pytest.raises(ValueError):
-            pr.probe_resolvent_identity(split, 2.0, -np.ones((20, 4)))
 
 
 class TestBellPolynomial:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import schur
 
 import perron as pr
+import perron.resolvent
 from perron.cli import _write_dcurve
 from perron.errors import (
     AtEigenvalueError,
@@ -358,6 +359,81 @@ CURVE_KERNELS = [
 ]
 
 
+def exp_abs_kernel(space):
+    x = space.nodes
+    return pr.Kernel(np.exp(-np.abs(x[:, None] - x[None, :])), space)
+
+
+def symmetric_counting_kernel(n, seed):
+    a = np.random.default_rng(seed).uniform(0.05, 1.05, (n, n))
+    return pr.Kernel(a + a.T, pr.make_counting_space(n))
+
+
+RULES = ("midpoint", "trapezoid", "gauss_legendre")
+SYMMETRIC_KERNELS = (
+    [
+        (f"gauss{sigma}-{rule}", pr.gaussian_kernel(pr.make_interval_space(0, 1, 120, rule), sigma))
+        for sigma in (0.15, 0.35)
+        for rule in RULES
+    ]
+    + [(f"expabs-{rule}", exp_abs_kernel(pr.make_interval_space(0, 1, 120, rule))) for rule in RULES]
+    + [("counting-n25", symmetric_counting_kernel(25, 66))]
+)
+
+
+class TestSymmetricCurve:
+    """Symmetric kernels take one eigendecomposition of T instead of a
+    Schur form of R; the curve must not tell the two routes apart."""
+
+    @pytest.mark.parametrize(
+        "kernel", [k for _, k in SYMMETRIC_KERNELS], ids=[i for i, _ in SYMMETRIC_KERNELS]
+    )
+    def test_matches_pointwise(self, kernel):
+        res = pr.solve(kernel)
+        ev = res.evaluator
+        # lambda0, where D vanishes and the top eigenvalue's pole is divided out
+        lams = np.append(np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 40), res.lambda0)
+        d, dp = ev.curve(lams)
+        d_ref, dp_ref = pointwise_curve(ev, lams)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
+
+    def test_route_follows_the_symmetry_of_the_kernel(self, monkeypatch):
+        calls = {"schur": 0, "eigh": 0}
+        for name in calls:
+            real = getattr(perron.resolvent, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(perron.resolvent, name, counting)
+        symmetric = symmetric_counting_kernel(20, 67)
+        entries = symmetric.entries.copy()
+        entries[3, 5] = np.nextafter(entries[3, 5], np.inf)  # one ulp off symmetry
+        for kernel, expected in (
+            (symmetric, {"schur": 0, "eigh": 1}),
+            (pr.Kernel(entries, symmetric.space), {"schur": 1, "eigh": 0}),
+            (random_positive_kernel(symmetric.space, np.random.default_rng(68)), {"schur": 1, "eigh": 0}),
+        ):
+            calls.update(schur=0, eigh=0)
+            ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+            ev.curve(np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20))
+            assert calls == expected
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_both_routes_give_the_condition_guard_of_a_dense_solve(self, rule):
+        # the guard reads ||(lam - R)^-1 1||_inf; the symmetric route builds
+        # that vector from the eigenbasis with the top pole divided out
+        res = pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 80, rule), 0.15))
+        ev = res.evaluator
+        lams = np.append(np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 20), res.lambda0)
+        shifted = lams[:, None, None] * np.eye(80) - ev.split.remainder.operator_matrix()
+        dense = np.linalg.solve(shifted, np.ones((lams.size, 80, 1)))[..., 0].T
+        for route in (ev._symmetric_resolvents, ev._schur_resolvents):
+            np.testing.assert_allclose(route(lams)[2], dense, rtol=1e-9)
+
+
 class TestCurve:
     @pytest.mark.parametrize("kernel", [k for _, k in CURVE_KERNELS], ids=[i for i, _ in CURVE_KERNELS])
     def test_matches_pointwise_with_complex_blocks(self, kernel):
@@ -393,6 +469,7 @@ class TestCurve:
             np.testing.assert_array_equal(a, b)
 
     def test_below_radius_rejected_where_value_is(self, symmetric_evaluator):
+        # a symmetric kernel: the check runs before the eigendecomposition
         ev = symmetric_evaluator
         for lam in (0.5, ev.remainder_radius):
             with pytest.raises(BelowSpectralRadiusError):
