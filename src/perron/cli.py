@@ -51,6 +51,7 @@ from .matrix_pf import NotFoundWithin, power_doeblin_analyze
 from .measure import GridFunction, make_counting_space, make_interval_space
 from .mollified import convergence_study
 from .spectral import (
+    collatz_wielandt,
     eigenfunction_series,
     solve,
     verify_dominance,
@@ -296,7 +297,9 @@ def _solve_impl(config_path, out_flag):
             ],
         )
         if "dcurve" in outputs:
-            _write_dcurve(result.evaluator, out / outputs["dcurve"], None, None, 200)
+            _write_dcurve(
+                result.evaluator, out / outputs["dcurve"], None, None, 200, result.lambda0
+            )
         click.echo(
             f"lambda0 = {result.lambda0:.12g}  (oracle delta "
             f"{residuals['oracle_delta_rel']:.3e}, gap ratio {dominance.gap_ratio:.6g})"
@@ -313,10 +316,16 @@ def _solve_impl(config_path, out_flag):
         _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
 
 
-def _write_dcurve(evaluator, path: Path, lam_min, lam_max, points):
+def _write_dcurve(evaluator, path: Path, lam_min, lam_max, points, below=None):
+    """Write D and D' on a geometric grid.  The default start is just above
+    the remainder radius; ``below``, a point known not to exceed lambda0,
+    caps it at the midpoint between the radius and that point, so the grid
+    starts below the root even where the radius lies within 0.2 % of it."""
     rho = evaluator.remainder_radius
     if lam_min is None:
         lam_min = rho * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12)
+        if below is not None and below > rho:
+            lam_min = min(lam_min, 0.5 * (rho + below))
     if lam_max is None:
         lam_max = 2.0 * max(evaluator.operator_norm, lam_min * 1.5)
     grid = np.geomspace(lam_min, lam_max, points)
@@ -358,7 +367,12 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
 
         split = rank_one_split(kernel, cert)
         evaluator = BirmanSchwingerEvaluator(split)
-        bracket, values = _write_dcurve(evaluator, path, lambda_min, lambda_max, points)
+        # the Collatz-Wielandt lower end of T lies at or below lambda0; it
+        # caps the start once it clears the remainder radius
+        cw = collatz_wielandt(evaluator.t_op, clear=evaluator.remainder_radius)
+        bracket, values = _write_dcurve(
+            evaluator, path, lambda_min, lambda_max, points, None if cw is None else cw[0]
+        )
         monotone = bool(np.all(np.diff(values) > 0))
         click.echo(f"wrote {path} ({points} points, monotone={monotone})")
         if bracket:
@@ -494,18 +508,28 @@ def verify(config_path, out_flag):
         record("bs_monotone", bool(np.all(np.diff(dvals[:m]) > 0)), "64-point geometric scan")
         sign_changes = int(np.sum(np.diff(np.sign(dvals[:m])) != 0))
         record("bs_single_root", sign_changes == 1, f"{sign_changes} sign change(s)")
+        # each bound is the larger of a fixed one and the rounding floor of
+        # its comparison: where D' is small against D, rounding in the two
+        # D values of a central difference alone exceeds 1e-6 relative
+        eps = np.finfo(float).eps
         fds = (dvals[m + 2 : m + 4] - dvals[m : m + 2]) / (2 * h)
-        for probe, fd, an in zip(probes, fds, slopes[m + 4 : m + 6]):
+        for probe, step, fd, d, an in zip(probes, h, fds, dvals[m + 4 : m + 6],
+                                          slopes[m + 4 : m + 6]):
             rel = abs(fd - an) / abs(an)
-            record(f"bs_derivative_at_{probe:.6g}", rel <= 1e-6, f"fd mismatch {rel:.3e}")
+            bound = max(1e-6, eps * abs(d) / (step * abs(an)))
+            record(f"bs_derivative_at_{probe:.6g}", rel <= bound, f"fd mismatch {rel:.3e}")
         # the curve against the LU path that found the root and scaled
-        # the residue; the solve left lambda0 factorized, so this costs no LU
-        d_gap = abs(dvals[-1] - ev.value(lam))
-        dp_lu = ev.derivative(lam)
+        # the residue; the solve left lambda0 factorized, so this costs no
+        # LU.  A solve at condition number kappa carries a relative error of
+        # about kappa * eps: D takes one solve, D' two.
+        d_lu, dp_lu = ev.value(lam), ev.derivative(lam)
+        kappa_eps = ev.condition(lam) * eps
+        d_gap = abs(dvals[-1] - d_lu)
         dp_gap = abs(slopes[-1] - dp_lu) / abs(dp_lu)
         record(
             "bs_curve_matches_lu",
-            d_gap <= 1e-9 and dp_gap <= 1e-9,
+            d_gap <= max(1e-9, kappa_eps * abs(1.0 - d_lu))
+            and dp_gap <= max(1e-9, 2.0 * kappa_eps),
             f"at lambda0: D gap {d_gap:.3e}, D' relative gap {dp_gap:.3e}",
         )
 
@@ -522,8 +546,8 @@ def verify(config_path, out_flag):
         h = GridFunction(1.0 + rng.uniform(0.0, 1.0, kernel.size), kernel.space)
         mc = MeasureChange(h, 2.0)
         conj = conjugate_kernel(kernel, mc)
-        conj_result = solve(conj, strategy="row_min")
-        invariance = abs(conj_result.lambda0 - lam) / lam
+        # only lambda0 is kept, so the conjugate solve's arrays are freed here
+        invariance = abs(solve(conj, strategy="row_min").lambda0 - lam) / lam
         record("measure_change_invariance", invariance <= 1e-8, f"relative delta {invariance:.3e}")
         schur = transform_schur(tight_schur_bound(kernel), mc)
         schur_report = verify_schur(conj, schur)

@@ -99,11 +99,14 @@ class RankOneSplit:
 
 
 def _maximal_alpha(entries: np.ndarray, profile: np.ndarray, density: np.ndarray) -> float:
-    shape = np.outer(profile, density)
-    mask = shape > 0
+    """min of K_ij / (profile_i density_j) over the entries where that shape
+    is positive; 0 when it is positive nowhere.  One buffer, divided in place."""
+    ratio = np.outer(profile, density)
+    mask = ratio > 0
     if not mask.any():
         return 0.0
-    return float(np.min(entries[mask] / shape[mask]))
+    np.divide(entries, ratio, out=ratio, where=mask)
+    return float(np.min(ratio, where=mask, initial=np.inf))
 
 
 def extract_minorization(
@@ -180,18 +183,28 @@ class CertificateReport:
     strict_phi: bool
 
 
-def verify_certificate(kernel: Kernel, cert: MinorizationCertificate) -> CertificateReport:
-    """Entrywise check of K^(N) >= alpha * profile x density, with float slack."""
+def _gap(kernel: Kernel, cert: MinorizationCertificate):
+    """K^(N) - alpha * profile x density in one fresh buffer, with the
+    certificate report read off it."""
     check_same_space(kernel.space, cert.profile.space)
     powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
-    gap = powered.entries - cert.lower_bound_matrix()
+    gap = np.outer(cert.profile.values, cert.functional.density)
+    gap *= cert.alpha
+    np.subtract(powered.entries, gap, out=gap)
     worst = float(gap.min())
-    scale = max(1.0, float(np.abs(powered.entries).max()))
-    return CertificateReport(
+    # kernel entries are nonnegative, so their max is their sup norm
+    scale = max(1.0, float(powered.entries.max()))
+    report = CertificateReport(
         holds=worst >= -SLACK * scale,
         worst_slack=worst,
         strict_phi=cert.functional.strictly_positive,
     )
+    return gap, report
+
+
+def verify_certificate(kernel: Kernel, cert: MinorizationCertificate) -> CertificateReport:
+    """Entrywise check of K^(N) >= alpha * profile x density, with float slack."""
+    return _gap(kernel, cert)[1]
 
 
 def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSplit:
@@ -199,13 +212,12 @@ def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSpli
     float-noise slack and guaranteed nonnegative."""
     if cert.power != 1:
         raise ValueError("rank_one_split requires a power-1 certificate")
-    report = verify_certificate(kernel, cert)
+    remainder, report = _gap(kernel, cert)
     if not report.holds:
         raise InvalidCertificateError(
             f"certificate fails with worst slack {report.worst_slack:.3e}"
         )
-    remainder = kernel.entries - cert.lower_bound_matrix()
-    remainder = np.where(remainder < 0, 0.0, remainder)
+    np.maximum(remainder, 0.0, out=remainder)
     return RankOneSplit(kernel, cert, Kernel(remainder, kernel.space))
 
 

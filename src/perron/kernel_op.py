@@ -46,7 +46,8 @@ class Kernel:
             raise ValueError(f"kernel entries must be finite: {where}{more}")
         if lo < -NONNEG_SLACK * max(1.0, -lo, hi):
             raise ValueError("kernel entries must be nonnegative")
-        np.clip(entries, 0.0, None, out=entries)
+        if lo < 0:
+            np.clip(entries, 0.0, None, out=entries)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -228,9 +229,12 @@ def separable_kernel(space: MeasureSpace, v, u) -> Kernel:
 def gaussian_kernel(space: MeasureSpace, sigma: float) -> Kernel:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    x = space.nodes
-    diff = x[:, np.newaxis] - x[np.newaxis, :]
-    return Kernel(np.exp(-(diff**2) / (2.0 * sigma**2)), space)
+    # one buffer, filled in place: d^2 / (-2 sigma^2) rounds as -d^2 / (2 sigma^2)
+    entries = np.subtract.outer(space.nodes, space.nodes)
+    np.square(entries, out=entries)
+    entries /= -2.0 * sigma**2
+    np.exp(entries, out=entries)
+    return Kernel(entries, space)
 
 
 def kernel_from_csv(path, space: MeasureSpace | None = None) -> Kernel:

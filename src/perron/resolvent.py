@@ -59,6 +59,16 @@ MAX_CONDITION = 1e12
 LU_CACHE_SHIFTS = 2
 
 
+@dataclass(eq=False)
+class _Shift:
+    """One cached shift: the LU factors of lam*I - R (None for the Neumann
+    backend) and the profile solves made there, R_lam u and R_lam^2 u."""
+
+    factors: tuple | None
+    ru: GridFunction | None = None
+    r2u: GridFunction | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class RankOneOperator:
     """a x b acting as f -> range_vector * functional[f]."""
@@ -135,13 +145,16 @@ def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
 class BirmanSchwingerEvaluator:
     """Evaluates D(lam), its derivative, and resolvent applications.
 
-    Two backends solve (lam*I - R) x = v: a cached LU factorization
+    ``t_op`` and ``r_op`` are the read-only matrices of T and R acting on
+    node-value vectors, formed once here.  Two backends solve
+    (lam*I - R) x = v: a cached LU factorization
     (default) and a Neumann series whose convergence is guarded by the
     weighted sup-norm of the remainder.  ``curve`` evaluates a whole grid
     of shifts through one eigendecomposition of a symmetric kernel, or
     one Schur form of any other, whatever the backend.  The
-    evaluator is immutable apart from the internal LU cache, which holds
-    the last LU_CACHE_SHIFTS shifts and never changes results.
+    evaluator is immutable apart from the internal cache, which holds
+    the last LU_CACHE_SHIFTS shifts with their factors and their profile
+    solves, and never changes results.
     """
 
     def __init__(
@@ -162,16 +175,21 @@ class BirmanSchwingerEvaluator:
         self.alpha = split.certificate.alpha
         self.profile = split.certificate.profile
         self.functional = split.certificate.functional
-        self._rem_op = split.remainder.operator_matrix()
-        # ||lam*I - R||_inf in O(n) per shift: off-diagonal row sums of |R|
-        self._rem_diag = np.diagonal(self._rem_op)
-        self._rem_offdiag = np.abs(self._rem_op).sum(axis=1) - np.abs(self._rem_diag)
-        self.remainder_norm = split.remainder.weighted_inf_norm()
-        self.operator_norm = split.kernel.weighted_inf_norm()
+        self.t_op = split.kernel.operator_matrix()
+        self.r_op = split.remainder.operator_matrix()
+        self.t_op.flags.writeable = self.r_op.flags.writeable = False
+        # T, R >= 0, so their row sums are those of |T| and |R|: they give the
+        # inf-norms and, less the diagonal of R, ||lam*I - R||_inf in O(n)
+        # per shift
+        row_sums = self.r_op.sum(axis=1)
+        self._rem_diag = np.diagonal(self.r_op)
+        self._rem_offdiag = row_sums - self._rem_diag
+        self.remainder_norm = float(row_sums.max())
+        self.operator_norm = float(self.t_op.sum(axis=1).max())
         power = spectral_radius_oracle(split.remainder, tol=radius_tol)
         # inflate: the precondition lam > rho(R) must survive estimate error
         self.remainder_radius = power.rho * (1.0 + 1e-8)
-        self._lu_cache: dict[float, tuple] = {}
+        self._lu_cache: dict[float, _Shift] = {}
 
     @property
     def phi_strictly_positive(self) -> bool:
@@ -186,24 +204,30 @@ class BirmanSchwingerEvaluator:
         shifted_diag = np.abs(np.subtract.outer(lam, self._rem_diag))
         return np.max(shifted_diag + self._rem_offdiag, axis=-1)
 
-    def _factorize(self, lam: float):
+    def _shift(self, lam: float) -> _Shift:
+        """The cache entry of lam, made on first use, for a lam above the
+        remainder radius: for the LU backend the factorization, refused
+        above MAX_CONDITION."""
         key = float(lam)
-        cached = self._lu_cache.get(key)
-        if cached is not None:
-            return cached
-        # the one n x n array of this shift: built in Fortran order, so LAPACK
-        # factors it in place instead of copying it
-        shifted = np.negative(self._rem_op, order="F")
-        shifted.flat[:: self.space.size + 1] += lam
-        lu, piv = lu_factor(shifted, overwrite_a=True)
-        gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-        rcond, info = gecon(lu, float(self._shifted_inf_norm(lam)), norm="I")
-        if info != 0 or rcond <= 1.0 / MAX_CONDITION:
-            raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
-        self._lu_cache[key] = (lu, piv)
+        entry = self._lu_cache.get(key)
+        if entry is not None:
+            return entry
+        self._require_above_radius(lam)
+        factors = None
+        if self.solver == "direct_lu":
+            # the one n x n array of this shift: built in Fortran order, so
+            # LAPACK factors it in place instead of copying it
+            shifted = np.negative(self.r_op, order="F")
+            shifted.flat[:: self.space.size + 1] += lam
+            factors = lu_factor(shifted, overwrite_a=True)
+            gecon = get_lapack_funcs(("gecon",), (factors[0],))[0]
+            rcond, info = gecon(factors[0], float(self._shifted_inf_norm(lam)), norm="I")
+            if info != 0 or rcond <= 1.0 / MAX_CONDITION:
+                raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
+        entry = self._lu_cache[key] = _Shift(factors)
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
-        return lu, piv
+        return entry
 
     def _solve_neumann(self, lam: float, v: np.ndarray) -> np.ndarray:
         if lam <= self.remainder_norm:
@@ -215,7 +239,7 @@ class BirmanSchwingerEvaluator:
         term = v / lam
         acc = term.copy()
         for _ in range(self.max_terms):
-            term = (self._rem_op @ term) / lam
+            term = (self.r_op @ term) / lam
             acc += term
             # relative stopping rule: callers rescale the result, so only
             # relative accuracy survives
@@ -227,25 +251,40 @@ class BirmanSchwingerEvaluator:
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
         """(lam*I - R)^-1 v for lam above the remainder radius."""
         check_same_space(self.space, v.space)
-        self._require_above_radius(lam)
-        if self.solver == "direct_lu":
-            lu, piv = self._factorize(lam)
-            x = lu_solve((lu, piv), v.values)
+        factors = self._shift(lam).factors
+        if factors is not None:
+            x = lu_solve(factors, v.values, check_finite=False)
         else:
             x = self._solve_neumann(lam, v.values)
         return GridFunction(x, self.space)
 
+    def profile_resolvent(self, lam: float, power: int = 1) -> GridFunction:
+        """(lam*I - R)^-power profile for power 1 or 2, solved once while
+        lam stays cached."""
+        entry = self._shift(lam)
+        if entry.ru is None:
+            entry.ru = self.resolve_remainder(lam, self.profile)
+        if power == 1:
+            return entry.ru
+        if entry.r2u is None:
+            entry.r2u = self.resolve_remainder(lam, entry.ru)
+        return entry.r2u
+
     def value(self, lam: float) -> float:
         """D(lam) = 1 - alpha * phi[(lam*I - R)^-1 profile]."""
-        return 1.0 - self.alpha * pair(
-            self.functional, self.resolve_remainder(lam, self.profile)
-        )
+        return 1.0 - self.alpha * pair(self.functional, self.profile_resolvent(lam))
 
     def derivative(self, lam: float) -> float:
         """D'(lam) = alpha * phi[(lam*I - R)^-2 profile]; strictly positive."""
-        once = self.resolve_remainder(lam, self.profile)
-        twice = self.resolve_remainder(lam, once)
-        return self.alpha * pair(self.functional, twice)
+        return self.alpha * pair(self.functional, self.profile_resolvent(lam, 2))
+
+    def condition(self, lam: float) -> float:
+        """||lam*I - R||_inf ||(lam*I - R)^-1||_inf, the condition number of
+        the shifted remainder: R >= 0, so above rho(R) the inverse is
+        nonnegative and its norm is the largest entry of (lam*I - R)^-1 1.
+        The same number guards ``curve``."""
+        inv_ones = self.resolve_remainder(lam, self.space.ones()).values
+        return float(self._shifted_inf_norm(lam) * inv_ones.max())
 
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """D and D' at every shift of lams, from one factorization for the grid.
@@ -326,7 +365,7 @@ class BirmanSchwingerEvaluator:
         for all shifts at once and carries three right-hand sides: Q^T u
         (giving D), its own solution again (giving D'), and Q^T 1.
         """
-        s, q = schur(self._rem_op, output="real")
+        s, q = schur(self.r_op, output="real")
         n, m = self.space.size, lams.size
         rhs = np.stack([self.profile.values, np.ones(n)]) @ q   # rows Q^T u, Q^T 1
         # y[k] holds, per shift: (lam - S)^-1 Q^T u, (lam - S)^-1 Q^T 1, (lam - S)^-2 Q^T u
@@ -355,7 +394,7 @@ class BirmanSchwingerEvaluator:
         if abs(d) <= AT_EIGENVALUE:
             raise AtEigenvalueError(lam, d)
         rf = self.resolve_remainder(lam, f)
-        ru = self.resolve_remainder(lam, self.profile)
+        ru = self.profile_resolvent(lam)
         correction = self.alpha * pair(self.functional, rf) / d
         return GridFunction(rf.values + ru.values * correction, self.space)
 
@@ -366,9 +405,9 @@ class BirmanSchwingerEvaluator:
         acting vector; z realizes f -> phi[(lam*I - R)^-1 f] as z . f.
         The LU backend reuses the factorization of lam.
         """
-        self._require_above_radius(lam)
+        factors = self._shift(lam).factors
         phi = self.functional.acting_vector()
-        if self.solver == "direct_lu":
-            return lu_solve(self._factorize(lam), phi, trans=1)
-        shifted = lam * np.eye(self.space.size) - self._rem_op
+        if factors is not None:
+            return lu_solve(factors, phi, trans=1, check_finite=False)
+        shifted = lam * np.eye(self.space.size) - self.r_op
         return np.linalg.solve(shifted.T, phi)

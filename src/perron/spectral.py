@@ -48,7 +48,7 @@ class SpectralDiagnostics:
     bs_at_lambda0: float         # D(lambda0)
     gap_to_remainder_radius: float
     left_residual: float         # left functional row composed with T vs lambda0 * row
-    rank_one_defect: float       # column proportionality defect of the projection
+    rank_one_defect: float       # rounding of the projection's column scales
     min_eigenfunction_value: float
 
 
@@ -70,7 +70,7 @@ class SpectralResult:
     evaluator: BirmanSchwingerEvaluator
 
 
-def _collatz_wielandt(t_op: np.ndarray):
+def collatz_wielandt(t_op: np.ndarray, clear: float | None = None):
     """Bracket lo <= rho(T) <= hi from power steps of T on the ones vector.
 
     For nonnegative T and positive x, min_i (Tx)_i/x_i and max_i (Tx)_i/x_i
@@ -83,14 +83,17 @@ def _collatz_wielandt(t_op: np.ndarray):
     Measured with BLAS on one thread, such a shift costs 4-10 steps below
     n = 100, about n / 6 steps from n = 200 to 800, and 130-150 steps from
     n = 1200 to 2000, where the matrix no longer fits in cache and a step
-    is bound by memory traffic.
+    is bound by memory traffic.  With ``clear``, stepping goes on past that
+    budget while the lower end is at or below clear, up to 10,000 steps
+    (the budget of the power-iteration oracle).
     Returns None once an iterate has a zero entry, since the ratios are
     then undefined.
     """
     n = t_op.shape[0]
+    budget = max(8, min(n // 6, 128))
     x = np.ones(n)
     lo, hi = 0.0, np.inf
-    for _ in range(max(8, min(n // 6, 128))):
+    for step in range(1, 10_001):
         y = t_op @ x
         if not np.all(y > 0):
             return None
@@ -98,6 +101,8 @@ def _collatz_wielandt(t_op: np.ndarray):
         width = hi - lo
         lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
         if hi - lo <= 16 * np.finfo(float).eps * hi or hi - lo >= width:
+            break
+        if step >= budget and (clear is None or lo > clear):
             break
         x = y / y.max()
     return lo, hi
@@ -111,7 +116,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     point with D < 0 climbs to the root without overshooting.  The start
     is the lower end lo of a Collatz-Wielandt bracket on rho(T) = lambda0,
     taken from O(n^2) power steps run to rounding level or to a budget
-    worth about D at one new shift (see _collatz_wielandt); its upper end
+    worth about D at one new shift (see collatz_wielandt); its upper end
     bounds the root and is never evaluated.  lo is returned as it is when
     |D(lo)| <= tol * max(1, D'(lo) lo), the stopping rule of Newton,
     whatever the sign of D(lo): the bracket may be exact, or rounding may
@@ -141,7 +146,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         # the series backend converges only above the remainder norm, and
         # impractically slowly right at it; keep a workable margin
         rho = max(rho, ev.remainder_norm * (1.0 + 1e-3))
-    cw = _collatz_wielandt(ev.split.kernel.operator_matrix())
+    cw = collatz_wielandt(ev.t_op)
     if cw is not None and cw[1] * (1.0 + 4 * np.finfo(float).eps) < rho:
         # rho(T) <= hi < rho: D has no root above the radius estimate
         raise _no_sign_change(
@@ -256,7 +261,7 @@ def eigenfunction_from_residue(
     so the certificate pairing equals 1."""
     if abs(ev.value(lambda0)) > 1e-6 * max(1.0, ev.derivative(lambda0) * lambda0):
         raise ValueError(f"lambda0 = {lambda0} is not a root of D")
-    ru = ev.resolve_remainder(lambda0, ev.profile)
+    ru = ev.profile_resolvent(lambda0)
     scale = ev.alpha / ev.derivative(lambda0)
     raw = GridFunction(scale * ru.values, ev.space)
     mass = pair(ev.functional, raw)
@@ -273,7 +278,7 @@ def spectral_projection(ev: BirmanSchwingerEvaluator, lambda0: float) -> RankOne
     factors equals D'(lambda0)/alpha exactly, so P^2 = P holds up to the
     accuracy of the two resolvent solves.
     """
-    ru = ev.resolve_remainder(lambda0, ev.profile)
+    ru = ev.profile_resolvent(lambda0)
     z = ev.left_remainder_solve(lambda0)
     scale = ev.alpha / ev.derivative(lambda0)
     w = ev.space.weights
@@ -290,7 +295,7 @@ def series_term_norms(
 
     The term recurrence is carried in scaled form, term -> (R term)/lam,
     so nothing underflows even when the unscaled factors would."""
-    rem = ev.split.remainder.operator_matrix()
+    rem = ev.r_op
     term = ev.profile.values / lambda0
     norms = np.empty(n_terms)
     for n in range(n_terms):
@@ -316,7 +321,7 @@ def eigenfunction_series(
         raise SlowConvergenceError(
             f"series contraction ratio {ratio:.8f} is too close to one"
         )
-    rem = ev.split.remainder.operator_matrix()
+    rem = ev.r_op
     term = ev.profile.values / lambda0
     acc = term.copy()
     for n in range(1, max_terms + 1):
@@ -338,21 +343,15 @@ def eigenfunction_series(
     return GridFunction(raw.values / mass, ev.space)
 
 
-def _column_proportionality_defect(matrix: np.ndarray) -> float:
-    norms = np.abs(matrix).sum(axis=0)
-    ref = int(np.argmax(norms))
-    if norms[ref] == 0:
+def _proportionality_defect(b: np.ndarray) -> float:
+    """Column proportionality defect of a rank-one matrix a b^T, on its row
+    factor b: column j is b_j a, its scale against the largest column r is
+    b_j / b_r, and what is left is the rounding of those scales,
+    max_j |b_j - b_r (b_j / b_r)| / |b_r|."""
+    ref = b[np.argmax(np.abs(b))]
+    if ref == 0:
         return 0.0
-    ref_col = matrix[:, ref]
-    denom = float(ref_col @ ref_col)
-    scales = (matrix.T @ ref_col) / denom
-    resid = matrix - np.outer(ref_col, scales)
-    scale = max(np.abs(matrix).max(), 1e-300)
-    return float(np.abs(resid).max() / scale)
-
-
-def _operator_inf_norm(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).sum(axis=1).max())
+    return float(np.abs(b - ref * (b / ref)).max() / abs(ref))
 
 
 def solve(
@@ -379,7 +378,6 @@ def solve(
 
     w_fun = eigenfunction_from_residue(ev, lambda0)
     projection_raw = spectral_projection(ev, lambda0)
-    p_mat = projection_raw.matrix()
 
     # trace-normalized representation w x left_row of the same projection
     z = projection_raw.functional.acting_vector()
@@ -388,14 +386,14 @@ def solve(
         projection_raw.functional.density / left_scale, ev.space
     )
 
-    t_op = kernel.operator_matrix()
-    tw = t_op @ w_fun.values
+    tw = ev.t_op @ w_fun.values
     eig_residual = float(np.max(np.abs(tw - lambda0 * w_fun.values)) / w_fun.sup_norm())
-    # rank one: P^2 - P = (b[a] - 1) P
-    proj_idem = abs(projection_raw.coupling() - 1.0) * _operator_inf_norm(p_mat)
+    # P = a z^T, so P^2 - P = (z . a - 1) P and ||P||_inf = max|a| sum|z|
+    a = projection_raw.range_vector.values
+    proj_idem = abs(projection_raw.coupling() - 1.0) * float(np.abs(a).max() * np.abs(z).sum())
     lr = left_row.acting_vector()
     left_residual = float(
-        np.max(np.abs(t_op.T @ lr - lambda0 * lr)) / max(np.max(np.abs(lr)), 1e-300)
+        np.max(np.abs(ev.t_op.T @ lr - lambda0 * lr)) / max(np.max(np.abs(lr)), 1e-300)
     )
     diagnostics = SpectralDiagnostics(
         eig_residual=eig_residual,
@@ -403,7 +401,7 @@ def solve(
         bs_at_lambda0=ev.value(lambda0),
         gap_to_remainder_radius=lambda0 - ev.remainder_radius,
         left_residual=left_residual,
-        rank_one_defect=_column_proportionality_defect(p_mat),
+        rank_one_defect=_proportionality_defect(z),
         min_eigenfunction_value=float(w_fun.values.min()),
     )
     return SpectralResult(

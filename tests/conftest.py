@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,24 @@ def unit_interval_64():
 @pytest.fixture
 def constant_unit(unit_interval_64):
     return pr.constant_kernel(unit_interval_64, 1.0)
+
+
+def count_calls(monkeypatch, module, name):
+    """List that grows by one on every call of ``module.name``.
+
+    The function is replaced in every loaded perron module that holds it,
+    since ``from .x import y`` binds it once per importing module."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "perron" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def random_positive_kernel(space, rng, low=0.05, high=1.05):

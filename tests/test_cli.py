@@ -1,5 +1,4 @@
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import perron as pr
 import perron.kernel_op
 import perron.resolvent
 from perron.cli import main
+from conftest import count_calls
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -52,6 +52,13 @@ def gaussian_config(n, mode):
         "outputs": {"report": "report.json", "eigenfunction": "eigenfunction.csv",
                     "dcurve": "dcurve.csv"},
     }
+
+
+def close_radius_config(path):
+    """Gaussian sigma = 0.1 at n = 200: rho(R) / lambda0 = 0.9999992."""
+    payload = gaussian_config(200, "direct_lu")
+    payload["kernel"]["sigma"] = 0.1
+    return write_config(path, payload)
 
 
 @pytest.fixture
@@ -215,19 +222,27 @@ class TestSolveCommand:
         assert (out / "dcurve.csv").is_symlink()
 
     def test_dcurve_output_takes_one_factorization(self, runner, tmp_path, monkeypatch):
-        calls = []
-        real = perron.resolvent.lu_factor
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+        calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
         result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
         assert len((tmp_path / "o" / "dcurve.csv").read_text().splitlines()) == 201
         assert len(calls) <= 1
+
+    def test_dcurve_starts_below_lambda0_when_the_radius_is_close(self, runner, tmp_path):
+        # sigma = 0.1 at n = 200: rho(R) / lambda0 = 0.9999992, so a grid
+        # from 1.001 rho(R) lay wholly above lambda0 and held no root
+        cfg = close_radius_config(tmp_path / "g.json")
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        lam = json.loads((tmp_path / "s" / "report.json").read_text())["lambda0"]
+        rows = np.loadtxt(tmp_path / "s" / "dcurve.csv", delimiter=",", skiprows=1)
+        assert rows[0, 0] < lam and rows[0, 1] < 0 < rows[-1, 1]
+        result = runner.invoke(main, ["dcurve", "--config", cfg, "--out", str(tmp_path / "d")])
+        assert result.exit_code == 0, result.output
+        assert "sign change bracketed" in result.output
+        rows = np.loadtxt(tmp_path / "d" / "dcurve.csv", delimiter=",", skiprows=1)
+        assert rows[0, 0] < lam
 
     def test_neumann_mode_writes_the_dcurve(self, runner, tmp_path):
         # the dcurve starts at 1.001 rho(R), below the remainder norm where
@@ -389,14 +404,7 @@ class TestVerifyCommand:
         assert "N = 2" in result.output
 
     def test_curve_is_checked_against_the_lu_path(self, runner, tmp_path, monkeypatch):
-        calls = []
-        real = perron.resolvent.lu_factor
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
+        calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 0, result.output
@@ -408,16 +416,7 @@ class TestVerifyCommand:
     def test_kernel_checks_compose_no_kernels(self, runner, monkeypatch):
         # the corrected-kernel recursion and the resolvent identity run on
         # a block of probes; the dense form composed 34 kernels here
-        calls = []
-        real = perron.kernel_op.compose
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("perron") and getattr(module, "compose", None) is real:
-                monkeypatch.setattr(module, "compose", counting)
+        calls = count_calls(monkeypatch, perron.kernel_op, "compose")
         result = runner.invoke(main, ["verify", "--config", str(CONFIGS / "gaussian_interval.json")])
         assert result.exit_code == 0, result.output
         assert "PASS  kernel_resolvent_identity" in result.output
@@ -441,12 +440,32 @@ class TestVerifyCommand:
         # sigma = 0.1 at n = 200: rho(R) / lambda0 = 0.9999992, so a scan
         # starting at 1.0001 rho(R) lay wholly above lambda0 and saw no
         # sign change
-        payload = gaussian_config(200, "direct_lu")
-        payload["kernel"]["sigma"] = 0.1
-        cfg = write_config(tmp_path / "g.json", payload)
+        cfg = close_radius_config(tmp_path / "g.json")
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert "PASS  bs_monotone" in result.output
         assert "PASS  bs_single_root: 1 sign change(s)" in result.output
+
+    def test_close_radius_config_passes(self, runner, tmp_path):
+        # sigma = 0.1 at n = 200: D' is small against D at the probes, and
+        # lambda0 - R has condition 3e6; the fixed bounds of 1e-6 and 1e-9
+        # lay below the rounding floors of the comparisons
+        cfg = close_radius_config(tmp_path / "g.json")
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+
+    def test_derivative_defect_at_the_close_radius_fails(self, runner, tmp_path, monkeypatch):
+        real = perron.resolvent.BirmanSchwingerEvaluator.curve
+
+        def skewed(self, lams):
+            d, dp = real(self, lams)
+            return d, dp * (1.0 + 1e-6)
+
+        monkeypatch.setattr(perron.resolvent.BirmanSchwingerEvaluator, "curve", skewed)
+        cfg = close_radius_config(tmp_path / "g.json")
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 3
+        assert "FAIL  bs_curve_matches_lu" in result.output
 
     def test_random_positive_kernel_passes(self, runner, tmp_path):
         rng = np.random.default_rng(99)

@@ -203,3 +203,70 @@ class TestCertificateFiles:
         np.testing.assert_allclose(loaded.profile.values, cert.profile.values)
         np.testing.assert_allclose(loaded.functional.density, cert.functional.density)
         assert pr.verify_certificate(symmetric_2x2, loaded).holds
+
+
+def old_maximal_alpha(entries, profile, density):
+    """The maximal alpha as first written: a gather over the positive shape."""
+    shape = np.outer(profile, density)
+    mask = shape > 0
+    if not mask.any():
+        return 0.0
+    return float(np.min(entries[mask] / shape[mask]))
+
+
+def old_remainder(kernel, cert):
+    """The split remainder as first written: subtract, then zero what is negative."""
+    remainder = kernel.entries - cert.alpha * np.outer(cert.profile.values, cert.functional.density)
+    return np.where(remainder < 0, 0.0, remainder)
+
+
+def certificate_cases():
+    rng = np.random.default_rng(70)
+    for n in (4, 17, 40):
+        for space in (pr.make_counting_space(n), pr.make_interval_space(0, 1, n, "gauss_legendre")):
+            k = random_positive_kernel(space, rng)
+            yield k, pr.extract_minorization(k, "row_min")
+            yield k, pr.extract_minorization(k, "column_profile")
+            yield k, pr.extract_minorization(
+                k, "user", profile=rng.uniform(0.1, 1.0, n), density=rng.uniform(0.1, 1.0, n)
+            )
+    # a user shape with zeros, on a kernel with zeros
+    entries = rng.uniform(0.1, 1.0, (9, 9))
+    entries[2, :] = 0.0
+    entries[:, 5] = 0.0
+    k = pr.Kernel(entries, pr.make_counting_space(9))
+    profile = rng.uniform(0.1, 1.0, 9)
+    profile[[2, 7]] = 0.0
+    density = rng.uniform(0.1, 1.0, 9)
+    density[[0, 5]] = 0.0
+    yield k, pr.extract_minorization(k, "user", profile=profile, density=density)
+    k = pr.gaussian_kernel(pr.make_interval_space(0, 1, 50, "midpoint"), 0.2)
+    yield k, pr.extract_minorization(k, "row_min")
+
+
+class TestFusedForms:
+    def test_alpha_and_remainder_equal_the_first_formulas_bit_for_bit(self):
+        cases = list(certificate_cases())
+        assert {c.functional.strictly_positive for _, c in cases} == {True, False}
+        for k, cert in cases:
+            assert isinstance(cert, pr.MinorizationCertificate)
+            prof, dens = cert.profile.values, cert.functional.density
+            assert cert.alpha == old_maximal_alpha(k.entries, prof, dens)
+            remainder = pr.rank_one_split(k, cert).remainder.entries
+            assert remainder.tobytes() == old_remainder(k, cert).tobytes()
+
+    def test_shape_with_no_positive_entry_gives_no_alpha(self, symmetric_2x2):
+        out = pr.extract_minorization(symmetric_2x2, "user", profile=[0.0, 0.0], density=[1.0, 1.0])
+        assert isinstance(out, pr.NotMinorizable)
+
+    def test_invalid_certificate_message_is_unchanged(self):
+        rng = np.random.default_rng(71)
+        k = random_positive_kernel(pr.make_counting_space(12), rng)
+        cert = pr.extract_minorization(k, "row_min")
+        bad = dataclasses.replace(cert, alpha=3.0 * cert.alpha)
+        worst = float((k.entries - bad.lower_bound_matrix()).min())
+        with pytest.raises(InvalidCertificateError) as info:
+            pr.rank_one_split(k, bad)
+        assert str(info.value) == f"certificate fails with worst slack {worst:.3e}"
+        report = pr.verify_certificate(k, bad)
+        assert report.worst_slack == worst and not report.holds

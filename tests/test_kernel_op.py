@@ -180,3 +180,27 @@ class TestBuilders:
         k = pr.gaussian_kernel(sp, 0.4)
         assert np.all(k.entries > 0)
         np.testing.assert_allclose(k.entries, k.entries.T)
+
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid", "gauss_legendre"])
+    def test_gaussian_equals_the_first_formula_bit_for_bit(self, rule):
+        for n, sigma in ((7, 0.05), (40, 0.35), (101, 1.7)):
+            sp = pr.make_interval_space(-0.5, 2.0, n, rule)
+            diff = sp.nodes[:, np.newaxis] - sp.nodes[np.newaxis, :]
+            first = np.exp(-(diff**2) / (2.0 * sigma**2))
+            assert pr.gaussian_kernel(sp, sigma).entries.tobytes() == first.tobytes()
+
+
+class TestKernelValidation:
+    def test_float_noise_below_zero_is_clipped(self, counting2):
+        k = pr.Kernel(np.array([[1.0, -1e-17], [0.5, 2.0]]), counting2)
+        assert k.entries[0, 1] == 0.0 and k.entries.min() == 0.0
+
+    def test_nonnegative_entries_are_kept_as_given(self, counting2):
+        entries = np.array([[1.0, 0.0], [0.5, 2.0]])
+        k = pr.Kernel(entries, counting2)
+        assert k.entries.tobytes() == entries.tobytes()
+        assert not k.entries.flags.writeable and entries.flags.writeable
+
+    def test_clearly_negative_entries_are_rejected(self, counting2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pr.Kernel(np.array([[1.0, -1e-3], [0.5, 2.0]]), counting2)

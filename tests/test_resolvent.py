@@ -15,7 +15,7 @@ from perron.errors import (
     NotConvergentError,
     PoleError,
 )
-from conftest import config_kernels, random_positive_kernel
+from conftest import config_kernels, count_calls, random_positive_kernel
 
 
 def make_rank_one(space, a_values, b_density):
@@ -326,6 +326,33 @@ class TestOperatorResolvent:
         _write_dcurve(ev, tmp_path / "dcurve.csv", None, None, 200)
         assert len(ev._lu_cache) <= 2
 
+    def test_profile_solves_are_dropped_with_their_shift(self, monkeypatch):
+        sp = pr.make_interval_space(0, 1, 40, "midpoint")
+        k = pr.gaussian_kernel(sp, 0.3)
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
+        solves = count_calls(monkeypatch, perron.resolvent, "lu_solve")
+        lams = [k * ev.operator_norm for k in (2.0, 3.0, 4.0)]
+        first = [(ev.value(lam), ev.derivative(lam)) for lam in lams]
+        assert len(solves) == 6
+        # value and derivative at a cached shift solve nothing
+        assert (ev.value(lams[-1]), ev.derivative(lams[-1])) == first[-1]
+        assert len(solves) == 6
+        # the first shift was evicted with its vectors: solved again, same result
+        assert (ev.value(lams[0]), ev.derivative(lams[0])) == first[0]
+        assert len(solves) == 8
+        assert len(ev._lu_cache) == 2
+
+    @pytest.mark.parametrize("solver", ["direct_lu", "neumann"])
+    def test_condition_is_the_dense_condition_number(self, solver):
+        rng = np.random.default_rng(48)
+        k = random_positive_kernel(pr.make_interval_space(0, 1, 30, "midpoint"), rng)
+        split = pr.rank_one_split(k, pr.extract_minorization(k))
+        ev = pr.BirmanSchwingerEvaluator(split, solver=solver)
+        for lam in (1.5 * ev.remainder_norm, 4.0 * ev.operator_norm):
+            shifted = lam * np.eye(30) - ev.r_op
+            dense = np.linalg.cond(shifted, p=np.inf)
+            assert ev.condition(lam) == pytest.approx(dense, rel=1e-10)
+
     def test_left_solve_matches_dense_transposed_solve(self):
         rng = np.random.default_rng(47)
         sp = pr.make_interval_space(0, 1, 40, "midpoint")
@@ -399,15 +426,7 @@ class TestSymmetricCurve:
         np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
 
     def test_route_follows_the_symmetry_of_the_kernel(self, monkeypatch):
-        calls = {"schur": 0, "eigh": 0}
-        for name in calls:
-            real = getattr(perron.resolvent, name)
-
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(perron.resolvent, name, counting)
+        calls = {name: count_calls(monkeypatch, perron.resolvent, name) for name in ("schur", "eigh")}
         symmetric = symmetric_counting_kernel(20, 67)
         entries = symmetric.entries.copy()
         entries[3, 5] = np.nextafter(entries[3, 5], np.inf)  # one ulp off symmetry
@@ -416,10 +435,11 @@ class TestSymmetricCurve:
             (pr.Kernel(entries, symmetric.space), {"schur": 1, "eigh": 0}),
             (random_positive_kernel(symmetric.space, np.random.default_rng(68)), {"schur": 1, "eigh": 0}),
         ):
-            calls.update(schur=0, eigh=0)
+            for counted in calls.values():
+                counted.clear()
             ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
             ev.curve(np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20))
-            assert calls == expected
+            assert {name: len(counted) for name, counted in calls.items()} == expected
 
     @pytest.mark.parametrize("rule", RULES)
     def test_both_routes_give_the_condition_guard_of_a_dense_solve(self, rule):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import perron as pr
 import perron.resolvent
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
-from conftest import config_kernels, random_positive_kernel
+from conftest import config_kernels, count_calls, random_positive_kernel
 
 
 def evaluator_for(kernel, strategy="row_min"):
@@ -125,21 +126,53 @@ ROOT_CASES = [
 ] + CONFIG_CASES
 
 
+def column_proportionality_defect(matrix):
+    """Dense oracle of rank_one_defect: the largest residual of the columns
+    after projecting each onto the column of largest l1 norm, relative to
+    the largest entry."""
+    norms = np.abs(matrix).sum(axis=0)
+    ref = int(np.argmax(norms))
+    if norms[ref] == 0:
+        return 0.0
+    ref_col = matrix[:, ref]
+    scales = (matrix.T @ ref_col) / float(ref_col @ ref_col)
+    resid = matrix - np.outer(ref_col, scales)
+    return float(np.abs(resid).max() / max(np.abs(matrix).max(), 1e-300))
+
+
+def operator_inf_norm(matrix):
+    """Dense oracle of ||P||_inf: the largest absolute row sum."""
+    return float(np.abs(matrix).sum(axis=1).max())
+
+
 @pytest.fixture
 def lu_calls(monkeypatch):
     """List that grows by one on every LU factorization."""
-    calls = []
-    real = perron.resolvent.lu_factor
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(perron.resolvent, "lu_factor", counting)
-    return calls
+    return count_calls(monkeypatch, perron.resolvent, "lu_factor")
 
 
 class TestRootSearch:
+    def test_solve_makes_one_solve_per_right_hand_side(self, monkeypatch):
+        # R_lam u, R_lam^2 u and the transposed solve against phi, each once
+        solves = count_calls(monkeypatch, perron.resolvent, "lu_solve")
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        pr.solve(pr.gaussian_kernel(sp, 0.35))
+        assert len(solves) <= 3
+
+    def test_solve_holds_at_most_five_square_arrays(self):
+        # the remainder, the matrices of T and R and the LU of the root,
+        # plus transients; the dense projection and its defect held seven
+        n = 500
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        pr.solve(k)
+        tracemalloc.start()
+        try:
+            pr.solve(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n * n
+
     def test_gaussian_needs_few_factorizations(self, lu_calls):
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         pr.solve(pr.gaussian_kernel(sp, 0.35))
@@ -195,7 +228,7 @@ class TestRootSearch:
         rng = np.random.default_rng(0)
         k = pr.Kernel(np.exp(4.0 * rng.standard_normal((30, 30))), pr.make_counting_space(30))
         res = pr.solve(k)
-        lo, _ = perron.spectral._collatz_wielandt(k.operator_matrix())
+        lo, _ = perron.spectral.collatz_wielandt(k.operator_matrix())
         assert lo <= res.evaluator.remainder_radius
         oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
         assert abs(res.lambda0 - oracle) <= 1e-8 * res.lambda0
@@ -336,6 +369,24 @@ class TestProjection:
             p = pr.spectral_projection(res.evaluator, res.lambda0).matrix()
             dense = np.abs(p @ p - p).sum(axis=1).max()
             assert abs(res.diagnostics.proj_idempotency - dense) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [60, 61, 62])
+    def test_factor_form_diagnostics_match_the_dense_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 60))
+        kernels = [
+            random_positive_kernel(pr.make_counting_space(n), rng),
+            random_positive_kernel(pr.make_interval_space(0, 1, n, "midpoint"), rng),
+            random_positive_kernel(pr.make_interval_space(-1, 2, n, "gauss_legendre"), rng),
+            pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "trapezoid"), rng.uniform(0.2, 0.5)),
+        ]
+        for k in kernels:
+            res = pr.solve(k)
+            raw = pr.spectral_projection(res.evaluator, res.lambda0)
+            p = raw.matrix()
+            idem = abs(raw.coupling() - 1.0) * operator_inf_norm(p)
+            assert abs(res.diagnostics.proj_idempotency - idem) <= 1e-14
+            assert abs(res.diagnostics.rank_one_defect - column_proportionality_defect(p)) <= 1e-14
 
     def test_projection_columns_span_the_eigenfunction(self):
         # residue-eigenvector consistency: every nonzero column of the
