@@ -84,8 +84,9 @@ def collatz_wielandt(t_op: np.ndarray, clear: float | None = None):
     n = 100, about n / 6 steps from n = 200 to 800, and 130-150 steps from
     n = 1200 to 2000, where the matrix no longer fits in cache and a step
     is bound by memory traffic.  With ``clear``, stepping goes on past that
-    budget while the lower end is at or below clear, up to 10,000 steps
-    (the budget of the power-iteration oracle).
+    budget while clear lies in [lo, hi), that is until the lower end clears
+    it or the upper end shows it never will, up to 10,000 steps (the
+    budget of the power-iteration oracle).
     Returns None once an iterate has a zero entry, since the ratios are
     then undefined.
     """
@@ -102,7 +103,7 @@ def collatz_wielandt(t_op: np.ndarray, clear: float | None = None):
         lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
         if hi - lo <= 16 * np.finfo(float).eps * hi or hi - lo >= width:
             break
-        if step >= budget and (clear is None or lo > clear):
+        if step >= budget and (clear is None or not lo <= clear < hi):
             break
         x = y / y.max()
     return lo, hi

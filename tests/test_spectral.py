@@ -233,6 +233,17 @@ class TestRootSearch:
         oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
         assert abs(res.lambda0 - oracle) <= 1e-8 * res.lambda0
 
+    def test_bracket_steps_past_its_budget_only_while_clear_is_inside(self):
+        t_op = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.1).operator_matrix()
+        lo, hi = perron.spectral.collatz_wielandt(t_op)
+        assert hi - lo > 1e-6 * hi  # the budget ends the default run early
+        assert perron.spectral.collatz_wielandt(t_op, clear=0.5 * lo) == (lo, hi)
+        assert perron.spectral.collatz_wielandt(t_op, clear=2.0 * hi) == (lo, hi)
+        for clear in (lo + 0.01 * (hi - lo), 0.5 * (lo + hi)):
+            lo2, hi2 = perron.spectral.collatz_wielandt(t_op, clear=clear)
+            assert lo <= lo2 <= hi2 <= hi
+            assert not lo2 <= clear < hi2
+
     @pytest.mark.parametrize(
         "kernel, certificate",
         [case[1:] for case in CONFIG_CASES],
