@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidCertificateError
-from .kernel_op import Kernel, apply, compose, iterate_kernel
-from .measure import GridFunction, WeightFunctional, check_same_space, pair
+from .kernel_op import Kernel, compose, iterate_kernel
+from .measure import GridFunction, WeightFunctional, check_same_space
 
 SLACK = 1e-14  # absolute slack (scaled by kernel magnitude) for entrywise checks
 
@@ -218,6 +218,7 @@ def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSpli
             f"certificate fails with worst slack {report.worst_slack:.3e}"
         )
     np.maximum(remainder, 0.0, out=remainder)
+    remainder.flags.writeable = False
     return RankOneSplit(kernel, cert, Kernel(remainder, kernel.space))
 
 
@@ -249,19 +250,18 @@ def positivity_improving_check(
     scale = max(1.0, float(np.abs(powered.entries).max()))
     rng = np.random.default_rng(seed)
     space = kernel.space
-    for _ in range(trials):
-        f = rng.uniform(0.0, 1.0, space.size)
+    # column t is probe t, drawn trial by trial, so a seed gives the same
+    # probes as a loop over the trials
+    probes = np.empty((space.size, trials))
+    for f in probes.T:
+        f[:] = rng.uniform(0.0, 1.0, space.size)
         f[rng.random(space.size) < 0.5] = 0.0
         if not f.any():
             f[rng.integers(space.size)] = 1.0
-        gf = GridFunction(f, space)
-        image = apply(powered, gf).values
-        if not np.all(image > 0):
-            return False
-        floor = cert.alpha * cert.profile.values * pair(cert.functional, gf)
-        if np.any(image - floor < -SLACK * scale):
-            return False
-    return True
+    # T^N F and the floors alpha * profile * phi[f] of all probes at once
+    images = powered.entries @ (space.weights[:, np.newaxis] * probes)
+    floors = np.outer(cert.alpha * cert.profile.values, cert.functional.acting_vector() @ probes)
+    return bool(np.all(images > 0) and not np.any(images - floors < -SLACK * scale))
 
 
 # ---------------------------------------------------------------------------

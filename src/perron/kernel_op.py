@@ -31,7 +31,16 @@ class Kernel:
     space: MeasureSpace
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        entries = self.entries
+        # a read-only float64 array that owns its data is frozen: shared,
+        # not copied
+        if not (
+            isinstance(entries, np.ndarray)
+            and entries.dtype == np.float64
+            and entries.flags.owndata
+            and not entries.flags.writeable
+        ):
+            entries = np.array(entries, dtype=float)
         n = self.space.size
         if entries.shape != (n, n):
             raise DimensionMismatchError(
@@ -47,7 +56,7 @@ class Kernel:
         if lo < -NONNEG_SLACK * max(1.0, -lo, hi):
             raise ValueError("kernel entries must be nonnegative")
         if lo < 0:
-            np.clip(entries, 0.0, None, out=entries)
+            entries = np.maximum(entries, 0.0, out=entries if entries.flags.writeable else None)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -146,7 +155,7 @@ class PowerIterationResult:
 
 
 def spectral_radius_oracle(
-    kernel: Kernel, tol: float = 1e-12, max_iter: int = 10000
+    kernel: Kernel, tol: float = 1e-12, max_iter: int = 10000, operator=None
 ) -> PowerIterationResult:
     """Spectral radius of the weighted operator by plain power iteration.
 
@@ -156,8 +165,10 @@ def spectral_radius_oracle(
     positive iterates a Collatz-Wielandt bracket certifies the result;
     otherwise the successive eigenvalue-estimate change is used.
     Non-convergence (peripheral multiplicity) raises PowerIterationError.
+    A caller that already holds ``kernel.operator_matrix()`` passes it as
+    ``operator``, and it is not formed again.
     """
-    a = kernel.operator_matrix()
+    a = kernel.operator_matrix() if operator is None else operator
     if not a.any():
         return PowerIterationResult(0.0, kernel.space.ones(), 0)
     x = np.ones(kernel.size)
@@ -234,6 +245,7 @@ def gaussian_kernel(space: MeasureSpace, sigma: float) -> Kernel:
     np.square(entries, out=entries)
     entries /= -2.0 * sigma**2
     np.exp(entries, out=entries)
+    entries.flags.writeable = False
     return Kernel(entries, space)
 
 

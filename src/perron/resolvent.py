@@ -17,23 +17,30 @@ lam above the remainder's spectral radius; the root search involves no
 eigensolver.
 
 A shift lam used alone (the root search, the residue at the root) costs
-one LU factorization of lam*I - R.  A whole grid of shifts (the D-curve,
-the verify scan) shares one factorization instead.  For a symmetric
-kernel that is one symmetric eigendecomposition of T, after which D and
-D' are secular sums at O(n) per shift (Golub 1973); for any other
-kernel it is one real Schur form R = Q S Q^T, and back-substitution on
-the quasi-triangular S costs O(n^2) per shift, the Bartels-Stewart
-reduction used for frequency responses (Laub 1981).  Measured with BLAS
-on one thread, the eigendecomposition costs as much as about 6 LU
-shifts at n = 600 (12 ms against 2.2 ms) and at n = 2000 (0.35 s
-against 61 ms); the Schur form about 50 (0.11 s) and 25 (1.5 s).  The
-grids the CLI builds itself have more points (200 for the D-curve, 71
-for the verify scan); a shorter grid asked for with
-`perron dcurve --points` is slower than one LU per point.
+one LU factorization of lam*I - R.  When lam*I - R is well conditioned
+(condition number at most 1e4) that LU is in float32, at half the cost
+of float64, and every solve with it is refined to double precision
+against a float64 residual, as LAPACK dsgesv does (Langou et al. 2006;
+Carson & Higham 2018); any other shift is factored in float64.  A whole
+grid of shifts (the D-curve, the verify scan) shares one factorization
+instead.  For a symmetric kernel that is one symmetric
+eigendecomposition of T, after which D and D' are secular sums at O(n)
+per shift (Golub 1973); for any other kernel it is one real Schur form
+R = Q S Q^T, and back-substitution on the quasi-triangular S costs
+O(n^2) per shift, the Bartels-Stewart reduction used for frequency
+responses (Laub 1981).  Measured with BLAS on one thread, a new
+well-conditioned shift (float32 LU, condition estimate, D and D') costs
+2.3 ms at n = 600 and 44 ms at n = 2000; the eigendecomposition costs
+as much as about 6 such shifts at n = 600 (15 ms) and 10 at n = 2000
+(0.42 s), the Schur form about 54 (0.12 s) and 37 (1.6 s).  The grids
+the CLI builds itself have more points (200 for the D-curve, 71 for the
+verify scan); a shorter grid asked for with `perron dcurve --points` is
+slower than one LU per point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,17 +61,33 @@ from .measure import GridFunction, WeightFunctional, check_same_space, pair
 NEAR_SINGULAR = 1e-12
 AT_EIGENVALUE = 1e-12
 MAX_CONDITION = 1e12
+# a shift whose condition number is at most SINGLE_MAX_CONDITION is factored
+# in float32 and its solves are refined to double (LAPACK dsgesv); after
+# REFINE_STEPS corrections that miss the stopping rule it is factored again
+# in float64
+SINGLE_MAX_CONDITION = 1e4
+REFINE_STEPS = 30
 # Newton, the residue extraction and value/derivative pairs revisit only
 # the current shift; older factorizations are dropped
 LU_CACHE_SHIFTS = 2
 
 
+def _pow2_scale(x: float) -> float:
+    """The power of two that brings x >= 0 into [1/2, 1): exact to apply,
+    and it keeps a float32 cast of anything scaled by it in range."""
+    return math.ldexp(1.0, -math.frexp(x)[1])
+
+
 @dataclass(eq=False)
 class _Shift:
-    """One cached shift: the LU factors of lam*I - R (None for the Neumann
-    backend) and the profile solves made there, R_lam u and R_lam^2 u."""
+    """One cached shift lam: the LU factors of scale * (lam*I - R)^T, in
+    float32 with scale a power of two when lam is well conditioned, in
+    float64 with scale 1 otherwise (None for the Neumann backend), and the
+    profile solves made there, R_lam u and R_lam^2 u."""
 
-    factors: tuple | None
+    lam: float
+    factors: tuple | None = None
+    scale: float = 1.0
     ru: GridFunction | None = None
     r2u: GridFunction | None = None
 
@@ -147,9 +170,10 @@ class BirmanSchwingerEvaluator:
 
     ``t_op`` and ``r_op`` are the read-only matrices of T and R acting on
     node-value vectors, formed once here.  Two backends solve
-    (lam*I - R) x = v: a cached LU factorization
-    (default) and a Neumann series whose convergence is guarded by the
-    weighted sup-norm of the remainder.  ``curve`` evaluates a whole grid
+    (lam*I - R) x = v: a cached LU factorization (default; in float32
+    with refinement where lam*I - R is well conditioned) and a Neumann
+    series whose convergence is guarded by the weighted sup-norm of the
+    remainder.  ``curve`` evaluates a whole grid
     of shifts through one eigendecomposition of a symmetric kernel, or
     one Schur form of any other, whatever the backend.  The
     evaluator is immutable apart from the internal cache, which holds
@@ -184,9 +208,12 @@ class BirmanSchwingerEvaluator:
         row_sums = self.r_op.sum(axis=1)
         self._rem_diag = np.diagonal(self.r_op)
         self._rem_offdiag = row_sums - self._rem_diag
+        # the column sums give ||lam*I - R||_1 the same way, the norm of the
+        # transposed solve
+        self._rem_col_offdiag = self.r_op.sum(axis=0) - self._rem_diag
         self.remainder_norm = float(row_sums.max())
         self.operator_norm = float(self.t_op.sum(axis=1).max())
-        power = spectral_radius_oracle(split.remainder, tol=radius_tol)
+        power = spectral_radius_oracle(split.remainder, tol=radius_tol, operator=self.r_op)
         # inflate: the precondition lam > rho(R) must survive estimate error
         self.remainder_radius = power.rho * (1.0 + 1e-8)
         self._lu_cache: dict[float, _Shift] = {}
@@ -199,35 +226,89 @@ class BirmanSchwingerEvaluator:
         if lam <= self.remainder_radius:
             raise BelowSpectralRadiusError(lam, self.remainder_radius)
 
-    def _shifted_inf_norm(self, lam):
-        """||lam*I - R||_inf for a shift or an array of shifts, O(n) each."""
+    def _shifted_inf_norm(self, lam, trans: int = 0):
+        """||lam*I - R||_inf for a shift or an array of shifts, O(n) each;
+        with trans = 1 that of the transpose, ||lam*I - R||_1."""
+        offdiag = self._rem_col_offdiag if trans else self._rem_offdiag
         shifted_diag = np.abs(np.subtract.outer(lam, self._rem_diag))
-        return np.max(shifted_diag + self._rem_offdiag, axis=-1)
+        return np.max(shifted_diag + offdiag, axis=-1)
 
     def _shift(self, lam: float) -> _Shift:
         """The cache entry of lam, made on first use, for a lam above the
-        remainder radius: for the LU backend the factorization, refused
-        above MAX_CONDITION."""
+        remainder radius: for the LU backend the factorization, in float32
+        when lam is well conditioned, else in float64 and refused above
+        MAX_CONDITION."""
         key = float(lam)
         entry = self._lu_cache.get(key)
         if entry is not None:
             return entry
-        self._require_above_radius(lam)
-        factors = None
+        self._require_above_radius(key)
+        entry = _Shift(key)
         if self.solver == "direct_lu":
-            # the one n x n array of this shift: built in Fortran order, so
-            # LAPACK factors it in place instead of copying it
-            shifted = np.negative(self.r_op, order="F")
-            shifted.flat[:: self.space.size + 1] += lam
-            factors = lu_factor(shifted, overwrite_a=True)
-            gecon = get_lapack_funcs(("gecon",), (factors[0],))[0]
-            rcond, info = gecon(factors[0], float(self._shifted_inf_norm(lam)), norm="I")
-            if info != 0 or rcond <= 1.0 / MAX_CONDITION:
-                raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
-        entry = self._lu_cache[key] = _Shift(factors)
+            # ||(lam*I - R)^-1||_inf >= 1 / (lam - rho(R)), so this ratio is a
+            # lower bound on the condition number: above the float32 limit
+            # sgecon would refuse the float32 factors anyway
+            gap = key - self.remainder_radius
+            if self._shifted_inf_norm(key) <= SINGLE_MAX_CONDITION * gap:
+                self._factor(entry, np.float32)
+            if entry.factors is None:
+                self._factor(entry, np.float64)
+        self._lu_cache[key] = entry
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
         return entry
+
+    def _factor(self, entry: _Shift, dtype) -> None:
+        """Factor scale * (lam*I - R)^T into entry.  In float32 the scale is
+        the power of two that brings ||lam*I - R||_inf into [1/2, 1), so no
+        finite kernel overflows or underflows in the cast, and the factors
+        are kept only when sgecon confirms a condition number of at most
+        SINGLE_MAX_CONDITION.  In float64 the shift is refused above
+        MAX_CONDITION."""
+        lam, n = entry.lam, self.space.size
+        norm = float(self._shifted_inf_norm(lam))
+        single = dtype == np.float32
+        scale = _pow2_scale(norm) if single else 1.0
+        # the one n x n array of this shift, cast from R in C order: its
+        # transpose is a Fortran-ordered view, which LAPACK factors in place
+        shifted = np.empty((n, n), dtype)
+        np.multiply(self.r_op, -scale, out=shifted, casting="same_kind")
+        shifted.flat[:: n + 1] = (lam - self._rem_diag) * scale
+        factors = lu_factor(shifted.T, overwrite_a=True, check_finite=False)
+        gecon = get_lapack_funcs(("gecon",), (factors[0],))[0]
+        # the 1-norm of the transpose is the inf-norm of lam*I - R
+        rcond, info = gecon(factors[0], norm * scale, norm="1")
+        if info == 0 and rcond > 1.0 / (SINGLE_MAX_CONDITION if single else MAX_CONDITION):
+            entry.factors, entry.scale = factors, scale
+        elif not single:
+            raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
+
+    def _solve(self, entry: _Shift, b: np.ndarray, trans: int = 0) -> np.ndarray:
+        """(lam*I - R)^-1 b, or (lam*I - R)^-T b with trans = 1, from the
+        factors of lam.  Float32 factors go through mixed-precision
+        iterative refinement, as in LAPACK dsgesv: each correction solves
+        against the float64 residual with the float32 factors, until
+        ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system matrix A
+        and the unit roundoff u.  After REFINE_STEPS corrections that miss
+        that rule, lam is factored again in float64."""
+        lam = entry.lam
+        if entry.factors[0].dtype == np.float32:
+            op = self.r_op.T if trans else self.r_op
+            unit = 0.5 * np.finfo(float).eps
+            bound = math.sqrt(b.size) * unit * float(self._shifted_inf_norm(lam, trans))
+            x, r = np.zeros(b.size), b
+            for _ in range(REFINE_STEPS + 1):
+                # r goes into float32 range by a power of two, and back
+                r_scale = _pow2_scale(float(np.max(np.abs(r))))
+                r32 = (r * r_scale).astype(np.float32)
+                y = lu_solve(entry.factors, r32, trans=1 - trans, check_finite=False)
+                x += y.astype(float) * (entry.scale / r_scale)
+                r = b - (lam * x - op @ x)
+                if np.max(np.abs(r)) <= bound * np.max(np.abs(x)):
+                    return x
+            self._factor(entry, np.float64)
+        # the factors are those of the transpose
+        return lu_solve(entry.factors, b, trans=1 - trans, check_finite=False)
 
     def _solve_neumann(self, lam: float, v: np.ndarray) -> np.ndarray:
         if lam <= self.remainder_norm:
@@ -251,9 +332,9 @@ class BirmanSchwingerEvaluator:
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
         """(lam*I - R)^-1 v for lam above the remainder radius."""
         check_same_space(self.space, v.space)
-        factors = self._shift(lam).factors
-        if factors is not None:
-            x = lu_solve(factors, v.values, check_finite=False)
+        entry = self._shift(lam)
+        if entry.factors is not None:
+            x = self._solve(entry, v.values)
         else:
             x = self._solve_neumann(lam, v.values)
         return GridFunction(x, self.space)
@@ -302,9 +383,10 @@ class BirmanSchwingerEvaluator:
         estimate, then IllConditionedError at the first shift whose
         condition exceeds MAX_CONDITION.  The result does not depend on
         the solver backend, and nothing is cached.  The factorization
-        costs as much as about 6 LU shifts (symmetric) or 25 to 50
-        (Schur) at n = 600 to 2000 (see the module docstring), so a grid
-        with fewer shifts is slower here than one LU per shift.
+        costs as much as about 6 to 10 single-precision LU shifts
+        (symmetric) or 37 to 54 (Schur) at n = 600 to 2000 (see the
+        module docstring), so a grid with fewer shifts is slower here
+        than one LU per shift.
         """
         lams = np.asarray(lams, dtype=float)
         for lam in lams:
@@ -405,9 +487,9 @@ class BirmanSchwingerEvaluator:
         acting vector; z realizes f -> phi[(lam*I - R)^-1 f] as z . f.
         The LU backend reuses the factorization of lam.
         """
-        factors = self._shift(lam).factors
+        entry = self._shift(lam)
         phi = self.functional.acting_vector()
-        if factors is not None:
-            return lu_solve(factors, phi, trans=1, check_finite=False)
+        if entry.factors is not None:
+            return self._solve(entry, phi, trans=1)
         shifted = lam * np.eye(self.space.size) - self.r_op
         return np.linalg.solve(shifted.T, phi)

@@ -56,6 +56,20 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_solves(monkeypatch):
+    """List that grows by one on every shifted solve against one right-hand
+    side, however many refinement steps that solve takes."""
+    calls = []
+    real = pr.BirmanSchwingerEvaluator._solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_solve", counting)
+    return calls
+
+
 def random_positive_kernel(space, rng, low=0.05, high=1.05):
     return pr.Kernel(rng.uniform(low, high, (space.size, space.size)), space)
 

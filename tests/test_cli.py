@@ -197,8 +197,12 @@ class TestSolveCommand:
         assert (out_a / "dcurve.csv").read_bytes() == (out_b / "dcurve.csv").read_bytes()
 
     def test_rerun_with_shorter_output_leaves_no_stale_tail(self, runner, tmp_path):
-        # outputs are overwritten in place: same inode, mode and symlink
-        long_cfg = write_config(tmp_path / "long.json", gaussian_config(60, "direct_lu"))
+        # outputs are overwritten in place: same inode, mode and symlink.  The
+        # long config carries a seed, which solve ignores and report.json
+        # echoes, so the rerun's report is shorter whatever its timings
+        long_payload = gaussian_config(60, "direct_lu")
+        long_payload["seed"] = 20240808
+        long_cfg = write_config(tmp_path / "long.json", long_payload)
         short_cfg = write_config(tmp_path / "short.json", gaussian_config(12, "direct_lu"))
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert runner.invoke(main, ["solve", "--config", long_cfg, "--out", str(out)]).exit_code == 0

@@ -185,6 +185,31 @@ class TestPositivityImproving:
         np.testing.assert_allclose(image.values, [0.5, 0.25])
         assert np.all(image.values > 0)
 
+    @pytest.mark.parametrize("alpha, zero_row, holds", [
+        (0.01, False, True), (0.9, False, False), (0.01, True, False),
+    ])
+    def test_block_battery_matches_one_probe_at_a_time(self, alpha, zero_row, holds):
+        # the probes of the first battery, drawn and checked one by one
+        rng = np.random.default_rng(80)
+        sp = pr.make_interval_space(0, 1, 50, "midpoint")
+        entries = rng.uniform(0.05, 1.05, (50, 50))
+        entries[7] *= 0.0 if zero_row else 1.0
+        k = pr.Kernel(entries, sp)
+        ones = np.ones(50)
+        cert = pr.MinorizationCertificate(alpha, sp.function(ones), sp.functional(ones))
+        draws = np.random.default_rng(7)
+        expected = True
+        for _ in range(32):
+            f = draws.uniform(0.0, 1.0, 50)
+            f[draws.random(50) < 0.5] = 0.0
+            if not f.any():
+                f[draws.integers(50)] = 1.0
+            image = k.operator_matrix() @ f
+            floor = alpha * np.dot(sp.weights, f)
+            expected &= bool(np.all(image > 0) and np.all(image - floor >= -1e-14))
+        assert expected == holds
+        assert pr.positivity_improving_check(k, cert, seed=7) == holds
+
     def test_kernel_with_zero_row_fails(self, counting2):
         k = pr.Kernel(np.array([[0.0, 0.0], [1.0, 1.0]]), counting2)
         cert = pr.extract_minorization(k, "user", profile=[0.0, 1.0], density=[0.5, 0.5])

@@ -201,6 +201,23 @@ class TestKernelValidation:
         assert k.entries.tobytes() == entries.tobytes()
         assert not k.entries.flags.writeable and entries.flags.writeable
 
+    def test_writeable_entries_are_copied_and_frozen_ones_shared(self, counting2):
+        entries = np.array([[1.0, 0.0], [0.5, 2.0]])
+        k = pr.Kernel(entries, counting2)
+        assert not np.shares_memory(k.entries, entries) and entries.flags.writeable
+        entries.flags.writeable = False
+        assert np.shares_memory(pr.Kernel(entries, counting2).entries, entries)
+        # a read-only view of a writeable array could still change under it
+        view = np.array([[1.0, 0.0], [0.5, 2.0]]).view()
+        view.flags.writeable = False
+        assert not np.shares_memory(pr.Kernel(view, counting2).entries, view)
+
+    def test_frozen_entries_below_zero_are_clipped_into_a_copy(self, counting2):
+        entries = np.array([[1.0, -1e-17], [0.5, 2.0]])
+        entries.flags.writeable = False
+        k = pr.Kernel(entries, counting2)
+        assert k.entries.min() == 0.0 and entries[0, 1] == -1e-17
+
     def test_clearly_negative_entries_are_rejected(self, counting2):
         with pytest.raises(ValueError, match="nonnegative"):
             pr.Kernel(np.array([[1.0, -1e-3], [0.5, 2.0]]), counting2)

@@ -15,7 +15,8 @@ from perron.errors import (
     NotConvergentError,
     PoleError,
 )
-from conftest import config_kernels, count_calls, random_positive_kernel
+from perron.spectral import collatz_wielandt
+from conftest import config_kernels, count_calls, count_solves, random_positive_kernel
 
 
 def make_rank_one(space, a_values, b_density):
@@ -330,7 +331,7 @@ class TestOperatorResolvent:
         sp = pr.make_interval_space(0, 1, 40, "midpoint")
         k = pr.gaussian_kernel(sp, 0.3)
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
-        solves = count_calls(monkeypatch, perron.resolvent, "lu_solve")
+        solves = count_solves(monkeypatch)
         lams = [k * ev.operator_norm for k in (2.0, 3.0, 4.0)]
         first = [(ev.value(lam), ev.derivative(lam)) for lam in lams]
         assert len(solves) == 6
@@ -364,6 +365,86 @@ class TestOperatorResolvent:
         )
         dense = np.linalg.solve(shifted.T, ev.functional.acting_vector())
         np.testing.assert_allclose(ev.left_remainder_solve(lam), dense, rtol=1e-10)
+
+
+class TestMixedPrecision:
+    """Well-conditioned shifts are factored in float32 and their solves
+    refined to double; any other shift keeps the float64 factorization."""
+
+    @staticmethod
+    def factors_at(result):
+        return result.evaluator._lu_cache[result.lambda0].factors[0]
+
+    @pytest.mark.parametrize("sigma, dtype", [(0.35, np.float32), (0.1, np.float64)])
+    def test_route_follows_the_condition_of_the_shift(self, sigma, dtype):
+        # sigma = 0.1: rho(R) / lambda0 = 0.9999992, condition about 3e6
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        assert self.factors_at(pr.solve(pr.gaussian_kernel(sp, sigma))).dtype == dtype
+
+    def test_ill_conditioned_shifts_take_one_float64_factorization(self, monkeypatch):
+        # the first matrix of the seed-1 log-normal pool: every shift's
+        # condition is far above the float32 limit, so the a-priori bound
+        # sends each straight to float64 without a float32 attempt
+        rng = np.random.default_rng(1)
+        n = int(rng.integers(20, 61))
+        kernel = pr.Kernel(np.exp(4.0 * rng.standard_normal((n, n))), pr.make_counting_space(n))
+        factored = []
+        real = pr.BirmanSchwingerEvaluator._factor
+
+        def recording(self, entry, dtype):
+            factored.append((entry.lam, dtype))
+            return real(self, entry, dtype)
+
+        monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_factor", recording)
+        lu_calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        res = pr.solve(kernel)
+        oracle = np.abs(np.linalg.eigvals(kernel.entries)).max()
+        assert res.lambda0 == pytest.approx(oracle, rel=1e-12)
+        assert {dtype for _, dtype in factored} == {np.float64}
+        assert len(lu_calls) == len({lam for lam, _ in factored}) == len(factored) >= 1
+
+    @pytest.mark.parametrize("c", [1e-42, 1e300])
+    def test_lambda0_scales_with_the_kernel(self, c):
+        # c K under- or overflows float32; scaled by a power of two it does not
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        k = pr.gaussian_kernel(sp, 0.35)
+        scaled = pr.solve(pr.Kernel(c * k.entries, sp))
+        assert self.factors_at(scaled).dtype == np.float32
+        assert scaled.lambda0 == pytest.approx(c * pr.solve(k).lambda0, rel=1e-14)
+
+    def test_stalled_refinement_refactors_in_float64(self, monkeypatch):
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        k = pr.gaussian_kernel(sp, 0.35)
+        refined = pr.solve(k)
+        monkeypatch.setattr(perron.resolvent, "REFINE_STEPS", 0)
+        lu_calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        fallback = pr.solve(k)
+        # one float32 factorization, its first solve misses the rule, one float64
+        assert len(lu_calls) == 2
+        assert self.factors_at(fallback).dtype == np.float64
+        # the Collatz-Wielandt lower end is the root either way
+        assert fallback.lambda0 == refined.lambda0 == collatz_wielandt(refined.evaluator.t_op)[0]
+        assert fallback.diagnostics.eig_residual <= 1e-14
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_refined_solves_meet_the_stopping_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        k = random_positive_kernel(pr.make_interval_space(0, 1, n, "midpoint"), rng)
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
+        lam = 1.5 * ev.operator_norm
+        a = lam * np.eye(n) - ev.r_op
+        b = rng.normal(size=n)
+        x = ev.resolve_remainder(lam, ev.space.function(b)).values
+        z = ev.left_remainder_solve(lam)
+        assert ev._lu_cache[lam].factors[0].dtype == np.float32
+        kappa = np.linalg.cond(a, p=np.inf)
+        unit = np.finfo(float).eps / 2
+        for matrix, rhs, sol in ((a, b, x), (a.T, ev.functional.acting_vector(), z)):
+            rule = np.sqrt(n) * unit * np.abs(matrix).sum(axis=1).max() * np.abs(sol).max()
+            assert np.abs(rhs - matrix @ sol).max() <= rule
+            dense = np.linalg.solve(matrix, rhs)
+            assert np.abs(sol - dense).max() <= 4 * kappa * np.sqrt(n) * unit * np.abs(dense).max()
 
 
 def pointwise_curve(ev, lams):

@@ -7,7 +7,7 @@ import pytest
 import perron as pr
 import perron.resolvent
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
-from conftest import config_kernels, count_calls, random_positive_kernel
+from conftest import config_kernels, count_calls, count_solves, random_positive_kernel
 
 
 def evaluator_for(kernel, strategy="row_min"):
@@ -154,7 +154,8 @@ def lu_calls(monkeypatch):
 class TestRootSearch:
     def test_solve_makes_one_solve_per_right_hand_side(self, monkeypatch):
         # R_lam u, R_lam^2 u and the transposed solve against phi, each once
-        solves = count_calls(monkeypatch, perron.resolvent, "lu_solve")
+        # (each refined in a few float32 solves)
+        solves = count_solves(monkeypatch)
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         pr.solve(pr.gaussian_kernel(sp, 0.35))
         assert len(solves) <= 3
