@@ -55,6 +55,7 @@ from .kernel_op import (
     PowerIterationResult,
     SchurBound,
     SchurReport,
+    SecondRadius,
     apply,
     compose,
     constant_kernel,

@@ -232,8 +232,8 @@ def _solve_impl(config_path, out_flag):
     try:
         result = solve(kernel, certificate=cert, tol=tol, solver=mode)
         t_solve = time.perf_counter()
-        oracle = spectral_radius_oracle(kernel, tol=1e-12)
-        dominance = verify_dominance(kernel, result)
+        oracle = spectral_radius_oracle(kernel, tol=1e-12, operator=result.evaluator.t_op)
+        dominance = verify_dominance(result)
         residuals = {
             "eig_residual": result.diagnostics.eig_residual,
             "proj_idempotency": result.diagnostics.proj_idempotency,
@@ -270,6 +270,8 @@ def _solve_impl(config_path, out_flag):
                 "second_radius": dominance.second_radius,
                 "ratio": dominance.gap_ratio,
                 "strictly_dominant": dominance.strictly_dominant,
+                "residual": dominance.residual,
+                "route": dominance.route,
             },
             "residuals": residuals,
             "thresholds": {k: THRESHOLDS[k] for k in residuals if k in THRESHOLDS},
@@ -490,7 +492,7 @@ def verify(config_path, out_flag):
                f"{result.diagnostics.proj_idempotency:.3e}")
         record("left_residual", result.diagnostics.left_residual <= 1e-8,
                f"{result.diagnostics.left_residual:.3e}")
-        oracle = spectral_radius_oracle(kernel, tol=1e-12)
+        oracle = spectral_radius_oracle(kernel, tol=1e-12, operator=result.evaluator.t_op)
         delta = abs(lam - oracle.rho) / lam
         record("oracle_agreement", delta <= 1e-7, f"relative delta {delta:.3e}")
 

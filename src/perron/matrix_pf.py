@@ -120,10 +120,11 @@ def power_doeblin_analyze(
     else:
         # deflation route: strict dominance of A^N forces a single
         # peripheral eigenvalue of A, which must be rho itself
-        p = result.projection.matrix()
-        eye = np.eye(dim)
-        deflated = (eye - p) @ a_op @ (eye - p)
-        second = growth_radius(deflated)
+        second = growth_radius(
+            a_op,
+            result.projection.range_vector.values,
+            result.projection.functional.acting_vector(),
+        ).radius
         simple = second**n < result.lambda0 * (1.0 - 1e-8)
         confirmed = [complex(rho)] if simple else candidates
     defect = result.diagnostics.rank_one_defect

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,7 @@ class TestSolveCommand:
         assert report["lambda0"] == pytest.approx(1.0, abs=1e-10)
         assert report["passed"] is True
         assert report["spectral_gap"]["second_radius"] <= 1e-8
+        assert report["spectral_gap"]["route"] == "dense"
         # every reported residual was computed: no placeholder zeros for
         # the series when it ran (constant kernel: ratio 0, so it runs)
         assert "series_vs_residue" in report["residuals"]
@@ -116,6 +120,9 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["residuals"]["oracle_delta_rel"] <= 1e-8
         assert report["residuals"]["series_vs_residue"] <= 1e-8
+        # n = 200 takes Arnoldi, whose eigenpair residual is reported
+        assert report["spectral_gap"]["route"] == "arnoldi"
+        assert report["spectral_gap"]["residual"] <= 1e-8
 
     def test_near_degenerate_gap_omits_series_residual(self, runner, tmp_path):
         # an intentionally feeble certificate pushes the remainder radius
@@ -484,3 +491,13 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # ARPACK is imported where the second radius needs it, not with the CLI
+    src = str(Path(perron.kernel_op.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, perron.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

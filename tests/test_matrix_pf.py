@@ -106,6 +106,19 @@ class TestPowerDoeblinAnalyze:
         dense = np.max(np.abs(np.linalg.eigvals(k.operator_matrix())))
         assert report.rho == pytest.approx(dense, rel=1e-8)
 
+    @pytest.mark.parametrize("dim", [30, 80])
+    def test_deflation_route_second_modulus(self, dim):
+        # a zero diagonal keeps A off a one-step certificate; A^2 is positive
+        rng = np.random.default_rng(75)
+        k = pr.Kernel(
+            rng.uniform(0.05, 1.05, (dim, dim)) * (1.0 - np.eye(dim)), pr.make_counting_space(dim)
+        )
+        report = pr.power_doeblin_analyze(k, n_max=4)
+        assert report.power == 2
+        assert report.simple
+        moduli = np.sort(np.abs(np.linalg.eigvals(k.operator_matrix())))
+        assert report.second_modulus == pytest.approx(moduli[-2], rel=1e-8)
+
 
 class TestPowerConsistency:
     def test_dominant_of_power_is_power_of_dominant(self):

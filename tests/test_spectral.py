@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import perron as pr
+import perron.kernel_op
 import perron.resolvent
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
+from perron.kernel_op import DENSE_RADIUS_MAX_DIM
 from conftest import config_kernels, count_calls, count_solves, random_positive_kernel
 
 
@@ -465,21 +467,21 @@ class TestDominance:
         t_op, p = kernel.operator_matrix(), res.projection.matrix()
         eye = np.eye(kernel.size)
         dense = (eye - p) @ t_op @ (eye - p)
-        fast = perron.spectral._deflate(
+        fast = perron.kernel_op._deflate(
             t_op, res.projection.range_vector.values, res.projection.functional.acting_vector()
         )
         assert np.abs(fast - dense).max() <= 1e-12 * np.abs(t_op).max()
 
     def test_symmetric_2x2_gap(self, symmetric_2x2):
         res = pr.solve(symmetric_2x2)
-        report = pr.verify_dominance(symmetric_2x2, res)
+        report = pr.verify_dominance(res)
         assert report.second_radius == pytest.approx(1.0, abs=1e-6)
         assert report.gap_ratio == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert report.strictly_dominant
 
     def test_constant_kernel_pure_projection(self, constant_unit):
         res = pr.solve(constant_unit)
-        report = pr.verify_dominance(constant_unit, res)
+        report = pr.verify_dominance(res)
         assert report.second_radius <= 1e-8
 
     def test_random_kernel_strictly_dominant(self):
@@ -487,10 +489,92 @@ class TestDominance:
         sp = pr.make_counting_space(18)
         k = random_positive_kernel(sp, rng)
         res = pr.solve(k)
-        report = pr.verify_dominance(k, res)
+        report = pr.verify_dominance(res)
         assert report.strictly_dominant
         dense = np.sort(np.abs(np.linalg.eigvals(k.operator_matrix())))
-        assert report.second_radius == pytest.approx(dense[-2], rel=1e-3, abs=1e-6)
+        assert report.second_radius == pytest.approx(dense[-2], rel=1e-8, abs=1e-12)
+
+
+def _gaussian(n, sigma):
+    return pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), sigma)
+
+
+def _lognormal(seed, index):
+    rng = np.random.default_rng([seed, index])
+    n = int(rng.integers(20, 401))
+    return pr.Kernel(np.exp(2.0 * rng.standard_normal((n, n))), pr.make_counting_space(n))
+
+
+def _cycle(n):
+    """A constant plus the cyclic shift by 3: every deflated eigenvalue is
+    an n-th root of unity, so the deflated spectrum is a circle of equal moduli."""
+    return pr.Kernel(0.01 + np.roll(np.eye(n), 3, axis=1), pr.make_counting_space(n))
+
+
+def _rank_one(n, family):
+    sp = pr.make_interval_space(0, 1, n, "midpoint")
+    if family == "constant":
+        return pr.constant_kernel(sp, 1.0)
+    return pr.separable_kernel(sp, 1.0 + sp.nodes, 2.0 - sp.nodes**2)
+
+
+def _deflated_dense(res):
+    return perron.kernel_op._deflate(
+        res.evaluator.t_op,
+        res.projection.range_vector.values,
+        res.projection.functional.acting_vector(),
+    )
+
+
+class TestSecondRadius:
+    """The second radius against the largest modulus of the dense deflated
+    spectrum, on both routes."""
+
+    @staticmethod
+    def check_against_dense(kernel):
+        res = pr.solve(kernel)
+        report = pr.verify_dominance(res)
+        dense = np.abs(np.linalg.eigvals(_deflated_dense(res))).max()
+        assert report.second_radius == pytest.approx(dense, rel=1e-8)
+        assert report.route == ("arnoldi" if kernel.size > DENSE_RADIUS_MAX_DIM else "dense")
+        assert report.residual <= 1e-8
+
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("sigma", [0.1, 0.35])
+    def test_gaussian_matches_dense_eigenvalues(self, n, sigma):
+        self.check_against_dense(_gaussian(n, sigma))
+
+    # seeds 11 and 20 add a matrix each where ARPACK asked for fewer than
+    # 3 eigenvalues converges to one about 1e-3 off the largest modulus
+    @pytest.mark.parametrize("seed, index", [(3, i) for i in range(40)] + [(11, 28), (20, 10)])
+    def test_lognormal_matches_dense_eigenvalues(self, seed, index):
+        self.check_against_dense(_lognormal(seed, index))
+
+    def test_equal_moduli_fall_back_to_dense(self):
+        res = pr.solve(_cycle(100))
+        report = pr.verify_dominance(res)
+        assert report.route == "dense"
+        assert report.second_radius == pytest.approx(1.0, rel=1e-8)
+        dense = np.abs(np.linalg.eigvals(_deflated_dense(res))).max()
+        assert report.second_radius == pytest.approx(dense, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [64, 200])
+    @pytest.mark.parametrize("family", ["constant", "separable"])
+    def test_rank_one_kernels_leave_rounding(self, family, n):
+        res = pr.solve(_rank_one(n, family))
+        report = pr.verify_dominance(res)
+        assert report.second_radius <= 1e-8
+        dense = np.abs(np.linalg.eigvals(_deflated_dense(res))).max()
+        assert report.second_radius == pytest.approx(dense, abs=1e-12)
+
+    def test_arnoldi_forms_no_deflated_copy(self, monkeypatch):
+        res = pr.solve(_gaussian(600, 0.35))
+        deflations = count_calls(monkeypatch, perron.kernel_op, "_deflate")
+        matvecs = count_calls(monkeypatch, perron.kernel_op, "_deflated_matvec")
+        report = pr.verify_dominance(res)
+        assert report.route == "arnoldi"
+        assert len(deflations) == 0
+        assert 0 < len(matvecs) <= 60
 
 
 class TestSolvePipeline:
