@@ -256,6 +256,10 @@ def _solve_impl(config_path, out_flag):
             for name, value in residuals.items()
             if name in THRESHOLDS and value > THRESHOLDS[name]
         }
+        # the curve comes before the report, which names its route
+        curve = None
+        if "dcurve" in outputs:
+            curve = _dcurve(result.evaluator, None, None, 200, result.lambda0)
         report = {
             "config": cfg,
             "certificate": {
@@ -263,6 +267,7 @@ def _solve_impl(config_path, out_flag):
                 "power": result.certificate.power,
                 "strict": result.certificate.strict,
             },
+            "curve": None if curve is None else result.evaluator.curve_route(),
             "lambda0": result.lambda0,
             "oracle_rho": oracle.rho,
             "remainder_radius": result.evaluator.remainder_radius,
@@ -298,10 +303,8 @@ def _solve_impl(config_path, out_flag):
                 for i in range(kernel.size)
             ],
         )
-        if "dcurve" in outputs:
-            _write_dcurve(
-                result.evaluator, out / outputs["dcurve"], None, None, 200, result.lambda0
-            )
+        if curve is not None:
+            _write_dcurve(out / outputs["dcurve"], *curve)
         click.echo(
             f"lambda0 = {result.lambda0:.12g}  (oracle delta "
             f"{residuals['oracle_delta_rel']:.3e}, gap ratio {dominance.gap_ratio:.6g})"
@@ -318,11 +321,12 @@ def _solve_impl(config_path, out_flag):
         _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
 
 
-def _write_dcurve(evaluator, path: Path, lam_min, lam_max, points, below=None):
-    """Write D and D' on a geometric grid.  The default start is just above
-    the remainder radius; ``below``, a point known not to exceed lambda0,
-    caps it at the midpoint between the radius and that point, so the grid
-    starts below the root even where the radius lies within 0.2 % of it."""
+def _dcurve(evaluator, lam_min, lam_max, points, below=None):
+    """D and D' on a geometric grid: (grid, D, D').  The default start is
+    just above the remainder radius; ``below``, a point known not to exceed
+    lambda0, caps it at the midpoint between the radius and that point, so
+    the grid starts below the root even where the radius lies within 0.2 %
+    of it."""
     rho = evaluator.remainder_radius
     if lam_min is None:
         lam_min = rho * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12)
@@ -331,18 +335,21 @@ def _write_dcurve(evaluator, path: Path, lam_min, lam_max, points, below=None):
     if lam_max is None:
         lam_max = 2.0 * max(evaluator.operator_norm, lam_min * 1.5)
     grid = np.geomspace(lam_min, lam_max, points)
-    values, slopes = evaluator.curve(grid)
+    return (grid, *evaluator.curve(grid))
+
+
+def _write_dcurve(path: Path, grid, values, slopes):
+    """Write the curve of ``_dcurve``; returns the first grid interval on
+    which D changes sign from negative, or None."""
     _write_csv(
         path,
         ["lambda", "D", "D_prime"],
         [(float(lam), float(d), float(dp)) for lam, d, dp in zip(grid, values, slopes)],
     )
-    bracket = None
     for i in range(1, len(values)):
         if values[i - 1] < 0 <= values[i]:
-            bracket = (grid[i - 1], grid[i])
-            break
-    return bracket, values
+            return grid[i - 1], grid[i]
+    return None
 
 
 @main.command()
@@ -372,9 +379,10 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
         # the Collatz-Wielandt lower end of T lies at or below lambda0; it
         # caps the start once it clears the remainder radius
         cw = collatz_wielandt(evaluator.t_op, clear=evaluator.remainder_radius)
-        bracket, values = _write_dcurve(
-            evaluator, path, lambda_min, lambda_max, points, None if cw is None else cw[0]
+        grid, values, slopes = _dcurve(
+            evaluator, lambda_min, lambda_max, points, None if cw is None else cw[0]
         )
+        bracket = _write_dcurve(path, grid, values, slopes)
         monotone = bool(np.all(np.diff(values) > 0))
         click.echo(f"wrote {path} ({points} points, monotone={monotone})")
         if bracket:

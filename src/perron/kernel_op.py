@@ -8,9 +8,12 @@ algebra is consistent with the quadrature rule at every order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh, get_lapack_funcs, qr
 
 from .errors import DimensionMismatchError, PowerIterationError
 from .measure import (
@@ -72,6 +75,17 @@ class Kernel:
         """Max weighted row sum; upper bound for the spectral radius."""
         return float((self.entries * self.space.weights[np.newaxis, :]).sum(axis=1).max())
 
+    @property
+    def symmetric(self) -> bool:
+        """K == K^T entry for entry."""
+        return bool(np.array_equal(self.entries, self.entries.T))
+
+    @cached_property
+    def compression(self) -> Compression | None:
+        """The low-rank eigendecomposition of ``compress_symmetric``, made on
+        first use and kept with the kernel; None where it gives up."""
+        return compress_symmetric(self)
+
 
 def apply(kernel: Kernel, f: GridFunction) -> GridFunction:
     """T f, the weighted matrix-vector product."""
@@ -97,6 +111,72 @@ def iterate_kernel(kernel: Kernel, n: int) -> Kernel:
     for _ in range(n - 1):
         out = compose(out, kernel)
     return out
+
+
+# The randomized range finder starts from COMPRESSION_BLOCK columns and
+# doubles them up to a quarter of n; smaller kernels are not compressed.
+# BLAS on one thread, the whole doubling sequence of a kernel that never
+# meets the rule (e^-|x-y|, blocks 32 to 128 at n = 600, 32 to 256 at
+# n = 2000) costs 33 ms against 40 ms for one dense eigh at n = 600, and
+# 0.53 s against 1.38 s at n = 2000; one block of 32 on a Gaussian takes
+# 5 ms and 45 ms.
+COMPRESSION_BLOCK = 32
+COMPRESSION_PROBES = 10
+
+
+@dataclass(frozen=True, eq=False)
+class Compression:
+    """S = W^1/2 K W^1/2 ~ V diag(values) V^T, V with orthonormal columns
+    and values ascending; ``probe_bound`` bounds ||(I - V V^T) S||_2."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    probe_bound: float
+
+    @property
+    def rank(self) -> int:
+        return self.values.size
+
+
+def compress_symmetric(kernel: Kernel) -> Compression | None:
+    """Low-rank eigendecomposition of S = W^1/2 K W^1/2 for a symmetric
+    kernel, by the randomized range finder of Halko, Martinsson & Tropp
+    (2011, SIAM Rev. 53, Alg. 4.2 with one power step and Rayleigh-Ritz).
+
+    A block of k seeded Gaussian columns gives the orthonormal range Q of
+    S S Omega (orthonormalized after each product), and the eigenpairs of
+    Q^T S Q give V and the values.  COMPRESSION_PROBES further Gaussian
+    columns omega_i bound the range error: with probability at least
+    1 - 10^-10, ||(I - Q Q^T) S|| <= 10 sqrt(2/pi) max_i ||(I - Q Q^T) S omega_i||
+    (their section 4.3).  k doubles from COMPRESSION_BLOCK until that bound
+    is at most n eps |mu_1|, the backward error of a dense eigh; None for
+    a nonsymmetric kernel, for n below 4 COMPRESSION_BLOCK, and once k
+    would pass n/4.  The seed is fixed, so the result repeats bit for bit.
+    """
+    n = kernel.size
+    if 4 * COMPRESSION_BLOCK > n or not kernel.symmetric:
+        return None
+    root_w = np.sqrt(kernel.space.weights)[:, np.newaxis]
+
+    def apply_s(x):
+        return root_w * (kernel.entries @ (root_w * x))
+
+    rng = np.random.default_rng(1234567)
+    s_probes = apply_s(rng.standard_normal((n, COMPRESSION_PROBES)))
+    omega = rng.standard_normal((n, COMPRESSION_BLOCK))
+    tol = n * np.finfo(float).eps
+    while True:
+        q = qr(apply_s(omega), mode="economic", overwrite_a=True, check_finite=False)[0]
+        q = qr(apply_s(q), mode="economic", overwrite_a=True, check_finite=False)[0]
+        b = q.T @ apply_s(q)
+        values, u = eigh(0.5 * (b + b.T))
+        miss = s_probes - q @ (q.T @ s_probes)
+        bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
+        if bound <= tol * float(np.abs(values).max()):
+            return Compression(values, q @ u, bound)
+        if 8 * omega.shape[1] > n:
+            return None
+        omega = np.hstack([omega, rng.standard_normal(omega.shape)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +286,7 @@ ARNOLDI_RESTARTS = 28   # 25 + 20 * 28 = 585 mat-vecs, no more than 600 power st
 @dataclass(frozen=True)
 class SecondRadius:
     radius: float
-    residual: float   # ||A x - theta x|| / (|theta| ||x||) of the top eigenpair
+    residual: float   # ||A x - theta x|| / (max(|theta|, ||T||_inf) ||x||), top eigenpair
     route: str        # "arnoldi" or "dense"
 
 
@@ -225,11 +305,35 @@ def _deflated_matvec(t_op, a, b, c, x):
     return tx - (b @ tx) * a - (b @ x) * c
 
 
-def _top_pair(theta, x, ax, route: str) -> SecondRadius:
+def _top_pair(theta, x, ax, norm: float, route: str) -> SecondRadius:
+    """The radius |theta| with the misfit ||A x - theta x|| over
+    max(|theta|, ||T||_inf) ||x||, the backward error of the pair on the
+    scale of T.  A x is formed from T, so it carries a rounding error of
+    about eps ||T||_inf ||x|| whatever theta is: on a rank-one T, where
+    theta is itself that noise, a misfit over |theta| alone reads O(1)."""
     radius = float(abs(theta))
     misfit = float(np.linalg.norm(ax - theta * x))
-    scale = max(radius * float(np.linalg.norm(x)), float(np.finfo(float).tiny))
+    scale = max(radius, norm, np.finfo(float).tiny) * float(np.linalg.norm(x))
     return SecondRadius(radius, misfit / scale if misfit else 0.0, route)
+
+
+def _inverse_iteration(a: np.ndarray, theta, norm: float) -> np.ndarray:
+    """An eigenvector of a for its computed eigenvalue theta, by two steps
+    of inverse iteration from a fixed start, in complex arithmetic for a
+    complex theta.  theta is exact up to rounding, so a - theta I is
+    singular up to rounding: as in LAPACK's xLAEIN, LU pivots below
+    eps ||a|| are raised to it, and the solves stay finite."""
+    shifted = a - theta * np.eye(a.shape[0])
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (shifted,))
+    lu, piv, _ = getrf(shifted, overwrite_a=True)
+    floor = np.finfo(float).eps * max(norm, np.finfo(float).tiny)
+    small = np.flatnonzero(np.abs(lu.diagonal()) < floor)
+    lu[small, small] = floor
+    x = np.random.default_rng(1234567).uniform(0.5, 1.5, a.shape[0]).astype(shifted.dtype)
+    for _ in range(2):
+        x = getrs(lu, piv, x)[0]
+        x /= np.linalg.norm(x)
+    return x
 
 
 def growth_radius(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> SecondRadius:
@@ -243,12 +347,16 @@ def growth_radius(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> SecondRadiu
     n x n deflated copy is formed.  A run that has not converged after
     ``ARNOLDI_RESTARTS`` restarts (585 mat-vecs) falls back to the dense
     route, as do small n: the largest modulus among all eigenvalues of
-    the dense deflated matrix (``numpy.linalg.eig``), exact up to
-    rounding.  The worst case is a deflated spectrum of many equal
-    moduli (a cyclic permutation plus a constant): Arnoldi cannot
-    converge there, so it pays the capped run and then the dense ``eig``.
+    the dense deflated matrix (``numpy.linalg.eigvals``), exact up to
+    rounding, with its eigenvector by inverse iteration.  The worst case
+    is a deflated spectrum of many equal moduli (a cyclic permutation
+    plus a constant): Arnoldi cannot converge there, so it pays the
+    capped run and then the dense route.  The residual is relative to
+    max(|theta|, ||T||_inf), so on a rank-one T, where the deflation
+    leaves only rounding, it reads at rounding level too.
     """
     n = t_op.shape[0]
+    norm = float(np.linalg.norm(t_op, np.inf))
     if n > DENSE_RADIUS_MAX_DIM:
         # lazy: at module level scipy.sparse adds ~30 ms and 2.4 MB to every perron process
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
@@ -267,12 +375,14 @@ def growth_radius(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> SecondRadiu
         else:
             i = int(np.argmax(np.abs(vals)))
             x = vecs[:, i]
-            return _top_pair(vals[i], x, _deflated_matvec(t_op, a, b, c, x), "arnoldi")
+            return _top_pair(vals[i], x, _deflated_matvec(t_op, a, b, c, x), norm, "arnoldi")
     deflated = _deflate(t_op, a, b)
-    vals, vecs = np.linalg.eig(deflated)
-    i = int(np.argmax(np.abs(vals)))
-    x = vecs[:, i]
-    return _top_pair(vals[i], x, deflated @ x, "dense")
+    vals = np.linalg.eigvals(deflated)
+    theta = vals[int(np.argmax(np.abs(vals)))]
+    if theta.imag == 0:
+        theta = theta.real
+    x = _inverse_iteration(deflated, theta, norm)
+    return _top_pair(theta, x, deflated @ x, norm, "dense")
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ combination sum_j c_j K^(j) of the iterated kernels with j <= n+1, and
 a functional enters only through its values on the powers.
 ``point_recursion`` and ``mollified_recursion`` iterate the kernels
 directly, one composition per step.  ``convergence_study`` instead
-composes K^(2) .. K^(m+1) once (m products), runs both recursions on
-the coefficients c_j and shares the powers between the point recursion
-and every width; the error of each step is the norm of one
-combination, sum_j (c_j^{e} - c_j) K^(j).
+forms K^(2) .. K^(m+1) once, runs both recursions on the coefficients
+c_j and shares the powers between the point recursion and every width;
+the error of each step is the norm of one combination,
+sum_j (c_j^{e} - c_j) K^(j).  A symmetric kernel with a low-rank
+compression (``Kernel.compression``) takes its powers from it at
+O(n^2 k) each; any other kernel composes them, m O(n^3) products.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, GridTooCoarseError
-from .kernel_op import Kernel
+from .kernel_op import Compression, Kernel
 from .measure import MeasureSpace, check_same_space
 
 
@@ -106,6 +108,19 @@ def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
     powers[0] = kernel.entries
     for j in range(1, m + 1):
         powers[j] = kernel.entries @ (w * powers[j - 1])
+    return powers
+
+
+def _compressed_powers(kernel: Kernel, compression: Compression, m: int) -> np.ndarray:
+    """The stack of ``_kernel_powers`` from a compression S ~ V diag(mu) V^T
+    of S = W^1/2 K W^1/2: K^(j+1) = W^-1/2 S^(j+1) W^-1/2, so for j >= 1
+    K^(j+1) = L diag(mu^(j+1)) L^T with L = W^-1/2 V, at O(n^2 k) each;
+    K^(1) keeps the exact entries."""
+    left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
+    powers = np.empty((m + 1, kernel.size, kernel.size))
+    powers[0] = kernel.entries
+    for j in range(1, m + 1):
+        powers[j] = (left * compression.values ** (j + 1)) @ left.T
     return powers
 
 
@@ -251,7 +266,11 @@ def convergence_study(
         raise GridTooCoarseError(
             f"width {smallest} captures fewer than two nodes around {cx}"
         )
-    powers = _kernel_powers(kernel, m)
+    compression = kernel.compression if m else None
+    if compression is None:
+        powers = _kernel_powers(kernel, m)
+    else:
+        powers = _compressed_powers(kernel, compression, m)
     exact = _subtraction_coefficients(powers[:, ix, iy], m)
     errors = []
     per_step = []

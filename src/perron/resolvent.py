@@ -23,19 +23,27 @@ of float64, and every solve with it is refined to double precision
 against a float64 residual, as LAPACK dsgesv does (Langou et al. 2006;
 Carson & Higham 2018); any other shift is factored in float64.  A whole
 grid of shifts (the D-curve, the verify scan) shares one factorization
-instead.  For a symmetric kernel that is one symmetric
-eigendecomposition of T, after which D and D' are secular sums at O(n)
-per shift (Golub 1973); for any other kernel it is one real Schur form
-R = Q S Q^T, and back-substitution on the quasi-triangular S costs
-O(n^2) per shift, the Bartels-Stewart reduction used for frequency
-responses (Laub 1981).  Measured with BLAS on one thread, a new
-well-conditioned shift (float32 LU, condition estimate, D and D') costs
-2.3 ms at n = 600 and 44 ms at n = 2000; the eigendecomposition costs
-as much as about 6 such shifts at n = 600 (15 ms) and 10 at n = 2000
-(0.42 s), the Schur form about 54 (0.12 s) and 37 (1.6 s).  The grids
-the CLI builds itself have more points (200 for the D-curve, 71 for the
-verify scan); a shorter grid asked for with `perron dcurve --points` is
-slower than one LU per point.
+instead.  For a symmetric kernel that is an eigendecomposition of
+S = W^1/2 K W^1/2, after which D and D' are secular sums per shift
+(Golub 1973): the kernel's seeded low-rank compression, k eigenpairs
+from a randomized range finder (Halko, Martinsson & Tropp 2011) at
+O(n^2 k) and O(n k) per shift, made once per kernel and shared by every
+grid and by the mollified study, or, where the compression gives up
+(full-rank kernels, n < 128), one dense eigh at O(n^3) and O(n^2) per
+shift.  For any other kernel it is one real Schur form R = Q S Q^T, and
+back-substitution on the quasi-triangular S costs O(n^2) per shift, the
+Bartels-Stewart reduction used for frequency responses (Laub 1981); a
+two-sided compression of nonsymmetric kernels is not done.  Measured
+on a 2-core Xeon with BLAS on one thread, a new well-conditioned shift
+(float32 LU, condition estimate, D and D') costs 8.3 ms at n = 600 and
+0.11 s at n = 2000.  A whole grid of 5 to 200 shifts on the compression
+of a Gaussian (k = 32) costs as much as 1 to 2 such shifts at n = 600
+(10 to 14 ms, the compression included) and less than one at n = 2000
+(83 to 91 ms); the dense eigh route about 6 (50 ms) and 12 (1.3 s), the
+Schur form about 53 (0.44 s) and 49 (5.5 s).  So on a compressible
+kernel a grid of 2 or more shifts asked for with `perron dcurve
+--points` is faster than one LU per shift; on other kernels a grid
+shorter than the break-even is slower.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from .errors import (
     NotConvergentError,
     PoleError,
 )
-from .kernel_op import spectral_radius_oracle
+from .kernel_op import Compression, spectral_radius_oracle
 from .measure import GridFunction, WeightFunctional, check_same_space, pair
 
 NEAR_SINGULAR = 1e-12
@@ -174,8 +182,9 @@ class BirmanSchwingerEvaluator:
     with refinement where lam*I - R is well conditioned) and a Neumann
     series whose convergence is guarded by the weighted sup-norm of the
     remainder.  ``curve`` evaluates a whole grid
-    of shifts through one eigendecomposition of a symmetric kernel, or
-    one Schur form of any other, whatever the backend.  The
+    of shifts through one eigendecomposition of a symmetric kernel
+    (low-rank where the kernel allows it), or one Schur form of any
+    other, whatever the backend.  The
     evaluator is immutable apart from the internal cache, which holds
     the last LU_CACHE_SHIFTS shifts with their factors and their profile
     solves, and never changes results.
@@ -370,30 +379,35 @@ class BirmanSchwingerEvaluator:
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """D and D' at every shift of lams, from one factorization for the grid.
 
-        A symmetric kernel goes through one symmetric eigendecomposition
-        of T (``_symmetric_resolvents``), any other through one real Schur
-        form of R (``_schur_resolvents``); the route follows from the
-        kernel entries alone.  Both give, per shift, D, D' and
-        (lam*I - R)^-1 1 for the condition guard.  R >= 0 entrywise, so
-        above rho(R) the resolvent is nonnegative and
+        A symmetric kernel goes through ``_symmetric_resolvents``, on the
+        kernel's low-rank compression (``Kernel.compression``, made once per
+        kernel and shared with every later grid) or, where that gives up,
+        on one dense eigendecomposition; any other kernel goes through one
+        real Schur form of R (``_schur_resolvents``).  ``curve_route`` names
+        the route, which follows from the kernel entries alone.  All give,
+        per shift, D, D' and (lam*I - R)^-1 1 for the condition guard.
+        R >= 0 entrywise, so above rho(R) the resolvent is nonnegative and
         ||(lam*I - R)^-1||_inf = ||(lam*I - R)^-1 1||_inf; with
         ||lam*I - R||_inf from the cached row sums this is the condition
         number the LU path estimates with gecon.  Raises
         BelowSpectralRadiusError at the first shift not above the radius
         estimate, then IllConditionedError at the first shift whose
         condition exceeds MAX_CONDITION.  The result does not depend on
-        the solver backend, and nothing is cached.  The factorization
-        costs as much as about 6 to 10 single-precision LU shifts
-        (symmetric) or 37 to 54 (Schur) at n = 600 to 2000 (see the
-        module docstring), so a grid with fewer shifts is slower here
-        than one LU per shift.
+        the solver backend.  Past the factorization each shift costs
+        O(n k) on a compression of rank k and O(n^2) on the dense routes,
+        where the vector of the condition guard dominates.  The
+        factorization costs as much as 1 to 2 single-precision LU shifts
+        on a compressible kernel at n = 600, 6 to 12 for the dense eigh
+        and about 50 for the Schur form at n = 600 to 2000 (see the module
+        docstring), so only a grid with fewer shifts is faster by one LU
+        per shift.
         """
         lams = np.asarray(lams, dtype=float)
         for lam in lams:
             self._require_above_radius(float(lam))
-        entries = self.split.kernel.entries
-        if np.array_equal(entries, entries.T):
-            d_values, d_prime, inv_ones = self._symmetric_resolvents(lams)
+        kernel = self.split.kernel
+        if kernel.symmetric:
+            d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, kernel.compression)
         else:
             d_values, d_prime, inv_ones = self._schur_resolvents(lams)
         cond = self._shifted_inf_norm(lams) * np.abs(inv_ones).max(axis=0)
@@ -402,7 +416,22 @@ class BirmanSchwingerEvaluator:
             raise _ill_conditioned(float(lams[bad[0]]), float(cond[bad[0]]))
         return d_values, d_prime
 
-    def _symmetric_resolvents(self, lams: np.ndarray):
+    def curve_route(self) -> dict:
+        """The route of ``curve``: "compressed", "eigh" or "schur", the rank
+        it works at (n for the dense routes) and the compression's probe
+        bound on ||S - V V^T S||_2 (None for the dense routes)."""
+        kernel = self.split.kernel
+        compression = kernel.compression if kernel.symmetric else None
+        if compression is None:
+            route = "eigh" if kernel.symmetric else "schur"
+            return {"route": route, "rank": kernel.size, "probe_bound": None}
+        return {
+            "route": "compressed",
+            "rank": compression.rank,
+            "probe_bound": compression.probe_bound,
+        }
+
+    def _symmetric_resolvents(self, lams: np.ndarray, compression: Compression | None = None):
         """D, D' and (lam*I - R)^-1 1 per shift, for a symmetric kernel.
 
         With R = T - alpha*u x phi, det(lam*I - T) = det(lam*I - R) D(lam)
@@ -415,14 +444,32 @@ class BirmanSchwingerEvaluator:
         N = delta (1 + alpha G) + alpha a_top b_top gives D = delta / N
         and D' = alpha (a_top b_top + delta^2 sum a_k b_k/(lam - mu_k)^2) / N^2.
         (lam*I - R)^-1 1 follows from Sherman-Morrison in the same basis
-        (e = V^T W^1/2 1), with one n x n by n x m product back.  The
+        (e = V^T W^1/2 1), with one n x k by k x m product back.  The
         formulas hold for T - alpha*u x phi, which differs from the clamped
         remainder of ``rank_one_split`` only by its slack.
+
+        V is the full eigenbasis from a dense eigh, or the k columns of a
+        ``compression`` of S.  There S is taken as 0 on the complement
+        I - V V^T: one more pole at 0, with weight a.b - sum a_k b_k in
+        the sums for D and D' and b.e - sum b_k e_k in those for the
+        resolvent.  Two columns carry it, the complement parts of W^1/2 u
+        (a = 1, b = a.b - sum a_k b_k, e = 0) and of W^1/2 1 (a = 0,
+        b = b.e - sum b_k e_k, e = 1), so the sums run over them unchanged.
         """
         root_w = np.sqrt(self.space.weights)
-        mu, v = eigh(root_w[:, None] * self.split.kernel.entries * root_w)
         phi = self.functional.acting_vector()
-        a, b, e = np.stack([root_w * self.profile.values, phi / root_w, root_w]) @ v
+        vecs = np.stack([root_w * self.profile.values, phi / root_w, root_w])
+        if compression is None:
+            mu, v = eigh(root_w[:, None] * self.split.kernel.entries * root_w)
+            a, b, e = vecs @ v
+        else:
+            v = compression.vectors
+            a, b, e = vecs @ v
+            rest = vecs[[0, 2]] - np.stack([a, e]) @ v.T
+            heads = ([1.0, 0.0], [vecs[0] @ vecs[1] - a @ b, vecs[1] @ vecs[2] - b @ e], [0.0, 1.0])
+            a, b, e = (np.concatenate([head, x]) for head, x in zip(heads, (a, b, e)))
+            mu = np.concatenate([[0.0, 0.0], compression.values])
+            v = np.concatenate([rest.T, v], axis=1)
         alpha, top = self.alpha, a[-1] * b[-1]
         delta = lams - mu[-1]
         inv = 1.0 / (lams - mu[:-1, None])   # (n-1) x m

@@ -424,7 +424,7 @@ class DominanceReport:
     strictly_dominant: bool
     eig_residual: float
     proj_idempotency: float
-    residual: float             # relative residual of the second radius's eigenpair
+    residual: float             # backward error of the second radius's eigenpair, see growth_radius
     route: str                  # "arnoldi" or "dense", see growth_radius
 
 
@@ -434,11 +434,11 @@ def verify_dominance(result: SpectralResult) -> DominanceReport:
 
     The radius is computed to rounding level, not estimated: by ARPACK on
     the implicitly deflated T above ``DENSE_RADIUS_MAX_DIM`` (64) nodes,
-    and by dense ``eig`` at or below it or when ARPACK has not converged
-    within 585 mat-vecs.  The slow case is a deflated spectrum of many
-    equal moduli, as for a cyclic permutation plus a constant: it pays
-    both routes.  ``route`` names the one taken and ``residual`` is the
-    relative residual of its top eigenpair; see
+    and by dense ``eigvals`` with inverse iteration at or below it or
+    when ARPACK has not converged within 585 mat-vecs.  The slow case
+    is a deflated spectrum of many equal moduli, as for a cyclic
+    permutation plus a constant: it pays both routes.  ``route`` names the one taken and ``residual`` is the
+    residual of its top eigenpair relative to max(|theta|, ||T||_inf); see
     :func:`perron.kernel_op.growth_radius`.
     """
     second = growth_radius(

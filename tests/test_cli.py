@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import perron as pr
 import perron.kernel_op
+import perron.mollified
 import perron.resolvent
 from perron.cli import main
 from conftest import count_calls
@@ -296,6 +297,63 @@ class TestSolveCommand:
         )
         result = runner.invoke(main, ["solve", "--config", cfg])
         assert result.exit_code == 1
+
+    def test_report_names_the_curve_route(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "g.json", gaussian_config(200, "direct_lu"))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        report = json.loads((outs[0] / "report.json").read_text())
+        curve = report["curve"]
+        assert curve["route"] == "compressed"
+        assert curve["rank"] == 32
+        assert 0 < curve["probe_bound"] <= 200 * np.finfo(float).eps * report["lambda0"]
+        # the compression starts from a fixed seed
+        assert (outs[0] / "dcurve.csv").read_bytes() == (outs[1] / "dcurve.csv").read_bytes()
+
+    def test_report_without_a_curve(self, runner, tmp_path):
+        out = tmp_path / "out"
+        cfg = str(CONFIGS / "separable_growth.json")
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["curve"] is None
+        # a rank-one kernel deflates to rounding; its residual is at rounding too
+        assert report["spectral_gap"]["residual"] <= 1e-8
+
+
+class TestOperationCounts:
+    """perron solve then perron verify on the shape of the benchmark's CLI
+    workload: one compression of S per command serves the D-curve, the
+    verify scan and the mollified study, and no n x n eigensolver runs."""
+
+    def test_one_compression_per_command(self, runner, tmp_path, monkeypatch):
+        n = 600
+        cfg = write_config(tmp_path / "g.json", gaussian_config(n, "direct_lu"))
+        calls = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in (
+                (perron.resolvent, "eigh"),
+                (perron.resolvent, "schur"),
+                (perron.mollified, "_kernel_powers"),
+                (perron.kernel_op, "compress_symmetric"),
+            )
+        }
+        for command, builds in (("solve", 1), ("verify", 2)):
+            result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+            assert len(calls["compress_symmetric"]) == builds
+        for name in ("eigh", "schur"):
+            assert (n, n) not in calls[name]
+        assert calls["_kernel_powers"] == []
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["curve"]["route"] == "compressed"
+
+    def test_library_solve_builds_no_compression(self, monkeypatch):
+        builds = count_calls(monkeypatch, perron.kernel_op, "compress_symmetric")
+        pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35))
+        assert builds == []
 
 
 class TestDcurveCommand:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import perron as pr
+import perron.kernel_op
+import perron.mollified
 from perron.errors import EmptySupportError, GridTooCoarseError
+from conftest import count_calls
 
 
 @pytest.fixture
@@ -199,14 +202,31 @@ class TestSharedPowers:
 
     @pytest.mark.parametrize(
         "n, sigma, widths, m",
-        [(600, 0.35, (0.2, 0.1), 3), (400, 0.25, (0.2, 0.1, 0.05, 0.025), 5)],
+        [
+            (600, 0.35, (0.2, 0.1), 3),
+            (600, 0.3, (0.2, 0.1), 3),
+            (600, 0.4, (0.2, 0.1, 0.05), 4),
+            (400, 0.25, (0.2, 0.1, 0.05, 0.025), 5),
+        ],
     )
     def test_study_errors_match_loops(self, n, sigma, widths, m):
         sp = pr.make_interval_space(0, 1, n, "midpoint")
         k = pr.gaussian_kernel(sp, sigma)
         study = pr.convergence_study(k, 0.5, 0.5, widths, m)
+        # these Gaussians take the compressed powers
+        assert k.compression is not None
         oracle = loop_study_errors(k, study.x0_index, study.y0_index, widths, m)
         np.testing.assert_allclose(study.per_step, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.35, 0.4])
+    def test_compressed_powers_match_dense_powers(self, sigma, monkeypatch):
+        sp = pr.make_interval_space(0, 1, 600, "midpoint")
+        compressed = pr.convergence_study(pr.gaussian_kernel(sp, sigma), 0.5, 0.5, (0.2, 0.1), 3)
+        powers = count_calls(monkeypatch, perron.mollified, "_kernel_powers")
+        monkeypatch.setattr(perron.kernel_op, "compress_symmetric", lambda kernel: None)
+        dense = pr.convergence_study(pr.gaussian_kernel(sp, sigma), 0.5, 0.5, (0.2, 0.1), 3)
+        assert len(powers) == 1
+        np.testing.assert_allclose(compressed.errors, dense.errors, rtol=1e-12, atol=0)
 
 
 class TestConvergenceStudy:

@@ -6,7 +6,7 @@ from scipy.linalg import schur
 
 import perron as pr
 import perron.resolvent
-from perron.cli import _write_dcurve
+from perron.cli import _dcurve
 from perron.errors import (
     AtEigenvalueError,
     BelowSpectralRadiusError,
@@ -319,12 +319,12 @@ class TestOperatorResolvent:
         second = ev.resolve_operator(4.0, f).values  # cached factorization
         np.testing.assert_array_equal(first, second)
 
-    def test_lu_cache_holds_at_most_two_shifts(self, tmp_path):
+    def test_lu_cache_holds_at_most_two_shifts(self):
         sp = pr.make_interval_space(0, 1, 60, "midpoint")
         res = pr.solve(pr.gaussian_kernel(sp, 0.35))
         ev = res.evaluator
         assert len(ev._lu_cache) <= 2
-        _write_dcurve(ev, tmp_path / "dcurve.csv", None, None, 200)
+        _dcurve(ev, None, None, 200)
         assert len(ev._lu_cache) <= 2
 
     def test_profile_solves_are_dropped_with_their_shift(self, monkeypatch):
@@ -477,6 +477,11 @@ def symmetric_counting_kernel(n, seed):
     return pr.Kernel(a + a.T, pr.make_counting_space(n))
 
 
+def symmetric_lognormal_kernel(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return pr.Kernel(np.exp(a + a.T), pr.make_counting_space(n))
+
+
 RULES = ("midpoint", "trapezoid", "gauss_legendre")
 SYMMETRIC_KERNELS = (
     [
@@ -511,16 +516,21 @@ class TestSymmetricCurve:
         symmetric = symmetric_counting_kernel(20, 67)
         entries = symmetric.entries.copy()
         entries[3, 5] = np.nextafter(entries[3, 5], np.inf)  # one ulp off symmetry
-        for kernel, expected in (
-            (symmetric, {"schur": 0, "eigh": 1}),
-            (pr.Kernel(entries, symmetric.space), {"schur": 1, "eigh": 0}),
-            (random_positive_kernel(symmetric.space, np.random.default_rng(68)), {"schur": 1, "eigh": 0}),
+        gaussian = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.35)
+        for kernel, route in (
+            (symmetric, "eigh"),
+            (pr.Kernel(entries, symmetric.space), "schur"),
+            (random_positive_kernel(symmetric.space, np.random.default_rng(68)), "schur"),
+            (gaussian, "compressed"),
         ):
             for counted in calls.values():
                 counted.clear()
             ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
             ev.curve(np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20))
-            assert {name: len(counted) for name, counted in calls.items()} == expected
+            assert ev.curve_route()["route"] == route
+            # the compression's own eigh is k x k; only the dense routes factor n x n
+            n_by_n = {name: counted.count((kernel.size, kernel.size)) for name, counted in calls.items()}
+            assert n_by_n == {"schur": int(route == "schur"), "eigh": int(route == "eigh")}
 
     @pytest.mark.parametrize("rule", RULES)
     def test_both_routes_give_the_condition_guard_of_a_dense_solve(self, rule):
@@ -533,6 +543,76 @@ class TestSymmetricCurve:
         dense = np.linalg.solve(shifted, np.ones((lams.size, 80, 1)))[..., 0].T
         for route in (ev._symmetric_resolvents, ev._schur_resolvents):
             np.testing.assert_allclose(route(lams)[2], dense, rtol=1e-9)
+
+
+class TestCompressedCurve:
+    """Symmetric kernels from 4 * COMPRESSION_BLOCK nodes on take the
+    kernel's low-rank compression where its probe bound reaches the
+    backward error of a dense eigh, and the dense eigh where it does not."""
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.35, 0.4])
+    def test_rank_rule_matches_pointwise(self, sigma):
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), sigma)
+        res = pr.solve(kernel)
+        ev = res.evaluator
+        lams = np.append(np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 40), res.lambda0)
+        d, dp = ev.curve(lams)
+        route = ev.curve_route()
+        assert route["route"] == "compressed"
+        assert route["rank"] <= 600 // 4
+        assert route["probe_bound"] <= 600 * np.finfo(float).eps * res.lambda0
+        d_ref, dp_ref = pointwise_curve(ev, lams)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(dp[:-1], dp_ref[:-1], rtol=1e-9)
+        # at lambda0 (condition 3.3e6 for sigma = 0.1) the LU path itself
+        # carries about kappa eps: the bound of bs_curve_matches_lu
+        kappa_eps = ev.condition(res.lambda0) * np.finfo(float).eps
+        assert abs(dp[-1] - dp_ref[-1]) <= max(1e-9, 2.0 * kappa_eps) * dp_ref[-1]
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            exp_abs_kernel(pr.make_interval_space(0, 1, 600, "midpoint")),
+            symmetric_lognormal_kernel(600, 69),
+        ],
+        ids=["expabs-n600", "lognormal-n600"],
+    )
+    def test_full_rank_kernels_fall_back_to_eigh(self, kernel, monkeypatch):
+        assert kernel.symmetric
+        calls = count_calls(monkeypatch, perron.resolvent, "eigh")
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+        lams = np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20)
+        d, dp = ev.curve(lams)
+        assert kernel.compression is None
+        assert ev.curve_route() == {"route": "eigh", "rank": kernel.size, "probe_bound": None}
+        assert calls.count((kernel.size, kernel.size)) == 1
+        d_ref, dp_ref = pointwise_curve(ev, lams)
+        np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
+
+    def test_compression_is_made_once_per_kernel_and_repeats(self, monkeypatch):
+        builds = count_calls(monkeypatch, perron.kernel_op, "compress_symmetric")
+        space = pr.make_interval_space(0, 1, 300, "midpoint")
+        kernel = pr.gaussian_kernel(space, 0.35)
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+        lams = np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20)
+        first = ev.curve(lams)
+        assert ev.curve(lams)[0] is not first[0]
+        pr.convergence_study(kernel, 0.5, 0.5, (0.2, 0.1), 3)
+        assert len(builds) == 1
+        again = pr.gaussian_kernel(space, 0.35)
+        for a, b in zip((kernel.compression.values, kernel.compression.vectors),
+                        (again.compression.values, again.compression.vectors)):
+            np.testing.assert_array_equal(a, b)
+        assert len(builds) == 2
+
+    def test_small_and_nonsymmetric_kernels_are_not_compressed(self):
+        small = pr.gaussian_kernel(pr.make_interval_space(0, 1, 127, "midpoint"), 0.35)
+        assert small.compression is None
+        space = pr.make_counting_space(200)
+        lopsided = random_positive_kernel(space, np.random.default_rng(70))
+        assert not lopsided.symmetric
+        assert lopsided.compression is None
 
 
 class TestCurve:
