@@ -405,11 +405,11 @@ class BirmanSchwingerEvaluator:
         lams = np.asarray(lams, dtype=float)
         for lam in lams:
             self._require_above_radius(float(lam))
-        kernel = self.split.kernel
-        if kernel.symmetric:
-            d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, kernel.compression)
-        else:
+        route, compression = self._route()
+        if route == "schur":
             d_values, d_prime, inv_ones = self._schur_resolvents(lams)
+        else:
+            d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, compression)
         cond = self._shifted_inf_norm(lams) * np.abs(inv_ones).max(axis=0)
         bad = np.flatnonzero(~(cond < MAX_CONDITION))
         if bad.size:
@@ -418,18 +418,22 @@ class BirmanSchwingerEvaluator:
 
     def curve_route(self) -> dict:
         """The route of ``curve``: "compressed", "eigh" or "schur", the rank
-        it works at (n for the dense routes) and the compression's probe
-        bound on ||S - V V^T S||_2 (None for the dense routes)."""
+        of the eigenbasis it works in (None for the Schur form) and the
+        compression's probe bound on ||S - V V^T S||_2 (None for the dense
+        routes)."""
+        route, compression = self._route()
+        if compression is not None:
+            return {"route": route, "rank": compression.rank, "probe_bound": compression.probe_bound}
+        rank = self.split.kernel.size if route == "eigh" else None
+        return {"route": route, "rank": rank, "probe_bound": None}
+
+    def _route(self) -> tuple[str, Compression | None]:
+        """The route of ``curve`` with the compression it runs on, if any."""
         kernel = self.split.kernel
-        compression = kernel.compression if kernel.symmetric else None
-        if compression is None:
-            route = "eigh" if kernel.symmetric else "schur"
-            return {"route": route, "rank": kernel.size, "probe_bound": None}
-        return {
-            "route": "compressed",
-            "rank": compression.rank,
-            "probe_bound": compression.probe_bound,
-        }
+        if not kernel.symmetric:
+            return "schur", None
+        compression = kernel.compression
+        return ("eigh" if compression is None else "compressed"), compression
 
     def _symmetric_resolvents(self, lams: np.ndarray, compression: Compression | None = None):
         """D, D' and (lam*I - R)^-1 1 per shift, for a symmetric kernel.

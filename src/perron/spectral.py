@@ -424,7 +424,9 @@ class DominanceReport:
     strictly_dominant: bool
     eig_residual: float
     proj_idempotency: float
-    residual: float             # backward error of the second radius's eigenpair, see growth_radius
+    # backward error of the second radius's eigenpair on the scale of T (see
+    # growth_radius); it does not bound the relative error of the radius
+    residual: float
     route: str                  # "arnoldi" or "dense", see growth_radius
 
 
@@ -437,8 +439,10 @@ def verify_dominance(result: SpectralResult) -> DominanceReport:
     and by dense ``eigvals`` with inverse iteration at or below it or
     when ARPACK has not converged within 585 mat-vecs.  The slow case
     is a deflated spectrum of many equal moduli, as for a cyclic
-    permutation plus a constant: it pays both routes.  ``route`` names the one taken and ``residual`` is the
-    residual of its top eigenpair relative to max(|theta|, ||T||_inf); see
+    permutation plus a constant: it pays both routes.  ``route`` names
+    the one taken and ``residual`` is the misfit of its top eigenpair
+    relative to max(|theta|, ||T||_inf), a backward error on the scale of
+    T that does not bound the relative error of theta; see
     :func:`perron.kernel_op.growth_radius`.
     """
     second = growth_radius(

@@ -209,12 +209,17 @@ class TestSharedPowers:
             (400, 0.25, (0.2, 0.1, 0.05, 0.025), 5),
         ],
     )
-    def test_study_errors_match_loops(self, n, sigma, widths, m):
+    @pytest.mark.parametrize("route", ["compressed", "dense"])
+    def test_study_errors_match_loops(self, n, sigma, widths, m, route, monkeypatch):
+        powers = count_calls(monkeypatch, perron.mollified, "_kernel_powers")
+        if route == "dense":
+            monkeypatch.setattr(perron.kernel_op, "compress_symmetric", lambda kernel: None)
         sp = pr.make_interval_space(0, 1, n, "midpoint")
         k = pr.gaussian_kernel(sp, sigma)
         study = pr.convergence_study(k, 0.5, 0.5, widths, m)
-        # these Gaussians take the compressed powers
-        assert k.compression is not None
+        # these Gaussians take the compressed powers unless it is switched off
+        assert (k.compression is not None) == (route == "compressed")
+        assert len(powers) == int(route == "dense")
         oracle = loop_study_errors(k, study.x0_index, study.y0_index, widths, m)
         np.testing.assert_allclose(study.per_step, oracle, rtol=1e-12, atol=0)
 

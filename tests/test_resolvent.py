@@ -527,7 +527,9 @@ class TestSymmetricCurve:
                 counted.clear()
             ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
             ev.curve(np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20))
+            rank = {"eigh": kernel.size, "schur": None, "compressed": perron.kernel_op.COMPRESSION_BLOCK}
             assert ev.curve_route()["route"] == route
+            assert ev.curve_route()["rank"] == rank[route]
             # the compression's own eigh is k x k; only the dense routes factor n x n
             n_by_n = {name: counted.count((kernel.size, kernel.size)) for name, counted in calls.items()}
             assert n_by_n == {"schur": int(route == "schur"), "eigh": int(route == "eigh")}
@@ -559,7 +561,7 @@ class TestCompressedCurve:
         d, dp = ev.curve(lams)
         route = ev.curve_route()
         assert route["route"] == "compressed"
-        assert route["rank"] <= 600 // 4
+        assert route["rank"] == perron.kernel_op.COMPRESSION_BLOCK
         assert route["probe_bound"] <= 600 * np.finfo(float).eps * res.lambda0
         d_ref, dp_ref = pointwise_curve(ev, lams)
         np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
@@ -580,10 +582,13 @@ class TestCompressedCurve:
     def test_full_rank_kernels_fall_back_to_eigh(self, kernel, monkeypatch):
         assert kernel.symmetric
         calls = count_calls(monkeypatch, perron.resolvent, "eigh")
+        qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
         lams = np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20)
         d, dp = ev.curve(lams)
         assert kernel.compression is None
+        # one block with one power step is tried before the fallback
+        assert qrs == [(kernel.size, perron.kernel_op.COMPRESSION_BLOCK)] * 2
         assert ev.curve_route() == {"route": "eigh", "rank": kernel.size, "probe_bound": None}
         assert calls.count((kernel.size, kernel.size)) == 1
         d_ref, dp_ref = pointwise_curve(ev, lams)
