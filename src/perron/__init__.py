@@ -68,14 +68,7 @@ from .kernel_op import (
     tight_schur_bound,
     verify_schur,
 )
-from .matrix_pf import (
-    PeripheralReport,
-    characteristic_polynomial,
-    eigenvalues_via_charpoly,
-    left_eigen_residual,
-    pf_solve,
-    power_doeblin_analyze,
-)
+from .matrix_pf import PeripheralReport, power_doeblin_analyze
 from .measure import (
     GridFunction,
     MeasureSpace,

@@ -23,7 +23,7 @@ from . import __version__
 from .change_of_measure import MeasureChange, conjugate_kernel, transform_schur
 from .corrected_kernels import probe_resolvent_identity
 from .doeblin import (
-    MinorizationCertificate,
+    STRATEGIES,
     NotMinorizable,
     extract_minorization,
     load_certificate,
@@ -51,6 +51,7 @@ from .matrix_pf import NotFoundWithin, power_doeblin_analyze
 from .measure import GridFunction, make_counting_space, make_interval_space
 from .mollified import convergence_study
 from .spectral import (
+    MIN_TOL,
     collatz_wielandt,
     eigenfunction_series,
     solve,
@@ -171,7 +172,33 @@ def _resolve_certificate(cfg: dict, kernel: Kernel, config_dir: Path):
             raise ConfigError(f"cannot load certificate {path}: {exc}") from exc
         return cert
     strategy = cert_cfg.get("strategy", "row_min")
+    if strategy not in STRATEGIES or strategy == "user":
+        raise ConfigError(
+            f"unknown certificate strategy {strategy!r}: use 'row_min' or "
+            "'column_profile', or load a certificate from 'path'"
+        )
     return extract_minorization(kernel, strategy)
+
+
+def _solver_tol(cfg: dict) -> float:
+    """The root-search tolerance of the config's ``solver`` block, read
+    the same way by ``solve`` and ``verify``.  ``mode`` may be left out or
+    name the one shifted solve, ``direct_lu``."""
+    solver_cfg = cfg.get("solver", {})
+    mode = solver_cfg.get("mode", "direct_lu")
+    if mode == "neumann":
+        raise ConfigError("solver mode 'neumann': the Neumann series backend was removed; "
+                          "use 'direct_lu' or leave the mode out")
+    if mode != "direct_lu":
+        raise ConfigError(f"unknown solver mode {mode!r}: the only mode is 'direct_lu'")
+    try:
+        tol = float(solver_cfg.get("tol", 1e-12))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad solver tol: {exc}") from exc
+    if not tol >= MIN_TOL:
+        raise ConfigError(f"solver tol {tol!r} is below {MIN_TOL:g}, which double "
+                          "precision does not resolve")
+    return tol
 
 
 def _out_dir(out_flag) -> Path:
@@ -214,6 +241,7 @@ def _solve_impl(config_path, out_flag):
     try:
         cfg, config_dir, kernel = _prepare(config_path)
         cert = _resolve_certificate(cfg, kernel, config_dir)
+        tol = _solver_tol(cfg)
     except ConfigError as exc:
         _echo_fail(EXIT_CONFIG, f"config error: {exc}")
         return
@@ -224,13 +252,10 @@ def _solve_impl(config_path, out_flag):
             "to look for a usable power",
         )
         return
-    solver_cfg = cfg.get("solver", {})
-    tol = float(solver_cfg.get("tol", 1e-12))
-    mode = solver_cfg.get("mode", "direct_lu")
     out = _out_dir(out_flag)
     outputs = cfg.get("outputs", {})
     try:
-        result = solve(kernel, certificate=cert, tol=tol, solver=mode)
+        result = solve(kernel, certificate=cert, tol=tol)
         t_solve = time.perf_counter()
         oracle = spectral_radius_oracle(kernel, tol=1e-12, operator=result.evaluator.t_op)
         dominance = verify_dominance(result)
@@ -442,6 +467,8 @@ def verify(config_path, out_flag):
     """Run the invariant battery applicable to the configured kernel."""
     try:
         cfg, config_dir, kernel = _prepare(config_path)
+        cert = _resolve_certificate(cfg, kernel, config_dir)
+        tol = _solver_tol(cfg)
     except ConfigError as exc:
         _echo_fail(EXIT_CONFIG, f"config error: {exc}")
         return
@@ -453,13 +480,12 @@ def verify(config_path, out_flag):
         click.echo(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
 
     try:
-        cert = _resolve_certificate(cfg, kernel, config_dir)
         if isinstance(cert, NotMinorizable):
             record("doeblin_minorization_n1", False, f"{cert} (expected for kernels with zeros)")
             if kernel.space.kind != "counting":
                 _echo_fail(EXIT_NOT_MINORIZABLE, "no certificate and no power search for interval kernels")
                 return
-            report = power_doeblin_analyze(kernel)
+            report = power_doeblin_analyze(kernel, tol=tol)
             if isinstance(report, NotFoundWithin):
                 _echo_fail(EXIT_NOT_MINORIZABLE, str(report))
                 return
@@ -492,7 +518,7 @@ def verify(config_path, out_flag):
             positivity_improving_check(kernel, cert, seed=seed),
             "random nonnegative battery maps to strictly positive images",
         )
-        result = solve(kernel, certificate=cert)
+        result = solve(kernel, certificate=cert, tol=tol)
         lam = result.lambda0
         record("eig_residual", result.diagnostics.eig_residual <= 1e-8,
                f"{result.diagnostics.eig_residual:.3e}")
@@ -557,7 +583,7 @@ def verify(config_path, out_flag):
         mc = MeasureChange(h, 2.0)
         conj = conjugate_kernel(kernel, mc)
         # only lambda0 is kept, so the conjugate solve's arrays are freed here
-        invariance = abs(solve(conj, strategy="row_min").lambda0 - lam) / lam
+        invariance = abs(solve(conj, strategy="row_min", tol=tol).lambda0 - lam) / lam
         record("measure_change_invariance", invariance <= 1e-8, f"relative delta {invariance:.3e}")
         schur = transform_schur(tight_schur_bound(kernel), mc)
         schur_report = verify_schur(conj, schur)

@@ -60,7 +60,6 @@ from .errors import (
     BelowSpectralRadiusError,
     IllConditionedError,
     NearSingularError,
-    NotConvergentError,
     PoleError,
 )
 from .kernel_op import Compression, spectral_radius_oracle
@@ -90,8 +89,8 @@ def _pow2_scale(x: float) -> float:
 class _Shift:
     """One cached shift lam: the LU factors of scale * (lam*I - R)^T, in
     float32 with scale a power of two when lam is well conditioned, in
-    float64 with scale 1 otherwise (None for the Neumann backend), and the
-    profile solves made there, R_lam u and R_lam^2 u."""
+    float64 with scale 1 otherwise, and the profile solves made there,
+    R_lam u and R_lam^2 u."""
 
     lam: float
     factors: tuple | None = None
@@ -177,33 +176,18 @@ class BirmanSchwingerEvaluator:
     """Evaluates D(lam), its derivative, and resolvent applications.
 
     ``t_op`` and ``r_op`` are the read-only matrices of T and R acting on
-    node-value vectors, formed once here.  Two backends solve
-    (lam*I - R) x = v: a cached LU factorization (default; in float32
-    with refinement where lam*I - R is well conditioned) and a Neumann
-    series whose convergence is guarded by the weighted sup-norm of the
-    remainder.  ``curve`` evaluates a whole grid
-    of shifts through one eigendecomposition of a symmetric kernel
-    (low-rank where the kernel allows it), or one Schur form of any
-    other, whatever the backend.  The
-    evaluator is immutable apart from the internal cache, which holds
-    the last LU_CACHE_SHIFTS shifts with their factors and their profile
-    solves, and never changes results.
+    node-value vectors, formed once here.  A shift lam is solved,
+    (lam*I - R) x = v, through a cached LU factorization, in float32 with
+    refinement where lam*I - R is well conditioned.  ``curve`` evaluates
+    a whole grid of shifts through one eigendecomposition of a symmetric
+    kernel (low-rank where the kernel allows it), or one Schur form of
+    any other.  The evaluator is immutable apart from the internal
+    cache, which holds the last LU_CACHE_SHIFTS shifts with their factors
+    and their profile solves, and never changes results.
     """
 
-    def __init__(
-        self,
-        split: RankOneSplit,
-        solver: str = "direct_lu",
-        series_tol: float = 1e-13,
-        max_terms: int = 100_000,
-        radius_tol: float = 1e-10,
-    ):
-        if solver not in ("direct_lu", "neumann"):
-            raise ValueError(f"unknown solver {solver!r}")
+    def __init__(self, split: RankOneSplit, radius_tol: float = 1e-10):
         self.split = split
-        self.solver = solver
-        self.series_tol = float(series_tol)
-        self.max_terms = int(max_terms)
         self.space = split.kernel.space
         self.alpha = split.certificate.alpha
         self.profile = split.certificate.profile
@@ -212,15 +196,13 @@ class BirmanSchwingerEvaluator:
         self.r_op = split.remainder.operator_matrix()
         self.t_op.flags.writeable = self.r_op.flags.writeable = False
         # T, R >= 0, so their row sums are those of |T| and |R|: they give the
-        # inf-norms and, less the diagonal of R, ||lam*I - R||_inf in O(n)
+        # inf-norm of T and, less the diagonal of R, ||lam*I - R||_inf in O(n)
         # per shift
-        row_sums = self.r_op.sum(axis=1)
         self._rem_diag = np.diagonal(self.r_op)
-        self._rem_offdiag = row_sums - self._rem_diag
+        self._rem_offdiag = self.r_op.sum(axis=1) - self._rem_diag
         # the column sums give ||lam*I - R||_1 the same way, the norm of the
         # transposed solve
         self._rem_col_offdiag = self.r_op.sum(axis=0) - self._rem_diag
-        self.remainder_norm = float(row_sums.max())
         self.operator_norm = float(self.t_op.sum(axis=1).max())
         power = spectral_radius_oracle(split.remainder, tol=radius_tol, operator=self.r_op)
         # inflate: the precondition lam > rho(R) must survive estimate error
@@ -244,34 +226,32 @@ class BirmanSchwingerEvaluator:
 
     def _shift(self, lam: float) -> _Shift:
         """The cache entry of lam, made on first use, for a lam above the
-        remainder radius: for the LU backend the factorization, in float32
-        when lam is well conditioned, else in float64 and refused above
-        MAX_CONDITION."""
+        remainder radius: the factorization, in float32 when lam is well
+        conditioned, else in float64 and refused above MAX_CONDITION."""
         key = float(lam)
         entry = self._lu_cache.get(key)
         if entry is not None:
             return entry
         self._require_above_radius(key)
         entry = _Shift(key)
-        if self.solver == "direct_lu":
-            # ||(lam*I - R)^-1||_inf >= 1 / (lam - rho(R)), so this ratio is a
-            # lower bound on the condition number: above the float32 limit
-            # sgecon would refuse the float32 factors anyway
-            gap = key - self.remainder_radius
-            if self._shifted_inf_norm(key) <= SINGLE_MAX_CONDITION * gap:
-                self._factor(entry, np.float32)
-            if entry.factors is None:
-                self._factor(entry, np.float64)
+        # ||(lam*I - R)^-1||_inf >= 1 / (lam - rho(R)), so this ratio is a
+        # lower bound on the condition number: above the float32 limit
+        # sgecon would refuse the float32 factors anyway
+        gap = key - self.remainder_radius
+        single = self._shifted_inf_norm(key) <= SINGLE_MAX_CONDITION * gap
+        if not (single and self._factor(entry, np.float32)):
+            self._factor(entry, np.float64)
         self._lu_cache[key] = entry
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
         return entry
 
-    def _factor(self, entry: _Shift, dtype) -> None:
-        """Factor scale * (lam*I - R)^T into entry.  In float32 the scale is
-        the power of two that brings ||lam*I - R||_inf into [1/2, 1), so no
-        finite kernel overflows or underflows in the cast, and the factors
-        are kept only when sgecon confirms a condition number of at most
+    def _factor(self, entry: _Shift, dtype) -> bool:
+        """Factor scale * (lam*I - R)^T into entry; returns whether the
+        factors were kept.  In float32 the scale is the power of two that
+        brings ||lam*I - R||_inf into [1/2, 1), so no finite kernel
+        overflows or underflows in the cast, and the factors are kept only
+        when sgecon confirms a condition number of at most
         SINGLE_MAX_CONDITION.  In float64 the shift is refused above
         MAX_CONDITION."""
         lam, n = entry.lam, self.space.size
@@ -287,10 +267,12 @@ class BirmanSchwingerEvaluator:
         gecon = get_lapack_funcs(("gecon",), (factors[0],))[0]
         # the 1-norm of the transpose is the inf-norm of lam*I - R
         rcond, info = gecon(factors[0], norm * scale, norm="1")
-        if info == 0 and rcond > 1.0 / (SINGLE_MAX_CONDITION if single else MAX_CONDITION):
+        kept = info == 0 and rcond > 1.0 / (SINGLE_MAX_CONDITION if single else MAX_CONDITION)
+        if kept:
             entry.factors, entry.scale = factors, scale
         elif not single:
             raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
+        return kept
 
     def _solve(self, entry: _Shift, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """(lam*I - R)^-1 b, or (lam*I - R)^-T b with trans = 1, from the
@@ -319,34 +301,10 @@ class BirmanSchwingerEvaluator:
         # the factors are those of the transpose
         return lu_solve(entry.factors, b, trans=1 - trans, check_finite=False)
 
-    def _solve_neumann(self, lam: float, v: np.ndarray) -> np.ndarray:
-        if lam <= self.remainder_norm:
-            raise NotConvergentError(
-                f"Neumann mode requires lambda > remainder norm "
-                f"{self.remainder_norm:.6e}, got {lam}"
-            )
-        ratio = self.remainder_norm / lam
-        term = v / lam
-        acc = term.copy()
-        for _ in range(self.max_terms):
-            term = (self.r_op @ term) / lam
-            acc += term
-            # relative stopping rule: callers rescale the result, so only
-            # relative accuracy survives
-            tail = float(np.max(np.abs(term))) * ratio / (1.0 - ratio)
-            if tail <= self.series_tol * float(np.max(np.abs(acc))):
-                return acc
-        raise NotConvergentError("Neumann series did not meet its tolerance")
-
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
         """(lam*I - R)^-1 v for lam above the remainder radius."""
         check_same_space(self.space, v.space)
-        entry = self._shift(lam)
-        if entry.factors is not None:
-            x = self._solve(entry, v.values)
-        else:
-            x = self._solve_neumann(lam, v.values)
-        return GridFunction(x, self.space)
+        return GridFunction(self._solve(self._shift(lam), v.values), self.space)
 
     def profile_resolvent(self, lam: float, power: int = 1) -> GridFunction:
         """(lam*I - R)^-power profile for power 1 or 2, solved once while
@@ -392,10 +350,9 @@ class BirmanSchwingerEvaluator:
         number the LU path estimates with gecon.  Raises
         BelowSpectralRadiusError at the first shift not above the radius
         estimate, then IllConditionedError at the first shift whose
-        condition exceeds MAX_CONDITION.  The result does not depend on
-        the solver backend.  Past the factorization each shift costs
-        O(n k) on a compression of rank k and O(n^2) on the dense routes,
-        where the vector of the condition guard dominates.  The
+        condition exceeds MAX_CONDITION.  Past the factorization each
+        shift costs O(n k) on a compression of rank k and O(n^2) on the
+        dense routes, where the vector of the condition guard dominates.  The
         factorization costs as much as 1 to 2 single-precision LU shifts
         on a compressible kernel at n = 600, 6 to 12 for the dense eigh
         and about 50 for the Schur form at n = 600 to 2000 (see the module
@@ -535,12 +492,7 @@ class BirmanSchwingerEvaluator:
         """Vector z with z^T = (phi o R_lam) acting on node-value vectors.
 
         Solves the transposed shifted system against the functional's
-        acting vector; z realizes f -> phi[(lam*I - R)^-1 f] as z . f.
-        The LU backend reuses the factorization of lam.
+        acting vector; z realizes f -> phi[(lam*I - R)^-1 f] as z . f,
+        reusing the factorization of lam.
         """
-        entry = self._shift(lam)
-        phi = self.functional.acting_vector()
-        if entry.factors is not None:
-            return self._solve(entry, phi, trans=1)
-        shifted = lam * np.eye(self.space.size) - self.r_op
-        return np.linalg.solve(shifted.T, phi)
+        return self._solve(self._shift(lam), self.functional.acting_vector(), trans=1)

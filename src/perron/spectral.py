@@ -40,6 +40,10 @@ from .kernel_op import Kernel, growth_radius
 from .measure import GridFunction, WeightFunctional, pair
 from .resolvent import BirmanSchwingerEvaluator, RankOneOperator
 
+# the smallest stopping tolerance of the root search that double precision
+# resolves
+MIN_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SpectralDiagnostics:
@@ -136,17 +140,13 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     lie above the estimate, and the error is raised before any
     factorization.
     """
-    if tol < 1e-13:
-        raise ValueError("tol below 1e-13 is not resolvable in double precision")
+    if not tol >= MIN_TOL:
+        raise ValueError(f"tol below {MIN_TOL:g} is not resolvable in double precision")
     if not ev.phi_strictly_positive:
         raise NotMinorizableError(
             NotMinorizable("root finding requires a strictly positive functional")
         )
     rho = ev.remainder_radius
-    if ev.solver == "neumann":
-        # the series backend converges only above the remainder norm, and
-        # impractically slowly right at it; keep a workable margin
-        rho = max(rho, ev.remainder_norm * (1.0 + 1e-3))
     cw = collatz_wielandt(ev.t_op)
     if cw is not None and cw[1] * (1.0 + 4 * np.finfo(float).eps) < rho:
         # rho(T) <= hi < rho: D has no root above the radius estimate
@@ -366,7 +366,11 @@ def solve(
 
     Raises NotMinorizableError when no strict certificate of the chosen
     shape exists (callers may fall back to a power-Doeblin analysis).
+    ``solver`` names the shifted solve and accepts only "direct_lu", the
+    cached LU factorization of the evaluator.
     """
+    if solver != "direct_lu":
+        raise ValueError(f"unknown solver {solver!r}: the only solver is 'direct_lu'")
     if certificate is None:
         certificate = extract_minorization(kernel, strategy)
         if isinstance(certificate, NotMinorizable):
@@ -374,7 +378,7 @@ def solve(
     if certificate.power != 1:
         raise ValueError("solve requires a power-1 certificate; iterate the kernel first")
     split = rank_one_split(kernel, certificate)
-    ev = BirmanSchwingerEvaluator(split, solver=solver)
+    ev = BirmanSchwingerEvaluator(split)
     lambda0 = find_dominant(ev, tol=tol)
 
     w_fun = eigenfunction_from_residue(ev, lambda0)

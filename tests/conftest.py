@@ -71,6 +71,30 @@ def count_solves(monkeypatch):
     return calls
 
 
+CHARPOLY_MAX_DIM = 12
+
+
+def characteristic_polynomial(matrix: np.ndarray) -> np.ndarray:
+    """Coefficients (leading 1) via the trace recursion; O(n^4), exact
+    rational structure up to float rounding, no eigensolver involved."""
+    n = matrix.shape[0]
+    coeffs = np.zeros(n + 1)
+    coeffs[0] = 1.0
+    aux = np.eye(n)
+    for k in range(1, n + 1):
+        if k > 1:
+            aux = matrix @ aux + coeffs[k - 1] * np.eye(n)
+        coeffs[k] = -np.trace(matrix @ aux) / k
+    return coeffs
+
+
+def eigenvalues_via_charpoly(matrix: np.ndarray) -> np.ndarray:
+    """Small-dimension spectrum oracle: roots of the characteristic polynomial."""
+    if matrix.shape[0] > CHARPOLY_MAX_DIM:
+        raise ValueError(f"characteristic-polynomial oracle capped at {CHARPOLY_MAX_DIM}")
+    return np.roots(characteristic_polynomial(matrix))
+
+
 def random_positive_kernel(space, rng, low=0.05, high=1.05):
     return pr.Kernel(rng.uniform(low, high, (space.size, space.size)), space)
 

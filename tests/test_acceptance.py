@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import perron as pr
 from perron.cli import main as cli_main
+from conftest import eigenvalues_via_charpoly
 
 SEED = 20240808
 
@@ -112,7 +113,7 @@ def test_criterion_03_two_state_chain_regression():
     square_ok = np.allclose(squared.entries, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
     report = pr.power_doeblin_analyze(chain, n_max=8)
     rho_ok = abs(report.rho - 1.0) <= 1e-10
-    roots = np.sort_complex(pr.eigenvalues_via_charpoly(chain.operator_matrix()))
+    roots = np.sort_complex(eigenvalues_via_charpoly(chain.operator_matrix()))
     second_ok = abs(roots[0] - (-0.5)) <= 1e-8
     peripheral_ok = (
         len(report.peripheral_candidates) == 1

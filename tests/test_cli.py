@@ -47,12 +47,12 @@ def constant_config(tmp_path):
     )
 
 
-def gaussian_config(n, mode):
+def gaussian_config(n):
     return {
         "kernel": {"family": "gaussian", "sigma": 0.35},
         "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": n, "rule": "midpoint"},
         "certificate": {"strategy": "row_min"},
-        "solver": {"mode": mode, "tol": 1e-12},
+        "solver": {"mode": "direct_lu", "tol": 1e-12},
         "outputs": {"report": "report.json", "eigenfunction": "eigenfunction.csv",
                     "dcurve": "dcurve.csv"},
     }
@@ -60,7 +60,7 @@ def gaussian_config(n, mode):
 
 def close_radius_config(path):
     """Gaussian sigma = 0.1 at n = 200: rho(R) / lambda0 = 0.9999992."""
-    payload = gaussian_config(200, "direct_lu")
+    payload = gaussian_config(200)
     payload["kernel"]["sigma"] = 0.1
     return write_config(path, payload)
 
@@ -162,7 +162,7 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
 
-    def test_config_error_exit_one(self, runner, tmp_path):
+    def test_config_error_exit_one(self, runner, tmp_path, constant_config):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         result = runner.invoke(main, ["solve", "--config", str(bad)])
@@ -170,6 +170,27 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "nokernel.json", {"space": {"kind": "counting", "n": 2}})
         result = runner.invoke(main, ["solve", "--config", cfg])
         assert result.exit_code == 1
+        # bad values of the certificate and solver blocks, per command that reads them
+        base = json.loads(Path(constant_config).read_text())
+        cases = [
+            ("certificate", {"strategy": "bogus"}, ("solve", "verify", "dcurve")),
+            ("certificate", {"strategy": "user"}, ("solve", "verify", "dcurve")),
+            ("solver", {"tol": "abc"}, ("solve", "verify")),
+            ("solver", {"tol": 1e-14}, ("solve", "verify")),
+            ("solver", {"mode": "bogus"}, ("solve", "verify")),
+            ("solver", {"mode": "neumann"}, ("solve", "verify")),
+        ]
+        for i, (block, value, commands) in enumerate(cases):
+            path = write_config(tmp_path / f"case{i}.json", {**base, block: value})
+            for command in commands:
+                result = runner.invoke(
+                    main, [command, "--config", path, "--out", str(tmp_path / "o")]
+                )
+                assert result.exit_code == 1, (block, value, command, result.output)
+                assert "config error" in result.output
+                assert isinstance(result.exception, SystemExit)
+                if value.get("mode") == "neumann":
+                    assert "removed" in result.output
 
     def test_csv_dimension_mismatch_exit_one(self, runner, tmp_path):
         (tmp_path / "m.csv").write_text("1,2\n3,4\n")
@@ -208,10 +229,10 @@ class TestSolveCommand:
         # outputs are overwritten in place: same inode, mode and symlink.  The
         # long config carries a seed, which solve ignores and report.json
         # echoes, so the rerun's report is shorter whatever its timings
-        long_payload = gaussian_config(60, "direct_lu")
+        long_payload = gaussian_config(60)
         long_payload["seed"] = 20240808
         long_cfg = write_config(tmp_path / "long.json", long_payload)
-        short_cfg = write_config(tmp_path / "short.json", gaussian_config(12, "direct_lu"))
+        short_cfg = write_config(tmp_path / "short.json", gaussian_config(12))
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         assert runner.invoke(main, ["solve", "--config", long_cfg, "--out", str(out)]).exit_code == 0
         (out / "dcurve.csv").rename(tmp_path / "curve.csv")
@@ -235,7 +256,7 @@ class TestSolveCommand:
 
     def test_dcurve_output_takes_one_factorization(self, runner, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
-        cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
+        cfg = write_config(tmp_path / "g.json", gaussian_config(100))
         result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
         assert len((tmp_path / "o" / "dcurve.csv").read_text().splitlines()) == 201
@@ -255,19 +276,6 @@ class TestSolveCommand:
         assert "sign change bracketed" in result.output
         rows = np.loadtxt(tmp_path / "d" / "dcurve.csv", delimiter=",", skiprows=1)
         assert rows[0, 0] < lam
-
-    def test_neumann_mode_writes_the_dcurve(self, runner, tmp_path):
-        # the dcurve starts at 1.001 rho(R), below the remainder norm where
-        # the Neumann series converges; the curve does not use the series
-        curves = {}
-        for mode in ("neumann", "direct_lu"):
-            cfg = write_config(tmp_path / f"{mode}.json", gaussian_config(100, mode))
-            out = tmp_path / mode
-            result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            lines = (out / "dcurve.csv").read_text().splitlines()[1:]
-            curves[mode] = np.array([[float(v) for v in line.split(",")] for line in lines])
-        np.testing.assert_allclose(curves["neumann"], curves["direct_lu"], rtol=1e-9)
 
     def test_separable_expression_kernel(self, runner, tmp_path):
         cfg = write_config(
@@ -299,7 +307,7 @@ class TestSolveCommand:
         assert result.exit_code == 1
 
     def test_report_names_the_curve_route(self, runner, tmp_path):
-        cfg = write_config(tmp_path / "g.json", gaussian_config(200, "direct_lu"))
+        cfg = write_config(tmp_path / "g.json", gaussian_config(200))
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
@@ -330,7 +338,7 @@ class TestOperationCounts:
 
     def test_one_compression_per_command(self, runner, tmp_path, monkeypatch):
         n = 600
-        cfg = write_config(tmp_path / "g.json", gaussian_config(n, "direct_lu"))
+        cfg = write_config(tmp_path / "g.json", gaussian_config(n))
         calls = {
             name: count_calls(monkeypatch, module, name)
             for module, name in (
@@ -474,7 +482,7 @@ class TestVerifyCommand:
 
     def test_curve_is_checked_against_the_lu_path(self, runner, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
-        cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
+        cfg = write_config(tmp_path / "g.json", gaussian_config(100))
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert "PASS  bs_curve_matches_lu" in result.output
@@ -499,7 +507,7 @@ class TestVerifyCommand:
             return d, dp * (1.0 + 1e-8)
 
         monkeypatch.setattr(perron.resolvent.BirmanSchwingerEvaluator, "curve", skewed)
-        cfg = write_config(tmp_path / "g.json", gaussian_config(100, "direct_lu"))
+        cfg = write_config(tmp_path / "g.json", gaussian_config(100))
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 3
         assert "FAIL  bs_curve_matches_lu" in result.output
@@ -559,3 +567,57 @@ def test_import_leaves_scipy_sparse_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _battery(*middle):
+    """The ordered verify checks of an interval config, all passing."""
+    names = ["certificate_holds", "split_reconstruction", "positivity_improving",
+             "eig_residual", "proj_idempotency", "left_residual", "oracle_agreement",
+             "bs_monotone", "bs_single_root", *middle, "bs_curve_matches_lu",
+             "kernel_resolvent_identity", "measure_change_invariance",
+             "measure_change_schur", "mollified_convergence"]
+    return [("PASS", name) for name in names]
+
+
+CHAIN_REPORT = [
+    "power-Doeblin certificate found at N = 2",
+    "spectral radius rho = 1",
+    "candidates (N-th roots): 1+0j, -1+1.22465e-16j",
+    "peripheral eigenvalues: 1+0j",
+    "dominant eigenvalue of the N-th power simple: True",
+    "second modulus: 0.5",
+    "rank-one projection defect: 0.000e+00",
+]
+
+SHIPPED = [
+    ("gaussian_interval", "solve", 0, None),
+    ("gaussian_interval", "verify", 0,
+     _battery("bs_derivative_at_0.972501", "bs_derivative_at_1.945")),
+    ("gaussian_interval", "dcurve", 0, None),
+    ("separable_growth", "solve", 0, None),
+    ("separable_growth", "verify", 0,
+     _battery("bs_derivative_at_1.34454", "bs_derivative_at_2.68909")),
+    ("separable_growth", "dcurve", 0, None),
+    ("two_state_chain", "solve", 2, None),
+    ("two_state_chain", "verify", 0,
+     [("FAIL", "doeblin_minorization_n1"), ("PASS", "power_doeblin_certificate")]),
+    ("two_state_chain", "power-doeblin", 0, CHAIN_REPORT),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, code, expected", SHIPPED, ids=[f"{c[0]}-{c[1]}" for c in SHIPPED]
+)
+def test_shipped_config_outputs(runner, tmp_path, name, command, code, expected):
+    """Exit codes, the ordered verdicts of ``verify`` and the text of
+    ``power-doeblin`` on every shipped config stay as they are."""
+    result = runner.invoke(
+        main, [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]
+    )
+    assert result.exit_code == code, result.output
+    if command == "verify":
+        verdicts = [tuple(line.split(":")[0].split()) for line in result.output.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert verdicts == expected
+    elif command == "power-doeblin":
+        assert result.output.splitlines() == expected

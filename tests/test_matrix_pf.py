@@ -3,63 +3,59 @@ import pytest
 
 import perron as pr
 from perron.errors import NotMinorizableError
-from conftest import random_positive_kernel
+from conftest import characteristic_polynomial, eigenvalues_via_charpoly, random_positive_kernel
 
 
 class TestCharacteristicPolynomial:
     def test_symmetric_2x2(self, symmetric_2x2):
-        coeffs = pr.characteristic_polynomial(symmetric_2x2.operator_matrix())
+        coeffs = characteristic_polynomial(symmetric_2x2.operator_matrix())
         np.testing.assert_allclose(coeffs, [1.0, -4.0, 3.0], atol=1e-12)
 
     def test_chain(self, two_state_chain):
         # hand derivation: x^2 - x/2 - 1/2
-        coeffs = pr.characteristic_polynomial(two_state_chain.operator_matrix())
+        coeffs = characteristic_polynomial(two_state_chain.operator_matrix())
         np.testing.assert_allclose(coeffs, [1.0, -0.5, -0.5], atol=1e-12)
-        roots = np.sort_complex(pr.eigenvalues_via_charpoly(two_state_chain.operator_matrix()))
+        roots = np.sort_complex(eigenvalues_via_charpoly(two_state_chain.operator_matrix()))
         np.testing.assert_allclose(roots, [-0.5, 1.0], atol=1e-10)
 
     def test_matches_numpy_on_random(self):
         rng = np.random.default_rng(71)
         m = rng.normal(size=(6, 6))
-        ours = np.sort_complex(pr.eigenvalues_via_charpoly(m))
+        ours = np.sort_complex(eigenvalues_via_charpoly(m))
         numpys = np.sort_complex(np.linalg.eigvals(m))
         np.testing.assert_allclose(ours, numpys, atol=1e-8)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            pr.eigenvalues_via_charpoly(np.eye(13))
+            eigenvalues_via_charpoly(np.eye(13))
 
 
 class TestPfSolve:
     def test_rank_one_matrix(self, counting2):
         k = pr.Kernel(np.ones((2, 2)), counting2)
-        res = pr.pf_solve(k)
+        res = pr.solve(k)
         assert res.lambda0 == pytest.approx(2.0, abs=1e-11)
         np.testing.assert_allclose(
             res.eigenfunction.values / res.eigenfunction.values[0], [1.0, 1.0], rtol=1e-10
         )
 
     def test_symmetric_2x2(self, symmetric_2x2):
-        res = pr.pf_solve(symmetric_2x2)
+        res = pr.solve(symmetric_2x2)
         assert res.lambda0 == pytest.approx(3.0, abs=1e-10)
-        assert pr.left_eigen_residual(symmetric_2x2, res) <= 1e-8
+        assert res.diagnostics.left_residual <= 1e-8
 
     def test_random_10x10_matches_dense_eigensolver(self):
         rng = np.random.default_rng(72)
         sp = pr.make_counting_space(10)
         k = random_positive_kernel(sp, rng)
-        res = pr.pf_solve(k)
+        res = pr.solve(k)
         dense = np.max(np.abs(np.linalg.eigvals(k.operator_matrix())))
         assert res.lambda0 == pytest.approx(dense, rel=1e-8)
-        assert pr.left_eigen_residual(k, res) <= 1e-8
+        assert res.diagnostics.left_residual <= 1e-8
 
     def test_zero_entry_matrix_raises(self, two_state_chain):
         with pytest.raises(NotMinorizableError):
-            pr.pf_solve(two_state_chain)
-
-    def test_requires_counting_space(self, constant_unit):
-        with pytest.raises(ValueError):
-            pr.pf_solve(constant_unit)
+            pr.solve(two_state_chain)
 
 
 class TestPowerDoeblinAnalyze:
@@ -106,7 +102,7 @@ class TestPowerDoeblinAnalyze:
         dense = np.max(np.abs(np.linalg.eigvals(k.operator_matrix())))
         assert report.rho == pytest.approx(dense, rel=1e-8)
 
-    @pytest.mark.parametrize("dim", [30, 80])
+    @pytest.mark.parametrize("dim", [3, 8, 12, 30, 80])
     def test_deflation_route_second_modulus(self, dim):
         # a zero diagonal keeps A off a one-step certificate; A^2 is positive
         rng = np.random.default_rng(75)
@@ -116,6 +112,7 @@ class TestPowerDoeblinAnalyze:
         report = pr.power_doeblin_analyze(k, n_max=4)
         assert report.power == 2
         assert report.simple
+        assert len(report.peripheral_candidates) == 1
         moduli = np.sort(np.abs(np.linalg.eigvals(k.operator_matrix())))
         assert report.second_modulus == pytest.approx(moduli[-2], rel=1e-8)
 
@@ -125,9 +122,9 @@ class TestPowerConsistency:
         rng = np.random.default_rng(74)
         sp = pr.make_counting_space(8)
         k = random_positive_kernel(sp, rng)
-        lam_a = pr.pf_solve(k).lambda0
+        lam_a = pr.solve(k).lambda0
         for n in (2, 3):
-            lam_n = pr.pf_solve(pr.iterate_kernel(k, n)).lambda0
+            lam_n = pr.solve(pr.iterate_kernel(k, n)).lambda0
             assert lam_n == pytest.approx(lam_a**n, rel=1e-8)
 
     def test_eigenvalue_transport_to_powers(self):
@@ -149,7 +146,7 @@ class TestPowerConsistency:
         cert = pr.power_doeblin_search(two_state_chain, 8)
         assert cert.power == 2 and cert.strict
         roots = np.sort_complex(
-            pr.eigenvalues_via_charpoly(two_state_chain.operator_matrix())
+            eigenvalues_via_charpoly(two_state_chain.operator_matrix())
         )
         np.testing.assert_allclose(roots, [-0.5, 1.0], atol=1e-10)
 
@@ -163,7 +160,7 @@ class TestAveragingRemark:
         averaged = pr.Kernel(0.5 * (np.eye(2) + swap.entries), counting2)
         cert = pr.extract_minorization(averaged)
         assert isinstance(cert, pr.MinorizationCertificate) and cert.strict
-        res = pr.pf_solve(averaged)
+        res = pr.solve(averaged)
         assert res.lambda0 == pytest.approx(1.0, abs=1e-10)
         # powers of the swap itself never settle: A^(n+1) differs from A^n
         power = swap.entries.copy()

@@ -12,7 +12,6 @@ from perron.errors import (
     BelowSpectralRadiusError,
     IllConditionedError,
     NearSingularError,
-    NotConvergentError,
     PoleError,
 )
 from perron.spectral import collatz_wielandt
@@ -178,19 +177,6 @@ class TestRemainderResolvent:
         two_term = v.values / lam + (r_op @ v.values) / lam**2
         np.testing.assert_allclose(out.values, two_term, rtol=1e-12)
 
-    def test_direct_and_neumann_agree(self):
-        rng = np.random.default_rng(41)
-        sp = pr.make_counting_space(20)
-        k = random_positive_kernel(sp, rng)
-        split = pr.rank_one_split(k, pr.extract_minorization(k))
-        direct = pr.BirmanSchwingerEvaluator(split, solver="direct_lu")
-        neumann = pr.BirmanSchwingerEvaluator(split, solver="neumann")
-        lam = 2.0 * split.remainder.weighted_inf_norm()
-        v = sp.function(rng.normal(size=20))
-        x1 = direct.resolve_remainder(lam, v)
-        x2 = neumann.resolve_remainder(lam, v)
-        np.testing.assert_allclose(x1.values, x2.values, rtol=1e-9, atol=1e-12)
-
     def test_residual_of_solve(self, symmetric_evaluator):
         ev = symmetric_evaluator
         v = ev.space.function([0.3, 0.7])
@@ -213,18 +199,6 @@ class TestRemainderResolvent:
     def test_below_radius_rejected(self, symmetric_evaluator):
         with pytest.raises(BelowSpectralRadiusError):
             symmetric_evaluator.resolve_remainder(0.5, symmetric_evaluator.space.ones())
-
-    def test_neumann_refuses_lambda_at_norm(self):
-        rng = np.random.default_rng(43)
-        sp = pr.make_counting_space(8)
-        k = random_positive_kernel(sp, rng)
-        split = pr.rank_one_split(k, pr.extract_minorization(k))
-        ev = pr.BirmanSchwingerEvaluator(split, solver="neumann")
-        norm = split.remainder.weighted_inf_norm()
-        rho = ev.remainder_radius
-        if norm > rho * 1.01:  # a lambda between radius and norm exists
-            with pytest.raises(NotConvergentError):
-                ev.resolve_remainder(0.5 * (rho + norm), sp.ones())
 
     def test_resolvent_identity(self, symmetric_evaluator):
         # R_lam - R_nu = (nu - lam) R_lam R_nu
@@ -343,13 +317,12 @@ class TestOperatorResolvent:
         assert len(solves) == 8
         assert len(ev._lu_cache) == 2
 
-    @pytest.mark.parametrize("solver", ["direct_lu", "neumann"])
-    def test_condition_is_the_dense_condition_number(self, solver):
+    def test_condition_is_the_dense_condition_number(self):
         rng = np.random.default_rng(48)
         k = random_positive_kernel(pr.make_interval_space(0, 1, 30, "midpoint"), rng)
         split = pr.rank_one_split(k, pr.extract_minorization(k))
-        ev = pr.BirmanSchwingerEvaluator(split, solver=solver)
-        for lam in (1.5 * ev.remainder_norm, 4.0 * ev.operator_norm):
+        ev = pr.BirmanSchwingerEvaluator(split)
+        for lam in (1.5 * split.remainder.weighted_inf_norm(), 4.0 * ev.operator_norm):
             shifted = lam * np.eye(30) - ev.r_op
             dense = np.linalg.cond(shifted, p=np.inf)
             assert ev.condition(lam) == pytest.approx(dense, rel=1e-10)
@@ -642,17 +615,6 @@ class TestCurve:
         d_ref, dp_ref = pointwise_curve(ev, lams)
         np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
-
-    def test_independent_of_backend(self):
-        k = random_positive_kernel(pr.make_counting_space(20), np.random.default_rng(65))
-        split = pr.rank_one_split(k, pr.extract_minorization(k))
-        direct = pr.BirmanSchwingerEvaluator(split)
-        neumann = pr.BirmanSchwingerEvaluator(split, solver="neumann")
-        # starts below the remainder norm, where the series cannot run
-        lams = np.geomspace(direct.remainder_radius * 1.001, 10 * direct.operator_norm, 30)
-        assert lams[0] < neumann.remainder_norm
-        for a, b in zip(direct.curve(lams), neumann.curve(lams)):
-            np.testing.assert_array_equal(a, b)
 
     def test_below_radius_rejected_where_value_is(self, symmetric_evaluator):
         # a symmetric kernel: the check runs before the eigendecomposition

@@ -51,16 +51,17 @@ class TestFindDominant:
         with pytest.raises(ValueError):
             pr.find_dominant(evaluator_for(constant_unit), tol=1e-15)
 
-    def test_neumann_backend_finds_root_above_remainder_norm(self, symmetric_2x2):
-        split = pr.rank_one_split(symmetric_2x2, pr.extract_minorization(symmetric_2x2))
-        ev = pr.BirmanSchwingerEvaluator(split, solver="neumann")
-        assert pr.find_dominant(ev, tol=1e-12) == pytest.approx(3.0, abs=1e-9)
+    def test_solver_names_only_the_lu_solve(self, symmetric_2x2):
+        assert pr.solve(symmetric_2x2, solver="direct_lu").lambda0 == pytest.approx(3.0, abs=1e-10)
+        for solver in ("neumann", "bogus"):
+            with pytest.raises(ValueError, match="direct_lu"):
+                pr.solve(symmetric_2x2, solver=solver)
 
 
 def expansion_root(ev, tol=1e-12):
     """Oracle root search without the Collatz-Wielandt start: geometric
     expansion up from just above the remainder radius, then Newton
-    safeguarded by the bracket; direct LU backend only."""
+    safeguarded by the bracket."""
     rho = ev.remainder_radius
     cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
     lo = rho * (1.0 + 1e-6) if rho > 0 else 1e-6 * max(ev.operator_norm, 1e-300)
