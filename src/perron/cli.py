@@ -118,9 +118,20 @@ def _write_csv(path: Path, header, rows) -> None:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
+    return cfg
+
+
+def _block(cfg: dict, name: str) -> dict:
+    """The config block ``name``, empty when absent; it must be an object."""
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name!r} must be an object, got {json.dumps(block)}")
+    return block
 
 
 def _build_space(cfg: dict):
@@ -159,8 +170,19 @@ def _build_kernel(cfg: dict, space, config_dir: Path) -> Kernel:
     raise ConfigError(f"unknown kernel family {family!r}")
 
 
+def _strategy(cert_cfg: dict) -> str:
+    """The certificate strategy of the ``certificate`` block, row_min by default."""
+    strategy = cert_cfg.get("strategy", "row_min")
+    if strategy not in STRATEGIES or strategy == "user":
+        raise ConfigError(
+            f"unknown certificate strategy {strategy!r}: use 'row_min' or "
+            "'column_profile', or load a certificate from 'path'"
+        )
+    return strategy
+
+
 def _resolve_certificate(cfg: dict, kernel: Kernel, config_dir: Path):
-    cert_cfg = cfg.get("certificate", {"strategy": "row_min"})
+    cert_cfg = _block(cfg, "certificate")
     if "path" in cert_cfg:
         path = Path(cert_cfg["path"])
         if not path.is_absolute():
@@ -171,20 +193,14 @@ def _resolve_certificate(cfg: dict, kernel: Kernel, config_dir: Path):
                 DimensionMismatchError) as exc:
             raise ConfigError(f"cannot load certificate {path}: {exc}") from exc
         return cert
-    strategy = cert_cfg.get("strategy", "row_min")
-    if strategy not in STRATEGIES or strategy == "user":
-        raise ConfigError(
-            f"unknown certificate strategy {strategy!r}: use 'row_min' or "
-            "'column_profile', or load a certificate from 'path'"
-        )
-    return extract_minorization(kernel, strategy)
+    return extract_minorization(kernel, _strategy(cert_cfg))
 
 
 def _solver_tol(cfg: dict) -> float:
     """The root-search tolerance of the config's ``solver`` block, read
-    the same way by ``solve`` and ``verify``.  ``mode`` may be left out or
-    name the one shifted solve, ``direct_lu``."""
-    solver_cfg = cfg.get("solver", {})
+    the same way by every command.  ``mode`` may be left out or name the
+    one shifted solve, ``direct_lu``."""
+    solver_cfg = _block(cfg, "solver")
     mode = solver_cfg.get("mode", "direct_lu")
     if mode == "neumann":
         raise ConfigError("solver mode 'neumann': the Neumann series backend was removed; "
@@ -242,6 +258,7 @@ def _solve_impl(config_path, out_flag):
         cfg, config_dir, kernel = _prepare(config_path)
         cert = _resolve_certificate(cfg, kernel, config_dir)
         tol = _solver_tol(cfg)
+        outputs = _block(cfg, "outputs")
     except ConfigError as exc:
         _echo_fail(EXIT_CONFIG, f"config error: {exc}")
         return
@@ -253,11 +270,10 @@ def _solve_impl(config_path, out_flag):
         )
         return
     out = _out_dir(out_flag)
-    outputs = cfg.get("outputs", {})
     try:
         result = solve(kernel, certificate=cert, tol=tol)
         t_solve = time.perf_counter()
-        oracle = spectral_radius_oracle(kernel, tol=1e-12, operator=result.evaluator.t_op)
+        oracle = spectral_radius_oracle(kernel, tol=1e-12)
         dominance = verify_dominance(result)
         residuals = {
             "eig_residual": result.diagnostics.eig_residual,
@@ -388,6 +404,8 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
     try:
         cfg, config_dir, kernel = _prepare(config_path)
         cert = _resolve_certificate(cfg, kernel, config_dir)
+        _solver_tol(cfg)  # validated as in solve; the curve itself has no tolerance
+        name = _block(cfg, "outputs").get("dcurve", "dcurve.csv")
     except ConfigError as exc:
         _echo_fail(EXIT_CONFIG, f"config error: {exc}")
         return
@@ -395,7 +413,7 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
         _echo_fail(EXIT_NOT_MINORIZABLE, str(cert))
         return
     out = _out_dir(out_flag)
-    path = out / cfg.get("outputs", {}).get("dcurve", "dcurve.csv")
+    path = out / name
     try:
         from .resolvent import BirmanSchwingerEvaluator
 
@@ -403,7 +421,7 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
         evaluator = BirmanSchwingerEvaluator(split)
         # the Collatz-Wielandt lower end of T lies at or below lambda0; it
         # caps the start once it clears the remainder radius
-        cw = collatz_wielandt(evaluator.t_op, clear=evaluator.remainder_radius)
+        cw = collatz_wielandt(kernel, clear=evaluator.remainder_radius)
         grid, values, slopes = _dcurve(
             evaluator, lambda_min, lambda_max, points, None if cw is None else cw[0]
         )
@@ -428,6 +446,13 @@ def power_doeblin(config_path, n_max, out_flag):
     classify the peripheral spectrum."""
     try:
         cfg, _, kernel = _prepare(config_path)
+        cert_cfg = _block(cfg, "certificate")
+        if "path" in cert_cfg:
+            raise ConfigError("power-doeblin searches the powers for its own certificate; "
+                              "a certificate 'path' does not apply")
+        strategy = _strategy(cert_cfg)
+        tol = _solver_tol(cfg)
+        name = _block(cfg, "outputs").get("report", "power_doeblin.txt")
     except ConfigError as exc:
         _echo_fail(EXIT_CONFIG, f"config error: {exc}")
         return
@@ -435,7 +460,7 @@ def power_doeblin(config_path, n_max, out_flag):
         _echo_fail(EXIT_CONFIG, "power-doeblin analysis expects a counting-space matrix")
         return
     try:
-        report = power_doeblin_analyze(kernel, n_max=n_max)
+        report = power_doeblin_analyze(kernel, n_max=n_max, strategy=strategy, tol=tol)
     except PerronError as exc:
         _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
         return
@@ -456,7 +481,7 @@ def power_doeblin(config_path, n_max, out_flag):
     text = "\n".join(lines)
     click.echo(text)
     out = _out_dir(out_flag)
-    _write_text(out / cfg.get("outputs", {}).get("report", "power_doeblin.txt"), text + "\n")
+    _write_text(out / name, text + "\n")
     sys.exit(EXIT_OK)
 
 
@@ -469,10 +494,13 @@ def verify(config_path, out_flag):
         cfg, config_dir, kernel = _prepare(config_path)
         cert = _resolve_certificate(cfg, kernel, config_dir)
         tol = _solver_tol(cfg)
+        try:
+            seed = int(cfg.get("seed", DEFAULT_SEED))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad seed: {exc}") from exc
     except ConfigError as exc:
         _echo_fail(EXIT_CONFIG, f"config error: {exc}")
         return
-    seed = int(cfg.get("seed", DEFAULT_SEED))
     checks = []
 
     def record(name, passed, detail):
@@ -526,7 +554,7 @@ def verify(config_path, out_flag):
                f"{result.diagnostics.proj_idempotency:.3e}")
         record("left_residual", result.diagnostics.left_residual <= 1e-8,
                f"{result.diagnostics.left_residual:.3e}")
-        oracle = spectral_radius_oracle(kernel, tol=1e-12, operator=result.evaluator.t_op)
+        oracle = spectral_radius_oracle(kernel, tol=1e-12)
         delta = abs(lam - oracle.rho) / lam
         record("oracle_agreement", delta <= 1e-7, f"relative delta {delta:.3e}")
 

@@ -117,11 +117,10 @@ def build_corrected_kernels(split: RankOneSplit, m: int) -> CorrectedKernelSeque
 def moment_scalars(split: RankOneSplit, m: int) -> list:
     """b_j = phi[T^j profile] for j = 1..m."""
     cert = split.certificate
-    op = split.kernel.operator_matrix()
-    vec = cert.profile.values.copy()
+    vec = cert.profile.values
     out = []
     for _ in range(m):
-        vec = op @ vec
+        vec = split.kernel.matvec(vec)
         out.append(float(np.dot(cert.functional.acting_vector(), vec)))
     return out
 

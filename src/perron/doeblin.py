@@ -30,6 +30,16 @@ SLACK = 1e-14  # absolute slack (scaled by kernel magnitude) for entrywise check
 
 STRATEGIES = ("row_min", "column_profile", "user")
 
+# the certificate and the split pass over the kernel in blocks of rows with
+# about BLOCK_ENTRIES entries, so they form no n x n temporary
+BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int):
+    """Consecutive row slices covering range(n), about BLOCK_ENTRIES entries each."""
+    step = max(1, BLOCK_ENTRIES // n)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
 
 @dataclass(frozen=True, eq=False)
 class MinorizationCertificate:
@@ -100,13 +110,25 @@ class RankOneSplit:
 
 def _maximal_alpha(entries: np.ndarray, profile: np.ndarray, density: np.ndarray) -> float:
     """min of K_ij / (profile_i density_j) over the entries where that shape
-    is positive; 0 when it is positive nowhere.  One buffer, divided in place."""
-    ratio = np.outer(profile, density)
-    mask = ratio > 0
-    if not mask.any():
-        return 0.0
-    np.divide(entries, ratio, out=ratio, where=mask)
-    return float(np.min(ratio, where=mask, initial=np.inf))
+    is positive; 0 when it is positive nowhere.  One buffer of a row block,
+    divided in place.  Rounding is monotone, so when the product of the two
+    smallest factors is positive every product is, and no mask is made."""
+    blocks = _row_blocks(entries.shape[0])
+    buf = np.empty((blocks[0].stop, entries.shape[1]))
+    p_min, d_min = profile.min(), density.min()
+    positive = p_min > 0 and d_min > 0 and p_min * d_min > 0
+    best, seen = np.inf, positive
+    for rows in blocks:
+        ratio = np.multiply(profile[rows, np.newaxis], density, out=buf[: rows.stop - rows.start])
+        if positive:
+            best = min(best, float(np.divide(entries[rows], ratio, out=ratio).min()))
+            continue
+        mask = ratio > 0
+        if mask.any():
+            seen = True
+            np.divide(entries[rows], ratio, out=ratio, where=mask)
+            best = min(best, float(np.min(ratio, where=mask, initial=np.inf)))
+    return best if seen else 0.0
 
 
 def extract_minorization(
@@ -152,14 +174,17 @@ def extract_minorization(
         prof = entries.min(axis=1)
         dens = np.full(space.size, 1.0 / space.total_mass())
     else:  # column_profile
-        row_sums = (entries * w[np.newaxis, :]).sum(axis=1)
+        blocks = _row_blocks(space.size)
+        row_sums = np.concatenate([(entries[rows] * w).sum(axis=1) for rows in blocks])
         top = row_sums.max()
         if top <= 0:
             return NotMinorizable("kernel is identically zero")
         prof = row_sums / top
         if np.any(prof <= 0):
             return NotMinorizable("a row of the kernel vanishes")
-        dens = (entries / prof[:, np.newaxis]).min(axis=0)
+        dens = np.full(space.size, np.inf)
+        for rows in blocks:
+            np.minimum(dens, (entries[rows] / prof[rows, np.newaxis]).min(axis=0), out=dens)
         mass = float(np.dot(dens, w))
         if mass > 0:
             dens = dens / mass
@@ -183,28 +208,38 @@ class CertificateReport:
     strict_phi: bool
 
 
-def _gap(kernel: Kernel, cert: MinorizationCertificate):
-    """K^(N) - alpha * profile x density in one fresh buffer, with the
-    certificate report read off it."""
+def _gap(
+    kernel: Kernel, cert: MinorizationCertificate, out: np.ndarray | None = None
+) -> CertificateReport:
+    """The certificate report of K^(N) - alpha * profile x density, made
+    row block by row block.  With ``out`` the gap is written there, clamped
+    at zero after its block is read; without, one block buffer is reused."""
     check_same_space(kernel.space, cert.profile.space)
     powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
-    gap = np.outer(cert.profile.values, cert.functional.density)
-    gap *= cert.alpha
-    np.subtract(powered.entries, gap, out=gap)
-    worst = float(gap.min())
+    entries, profile, density = powered.entries, cert.profile.values, cert.functional.density
+    blocks = _row_blocks(kernel.size)
+    buf = np.empty((blocks[0].stop, kernel.size)) if out is None else None
+    worst = np.inf
+    for rows in blocks:
+        gap = buf[: rows.stop - rows.start] if out is None else out[rows]
+        np.multiply(profile[rows, np.newaxis], density, out=gap)
+        gap *= cert.alpha
+        np.subtract(entries[rows], gap, out=gap)
+        worst = min(worst, float(gap.min()))
+        if out is not None:
+            np.maximum(gap, 0.0, out=gap)
     # kernel entries are nonnegative, so their max is their sup norm
-    scale = max(1.0, float(powered.entries.max()))
-    report = CertificateReport(
+    scale = max(1.0, float(entries.max()))
+    return CertificateReport(
         holds=worst >= -SLACK * scale,
         worst_slack=worst,
         strict_phi=cert.functional.strictly_positive,
     )
-    return gap, report
 
 
 def verify_certificate(kernel: Kernel, cert: MinorizationCertificate) -> CertificateReport:
     """Entrywise check of K^(N) >= alpha * profile x density, with float slack."""
-    return _gap(kernel, cert)[1]
+    return _gap(kernel, cert)
 
 
 def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSplit:
@@ -212,12 +247,12 @@ def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSpli
     float-noise slack and guaranteed nonnegative."""
     if cert.power != 1:
         raise ValueError("rank_one_split requires a power-1 certificate")
-    remainder, report = _gap(kernel, cert)
+    remainder = np.empty((kernel.size, kernel.size))
+    report = _gap(kernel, cert, out=remainder)
     if not report.holds:
         raise InvalidCertificateError(
             f"certificate fails with worst slack {report.worst_slack:.3e}"
         )
-    np.maximum(remainder, 0.0, out=remainder)
     remainder.flags.writeable = False
     return RankOneSplit(kernel, cert, Kernel(remainder, kernel.space))
 

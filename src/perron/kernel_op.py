@@ -68,8 +68,20 @@ class Kernel:
         return self.space.size
 
     def operator_matrix(self) -> np.ndarray:
-        """Matrix acting on node-value vectors: K * diag(w)."""
+        """Matrix acting on node-value vectors: K * diag(w), a fresh n x n
+        array; ``matvec`` and ``rmatvec`` apply it without forming it."""
         return self.entries * self.space.weights[np.newaxis, :]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """T x = K (w x) for a node-value vector x, read off the entries.  A
+        complex x goes as two real products: numpy would cast K to complex."""
+        if np.iscomplexobj(x):
+            return self.matvec(x.real) + 1j * self.matvec(x.imag)
+        return self.entries @ (self.space.weights * x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """T^T y = w (K^T y), the transpose of ``matvec``."""
+        return self.space.weights * (self.entries.T @ y)
 
     def weighted_inf_norm(self) -> float:
         """Max weighted row sum; upper bound for the spectral radius."""
@@ -90,7 +102,7 @@ class Kernel:
 def apply(kernel: Kernel, f: GridFunction) -> GridFunction:
     """T f, the weighted matrix-vector product."""
     check_same_space(kernel.space, f.space)
-    return GridFunction(kernel.operator_matrix() @ f.values, kernel.space)
+    return GridFunction(kernel.matvec(f.values), kernel.space)
 
 
 def compose(a: Kernel, b: Kernel) -> Kernel:
@@ -231,7 +243,7 @@ class PowerIterationResult:
 
 
 def spectral_radius_oracle(
-    kernel: Kernel, tol: float = 1e-12, max_iter: int = 10000, operator=None
+    kernel: Kernel, tol: float = 1e-12, max_iter: int = 10000
 ) -> PowerIterationResult:
     """Spectral radius of the weighted operator by plain power iteration.
 
@@ -241,16 +253,14 @@ def spectral_radius_oracle(
     positive iterates a Collatz-Wielandt bracket certifies the result;
     otherwise the successive eigenvalue-estimate change is used.
     Non-convergence (peripheral multiplicity) raises PowerIterationError.
-    A caller that already holds ``kernel.operator_matrix()`` passes it as
-    ``operator``, and it is not formed again.
+    Each step is one ``kernel.matvec``; no n x n array is formed.
     """
-    a = kernel.operator_matrix() if operator is None else operator
-    if not a.any():
+    if not kernel.entries.any():
         return PowerIterationResult(0.0, kernel.space.ones(), 0)
     x = np.ones(kernel.size)
     rho_prev = None
     for it in range(1, max_iter + 1):
-        y = a @ x
+        y = kernel.matvec(x)
         rho = float(y.max())
         if rho <= 0.0:
             # the nonnegative iterate died: nilpotent direction
@@ -297,9 +307,9 @@ def _deflate(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return deflated
 
 
-def _deflated_matvec(t_op, a, b, c, x):
+def _deflated_matvec(kernel: Kernel, a, b, c, x):
     """(I - P) T (I - P) x for P = a b^T, where c = T a - (b . T a) a."""
-    tx = t_op @ x
+    tx = kernel.matvec(x)
     return tx - (b @ tx) * a - (b @ x) * c
 
 
@@ -334,17 +344,18 @@ def _inverse_iteration(a: np.ndarray, theta, norm: float) -> np.ndarray:
     return x
 
 
-def growth_radius(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> SecondRadius:
-    """Spectral radius of (I - P) T (I - P) for P = a b^T, with the
-    residual of its top eigenpair.
+def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> SecondRadius:
+    """Spectral radius of (I - P) T (I - P) for T the operator of
+    ``kernel`` and P = a b^T, with the residual of its top eigenpair.
 
     Above ``DENSE_RADIUS_MAX_DIM`` the radius comes from implicitly
     restarted Arnoldi (ARPACK ``eigs``: the 3 eigenvalues of largest
     modulus, 24 Krylov vectors, tolerance 1e-10, a fixed seeded start
-    vector) on the deflation applied as a rank-two update of T x, so no
-    n x n deflated copy is formed.  A run that has not converged after
-    ``ARNOLDI_RESTARTS`` restarts (585 mat-vecs) falls back to the dense
-    route, as do small n: the largest modulus among all eigenvalues of
+    vector) on the deflation applied as a rank-two update of
+    ``kernel.matvec``, so neither T nor its deflation is formed as an
+    n x n array; ||T||_inf is max(K w), K being nonnegative.  A run that
+    has not converged after ``ARNOLDI_RESTARTS`` restarts (585 mat-vecs)
+    falls back to the dense route, as do small n: the largest modulus among all eigenvalues of
     the dense deflated matrix (``numpy.linalg.eigvals``), exact up to
     rounding, with its eigenvector by inverse iteration.  The worst case
     is a deflated spectrum of many equal moduli (a cyclic permutation
@@ -355,16 +366,16 @@ def growth_radius(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> SecondRadiu
     backward error on the scale of T and does not bound the relative
     error of theta.
     """
-    n = t_op.shape[0]
-    norm = float(np.linalg.norm(t_op, np.inf))
+    n = kernel.size
+    norm = float(kernel.matvec(np.ones(n)).max())
     if n > DENSE_RADIUS_MAX_DIM:
         # lazy: at module level scipy.sparse adds ~30 ms and 2.4 MB to every perron process
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-        ta = t_op @ a
+        ta = kernel.matvec(a)
         c = ta - (b @ ta) * a
         op = LinearOperator(
-            (n, n), matvec=lambda x: _deflated_matvec(t_op, a, b, c, x), dtype=float
+            (n, n), matvec=lambda x: _deflated_matvec(kernel, a, b, c, x), dtype=float
         )
         start = np.random.default_rng(1234567).uniform(0.5, 1.5, n)
         try:
@@ -375,8 +386,8 @@ def growth_radius(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> SecondRadiu
         else:
             i = int(np.argmax(np.abs(vals)))
             x = vecs[:, i]
-            return _top_pair(vals[i], x, _deflated_matvec(t_op, a, b, c, x), norm, "arnoldi")
-    deflated = _deflate(t_op, a, b)
+            return _top_pair(vals[i], x, _deflated_matvec(kernel, a, b, c, x), norm, "arnoldi")
+    deflated = _deflate(kernel.operator_matrix(), a, b)
     vals = np.linalg.eigvals(deflated)
     theta = vals[int(np.argmax(np.abs(vals)))]
     if theta.imag == 0:

@@ -65,7 +65,7 @@ def power_doeblin_analyze(
     # strict dominance of A^N forces a single peripheral eigenvalue of A,
     # which must be rho itself
     second = growth_radius(
-        matrix_kernel.operator_matrix(),
+        matrix_kernel,
         result.projection.range_vector.values,
         result.projection.functional.acting_vector(),
     ).radius

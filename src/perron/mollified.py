@@ -21,12 +21,12 @@ combination sum_j c_j K^(j) of the iterated kernels with j <= n+1, and
 a functional enters only through its values on the powers.
 ``point_recursion`` and ``mollified_recursion`` iterate the kernels
 directly, one composition per step.  ``convergence_study`` instead
-forms K^(2) .. K^(m+1) once, runs both recursions on the coefficients
-c_j and shares the powers between the point recursion and every width;
-the error of each step is the norm of one combination,
-sum_j (c_j^{e} - c_j) K^(j).  A symmetric kernel with a low-rank
-compression (``Kernel.compression``) takes its powers from it at
-O(n^2 k) each; any other kernel composes them, m O(n^3) products.
+runs both recursions on the coefficients c_j, with the powers shared
+between the point recursion and every width; the error of each step is
+the norm of one combination, sum_j (c_j^{e} - c_j) K^(j).  A symmetric
+kernel with a low-rank compression (``Kernel.compression``) forms no
+power: a combination costs one O(n^2 k) product.  Any other kernel
+composes K^(2) .. K^(m+1) once, m O(n^3) products.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, GridTooCoarseError
-from .kernel_op import Compression, Kernel
+from .kernel_op import Kernel
 from .measure import MeasureSpace, check_same_space
 
 
@@ -72,11 +72,14 @@ class Mollifier:
 
 def kernel_space_norm(kernel: Kernel, p: float = np.inf) -> float:
     """max over columns y of the E-norm of the column function F(., y)."""
-    entries = np.abs(kernel.entries)
+    return _column_norm(np.abs(kernel.entries), kernel.space.weights, p)
+
+
+def _column_norm(magnitudes: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """``kernel_space_norm`` of the entries |F| = magnitudes."""
     if np.isinf(p):
-        return float(entries.max())
-    w = kernel.space.weights[:, np.newaxis]
-    return float(((entries**p * w).sum(axis=0) ** (1.0 / p)).max())
+        return float(magnitudes.max())
+    return float(((magnitudes**p * weights[:, np.newaxis]).sum(axis=0) ** (1.0 / p)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +114,37 @@ def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
     return powers
 
 
-def _compressed_powers(kernel: Kernel, compression: Compression, m: int) -> np.ndarray:
-    """The stack of ``_kernel_powers`` from a compression S ~ V diag(mu) V^T
-    of S = W^1/2 K W^1/2: K^(j+1) = W^-1/2 S^(j+1) W^-1/2, so for j >= 1
-    K^(j+1) = L diag(mu^(j+1)) L^T with L = W^-1/2 V, at O(n^2 k) each;
-    K^(1) keeps the exact entries."""
+def _power_basis(kernel: Kernel, m: int):
+    """The iterated kernels K^(1) .. K^(m+1) as two maps: ``forms(a, b)``,
+    the values a^T K^(j+1) b for j = 0 .. m, and ``magnitudes(c)``, the
+    entries of |sum_j c_j K^(j+1)| in one fresh array.
+
+    With a compression S ~ V diag(mu) V^T of S = W^1/2 K W^1/2,
+    K^(j+1) = W^-1/2 S^(j+1) W^-1/2, so for j >= 1
+    K^(j+1) = L diag(mu^(j+1)) L^T with L = W^-1/2 V, while K^(1) keeps the
+    exact entries: a form costs O(n k) and a combination is
+    c_0 K + L diag(sum_j c_j mu^(j+1)) L^T, one O(n^2 k) product, with no
+    power formed.  Without one, the stack of ``_kernel_powers``."""
+    compression = kernel.compression if m else None
+    if compression is None:
+        powers = _kernel_powers(kernel, m)
+        return (lambda a, b: powers @ b @ a), (lambda c: np.abs(np.tensordot(c, powers, axes=1)))
     left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
-    powers = np.empty((m + 1, kernel.size, kernel.size))
-    powers[0] = kernel.entries
-    for j in range(1, m + 1):
-        powers[j] = (left * compression.values ** (j + 1)) @ left.T
-    return powers
+    mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]   # row j - 1: mu^(j+1)
+
+    def forms(a, b):
+        return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
+
+    def magnitudes(c):
+        # the first steps of a recursion reach no power past K^(1)
+        if c[1:].any():
+            out = (left * (c[1:] @ mu)) @ left.T
+            out += c[0] * kernel.entries
+        else:
+            out = c[0] * kernel.entries
+        return np.abs(out, out=out)
+
+    return forms, magnitudes
 
 
 def _subtraction_coefficients(values: np.ndarray, m: int) -> np.ndarray:
@@ -139,11 +162,6 @@ def _subtraction_coefficients(values: np.ndarray, m: int) -> np.ndarray:
         coeffs[n + 1, 1:] = coeffs[n, :-1]
         coeffs[n + 1, 0] = -float(coeffs[n] @ values)
     return coeffs
-
-
-def _mollified_values(powers: np.ndarray, psi: Mollifier, eta: Mollifier) -> np.ndarray:
-    """phi_{e,d}[K^(j+1)] for every stacked power."""
-    return powers @ eta.acting_vector() @ psi.acting_vector()
 
 
 def mollified_recursion(
@@ -266,21 +284,20 @@ def convergence_study(
         raise GridTooCoarseError(
             f"width {smallest} captures fewer than two nodes around {cx}"
         )
-    compression = kernel.compression if m else None
-    if compression is None:
-        powers = _kernel_powers(kernel, m)
-    else:
-        powers = _compressed_powers(kernel, compression, m)
-    exact = _subtraction_coefficients(powers[:, ix, iy], m)
+    forms, magnitudes = _power_basis(kernel, m)
+    # the point values K^(j+1)(x0, y0) are the forms of two unit vectors
+    units = np.zeros((2, kernel.size))
+    units[0, ix] = units[1, iy] = 1.0
+    exact = _subtraction_coefficients(forms(*units), m)
     errors = []
     per_step = []
     for eps in widths:
         psi = Mollifier(cx, eps, kernel.space)
         eta = Mollifier(cy, eps, kernel.space)
-        gap = _subtraction_coefficients(_mollified_values(powers, psi, eta), m) - exact
+        mollified = forms(psi.acting_vector(), eta.acting_vector())
+        gap = _subtraction_coefficients(mollified, m) - exact
         step_errors = tuple(
-            kernel_space_norm(_signed_kernel(np.tensordot(c, powers, axes=1), kernel.space), p)
-            for c in gap
+            _column_norm(magnitudes(c), kernel.space.weights, p) for c in gap
         )
         per_step.append(step_errors)
         errors.append(max(step_errors))

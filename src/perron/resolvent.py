@@ -17,10 +17,14 @@ lam above the remainder's spectral radius; the root search involves no
 eigensolver.
 
 A shift lam used alone (the root search, the residue at the root) costs
-one LU factorization of lam*I - R.  When lam*I - R is well conditioned
-(condition number at most 1e4) that LU is in float32, at half the cost
-of float64, and every solve with it is refined to double precision
-against a float64 residual, as LAPACK dsgesv does (Langou et al. 2006;
+one LU factorization of lam*I - R.  The matrix of R, the remainder's
+kernel entries times the weights, is never formed: the factorization is
+cast straight from the entries, and norms and refinement residuals come
+from the kernel's mat-vec, so beside the remainder kernel a shift holds
+only its LU.  When lam*I - R is well conditioned (condition number at
+most 1e4) that LU is in float32, at half the cost of float64, and every
+solve with it is refined to double precision against a float64
+residual, as LAPACK dsgesv does (Langou et al. 2006;
 Carson & Higham 2018); any other shift is factored in float64.  A whole
 grid of shifts (the D-curve, the verify scan) shares one factorization
 instead.  For a symmetric kernel that is an eigendecomposition of
@@ -175,15 +179,17 @@ def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
 class BirmanSchwingerEvaluator:
     """Evaluates D(lam), its derivative, and resolvent applications.
 
-    ``t_op`` and ``r_op`` are the read-only matrices of T and R acting on
-    node-value vectors, formed once here.  A shift lam is solved,
-    (lam*I - R) x = v, through a cached LU factorization, in float32 with
-    refinement where lam*I - R is well conditioned.  ``curve`` evaluates
-    a whole grid of shifts through one eigendecomposition of a symmetric
-    kernel (low-rank where the kernel allows it), or one Schur form of
-    any other.  The evaluator is immutable apart from the internal
-    cache, which holds the last LU_CACHE_SHIFTS shifts with their factors
-    and their profile solves, and never changes results.
+    T = K W and R act on node-value vectors through the kernels' own
+    entries (``Kernel.matvec``); neither is formed as a weighted n x n
+    copy.  The only n x n array a shift adds is its factorization.  A
+    shift lam is solved, (lam*I - R) x = v, through a cached LU
+    factorization, in float32 with refinement where lam*I - R is well
+    conditioned.  ``curve`` evaluates a whole grid of shifts through
+    one eigendecomposition of a symmetric kernel (low-rank where the
+    kernel allows it), or one Schur form of any other.  The evaluator is
+    immutable apart from the internal cache, which holds the last
+    LU_CACHE_SHIFTS shifts with their factors and their profile solves,
+    and never changes results.
     """
 
     def __init__(self, split: RankOneSplit, radius_tol: float = 1e-10):
@@ -192,19 +198,17 @@ class BirmanSchwingerEvaluator:
         self.alpha = split.certificate.alpha
         self.profile = split.certificate.profile
         self.functional = split.certificate.functional
-        self.t_op = split.kernel.operator_matrix()
-        self.r_op = split.remainder.operator_matrix()
-        self.t_op.flags.writeable = self.r_op.flags.writeable = False
-        # T, R >= 0, so their row sums are those of |T| and |R|: they give the
-        # inf-norm of T and, less the diagonal of R, ||lam*I - R||_inf in O(n)
-        # per shift
-        self._rem_diag = np.diagonal(self.r_op)
-        self._rem_offdiag = self.r_op.sum(axis=1) - self._rem_diag
-        # the column sums give ||lam*I - R||_1 the same way, the norm of the
-        # transposed solve
-        self._rem_col_offdiag = self.r_op.sum(axis=0) - self._rem_diag
-        self.operator_norm = float(self.t_op.sum(axis=1).max())
-        power = spectral_radius_oracle(split.remainder, tol=radius_tol, operator=self.r_op)
+        rem, w = split.remainder.entries, self.space.weights
+        # T, R >= 0, so their row sums K w and R w are those of |T| and |R|:
+        # they give the inf-norm of T and, less the diagonal of R W,
+        # ||lam*I - R||_inf in O(n) per shift
+        self._rem_diag = np.diagonal(rem) * w
+        self._rem_offdiag = rem @ w - self._rem_diag
+        # the column sums w R^T 1 give ||lam*I - R||_1 the same way, the norm
+        # of the transposed solve
+        self._rem_col_offdiag = w * rem.sum(axis=0) - self._rem_diag
+        self.operator_norm = float((split.kernel.entries @ w).max())
+        power = spectral_radius_oracle(split.remainder, tol=radius_tol)
         # inflate: the precondition lam > rho(R) must survive estimate error
         self.remainder_radius = power.rho * (1.0 + 1e-8)
         self._lu_cache: dict[float, _Shift] = {}
@@ -258,10 +262,13 @@ class BirmanSchwingerEvaluator:
         norm = float(self._shifted_inf_norm(lam))
         single = dtype == np.float32
         scale = _pow2_scale(norm) if single else 1.0
-        # the one n x n array of this shift, cast from R in C order: its
-        # transpose is a Fortran-ordered view, which LAPACK factors in place
+        # the one n x n array of this shift, cast from the entries of R in C
+        # order: its transpose is a Fortran-ordered view, which LAPACK
+        # factors in place.  scale is a power of two, so R_ij (-scale w_j)
+        # rounds as -scale (R_ij w_j)
         shifted = np.empty((n, n), dtype)
-        np.multiply(self.r_op, -scale, out=shifted, casting="same_kind")
+        np.multiply(self.split.remainder.entries, -scale * self.space.weights,
+                    out=shifted, casting="same_kind")
         shifted.flat[:: n + 1] = (lam - self._rem_diag) * scale
         factors = lu_factor(shifted.T, overwrite_a=True, check_finite=False)
         gecon = get_lapack_funcs(("gecon",), (factors[0],))[0]
@@ -284,7 +291,8 @@ class BirmanSchwingerEvaluator:
         that rule, lam is factored again in float64."""
         lam = entry.lam
         if entry.factors[0].dtype == np.float32:
-            op = self.r_op.T if trans else self.r_op
+            rem = self.split.remainder
+            op = rem.rmatvec if trans else rem.matvec
             unit = 0.5 * np.finfo(float).eps
             bound = math.sqrt(b.size) * unit * float(self._shifted_inf_norm(lam, trans))
             x, r = np.zeros(b.size), b
@@ -294,7 +302,7 @@ class BirmanSchwingerEvaluator:
                 r32 = (r * r_scale).astype(np.float32)
                 y = lu_solve(entry.factors, r32, trans=1 - trans, check_finite=False)
                 x += y.astype(float) * (entry.scale / r_scale)
-                r = b - (lam * x - op @ x)
+                r = b - (lam * x - op(x))
                 if np.max(np.abs(r)) <= bound * np.max(np.abs(x)):
                     return x
             self._factor(entry, np.float64)
@@ -455,7 +463,7 @@ class BirmanSchwingerEvaluator:
         for all shifts at once and carries three right-hand sides: Q^T u
         (giving D), its own solution again (giving D'), and Q^T 1.
         """
-        s, q = schur(self.r_op, output="real")
+        s, q = schur(self.split.remainder.operator_matrix(), output="real", overwrite_a=True)
         n, m = self.space.size, lams.size
         rhs = np.stack([self.profile.values, np.ones(n)]) @ q   # rows Q^T u, Q^T 1
         # y[k] holds, per shift: (lam - S)^-1 Q^T u, (lam - S)^-1 Q^T 1, (lam - S)^-2 Q^T u

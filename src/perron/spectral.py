@@ -74,8 +74,9 @@ class SpectralResult:
     evaluator: BirmanSchwingerEvaluator
 
 
-def collatz_wielandt(t_op: np.ndarray, clear: float | None = None):
-    """Bracket lo <= rho(T) <= hi from power steps of T on the ones vector.
+def collatz_wielandt(kernel: Kernel, clear: float | None = None):
+    """Bracket lo <= rho(T) <= hi from power steps of the operator T of
+    ``kernel`` on the ones vector, each one ``kernel.matvec``.
 
     For nonnegative T and positive x, min_i (Tx)_i/x_i and max_i (Tx)_i/x_i
     enclose rho(T) (Collatz 1942, Wielandt 1950).  Every positive iterate
@@ -94,12 +95,12 @@ def collatz_wielandt(t_op: np.ndarray, clear: float | None = None):
     Returns None once an iterate has a zero entry, since the ratios are
     then undefined.
     """
-    n = t_op.shape[0]
+    n = kernel.size
     budget = max(8, min(n // 6, 128))
     x = np.ones(n)
     lo, hi = 0.0, np.inf
     for step in range(1, 10_001):
-        y = t_op @ x
+        y = kernel.matvec(x)
         if not np.all(y > 0):
             return None
         ratios = y / x
@@ -147,7 +148,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
             NotMinorizable("root finding requires a strictly positive functional")
         )
     rho = ev.remainder_radius
-    cw = collatz_wielandt(ev.t_op)
+    cw = collatz_wielandt(ev.split.kernel)
     if cw is not None and cw[1] * (1.0 + 4 * np.finfo(float).eps) < rho:
         # rho(T) <= hi < rho: D has no root above the radius estimate
         raise _no_sign_change(
@@ -296,12 +297,12 @@ def series_term_norms(
 
     The term recurrence is carried in scaled form, term -> (R term)/lam,
     so nothing underflows even when the unscaled factors would."""
-    rem = ev.r_op
+    rem = ev.split.remainder
     term = ev.profile.values / lambda0
     norms = np.empty(n_terms)
     for n in range(n_terms):
         norms[n] = float(np.max(np.abs(term)))
-        term = (rem @ term) / lambda0
+        term = rem.matvec(term) / lambda0
     return norms
 
 
@@ -322,13 +323,13 @@ def eigenfunction_series(
         raise SlowConvergenceError(
             f"series contraction ratio {ratio:.8f} is too close to one"
         )
-    rem = ev.r_op
+    rem = ev.split.remainder
     term = ev.profile.values / lambda0
     acc = term.copy()
     for n in range(1, max_terms + 1):
         # scaled recurrence: unscaled numerator and denominator both
         # underflow for long series when lambda0 < 1
-        term = (rem @ term) / lambda0
+        term = rem.matvec(term) / lambda0
         acc = acc + term
         # geometric tail, relative to the running sum: the normalization
         # at the end is a scalar, so relative accuracy is what survives
@@ -391,14 +392,14 @@ def solve(
         projection_raw.functional.density / left_scale, ev.space
     )
 
-    tw = ev.t_op @ w_fun.values
+    tw = kernel.matvec(w_fun.values)
     eig_residual = float(np.max(np.abs(tw - lambda0 * w_fun.values)) / w_fun.sup_norm())
     # P = a z^T, so P^2 - P = (z . a - 1) P and ||P||_inf = max|a| sum|z|
     a = projection_raw.range_vector.values
     proj_idem = abs(projection_raw.coupling() - 1.0) * float(np.abs(a).max() * np.abs(z).sum())
     lr = left_row.acting_vector()
     left_residual = float(
-        np.max(np.abs(ev.t_op.T @ lr - lambda0 * lr)) / max(np.max(np.abs(lr)), 1e-300)
+        np.max(np.abs(kernel.rmatvec(lr) - lambda0 * lr)) / max(np.max(np.abs(lr)), 1e-300)
     )
     diagnostics = SpectralDiagnostics(
         eig_residual=eig_residual,
@@ -450,7 +451,7 @@ def verify_dominance(result: SpectralResult) -> DominanceReport:
     :func:`perron.kernel_op.growth_radius`.
     """
     second = growth_radius(
-        result.evaluator.t_op,
+        result.evaluator.split.kernel,
         result.projection.range_vector.values,
         result.projection.functional.acting_vector(),
     )

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import perron as pr
+import perron.cli
 import perron.kernel_op
 import perron.mollified
 import perron.resolvent
@@ -170,15 +171,22 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "nokernel.json", {"space": {"kind": "counting", "n": 2}})
         result = runner.invoke(main, ["solve", "--config", cfg])
         assert result.exit_code == 1
-        # bad values of the certificate and solver blocks, per command that reads them
+        # bad values of the certificate, solver and outputs blocks, per command
+        # that reads them; a block that is not an object is a bad value too
         base = json.loads(Path(constant_config).read_text())
+        every = ("solve", "verify", "dcurve")
         cases = [
-            ("certificate", {"strategy": "bogus"}, ("solve", "verify", "dcurve")),
-            ("certificate", {"strategy": "user"}, ("solve", "verify", "dcurve")),
-            ("solver", {"tol": "abc"}, ("solve", "verify")),
-            ("solver", {"tol": 1e-14}, ("solve", "verify")),
-            ("solver", {"mode": "bogus"}, ("solve", "verify")),
-            ("solver", {"mode": "neumann"}, ("solve", "verify")),
+            ("certificate", {"strategy": "bogus"}, every),
+            ("certificate", {"strategy": "user"}, every),
+            ("certificate", "row_min", every),
+            ("solver", {"tol": "abc"}, every),
+            ("solver", {"tol": 1e-14}, every),
+            ("solver", {"mode": "bogus"}, every),
+            ("solver", {"mode": "neumann"}, every),
+            ("solver", 5, every),
+            ("outputs", ["report.json"], ("solve", "dcurve")),
+            ("seed", "abc", ("verify",)),
+            ("seed", [1], ("verify",)),
         ]
         for i, (block, value, commands) in enumerate(cases):
             path = write_config(tmp_path / f"case{i}.json", {**base, block: value})
@@ -189,8 +197,12 @@ class TestSolveCommand:
                 assert result.exit_code == 1, (block, value, command, result.output)
                 assert "config error" in result.output
                 assert isinstance(result.exception, SystemExit)
-                if value.get("mode") == "neumann":
+                if isinstance(value, dict) and value.get("mode") == "neumann":
                     assert "removed" in result.output
+        path = write_config(tmp_path / "list.json", [base])
+        for command in every:
+            result = runner.invoke(main, [command, "--config", path])
+            assert result.exit_code == 1 and "config error" in result.output
 
     def test_csv_dimension_mismatch_exit_one(self, runner, tmp_path):
         (tmp_path / "m.csv").write_text("1,2\n3,4\n")
@@ -603,6 +615,55 @@ SHIPPED = [
      [("FAIL", "doeblin_minorization_n1"), ("PASS", "power_doeblin_certificate")]),
     ("two_state_chain", "power-doeblin", 0, CHAIN_REPORT),
 ]
+
+
+class TestPowerDoeblinConfig:
+    """``perron power-doeblin`` reads the certificate strategy and the
+    solver block like the other commands."""
+
+    @staticmethod
+    def chain_config(tmp_path, **blocks):
+        cfg = json.loads((CONFIGS / "two_state_chain.json").read_text())
+        cfg["kernel"]["path"] = str(CONFIGS / "two_state_chain.csv")
+        return write_config(tmp_path / "chain.json", {**cfg, **blocks})
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            {"certificate": {"strategy": "bogus"}},
+            {"certificate": {"strategy": "user"}},
+            {"certificate": {"path": "cert.json"}},
+            {"certificate": "row_min"},
+            {"solver": {"tol": "abc"}},
+            {"solver": {"tol": 1e-14}},
+            {"solver": {"mode": "neumann"}},
+            {"solver": 5},
+            {"outputs": "power_doeblin.txt"},
+        ],
+    )
+    def test_bad_blocks_exit_one(self, runner, tmp_path, blocks):
+        path = self.chain_config(tmp_path, **blocks)
+        result = runner.invoke(main, ["power-doeblin", "--config", path, "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "config error" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_strategy_and_tol_reach_the_analysis(self, runner, tmp_path, monkeypatch):
+        seen = []
+        real = perron.cli.power_doeblin_analyze
+
+        def recording(kernel, **kwargs):
+            seen.append(kwargs)
+            return real(kernel, **kwargs)
+
+        monkeypatch.setattr(perron.cli, "power_doeblin_analyze", recording)
+        path = self.chain_config(
+            tmp_path, certificate={"strategy": "column_profile"}, solver={"tol": 1e-10}
+        )
+        result = runner.invoke(main, ["power-doeblin", "--config", path, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert seen == [{"n_max": 8, "strategy": "column_profile", "tol": 1e-10}]
+        assert result.output.splitlines()[:2] == CHAIN_REPORT[:2]
 
 
 @pytest.mark.parametrize(

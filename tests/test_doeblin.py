@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perron as pr
+import perron.doeblin
 from perron.errors import InvalidCertificateError
 from conftest import random_positive_kernel
 
@@ -295,3 +296,85 @@ class TestFusedForms:
         assert str(info.value) == f"certificate fails with worst slack {worst:.3e}"
         report = pr.verify_certificate(k, bad)
         assert report.worst_slack == worst and not report.holds
+
+
+def outer_certificate(kernel, strategy):
+    """Profile and density of the built-in shapes from whole n x n arrays."""
+    entries, w = kernel.entries, kernel.space.weights
+    if strategy == "row_min":
+        return entries.min(axis=1), np.full(kernel.size, 1.0 / kernel.space.total_mass())
+    row_sums = (entries * w[np.newaxis, :]).sum(axis=1)
+    prof = row_sums / row_sums.max()
+    dens = (entries / prof[:, np.newaxis]).min(axis=0)
+    return prof, dens / float(np.dot(dens, w))
+
+
+def outer_alpha(entries, profile, density):
+    """The maximal alpha from one n x n shape, divided where it is positive."""
+    ratio = np.outer(profile, density)
+    mask = ratio > 0
+    if not mask.any():
+        return 0.0
+    np.divide(entries, ratio, out=ratio, where=mask)
+    return float(np.min(ratio, where=mask, initial=np.inf))
+
+
+def outer_remainder(kernel, cert):
+    """The clamped remainder and the worst slack from one n x n gap."""
+    gap = np.outer(cert.profile.values, cert.functional.density)
+    gap *= cert.alpha
+    np.subtract(kernel.entries, gap, out=gap)
+    return np.maximum(gap, 0.0), float(gap.min())
+
+
+class TestRowBlocks:
+    """The row-blocked certificate and split against whole-array references."""
+
+    N = 301  # no block size divides it
+
+    def kernels(self):
+        rng = np.random.default_rng(72)
+        yield pr.gaussian_kernel(pr.make_interval_space(0, 1, self.N, "gauss_legendre"), 0.3)
+        yield pr.Kernel(np.exp(2.0 * rng.standard_normal((self.N, self.N))),
+                        pr.make_counting_space(self.N))
+
+    @pytest.mark.parametrize("block_entries", [None, 1000, 4000])
+    @pytest.mark.parametrize("strategy", ["row_min", "column_profile"])
+    def test_builtin_shapes_match_bit_for_bit(self, strategy, block_entries, monkeypatch):
+        if block_entries is not None:
+            monkeypatch.setattr(perron.doeblin, "BLOCK_ENTRIES", block_entries)
+        blocks = perron.doeblin._row_blocks(self.N)
+        assert len(blocks) > 1 and self.N % (blocks[0].stop - blocks[0].start) != 0
+        for k in self.kernels():
+            cert = pr.extract_minorization(k, strategy)
+            prof, dens = outer_certificate(k, strategy)
+            assert cert.profile.values.tobytes() == prof.tobytes()
+            assert cert.functional.density.tobytes() == dens.tobytes()
+            assert cert.alpha == outer_alpha(k.entries, prof, dens)
+            remainder, worst = outer_remainder(k, cert)
+            assert pr.rank_one_split(k, cert).remainder.entries.tobytes() == remainder.tobytes()
+            assert pr.verify_certificate(k, cert).worst_slack == worst
+
+    @pytest.mark.parametrize("block_entries", [None, 1000])
+    def test_user_shapes_with_zeros_match_bit_for_bit(self, block_entries, monkeypatch):
+        if block_entries is not None:
+            monkeypatch.setattr(perron.doeblin, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(73)
+        n = self.N
+        tiny = np.full(n, 1e-200)  # positive factors whose products underflow to zero
+        tiny[:7] = 1.0
+        zeros_p, zeros_d = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+        zeros_p[::4] = 0.0
+        zeros_d[1::9] = 0.0
+        for k in self.kernels():
+            for prof, dens in ((zeros_p, zeros_d), (tiny, tiny)):
+                cert = pr.extract_minorization(k, "user", profile=prof, density=dens)
+                assert cert.alpha == outer_alpha(k.entries, prof, dens)
+                remainder, worst = outer_remainder(k, cert)
+                report = pr.verify_certificate(k, cert)
+                assert report.worst_slack == worst
+                if report.holds:
+                    split = pr.rank_one_split(k, cert)
+                    assert split.remainder.entries.tobytes() == remainder.tobytes()
+        nowhere = pr.extract_minorization(k, "user", profile=np.zeros(n), density=dens)
+        assert isinstance(nowhere, pr.NotMinorizable)

@@ -177,6 +177,20 @@ class TestRootSearch:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n * n
 
+    def test_solve_holds_the_remainder_and_one_float32_factorization(self):
+        # R (n^2 doubles) and the float32 LU (n^2 / 2): no weighted copy of
+        # K or R, no n x n temporary of the certificate or the split
+        n = 600
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        pr.solve(k)
+        tracemalloc.start()
+        try:
+            pr.solve(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 8 * n * n
+
     def test_gaussian_needs_few_factorizations(self, lu_calls):
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         pr.solve(pr.gaussian_kernel(sp, 0.35))
@@ -232,19 +246,19 @@ class TestRootSearch:
         rng = np.random.default_rng(0)
         k = pr.Kernel(np.exp(4.0 * rng.standard_normal((30, 30))), pr.make_counting_space(30))
         res = pr.solve(k)
-        lo, _ = perron.spectral.collatz_wielandt(k.operator_matrix())
+        lo, _ = perron.spectral.collatz_wielandt(k)
         assert lo <= res.evaluator.remainder_radius
         oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
         assert abs(res.lambda0 - oracle) <= 1e-8 * res.lambda0
 
     def test_bracket_steps_past_its_budget_only_while_clear_is_inside(self):
-        t_op = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.1).operator_matrix()
-        lo, hi = perron.spectral.collatz_wielandt(t_op)
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.1)
+        lo, hi = perron.spectral.collatz_wielandt(k)
         assert hi - lo > 1e-6 * hi  # the budget ends the default run early
-        assert perron.spectral.collatz_wielandt(t_op, clear=0.5 * lo) == (lo, hi)
-        assert perron.spectral.collatz_wielandt(t_op, clear=2.0 * hi) == (lo, hi)
+        assert perron.spectral.collatz_wielandt(k, clear=0.5 * lo) == (lo, hi)
+        assert perron.spectral.collatz_wielandt(k, clear=2.0 * hi) == (lo, hi)
         for clear in (lo + 0.01 * (hi - lo), 0.5 * (lo + hi)):
-            lo2, hi2 = perron.spectral.collatz_wielandt(t_op, clear=clear)
+            lo2, hi2 = perron.spectral.collatz_wielandt(k, clear=clear)
             assert lo <= lo2 <= hi2 <= hi
             assert not lo2 <= clear < hi2
 
@@ -521,7 +535,7 @@ def _rank_one(n, family):
 
 def _deflated_dense(res):
     return perron.kernel_op._deflate(
-        res.evaluator.t_op,
+        res.evaluator.split.kernel.operator_matrix(),
         res.projection.range_vector.values,
         res.projection.functional.acting_vector(),
     )
