@@ -20,20 +20,13 @@ from .change_of_measure import (
     transport_function,
 )
 from .corrected_kernels import (
-    BellExpansionReport,
     CorrectedKernelSequence,
-    bell_polynomial,
-    bell_polynomial_bruteforce,
     build_corrected_kernels,
-    corrected_kernel_bell_form,
-    corrected_kernel_bruteforce,
     moment_scalars,
     neumann_kernel_resolvent,
     neumann_tail_bound,
     probe_resolvent_identity,
     rank_one_norm,
-    variant_expansion,
-    verify_bell_expansion,
     verify_resolvent_identity,
 )
 from .doeblin import (

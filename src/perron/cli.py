@@ -3,18 +3,21 @@
 Each command reads a JSON config describing the kernel, the space, the
 certificate strategy, solver tolerances, and output paths.  Outputs are
 flat files: a JSON run report and RFC-4180-style CSVs with full float
-precision (17 significant digits).  Exit codes: 0 all residuals within
-thresholds, 1 config errors, 2 kernel not minorizable (or no power
-certificate found), 3 numerical failure.
+precision (17 significant digits).  Exit codes, one contract for every
+command: 0 all residuals within thresholds, 1 config errors (a bad
+config or option value), 2 kernel not minorizable (or no power
+certificate found), 3 numerical failure (any other ``PerronError``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -50,6 +53,7 @@ from .kernel_op import (
 from .matrix_pf import NotFoundWithin, power_doeblin_analyze
 from .measure import GridFunction, make_counting_space, make_interval_space
 from .mollified import convergence_study
+from .resolvent import BirmanSchwingerEvaluator
 from .spectral import (
     MIN_TOL,
     collatz_wielandt,
@@ -232,9 +236,45 @@ def _prepare(config_path: str):
     return cfg, config_dir, kernel
 
 
-def _echo_fail(code: int, message: str):
+def _echo_fail(code: int, message: str) -> NoReturn:
     click.echo(message, err=True)
     sys.exit(code)
+
+
+def _contract(command):
+    """``command`` under the exit-code contract of the module docstring:
+    a ConfigError exits 1, a NotMinorizableError 2 and any other
+    PerronError 3, each with its message on stderr."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except ConfigError as exc:
+            _echo_fail(EXIT_CONFIG, f"config error: {exc}")
+        except NotMinorizableError as exc:
+            _echo_fail(EXIT_NOT_MINORIZABLE, str(exc))
+        except PerronError as exc:
+            _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
+
+    return run
+
+
+def _residuals(kernel: Kernel, result) -> tuple[dict, float]:
+    """The named residuals of a solve of ``kernel``, the relative distance
+    of lambda0 from the power-iteration oracle among them, and the
+    oracle's rho."""
+    oracle = spectral_radius_oracle(kernel, tol=1e-12)
+    diagnostics = result.diagnostics
+    residuals = {
+        "eig_residual": diagnostics.eig_residual,
+        "proj_idempotency": diagnostics.proj_idempotency,
+        "left_residual": diagnostics.left_residual,
+        "rank_one_defect": diagnostics.rank_one_defect,
+        "bs_at_lambda0": abs(diagnostics.bs_at_lambda0),
+        "oracle_delta_rel": abs(result.lambda0 - oracle.rho) / result.lambda0,
+    }
+    return residuals, oracle.rho
 
 
 @click.group()
@@ -247,119 +287,96 @@ def main():
 @main.command(name="solve")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=False))
 @click.option("--out", "out_flag", default=None, help="Output directory (default: $PERRON_OUT or cwd).")
+@_contract
 def solve_cmd(config_path, out_flag):
     """Solve for the dominant eigenvalue, eigenfunction, and projection."""
-    _solve_impl(config_path, out_flag)
-
-
-def _solve_impl(config_path, out_flag):
     t_start = time.perf_counter()
-    try:
-        cfg, config_dir, kernel = _prepare(config_path)
-        cert = _resolve_certificate(cfg, kernel, config_dir)
-        tol = _solver_tol(cfg)
-        outputs = _block(cfg, "outputs")
-    except ConfigError as exc:
-        _echo_fail(EXIT_CONFIG, f"config error: {exc}")
-        return
+    cfg, config_dir, kernel = _prepare(config_path)
+    cert = _resolve_certificate(cfg, kernel, config_dir)
+    tol = _solver_tol(cfg)
+    outputs = _block(cfg, "outputs")
     if isinstance(cert, NotMinorizable):
         _echo_fail(
             EXIT_NOT_MINORIZABLE,
             f"{cert}\nhint: run 'perron power-doeblin --config {config_path}' "
             "to look for a usable power",
         )
-        return
     out = _out_dir(out_flag)
-    try:
-        result = solve(kernel, certificate=cert, tol=tol)
-        t_solve = time.perf_counter()
-        oracle = spectral_radius_oracle(kernel, tol=1e-12)
-        dominance = verify_dominance(result)
-        residuals = {
-            "eig_residual": result.diagnostics.eig_residual,
-            "proj_idempotency": result.diagnostics.proj_idempotency,
-            "left_residual": result.diagnostics.left_residual,
-            "rank_one_defect": result.diagnostics.rank_one_defect,
-            "bs_at_lambda0": abs(result.diagnostics.bs_at_lambda0),
-            "oracle_delta_rel": abs(result.lambda0 - oracle.rho) / result.lambda0,
-        }
-        # the series route is only meaningful when its geometric ratio is
-        # workable; otherwise the residual is omitted, never faked
-        ratio = result.evaluator.remainder_radius / result.lambda0
-        if ratio < 0.999:
-            series = eigenfunction_series(result.evaluator, result.lambda0, tol=1e-12)
-            residuals["series_vs_residue"] = float(
-                np.max(np.abs(series.values - result.eigenfunction.values))
-                / max(1.0, result.eigenfunction.sup_norm())
-            )
-        failed = {
-            name: value
-            for name, value in residuals.items()
-            if name in THRESHOLDS and value > THRESHOLDS[name]
-        }
-        # the curve comes before the report, which names its route
-        curve = None
-        if "dcurve" in outputs:
-            curve = _dcurve(result.evaluator, None, None, 200, result.lambda0)
-        report = {
-            "config": cfg,
-            "certificate": {
-                "alpha": result.certificate.alpha,
-                "power": result.certificate.power,
-                "strict": result.certificate.strict,
-            },
-            "curve": None if curve is None else result.evaluator.curve_route(),
-            "lambda0": result.lambda0,
-            "oracle_rho": oracle.rho,
-            "remainder_radius": result.evaluator.remainder_radius,
-            "spectral_gap": {
-                "second_radius": dominance.second_radius,
-                "ratio": dominance.gap_ratio,
-                "strictly_dominant": dominance.strictly_dominant,
-                "residual": dominance.residual,
-                "route": dominance.route,
-            },
-            "residuals": residuals,
-            "thresholds": {k: THRESHOLDS[k] for k in residuals if k in THRESHOLDS},
-            "passed": not failed,
-            "timings_s": {
-                "solve": t_solve - t_start,
-                "total": time.perf_counter() - t_start,
-            },
-        }
-        report_path = out / outputs.get("report", "report.json")
-        _write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        eig_path = out / outputs.get("eigenfunction", "eigenfunction.csv")
-        _write_csv(
-            eig_path,
-            ["index", "node", "weight", "eigenfunction", "left_density"],
-            [
-                (
-                    i,
-                    float(kernel.space.nodes[i]),
-                    float(kernel.space.weights[i]),
-                    float(result.eigenfunction.values[i]),
-                    float(result.left_row.density[i]),
-                )
-                for i in range(kernel.size)
-            ],
+    result = solve(kernel, certificate=cert, tol=tol)
+    t_solve = time.perf_counter()
+    residuals, oracle_rho = _residuals(kernel, result)
+    dominance = verify_dominance(result)
+    # the series route is only meaningful when its geometric ratio is
+    # workable; otherwise the residual is omitted, never faked
+    ratio = result.evaluator.remainder_radius / result.lambda0
+    if ratio < 0.999:
+        series = eigenfunction_series(result.evaluator, result.lambda0, tol=1e-12)
+        residuals["series_vs_residue"] = float(
+            np.max(np.abs(series.values - result.eigenfunction.values))
+            / max(1.0, result.eigenfunction.sup_norm())
         )
-        if curve is not None:
-            _write_dcurve(out / outputs["dcurve"], *curve)
+    # written as `not <=` so that a NaN residual fails
+    failed = {name: value for name, value in residuals.items()
+              if name in THRESHOLDS and not value <= THRESHOLDS[name]}
+    # the curve comes before the report, which names its route
+    curve = None
+    if "dcurve" in outputs:
+        curve = _dcurve(result.evaluator, None, None, 200, result.lambda0)
+    report = {
+        "config": cfg,
+        "certificate": {
+            "alpha": result.certificate.alpha,
+            "power": result.certificate.power,
+            "strict": result.certificate.strict,
+        },
+        "curve": None if curve is None else result.evaluator.curve_route(),
+        "lambda0": result.lambda0,
+        "oracle_rho": oracle_rho,
+        "remainder_radius": result.evaluator.remainder_radius,
+        "spectral_gap": {
+            "second_radius": dominance.second_radius,
+            "ratio": dominance.gap_ratio,
+            "strictly_dominant": dominance.strictly_dominant,
+            "residual": dominance.residual,
+            "route": dominance.route,
+        },
+        "residuals": residuals,
+        "thresholds": {k: THRESHOLDS[k] for k in residuals if k in THRESHOLDS},
+        "passed": not failed,
+        "timings_s": {
+            "solve": t_solve - t_start,
+            "total": time.perf_counter() - t_start,
+        },
+    }
+    report_path = out / outputs.get("report", "report.json")
+    _write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    eig_path = out / outputs.get("eigenfunction", "eigenfunction.csv")
+    _write_csv(
+        eig_path,
+        ["index", "node", "weight", "eigenfunction", "left_density"],
+        [
+            (
+                i,
+                float(kernel.space.nodes[i]),
+                float(kernel.space.weights[i]),
+                float(result.eigenfunction.values[i]),
+                float(result.left_row.density[i]),
+            )
+            for i in range(kernel.size)
+        ],
+    )
+    if curve is not None:
+        _write_dcurve(out / outputs["dcurve"], *curve)
+    click.echo(
+        f"lambda0 = {result.lambda0:.12g}  (oracle delta "
+        f"{residuals['oracle_delta_rel']:.3e}, gap ratio {dominance.gap_ratio:.6g})"
+    )
+    for name, value in sorted(failed.items()):
         click.echo(
-            f"lambda0 = {result.lambda0:.12g}  (oracle delta "
-            f"{residuals['oracle_delta_rel']:.3e}, gap ratio {dominance.gap_ratio:.6g})"
+            f"residual over threshold: {name} = {value:.3e} > {THRESHOLDS[name]:.1e}",
+            err=True,
         )
-        for name, value in sorted(failed.items()):
-            click.echo(
-                f"residual over threshold: {name} = {value:.3e} > {THRESHOLDS[name]:.1e}",
-                err=True,
-            )
-        sys.exit(EXIT_OK if not failed else EXIT_NUMERICAL)
-    except NotMinorizableError as exc:
-        _echo_fail(EXIT_NOT_MINORIZABLE, str(exc))
-    except PerronError as exc:
-        _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
+    sys.exit(EXIT_OK if not failed else EXIT_NUMERICAL)
 
 
 def _dcurve(evaluator, lam_min, lam_max, points, below=None):
@@ -367,14 +384,21 @@ def _dcurve(evaluator, lam_min, lam_max, points, below=None):
     just above the remainder radius; ``below``, a point known not to exceed
     lambda0, caps it at the midpoint between the radius and that point, so
     the grid starts below the root even where the radius lies within 0.2 %
-    of it."""
+    of it.  A grid must rise from a positive start over two points or more."""
+    if points < 2:
+        raise ConfigError(f"--points must be at least 2, got {points}")
     rho = evaluator.remainder_radius
     if lam_min is None:
         lam_min = rho * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12)
         if below is not None and below > rho:
             lam_min = min(lam_min, 0.5 * (rho + below))
+    elif not lam_min > 0:
+        raise ConfigError(f"--lambda-min must be positive, got {lam_min:.12g}")
     if lam_max is None:
         lam_max = 2.0 * max(evaluator.operator_norm, lam_min * 1.5)
+    elif not lam_min < lam_max:
+        raise ConfigError(f"--lambda-min must be below --lambda-max, "
+                          f"got {lam_min:.12g} >= {lam_max:.12g}")
     grid = np.geomspace(lam_min, lam_max, points)
     return (grid, *evaluator.curve(grid))
 
@@ -399,74 +423,56 @@ def _write_dcurve(path: Path, grid, values, slopes):
 @click.option("--lambda-max", type=float, default=None)
 @click.option("--points", type=int, default=200)
 @click.option("--out", "out_flag", default=None)
+@_contract
 def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
     """Sample the scalar function D and its derivative on a lambda grid."""
-    try:
-        cfg, config_dir, kernel = _prepare(config_path)
-        cert = _resolve_certificate(cfg, kernel, config_dir)
-        _solver_tol(cfg)  # validated as in solve; the curve itself has no tolerance
-        name = _block(cfg, "outputs").get("dcurve", "dcurve.csv")
-    except ConfigError as exc:
-        _echo_fail(EXIT_CONFIG, f"config error: {exc}")
-        return
+    cfg, config_dir, kernel = _prepare(config_path)
+    cert = _resolve_certificate(cfg, kernel, config_dir)
+    _solver_tol(cfg)  # validated as in solve; the curve itself has no tolerance
+    name = _block(cfg, "outputs").get("dcurve", "dcurve.csv")
     if isinstance(cert, NotMinorizable):
         _echo_fail(EXIT_NOT_MINORIZABLE, str(cert))
-        return
-    out = _out_dir(out_flag)
-    path = out / name
-    try:
-        from .resolvent import BirmanSchwingerEvaluator
-
-        split = rank_one_split(kernel, cert)
-        evaluator = BirmanSchwingerEvaluator(split)
-        # the Collatz-Wielandt lower end of T lies at or below lambda0; it
-        # caps the start once it clears the remainder radius
-        cw = collatz_wielandt(kernel, clear=evaluator.remainder_radius)
-        grid, values, slopes = _dcurve(
-            evaluator, lambda_min, lambda_max, points, None if cw is None else cw[0]
-        )
-        bracket = _write_dcurve(path, grid, values, slopes)
-        monotone = bool(np.all(np.diff(values) > 0))
-        click.echo(f"wrote {path} ({points} points, monotone={monotone})")
-        if bracket:
-            click.echo(f"sign change bracketed in [{bracket[0]:.12g}, {bracket[1]:.12g}]")
-        else:
-            click.echo("no sign change in the sampled range", err=True)
-        sys.exit(EXIT_OK)
-    except PerronError as exc:
-        _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
+    path = _out_dir(out_flag) / name
+    evaluator = BirmanSchwingerEvaluator(rank_one_split(kernel, cert))
+    # the Collatz-Wielandt lower end of T lies at or below lambda0; it
+    # caps the start once it clears the remainder radius
+    cw = collatz_wielandt(kernel, clear=evaluator.remainder_radius)
+    grid, values, slopes = _dcurve(
+        evaluator, lambda_min, lambda_max, points, None if cw is None else cw[0]
+    )
+    bracket = _write_dcurve(path, grid, values, slopes)
+    monotone = bool(np.all(np.diff(values) > 0))
+    click.echo(f"wrote {path} ({points} points, monotone={monotone})")
+    if bracket:
+        click.echo(f"sign change bracketed in [{bracket[0]:.12g}, {bracket[1]:.12g}]")
+    else:
+        click.echo("no sign change in the sampled range", err=True)
+    sys.exit(EXIT_OK)
 
 
 @main.command(name="power-doeblin")
 @click.option("--config", "config_path", required=True)
 @click.option("--n-max", type=int, default=8)
 @click.option("--out", "out_flag", default=None)
+@_contract
 def power_doeblin(config_path, n_max, out_flag):
     """Search for the smallest power with a strict certificate and
     classify the peripheral spectrum."""
-    try:
-        cfg, _, kernel = _prepare(config_path)
-        cert_cfg = _block(cfg, "certificate")
-        if "path" in cert_cfg:
-            raise ConfigError("power-doeblin searches the powers for its own certificate; "
-                              "a certificate 'path' does not apply")
-        strategy = _strategy(cert_cfg)
-        tol = _solver_tol(cfg)
-        name = _block(cfg, "outputs").get("report", "power_doeblin.txt")
-    except ConfigError as exc:
-        _echo_fail(EXIT_CONFIG, f"config error: {exc}")
-        return
+    cfg, _, kernel = _prepare(config_path)
+    cert_cfg = _block(cfg, "certificate")
+    if "path" in cert_cfg:
+        raise ConfigError("power-doeblin searches the powers for its own certificate; "
+                          "a certificate 'path' does not apply")
+    strategy = _strategy(cert_cfg)
+    tol = _solver_tol(cfg)
+    name = _block(cfg, "outputs").get("report", "power_doeblin.txt")
+    if n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {n_max}")
     if kernel.space.kind != "counting":
         _echo_fail(EXIT_CONFIG, "power-doeblin analysis expects a counting-space matrix")
-        return
-    try:
-        report = power_doeblin_analyze(kernel, n_max=n_max, strategy=strategy, tol=tol)
-    except PerronError as exc:
-        _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
-        return
+    report = power_doeblin_analyze(kernel, n_max=n_max, strategy=strategy, tol=tol)
     if isinstance(report, NotFoundWithin):
         _echo_fail(EXIT_NOT_MINORIZABLE, str(report))
-        return
     lines = [
         f"power-Doeblin certificate found at N = {report.power}",
         f"spectral radius rho = {report.rho:.12g}",
@@ -488,155 +494,143 @@ def power_doeblin(config_path, n_max, out_flag):
 @main.command()
 @click.option("--config", "config_path", required=True)
 @click.option("--out", "out_flag", default=None)
+@_contract
 def verify(config_path, out_flag):
     """Run the invariant battery applicable to the configured kernel."""
+    cfg, config_dir, kernel = _prepare(config_path)
+    cert = _resolve_certificate(cfg, kernel, config_dir)
+    tol = _solver_tol(cfg)
     try:
-        cfg, config_dir, kernel = _prepare(config_path)
-        cert = _resolve_certificate(cfg, kernel, config_dir)
-        tol = _solver_tol(cfg)
-        try:
-            seed = int(cfg.get("seed", DEFAULT_SEED))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad seed: {exc}") from exc
-    except ConfigError as exc:
-        _echo_fail(EXIT_CONFIG, f"config error: {exc}")
-        return
+        seed = int(cfg.get("seed", DEFAULT_SEED))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad seed: {exc}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     checks = []
 
     def record(name, passed, detail):
         checks.append((name, bool(passed), detail))
         click.echo(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
 
-    try:
-        if isinstance(cert, NotMinorizable):
-            record("doeblin_minorization_n1", False, f"{cert} (expected for kernels with zeros)")
-            if kernel.space.kind != "counting":
-                _echo_fail(EXIT_NOT_MINORIZABLE, "no certificate and no power search for interval kernels")
-                return
-            report = power_doeblin_analyze(kernel, tol=tol)
-            if isinstance(report, NotFoundWithin):
-                _echo_fail(EXIT_NOT_MINORIZABLE, str(report))
-                return
-            record(
-                "power_doeblin_certificate",
-                True,
-                f"N = {report.power}, rho = {report.rho:.12g}, "
-                f"peripheral = {[f'{c:.6g}' for c in report.peripheral_candidates]}",
-            )
-            ok = all(p for name, p, _ in checks if name != "doeblin_minorization_n1")
-            sys.exit(EXIT_OK if ok else EXIT_NUMERICAL)
-            return
-        cert_report = verify_certificate(kernel, cert)
+    if isinstance(cert, NotMinorizable):
+        record("doeblin_minorization_n1", False, f"{cert} (expected for kernels with zeros)")
+        if kernel.space.kind != "counting":
+            _echo_fail(EXIT_NOT_MINORIZABLE, "no certificate and no power search for interval kernels")
+        report = power_doeblin_analyze(kernel, tol=tol)
+        if isinstance(report, NotFoundWithin):
+            _echo_fail(EXIT_NOT_MINORIZABLE, str(report))
         record(
-            "certificate_holds",
-            cert_report.holds,
-            f"worst slack {cert_report.worst_slack:.3e}, strict phi {cert_report.strict_phi}",
+            "power_doeblin_certificate",
+            True,
+            f"N = {report.power}, rho = {report.rho:.12g}, "
+            f"peripheral = {[f'{c:.6g}' for c in report.peripheral_candidates]}",
         )
-        split = rank_one_split(kernel, cert)
-        recon = (
-            cert.lower_bound_matrix() + split.remainder.entries - kernel.entries
-        )
-        record(
-            "split_reconstruction",
-            np.abs(recon).max() <= 1e-12 * max(1.0, kernel.entries.max()),
-            f"max defect {np.abs(recon).max():.3e}",
-        )
-        record(
-            "positivity_improving",
-            positivity_improving_check(kernel, cert, seed=seed),
-            "random nonnegative battery maps to strictly positive images",
-        )
-        result = solve(kernel, certificate=cert, tol=tol)
-        lam = result.lambda0
-        record("eig_residual", result.diagnostics.eig_residual <= 1e-8,
-               f"{result.diagnostics.eig_residual:.3e}")
-        record("proj_idempotency", result.diagnostics.proj_idempotency <= 1e-8,
-               f"{result.diagnostics.proj_idempotency:.3e}")
-        record("left_residual", result.diagnostics.left_residual <= 1e-8,
-               f"{result.diagnostics.left_residual:.3e}")
-        oracle = spectral_radius_oracle(kernel, tol=1e-12)
-        delta = abs(lam - oracle.rho) / lam
-        record("oracle_agreement", delta <= 1e-7, f"relative delta {delta:.3e}")
-
-        ev = result.evaluator
-        # the scan starts below lambda0 even where rho(R) is within 1e-4 of it
-        start = min(ev.remainder_radius * 1.0001, 0.5 * (ev.remainder_radius + lam))
-        grid = np.geomspace(max(start, lam * 1e-3), 10 * ev.operator_norm, 64)
-        grid = grid[grid > ev.remainder_radius]
-        # the scan, the finite-difference probes and lambda0 are one grid, so
-        # one factorization serves all of them
-        probes = np.array([lam * 1.5, lam * 3.0])
-        h = 1e-5 * probes
-        m = grid.size
-        dvals, slopes = ev.curve(np.concatenate([grid, probes - h, probes + h, probes, [lam]]))
-        record("bs_monotone", bool(np.all(np.diff(dvals[:m]) > 0)), "64-point geometric scan")
-        sign_changes = int(np.sum(np.diff(np.sign(dvals[:m])) != 0))
-        record("bs_single_root", sign_changes == 1, f"{sign_changes} sign change(s)")
-        # each bound is the larger of a fixed one and the rounding floor of
-        # its comparison: where D' is small against D, rounding in the two
-        # D values of a central difference alone exceeds 1e-6 relative
-        eps = np.finfo(float).eps
-        fds = (dvals[m + 2 : m + 4] - dvals[m : m + 2]) / (2 * h)
-        for probe, step, fd, d, an in zip(probes, h, fds, dvals[m + 4 : m + 6],
-                                          slopes[m + 4 : m + 6]):
-            rel = abs(fd - an) / abs(an)
-            bound = max(1e-6, eps * abs(d) / (step * abs(an)))
-            record(f"bs_derivative_at_{probe:.6g}", rel <= bound, f"fd mismatch {rel:.3e}")
-        # the curve against the LU path that found the root and scaled
-        # the residue; the solve left lambda0 factorized, so this costs no
-        # LU.  A solve at condition number kappa carries a relative error of
-        # about kappa * eps: D takes one solve, D' two.
-        d_lu, dp_lu = ev.value(lam), ev.derivative(lam)
-        kappa_eps = ev.condition(lam) * eps
-        d_gap = abs(dvals[-1] - d_lu)
-        dp_gap = abs(slopes[-1] - dp_lu) / abs(dp_lu)
-        record(
-            "bs_curve_matches_lu",
-            d_gap <= max(1e-9, kappa_eps * abs(1.0 - d_lu))
-            and dp_gap <= max(1e-9, 2.0 * kappa_eps),
-            f"at lambda0: D gap {d_gap:.3e}, D' relative gap {dp_gap:.3e}",
-        )
-
-        lam_test = 2.0 * ev.operator_norm
-        probes = np.random.default_rng(seed).uniform(0.0, 1.0, (kernel.size, PROBES)) - 0.5
-        ident = probe_resolvent_identity(split, lam_test, probes)
-        record(
-            "kernel_resolvent_identity",
-            ident.relative_residual <= 1e-9,
-            f"relative residual {ident.relative_residual:.3e} at lambda = {lam_test:.6g}",
-        )
-
-        rng = np.random.default_rng(seed)
-        h = GridFunction(1.0 + rng.uniform(0.0, 1.0, kernel.size), kernel.space)
-        mc = MeasureChange(h, 2.0)
-        conj = conjugate_kernel(kernel, mc)
-        # only lambda0 is kept, so the conjugate solve's arrays are freed here
-        invariance = abs(solve(conj, strategy="row_min", tol=tol).lambda0 - lam) / lam
-        record("measure_change_invariance", invariance <= 1e-8, f"relative delta {invariance:.3e}")
-        schur = transform_schur(tight_schur_bound(kernel), mc)
-        schur_report = verify_schur(conj, schur)
-        record(
-            "measure_change_schur",
-            schur_report.holds,
-            f"row {schur_report.max_row_ratio:.9f}, col {schur_report.max_col_ratio:.9f}",
-        )
-
-        if kernel.space.kind == "interval" and kernel.size >= 50:
-            span = kernel.space.nodes[-1] - kernel.space.nodes[0]
-            mid = 0.5 * (kernel.space.nodes[0] + kernel.space.nodes[-1])
-            widths = (0.2 * span, 0.1 * span)
-            study = convergence_study(kernel, mid, mid, widths, 3)
-            record(
-                "mollified_convergence",
-                study.errors[1] <= study.errors[0] + 1e-12,
-                f"errors {study.errors[0]:.3e} -> {study.errors[1]:.3e}",
-            )
-        ok = all(p for _, p, _ in checks)
+        ok = all(p for name, p, _ in checks if name != "doeblin_minorization_n1")
         sys.exit(EXIT_OK if ok else EXIT_NUMERICAL)
-    except NotMinorizableError as exc:
-        _echo_fail(EXIT_NOT_MINORIZABLE, str(exc))
-    except PerronError as exc:
-        _echo_fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
+    cert_report = verify_certificate(kernel, cert)
+    record(
+        "certificate_holds",
+        cert_report.holds,
+        f"worst slack {cert_report.worst_slack:.3e}, strict phi {cert_report.strict_phi}",
+    )
+    split = rank_one_split(kernel, cert)
+    recon = (
+        cert.lower_bound_matrix() + split.remainder.entries - kernel.entries
+    )
+    record(
+        "split_reconstruction",
+        np.abs(recon).max() <= 1e-12 * max(1.0, kernel.entries.max()),
+        f"max defect {np.abs(recon).max():.3e}",
+    )
+    record(
+        "positivity_improving",
+        positivity_improving_check(kernel, cert, seed=seed),
+        "random nonnegative battery maps to strictly positive images",
+    )
+    result = solve(kernel, certificate=cert, tol=tol)
+    lam = result.lambda0
+    residuals, _ = _residuals(kernel, result)
+    for name in ("eig_residual", "proj_idempotency", "left_residual"):
+        record(name, residuals[name] <= THRESHOLDS[name], f"{residuals[name]:.3e}")
+    delta = residuals["oracle_delta_rel"]
+    record("oracle_agreement", delta <= THRESHOLDS["oracle_delta_rel"],
+           f"relative delta {delta:.3e}")
+
+    ev = result.evaluator
+    # the scan starts below lambda0 even where rho(R) is within 1e-4 of it
+    start = min(ev.remainder_radius * 1.0001, 0.5 * (ev.remainder_radius + lam))
+    grid = np.geomspace(max(start, lam * 1e-3), 10 * ev.operator_norm, 64)
+    grid = grid[grid > ev.remainder_radius]
+    # the scan, the finite-difference probes and lambda0 are one grid, so
+    # one factorization serves all of them
+    probes = np.array([lam * 1.5, lam * 3.0])
+    h = 1e-5 * probes
+    m = grid.size
+    dvals, slopes = ev.curve(np.concatenate([grid, probes - h, probes + h, probes, [lam]]))
+    record("bs_monotone", bool(np.all(np.diff(dvals[:m]) > 0)), "64-point geometric scan")
+    sign_changes = int(np.sum(np.diff(np.sign(dvals[:m])) != 0))
+    record("bs_single_root", sign_changes == 1, f"{sign_changes} sign change(s)")
+    # each bound is the larger of a fixed one and the rounding floor of
+    # its comparison: where D' is small against D, rounding in the two
+    # D values of a central difference alone exceeds 1e-6 relative
+    eps = np.finfo(float).eps
+    fds = (dvals[m + 2 : m + 4] - dvals[m : m + 2]) / (2 * h)
+    for probe, step, fd, d, an in zip(probes, h, fds, dvals[m + 4 : m + 6],
+                                      slopes[m + 4 : m + 6]):
+        rel = abs(fd - an) / abs(an)
+        bound = max(1e-6, eps * abs(d) / (step * abs(an)))
+        record(f"bs_derivative_at_{probe:.6g}", rel <= bound, f"fd mismatch {rel:.3e}")
+    # the curve against the LU path that found the root and scaled
+    # the residue; the solve left lambda0 factorized, so this costs no
+    # LU.  A solve at condition number kappa carries a relative error of
+    # about kappa * eps: D takes one solve, D' two.
+    d_lu, dp_lu = ev.value(lam), ev.derivative(lam)
+    kappa_eps = ev.condition(lam) * eps
+    d_gap = abs(dvals[-1] - d_lu)
+    dp_gap = abs(slopes[-1] - dp_lu) / abs(dp_lu)
+    record(
+        "bs_curve_matches_lu",
+        d_gap <= max(1e-9, kappa_eps * abs(1.0 - d_lu))
+        and dp_gap <= max(1e-9, 2.0 * kappa_eps),
+        f"at lambda0: D gap {d_gap:.3e}, D' relative gap {dp_gap:.3e}",
+    )
+
+    lam_test = 2.0 * ev.operator_norm
+    probes = np.random.default_rng(seed).uniform(0.0, 1.0, (kernel.size, PROBES)) - 0.5
+    ident = probe_resolvent_identity(split, lam_test, probes)
+    record(
+        "kernel_resolvent_identity",
+        ident.relative_residual <= 1e-9,
+        f"relative residual {ident.relative_residual:.3e} at lambda = {lam_test:.6g}",
+    )
+
+    rng = np.random.default_rng(seed)
+    h = GridFunction(1.0 + rng.uniform(0.0, 1.0, kernel.size), kernel.space)
+    mc = MeasureChange(h, 2.0)
+    conj = conjugate_kernel(kernel, mc)
+    # only lambda0 is kept, so the conjugate solve's arrays are freed here
+    invariance = abs(solve(conj, strategy="row_min", tol=tol).lambda0 - lam) / lam
+    record("measure_change_invariance", invariance <= 1e-8, f"relative delta {invariance:.3e}")
+    schur = transform_schur(tight_schur_bound(kernel), mc)
+    schur_report = verify_schur(conj, schur)
+    record(
+        "measure_change_schur",
+        schur_report.holds,
+        f"row {schur_report.max_row_ratio:.9f}, col {schur_report.max_col_ratio:.9f}",
+    )
+
+    if kernel.space.kind == "interval" and kernel.size >= 50:
+        span = kernel.space.nodes[-1] - kernel.space.nodes[0]
+        mid = 0.5 * (kernel.space.nodes[0] + kernel.space.nodes[-1])
+        widths = (0.2 * span, 0.1 * span)
+        study = convergence_study(kernel, mid, mid, widths, 3)
+        record(
+            "mollified_convergence",
+            study.errors[1] <= study.errors[0] + 1e-12,
+            f"errors {study.errors[0]:.3e} -> {study.errors[1]:.3e}",
+        )
+    ok = all(p for _, p, _ in checks)
+    sys.exit(EXIT_OK if ok else EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,14 @@ Both recursions subtract multiples of K, so every iterate is a
 combination sum_j c_j K^(j) of the iterated kernels with j <= n+1, and
 a functional enters only through its values on the powers.
 ``point_recursion`` and ``mollified_recursion`` iterate the kernels
-directly, one composition per step.  ``convergence_study`` instead
-runs both recursions on the coefficients c_j, with the powers shared
-between the point recursion and every width; the error of each step is
-the norm of one combination, sum_j (c_j^{e} - c_j) K^(j).  A symmetric
+directly, one composition per step.  Their iterates are signed, so each
+is a read-only array paired with the kernel's space on a
+``LiftedKernelState``, never a ``Kernel``, whose entries are validated
+nonnegative; ``kernel_space_norm`` and ``mollified_functional`` read
+the entries of either.  ``convergence_study`` instead runs both
+recursions on the coefficients c_j, with the powers shared between the
+point recursion and every width; the error of each step is the norm of
+one combination, sum_j (c_j^{e} - c_j) K^(j).  A symmetric
 kernel with a low-rank compression (``Kernel.compression``) forms no
 power: a combination costs one O(n^2 k) product.  Any other kernel
 composes K^(2) .. K^(m+1) once, m O(n^3) products.
@@ -62,16 +66,13 @@ class Mollifier:
         density.flags.writeable = False
         object.__setattr__(self, "density", density)
 
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.density))
-
     def acting_vector(self) -> np.ndarray:
         return self.density * self.space.weights
 
 
-def kernel_space_norm(kernel: Kernel, p: float = np.inf) -> float:
-    """max over columns y of the E-norm of the column function F(., y)."""
+def kernel_space_norm(kernel, p: float = np.inf) -> float:
+    """max over columns y of the E-norm of the column function F(., y), for
+    a ``Kernel`` or a ``LiftedKernelState``."""
     return _column_norm(np.abs(kernel.entries), kernel.space.weights, p)
 
 
@@ -84,22 +85,31 @@ def _column_norm(magnitudes: np.ndarray, weights: np.ndarray, p: float) -> float
 
 @dataclass(frozen=True, eq=False)
 class LiftedKernelState:
-    """One iterate of the lifted recursion together with its norm."""
+    """One iterate of a lifted recursion: its entries over the kernel's
+    space, with their norm.  The iterates are corrections, signed in
+    general, so they are read-only arrays and not ``Kernel`` objects,
+    whose entries are nonnegative."""
 
-    kernel: Kernel
+    entries: np.ndarray
+    space: MeasureSpace
     norm: float
 
     @classmethod
-    def from_kernel(cls, kernel: Kernel, p: float = np.inf) -> "LiftedKernelState":
-        return cls(kernel, kernel_space_norm(kernel, p))
+    def from_entries(
+        cls, entries: np.ndarray, space: MeasureSpace, p: float = np.inf
+    ) -> "LiftedKernelState":
+        """The state of a read-only copy of ``entries``."""
+        entries = np.array(entries, dtype=float)
+        entries.flags.writeable = False
+        return cls(entries, space, _column_norm(np.abs(entries), space.weights, p))
 
 
 def mollified_functional(state, psi: Mollifier, eta: Mollifier) -> float:
-    """Double box average of the kernel against the two mollifiers."""
-    kernel = state.kernel if isinstance(state, LiftedKernelState) else state
-    check_same_space(kernel.space, psi.space)
-    check_same_space(kernel.space, eta.space)
-    return float(psi.acting_vector() @ kernel.entries @ eta.acting_vector())
+    """Double box average of a ``Kernel`` or a ``LiftedKernelState``
+    against the two mollifiers."""
+    check_same_space(state.space, psi.space)
+    check_same_space(state.space, eta.space)
+    return float(psi.acting_vector() @ state.entries @ eta.acting_vector())
 
 
 def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
@@ -196,49 +206,33 @@ def mollified_recursion(
         )
     else:
         subtract_direction = kernel.entries
-    states = [LiftedKernelState.from_kernel(kernel, p)]
-    current = kernel.entries
+    states = [LiftedKernelState.from_entries(kernel.entries, kernel.space, p)]
     for _ in range(m):
+        current = states[-1].entries
         scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
         nxt = (
             kernel.entries @ (kernel.space.weights[:, np.newaxis] * current)
             - subtract_direction * scalar
         )
-        k = _signed_kernel(nxt, kernel.space)
-        states.append(LiftedKernelState(k, kernel_space_norm(k, p)))
-        current = nxt
+        states.append(LiftedKernelState.from_entries(nxt, kernel.space, p))
     return states
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def _signed_kernel(entries: np.ndarray, space: MeasureSpace) -> Kernel:
-    """Kernel container for possibly signed iterates (bypasses the
-    nonnegativity gate; these are corrections, not transition kernels)."""
-    k = Kernel.__new__(Kernel)
-    object.__setattr__(k, "entries", _frozen(entries))
-    object.__setattr__(k, "space", space)
-    return k
 
 
 def point_recursion(kernel: Kernel, x0_index: int, y0_index: int, m: int) -> list:
     """Exact point-subtraction recursion using the node value at (x0, y0):
-    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0)."""
+    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0), as ``LiftedKernelState``
+    iterates G_0 .. G_m."""
     n = kernel.size
     if not (0 <= x0_index < n and 0 <= y0_index < n):
         raise IndexError("reference indices out of range")
-    out = [kernel]
-    current = kernel.entries
+    states = [LiftedKernelState.from_entries(kernel.entries, kernel.space)]
     w = kernel.space.weights
     for _ in range(m):
+        current = states[-1].entries
         scalar = float(current[x0_index, y0_index])
-        current = kernel.entries @ (w[:, np.newaxis] * current) - kernel.entries * scalar
-        out.append(_signed_kernel(current, kernel.space))
-    return out
+        nxt = kernel.entries @ (w[:, np.newaxis] * current) - kernel.entries * scalar
+        states.append(LiftedKernelState.from_entries(nxt, kernel.space))
+    return states
 
 
 @dataclass(frozen=True)
@@ -250,10 +244,6 @@ class ConvergenceStudy:
     widths: tuple
     errors: tuple          # max_n |G_n^{e,e} - G_n| in the lifted norm, per width
     per_step: tuple        # tuple of per-n error tuples, one per width
-
-    def rows(self):
-        for width, err in zip(self.widths, self.errors):
-            yield width, err
 
 
 def convergence_study(

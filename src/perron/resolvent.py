@@ -81,6 +81,8 @@ REFINE_STEPS = 30
 # Newton, the residue extraction and value/derivative pairs revisit only
 # the current shift; older factorizations are dropped
 LU_CACHE_SHIFTS = 2
+# the power-iteration tolerance of the remainder radius estimate
+RADIUS_TOL = 1e-10
 
 
 def _pow2_scale(x: float) -> float:
@@ -192,7 +194,7 @@ class BirmanSchwingerEvaluator:
     and never changes results.
     """
 
-    def __init__(self, split: RankOneSplit, radius_tol: float = 1e-10):
+    def __init__(self, split: RankOneSplit):
         self.split = split
         self.space = split.kernel.space
         self.alpha = split.certificate.alpha
@@ -207,8 +209,8 @@ class BirmanSchwingerEvaluator:
         # the column sums w R^T 1 give ||lam*I - R||_1 the same way, the norm
         # of the transposed solve
         self._rem_col_offdiag = w * rem.sum(axis=0) - self._rem_diag
-        self.operator_norm = float((split.kernel.entries @ w).max())
-        power = spectral_radius_oracle(split.remainder, tol=radius_tol)
+        self.operator_norm = split.kernel.weighted_inf_norm()
+        power = spectral_radius_oracle(split.remainder, tol=RADIUS_TOL)
         # inflate: the precondition lam > rho(R) must survive estimate error
         self.remainder_radius = power.rho * (1.0 + 1e-8)
         self._lu_cache: dict[float, _Shift] = {}

@@ -25,7 +25,6 @@ import numpy as np
 from .doeblin import (
     MinorizationCertificate,
     NotMinorizable,
-    RankOneSplit,
     extract_minorization,
     rank_one_split,
 )

@@ -14,6 +14,7 @@ import perron.kernel_op
 import perron.mollified
 import perron.resolvent
 from perron.cli import main
+from perron.errors import IllConditionedError
 from conftest import count_calls
 
 
@@ -682,3 +683,66 @@ def test_shipped_config_outputs(runner, tmp_path, name, command, code, expected)
         assert verdicts == expected
     elif command == "power-doeblin":
         assert result.output.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("dcurve", ["--points", "0"], "--points must be at least 2, got 0"),
+        ("dcurve", ["--points", "-1"], "--points must be at least 2, got -1"),
+        ("dcurve", ["--lambda-min", "0"], "--lambda-min must be positive, got 0"),
+        ("dcurve", ["--lambda-min", "-1"], "--lambda-min must be positive, got -1"),
+        ("dcurve", ["--lambda-min", "5", "--lambda-max", "1"],
+         "--lambda-min must be below --lambda-max, got 5 >= 1"),
+        ("dcurve", ["--lambda-min", "2", "--lambda-max", "2"],
+         "--lambda-min must be below --lambda-max, got 2 >= 2"),
+        ("power-doeblin", ["--n-max", "0"], "--n-max must be at least 1, got 0"),
+        ("verify", [], "seed must be nonnegative, got -1"),
+    ],
+)
+def test_bad_option_values_exit_one(runner, tmp_path, command, args, message):
+    """An option or seed value the command cannot use exits 1 with one
+    line naming it: no traceback, no numpy warning, no output file."""
+    if command == "power-doeblin":
+        path = TestPowerDoeblinConfig.chain_config(tmp_path)
+    else:
+        path = write_config(tmp_path / "g.json", {**gaussian_config(64), "seed": -1})
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", path, "--out", str(out), *args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_click_parse_errors_exit_two(runner, tmp_path):
+    path = write_config(tmp_path / "g.json", gaussian_config(64))
+    result = runner.invoke(main, ["dcurve", "--config", path, "--points", "abc"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--points'" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("solve", "solve"),
+        ("verify", "solve"),
+        ("dcurve", "rank_one_split"),
+        ("power-doeblin", "power_doeblin_analyze"),
+    ],
+)
+def test_numerical_failure_exits_three(runner, tmp_path, monkeypatch, command, target):
+    """Every command maps a PerronError raised inside it to exit 3."""
+
+    def fail(*args, **kwargs):
+        raise IllConditionedError("injected failure")
+
+    monkeypatch.setattr(perron.cli, target, fail)
+    if command == "power-doeblin":
+        path = TestPowerDoeblinConfig.chain_config(tmp_path)
+    else:
+        path = write_config(tmp_path / "g.json", gaussian_config(64))
+    result = runner.invoke(main, [command, "--config", path, "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "numerical failure: injected failure" in result.output

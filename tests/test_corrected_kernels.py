@@ -6,6 +6,7 @@ import pytest
 
 import perron as pr
 from perron.errors import DimensionMismatchError, NotConvergentError
+import bell_expansion
 from conftest import random_positive_kernel
 
 
@@ -327,27 +328,27 @@ class TestProbeIdentity:
 class TestBellPolynomial:
     def test_single_block(self):
         for q in range(1, 6):
-            assert pr.bell_polynomial(1, q, list(range(1, q + 1))) == q
+            assert bell_expansion.bell_polynomial(1, q, list(range(1, q + 1))) == q
 
     def test_two_blocks_of_two(self):
         # only composition of 2 into two parts is (1, 1)
-        assert pr.bell_polynomial(2, 2, [3.0]) == pytest.approx(9.0)
+        assert bell_expansion.bell_polynomial(2, 2, [3.0]) == pytest.approx(9.0)
 
     def test_two_blocks_of_three(self):
         # compositions (1,2) and (2,1)
-        assert pr.bell_polynomial(2, 3, [2.0, 5.0]) == pytest.approx(2 * 2.0 * 5.0)
+        assert bell_expansion.bell_polynomial(2, 3, [2.0, 5.0]) == pytest.approx(2 * 2.0 * 5.0)
 
     def test_rejects_p_above_q(self):
         with pytest.raises(ValueError):
-            pr.bell_polynomial(3, 2, [1.0])
+            bell_expansion.bell_polynomial(3, 2, [1.0])
 
     def test_exact_match_with_bruteforce_small_integers(self):
         rng = np.random.default_rng(65)
         for q in range(1, 9):
             for p in range(1, q + 1):
                 b = [int(x) for x in rng.integers(1, 4, size=q - p + 1)]
-                fast = pr.bell_polynomial(p, q, b)
-                slow = pr.bell_polynomial_bruteforce(p, q, b)
+                fast = bell_expansion.bell_polynomial(p, q, b)
+                slow = bell_expansion.bell_polynomial_bruteforce(p, q, b)
                 assert fast == slow  # exact integer arithmetic
 
     def test_counts_compositions_when_b_is_ones(self):
@@ -356,14 +357,14 @@ class TestBellPolynomial:
 
         for q in range(1, 9):
             for p in range(1, q + 1):
-                assert pr.bell_polynomial(p, q, [1] * (q - p + 1)) == comb(q - 1, p - 1)
+                assert bell_expansion.bell_polynomial(p, q, [1] * (q - p + 1)) == comb(q - 1, p - 1)
 
 
 class TestExpansionVerification:
     def test_oracles_confirm_recursion_2x2(self, symmetric_split):
         seq = pr.build_corrected_kernels(symmetric_split, 6)
         for n in (1, 2, 3, 4):
-            report = pr.verify_bell_expansion(seq, n)
+            report = bell_expansion.verify_bell_expansion(seq, n)
             assert report.bruteforce_error <= 1e-10
             assert report.bell_form_error <= 1e-10
 
@@ -374,7 +375,7 @@ class TestExpansionVerification:
         seq = pr.build_corrected_kernels(split_for(k), 6)
         scale = max(1.0, max(np.abs(kk.entries).max() for kk in seq.kernels))
         for n in (1, 2, 3, 4):
-            report = pr.verify_bell_expansion(seq, n)
+            report = bell_expansion.verify_bell_expansion(seq, n)
             assert report.bruteforce_error <= 1e-10 * scale
             assert report.bell_form_error <= 1e-10 * scale
 
@@ -383,7 +384,7 @@ class TestExpansionVerification:
         sp = pr.make_interval_space(0, 1, 12, "midpoint")
         k = random_positive_kernel(sp, rng)
         seq = pr.build_corrected_kernels(split_for(k), 4)
-        report = pr.verify_bell_expansion(seq, 3)
+        report = bell_expansion.verify_bell_expansion(seq, 3)
         assert report.bruteforce_error <= 1e-9
         assert report.bell_form_error <= 1e-9
 
@@ -391,7 +392,7 @@ class TestExpansionVerification:
         # the index-shifted variant cannot reproduce the recursion; the
         # report must say so and locate the mismatch rather than patch it
         seq = pr.build_corrected_kernels(symmetric_split, 6)
-        report = pr.verify_bell_expansion(seq, 3)
+        report = bell_expansion.verify_bell_expansion(seq, 3)
         assert not report.matches_variant
         assert report.max_abs_error > 1.0
         assert report.leading_term_error > 0
@@ -403,16 +404,16 @@ class TestExpansionVerification:
         # even in the fully collapsing case the variant leading index is off
         seq = pr.build_corrected_kernels(split_for(constant_unit), 3)
         for n in (1, 2):
-            report = pr.verify_bell_expansion(seq, n)
+            report = bell_expansion.verify_bell_expansion(seq, n)
             assert report.bruteforce_error <= 1e-12
             assert report.bell_form_error <= 1e-12
 
     def test_caps(self, symmetric_split):
         seq = pr.build_corrected_kernels(symmetric_split, 8)
         with pytest.raises(ValueError):
-            pr.verify_bell_expansion(seq, 7)
+            bell_expansion.verify_bell_expansion(seq, 7)
         with pytest.raises(ValueError):
-            pr.verify_bell_expansion(seq, 0)
+            bell_expansion.verify_bell_expansion(seq, 0)
 
 
 class TestSeriesStructureSharing:

@@ -63,8 +63,7 @@ class TestMollifiedFunctional:
         # |phi[F]| <= sup |F| for normalized box pairs
         rng = np.random.default_rng(91)
         entries = rng.normal(size=(400, 400))
-        k = pr.mollified._signed_kernel(entries, fine_space)
-        state = pr.LiftedKernelState.from_kernel(k)
+        state = pr.LiftedKernelState.from_entries(entries, fine_space)
         psi = pr.Mollifier(0.5, 0.07, fine_space)
         eta = pr.Mollifier(0.25, 0.07, fine_space)
         assert abs(pr.mollified_functional(state, psi, eta)) <= state.norm
@@ -88,8 +87,8 @@ class TestKernelSpaceNorm:
         t_norm = k.weighted_inf_norm()
         rng = np.random.default_rng(92)
         for _ in range(5):
-            f = pr.mollified._signed_kernel(rng.normal(size=(400, 400)), fine_space)
-            lifted = pr.mollified._signed_kernel(
+            f = pr.LiftedKernelState.from_entries(rng.normal(size=(400, 400)), fine_space)
+            lifted = pr.LiftedKernelState.from_entries(
                 k.entries @ (fine_space.weights[:, np.newaxis] * f.entries), fine_space
             )
             assert pr.kernel_space_norm(lifted) <= t_norm * pr.kernel_space_norm(f) + 1e-12
@@ -110,8 +109,8 @@ class TestMollifiedRecursion:
         psi = pr.Mollifier(0.5, 0.1, fine_space)
         eta = pr.Mollifier(0.5, 0.1, fine_space)
         states = pr.mollified_recursion(k, 1.0, None, psi, eta, 2)
-        composed = k.entries @ (fine_space.weights[:, np.newaxis] * states[0].kernel.entries)
-        diff = composed - states[1].kernel.entries
+        composed = k.entries @ (fine_space.weights[:, np.newaxis] * states[0].entries)
+        diff = composed - states[1].entries
         # diff = K * scalar: all entries proportional to K
         ratio = diff / k.entries
         assert np.max(np.abs(ratio - ratio[0, 0])) <= 1e-10
@@ -124,11 +123,11 @@ class TestMollifiedRecursion:
         states = pr.mollified_recursion(k, 1.0, None, psi, eta, 3)
         w = fine_space.weights
         for n in range(3):
-            g = states[n].kernel.entries
+            g = states[n].entries
             scalar = float(psi.acting_vector() @ g @ eta.acting_vector())
             explicit = k.entries @ (w[:, np.newaxis] * g) - k.entries * scalar
             np.testing.assert_allclose(
-                states[n + 1].kernel.entries, explicit, atol=1e-10
+                states[n + 1].entries, explicit, atol=1e-10
             )
 
     def test_profile_direction_variant(self, fine_space):
@@ -139,12 +138,12 @@ class TestMollifiedRecursion:
         states = pr.mollified_recursion(
             k, cert.alpha, cert.profile, psi, eta, 2, direction="profile"
         )
-        g0 = states[0].kernel.entries
+        g0 = states[0].entries
         scalar = float(psi.acting_vector() @ g0 @ eta.acting_vector())
         explicit = k.entries @ (fine_space.weights[:, np.newaxis] * g0) - (
             cert.alpha * cert.profile.values[:, np.newaxis]
         ) * scalar
-        np.testing.assert_allclose(states[1].kernel.entries, explicit, atol=1e-10)
+        np.testing.assert_allclose(states[1].entries, explicit, atol=1e-10)
 
     def test_wide_mollifier_matches_global_average_subtraction(self, fine_space):
         # a box covering the whole domain makes the mollified functional a
@@ -156,7 +155,7 @@ class TestMollifiedRecursion:
         w = fine_space.weights
         global_avg = float(w @ k.entries @ w) / (w.sum() ** 2)
         direct = k.entries @ (w[:, np.newaxis] * k.entries) - k.entries * global_avg
-        np.testing.assert_allclose(states[1].kernel.entries, direct, atol=1e-12)
+        np.testing.assert_allclose(states[1].entries, direct, atol=1e-12)
 
 
 class TestPointRecursion:
@@ -190,7 +189,7 @@ def loop_study_errors(kernel, ix, iy, widths, m):
         eta = pr.Mollifier(cy, eps, kernel.space)
         states = pr.mollified_recursion(kernel, 1.0, None, psi, eta, m)
         per_step.append(
-            [np.abs(st.kernel.entries - e.entries).max() for st, e in zip(states, exact)]
+            [np.abs(st.entries - e.entries).max() for st, e in zip(states, exact)]
         )
     return np.array(per_step)
 
