@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -387,6 +388,9 @@ def _dcurve(evaluator, lam_min, lam_max, points, below=None):
     of it.  A grid must rise from a positive start over two points or more."""
     if points < 2:
         raise ConfigError(f"--points must be at least 2, got {points}")
+    for name, value in (("--lambda-min", lam_min), ("--lambda-max", lam_max)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     rho = evaluator.remainder_radius
     if lam_min is None:
         lam_min = rho * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12)
@@ -580,10 +584,14 @@ def verify(config_path, out_flag):
         rel = abs(fd - an) / abs(an)
         bound = max(1e-6, eps * abs(d) / (step * abs(an)))
         record(f"bs_derivative_at_{probe:.6g}", rel <= bound, f"fd mismatch {rel:.3e}")
-    # the curve against the LU path that found the root and scaled
-    # the residue; the solve left lambda0 factorized, so this costs no
-    # LU.  A solve at condition number kappa carries a relative error of
-    # about kappa * eps: D takes one solve, D' two.
+    # the curve against the pointwise solves that found the root and
+    # scaled the residue; the solve left lambda0 cached, so this costs no
+    # new shift.  Both may read the kernel's compression, but the
+    # pointwise side is refined against the float64 residual from R's own
+    # entries: that residual certifies it, not the compression, so a
+    # wrong compression shows here.  A solve at condition number kappa
+    # carries a relative error of about kappa * eps: D takes one solve, D'
+    # two.
     d_lu, dp_lu = ev.value(lam), ev.derivative(lam)
     kappa_eps = ev.condition(lam) * eps
     d_gap = abs(dvals[-1] - d_lu)

@@ -24,6 +24,7 @@ from .measure import (
 )
 
 NONNEG_SLACK = 1e-14  # float noise must not disqualify a nonnegative kernel
+SYMMETRY_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +89,18 @@ class Kernel:
         nonnegative entries; an upper bound for the spectral radius."""
         return float((self.entries @ self.space.weights).max())
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
-        """K == K^T entry for entry."""
-        return bool(np.array_equal(self.entries, self.entries.T))
+        """K == K^T entry for entry, decided once per kernel.  Each tile of
+        the upper triangle is compared with its mirror tile, a transpose
+        that stays in cache, and the first tile that differs ends the
+        scan."""
+        k, t = self.entries, SYMMETRY_TILE
+        return all(
+            np.array_equal(k[i : i + t, j : j + t], k[j : j + t, i : i + t].T)
+            for i in range(0, self.size, t)
+            for j in range(i, self.size, t)
+        )
 
     @cached_property
     def compression(self) -> Compression | None:
@@ -131,9 +140,11 @@ def iterate_kernel(kernel: Kernel, n: int) -> Kernel:
 # Gaussian of the benchmark (sigma 0.1 to 0.4) meets the rank rule with it.
 # BLAS on one thread, the block costs 5 to 6 ms at n = 600 and 53 to 58 ms
 # at n = 2000 (a dense eigh of S: 38 to 92 ms and 1.3 to 2.0 s), and that
-# is all a full-rank kernel spends before its eigh.
+# is all a full-rank kernel spends before its eigh, or, in a library solve
+# from 512 nodes on, before its LU.
 COMPRESSION_BLOCK = 32
 COMPRESSION_PROBES = 10
+COMPRESSION_EXPONENT = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +180,20 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     n = kernel.size
     if 4 * COMPRESSION_BLOCK > n or not kernel.symmetric:
         return None
-    root_w = np.sqrt(kernel.space.weights)[:, np.newaxis]
+    # the range finder runs on scale * S, scale a power of two and so
+    # exact: 2^-e where max(K) max(w) < 2^e bounds the entries of S and
+    # |e| > COMPRESSION_EXPONENT, so that no kernel magnitude overflows the
+    # probe norms or underflows the probe miss, and 1 otherwise.  A scale
+    # on every kernel would move some small eigenvalues by an ulp: the
+    # pivot threshold of LAPACK's MRRR eigensolver is not scale-invariant.
+    w = kernel.space.weights
+    exponent = math.frexp(float(kernel.entries.max()))[1] + math.frexp(float(w.max()))[1]
+    scale = math.ldexp(1.0, -exponent) if abs(exponent) > COMPRESSION_EXPONENT else 1.0
+    root_w = np.sqrt(w)[:, np.newaxis]
+    scaled_root_w = scale * root_w
 
     def apply_s(x):
-        return root_w * (kernel.entries @ (root_w * x))
+        return root_w * (kernel.entries @ (scaled_root_w * x))
 
     rng = np.random.default_rng(1234567)
     s_probes = apply_s(rng.standard_normal((n, COMPRESSION_PROBES)))
@@ -185,7 +206,7 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
     if bound > n * np.finfo(float).eps * float(np.abs(values).max()):
         return None
-    return Compression(values, q @ u, bound)
+    return Compression(values / scale, q @ u, bound / scale)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,32 +16,48 @@ there is the dominant eigenvalue of T.  Everything here works for real
 lam above the remainder's spectral radius; the root search involves no
 eigensolver.
 
-A shift lam used alone (the root search, the residue at the root) costs
-one LU factorization of lam*I - R.  The matrix of R, the remainder's
-kernel entries times the weights, is never formed: the factorization is
-cast straight from the entries, and norms and refinement residuals come
-from the kernel's mat-vec, so beside the remainder kernel a shift holds
-only its LU.  When lam*I - R is well conditioned (condition number at
-most 1e4) that LU is in float32, at half the cost of float64, and every
-solve with it is refined to double precision against a float64
-residual, as LAPACK dsgesv does (Langou et al. 2006;
-Carson & Higham 2018); any other shift is factored in float64.  A whole
-grid of shifts (the D-curve, the verify scan) shares one factorization
-instead.  For a symmetric kernel that is an eigendecomposition of
+A shift lam used alone (the root search, the residue at the root) is
+solved through an approximate inverse of lam*I - R, and every solve
+with it is refined to double precision against a float64 residual
+from the remainder's own entries, as LAPACK dsgesv does (Langou et al.
+2006; Carson & Higham 2018).  The matrix of R, the remainder's kernel
+entries times the weights, is never formed.  Where lam*I - R is well
+conditioned (condition number at most 1e4) the approximate inverse is,
+for a symmetric kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes with
+a low-rank compression (below), that compression: Sherman-Morrison in
+its eigenbasis with the top pole divided out applies (lam*I - R)^-1
+and its transpose in O(n k), and the shift holds no n x n array.  For
+any other kernel it is an LU factorization in float32, cast straight
+from the entries, at half the cost of float64.  Any other shift, and
+one whose refinement stalls, is factored in float64.  A whole grid of
+shifts (the D-curve, the verify scan) shares one factorization instead.
+For a symmetric kernel that is an eigendecomposition of
 S = W^1/2 K W^1/2, after which D and D' are secular sums per shift
 (Golub 1973): the kernel's seeded low-rank compression, k eigenpairs
 from a randomized range finder (Halko, Martinsson & Tropp 2011) at
 O(n^2 k) and O(n k) per shift, made once per kernel and shared by every
-grid and by the mollified study, or, where the compression gives up
-(full-rank kernels, n < 128), one dense eigh at O(n^3) and O(n^2) per
-shift.  For any other kernel it is one real Schur form R = Q S Q^T, and
-back-substitution on the quasi-triangular S costs O(n^2) per shift, the
-Bartels-Stewart reduction used for frequency responses (Laub 1981); a
-two-sided compression of nonsymmetric kernels is not done.  Measured
-on a 2-core Xeon with BLAS on one thread, a new well-conditioned shift
-(float32 LU, condition estimate, D and D') costs 8.3 ms at n = 600 and
-0.11 s at n = 2000.  A whole grid of 5 to 200 shifts on the compression
-of a Gaussian (k = 32) costs as much as 1 to 2 such shifts at n = 600
+grid, the pointwise shifts and the mollified study, or, where the
+compression gives up (full-rank kernels, n < 128), one dense eigh at
+O(n^3) and O(n^2) per shift.  For any other kernel it is one real
+Schur form R = Q S Q^T, and back-substitution on the quasi-triangular S
+costs O(n^2) per shift, the Bartels-Stewart reduction used for
+frequency responses (Laub 1981); a two-sided compression of
+nonsymmetric kernels is not done.
+
+Measured on a 2-core Xeon with BLAS on one thread, for the Gaussian
+sigma = 0.35 on [0, 1]: a new well-conditioned shift (approximate
+inverse, D and D') costs 8.1 ms at n = 600 and 0.12 s at n = 2000 with
+a float32 LU, and 2.1 ms and 8.3 ms on a compression (k = 32) that
+exists.  The compression costs 6 to 8 ms and 55 to 60 ms, once per
+kernel.  A library solve, which makes the compression for its one
+shift, breaks even with the float32 LU at n = 512 (13.4 against
+13.5 ms, median of 20 runs), hence COMPRESSED_SOLVE_MIN_DIM; below it
+the LU wins (7.3 against 8.1 ms at n = 384, 2.3 against 4.5 ms at
+n = 128), above it the compression (19.4 against 17.9 ms at n = 600,
+51 against 41 ms at n = 1000).  A symmetric kernel of full rank pays the
+compression block that gives up before its LU: 5 to 9 ms at n = 600
+and about 55 ms at n = 2000 for e^-|x-y|.  A whole grid of 5 to 200
+shifts on the compression costs as much as 1 to 2 LU shifts at n = 600
 (10 to 14 ms, the compression included) and less than one at n = 2000
 (83 to 91 ms); the dense eigh route about 6 (50 ms) and 12 (1.3 s), the
 Schur form about 53 (0.44 s) and 49 (5.5 s).  So on a compressible
@@ -54,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, get_lapack_funcs, lu_factor, lu_solve, schur
@@ -72,37 +89,45 @@ from .measure import GridFunction, WeightFunctional, check_same_space, pair
 NEAR_SINGULAR = 1e-12
 AT_EIGENVALUE = 1e-12
 MAX_CONDITION = 1e12
-# a shift whose condition number is at most SINGLE_MAX_CONDITION is factored
-# in float32 and its solves are refined to double (LAPACK dsgesv); after
-# REFINE_STEPS corrections that miss the stopping rule it is factored again
-# in float64
+# a shift whose condition number is at most SINGLE_MAX_CONDITION gets an
+# approximate inverse, float32 factors or the kernel's compression, and its
+# solves are refined to double (LAPACK dsgesv); after REFINE_STEPS
+# corrections that miss the stopping rule it is factored in float64
 SINGLE_MAX_CONDITION = 1e4
 REFINE_STEPS = 30
+# from this many nodes on, the approximate inverse of a symmetric kernel
+# with a compression is the compression: where a library solve that makes
+# it breaks even with the float32 LU (see the module docstring)
+COMPRESSED_SOLVE_MIN_DIM = 512
 # Newton, the residue extraction and value/derivative pairs revisit only
-# the current shift; older factorizations are dropped
+# the current shift; older shifts are dropped
 LU_CACHE_SHIFTS = 2
 # the power-iteration tolerance of the remainder radius estimate
 RADIUS_TOL = 1e-10
 
 
 def _pow2_scale(x: float) -> float:
-    """The power of two that brings x >= 0 into [1/2, 1): exact to apply,
-    and it keeps a float32 cast of anything scaled by it in range."""
-    return math.ldexp(1.0, -math.frexp(x)[1])
+    """The power of two that brings x >= 0 into [1/2, 1), or as close as the
+    largest double allows for subnormal x: exact to apply, and it keeps a
+    float32 cast of anything scaled by it in range."""
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
 @dataclass(eq=False)
 class _Shift:
-    """One cached shift lam: the LU factors of scale * (lam*I - R)^T, in
-    float32 with scale a power of two when lam is well conditioned, in
-    float64 with scale 1 otherwise, and the profile solves made there,
-    R_lam u and R_lam^2 u."""
+    """One cached shift lam with its inverse and the solves made there:
+    R_lam u, R_lam^2 u and R_lam 1.  The inverse is the LU factors of
+    scale * (lam*I - R)^T, in float32 with scale the power of two that
+    brings ||lam*I - R||_inf into [1/2, 1) when lam is well conditioned,
+    in float64 with scale 1 otherwise, or, with factors None, the
+    kernel's compression applied to scale * (lam*I - R)."""
 
     lam: float
     factors: tuple | None = None
     scale: float = 1.0
     ru: GridFunction | None = None
     r2u: GridFunction | None = None
+    inv_ones: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,15 +208,15 @@ class BirmanSchwingerEvaluator:
 
     T = K W and R act on node-value vectors through the kernels' own
     entries (``Kernel.matvec``); neither is formed as a weighted n x n
-    copy.  The only n x n array a shift adds is its factorization.  A
-    shift lam is solved, (lam*I - R) x = v, through a cached LU
-    factorization, in float32 with refinement where lam*I - R is well
-    conditioned.  ``curve`` evaluates a whole grid of shifts through
-    one eigendecomposition of a symmetric kernel (low-rank where the
-    kernel allows it), or one Schur form of any other.  The evaluator is
-    immutable apart from the internal cache, which holds the last
-    LU_CACHE_SHIFTS shifts with their factors and their profile solves,
-    and never changes results.
+    copy.  A shift lam is solved, (lam*I - R) x = v, through a cached
+    inverse: where lam*I - R is well conditioned an approximate one with
+    refinement, the kernel's low-rank compression (no n x n array) or
+    float32 LU factors, and float64 LU factors otherwise.  ``curve``
+    evaluates a whole grid of shifts through one eigendecomposition of a
+    symmetric kernel (low-rank where the kernel allows it), or one Schur
+    form of any other.  The evaluator is immutable apart from the
+    internal cache, which holds the last LU_CACHE_SHIFTS shifts with
+    their inverses and their solves, and never changes results.
     """
 
     def __init__(self, split: RankOneSplit):
@@ -232,8 +257,9 @@ class BirmanSchwingerEvaluator:
 
     def _shift(self, lam: float) -> _Shift:
         """The cache entry of lam, made on first use, for a lam above the
-        remainder radius: the factorization, in float32 when lam is well
-        conditioned, else in float64 and refused above MAX_CONDITION."""
+        remainder radius: an approximate inverse when lam is well
+        conditioned (``_approximate_inverse``), else the float64
+        factorization, refused above MAX_CONDITION."""
         key = float(lam)
         entry = self._lu_cache.get(key)
         if entry is not None:
@@ -241,16 +267,32 @@ class BirmanSchwingerEvaluator:
         self._require_above_radius(key)
         entry = _Shift(key)
         # ||(lam*I - R)^-1||_inf >= 1 / (lam - rho(R)), so this ratio is a
-        # lower bound on the condition number: above the float32 limit
-        # sgecon would refuse the float32 factors anyway
+        # lower bound on the condition number: above SINGLE_MAX_CONDITION no
+        # approximate inverse would be kept anyway
         gap = key - self.remainder_radius
         single = self._shifted_inf_norm(key) <= SINGLE_MAX_CONDITION * gap
-        if not (single and self._factor(entry, np.float32)):
+        if not (single and self._approximate_inverse(entry)):
             self._factor(entry, np.float64)
         self._lu_cache[key] = entry
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
         return entry
+
+    def _approximate_inverse(self, entry: _Shift) -> bool:
+        """Give entry the approximate inverse its solves are refined with;
+        returns whether it was kept.  That is the compression of
+        ``_solve_compression`` where there is one, kept when the condition
+        number from the refined solve against 1 is at most
+        SINGLE_MAX_CONDITION, as sgecon keeps float32 factors; else the
+        float32 factors of ``_factor``."""
+        if self._solve_compression is None:
+            return self._factor(entry, np.float32)
+        norm = float(self._shifted_inf_norm(entry.lam))
+        entry.scale = _pow2_scale(norm)
+        entry.inv_ones = self._solve(entry, np.ones(self.space.size))
+        condition = norm * float(entry.inv_ones.max())
+        # a refinement that stalled has left float64 factors behind already
+        return entry.factors is not None or condition <= SINGLE_MAX_CONDITION
 
     def _factor(self, entry: _Shift, dtype) -> bool:
         """Factor scale * (lam*I - R)^T into entry; returns whether the
@@ -285,31 +327,68 @@ class BirmanSchwingerEvaluator:
 
     def _solve(self, entry: _Shift, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """(lam*I - R)^-1 b, or (lam*I - R)^-T b with trans = 1, from the
-        factors of lam.  Float32 factors go through mixed-precision
-        iterative refinement, as in LAPACK dsgesv: each correction solves
-        against the float64 residual with the float32 factors, until
+        inverse of lam.  An approximate inverse, float32 factors or the
+        compression, goes through mixed-precision iterative refinement, as
+        in LAPACK dsgesv: each correction applies it to the float64
+        residual from R's own entries, until
         ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system matrix A
-        and the unit roundoff u.  After REFINE_STEPS corrections that miss
-        that rule, lam is factored again in float64."""
+        and the unit roundoff u.  So the answer is that of R, whatever the
+        error of the approximate inverse.  After REFINE_STEPS corrections
+        that miss that rule, lam is factored in float64, and float64
+        factors solve directly."""
         lam = entry.lam
-        if entry.factors[0].dtype == np.float32:
+        if entry.factors is None or entry.factors[0].dtype == np.float32:
             rem = self.split.remainder
             op = rem.rmatvec if trans else rem.matvec
             unit = 0.5 * np.finfo(float).eps
             bound = math.sqrt(b.size) * unit * float(self._shifted_inf_norm(lam, trans))
             x, r = np.zeros(b.size), b
             for _ in range(REFINE_STEPS + 1):
-                # r goes into float32 range by a power of two, and back
-                r_scale = _pow2_scale(float(np.max(np.abs(r))))
-                r32 = (r * r_scale).astype(np.float32)
-                y = lu_solve(entry.factors, r32, trans=1 - trans, check_finite=False)
-                x += y.astype(float) * (entry.scale / r_scale)
+                x += self._approximate_solve(entry, r, trans)
                 r = b - (lam * x - op(x))
                 if np.max(np.abs(r)) <= bound * np.max(np.abs(x)):
+                    if entry.factors is None:
+                        # the rule bounds the backward error; one more O(n k)
+                        # correction from the residual at hand takes the
+                        # forward error of the compression's steps down to
+                        # that of a factorization
+                        x += self._approximate_solve(entry, r, trans)
                     return x
             self._factor(entry, np.float64)
         # the factors are those of the transpose
         return lu_solve(entry.factors, b, trans=1 - trans, check_finite=False)
+
+    def _approximate_solve(self, entry: _Shift, r: np.ndarray, trans: int) -> np.ndarray:
+        """One correction of ``_solve``: the approximate inverse of lam
+        applied to r, which goes into range by a power of two and back."""
+        r_scale = _pow2_scale(float(np.max(np.abs(r))))
+        if entry.factors is None:
+            y = self._pole_free_apply(entry.lam, r * r_scale, trans, entry.scale)
+        else:
+            r32 = (r * r_scale).astype(np.float32)
+            y = lu_solve(entry.factors, r32, trans=1 - trans, check_finite=False).astype(float)
+        return y * (entry.scale / r_scale)
+
+    @cached_property
+    def _solve_compression(self) -> Compression | None:
+        """The compression shifts are solved through: the kernel's own, for
+        a symmetric kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes whose
+        compression exists; otherwise None, and shifts are factored."""
+        if self.space.size < COMPRESSED_SOLVE_MIN_DIM:
+            return None
+        return self._route()[1]
+
+    def _pole_free_apply(self, lam: float, r: np.ndarray, trans: int, scale: float) -> np.ndarray:
+        """(scale * (lam*I - R))^-1 r, or its transpose with trans = 1, in
+        O(n k) on the compression, with S taken as 0 off its k columns and
+        R as T - alpha*u x phi (see ``_symmetric_resolvents``); ``_solve``
+        corrects both against the float64 residual.  With scale the power
+        of two of ``_approximate_inverse`` the secular sums run on shifts
+        and eigenvalues of order 1, so neither a tiny nor a huge kernel
+        over- or underflows them."""
+        mu, v, a, b, e, s = self._secular_basis(self._solve_compression, r, trans)
+        z = self._pole_free(np.array([scale * lam]), scale * mu, scale * a, b, e)[0]
+        return (v @ z[:, 0]) / s
 
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
         """(lam*I - R)^-1 v for lam above the remainder radius."""
@@ -340,9 +419,12 @@ class BirmanSchwingerEvaluator:
         """||lam*I - R||_inf ||(lam*I - R)^-1||_inf, the condition number of
         the shifted remainder: R >= 0, so above rho(R) the inverse is
         nonnegative and its norm is the largest entry of (lam*I - R)^-1 1.
-        The same number guards ``curve``."""
-        inv_ones = self.resolve_remainder(lam, self.space.ones()).values
-        return float(self._shifted_inf_norm(lam) * inv_ones.max())
+        The same number guards ``curve`` and decides whether a shift keeps
+        the compression as its approximate inverse."""
+        entry = self._shift(lam)
+        if entry.inv_ones is None:
+            entry.inv_ones = self.resolve_remainder(lam, self.space.ones()).values
+        return float(self._shifted_inf_norm(lam) * entry.inv_ones.max())
 
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """D and D' at every shift of lams, from one factorization for the grid.
@@ -415,21 +497,40 @@ class BirmanSchwingerEvaluator:
         N = delta (1 + alpha G) + alpha a_top b_top gives D = delta / N
         and D' = alpha (a_top b_top + delta^2 sum a_k b_k/(lam - mu_k)^2) / N^2.
         (lam*I - R)^-1 1 follows from Sherman-Morrison in the same basis
-        (e = V^T W^1/2 1), with one n x k by k x m product back.  The
-        formulas hold for T - alpha*u x phi, which differs from the clamped
-        remainder of ``rank_one_split`` only by its slack.
+        (``_pole_free``, with e = V^T W^1/2 1), with one n x k by k x m
+        product back.  The formulas hold for T - alpha*u x phi, which
+        differs from the clamped remainder of ``rank_one_split`` only by
+        its slack.  V is the full eigenbasis from a dense eigh, or the k
+        columns of a ``compression`` of S (``_secular_basis``).
+        """
+        mu, v, a, b, e, s = self._secular_basis(compression, np.ones(self.space.size))
+        z, delta, inv, denom = self._pole_free(lams, mu, a, b, e)
+        d_values = delta / denom
+        ab = a[:-1] * b[:-1]
+        d_prime = self.alpha * (a[-1] * b[-1] + delta**2 * (ab @ inv**2)) / denom**2
+        return d_values, d_prime, (v @ z) / s[:, None]
+
+    def _secular_basis(self, compression: Compression | None, rhs: np.ndarray, trans: int = 0):
+        """The eigenbasis of S in which (lam*I - R) x = rhs, or its transpose
+        with trans = 1, becomes (lam*I - S + alpha a x b) y = e: the
+        eigenvalues mu, ascending, the basis V, the coordinates a, b, e of
+        the range vector s u, the functional phi / s and the right-hand
+        side s rhs, and s, with x = y / s.  s is W^1/2; with trans = 1 it is
+        W^-1/2, and u and phi trade places: T^T = W K is W^1/2 S W^-1/2.
 
         V is the full eigenbasis from a dense eigh, or the k columns of a
         ``compression`` of S.  There S is taken as 0 on the complement
         I - V V^T: one more pole at 0, with weight a.b - sum a_k b_k in
-        the sums for D and D' and b.e - sum b_k e_k in those for the
-        resolvent.  Two columns carry it, the complement parts of W^1/2 u
-        (a = 1, b = a.b - sum a_k b_k, e = 0) and of W^1/2 1 (a = 0,
-        b = b.e - sum b_k e_k, e = 1), so the sums run over them unchanged.
+        the sums of ``_pole_free`` and b.e - sum b_k e_k in that of the
+        right-hand side.  Two columns carry it, the complement parts of the
+        range vector (a = 1, b = a.b - sum a_k b_k, e = 0) and of the
+        right-hand side (a = 0, b = b.e - sum b_k e_k, e = 1), so the sums
+        run over them unchanged.
         """
         root_w = np.sqrt(self.space.weights)
-        phi = self.functional.acting_vector()
-        vecs = np.stack([root_w * self.profile.values, phi / root_w, root_w])
+        u, phi = self.profile.values, self.functional.acting_vector()
+        s, ends = (1.0 / root_w, (phi, u)) if trans else (root_w, (u, phi))
+        vecs = np.stack([s * ends[0], ends[1] / s, s * rhs])
         if compression is None:
             mu, v = eigh(root_w[:, None] * self.split.kernel.entries * root_w)
             a, b, e = vecs @ v
@@ -441,21 +542,29 @@ class BirmanSchwingerEvaluator:
             a, b, e = (np.concatenate([head, x]) for head, x in zip(heads, (a, b, e)))
             mu = np.concatenate([[0.0, 0.0], compression.values])
             v = np.concatenate([rest.T, v], axis=1)
-        alpha, top = self.alpha, a[-1] * b[-1]
+        return mu, v, a, b, e, s
+
+    def _pole_free(self, lams: np.ndarray, mu, a, b, e):
+        """Per shift, the coordinates z of the solution y of
+        (lam*I - S + alpha a x b) y = e in the basis of ``_secular_basis``,
+        by Sherman-Morrison with the top eigenvalue mu_top divided out, and
+        delta = lam - mu_top, 1 / (lam - mu_k) below the top and N, the
+        pieces of D = delta / N.  With G the sum of a_k b_k / (lam - mu_k)
+        below the top, N = delta (1 + alpha G) + alpha a_top b_top, and
+        the coupling b[(lam - S)^-1 e] / (1 + alpha b[(lam - S)^-1 a]) is
+        (delta sum_k b_k e_k / (lam - mu_k) + b_top e_top) / N: finite at
+        mu_top, where lam*I - R is regular."""
+        alpha = self.alpha
         delta = lams - mu[-1]
         inv = 1.0 / (lams - mu[:-1, None])   # (n-1) x m
-        ab = a[:-1] * b[:-1]
-        g = ab @ inv
-        denom = delta * (1.0 + alpha * g) + alpha * top
-        d_values = delta / denom
-        d_prime = alpha * (top + delta**2 * (ab @ inv**2)) / denom**2
-        # phi[(lam - T)^-1 1] / (1 + alpha*phi[(lam - T)^-1 u]), pole-free
+        g = (a[:-1] * b[:-1]) @ inv
+        denom = delta * (1.0 + alpha * g) + alpha * (a[-1] * b[-1])
         c_rest = (b[:-1] * e[:-1]) @ inv
         coupling = (delta * c_rest + b[-1] * e[-1]) / denom
         z = np.empty((mu.size, lams.size))
         z[:-1] = (e[:-1, None] - alpha * a[:-1, None] * coupling) * inv
         z[-1] = (e[-1] * (1.0 + alpha * g) - alpha * a[-1] * c_rest) / denom
-        return d_values, d_prime, (v @ z) / root_w[:, None]
+        return z, delta, inv, denom
 
     def _schur_resolvents(self, lams: np.ndarray):
         """D, D' and (lam*I - R)^-1 1 per shift, through a real Schur form.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import perron as pr
+import perron.kernel_op
 from perron.cli import _prepare, _resolve_certificate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -55,6 +56,20 @@ def count_calls(monkeypatch, module, name):
         if mod_name.split(".")[0] == "perron" and getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def perturb_top_value(monkeypatch, rel):
+    """Make every kernel's compression come out with its top eigenvalue
+    off by ``rel`` relative, for kernels made after the call."""
+    real = perron.kernel_op.compress_symmetric
+
+    def perturbed(kernel):
+        c = real(kernel)
+        values = c.values.copy()
+        values[-1] *= 1.0 + rel
+        return perron.kernel_op.Compression(values, c.vectors, c.probe_bound)
+
+    monkeypatch.setattr(perron.kernel_op, "compress_symmetric", perturbed)
 
 
 def count_solves(monkeypatch):

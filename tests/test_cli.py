@@ -15,7 +15,7 @@ import perron.mollified
 import perron.resolvent
 from perron.cli import main
 from perron.errors import IllConditionedError
-from conftest import count_calls
+from conftest import count_calls, perturb_top_value
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -371,10 +371,32 @@ class TestOperationCounts:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["curve"]["route"] == "compressed"
 
-    def test_library_solve_builds_no_compression(self, monkeypatch):
+    def test_library_solve_builds_one_compression_and_no_lu(self, monkeypatch):
+        # from COMPRESSED_SOLVE_MIN_DIM nodes on the compression replaces
+        # the factorization of every shift
         builds = count_calls(monkeypatch, perron.kernel_op, "compress_symmetric")
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35))
-        assert builds == []
+        assert len(builds) == 1
+        assert factored == []
+
+    def test_curve_check_is_independent_of_the_pointwise_solve(
+        self, runner, tmp_path, monkeypatch
+    ):
+        """The curve and the pointwise solves read one compression; a top
+        eigenvalue off by 1e-8 relative must show in bs_curve_matches_lu,
+        while refinement against R's own entries keeps lambda0."""
+        n = 600
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        exact = pr.solve(kernel).lambda0
+        perturb_top_value(monkeypatch, 1e-8)
+        assert pr.solve(pr.gaussian_kernel(kernel.space, 0.35)).lambda0 == exact
+        cfg = write_config(tmp_path / "g.json", gaussian_config(n))
+        result = runner.invoke(main, ["verify", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        failed = [line.split(":")[0] for line in result.output.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["FAIL  bs_curve_matches_lu"]
 
 
 class TestDcurveCommand:
@@ -696,6 +718,10 @@ def test_shipped_config_outputs(runner, tmp_path, name, command, code, expected)
          "--lambda-min must be below --lambda-max, got 5 >= 1"),
         ("dcurve", ["--lambda-min", "2", "--lambda-max", "2"],
          "--lambda-min must be below --lambda-max, got 2 >= 2"),
+        ("dcurve", ["--lambda-max", "inf"], "--lambda-max must be finite, got inf"),
+        ("dcurve", ["--lambda-min", "inf"], "--lambda-min must be finite, got inf"),
+        ("dcurve", ["--lambda-min", "nan"], "--lambda-min must be finite, got nan"),
+        ("dcurve", ["--lambda-max", "nan"], "--lambda-max must be finite, got nan"),
         ("power-doeblin", ["--n-max", "0"], "--n-max must be at least 1, got 0"),
         ("verify", [], "seed must be nonnegative, got -1"),
     ],

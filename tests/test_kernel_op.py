@@ -221,3 +221,24 @@ class TestKernelValidation:
     def test_clearly_negative_entries_are_rejected(self, counting2):
         with pytest.raises(ValueError, match="nonnegative"):
             pr.Kernel(np.array([[1.0, -1e-3], [0.5, 2.0]]), counting2)
+
+
+class TestSymmetry:
+    """``Kernel.symmetric`` compares tiles of the upper triangle with their
+    mirror tiles; the verdict is that of K == K^T entry for entry."""
+
+    @pytest.mark.parametrize("n", [5, 600, 700])
+    def test_one_asymmetric_entry_in_the_last_tile(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        entries = np.exp(-np.abs(x[:, None] - x[None, :]))
+        space = pr.make_interval_space(0, 1, n, "midpoint")
+        assert pr.Kernel(entries, space).symmetric
+        entries[n - 2, n - 1] = np.nextafter(entries[n - 2, n - 1], 2.0)
+        assert not pr.Kernel(entries, space).symmetric
+        assert not np.array_equal(entries, entries.T)
+
+    def test_decided_once_per_kernel(self, monkeypatch):
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 300, "midpoint"), 0.35)
+        assert kernel.symmetric
+        monkeypatch.setattr(np, "array_equal", lambda *args: False)
+        assert kernel.symmetric

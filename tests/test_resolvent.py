@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,13 @@ from perron.errors import (
     PoleError,
 )
 from perron.spectral import collatz_wielandt
-from conftest import config_kernels, count_calls, count_solves, random_positive_kernel
+from conftest import (
+    config_kernels,
+    count_calls,
+    count_solves,
+    perturb_top_value,
+    random_positive_kernel,
+)
 
 
 def make_rank_one(space, a_values, b_density):
@@ -376,14 +384,26 @@ class TestMixedPrecision:
         assert {dtype for _, dtype in factored} == {np.float64}
         assert len(lu_calls) == len({lam for lam, _ in factored}) == len(factored) >= 1
 
-    @pytest.mark.parametrize("c", [1e-42, 1e300])
+    @pytest.mark.parametrize("c", [1e-300, 1e-42, 1e250, 1e300])
     def test_lambda0_scales_with_the_kernel(self, c):
-        # c K under- or overflows float32; scaled by a power of two it does not
-        sp = pr.make_interval_space(0, 1, 200, "midpoint")
-        k = pr.gaussian_kernel(sp, 0.35)
-        scaled = pr.solve(pr.Kernel(c * k.entries, sp))
-        assert self.factors_at(scaled).dtype == np.float32
-        assert scaled.lambda0 == pytest.approx(c * pr.solve(k).lambda0, rel=1e-14)
+        # c K under- or overflows float32, and at 1e-300 and 1e250 its
+        # residuals and the compression's probe norms under- or overflow
+        # double; scaled by powers of two none of them does.  n = 200 takes
+        # the float32 factors, n = 600 the compression.
+        for n in (200, 600):
+            sp = pr.make_interval_space(0, 1, n, "midpoint")
+            k = pr.gaussian_kernel(sp, 0.35)
+            ck = pr.Kernel(c * k.entries, sp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = pr.solve(ck)
+                assert ck.compression.rank == k.compression.rank
+            entry = scaled.evaluator._lu_cache[scaled.lambda0]
+            if n < perron.resolvent.COMPRESSED_SOLVE_MIN_DIM:
+                assert entry.factors[0].dtype == np.float32
+            else:
+                assert entry.factors is None
+            assert scaled.lambda0 == pytest.approx(c * pr.solve(k).lambda0, rel=1e-14)
 
     def test_stalled_refinement_refactors_in_float64(self, monkeypatch):
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
@@ -402,22 +422,28 @@ class TestMixedPrecision:
     @pytest.mark.parametrize("seed", [70, 71, 72])
     def test_refined_solves_meet_the_stopping_rule(self, seed):
         rng = np.random.default_rng(seed)
-        n = 60
-        k = random_positive_kernel(pr.make_interval_space(0, 1, n, "midpoint"), rng)
+        k = random_positive_kernel(pr.make_interval_space(0, 1, 60, "midpoint"), rng)
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
-        lam = 1.5 * ev.operator_norm
-        a = lam * np.eye(n) - ev.split.remainder.operator_matrix()
-        b = rng.normal(size=n)
-        x = ev.resolve_remainder(lam, ev.space.function(b)).values
-        z = ev.left_remainder_solve(lam)
-        assert ev._lu_cache[lam].factors[0].dtype == np.float32
-        kappa = np.linalg.cond(a, p=np.inf)
-        unit = np.finfo(float).eps / 2
-        for matrix, rhs, sol in ((a, b, x), (a.T, ev.functional.acting_vector(), z)):
-            rule = np.sqrt(n) * unit * np.abs(matrix).sum(axis=1).max() * np.abs(sol).max()
-            assert np.abs(rhs - matrix @ sol).max() <= rule
-            dense = np.linalg.solve(matrix, rhs)
-            assert np.abs(sol - dense).max() <= 4 * kappa * np.sqrt(n) * unit * np.abs(dense).max()
+        assert_refined_solves(ev, 1.5 * ev.operator_norm, rng)
+        assert ev._lu_cache[1.5 * ev.operator_norm].factors[0].dtype == np.float32
+
+
+def assert_refined_solves(ev, lam, rng):
+    """A solve and a transposed solve at lam meet the stopping rule of the
+    refinement and agree with dense float64 solves to the accuracy the
+    rule implies."""
+    n = ev.space.size
+    a = lam * np.eye(n) - ev.split.remainder.operator_matrix()
+    b = rng.normal(size=n)
+    x = ev.resolve_remainder(lam, ev.space.function(b)).values
+    z = ev.left_remainder_solve(lam)
+    kappa = np.linalg.cond(a, p=np.inf)
+    unit = np.finfo(float).eps / 2
+    for matrix, rhs, sol in ((a, b, x), (a.T, ev.functional.acting_vector(), z)):
+        rule = np.sqrt(n) * unit * np.abs(matrix).sum(axis=1).max() * np.abs(sol).max()
+        assert np.abs(rhs - matrix @ sol).max() <= rule
+        dense = np.linalg.solve(matrix, rhs)
+        assert np.abs(sol - dense).max() <= 4 * kappa * np.sqrt(n) * unit * np.abs(dense).max()
 
 
 def pointwise_curve(ev, lams):
@@ -591,6 +617,82 @@ class TestCompressedCurve:
         lopsided = random_positive_kernel(space, np.random.default_rng(70))
         assert not lopsided.symmetric
         assert lopsided.compression is None
+
+
+class TestCompressedSolve:
+    """From COMPRESSED_SOLVE_MIN_DIM nodes on, a well-conditioned shift of a
+    symmetric kernel with a compression is solved through the compression
+    and refined against R's own entries: no factorization, and the
+    lambda0 of the factorized path."""
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.35, 1.0])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_matches_the_factorized_path(self, rule, sigma, n, monkeypatch):
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, rule), sigma)
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        res = pr.solve(kernel)
+        compressed_factorizations = len(factored)
+        monkeypatch.setattr(perron.resolvent, "COMPRESSED_SOLVE_MIN_DIM", n + 1)
+        lu = pr.solve(kernel)
+        entry = res.evaluator._lu_cache[res.lambda0]
+        if sigma == 0.1:
+            # rho(R) / lambda0 = 0.9999992: the condition bound sends the
+            # shift to float64 factors, the same as below the floor
+            assert entry.factors[0].dtype == np.float64
+            assert len(factored) == 2 * compressed_factorizations
+            np.testing.assert_array_equal(res.eigenfunction.values, lu.eigenfunction.values)
+        else:
+            assert entry.factors is None
+            assert compressed_factorizations == 0
+            d = res.diagnostics
+            assert max(d.eig_residual, d.left_residual, d.proj_idempotency) <= 1e-14
+        assert abs(res.lambda0 - lu.lambda0) <= np.spacing(lu.lambda0)
+        np.testing.assert_allclose(res.eigenfunction.values, lu.eigenfunction.values, rtol=1e-13)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_refined_solves_meet_the_stopping_rule(self, rule):
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, rule), 0.35)
+        split = pr.rank_one_split(kernel, pr.extract_minorization(kernel))
+        ev = pr.BirmanSchwingerEvaluator(split)
+        lam = 1.5 * ev.operator_norm
+        assert_refined_solves(ev, lam, np.random.default_rng(73))
+        assert ev._lu_cache[lam].factors is None
+
+    def test_stalled_refinement_refactors_in_float64(self, monkeypatch):
+        space = pr.make_interval_space(0, 1, 600, "midpoint")
+        refined = pr.solve(pr.gaussian_kernel(space, 0.35))
+        # a top eigenvalue off by 1e-8 leaves the first correction far
+        # from the rule, and no further correction is allowed
+        perturb_top_value(monkeypatch, 1e-8)
+        monkeypatch.setattr(perron.resolvent, "REFINE_STEPS", 0)
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        fallback = pr.solve(pr.gaussian_kernel(space, 0.35))
+        assert factored == [(600, 600)]
+        assert fallback.evaluator._lu_cache[fallback.lambda0].factors[0].dtype == np.float64
+        assert fallback.lambda0 == refined.lambda0
+        assert fallback.diagnostics.eig_residual <= 1e-14
+
+    @pytest.mark.parametrize(
+        "kernel, compressions",
+        [
+            (pr.gaussian_kernel(pr.make_interval_space(0, 1, 511, "midpoint"), 0.35), 0),
+            (exp_abs_kernel(pr.make_interval_space(0, 1, 600, "midpoint")), 1),
+            (pr.Kernel(
+                pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35).entries
+                * (1.0 + 0.5 * np.linspace(0, 1, 600))[:, None],
+                pr.make_interval_space(0, 1, 600, "midpoint"),
+            ), 0),
+        ],
+        ids=["below-floor", "full-rank", "nonsymmetric"],
+    )
+    def test_other_kernels_keep_the_float32_factors(self, kernel, compressions, monkeypatch):
+        builds = count_calls(monkeypatch, perron.kernel_op, "compress_symmetric")
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        res = pr.solve(kernel)
+        assert len(builds) == compressions
+        assert len(factored) == 1
+        assert res.evaluator._lu_cache[res.lambda0].factors[0].dtype == np.float32
 
 
 class TestCurve:
