@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatchError,
     NotMinorizableError,
     PerronError,
+    SlowConvergenceError,
 )
 from .expressions import ExpressionError, evaluate
 from .kernel_op import (
@@ -58,7 +59,9 @@ from .resolvent import BirmanSchwingerEvaluator
 from .spectral import (
     MIN_TOL,
     collatz_wielandt,
+    eigenfunction_from_residue,
     eigenfunction_series,
+    find_dominant,
     solve,
     verify_dominance,
 )
@@ -307,11 +310,18 @@ def solve_cmd(config_path, out_flag):
     t_solve = time.perf_counter()
     residuals, oracle_rho = _residuals(kernel, result)
     dominance = verify_dominance(result)
+    # a certified bracket of rho(R), from power steps of R on the eigenfunction
+    # w: its first step, [lambda0 - alpha max u/w, lambda0 - alpha min u/w],
+    # already lies below lambda0
+    bracket = collatz_wielandt(result.evaluator.split.remainder, start=result.eigenfunction.values)
     # the series route is only meaningful when its geometric ratio is
-    # workable; otherwise the residual is omitted, never faked
-    ratio = result.evaluator.remainder_radius / result.lambda0
-    if ratio < 0.999:
+    # workable; where the series shows that its term budget cannot meet its
+    # tolerance, the residual is omitted, never faked
+    try:
         series = eigenfunction_series(result.evaluator, result.lambda0, tol=1e-12)
+    except SlowConvergenceError:
+        pass
+    else:
         residuals["series_vs_residue"] = float(
             np.max(np.abs(series.values - result.eigenfunction.values))
             / max(1.0, result.eigenfunction.sup_norm())
@@ -322,7 +332,7 @@ def solve_cmd(config_path, out_flag):
     # the curve comes before the report, which names its route
     curve = None
     if "dcurve" in outputs:
-        curve = _dcurve(result.evaluator, None, None, 200, result.lambda0)
+        curve = _dcurve(result.evaluator, None, None, 200, bracket[1], result.lambda0)
     report = {
         "config": cfg,
         "certificate": {
@@ -333,7 +343,7 @@ def solve_cmd(config_path, out_flag):
         "curve": None if curve is None else result.evaluator.curve_route(),
         "lambda0": result.lambda0,
         "oracle_rho": oracle_rho,
-        "remainder_radius": result.evaluator.remainder_radius,
+        "remainder_radius_bracket": list(bracket),
         "spectral_gap": {
             "second_radius": dominance.second_radius,
             "ratio": dominance.gap_ratio,
@@ -380,22 +390,20 @@ def solve_cmd(config_path, out_flag):
     sys.exit(EXIT_OK if not failed else EXIT_NUMERICAL)
 
 
-def _dcurve(evaluator, lam_min, lam_max, points, below=None):
+def _dcurve(evaluator, lam_min, lam_max, points, radius, lambda0):
     """D and D' on a geometric grid: (grid, D, D').  The default start is
-    just above the remainder radius; ``below``, a point known not to exceed
-    lambda0, caps it at the midpoint between the radius and that point, so
-    the grid starts below the root even where the radius lies within 0.2 %
-    of it.  A grid must rise from a positive start over two points or more."""
+    just above ``radius``, a certified upper end of rho(R) below
+    ``lambda0``, and at most midway between the two, so the grid starts
+    below the root even where rho(R) lies within 0.2 % of it.  A grid must
+    rise from a positive start over two points or more."""
     if points < 2:
         raise ConfigError(f"--points must be at least 2, got {points}")
     for name, value in (("--lambda-min", lam_min), ("--lambda-max", lam_max)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-    rho = evaluator.remainder_radius
     if lam_min is None:
-        lam_min = rho * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12)
-        if below is not None and below > rho:
-            lam_min = min(lam_min, 0.5 * (rho + below))
+        lam_min = min(radius * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12),
+                      0.5 * (radius + lambda0))
     elif not lam_min > 0:
         raise ConfigError(f"--lambda-min must be positive, got {lam_min:.12g}")
     if lam_max is None:
@@ -432,18 +440,17 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
     """Sample the scalar function D and its derivative on a lambda grid."""
     cfg, config_dir, kernel = _prepare(config_path)
     cert = _resolve_certificate(cfg, kernel, config_dir)
-    _solver_tol(cfg)  # validated as in solve; the curve itself has no tolerance
+    tol = _solver_tol(cfg)
     name = _block(cfg, "outputs").get("dcurve", "dcurve.csv")
     if isinstance(cert, NotMinorizable):
         _echo_fail(EXIT_NOT_MINORIZABLE, str(cert))
     path = _out_dir(out_flag) / name
     evaluator = BirmanSchwingerEvaluator(rank_one_split(kernel, cert))
-    # the Collatz-Wielandt lower end of T lies at or below lambda0; it
-    # caps the start once it clears the remainder radius
-    cw = collatz_wielandt(kernel, clear=evaluator.remainder_radius)
-    grid, values, slopes = _dcurve(
-        evaluator, lambda_min, lambda_max, points, None if cw is None else cw[0]
-    )
+    # the root and its eigenfunction give the certified start of the grid
+    lambda0 = find_dominant(evaluator, tol=tol)
+    w = eigenfunction_from_residue(evaluator, lambda0)
+    _, radius = collatz_wielandt(evaluator.split.remainder, start=w.values)
+    grid, values, slopes = _dcurve(evaluator, lambda_min, lambda_max, points, radius, lambda0)
     bracket = _write_dcurve(path, grid, values, slopes)
     monotone = bool(np.all(np.diff(values) > 0))
     click.echo(f"wrote {path} ({points} points, monotone={monotone})")
@@ -561,10 +568,11 @@ def verify(config_path, out_flag):
            f"relative delta {delta:.3e}")
 
     ev = result.evaluator
-    # the scan starts below lambda0 even where rho(R) is within 1e-4 of it
-    start = min(ev.remainder_radius * 1.0001, 0.5 * (ev.remainder_radius + lam))
+    # the scan starts above the certified upper end of rho(R) and below
+    # lambda0, even where the two are within 1e-4 of each other
+    _, radius = collatz_wielandt(ev.split.remainder, start=result.eigenfunction.values)
+    start = min(radius * 1.0001, 0.5 * (radius + lam))
     grid = np.geomspace(max(start, lam * 1e-3), 10 * ev.operator_norm, 64)
-    grid = grid[grid > ev.remainder_radius]
     # the scan, the finite-difference probes and lambda0 are one grid, so
     # one factorization serves all of them
     probes = np.array([lam * 1.5, lam * 3.0])

@@ -37,12 +37,15 @@ class PoleError(PerronError):
 
 
 class BelowSpectralRadiusError(PerronError):
-    def __init__(self, lam, bound):
+    """lam is not above rho(R): (lam*I - R)^-1 1 has an entry ``smallest`` <= 0."""
+
+    def __init__(self, lam, smallest):
         super().__init__(
-            f"lambda = {lam!r} is not above the spectral radius estimate {bound!r}"
+            f"lambda = {lam!r} is not above the remainder's spectral radius: "
+            f"(lambda*I - R)^-1 1 has smallest entry {smallest!r}"
         )
         self.lam = lam
-        self.bound = bound
+        self.smallest = smallest
 
 
 class IllConditionedError(PerronError):

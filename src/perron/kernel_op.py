@@ -268,8 +268,10 @@ def spectral_radius_oracle(
     This is the independent oracle the factorization-based solver is
     checked against; it never touches the rank-one machinery.  The
     returned vector is nonnegative with sup-norm 1.  For strictly
-    positive iterates a Collatz-Wielandt bracket certifies the result;
-    otherwise the successive eigenvalue-estimate change is used.
+    positive iterates a Collatz-Wielandt bracket of relative width tol
+    certifies the result; otherwise the successive eigenvalue-estimate
+    change, relative to the estimate, is used.  Both tests are relative,
+    so the result of c K is c times that of K.
     Non-convergence (peripheral multiplicity) raises PowerIterationError.
     Each step is one ``kernel.matvec``; no n x n array is formed.
     """
@@ -286,11 +288,11 @@ def spectral_radius_oracle(
         if np.all(x > 0):
             ratios = y / x
             lo, hi = float(ratios.min()), float(ratios.max())
-            if hi - lo <= tol * max(1.0, hi):
+            if hi - lo <= tol * hi:
                 return PowerIterationResult(
                     0.5 * (lo + hi), GridFunction(y / rho, kernel.space), it
                 )
-        if rho_prev is not None and abs(rho - rho_prev) <= tol * max(1.0, rho):
+        if rho_prev is not None and abs(rho - rho_prev) <= tol * rho:
             return PowerIterationResult(rho, GridFunction(y / rho, kernel.space), it)
         rho_prev = rho
         x = y / rho

@@ -12,24 +12,25 @@ where R_lam = (lam*I - R)^-1, u is the certificate profile and
 D is the Birman-Schwinger function of the rank-one perturbation; it is
 also its Fredholm determinant, det(I - a x b) = 1 - b[a].  D increases
 strictly on (rho(R), inf), tends to 1 at infinity, and its unique root
-there is the dominant eigenvalue of T.  Everything here works for real
-lam above the remainder's spectral radius; the root search involves no
-eigensolver.
+there is the dominant eigenvalue of T.  Each shift certifies itself:
+R >= 0, so (lam*I - R)^-1 1 > 0 exactly when lam > rho(R) (Berman &
+Plemmons 1994, ch. 6); no estimate of rho(R) is made, and no eigensolver.
 
 A shift lam used alone (the root search, the residue at the root) is
 solved through an approximate inverse of lam*I - R, and every solve
 with it is refined to double precision against a float64 residual
 from the remainder's own entries, as LAPACK dsgesv does (Langou et al.
 2006; Carson & Higham 2018).  The matrix of R, the remainder's kernel
-entries times the weights, is never formed.  Where lam*I - R is well
-conditioned (condition number at most 1e4) the approximate inverse is,
-for a symmetric kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes with
+entries times the weights, is never formed.  Where it measures
+lam*I - R as well conditioned (condition number at most 1e4) the
+approximate inverse is, for a symmetric kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes with
 a low-rank compression (below), that compression: Sherman-Morrison in
 its eigenbasis with the top pole divided out applies (lam*I - R)^-1
 and its transpose in O(n k), and the shift holds no n x n array.  For
 any other kernel it is an LU factorization in float32, cast straight
-from the entries, at half the cost of float64.  Any other shift, and
-one whose refinement stalls, is factored in float64.  A whole grid of
+from the entries, at half the cost of float64.  Any other shift, one
+whose refinement stalls, and any at or below a refused one is factored
+in float64.  A whole grid of
 shifts (the D-curve, the verify scan) shares one factorization instead.
 For a symmetric kernel that is an eigendecomposition of
 S = W^1/2 K W^1/2, after which D and D' are secular sums per shift
@@ -83,7 +84,7 @@ from .errors import (
     NearSingularError,
     PoleError,
 )
-from .kernel_op import Compression, spectral_radius_oracle
+from .kernel_op import Compression
 from .measure import GridFunction, WeightFunctional, check_same_space, pair
 
 NEAR_SINGULAR = 1e-12
@@ -102,8 +103,6 @@ COMPRESSED_SOLVE_MIN_DIM = 512
 # Newton, the residue extraction and value/derivative pairs revisit only
 # the current shift; older shifts are dropped
 LU_CACHE_SHIFTS = 2
-# the power-iteration tolerance of the remainder radius estimate
-RADIUS_TOL = 1e-10
 
 
 def _pow2_scale(x: float) -> float:
@@ -211,7 +210,8 @@ class BirmanSchwingerEvaluator:
     copy.  A shift lam is solved, (lam*I - R) x = v, through a cached
     inverse: where lam*I - R is well conditioned an approximate one with
     refinement, the kernel's low-rank compression (no n x n array) or
-    float32 LU factors, and float64 LU factors otherwise.  ``curve``
+    float32 LU factors, and float64 LU factors otherwise; it is kept only
+    when (lam*I - R)^-1 1 > 0, that is above rho(R).  ``curve``
     evaluates a whole grid of shifts through one eigendecomposition of a
     symmetric kernel (low-rank where the kernel allows it), or one Schur
     form of any other.  The evaluator is immutable apart from the
@@ -235,18 +235,13 @@ class BirmanSchwingerEvaluator:
         # of the transposed solve
         self._rem_col_offdiag = w * rem.sum(axis=0) - self._rem_diag
         self.operator_norm = split.kernel.weighted_inf_norm()
-        power = spectral_radius_oracle(split.remainder, tol=RADIUS_TOL)
-        # inflate: the precondition lam > rho(R) must survive estimate error
-        self.remainder_radius = power.rho * (1.0 + 1e-8)
+        # the largest shift whose approximate inverse was refused
+        self._refused_at = -math.inf
         self._lu_cache: dict[float, _Shift] = {}
 
     @property
     def phi_strictly_positive(self) -> bool:
         return self.functional.strictly_positive
-
-    def _require_above_radius(self, lam: float) -> None:
-        if lam <= self.remainder_radius:
-            raise BelowSpectralRadiusError(lam, self.remainder_radius)
 
     def _shifted_inf_norm(self, lam, trans: int = 0):
         """||lam*I - R||_inf for a shift or an array of shifts, O(n) each;
@@ -256,23 +251,19 @@ class BirmanSchwingerEvaluator:
         return np.max(shifted_diag + offdiag, axis=-1)
 
     def _shift(self, lam: float) -> _Shift:
-        """The cache entry of lam, made on first use, for a lam above the
-        remainder radius: an approximate inverse when lam is well
-        conditioned (``_approximate_inverse``), else the float64
-        factorization, refused above MAX_CONDITION."""
+        """The cache entry of lam, made on first use and ``_certify``-ed: an
+        approximate inverse when lam is well conditioned, else (and at or
+        below a refused shift, since the resolvent norm grows toward
+        rho(R)) the float64 factorization, refused above MAX_CONDITION."""
         key = float(lam)
         entry = self._lu_cache.get(key)
         if entry is not None:
             return entry
-        self._require_above_radius(key)
         entry = _Shift(key)
-        # ||(lam*I - R)^-1||_inf >= 1 / (lam - rho(R)), so this ratio is a
-        # lower bound on the condition number: above SINGLE_MAX_CONDITION no
-        # approximate inverse would be kept anyway
-        gap = key - self.remainder_radius
-        single = self._shifted_inf_norm(key) <= SINGLE_MAX_CONDITION * gap
-        if not (single and self._approximate_inverse(entry)):
+        if not (key > self._refused_at and self._approximate_inverse(entry)):
+            self._refused_at = max(self._refused_at, key)
             self._factor(entry, np.float64)
+        self._certify(entry)
         self._lu_cache[key] = entry
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
@@ -289,10 +280,20 @@ class BirmanSchwingerEvaluator:
             return self._factor(entry, np.float32)
         norm = float(self._shifted_inf_norm(entry.lam))
         entry.scale = _pow2_scale(norm)
-        entry.inv_ones = self._solve(entry, np.ones(self.space.size))
+        # refined against R, the solve certifies lam: a refused one costs no LU
+        self._certify(entry)
         condition = norm * float(entry.inv_ones.max())
         # a refinement that stalled has left float64 factors behind already
         return entry.factors is not None or condition <= SINGLE_MAX_CONDITION
+
+    def _certify(self, entry: _Shift) -> None:
+        """Raise BelowSpectralRadiusError unless x = (lam*I - R)^-1 1 > 0: then
+        lam*I - R is a nonsingular M-matrix, and above rho(R) x >= 1 / lam."""
+        if entry.inv_ones is None:
+            entry.inv_ones = self._solve(entry, np.ones(self.space.size))
+        smallest = float(entry.inv_ones.min())
+        if not smallest > 0.0:
+            raise BelowSpectralRadiusError(entry.lam, smallest)
 
     def _factor(self, entry: _Shift, dtype) -> bool:
         """Factor scale * (lam*I - R)^T into entry; returns whether the
@@ -391,7 +392,7 @@ class BirmanSchwingerEvaluator:
         return (v @ z[:, 0]) / s
 
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
-        """(lam*I - R)^-1 v for lam above the remainder radius."""
+        """(lam*I - R)^-1 v for lam above rho(R)."""
         check_same_space(self.space, v.space)
         return GridFunction(self._solve(self._shift(lam), v.values), self.space)
 
@@ -418,13 +419,11 @@ class BirmanSchwingerEvaluator:
     def condition(self, lam: float) -> float:
         """||lam*I - R||_inf ||(lam*I - R)^-1||_inf, the condition number of
         the shifted remainder: R >= 0, so above rho(R) the inverse is
-        nonnegative and its norm is the largest entry of (lam*I - R)^-1 1.
-        The same number guards ``curve`` and decides whether a shift keeps
-        the compression as its approximate inverse."""
-        entry = self._shift(lam)
-        if entry.inv_ones is None:
-            entry.inv_ones = self.resolve_remainder(lam, self.space.ones()).values
-        return float(self._shifted_inf_norm(lam) * entry.inv_ones.max())
+        nonnegative and its norm is the largest entry of (lam*I - R)^-1 1,
+        the vector that certified the shift.  The same number guards
+        ``curve`` and decides whether a shift keeps the compression as its
+        approximate inverse."""
+        return float(self._shifted_inf_norm(lam) * self._shift(lam).inv_ones.max())
 
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """D and D' at every shift of lams, from one factorization for the grid.
@@ -435,13 +434,14 @@ class BirmanSchwingerEvaluator:
         on one dense eigendecomposition; any other kernel goes through one
         real Schur form of R (``_schur_resolvents``).  ``curve_route`` names
         the route, which follows from the kernel entries alone.  All give,
-        per shift, D, D' and (lam*I - R)^-1 1 for the condition guard.
-        R >= 0 entrywise, so above rho(R) the resolvent is nonnegative and
+        per shift, D, D' and (lam*I - R)^-1 1, which guards the shift as a
+        pointwise solve does.  It is entrywise positive exactly above
+        rho(R), and there, R >= 0 entrywise, the resolvent is nonnegative and
         ||(lam*I - R)^-1||_inf = ||(lam*I - R)^-1 1||_inf; with
         ||lam*I - R||_inf from the cached row sums this is the condition
         number the LU path estimates with gecon.  Raises
-        BelowSpectralRadiusError at the first shift not above the radius
-        estimate, then IllConditionedError at the first shift whose
+        BelowSpectralRadiusError at the first shift whose vector is not
+        positive, else IllConditionedError at the first shift whose
         condition exceeds MAX_CONDITION.  Past the factorization each
         shift costs O(n k) on a compression of rank k and O(n^2) on the
         dense routes, where the vector of the condition guard dominates.  The
@@ -452,14 +452,16 @@ class BirmanSchwingerEvaluator:
         per shift.
         """
         lams = np.asarray(lams, dtype=float)
-        for lam in lams:
-            self._require_above_radius(float(lam))
         route, compression = self._route()
         if route == "schur":
             d_values, d_prime, inv_ones = self._schur_resolvents(lams)
         else:
             d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, compression)
-        cond = self._shifted_inf_norm(lams) * np.abs(inv_ones).max(axis=0)
+        smallest = inv_ones.min(axis=0)
+        below = np.flatnonzero(~(smallest > 0.0))
+        if below.size:
+            raise BelowSpectralRadiusError(float(lams[below[0]]), float(smallest[below[0]]))
+        cond = self._shifted_inf_norm(lams) * inv_ones.max(axis=0)
         bad = np.flatnonzero(~(cond < MAX_CONDITION))
         if bad.size:
             raise _ill_conditioned(float(lams[bad[0]]), float(cond[bad[0]]))
@@ -501,14 +503,18 @@ class BirmanSchwingerEvaluator:
         product back.  The formulas hold for T - alpha*u x phi, which
         differs from the clamped remainder of ``rank_one_split`` only by
         its slack.  V is the full eigenbasis from a dense eigh, or the k
-        columns of a ``compression`` of S (``_secular_basis``).
+        columns of a ``compression`` of S (``_secular_basis``).  As in
+        ``_pole_free_apply`` the sums run on lam, mu and a times the power
+        of two that brings ||T||_inf into [1/2, 1), exact to undo.
         """
         mu, v, a, b, e, s = self._secular_basis(compression, np.ones(self.space.size))
-        z, delta, inv, denom = self._pole_free(lams, mu, a, b, e)
+        scale = _pow2_scale(self.operator_norm)
+        a = scale * a
+        z, delta, inv, denom = self._pole_free(scale * lams, scale * mu, a, b, e)
         d_values = delta / denom
         ab = a[:-1] * b[:-1]
         d_prime = self.alpha * (a[-1] * b[-1] + delta**2 * (ab @ inv**2)) / denom**2
-        return d_values, d_prime, (v @ z) / s[:, None]
+        return d_values, scale * d_prime, scale * (v @ z) / s[:, None]
 
     def _secular_basis(self, compression: Compression | None, rhs: np.ndarray, trans: int = 0):
         """The eigenbasis of S in which (lam*I - R) x = rhs, or its transpose
@@ -572,9 +578,13 @@ class BirmanSchwingerEvaluator:
         With R = Q S Q^T, (lam*I - R)^-k u = Q (lam*I - S)^-k Q^T u.  One
         back-substitution over the 1x1 and 2x2 diagonal blocks of S runs
         for all shifts at once and carries three right-hand sides: Q^T u
-        (giving D), its own solution again (giving D'), and Q^T 1.
+        (giving D), its own solution again (giving D'), and Q^T 1, scaled
+        as in ``_symmetric_resolvents``.
         """
         s, q = schur(self.split.remainder.operator_matrix(), output="real", overwrite_a=True)
+        scale = _pow2_scale(self.operator_norm)
+        s *= scale
+        lams = scale * lams
         n, m = self.space.size, lams.size
         rhs = np.stack([self.profile.values, np.ones(n)]) @ q   # rows Q^T u, Q^T 1
         # y[k] holds, per shift: (lam - S)^-1 Q^T u, (lam - S)^-1 Q^T 1, (lam - S)^-2 Q^T u
@@ -592,9 +602,9 @@ class BirmanSchwingerEvaluator:
                 y[i:k, 2] = _shifted_2x2_solve(s[i:k, i:k], lams, acc[:, 2] + y[i:k, 0])
             k = i
         psi = q.T @ self.functional.acting_vector()
-        d_values = 1.0 - self.alpha * (psi @ y[:, 0])
-        d_prime = self.alpha * (psi @ y[:, 2])
-        return d_values, d_prime, q @ y[:, 1]
+        d_values = 1.0 - self.alpha * (scale * (psi @ y[:, 0]))
+        d_prime = self.alpha * (scale * (scale * (psi @ y[:, 2])))
+        return d_values, d_prime, scale * (q @ y[:, 1])
 
     def resolve_operator(self, lam: float, f: GridFunction) -> GridFunction:
         """(lam*I - T)^-1 f via the factorized formula."""

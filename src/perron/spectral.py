@@ -1,23 +1,24 @@
 """Dominant eigenvalue, eigenfunction, and rank-one spectral projection.
 
 The dominant eigenvalue of T is located as the unique root of the
-Birman-Schwinger function above the remainder radius.  D is increasing
-and concave there, so Newton climbs to the root from any point with
-D < 0.  That start is the lower end of a Collatz-Wielandt bracket on
-rho(T), run by power steps to rounding level or to a budget worth about
-D at one new shift (an LU factorization and its solves).  When D at the
-start already meets the stopping rule it is the root, and the solve
-factorizes only there; when the start is unusable, the root is
-bracketed by geometric expansion up from the remainder radius instead
-(D tends to 1 at infinity).  Newton keeps a bisection fallback inside
-the bracket.  The eigenfunction and the
-rank-one spectral projection fall out of the residue of the factorized
-resolvent at that root; the spectral radius of the deflated operator
-(Arnoldi, or dense at small n) certifies strict dominance.
+Birman-Schwinger function above rho(R), the spectral radius of the
+remainder.  D is increasing and concave there, and every shift the
+search evaluates certifies itself as above rho(R) by the positivity of
+its own solve against 1 (see ``perron.resolvent``); no estimate of
+rho(R) is made.  The search is one safeguarded Newton-bisection loop on
+a Collatz-Wielandt bracket of rho(T), run by power steps to rounding
+level or to a budget worth about D at one new shift (an LU
+factorization and its solves).  When D at the lower end already meets
+the stopping rule it is the root, and the solve factorizes only there.
+The eigenfunction and the rank-one spectral projection fall out of the
+residue of the factorized resolvent at that root; the spectral radius
+of the deflated operator (Arnoldi, or dense at small n) certifies strict
+dominance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .doeblin import (
     rank_one_split,
 )
 from .errors import (
+    BelowSpectralRadiusError,
     IllConditionedError,
     NoSignChangeError,
     NotConvergentError,
@@ -42,15 +44,17 @@ from .resolvent import BirmanSchwingerEvaluator, RankOneOperator
 # the smallest stopping tolerance of the root search that double precision
 # resolves
 MIN_TOL = 1e-13
+# shifts of the root search: bisection alone closes [0, hi] to rounding
+# level in about 50 + log2(hi / lambda0)
+MAX_SHIFTS = 200
 
 
 @dataclass(frozen=True)
 class SpectralDiagnostics:
-    eig_residual: float          # sup |T w - lambda0 w| / sup |w|
+    eig_residual: float          # sup |T w - lambda0 w| / (sup |w| ||T||_inf)
     proj_idempotency: float      # sup-operator norm of P^2 - P (residue formula)
     bs_at_lambda0: float         # D(lambda0)
-    gap_to_remainder_radius: float
-    left_residual: float         # left functional row composed with T vs lambda0 * row
+    left_residual: float         # sup |T^T r - lambda0 r| / (sup |r| ||T||_inf), r the left row
     rank_one_defect: float       # rounding of the projection's column scales
     min_eigenfunction_value: float
 
@@ -73,72 +77,64 @@ class SpectralResult:
     evaluator: BirmanSchwingerEvaluator
 
 
-def collatz_wielandt(kernel: Kernel, clear: float | None = None):
+def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[float, float]:
     """Bracket lo <= rho(T) <= hi from power steps of the operator T of
-    ``kernel`` on the ones vector, each one ``kernel.matvec``.
+    ``kernel`` on ``start``, an entrywise positive vector (the ones vector
+    by default), each step one ``kernel.matvec``.
 
     For nonnegative T and positive x, min_i (Tx)_i/x_i and max_i (Tx)_i/x_i
     enclose rho(T) (Collatz 1942, Wielandt 1950).  Every positive iterate
     gives such a pair, so the running max of the lower ends and the running
     min of the upper ends is still a bracket.  Stepping stops once its
     relative width is at rounding level (16 eps), once a step no longer
-    narrows it, or after max(8, min(n / 6, 128)) steps, about the cost of
-    D at one new shift (factorization, condition estimate and solve).
-    Measured with BLAS on one thread, such a shift costs 4-10 steps below
-    n = 100, about n / 6 steps from n = 200 to 800, and 130-150 steps from
-    n = 1200 to 2000, where the matrix no longer fits in cache and a step
-    is bound by memory traffic.  With ``clear``, stepping goes on past that
-    budget while clear lies in [lo, hi), that is until the lower end clears
-    it or the upper end shows it never will, up to 10,000 steps (the
-    budget of the power-iteration oracle).
-    Returns None once an iterate has a zero entry, since the ratios are
-    then undefined.
+    narrows it, once an iterate has a zero entry (the ratios need x > 0
+    only, so the bracket found so far stands: a zero T gets [0, 0]), or
+    after max(8, min(n / 6, 128)) steps, about the cost of D at one new
+    shift (factorization, condition estimate and solve).  Measured with
+    BLAS on one thread, such a shift costs 4-10 steps below n = 100, about
+    n / 6 steps from n = 200 to 800, and 130-150 steps from n = 1200 to
+    2000, where the matrix no longer fits in cache and a step is bound by
+    memory traffic.  From the ones vector the first step already gives
+    [min, max] of the row sums, at worst [0, ||T||_inf].
     """
-    n = kernel.size
-    budget = max(8, min(n // 6, 128))
-    x = np.ones(n)
+    x = np.ones(kernel.size) if start is None else np.asarray(start, dtype=float)
+    if not np.all(x > 0):
+        raise ValueError("the start of a Collatz-Wielandt bracket must be entrywise positive")
     lo, hi = 0.0, np.inf
-    for step in range(1, 10_001):
+    for _ in range(max(8, min(kernel.size // 6, 128))):
         y = kernel.matvec(x)
-        if not np.all(y > 0):
-            return None
         ratios = y / x
         width = hi - lo
         lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
-        if hi - lo <= 16 * np.finfo(float).eps * hi or hi - lo >= width:
-            break
-        if step >= budget and (clear is None or not lo <= clear < hi):
+        if hi - lo <= 16 * np.finfo(float).eps * hi or hi - lo >= width or not np.all(y > 0):
             break
         x = y / y.max()
     return lo, hi
 
 
 def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
-    """Unique root of D above the remainder radius.
+    """Unique root of D above rho(R).
 
     On (rho(R), inf) D is increasing and concave (D' = alpha phi[R_lam^2 u]
-    > 0, D'' = -2 alpha phi[R_lam^3 u] <= 0), so Newton started at any
-    point with D < 0 climbs to the root without overshooting.  The start
-    is the lower end lo of a Collatz-Wielandt bracket on rho(T) = lambda0,
-    taken from O(n^2) power steps run to rounding level or to a budget
-    worth about D at one new shift (see collatz_wielandt); its upper end
-    bounds the root and is never evaluated.  lo is returned as it is when
-    |D(lo)| <= tol * max(1, D'(lo) lo), the stopping rule of Newton,
-    whatever the sign of D(lo): the bracket may be exact, or rounding may
-    lift lo just past the root.  Then the one factorization at lo is all
-    the solve needs.  Otherwise Newton runs from lo when D(lo) < 0.  When
-    the start is unusable (an iterate with a zero entry, a lower end at
-    or below the radius estimate, or D(lo) > 0 beyond the stopping
-    rule) the root is bracketed instead by geometric expansion from the
-    radius estimate (D < 0 just above the radius whenever a root exists,
-    D -> 1 at infinity).  Newton then runs safeguarded by the bracket.
-    Raises NoSignChangeError, with alpha, the radius estimate, the
-    Collatz-Wielandt bracket and the last D value, when D stays positive
-    up to 10 * ||T||, which signals a certificate too weak to see the
-    dominant eigenvalue.  When the upper end of the bracket already lies
-    below the radius estimate (beyond a few eps of rounding), no root can
-    lie above the estimate, and the error is raised before any
-    factorization.
+    > 0, D'' = -2 alpha phi[R_lam^3 u] <= 0).  One loop keeps two fences
+    around the root, from the Collatz-Wielandt bracket [lo, hi] of
+    rho(T) = lambda0 (see collatz_wielandt); its first shift is lo, which
+    on a tight bracket is all the solve needs.  A shift x is returned once
+    |D(x)| <= tol * max(1, D'(x) x), whatever the sign of D(x).  Otherwise:
+
+    - a shift the evaluator refuses, not above rho(R) (its solve against 1
+      is not positive) or ill-conditioned, becomes the lower fence;
+    - D(x) < 0 makes x the lower fence, and the next shift is Newton's
+      x - D/D', which by concavity stays below the root;
+    - D(x) > 0 makes x the upper fence, and the next shift is
+      x - D (1 - D) / D', Newton on 1/(1 - D), exact for a single pole;
+    - a step that leaves the fences bisects them.
+
+    Fences that close to rounding level on a lower fence where D < 0 give
+    their midpoint.  Closed on a refused lower fence, they show that no
+    shift below the upper one is certified above rho(R), a certificate too
+    weak to see the dominant eigenvalue: NoSignChangeError, with alpha,
+    the fences, the Collatz-Wielandt bracket and the last D.
     """
     if not tol >= MIN_TOL:
         raise ValueError(f"tol below {MIN_TOL:g} is not resolvable in double precision")
@@ -146,113 +142,52 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         raise NotMinorizableError(
             NotMinorizable("root finding requires a strictly positive functional")
         )
-    rho = ev.remainder_radius
-    cw = collatz_wielandt(ev.split.kernel)
-    if cw is not None and cw[1] * (1.0 + 4 * np.finfo(float).eps) < rho:
-        # rho(T) <= hi < rho: D has no root above the radius estimate
-        raise _no_sign_change(
-            f"the Collatz-Wielandt upper end is {rho / cw[1] - 1.0:.3e} relative "
-            "below the remainder radius estimate",
-            ev, rho, cw, None,
-        )
-    if cw is not None and cw[0] > rho:
+    lo, hi = cw = collatz_wielandt(ev.split.kernel)
+    x, certified, d_last = lo, False, None
+    for _ in range(MAX_SHIFTS):
         try:
-            d_lo = ev.value(cw[0])
-        except IllConditionedError:
-            d_lo = None
-        if d_lo is not None:
-            if d_lo < 0:
-                return _newton(ev, cw[0], d_lo, cw[0], cw[1], tol)
-            if _converged(cw[0], d_lo, ev.derivative(cw[0]), tol):
-                return cw[0]
-
-    cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
-    delta = 1e-6
-    lo = rho * (1.0 + delta) if rho > 0 else delta * max(ev.operator_norm, 1e-300)
-    d_lo = None
-    for _ in range(8):  # ill-conditioning right above rho(R): back off outward
-        try:
-            d_lo = ev.value(lo)
-            break
-        except IllConditionedError:
-            lo = rho + (lo - rho) * 4.0
-    if d_lo is None:
-        raise _no_sign_change(
-            "shifted remainder is ill-conditioned above its radius", ev, rho, cw, None
-        )
-
-    shrink = 0
-    while d_lo >= 0 and shrink < 60:
-        # root may sit closer to rho(R) than the first probe
-        lo_new = rho + (lo - rho) * 0.5
-        if lo_new <= rho or lo_new == lo:
-            break
-        try:
-            d_new = ev.value(lo_new)
-        except IllConditionedError:
-            break
-        lo, d_lo = lo_new, d_new
-        shrink += 1
-    if d_lo >= 0:
-        raise _no_sign_change(
-            "D has no sign change above the remainder radius: certificate too "
-            "weak or the radius estimate is an overestimate",
-            ev, rho, cw, d_lo,
-        )
-
-    hi = None
-    offset = lo - rho
-    k = 0
-    while hi is None:
-        k += 1
-        cand = min(rho + offset * (2.0**k), cap)
-        d_cand = ev.value(cand)
-        if d_cand > 0:
-            hi = cand
+            # rho(R) >= 0: no shift at or below 0 is above it
+            dx, dpx = (ev.value(x), ev.derivative(x)) if x > 0 else (None, None)
+        except (BelowSpectralRadiusError, IllConditionedError):
+            dx = None
+        step = None
+        if dx is None:
+            lo, certified = x, False
+        elif _converged(x, dx, dpx, tol):
+            return float(x)
+        elif dx < 0:
+            lo, certified, d_last = x, True, dx
+            step = x - dx / dpx if dpx > 0 else None
         else:
-            lo, d_lo = cand, d_cand
-            if cand >= cap:
-                raise _no_sign_change(f"D stayed negative up to {cap}", ev, rho, cw, d_cand)
-
-    x = 0.5 * (lo + hi)
-    return _newton(ev, x, ev.value(x), lo, hi, tol)
+            hi, d_last = x, dx
+            step = x - dx * (1.0 - dx) / dpx if dpx > 0 else None
+        if hi - lo <= 8 * np.finfo(float).eps * hi:
+            if certified:
+                return float(0.5 * (lo + hi))
+            raise _no_sign_change(
+                "the fences closed without a shift where D < 0: no shift below the "
+                "upper fence is certified above the remainder's spectral radius",
+                ev, (lo, hi), cw, d_last,
+            )
+        x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    raise NotConvergentError(
+        f"root search did not converge in {MAX_SHIFTS} shifts (fences [{lo:.6e}, {hi:.6e}])"
+    )
 
 
 def _no_sign_change(
-    reason: str, ev: BirmanSchwingerEvaluator, rho: float, cw, d_last: float | None
+    reason: str, ev: BirmanSchwingerEvaluator, fences, cw, d_last: float | None
 ) -> NoSignChangeError:
-    bracket = "not computed" if cw is None else f"[{cw[0]:.6e}, {cw[1]:.6e}]"
     last = "not evaluated" if d_last is None else f"{d_last:.6e}"
     return NoSignChangeError(
-        f"{reason} (alpha = {ev.alpha:.6e}, remainder radius estimate {rho:.6e}, "
-        f"Collatz-Wielandt bracket {bracket}, last D = {last})"
+        f"{reason} (alpha = {ev.alpha:.6e}, fences [{fences[0]:.6e}, {fences[1]:.6e}], "
+        f"Collatz-Wielandt bracket [{cw[0]:.6e}, {cw[1]:.6e}], last D = {last})"
     )
 
 
 def _converged(x: float, dx: float, dpx: float, tol: float) -> bool:
     """The stopping rule of the root search: |D(x)| <= tol * max(1, D'(x) x)."""
     return abs(dx) <= tol * max(1.0, abs(dpx) * x)
-
-
-def _newton(
-    ev: BirmanSchwingerEvaluator, x: float, dx: float, lo: float, hi: float, tol: float
-) -> float:
-    """Newton on D from x, where dx = D(x), safeguarded by the bracket
-    [lo, hi]; stops once |D| <= tol * max(1, D' x)."""
-    for _ in range(200):
-        if dx > 0:
-            hi = x
-        else:
-            lo = x
-        dpx = ev.derivative(x)
-        if _converged(x, dx, dpx, tol):
-            return float(x)
-        if hi - lo <= 8 * np.finfo(float).eps * max(1.0, x):
-            return float(0.5 * (lo + hi))
-        step = x - dx / dpx if dpx > 0 else None
-        x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-        dx = ev.value(x)
-    raise NotConvergentError("root refinement did not converge")
 
 
 def eigenfunction_from_residue(
@@ -313,31 +248,56 @@ def eigenfunction_series(
 ) -> GridFunction:
     """Eigenfunction through the geometric series sum_n lambda0^-(n+1) R^n profile.
 
-    Converges at ratio rho(R)/lambda0; raises SlowConvergenceError when
-    that ratio is numerically 1 or the term budget is exhausted.  The
+    The terms t_n >= 0 bound their own tail.  Once R t_m <= c t_m
+    entrywise, applying R >= 0 gives R t_n <= c t_n for every later term,
+    so q, the running min of max_i (t_n+1)_i / (t_n)_i (a Collatz-Wielandt
+    upper end of rho(R)/lambda0), bounds the tail after t_n by
+    t_n q / (1 - q); summing stops once that is at most tol times the
+    running sum.  Likewise the running max q_lo of the min_i ratios bounds
+    the decay from below, t_n+k >= q_lo^k t_n, and the running sum from
+    above, so the loop raises SlowConvergenceError as soon as q_lo shows
+    that max_terms terms cannot meet tol, rather than after them.  The
     result carries the same pairing normalization as the residue route.
     """
-    ratio = ev.remainder_radius / lambda0
-    if ratio >= 1.0 - 1e-6:
-        raise SlowConvergenceError(
-            f"series contraction ratio {ratio:.8f} is too close to one"
-        )
     rem = ev.split.remainder
     term = ev.profile.values / lambda0
     acc = term.copy()
+    q_lo, q_hi = 0.0, np.inf
     for n in range(1, max_terms + 1):
         # scaled recurrence: unscaled numerator and denominator both
         # underflow for long series when lambda0 < 1
-        term = rem.matvec(term) / lambda0
-        acc = acc + term
+        nxt = rem.matvec(term) / lambda0
+        acc = acc + nxt
+        if not nxt.any():
+            break
+        # an entry where both terms vanish constrains no ratio
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = nxt / term
+        q_lo = max(q_lo, float(np.nanmin(ratios)))
+        q_hi = min(q_hi, float(np.nanmax(ratios)))
+        term = nxt
         # geometric tail, relative to the running sum: the normalization
         # at the end is a scalar, so relative accuracy is what survives
-        tail = float(np.max(np.abs(term))) * ratio / (1.0 - ratio)
-        if tail <= tol * float(np.max(np.abs(acc))):
+        size, total = float(term.max()), float(acc.max())
+        if q_hi < 1.0 and size * q_hi / (1.0 - q_hi) <= tol * total:
             break
+        if q_lo >= 1.0:
+            raise SlowConvergenceError(
+                f"series terms do not decay: ratio at least {q_lo:.6f}"
+            )
+        if q_hi < 1.0 and q_lo > 0.0:
+            # the tail test at term n + k needs q_lo^k size q_lo / (1 - q_lo)
+            # <= tol times a bound on the final sum
+            final = total + size * q_hi / (1.0 - q_hi)
+            reach = tol * final * (1.0 - q_lo) / (q_lo * size)
+            if reach < 1.0 and n + math.log(reach) / math.log(q_lo) > max_terms:
+                raise SlowConvergenceError(
+                    f"series needs more than {max_terms} terms (ratio in "
+                    f"[{q_lo:.6f}, {q_hi:.6f}] after {n} terms)"
+                )
     else:
         raise SlowConvergenceError(
-            f"series needed more than {max_terms} terms (ratio {ratio:.6f})"
+            f"series needed more than {max_terms} terms (ratio in [{q_lo:.6f}, {q_hi:.6f}])"
         )
     raw = GridFunction(acc, ev.space)
     mass = pair(ev.functional, raw)
@@ -391,20 +351,21 @@ def solve(
         projection_raw.functional.density / left_scale, ev.space
     )
 
+    # both residuals are relative to ||T||_inf, so c K has those of K
+    norm = ev.operator_norm
     tw = kernel.matvec(w_fun.values)
-    eig_residual = float(np.max(np.abs(tw - lambda0 * w_fun.values)) / w_fun.sup_norm())
+    eig_residual = float(np.max(np.abs(tw - lambda0 * w_fun.values)) / (w_fun.sup_norm() * norm))
     # P = a z^T, so P^2 - P = (z . a - 1) P and ||P||_inf = max|a| sum|z|
     a = projection_raw.range_vector.values
     proj_idem = abs(projection_raw.coupling() - 1.0) * float(np.abs(a).max() * np.abs(z).sum())
     lr = left_row.acting_vector()
     left_residual = float(
-        np.max(np.abs(kernel.rmatvec(lr) - lambda0 * lr)) / max(np.max(np.abs(lr)), 1e-300)
+        np.max(np.abs(kernel.rmatvec(lr) - lambda0 * lr)) / (np.max(np.abs(lr)) * norm)
     )
     diagnostics = SpectralDiagnostics(
         eig_residual=eig_residual,
         proj_idempotency=proj_idem,
         bs_at_lambda0=ev.value(lambda0),
-        gap_to_remainder_radius=lambda0 - ev.remainder_radius,
         left_residual=left_residual,
         rank_one_defect=_proportionality_defect(z),
         min_eigenfunction_value=float(w_fun.values.min()),

@@ -110,6 +110,13 @@ def eigenvalues_via_charpoly(matrix: np.ndarray) -> np.ndarray:
     return np.roots(characteristic_polynomial(matrix))
 
 
+def remainder_radius(ev) -> float:
+    """Dense oracle of rho(R), the spectral radius of the evaluator's
+    remainder: the largest modulus of the eigenvalues of its operator
+    matrix.  The program itself carries no estimate of it."""
+    return float(np.abs(np.linalg.eigvals(ev.split.remainder.operator_matrix())).max())
+
+
 def random_positive_kernel(space, rng, low=0.05, high=1.05):
     return pr.Kernel(rng.uniform(low, high, (space.size, space.size)), space)
 

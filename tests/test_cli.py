@@ -15,7 +15,7 @@ import perron.mollified
 import perron.resolvent
 from perron.cli import main
 from perron.errors import IllConditionedError
-from conftest import count_calls, perturb_top_value
+from conftest import count_calls, perturb_top_value, remainder_radius
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -147,6 +147,69 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["lambda0"] == pytest.approx(4.0, abs=1e-9)
         assert "series_vs_residue" not in report["residuals"]
+
+    def test_series_beyond_its_term_budget_is_omitted_early(self, runner, tmp_path, monkeypatch):
+        # sigma = 0.15 at n = 200: rho(R) / lambda0 = 0.99878, so a tail of
+        # 1e-12 needs more than the 20,000 terms of the budget; the series
+        # sees that from its own ratios within a few terms
+        matvecs = []
+        real_series, real_matvec = perron.cli.eigenfunction_series, pr.Kernel.matvec
+
+        def counted(self, x):
+            matvecs.append(1)
+            return real_matvec(self, x)
+
+        def series(*args, **kwargs):
+            monkeypatch.setattr(pr.Kernel, "matvec", counted)
+            try:
+                return real_series(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(pr.Kernel, "matvec", real_matvec)
+
+        monkeypatch.setattr(perron.cli, "eigenfunction_series", series)
+        cfg = write_config(tmp_path / "g.json", {
+            "kernel": {"family": "gaussian", "sigma": 0.15},
+            "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 200, "rule": "midpoint"},
+        })
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert "series_vs_residue" not in report["residuals"]
+        assert 0 < len(matvecs) < 200
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e300])
+    def test_scaled_kernel_passes_every_check(self, runner, tmp_path, c):
+        # the checks are relative: c K passes where K does, and its curve
+        # neither over- nor underflows
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.35)
+        np.savetxt(tmp_path / "k.csv", c * kernel.entries, delimiter=",", fmt="%.17g")
+        cfg = write_config(tmp_path / "k.json", {
+            "kernel": {"family": "csv", "path": "k.csv"},
+            "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 200, "rule": "midpoint"},
+            "outputs": {"dcurve": "dcurve.csv"},
+        })
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is True
+        reference = np.linalg.eigvalsh(kernel.operator_matrix()).max()
+        assert report["lambda0"] == pytest.approx(c * reference, rel=1e-12)
+        rows = np.loadtxt(out / "dcurve.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows)) and rows[0, 1] < 0 < rows[-1, 1]
+
+    def test_report_brackets_the_remainder_radius_below_lambda0(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "g.json", gaussian_config(200))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        lo, hi = report["remainder_radius_bracket"]
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.35)
+        rho = remainder_radius(pr.solve(kernel).evaluator)
+        assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+        assert hi < report["lambda0"]
 
     def test_not_minorizable_exit_two(self, runner, chain_config, tmp_path):
         result = runner.invoke(

@@ -23,6 +23,7 @@ from conftest import (
     count_solves,
     perturb_top_value,
     random_positive_kernel,
+    remainder_radius,
 )
 
 
@@ -171,7 +172,7 @@ def constant_evaluator(constant_unit):
 class TestRemainderResolvent:
     def test_zero_remainder_divides_by_lambda(self, constant_evaluator):
         ev = constant_evaluator
-        assert ev.remainder_radius == 0.0
+        assert remainder_radius(ev) == 0.0
         v = ev.space.function(np.linspace(0, 1, ev.space.size))
         out = ev.resolve_remainder(2.0, v)
         np.testing.assert_allclose(out.values, v.values / 2.0)
@@ -201,7 +202,7 @@ class TestRemainderResolvent:
         ev = pr.BirmanSchwingerEvaluator(split)
         for _ in range(10):
             v = sp.function(rng.uniform(0, 1, 15))
-            out = ev.resolve_remainder(ev.remainder_radius * 1.5 + 0.5, v)
+            out = ev.resolve_remainder(remainder_radius(ev) * 1.5 + 0.5, v)
             assert out.is_nonnegative(slack=1e-12)
 
     def test_below_radius_rejected(self, symmetric_evaluator):
@@ -243,7 +244,7 @@ class TestScalarFunction:
         k = random_positive_kernel(sp, rng)
         split = pr.rank_one_split(k, pr.extract_minorization(k))
         ev = pr.BirmanSchwingerEvaluator(split)
-        grid = np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 200)
+        grid = np.geomspace(remainder_radius(ev) * 1.001, 10 * ev.operator_norm, 200)
         values = [ev.value(x) for x in grid]
         assert np.all(np.diff(values) > 0)
         # the paired quantity alpha*phi[R_lam u] = 1 - D decreases
@@ -255,7 +256,7 @@ class TestScalarFunction:
         k = random_positive_kernel(sp, rng)
         split = pr.rank_one_split(k, pr.extract_minorization(k))
         ev = pr.BirmanSchwingerEvaluator(split)
-        for lam in (4.0, 2 * ev.remainder_radius + 1.0):
+        for lam in (4.0, 2 * remainder_radius(ev) + 1.0):
             an = ev.derivative(lam)
             assert an > 0
             h = 1e-5 * lam
@@ -306,7 +307,7 @@ class TestOperatorResolvent:
         res = pr.solve(pr.gaussian_kernel(sp, 0.35))
         ev = res.evaluator
         assert len(ev._lu_cache) <= 2
-        _dcurve(ev, None, None, 200)
+        _dcurve(ev, None, None, 200, remainder_radius(ev), res.lambda0)
         assert len(ev._lu_cache) <= 2
 
     def test_profile_solves_are_dropped_with_their_shift(self, monkeypatch):
@@ -316,13 +317,14 @@ class TestOperatorResolvent:
         solves = count_solves(monkeypatch)
         lams = [k * ev.operator_norm for k in (2.0, 3.0, 4.0)]
         first = [(ev.value(lam), ev.derivative(lam)) for lam in lams]
-        assert len(solves) == 6
+        # per shift: the solve against 1 that certifies it, R_lam u and R_lam^2 u
+        assert len(solves) == 9
         # value and derivative at a cached shift solve nothing
         assert (ev.value(lams[-1]), ev.derivative(lams[-1])) == first[-1]
-        assert len(solves) == 6
+        assert len(solves) == 9
         # the first shift was evicted with its vectors: solved again, same result
         assert (ev.value(lams[0]), ev.derivative(lams[0])) == first[0]
-        assert len(solves) == 8
+        assert len(solves) == 12
         assert len(ev._lu_cache) == 2
 
     def test_condition_is_the_dense_condition_number(self):
@@ -362,10 +364,11 @@ class TestMixedPrecision:
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         assert self.factors_at(pr.solve(pr.gaussian_kernel(sp, sigma))).dtype == dtype
 
-    def test_ill_conditioned_shifts_take_one_float64_factorization(self, monkeypatch):
-        # the first matrix of the seed-1 log-normal pool: every shift's
-        # condition is far above the float32 limit, so the a-priori bound
-        # sends each straight to float64 without a float32 attempt
+    def test_no_float32_attempt_at_or_below_a_refused_shift(self, monkeypatch):
+        # the first matrix of the seed-1 log-normal pool: the shifts near
+        # the root are far above the float32 limit.  Once sgecon refuses
+        # float32 at a shift, every shift at or below it is factored in
+        # float64 directly, since the resolvent norm grows toward rho(R)
         rng = np.random.default_rng(1)
         n = int(rng.integers(20, 61))
         kernel = pr.Kernel(np.exp(4.0 * rng.standard_normal((n, n))), pr.make_counting_space(n))
@@ -373,16 +376,25 @@ class TestMixedPrecision:
         real = pr.BirmanSchwingerEvaluator._factor
 
         def recording(self, entry, dtype):
-            factored.append((entry.lam, dtype))
-            return real(self, entry, dtype)
+            kept = real(self, entry, dtype)
+            factored.append((entry.lam, dtype, kept))
+            return kept
 
         monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_factor", recording)
         lu_calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         res = pr.solve(kernel)
         oracle = np.abs(np.linalg.eigvals(kernel.entries)).max()
         assert res.lambda0 == pytest.approx(oracle, rel=1e-12)
-        assert {dtype for _, dtype in factored} == {np.float64}
-        assert len(lu_calls) == len({lam for lam, _ in factored}) == len(factored) >= 1
+        assert len(lu_calls) == len(factored)
+        refused = []
+        for lam, dtype, kept in factored:
+            if dtype == np.float32:
+                assert all(lam > r for r in refused)
+                if not kept:
+                    refused.append(lam)
+        assert refused
+        # the root lies below the last refused shift: float64, with no float32 attempt
+        assert factored[-1][1] == np.float64 and factored[-1][0] < max(refused)
 
     @pytest.mark.parametrize("c", [1e-300, 1e-42, 1e250, 1e300])
     def test_lambda0_scales_with_the_kernel(self, c):
@@ -504,7 +516,7 @@ class TestSymmetricCurve:
         res = pr.solve(kernel)
         ev = res.evaluator
         # lambda0, where D vanishes and the top eigenvalue's pole is divided out
-        lams = np.append(np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 40), res.lambda0)
+        lams = np.append(np.geomspace(remainder_radius(ev) * 1.001, 10 * ev.operator_norm, 40), res.lambda0)
         d, dp = ev.curve(lams)
         d_ref, dp_ref = pointwise_curve(ev, lams)
         np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
@@ -525,7 +537,7 @@ class TestSymmetricCurve:
             for counted in calls.values():
                 counted.clear()
             ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
-            ev.curve(np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20))
+            ev.curve(np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20))
             rank = {"eigh": kernel.size, "schur": None, "compressed": perron.kernel_op.COMPRESSION_BLOCK}
             assert ev.curve_route()["route"] == route
             assert ev.curve_route()["rank"] == rank[route]
@@ -539,7 +551,7 @@ class TestSymmetricCurve:
         # that vector from the eigenbasis with the top pole divided out
         res = pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 80, rule), 0.15))
         ev = res.evaluator
-        lams = np.append(np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 20), res.lambda0)
+        lams = np.append(np.geomspace(remainder_radius(ev) * 1.001, 10 * ev.operator_norm, 20), res.lambda0)
         shifted = lams[:, None, None] * np.eye(80) - ev.split.remainder.operator_matrix()
         dense = np.linalg.solve(shifted, np.ones((lams.size, 80, 1)))[..., 0].T
         for route in (ev._symmetric_resolvents, ev._schur_resolvents):
@@ -556,7 +568,7 @@ class TestCompressedCurve:
         kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), sigma)
         res = pr.solve(kernel)
         ev = res.evaluator
-        lams = np.append(np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 40), res.lambda0)
+        lams = np.append(np.geomspace(remainder_radius(ev) * 1.001, 10 * ev.operator_norm, 40), res.lambda0)
         d, dp = ev.curve(lams)
         route = ev.curve_route()
         assert route["route"] == "compressed"
@@ -583,7 +595,7 @@ class TestCompressedCurve:
         calls = count_calls(monkeypatch, perron.resolvent, "eigh")
         qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
-        lams = np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20)
+        lams = np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20)
         d, dp = ev.curve(lams)
         assert kernel.compression is None
         # one block with one power step is tried before the fallback
@@ -599,7 +611,7 @@ class TestCompressedCurve:
         space = pr.make_interval_space(0, 1, 300, "midpoint")
         kernel = pr.gaussian_kernel(space, 0.35)
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
-        lams = np.geomspace(ev.remainder_radius * 1.01, 10 * ev.operator_norm, 20)
+        lams = np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20)
         first = ev.curve(lams)
         assert ev.curve(lams)[0] is not first[0]
         pr.convergence_study(kernel, 0.5, 0.5, (0.2, 0.1), 3)
@@ -637,10 +649,12 @@ class TestCompressedSolve:
         lu = pr.solve(kernel)
         entry = res.evaluator._lu_cache[res.lambda0]
         if sigma == 0.1:
-            # rho(R) / lambda0 = 0.9999992: the condition bound sends the
-            # shift to float64 factors, the same as below the floor
+            # rho(R) / lambda0 = 0.9999992: the measured condition refuses
+            # the compression, at no LU, and the float32 factors of the
+            # path below the floor, at one; both end in float64 factors
             assert entry.factors[0].dtype == np.float64
-            assert len(factored) == 2 * compressed_factorizations
+            assert compressed_factorizations == 1
+            assert len(factored) == compressed_factorizations + 2
             np.testing.assert_array_equal(res.eigenfunction.values, lu.eigenfunction.values)
         else:
             assert entry.factors is None
@@ -701,7 +715,7 @@ class TestCurve:
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
         s, _ = schur(ev.split.remainder.operator_matrix(), output="real")
         assert np.any(np.diag(s, -1) != 0.0)  # the 2x2 block path runs
-        lams = np.geomspace(ev.remainder_radius * 1.001, 10 * ev.operator_norm, 40)
+        lams = np.geomspace(remainder_radius(ev) * 1.001, 10 * ev.operator_norm, 40)
         d, dp = ev.curve(lams)
         d_ref, dp_ref = pointwise_curve(ev, lams)
         np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
@@ -712,21 +726,24 @@ class TestCurve:
     )
     def test_matches_pointwise_on_configs(self, kernel, cert):
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, cert))
-        lams = np.geomspace(ev.remainder_radius * 1.001 + 1e-9, 10 * ev.operator_norm, 40)
+        lams = np.geomspace(remainder_radius(ev) * 1.001 + 1e-9, 10 * ev.operator_norm, 40)
         d, dp = ev.curve(lams)
         d_ref, dp_ref = pointwise_curve(ev, lams)
         np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
 
     def test_below_radius_rejected_where_value_is(self, symmetric_evaluator):
-        # a symmetric kernel: the check runs before the eigendecomposition
+        # R = I here, so (lam - R)^-1 1 = 1 / (lam - 1): negative below
+        # rho(R) = 1, pointwise and on the grid alike
         ev = symmetric_evaluator
-        for lam in (0.5, ev.remainder_radius):
-            with pytest.raises(BelowSpectralRadiusError):
+        for lam in (0.5, 0.999):
+            with pytest.raises(BelowSpectralRadiusError) as info:
                 ev.value(lam)
+            assert info.value.smallest == pytest.approx(1.0 / (lam - 1.0), rel=1e-12)
             with pytest.raises(BelowSpectralRadiusError) as info:
                 ev.curve([4.0, lam, 5.0])
             assert info.value.lam == lam
+            assert info.value.smallest == pytest.approx(1.0 / (lam - 1.0), rel=1e-12)
 
     def test_ill_conditioned_where_value_is(self):
         # the remainder is a nonnormal chain, R = diag + 5 * superdiagonal, under

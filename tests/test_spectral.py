@@ -9,7 +9,13 @@ import perron.kernel_op
 import perron.resolvent
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
 from perron.kernel_op import DENSE_RADIUS_MAX_DIM
-from conftest import config_kernels, count_calls, count_solves, random_positive_kernel
+from conftest import (
+    config_kernels,
+    count_calls,
+    count_solves,
+    random_positive_kernel,
+    remainder_radius,
+)
 
 
 def evaluator_for(kernel, strategy="row_min"):
@@ -35,17 +41,16 @@ class TestFindDominant:
         assert abs(lam - oracle) <= 1e-8 * lam
 
     def test_vanishing_alpha_has_no_resolvable_root(self, counting2):
-        # an alpha so small the remainder radius estimate (inflated for
-        # safety) lands above the true dominant eigenvalue: D stays
-        # positive everywhere it can be evaluated
+        # an alpha so small that rho(R) lies 5e-13 relative below lambda0 = 2:
+        # every shift between them is ill-conditioned, so the fences close
+        # without a certified shift where D < 0, and the error names them
         k = pr.Kernel(np.array([[1.0, 1.0], [1.0, 1.0]]), counting2)
         cert = pr.MinorizationCertificate(
             alpha=1e-12, profile=counting2.ones(), functional=counting2.functional([0.5, 0.5])
         )
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, cert))
-        with pytest.raises(NoSignChangeError) as excinfo:
+        with pytest.raises(NoSignChangeError, match=r"fences \[2\.000000e\+00, 2\.000000e\+00\]"):
             pr.find_dominant(ev, tol=1e-12)
-        assert f"{ev.remainder_radius:.6e}" in str(excinfo.value)
 
     def test_tol_validation(self, constant_unit):
         with pytest.raises(ValueError):
@@ -62,7 +67,7 @@ def expansion_root(ev, tol=1e-12):
     """Oracle root search without the Collatz-Wielandt start: geometric
     expansion up from just above the remainder radius, then Newton
     safeguarded by the bracket."""
-    rho = ev.remainder_radius
+    rho = remainder_radius(ev)
     cap = 10.0 * max(ev.operator_norm, np.finfo(float).tiny)
     lo = rho * (1.0 + 1e-6) if rho > 0 else 1e-6 * max(ev.operator_norm, 1e-300)
     d_lo = None
@@ -156,12 +161,13 @@ def lu_calls(monkeypatch):
 
 class TestRootSearch:
     def test_solve_makes_one_solve_per_right_hand_side(self, monkeypatch):
-        # R_lam u, R_lam^2 u and the transposed solve against phi, each once
-        # (each refined in a few float32 solves)
+        # R_lam 1, which certifies the shift, R_lam u, R_lam^2 u and the
+        # transposed solve against phi, each once (each refined in a few
+        # float32 solves)
         solves = count_solves(monkeypatch)
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         pr.solve(pr.gaussian_kernel(sp, 0.35))
-        assert len(solves) <= 3
+        assert len(solves) <= 4
 
     def test_solve_holds_at_most_five_square_arrays(self):
         # the remainder, the matrices of T and R and the LU of the root,
@@ -228,39 +234,57 @@ class TestRootSearch:
         # the root and the reference carry rounding error, so allow 64 eps
         assert abs(lam - reference) <= 64 * np.finfo(float).eps * reference
 
-    def test_no_root_above_radius_estimate_fails_before_any_factorization(self, lu_calls):
-        # a certificate this weak leaves rho(R) within 1e-8 of rho(T): the
-        # inflated radius estimate lies above the Collatz-Wielandt upper end
+    def test_root_within_1e8_of_the_remainder_radius_solves(self):
+        # a certificate this weak leaves rho(R) within 1e-8 of rho(T), where
+        # an inflated power-iteration estimate of rho(R) lay above the root;
+        # certified by positivity, every shift stands on its own solve
         rng = np.random.default_rng(1)
         k = pr.Kernel(np.exp(4.0 * rng.standard_normal((20, 20))), pr.make_counting_space(20))
-        with pytest.raises(NoSignChangeError, match="last D = not evaluated") as info:
-            pr.solve(k)
-        # the bracket and the estimate agree to 7 digits; the reason states the gap
-        assert re.search(r"upper end is \d\.\d{3}e-\d\d relative below", str(info.value))
-        assert len(lu_calls) == 0
+        res = pr.solve(k)
+        oracle = np.abs(np.linalg.eigvals(k.entries)).max()
+        assert abs(res.lambda0 - oracle) <= 1e-10 * oracle
+        assert 0 < res.lambda0 - remainder_radius(res.evaluator) <= 1e-8 * oracle
 
     def test_weak_certificate_fallback_matches_power_oracle(self):
         # a heterogeneous matrix: the power steps converge slowly, and
         # within their budget the Collatz-Wielandt lower end stays below
-        # the remainder radius estimate, so the expansion bracket is used
+        # rho(R), so the search starts from a refused shift
         rng = np.random.default_rng(0)
         k = pr.Kernel(np.exp(4.0 * rng.standard_normal((30, 30))), pr.make_counting_space(30))
         res = pr.solve(k)
         lo, _ = perron.spectral.collatz_wielandt(k)
-        assert lo <= res.evaluator.remainder_radius
+        assert lo <= remainder_radius(res.evaluator)
         oracle = pr.spectral_radius_oracle(k, tol=1e-12).rho
         assert abs(res.lambda0 - oracle) <= 1e-8 * res.lambda0
 
-    def test_bracket_steps_past_its_budget_only_while_clear_is_inside(self):
+    def test_bracket_from_the_eigenfunction_is_at_rounding_width(self):
         k = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.1)
         lo, hi = perron.spectral.collatz_wielandt(k)
-        assert hi - lo > 1e-6 * hi  # the budget ends the default run early
-        assert perron.spectral.collatz_wielandt(k, clear=0.5 * lo) == (lo, hi)
-        assert perron.spectral.collatz_wielandt(k, clear=2.0 * hi) == (lo, hi)
-        for clear in (lo + 0.01 * (hi - lo), 0.5 * (lo + hi)):
-            lo2, hi2 = perron.spectral.collatz_wielandt(k, clear=clear)
-            assert lo <= lo2 <= hi2 <= hi
-            assert not lo2 <= clear < hi2
+        assert hi - lo > 1e-6 * hi  # the budget ends the run from the ones vector early
+        res = pr.solve(k)
+        lo, hi = perron.spectral.collatz_wielandt(k, start=res.eigenfunction.values)
+        assert hi - lo <= 1e-12 * hi
+        assert lo * (1 - 1e-12) <= res.lambda0 <= hi * (1 + 1e-12)
+        with pytest.raises(ValueError, match="positive"):
+            perron.spectral.collatz_wielandt(k, start=-res.eigenfunction.values)
+
+    def test_remainder_bracket_from_the_eigenfunction_lies_below_lambda0(self):
+        for k in (pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.1),
+                  random_positive_kernel(pr.make_counting_space(30), np.random.default_rng(5))):
+            res = pr.solve(k)
+            remainder = res.evaluator.split.remainder
+            lo, hi = perron.spectral.collatz_wielandt(remainder, start=res.eigenfunction.values)
+            rho = remainder_radius(res.evaluator)
+            assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+            assert hi < res.lambda0
+
+    def test_bracket_keeps_its_ends_through_a_zero_entry(self, constant_unit):
+        # the ratios need x > 0 only: an iterate with a zero entry ends the
+        # steps, and the bracket found so far stands
+        k = pr.Kernel(np.array([[1.0, 0.0], [0.0, 0.0]]), pr.make_counting_space(2))
+        assert perron.spectral.collatz_wielandt(k) == (0.0, 1.0)
+        zero = evaluator_for(constant_unit).split.remainder
+        assert perron.spectral.collatz_wielandt(zero) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "kernel, certificate",
@@ -465,7 +489,7 @@ class TestSeries:
         ev = evaluator_for(symmetric_2x2)
         with pytest.raises(SlowConvergenceError):
             # lambda barely above the remainder radius: ratio ~ 1
-            pr.eigenfunction_series(ev, ev.remainder_radius * (1 + 1e-9), tol=1e-10)
+            pr.eigenfunction_series(ev, remainder_radius(ev) * (1 + 1e-9), tol=1e-10)
 
 
 class TestDominance:
@@ -600,7 +624,7 @@ class TestSolvePipeline:
     def test_unique_sign_change_on_dense_scan(self, symmetric_2x2):
         res = pr.solve(symmetric_2x2)
         ev = res.evaluator
-        grid = np.geomspace(ev.remainder_radius * 1.0001, 10 * ev.operator_norm, 1000)
+        grid = np.geomspace(remainder_radius(ev) * 1.0001, 10 * ev.operator_norm, 1000)
         signs = np.sign([ev.value(x) for x in grid])
         assert int(np.sum(np.diff(signs) != 0)) == 1
 
@@ -617,7 +641,7 @@ class TestSolvePipeline:
         assert d.eig_residual <= 1e-8
         assert d.proj_idempotency <= 1e-8
         assert abs(d.bs_at_lambda0) <= 1e-10
-        assert d.gap_to_remainder_radius > 1e-6 * res.lambda0
+        assert res.lambda0 - remainder_radius(res.evaluator) > 1e-6 * res.lambda0
         assert d.left_residual <= 1e-8
         assert d.min_eigenfunction_value > 0
 
