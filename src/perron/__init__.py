@@ -81,13 +81,7 @@ from .mollified import (
     mollified_recursion,
     point_recursion,
 )
-from .resolvent import (
-    BirmanSchwingerEvaluator,
-    RankOneOperator,
-    fredholm_det_rank_one,
-    rank_one_resolvent_apply,
-    sherman_morrison_apply,
-)
+from .resolvent import BirmanSchwingerEvaluator, RankOneOperator
 from .spectral import (
     DominanceReport,
     SpectralDiagnostics,

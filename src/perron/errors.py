@@ -26,16 +26,6 @@ class NotMinorizableError(PerronError):
         self.details = details
 
 
-class NearSingularError(PerronError):
-    """1 - b[a] is too close to zero for a rank-one inversion."""
-
-
-class PoleError(PerronError):
-    def __init__(self, location):
-        super().__init__(f"resolvent pole at lambda = {location!r}")
-        self.location = location
-
-
 class BelowSpectralRadiusError(PerronError):
     """lam is not above rho(R): (lam*I - R)^-1 1 has an entry ``smallest`` <= 0."""
 
@@ -50,15 +40,6 @@ class BelowSpectralRadiusError(PerronError):
 
 class IllConditionedError(PerronError):
     """A shifted linear system is too ill-conditioned to solve reliably."""
-
-
-class AtEigenvalueError(PerronError):
-    def __init__(self, lam, value):
-        super().__init__(
-            f"lambda = {lam!r} is numerically an eigenvalue (scalar function = {value!r})"
-        )
-        self.lam = lam
-        self.value = value
 
 
 class NotConvergentError(PerronError):

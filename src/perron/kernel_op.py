@@ -27,6 +27,12 @@ NONNEG_SLACK = 1e-14  # float noise must not disqualify a nonnegative kernel
 SYMMETRY_TILE = 256
 
 
+def _pow2_scale(x: float) -> float:
+    """The power of two that brings x >= 0 into [1/2, 1), or as close as the
+    largest double allows for subnormal x: exact to apply."""
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Dense nonnegative n x n kernel matrix over a measure space."""
@@ -327,22 +333,24 @@ def _deflate(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return deflated
 
 
-def _deflated_matvec(kernel: Kernel, a, b, c, x):
-    """(I - P) T (I - P) x for P = a b^T, where c = T a - (b . T a) a."""
-    tx = kernel.matvec(x)
+def _deflated_matvec(kernel: Kernel, scale: float, a, b, c, x):
+    """(I - P) A (I - P) x for A = scale T and P = a b^T, where
+    c = A a - (b . A a) a."""
+    tx = kernel.matvec(scale * x)
     return tx - (b @ tx) * a - (b @ x) * c
 
 
-def _top_pair(theta, x, ax, norm: float, route: str) -> SecondRadius:
-    """The radius |theta| with the misfit ||A x - theta x|| over
-    max(|theta|, ||T||_inf) ||x||, the backward error of the pair on the
-    scale of T.  A x is formed from T, so it carries a rounding error of
-    about eps ||T||_inf ||x|| whatever theta is: on a rank-one T, where
+def _top_pair(theta, x, ax, norm: float, scale: float, route: str) -> SecondRadius:
+    """The radius |theta| / scale of a pair of A = scale (I - P) T (I - P),
+    with the misfit ||A x - theta x|| over max(|theta|, scale ||T||_inf)
+    ||x||, the backward error of the pair on the scale of T, which scale
+    leaves unchanged.  A x is formed from T, so it carries a rounding error
+    of about eps ||T||_inf ||x|| whatever theta is: on a rank-one T, where
     theta is itself that noise, a misfit over |theta| alone reads O(1)."""
     radius = float(abs(theta))
     misfit = float(np.linalg.norm(ax - theta * x))
-    scale = max(radius, norm, np.finfo(float).tiny) * float(np.linalg.norm(x))
-    return SecondRadius(radius, misfit / scale if misfit else 0.0, route)
+    size = max(radius, scale * norm, np.finfo(float).tiny) * float(np.linalg.norm(x))
+    return SecondRadius(radius / scale, misfit / size if misfit else 0.0, route)
 
 
 def _inverse_iteration(a: np.ndarray, theta, norm: float) -> np.ndarray:
@@ -384,18 +392,22 @@ def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> SecondRadius:
     max(|theta|, ||T||_inf), so on a rank-one T, where the deflation
     leaves only rounding, it reads at rounding level too.  It is a
     backward error on the scale of T and does not bound the relative
-    error of theta.
+    error of theta.  Both routes run on scale T, with scale the power of
+    two that brings ||T||_inf into [1/2, 1), and divide theta by it: so
+    ARPACK's convergence test, absolute below |theta| = eps^(2/3), and the
+    norms of the residual see a T of order 1 whatever the kernel's scale.
     """
     n = kernel.size
     norm = kernel.weighted_inf_norm()
+    scale = _pow2_scale(norm)
     if n > DENSE_RADIUS_MAX_DIM:
         # lazy: at module level scipy.sparse adds ~30 ms and 2.4 MB to every perron process
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-        ta = kernel.matvec(a)
+        ta = kernel.matvec(scale * a)
         c = ta - (b @ ta) * a
         op = LinearOperator(
-            (n, n), matvec=lambda x: _deflated_matvec(kernel, a, b, c, x), dtype=float
+            (n, n), matvec=lambda x: _deflated_matvec(kernel, scale, a, b, c, x), dtype=float
         )
         start = np.random.default_rng(1234567).uniform(0.5, 1.5, n)
         try:
@@ -406,14 +418,17 @@ def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> SecondRadius:
         else:
             i = int(np.argmax(np.abs(vals)))
             x = vecs[:, i]
-            return _top_pair(vals[i], x, _deflated_matvec(kernel, a, b, c, x), norm, "arnoldi")
-    deflated = _deflate(kernel.operator_matrix(), a, b)
+            ax = _deflated_matvec(kernel, scale, a, b, c, x)
+            return _top_pair(vals[i], x, ax, norm, scale, "arnoldi")
+    t_op = kernel.operator_matrix()
+    t_op *= scale
+    deflated = _deflate(t_op, a, b)
     vals = np.linalg.eigvals(deflated)
     theta = vals[int(np.argmax(np.abs(vals)))]
     if theta.imag == 0:
         theta = theta.real
-    x = _inverse_iteration(deflated, theta, norm)
-    return _top_pair(theta, x, deflated @ x, norm, "dense")
+    x = _inverse_iteration(deflated, theta, scale * norm)
+    return _top_pair(theta, x, deflated @ x, norm, scale, "dense")
 
 
 # ---------------------------------------------------------------------------

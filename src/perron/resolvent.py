@@ -17,20 +17,19 @@ R >= 0, so (lam*I - R)^-1 1 > 0 exactly when lam > rho(R) (Berman &
 Plemmons 1994, ch. 6); no estimate of rho(R) is made, and no eigensolver.
 
 A shift lam used alone (the root search, the residue at the root) is
-solved through an approximate inverse of lam*I - R, and every solve
-with it is refined to double precision against a float64 residual
-from the remainder's own entries, as LAPACK dsgesv does (Langou et al.
-2006; Carson & Higham 2018).  The matrix of R, the remainder's kernel
-entries times the weights, is never formed.  Where it measures
-lam*I - R as well conditioned (condition number at most 1e4) the
-approximate inverse is, for a symmetric kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes with
-a low-rank compression (below), that compression: Sherman-Morrison in
-its eigenbasis with the top pole divided out applies (lam*I - R)^-1
-and its transpose in O(n k), and the shift holds no n x n array.  For
-any other kernel it is an LU factorization in float32, cast straight
-from the entries, at half the cost of float64.  Any other shift, one
-whose refinement stalls, and any at or below a refused one is factored
-in float64.  A whole grid of
+solved through one inverse of lam*I - R.  For a symmetric kernel of at
+least COMPRESSED_SOLVE_MIN_DIM nodes with a low-rank compression
+(below), it is that compression: Sherman-Morrison in its eigenbasis with
+the top pole divided out applies (lam*I - R)^-1 and its transpose in
+O(n k), the shift holds no n x n array, and every solve is refined to
+double precision against a float64 residual from the remainder's own
+entries, as LAPACK dsgesv refines float32 factors (Langou et al. 2006;
+Carson & Higham 2018).  The compression is kept where lam*I - R is well
+conditioned (condition number at most 1e4).  Any other shift, and one
+whose refinement stalls, is one float64 LU factorization of lam*I - R,
+built from the entries of R and solved directly.  The solve against 1
+that certifies a shift also gives its condition number exactly, and a
+shift above MAX_CONDITION is refused by it.  A whole grid of
 shifts (the D-curve, the verify scan) shares one factorization instead.
 For a symmetric kernel that is an eigendecomposition of
 S = W^1/2 K W^1/2, after which D and D' are secular sums per shift
@@ -46,80 +45,70 @@ frequency responses (Laub 1981); a two-sided compression of
 nonsymmetric kernels is not done.
 
 Measured on a 2-core Xeon with BLAS on one thread, for the Gaussian
-sigma = 0.35 on [0, 1]: a new well-conditioned shift (approximate
-inverse, D and D') costs 8.1 ms at n = 600 and 0.12 s at n = 2000 with
-a float32 LU, and 2.1 ms and 8.3 ms on a compression (k = 32) that
-exists.  The compression costs 6 to 8 ms and 55 to 60 ms, once per
-kernel.  A library solve, which makes the compression for its one
-shift, breaks even with the float32 LU at n = 512 (13.4 against
-13.5 ms, median of 20 runs), hence COMPRESSED_SOLVE_MIN_DIM; below it
-the LU wins (7.3 against 8.1 ms at n = 384, 2.3 against 4.5 ms at
-n = 128), above it the compression (19.4 against 17.9 ms at n = 600,
-51 against 41 ms at n = 1000).  A symmetric kernel of full rank pays the
-compression block that gives up before its LU: 5 to 9 ms at n = 600
-and about 55 ms at n = 2000 for e^-|x-y|.  A whole grid of 5 to 200
-shifts on the compression costs as much as 1 to 2 LU shifts at n = 600
-(10 to 14 ms, the compression included) and less than one at n = 2000
-(83 to 91 ms); the dense eigh route about 6 (50 ms) and 12 (1.3 s), the
-Schur form about 53 (0.44 s) and 49 (5.5 s).  So on a compressible
-kernel a grid of 2 or more shifts asked for with `perron dcurve
---points` is faster than one LU per shift; on other kernels a grid
-shorter than the break-even is slower.
+sigma = 0.35 on [0, 1]: a new well-conditioned shift (inverse, D and
+D') costs 8.8 ms at n = 600 and 0.16 s at n = 2000 with a float64 LU,
+and 1.7 ms and 7.3 ms on a compression (k = 32) that exists.  The
+compression costs 6 to 8 ms and 55 to 60 ms, once per kernel.  A
+library solve, which makes the compression for its one shift, breaks
+even with the float64 LU between n = 640 and n = 800 (medians of 20
+runs: 17.7 to 18.3 against 17.5 to 17.9 ms at n = 640, 25 to 27
+against 29 to 32 ms at n = 800); below it the LU wins (12.5 to 13.1
+against 10.7 to 10.8 ms at n = 512, 7.4 to 8.1 against 5.1 to 5.8 ms
+at n = 384, 4.0 to 5.2 against 2.4 to 2.9 ms at n = 256), above it the
+compression (32 against 47 ms at n = 1000).  COMPRESSED_SOLVE_MIN_DIM
+stays at 512, the break-even with the float32 LU this module used
+before, at a cost of at most about 2 ms per library solve from 512 to
+640 nodes.  A symmetric kernel of full rank pays the compression block
+that gives up before its LU: 5 to 9 ms at n = 600 and about 55 ms at
+n = 2000 for e^-|x-y|.  A whole grid of 5 to 200 shifts on the
+compression costs as much as 1 to 2 LU shifts at n = 600 (10 to 14 ms,
+the compression included) and less than one at n = 2000 (83 to 91 ms);
+the dense eigh route about 6 (50 ms) and 8 (1.3 s), the Schur form
+about 50 (0.44 s) and 34 (5.5 s).  So on a compressible kernel a grid
+of 2 or more shifts asked for with `perron dcurve --points` is faster
+than one LU per shift; on other kernels a grid shorter than the
+break-even is slower.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs, lu_factor, lu_solve, schur
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, schur
 
 from .doeblin import RankOneSplit
-from .errors import (
-    AtEigenvalueError,
-    BelowSpectralRadiusError,
-    IllConditionedError,
-    NearSingularError,
-    PoleError,
-)
-from .kernel_op import Compression
+from .errors import BelowSpectralRadiusError, IllConditionedError
+from .kernel_op import Compression, _pow2_scale
 from .measure import GridFunction, WeightFunctional, check_same_space, pair
 
-NEAR_SINGULAR = 1e-12
-AT_EIGENVALUE = 1e-12
 MAX_CONDITION = 1e12
-# a shift whose condition number is at most SINGLE_MAX_CONDITION gets an
-# approximate inverse, float32 factors or the kernel's compression, and its
-# solves are refined to double (LAPACK dsgesv); after REFINE_STEPS
-# corrections that miss the stopping rule it is factored in float64
-SINGLE_MAX_CONDITION = 1e4
+# a shift whose condition number is at most COMPRESSED_MAX_CONDITION keeps
+# the kernel's compression as its inverse, with its solves refined to
+# double; after REFINE_STEPS corrections that miss the stopping rule it is
+# factored in float64
+COMPRESSED_MAX_CONDITION = 1e4
 REFINE_STEPS = 30
-# from this many nodes on, the approximate inverse of a symmetric kernel
-# with a compression is the compression: where a library solve that makes
-# it breaks even with the float32 LU (see the module docstring)
+# from this many nodes on, a symmetric kernel with a compression solves its
+# shifts through the compression: where a library solve that makes it broke
+# even with a float32 LU; the float64 LU wins up to 640 nodes or more (see
+# the module docstring)
 COMPRESSED_SOLVE_MIN_DIM = 512
 # Newton, the residue extraction and value/derivative pairs revisit only
 # the current shift; older shifts are dropped
 LU_CACHE_SHIFTS = 2
 
 
-def _pow2_scale(x: float) -> float:
-    """The power of two that brings x >= 0 into [1/2, 1), or as close as the
-    largest double allows for subnormal x: exact to apply, and it keeps a
-    float32 cast of anything scaled by it in range."""
-    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
-
-
 @dataclass(eq=False)
 class _Shift:
     """One cached shift lam with its inverse and the solves made there:
-    R_lam u, R_lam^2 u and R_lam 1.  The inverse is the LU factors of
-    scale * (lam*I - R)^T, in float32 with scale the power of two that
-    brings ||lam*I - R||_inf into [1/2, 1) when lam is well conditioned,
-    in float64 with scale 1 otherwise, or, with factors None, the
-    kernel's compression applied to scale * (lam*I - R)."""
+    R_lam u, R_lam^2 u and R_lam 1.  The inverse is the float64 LU factors
+    of (lam*I - R)^T or, with factors None, the kernel's compression
+    applied to scale * (lam*I - R), with scale the power of two that
+    brings ||lam*I - R||_inf into [1/2, 1)."""
 
     lam: float
     factors: tuple | None = None
@@ -127,6 +116,7 @@ class _Shift:
     ru: GridFunction | None = None
     r2u: GridFunction | None = None
     inv_ones: np.ndarray | None = None
+    condition: float = math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,38 +144,6 @@ class RankOneOperator:
         return np.outer(self.range_vector.values, self.functional.acting_vector())
 
 
-def sherman_morrison_apply(op: RankOneOperator, f: GridFunction) -> GridFunction:
-    """(I - a x b)^-1 f = f + a * b[f] / (1 - b[a])."""
-    check_same_space(op.range_vector.space, f.space)
-    denom = 1.0 - op.coupling()
-    if abs(denom) <= NEAR_SINGULAR:
-        raise NearSingularError(f"1 - b[a] = {denom:.3e} is numerically zero")
-    return GridFunction(
-        f.values + op.range_vector.values * (pair(op.functional, f) / denom),
-        f.space,
-    )
-
-
-def rank_one_resolvent_apply(op: RankOneOperator, lam: float, f: GridFunction) -> GridFunction:
-    """(lam*I - a x b)^-1 f; simple poles at 0 and at the coupling b[a]."""
-    check_same_space(op.range_vector.space, f.space)
-    coupling = op.coupling()
-    if abs(lam) <= NEAR_SINGULAR:
-        raise PoleError(0.0)
-    if abs(lam - coupling) <= NEAR_SINGULAR:
-        raise PoleError(coupling)
-    return GridFunction(
-        f.values / lam
-        + op.range_vector.values * (pair(op.functional, f) / (lam * (lam - coupling))),
-        f.space,
-    )
-
-
-def fredholm_det_rank_one(op: RankOneOperator) -> float:
-    """det(I - a x b) = 1 - b[a]."""
-    return 1.0 - op.coupling()
-
-
 def _shifted_2x2_solve(block: np.ndarray, lams: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(lam*I - block)^-1 r at every shift, r[j] holding row j per shift.
 
@@ -196,9 +154,35 @@ def _shifted_2x2_solve(block: np.ndarray, lams: np.ndarray, r: np.ndarray) -> np
     return np.stack([(lams - d) * r[0] + b * r[1], c * r[0] + (lams - a) * r[1]]) / det
 
 
+def _certified_condition(lams, inv_ones: np.ndarray, norms) -> np.ndarray:
+    """The condition number ||lam*I - R||_inf max x of each shift, from
+    x = (lam*I - R)^-1 1 (one column of inv_ones per shift of lams) and
+    norms = ||lam*I - R||_inf, once every shift is certified.  R >= 0, so
+    x > 0 exactly when lam > rho(R), and there the inverse is nonnegative
+    and its inf-norm is max x.  Raises, at the first shift refused:
+    IllConditionedError with condition inf where x is not finite (an
+    exactly singular lam*I - R), BelowSpectralRadiusError where an entry of
+    x is <= 0, IllConditionedError where the condition exceeds
+    MAX_CONDITION."""
+    lams = np.atleast_1d(lams)
+    x = inv_ones.reshape(inv_ones.shape[0], lams.size)
+    singular = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if singular.size:
+        raise _ill_conditioned(float(lams[singular[0]]), math.inf)
+    smallest = x.min(axis=0)
+    below = np.flatnonzero(~(smallest > 0.0))
+    if below.size:
+        raise BelowSpectralRadiusError(float(lams[below[0]]), float(smallest[below[0]]))
+    condition = norms * x.max(axis=0)
+    bad = np.flatnonzero(~(condition <= MAX_CONDITION))
+    if bad.size:
+        raise _ill_conditioned(float(lams[bad[0]]), float(condition[bad[0]]))
+    return condition
+
+
 def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
     return IllConditionedError(
-        f"shifted remainder at lambda = {lam} has condition estimate {condition:.3e}"
+        f"shifted remainder at lambda = {lam} has condition number {condition:.3e}"
     )
 
 
@@ -208,15 +192,16 @@ class BirmanSchwingerEvaluator:
     T = K W and R act on node-value vectors through the kernels' own
     entries (``Kernel.matvec``); neither is formed as a weighted n x n
     copy.  A shift lam is solved, (lam*I - R) x = v, through a cached
-    inverse: where lam*I - R is well conditioned an approximate one with
-    refinement, the kernel's low-rank compression (no n x n array) or
-    float32 LU factors, and float64 LU factors otherwise; it is kept only
-    when (lam*I - R)^-1 1 > 0, that is above rho(R).  ``curve``
-    evaluates a whole grid of shifts through one eigendecomposition of a
-    symmetric kernel (low-rank where the kernel allows it), or one Schur
-    form of any other.  The evaluator is immutable apart from the
-    internal cache, which holds the last LU_CACHE_SHIFTS shifts with
-    their inverses and their solves, and never changes results.
+    inverse: the kernel's low-rank compression (no n x n array), refined
+    against R, where lam*I - R is well conditioned and the kernel has one,
+    and float64 LU factors otherwise; it is kept only when
+    (lam*I - R)^-1 1 > 0, that is above rho(R), and the condition number
+    it gives is at most MAX_CONDITION.  ``curve`` evaluates a
+    whole grid of shifts through one eigendecomposition of a symmetric
+    kernel (low-rank where the kernel allows it), or one Schur form of any
+    other.  The evaluator is immutable apart from the internal cache,
+    which holds the last LU_CACHE_SHIFTS shifts with their inverses and
+    their solves, and never changes results.
     """
 
     def __init__(self, split: RankOneSplit):
@@ -235,8 +220,6 @@ class BirmanSchwingerEvaluator:
         # of the transposed solve
         self._rem_col_offdiag = w * rem.sum(axis=0) - self._rem_diag
         self.operator_norm = split.kernel.weighted_inf_norm()
-        # the largest shift whose approximate inverse was refused
-        self._refused_at = -math.inf
         self._lu_cache: dict[float, _Shift] = {}
 
     @property
@@ -251,124 +234,81 @@ class BirmanSchwingerEvaluator:
         return np.max(shifted_diag + offdiag, axis=-1)
 
     def _shift(self, lam: float) -> _Shift:
-        """The cache entry of lam, made on first use and ``_certify``-ed: an
-        approximate inverse when lam is well conditioned, else (and at or
-        below a refused shift, since the resolvent norm grows toward
-        rho(R)) the float64 factorization, refused above MAX_CONDITION."""
+        """The cache entry of lam, made on first use and ``_certify``-ed.
+        A kernel with a ``_solve_compression`` certifies lam through it, at
+        no LU, and keeps it when the condition number is at most
+        COMPRESSED_MAX_CONDITION; any other shift is factored in float64."""
         key = float(lam)
         entry = self._lu_cache.get(key)
         if entry is not None:
             return entry
         entry = _Shift(key)
-        if not (key > self._refused_at and self._approximate_inverse(entry)):
-            self._refused_at = max(self._refused_at, key)
-            self._factor(entry, np.float64)
-        self._certify(entry)
+        norm = float(self._shifted_inf_norm(key))
+        if self._solve_compression is None:
+            self._factor(entry)
+        else:
+            entry.scale = _pow2_scale(norm)
+        self._certify(entry, norm)
+        # a refinement that stalls has left float64 factors behind already
+        if entry.factors is None and entry.condition > COMPRESSED_MAX_CONDITION:
+            self._factor(entry)
         self._lu_cache[key] = entry
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
         return entry
 
-    def _approximate_inverse(self, entry: _Shift) -> bool:
-        """Give entry the approximate inverse its solves are refined with;
-        returns whether it was kept.  That is the compression of
-        ``_solve_compression`` where there is one, kept when the condition
-        number from the refined solve against 1 is at most
-        SINGLE_MAX_CONDITION, as sgecon keeps float32 factors; else the
-        float32 factors of ``_factor``."""
-        if self._solve_compression is None:
-            return self._factor(entry, np.float32)
-        norm = float(self._shifted_inf_norm(entry.lam))
-        entry.scale = _pow2_scale(norm)
-        # refined against R, the solve certifies lam: a refused one costs no LU
-        self._certify(entry)
-        condition = norm * float(entry.inv_ones.max())
-        # a refinement that stalled has left float64 factors behind already
-        return entry.factors is not None or condition <= SINGLE_MAX_CONDITION
+    def _certify(self, entry: _Shift, norm: float) -> None:
+        """Solve x = (lam*I - R)^-1 1 into entry, with the condition number
+        of lam*I - R, unless ``_certified_condition`` refuses lam.  A
+        certified x > 0 makes lam*I - R a nonsingular M-matrix, and above
+        rho(R) x >= 1 / lam."""
+        entry.inv_ones = self._solve(entry, np.ones(self.space.size))
+        entry.condition = float(_certified_condition(entry.lam, entry.inv_ones, norm)[0])
 
-    def _certify(self, entry: _Shift) -> None:
-        """Raise BelowSpectralRadiusError unless x = (lam*I - R)^-1 1 > 0: then
-        lam*I - R is a nonsingular M-matrix, and above rho(R) x >= 1 / lam."""
-        if entry.inv_ones is None:
-            entry.inv_ones = self._solve(entry, np.ones(self.space.size))
-        smallest = float(entry.inv_ones.min())
-        if not smallest > 0.0:
-            raise BelowSpectralRadiusError(entry.lam, smallest)
-
-    def _factor(self, entry: _Shift, dtype) -> bool:
-        """Factor scale * (lam*I - R)^T into entry; returns whether the
-        factors were kept.  In float32 the scale is the power of two that
-        brings ||lam*I - R||_inf into [1/2, 1), so no finite kernel
-        overflows or underflows in the cast, and the factors are kept only
-        when sgecon confirms a condition number of at most
-        SINGLE_MAX_CONDITION.  In float64 the shift is refused above
-        MAX_CONDITION."""
+    def _factor(self, entry: _Shift) -> None:
+        """Factor (lam*I - R)^T into entry, in float64.  An exactly zero
+        pivot is not reported here: it leaves the solves non-finite, and
+        ``_certify`` refuses the shift."""
         lam, n = entry.lam, self.space.size
-        norm = float(self._shifted_inf_norm(lam))
-        single = dtype == np.float32
-        scale = _pow2_scale(norm) if single else 1.0
-        # the one n x n array of this shift, cast from the entries of R in C
+        # the one n x n array of this shift, from the entries of R in C
         # order: its transpose is a Fortran-ordered view, which LAPACK
-        # factors in place.  scale is a power of two, so R_ij (-scale w_j)
-        # rounds as -scale (R_ij w_j)
-        shifted = np.empty((n, n), dtype)
-        np.multiply(self.split.remainder.entries, -scale * self.space.weights,
-                    out=shifted, casting="same_kind")
-        shifted.flat[:: n + 1] = (lam - self._rem_diag) * scale
-        factors = lu_factor(shifted.T, overwrite_a=True, check_finite=False)
-        gecon = get_lapack_funcs(("gecon",), (factors[0],))[0]
-        # the 1-norm of the transpose is the inf-norm of lam*I - R
-        rcond, info = gecon(factors[0], norm * scale, norm="1")
-        kept = info == 0 and rcond > 1.0 / (SINGLE_MAX_CONDITION if single else MAX_CONDITION)
-        if kept:
-            entry.factors, entry.scale = factors, scale
-        elif not single:
-            raise _ill_conditioned(lam, 1.0 / max(rcond, 1e-300))
-        return kept
+        # factors in place
+        shifted = np.empty((n, n))
+        np.multiply(self.split.remainder.entries, -self.space.weights, out=shifted)
+        shifted.flat[:: n + 1] = lam - self._rem_diag
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            entry.factors = lu_factor(shifted.T, overwrite_a=True, check_finite=False)
 
     def _solve(self, entry: _Shift, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """(lam*I - R)^-1 b, or (lam*I - R)^-T b with trans = 1, from the
-        inverse of lam.  An approximate inverse, float32 factors or the
-        compression, goes through mixed-precision iterative refinement, as
-        in LAPACK dsgesv: each correction applies it to the float64
-        residual from R's own entries, until
-        ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system matrix A
-        and the unit roundoff u.  So the answer is that of R, whatever the
-        error of the approximate inverse.  After REFINE_STEPS corrections
-        that miss that rule, lam is factored in float64, and float64
-        factors solve directly."""
+        inverse of lam.  Float64 factors solve directly.  The compression
+        goes through iterative refinement, as in LAPACK dsgesv: each
+        correction applies it to the float64 residual from R's own entries,
+        until ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system
+        matrix A and the unit roundoff u.  So the answer is that of R,
+        whatever the error of the compression.  After REFINE_STEPS
+        corrections that miss that rule, lam is factored in float64."""
         lam = entry.lam
-        if entry.factors is None or entry.factors[0].dtype == np.float32:
+        if entry.factors is None:
             rem = self.split.remainder
             op = rem.rmatvec if trans else rem.matvec
             unit = 0.5 * np.finfo(float).eps
             bound = math.sqrt(b.size) * unit * float(self._shifted_inf_norm(lam, trans))
             x, r = np.zeros(b.size), b
             for _ in range(REFINE_STEPS + 1):
-                x += self._approximate_solve(entry, r, trans)
+                x += self._pole_free_apply(entry, r, trans)
                 r = b - (lam * x - op(x))
                 if np.max(np.abs(r)) <= bound * np.max(np.abs(x)):
-                    if entry.factors is None:
-                        # the rule bounds the backward error; one more O(n k)
-                        # correction from the residual at hand takes the
-                        # forward error of the compression's steps down to
-                        # that of a factorization
-                        x += self._approximate_solve(entry, r, trans)
+                    # the rule bounds the backward error; one more O(n k)
+                    # correction from the residual at hand takes the
+                    # forward error of the compression's steps down to that
+                    # of a factorization
+                    x += self._pole_free_apply(entry, r, trans)
                     return x
-            self._factor(entry, np.float64)
+            self._factor(entry)
         # the factors are those of the transpose
         return lu_solve(entry.factors, b, trans=1 - trans, check_finite=False)
-
-    def _approximate_solve(self, entry: _Shift, r: np.ndarray, trans: int) -> np.ndarray:
-        """One correction of ``_solve``: the approximate inverse of lam
-        applied to r, which goes into range by a power of two and back."""
-        r_scale = _pow2_scale(float(np.max(np.abs(r))))
-        if entry.factors is None:
-            y = self._pole_free_apply(entry.lam, r * r_scale, trans, entry.scale)
-        else:
-            r32 = (r * r_scale).astype(np.float32)
-            y = lu_solve(entry.factors, r32, trans=1 - trans, check_finite=False).astype(float)
-        return y * (entry.scale / r_scale)
 
     @cached_property
     def _solve_compression(self) -> Compression | None:
@@ -379,17 +319,19 @@ class BirmanSchwingerEvaluator:
             return None
         return self._route()[1]
 
-    def _pole_free_apply(self, lam: float, r: np.ndarray, trans: int, scale: float) -> np.ndarray:
-        """(scale * (lam*I - R))^-1 r, or its transpose with trans = 1, in
-        O(n k) on the compression, with S taken as 0 off its k columns and
-        R as T - alpha*u x phi (see ``_symmetric_resolvents``); ``_solve``
-        corrects both against the float64 residual.  With scale the power
-        of two of ``_approximate_inverse`` the secular sums run on shifts
-        and eigenvalues of order 1, so neither a tiny nor a huge kernel
-        over- or underflows them."""
-        mu, v, a, b, e, s = self._secular_basis(self._solve_compression, r, trans)
-        z = self._pole_free(np.array([scale * lam]), scale * mu, scale * a, b, e)[0]
-        return (v @ z[:, 0]) / s
+    def _pole_free_apply(self, entry: _Shift, r: np.ndarray, trans: int) -> np.ndarray:
+        """One correction of ``_solve``: (lam*I - R)^-1 r, or its transpose
+        with trans = 1, in O(n k) on the compression, with S taken as 0 off
+        its k columns and R as T - alpha*u x phi (see
+        ``_symmetric_resolvents``).  r and lam*I - R go into range by powers
+        of two, r's own and the scale of the entry, and back, so the secular
+        sums run on shifts and eigenvalues of order 1 and neither a tiny nor
+        a huge kernel over- or underflows them."""
+        r_scale = _pow2_scale(float(np.max(np.abs(r))))
+        scale = entry.scale
+        mu, v, a, b, e, s = self._secular_basis(self._solve_compression, r * r_scale, trans)
+        z = self._pole_free(np.array([scale * entry.lam]), scale * mu, scale * a, b, e)[0]
+        return ((v @ z[:, 0]) / s) * (scale / r_scale)
 
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
         """(lam*I - R)^-1 v for lam above rho(R)."""
@@ -420,10 +362,11 @@ class BirmanSchwingerEvaluator:
         """||lam*I - R||_inf ||(lam*I - R)^-1||_inf, the condition number of
         the shifted remainder: R >= 0, so above rho(R) the inverse is
         nonnegative and its norm is the largest entry of (lam*I - R)^-1 1,
-        the vector that certified the shift.  The same number guards
-        ``curve`` and decides whether a shift keeps the compression as its
-        approximate inverse."""
-        return float(self._shifted_inf_norm(lam) * self._shift(lam).inv_ones.max())
+        the vector that certified the shift.  It is the number
+        ``_certified_condition`` refuses shifts by, pointwise and in
+        ``curve``, and that decides whether a shift keeps the compression
+        as its inverse."""
+        return self._shift(lam).condition
 
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """D and D' at every shift of lams, from one factorization for the grid.
@@ -434,37 +377,25 @@ class BirmanSchwingerEvaluator:
         on one dense eigendecomposition; any other kernel goes through one
         real Schur form of R (``_schur_resolvents``).  ``curve_route`` names
         the route, which follows from the kernel entries alone.  All give,
-        per shift, D, D' and (lam*I - R)^-1 1, which guards the shift as a
-        pointwise solve does.  It is entrywise positive exactly above
-        rho(R), and there, R >= 0 entrywise, the resolvent is nonnegative and
-        ||(lam*I - R)^-1||_inf = ||(lam*I - R)^-1 1||_inf; with
-        ||lam*I - R||_inf from the cached row sums this is the condition
-        number the LU path estimates with gecon.  Raises
-        BelowSpectralRadiusError at the first shift whose vector is not
-        positive, else IllConditionedError at the first shift whose
-        condition exceeds MAX_CONDITION.  Past the factorization each
-        shift costs O(n k) on a compression of rank k and O(n^2) on the
+        per shift, D, D' and (lam*I - R)^-1 1, and ``_certified_condition``
+        refuses a shift by that vector as it refuses a pointwise one.  A
+        shift exactly at a pole of the route divides by zero: its vector is
+        not finite, and it is refused as singular.  Past the factorization
+        each shift costs O(n k) on a compression of rank k and O(n^2) on the
         dense routes, where the vector of the condition guard dominates.  The
-        factorization costs as much as 1 to 2 single-precision LU shifts
-        on a compressible kernel at n = 600, 6 to 12 for the dense eigh
-        and about 50 for the Schur form at n = 600 to 2000 (see the module
-        docstring), so only a grid with fewer shifts is faster by one LU
-        per shift.
+        factorization costs as much as 1 to 2 LU shifts on a compressible
+        kernel at n = 600, 6 to 8 for the dense eigh and 34 to 50 for the
+        Schur form at n = 600 to 2000 (see the module docstring), so only a
+        grid with fewer shifts is faster by one LU per shift.
         """
         lams = np.asarray(lams, dtype=float)
         route, compression = self._route()
-        if route == "schur":
-            d_values, d_prime, inv_ones = self._schur_resolvents(lams)
-        else:
-            d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, compression)
-        smallest = inv_ones.min(axis=0)
-        below = np.flatnonzero(~(smallest > 0.0))
-        if below.size:
-            raise BelowSpectralRadiusError(float(lams[below[0]]), float(smallest[below[0]]))
-        cond = self._shifted_inf_norm(lams) * inv_ones.max(axis=0)
-        bad = np.flatnonzero(~(cond < MAX_CONDITION))
-        if bad.size:
-            raise _ill_conditioned(float(lams[bad[0]]), float(cond[bad[0]]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if route == "schur":
+                d_values, d_prime, inv_ones = self._schur_resolvents(lams)
+            else:
+                d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, compression)
+        _certified_condition(lams, inv_ones, self._shifted_inf_norm(lams))
         return d_values, d_prime
 
     def curve_route(self) -> dict:
@@ -605,17 +536,6 @@ class BirmanSchwingerEvaluator:
         d_values = 1.0 - self.alpha * (scale * (psi @ y[:, 0]))
         d_prime = self.alpha * (scale * (scale * (psi @ y[:, 2])))
         return d_values, d_prime, scale * (q @ y[:, 1])
-
-    def resolve_operator(self, lam: float, f: GridFunction) -> GridFunction:
-        """(lam*I - T)^-1 f via the factorized formula."""
-        check_same_space(self.space, f.space)
-        d = self.value(lam)
-        if abs(d) <= AT_EIGENVALUE:
-            raise AtEigenvalueError(lam, d)
-        rf = self.resolve_remainder(lam, f)
-        ru = self.profile_resolvent(lam)
-        correction = self.alpha * pair(self.functional, rf) / d
-        return GridFunction(rf.values + ru.values * correction, self.space)
 
     def left_remainder_solve(self, lam: float) -> np.ndarray:
         """Vector z with z^T = (phi o R_lam) acting on node-value vectors.

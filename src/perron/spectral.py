@@ -90,7 +90,7 @@ def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[f
     narrows it, once an iterate has a zero entry (the ratios need x > 0
     only, so the bracket found so far stands: a zero T gets [0, 0]), or
     after max(8, min(n / 6, 128)) steps, about the cost of D at one new
-    shift (factorization, condition estimate and solve).  Measured with
+    shift (factorization and solve).  Measured with
     BLAS on one thread, such a shift costs 4-10 steps below n = 100, about
     n / 6 steps from n = 200 to 800, and 130-150 steps from n = 1200 to
     2000, where the matrix no longer fits in cache and a step is bound by

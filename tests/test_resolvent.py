@@ -2,20 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import schur
 
 import perron as pr
 import perron.resolvent
 from perron.cli import _dcurve
-from perron.errors import (
-    AtEigenvalueError,
-    BelowSpectralRadiusError,
-    IllConditionedError,
-    NearSingularError,
-    PoleError,
-)
+from perron.errors import BelowSpectralRadiusError, IllConditionedError
 from perron.spectral import collatz_wielandt
 from conftest import (
     config_kernels,
@@ -27,134 +19,12 @@ from conftest import (
 )
 
 
-def make_rank_one(space, a_values, b_density):
-    return pr.RankOneOperator(space.function(a_values), space.functional(b_density))
-
-
-def dense_rank_one_matrix(op):
-    return op.matrix()
-
-
-class TestShermanMorrison:
-    def test_orthogonal_case(self):
-        sp = pr.make_counting_space(3)
-        op = make_rank_one(sp, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        assert op.coupling() == 0.0
-        f = sp.function([1.0, 2.0, 3.0])
-        out = pr.sherman_morrison_apply(op, f)
-        np.testing.assert_allclose(out.values, [1.0 + 2.0, 2.0, 3.0])
-
-    def test_zero_direction_is_identity(self):
-        sp = pr.make_counting_space(4)
-        op = make_rank_one(sp, np.zeros(4), np.ones(4))
-        f = sp.function(np.arange(4.0))
-        np.testing.assert_allclose(pr.sherman_morrison_apply(op, f).values, f.values)
-
-    def test_round_trip_against_dense_lu(self):
-        rng = np.random.default_rng(17)
-        sp = pr.make_interval_space(0, 1, 30, "midpoint")
-        a = rng.uniform(0.1, 1, 30)
-        b = rng.uniform(0.1, 1, 30)
-        op = make_rank_one(sp, a, b)
-        # rescale so the coupling is exactly 1/2
-        op = make_rank_one(sp, a * (0.5 / op.coupling()), b)
-        assert op.coupling() == pytest.approx(0.5)
-        f = sp.function(rng.normal(size=30))
-        out = pr.sherman_morrison_apply(op, f)
-        dense = np.linalg.solve(np.eye(30) - dense_rank_one_matrix(op), f.values)
-        np.testing.assert_allclose(out.values, dense, rtol=1e-12)
-        # applying (I - a x b) recovers f
-        recovered = out.values - dense_rank_one_matrix(op) @ out.values
-        np.testing.assert_allclose(recovered, f.values, rtol=1e-12, atol=1e-14)
-
-    def test_near_singular_rejected(self):
-        sp = pr.make_counting_space(2)
-        op = make_rank_one(sp, [1.0, 0.0], [1.0 - 1e-14, 0.0])
-        with pytest.raises(NearSingularError):
-            pr.sherman_morrison_apply(op, sp.ones())
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31))
-    def test_inverse_property_randomized(self, seed):
-        rng = np.random.default_rng(seed)
-        sp = pr.make_counting_space(6)
-        a = rng.uniform(0.1, 1, 6)
-        b = rng.uniform(0.1, 1, 6)
-        op = make_rank_one(sp, a, b)
-        if abs(1 - op.coupling()) <= 1e-6:
-            return
-        f = sp.function(rng.normal(size=6))
-        out = pr.sherman_morrison_apply(op, f)
-        recovered = out.values - op.matrix() @ out.values
-        np.testing.assert_allclose(recovered, f.values, rtol=1e-9, atol=1e-9)
-
-
-class TestRankOneResolvent:
-    def test_projection_residue_at_coupling_one(self):
-        # with b[a] = 1 the residue at lambda = 1 is the projection a x b
-        sp = pr.make_counting_space(3)
-        a = np.array([1.0, 2.0, 0.5])
-        b = np.array([0.2, 0.2, 0.4])
-        scale = 1.0 / np.dot(a * b, np.ones(3))
-        op = make_rank_one(sp, a, b * scale)
-        assert op.coupling() == pytest.approx(1.0)
-        f = sp.function([0.3, -1.0, 2.0])
-        proj = op.apply(f).values
-        for eps in (1e-5, 1e-6, 1e-7):
-            lam = 1.0 + eps
-            out = pr.rank_one_resolvent_apply(op, lam, f)
-            residue = (lam - 1.0) * out.values
-            np.testing.assert_allclose(residue, proj, rtol=1e-4 + 10 * eps, atol=1e-8)
-
-    def test_large_lambda_neumann_leading_term(self):
-        sp = pr.make_counting_space(3)
-        op = make_rank_one(sp, [1.0, 1.0, 1.0], [0.1, 0.1, 0.1])
-        f = sp.function([1.0, 2.0, 3.0])
-        lam = 1e8
-        out = pr.rank_one_resolvent_apply(op, lam, f)
-        np.testing.assert_allclose(out.values, f.values / lam, rtol=1e-7)
-
-    def test_matches_dense_solve(self):
-        rng = np.random.default_rng(8)
-        sp = pr.make_interval_space(0, 1, 25, "midpoint")
-        a = rng.uniform(0.1, 1, 25)
-        b = rng.uniform(0.1, 1, 25)
-        op = make_rank_one(sp, a, b)
-        op = make_rank_one(sp, a / op.coupling(), b)  # coupling = 1
-        f = sp.function(rng.normal(size=25))
-        out = pr.rank_one_resolvent_apply(op, 2.0, f)
-        dense = np.linalg.solve(2.0 * np.eye(25) - op.matrix(), f.values)
-        np.testing.assert_allclose(out.values, dense, rtol=1e-12)
-
-    def test_poles_rejected(self):
-        sp = pr.make_counting_space(2)
-        op = make_rank_one(sp, [1.0, 1.0], [0.5, 0.5])
-        with pytest.raises(PoleError):
-            pr.rank_one_resolvent_apply(op, 0.0, sp.ones())
-        with pytest.raises(PoleError):
-            pr.rank_one_resolvent_apply(op, op.coupling(), sp.ones())
-
-
-class TestFredholmDet:
-    def test_zero_direction(self):
-        sp = pr.make_counting_space(2)
-        assert pr.fredholm_det_rank_one(make_rank_one(sp, [0.0, 0.0], [1.0, 1.0])) == 1.0
-
-    def test_projection_case(self):
-        sp = pr.make_counting_space(2)
-        op = make_rank_one(sp, [1.0, 1.0], [0.25, 0.25])
-        assert op.coupling() == pytest.approx(0.5)
-        doubled = make_rank_one(sp, [2.0, 2.0], [0.25, 0.25])
-        assert pr.fredholm_det_rank_one(doubled) == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_dense_determinant(self):
-        rng = np.random.default_rng(14)
-        sp = pr.make_counting_space(2)
-        a = rng.uniform(0.1, 1, 2)
-        b = rng.uniform(0.1, 1, 2)
-        op = make_rank_one(sp, a, b)
-        dense = np.linalg.det(np.eye(2) - op.matrix())
-        assert pr.fredholm_det_rank_one(op) == pytest.approx(dense, rel=1e-12)
+def resolve_operator(ev, lam, f):
+    """(lam*I - T)^-1 f through the factorized resolvent
+    R_lam + alpha (R_lam u) x (phi o R_lam) / D(lam) of the evaluator."""
+    rf = ev.resolve_remainder(lam, f)
+    correction = ev.alpha * pr.pair(ev.functional, rf) / ev.value(lam)
+    return ev.space.function(rf.values + ev.profile_resolvent(lam).values * correction)
 
 
 @pytest.fixture
@@ -268,14 +138,14 @@ class TestOperatorResolvent:
     def test_constant_kernel_fixed_point(self, constant_evaluator):
         # (2I - T)^-1 1 = 1 since T1 = 1
         ev = constant_evaluator
-        out = ev.resolve_operator(2.0, ev.space.ones())
+        out = resolve_operator(ev, 2.0, ev.space.ones())
         np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
 
     def test_large_lambda(self, symmetric_evaluator):
         ev = symmetric_evaluator
         f = ev.space.function([1.0, 2.0])
         lam = 1e9
-        out = ev.resolve_operator(lam, f)
+        out = resolve_operator(ev, lam, f)
         np.testing.assert_allclose(out.values, f.values / lam, rtol=1e-8)
 
     def test_matches_dense_solve(self):
@@ -287,19 +157,15 @@ class TestOperatorResolvent:
         t_op = k.operator_matrix()
         for lam in (2.0 * ev.operator_norm, 5.0 * ev.operator_norm):
             f = sp.function(rng.normal(size=50))
-            out = ev.resolve_operator(lam, f)
+            out = resolve_operator(ev, lam, f)
             dense = np.linalg.solve(lam * np.eye(50) - t_op, f.values)
             np.testing.assert_allclose(out.values, dense, rtol=1e-9, atol=1e-12)
-
-    def test_at_eigenvalue_rejected(self, constant_evaluator):
-        with pytest.raises(AtEigenvalueError):
-            constant_evaluator.resolve_operator(1.0 + 1e-14, constant_evaluator.space.ones())
 
     def test_lu_cache_does_not_change_results(self, symmetric_evaluator):
         ev = symmetric_evaluator
         f = ev.space.function([0.2, 0.9])
-        first = ev.resolve_operator(4.0, f).values
-        second = ev.resolve_operator(4.0, f).values  # cached factorization
+        first = resolve_operator(ev, 4.0, f).values
+        second = resolve_operator(ev, 4.0, f).values  # cached factorization
         np.testing.assert_array_equal(first, second)
 
     def test_lu_cache_holds_at_most_two_shifts(self):
@@ -350,58 +216,55 @@ class TestOperatorResolvent:
         np.testing.assert_allclose(ev.left_remainder_solve(lam), dense, rtol=1e-10)
 
 
-class TestMixedPrecision:
-    """Well-conditioned shifts are factored in float32 and their solves
-    refined to double; any other shift keeps the float64 factorization."""
+class TestFloat64Factors:
+    """A shift with no compression to solve through is factored once, in
+    float64, and solved directly."""
 
     @staticmethod
     def factors_at(result):
         return result.evaluator._lu_cache[result.lambda0].factors[0]
 
-    @pytest.mark.parametrize("sigma, dtype", [(0.35, np.float32), (0.1, np.float64)])
-    def test_route_follows_the_condition_of_the_shift(self, sigma, dtype):
+    @pytest.mark.parametrize("sigma", [0.35, 0.1])
+    def test_shifts_below_the_compression_floor_take_float64_factors(self, sigma):
         # sigma = 0.1: rho(R) / lambda0 = 0.9999992, condition about 3e6
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
-        assert self.factors_at(pr.solve(pr.gaussian_kernel(sp, sigma))).dtype == dtype
+        assert self.factors_at(pr.solve(pr.gaussian_kernel(sp, sigma))).dtype == np.float64
 
-    def test_no_float32_attempt_at_or_below_a_refused_shift(self, monkeypatch):
-        # the first matrix of the seed-1 log-normal pool: the shifts near
-        # the root are far above the float32 limit.  Once sgecon refuses
-        # float32 at a shift, every shift at or below it is factored in
-        # float64 directly, since the resolvent norm grows toward rho(R)
+    def test_each_shift_is_factored_once(self, monkeypatch):
+        # the first 64 matrices of the seed-1 log-normal pool: most shifts
+        # near their roots are ill-conditioned or below rho(R), and each
+        # shift, refused or not, costs exactly one LU
         rng = np.random.default_rng(1)
-        n = int(rng.integers(20, 61))
-        kernel = pr.Kernel(np.exp(4.0 * rng.standard_normal((n, n))), pr.make_counting_space(n))
-        factored = []
-        real = pr.BirmanSchwingerEvaluator._factor
+        certified, factored = [], []
+        real_certify = pr.BirmanSchwingerEvaluator._certify
+        real_factor = pr.BirmanSchwingerEvaluator._factor
 
-        def recording(self, entry, dtype):
-            kept = real(self, entry, dtype)
-            factored.append((entry.lam, dtype, kept))
-            return kept
+        def certifying(self, entry, norm):
+            certified.append(entry.lam)
+            return real_certify(self, entry, norm)
 
-        monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_factor", recording)
+        def factoring(self, entry):
+            factored.append(entry.lam)
+            return real_factor(self, entry)
+
+        monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_certify", certifying)
+        monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_factor", factoring)
         lu_calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
-        res = pr.solve(kernel)
-        oracle = np.abs(np.linalg.eigvals(kernel.entries)).max()
-        assert res.lambda0 == pytest.approx(oracle, rel=1e-12)
+        for _ in range(64):
+            n = int(rng.integers(20, 61))
+            a = np.exp(4.0 * rng.standard_normal((n, n)))
+            res = pr.solve(pr.Kernel(a, pr.make_counting_space(n)))
+            oracle = np.abs(np.linalg.eigvals(a)).max()
+            assert res.lambda0 == pytest.approx(oracle, rel=1e-10)
+        assert factored == certified
         assert len(lu_calls) == len(factored)
-        refused = []
-        for lam, dtype, kept in factored:
-            if dtype == np.float32:
-                assert all(lam > r for r in refused)
-                if not kept:
-                    refused.append(lam)
-        assert refused
-        # the root lies below the last refused shift: float64, with no float32 attempt
-        assert factored[-1][1] == np.float64 and factored[-1][0] < max(refused)
 
     @pytest.mark.parametrize("c", [1e-300, 1e-42, 1e250, 1e300])
     def test_lambda0_scales_with_the_kernel(self, c):
-        # c K under- or overflows float32, and at 1e-300 and 1e250 its
-        # residuals and the compression's probe norms under- or overflow
-        # double; scaled by powers of two none of them does.  n = 200 takes
-        # the float32 factors, n = 600 the compression.
+        # at 1e-300 and 1e250 the residuals and the compression's probe
+        # norms of c K under- or overflow double; scaled by powers of two
+        # none of them does.  n = 200 takes float64 factors, n = 600 the
+        # compression.
         for n in (200, 600):
             sp = pr.make_interval_space(0, 1, n, "midpoint")
             k = pr.gaussian_kernel(sp, 0.35)
@@ -412,24 +275,10 @@ class TestMixedPrecision:
                 assert ck.compression.rank == k.compression.rank
             entry = scaled.evaluator._lu_cache[scaled.lambda0]
             if n < perron.resolvent.COMPRESSED_SOLVE_MIN_DIM:
-                assert entry.factors[0].dtype == np.float32
+                assert entry.factors[0].dtype == np.float64
             else:
                 assert entry.factors is None
             assert scaled.lambda0 == pytest.approx(c * pr.solve(k).lambda0, rel=1e-14)
-
-    def test_stalled_refinement_refactors_in_float64(self, monkeypatch):
-        sp = pr.make_interval_space(0, 1, 200, "midpoint")
-        k = pr.gaussian_kernel(sp, 0.35)
-        refined = pr.solve(k)
-        monkeypatch.setattr(perron.resolvent, "REFINE_STEPS", 0)
-        lu_calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
-        fallback = pr.solve(k)
-        # one float32 factorization, its first solve misses the rule, one float64
-        assert len(lu_calls) == 2
-        assert self.factors_at(fallback).dtype == np.float64
-        # the Collatz-Wielandt lower end is the root either way
-        assert fallback.lambda0 == refined.lambda0 == collatz_wielandt(k)[0]
-        assert fallback.diagnostics.eig_residual <= 1e-14
 
     @pytest.mark.parametrize("seed", [70, 71, 72])
     def test_refined_solves_meet_the_stopping_rule(self, seed):
@@ -437,7 +286,7 @@ class TestMixedPrecision:
         k = random_positive_kernel(pr.make_interval_space(0, 1, 60, "midpoint"), rng)
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, pr.extract_minorization(k)))
         assert_refined_solves(ev, 1.5 * ev.operator_norm, rng)
-        assert ev._lu_cache[1.5 * ev.operator_norm].factors[0].dtype == np.float32
+        assert ev._lu_cache[1.5 * ev.operator_norm].factors[0].dtype == np.float64
 
 
 def assert_refined_solves(ev, lam, rng):
@@ -650,11 +499,10 @@ class TestCompressedSolve:
         entry = res.evaluator._lu_cache[res.lambda0]
         if sigma == 0.1:
             # rho(R) / lambda0 = 0.9999992: the measured condition refuses
-            # the compression, at no LU, and the float32 factors of the
-            # path below the floor, at one; both end in float64 factors
+            # the compression, at no LU; both paths end in one float64 LU
             assert entry.factors[0].dtype == np.float64
             assert compressed_factorizations == 1
-            assert len(factored) == compressed_factorizations + 2
+            assert len(factored) == compressed_factorizations + 1
             np.testing.assert_array_equal(res.eigenfunction.values, lu.eigenfunction.values)
         else:
             assert entry.factors is None
@@ -700,13 +548,13 @@ class TestCompressedSolve:
         ],
         ids=["below-floor", "full-rank", "nonsymmetric"],
     )
-    def test_other_kernels_keep_the_float32_factors(self, kernel, compressions, monkeypatch):
+    def test_other_kernels_take_one_float64_factorization(self, kernel, compressions, monkeypatch):
         builds = count_calls(monkeypatch, perron.kernel_op, "compress_symmetric")
         factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         res = pr.solve(kernel)
         assert len(builds) == compressions
         assert len(factored) == 1
-        assert res.evaluator._lu_cache[res.lambda0].factors[0].dtype == np.float32
+        assert res.evaluator._lu_cache[res.lambda0].factors[0].dtype == np.float64
 
 
 class TestCurve:
@@ -745,6 +593,17 @@ class TestCurve:
             assert info.value.lam == lam
             assert info.value.smallest == pytest.approx(1.0 / (lam - 1.0), rel=1e-12)
 
+    def test_exactly_singular_shift_is_ill_conditioned(self, symmetric_evaluator):
+        # R = I: lam*I - R is the zero matrix at lam = 1.  The LU meets an
+        # exactly zero pivot and the eigenbasis a zero denominator; both
+        # leave (lam*I - R)^-1 1 non-finite, and no warning escapes
+        ev = symmetric_evaluator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (ev.value, lambda lam: ev.curve([lam])):
+                with pytest.raises(IllConditionedError, match="condition number inf"):
+                    evaluate(1.0)
+
     def test_ill_conditioned_where_value_is(self):
         # the remainder is a nonnormal chain, R = diag + 5 * superdiagonal, under
         # a rank-one part with a nonconstant profile; its shifted condition
@@ -759,7 +618,7 @@ class TestCurve:
         with pytest.raises(IllConditionedError) as batched:
             ev.curve([10.0, lam, 20.0])
         assert "lambda = 0.5 " in str(batched.value)
-        # the exact condition of a nonnegative inverse and gecon's estimate
+        # the condition number from the Schur form and from the LU solve
         condition = [float(str(e.value).split()[-1]) for e in (batched, pointwise)]
         assert condition[0] == pytest.approx(condition[1], rel=1e-2)
         ev.curve([0.8, 10.0])

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -162,8 +163,7 @@ def lu_calls(monkeypatch):
 class TestRootSearch:
     def test_solve_makes_one_solve_per_right_hand_side(self, monkeypatch):
         # R_lam 1, which certifies the shift, R_lam u, R_lam^2 u and the
-        # transposed solve against phi, each once (each refined in a few
-        # float32 solves)
+        # transposed solve against phi, each once from the float64 factors
         solves = count_solves(monkeypatch)
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
         pr.solve(pr.gaussian_kernel(sp, 0.35))
@@ -183,9 +183,10 @@ class TestRootSearch:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n * n
 
-    def test_solve_holds_the_remainder_and_one_float32_factorization(self):
-        # R (n^2 doubles) and the float32 LU (n^2 / 2): no weighted copy of
-        # K or R, no n x n temporary of the certificate or the split
+    def test_solve_holds_the_remainder_and_no_factorization(self):
+        # R (n^2 doubles), and the shifts solved through the kernel's
+        # compression: no LU, no weighted copy of K or R, no n x n
+        # temporary of the certificate or the split
         n = 600
         k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
         pr.solve(k)
@@ -609,6 +610,21 @@ class TestSecondRadius:
         assert report.second_radius == pytest.approx(dense, abs=1e-12)
         # theta is rounding noise here; the residual is on the scale of T
         assert report.residual <= 1e-8
+
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-100, 1e300])
+    def test_scaled_kernel_keeps_the_gap_ratio(self, c, n):
+        # both routes run on T scaled into range by a power of two: unscaled,
+        # 1e-300 K fell below ARPACK's absolute convergence test and the
+        # norms of the residual under- or overflowed at the extremes
+        kernel = _gaussian(n, 0.35)
+        reference = pr.verify_dominance(pr.solve(kernel))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pr.verify_dominance(pr.solve(pr.Kernel(c * kernel.entries, kernel.space)))
+        assert report.route == reference.route
+        assert report.gap_ratio == pytest.approx(reference.gap_ratio, abs=1e-10)
+        assert np.isfinite(report.residual) and report.residual <= 1e-14
 
     def test_arnoldi_forms_no_deflated_copy(self, monkeypatch):
         res = pr.solve(_gaussian(600, 0.35))
