@@ -303,10 +303,12 @@ class TestSolveCommand:
 
     def test_rerun_with_shorter_output_leaves_no_stale_tail(self, runner, tmp_path):
         # outputs are overwritten in place: same inode, mode and symlink.  The
-        # long config carries a seed, which solve ignores and report.json
-        # echoes, so the rerun's report is shorter whatever its timings
+        # long config carries a 31-digit seed, which solve ignores and
+        # report.json echoes, so the rerun's report is shorter whatever its
+        # timings and its rounding-level residuals, each of which prints as
+        # 0.0 or as up to 22 characters
         long_payload = gaussian_config(60)
-        long_payload["seed"] = 20240808
+        long_payload["seed"] = 2**100
         long_cfg = write_config(tmp_path / "long.json", long_payload)
         short_cfg = write_config(tmp_path / "short.json", gaussian_config(12))
         out, fresh = tmp_path / "out", tmp_path / "fresh"
