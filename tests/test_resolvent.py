@@ -8,6 +8,7 @@ import perron as pr
 import perron.resolvent
 from perron.cli import _dcurve
 from perron.errors import BelowSpectralRadiusError, IllConditionedError
+from perron.resolvent import MAX_CONDITION, _certified_condition
 from perron.spectral import collatz_wielandt
 from conftest import (
     config_kernels,
@@ -555,6 +556,86 @@ class TestCompressedSolve:
         assert len(builds) == compressions
         assert len(factored) == 1
         assert res.evaluator._lu_cache[res.lambda0].factors[0].dtype == np.float64
+
+
+    @pytest.mark.parametrize("gap, compressed", [(1e-2, True), (1e-3, True), (1e-4, False), (1e-6, False)])
+    def test_condition_is_the_dense_condition_number(self, gap, compressed, monkeypatch):
+        # lam = rho(R) (1 + gap): the condition number grows from about
+        # 2e2 to 2e6.  Up to COMPRESSED_MAX_CONDITION the compression stays
+        # the inverse, at no LU; above it the shift takes one float64 LU.
+        # Either way condition() reads the solve that certified the shift
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35)
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+        lam = remainder_radius(ev) * (1.0 + gap)
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        condition = ev.condition(lam)
+        assert (ev._lu_cache[lam].factors is None) == compressed
+        assert len(factored) == (0 if compressed else 1)
+        shifted = lam * np.eye(600) - ev.split.remainder.operator_matrix()
+        assert condition == pytest.approx(np.linalg.cond(shifted, p=np.inf), rel=1e-10)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    def test_below_radius_is_refused_at_no_factorization(self, fraction, monkeypatch):
+        # below rho(R) the compression's refined solve against 1 has a
+        # negative entry, as the LU's does: the shift is refused before
+        # any factorization, with the smallest entry of the LU path
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35)
+        split = pr.rank_one_split(kernel, pr.extract_minorization(kernel))
+        ev = pr.BirmanSchwingerEvaluator(split)
+        lam = fraction * remainder_radius(ev)
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        with pytest.raises(BelowSpectralRadiusError) as compressed:
+            ev.value(lam)
+        assert factored == []
+        assert lam not in ev._lu_cache
+        monkeypatch.setattr(perron.resolvent, "COMPRESSED_SOLVE_MIN_DIM", 601)
+        with pytest.raises(BelowSpectralRadiusError) as lu:
+            pr.BirmanSchwingerEvaluator(split).value(lam)
+        assert factored == [(600, 600)]
+        assert compressed.value.lam == lu.value.lam == lam
+        assert compressed.value.smallest == pytest.approx(lu.value.smallest, rel=1e-8)
+
+
+class TestCertifiedCondition:
+    """The one rule that refuses a shift, pointwise and on a grid, from
+    x = (lam*I - R)^-1 1 (a column per shift) and ||lam*I - R||_inf."""
+
+    lams = np.array([2.0, 3.0, 4.0])
+    norms = np.array([3.0, 4.0, 5.0])
+
+    @staticmethod
+    def vectors(entry=None):
+        x = np.array([[1.0, 0.5, 0.25], [2.0, 0.25, 0.5]])
+        if entry is not None:
+            x[1, 1] = entry
+        return x
+
+    def test_condition_is_the_norm_times_the_largest_entry(self):
+        condition = _certified_condition(self.lams, self.vectors(), self.norms)
+        np.testing.assert_array_equal(condition, [6.0, 2.0, 2.5])
+        assert _certified_condition(2.0, np.array([1.0, 2.0]), 3.0).tolist() == [6.0]
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_vector_is_ill_conditioned(self, entry):
+        with pytest.raises(IllConditionedError, match=r"lambda = 3\.0 has condition number inf"):
+            _certified_condition(self.lams, self.vectors(entry), self.norms)
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, -2.0])
+    def test_nonpositive_entry_is_below_the_spectral_radius(self, entry):
+        with pytest.raises(BelowSpectralRadiusError) as info:
+            _certified_condition(self.lams, self.vectors(entry), self.norms)
+        assert info.value.lam == 3.0
+        assert info.value.smallest == entry
+
+    def test_condition_above_max_is_ill_conditioned(self):
+        # the middle shift's condition is 4 * 0.5 = 2: scaled to exactly
+        # MAX_CONDITION it is kept, one ulp above it is refused
+        norms = self.norms.copy()
+        norms[1] *= MAX_CONDITION / 2.0
+        assert _certified_condition(self.lams, self.vectors(), norms)[1] == MAX_CONDITION
+        norms[1] = np.nextafter(norms[1], np.inf)
+        with pytest.raises(IllConditionedError, match=r"lambda = 3\.0 has condition number 1\.000e\+12"):
+            _certified_condition(self.lams, self.vectors(), norms)
 
 
 class TestCurve:
