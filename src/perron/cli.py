@@ -32,7 +32,6 @@ from .doeblin import (
     extract_minorization,
     load_certificate,
     positivity_improving_check,
-    rank_one_split,
     verify_certificate,
 )
 from .errors import (
@@ -55,16 +54,7 @@ from .kernel_op import (
 from .matrix_pf import NotFoundWithin, power_doeblin_analyze
 from .measure import GridFunction, make_counting_space, make_interval_space
 from .mollified import convergence_study
-from .resolvent import BirmanSchwingerEvaluator
-from .spectral import (
-    MIN_TOL,
-    collatz_wielandt,
-    eigenfunction_from_residue,
-    eigenfunction_series,
-    find_dominant,
-    solve,
-    verify_dominance,
-)
+from .spectral import MIN_TOL, collatz_wielandt, eigenfunction_series, solve, verify_dominance
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -200,6 +190,9 @@ def _resolve_certificate(cfg: dict, kernel: Kernel, config_dir: Path):
         except (OSError, json.JSONDecodeError, KeyError, ValueError,
                 DimensionMismatchError) as exc:
             raise ConfigError(f"cannot load certificate {path}: {exc}") from exc
+        if cert.power != 1:
+            raise ConfigError(f"certificate {path} has power {cert.power}: this command needs "
+                              "a power-1 certificate; 'perron power-doeblin' searches the powers")
         return cert
     return extract_minorization(kernel, _strategy(cert_cfg))
 
@@ -281,6 +274,13 @@ def _residuals(kernel: Kernel, result) -> tuple[dict, float]:
     return residuals, oracle.rho
 
 
+def _remainder_bracket(result) -> tuple[float, float]:
+    """A certified bracket of rho(R), from power steps of R on the
+    eigenfunction w of ``result``: its first step, [lambda0 - alpha max u/w,
+    lambda0 - alpha min u/w], already lies below lambda0."""
+    return collatz_wielandt(result.evaluator.split.remainder, start=result.eigenfunction.values)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="perron")
 def main():
@@ -310,10 +310,7 @@ def solve_cmd(config_path, out_flag):
     t_solve = time.perf_counter()
     residuals, oracle_rho = _residuals(kernel, result)
     dominance = verify_dominance(result)
-    # a certified bracket of rho(R), from power steps of R on the eigenfunction
-    # w: its first step, [lambda0 - alpha max u/w, lambda0 - alpha min u/w],
-    # already lies below lambda0
-    bracket = collatz_wielandt(result.evaluator.split.remainder, start=result.eigenfunction.values)
+    bracket = _remainder_bracket(result)
     # the series route is only meaningful when its geometric ratio is
     # workable; where the series shows that its term budget cannot meet its
     # tolerance, the residual is omitted, never faked
@@ -332,7 +329,8 @@ def solve_cmd(config_path, out_flag):
     # the curve comes before the report, which names its route
     curve = None
     if "dcurve" in outputs:
-        curve = _dcurve(result.evaluator, None, None, 200, bracket[1], result.lambda0)
+        grid = _dcurve_grid(result, bracket[1], 200)
+        curve = (grid, *result.evaluator.curve(grid))
     report = {
         "config": cfg,
         "certificate": {
@@ -390,10 +388,10 @@ def solve_cmd(config_path, out_flag):
     sys.exit(EXIT_OK if not failed else EXIT_NUMERICAL)
 
 
-def _dcurve(evaluator, lam_min, lam_max, points, radius, lambda0):
-    """D and D' on a geometric grid: (grid, D, D').  The default start is
-    just above ``radius``, a certified upper end of rho(R) below
-    ``lambda0``, and at most midway between the two, so the grid starts
+def _dcurve_grid(result, radius, points, lam_min=None, lam_max=None) -> np.ndarray:
+    """The geometric lambda grid of the D-curve and of the verify scan.  The
+    default start is just above ``radius``, a certified upper end of rho(R)
+    below lambda0, and at most midway between the two, so the grid starts
     below the root even where rho(R) lies within 0.2 % of it.  A grid must
     rise from a positive start over two points or more."""
     if points < 2:
@@ -401,22 +399,21 @@ def _dcurve(evaluator, lam_min, lam_max, points, radius, lambda0):
     for name, value in (("--lambda-min", lam_min), ("--lambda-max", lam_max)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+    norm = result.evaluator.operator_norm
     if lam_min is None:
-        lam_min = min(radius * 1.001 + 1e-6 * max(evaluator.operator_norm, 1e-12),
-                      0.5 * (radius + lambda0))
+        lam_min = min(radius * 1.001 + 1e-6 * max(norm, 1e-12), 0.5 * (radius + result.lambda0))
     elif not lam_min > 0:
         raise ConfigError(f"--lambda-min must be positive, got {lam_min:.12g}")
     if lam_max is None:
-        lam_max = 2.0 * max(evaluator.operator_norm, lam_min * 1.5)
+        lam_max = 2.0 * max(norm, lam_min * 1.5)
     elif not lam_min < lam_max:
         raise ConfigError(f"--lambda-min must be below --lambda-max, "
                           f"got {lam_min:.12g} >= {lam_max:.12g}")
-    grid = np.geomspace(lam_min, lam_max, points)
-    return (grid, *evaluator.curve(grid))
+    return np.geomspace(lam_min, lam_max, points)
 
 
 def _write_dcurve(path: Path, grid, values, slopes):
-    """Write the curve of ``_dcurve``; returns the first grid interval on
+    """Write D and D' on ``grid``; returns the first grid interval on
     which D changes sign from negative, or None."""
     _write_csv(
         path,
@@ -445,12 +442,10 @@ def dcurve(config_path, lambda_min, lambda_max, points, out_flag):
     if isinstance(cert, NotMinorizable):
         _echo_fail(EXIT_NOT_MINORIZABLE, str(cert))
     path = _out_dir(out_flag) / name
-    evaluator = BirmanSchwingerEvaluator(rank_one_split(kernel, cert))
     # the root and its eigenfunction give the certified start of the grid
-    lambda0 = find_dominant(evaluator, tol=tol)
-    w = eigenfunction_from_residue(evaluator, lambda0)
-    _, radius = collatz_wielandt(evaluator.split.remainder, start=w.values)
-    grid, values, slopes = _dcurve(evaluator, lambda_min, lambda_max, points, radius, lambda0)
+    result = solve(kernel, certificate=cert, tol=tol)
+    grid = _dcurve_grid(result, _remainder_bracket(result)[1], points, lambda_min, lambda_max)
+    values, slopes = result.evaluator.curve(grid)
     bracket = _write_dcurve(path, grid, values, slopes)
     monotone = bool(np.all(np.diff(values) > 0))
     click.echo(f"wrote {path} ({points} points, monotone={monotone})")
@@ -527,7 +522,8 @@ def verify(config_path, out_flag):
         record("doeblin_minorization_n1", False, f"{cert} (expected for kernels with zeros)")
         if kernel.space.kind != "counting":
             _echo_fail(EXIT_NOT_MINORIZABLE, "no certificate and no power search for interval kernels")
-        report = power_doeblin_analyze(kernel, tol=tol)
+        report = power_doeblin_analyze(kernel, strategy=_strategy(_block(cfg, "certificate")),
+                                       tol=tol)
         if isinstance(report, NotFoundWithin):
             _echo_fail(EXIT_NOT_MINORIZABLE, str(report))
         record(
@@ -544,10 +540,9 @@ def verify(config_path, out_flag):
         cert_report.holds,
         f"worst slack {cert_report.worst_slack:.3e}, strict phi {cert_report.strict_phi}",
     )
-    split = rank_one_split(kernel, cert)
-    recon = (
-        cert.lower_bound_matrix() + split.remainder.entries - kernel.entries
-    )
+    result = solve(kernel, certificate=cert, tol=tol)
+    lam, ev = result.lambda0, result.evaluator
+    recon = cert.lower_bound_matrix() + ev.split.remainder.entries - kernel.entries
     record(
         "split_reconstruction",
         np.abs(recon).max() <= 1e-12 * max(1.0, kernel.entries.max()),
@@ -558,8 +553,6 @@ def verify(config_path, out_flag):
         positivity_improving_check(kernel, cert, seed=seed),
         "random nonnegative battery maps to strictly positive images",
     )
-    result = solve(kernel, certificate=cert, tol=tol)
-    lam = result.lambda0
     residuals, _ = _residuals(kernel, result)
     for name in ("eig_residual", "proj_idempotency", "left_residual"):
         record(name, residuals[name] <= THRESHOLDS[name], f"{residuals[name]:.3e}")
@@ -567,12 +560,7 @@ def verify(config_path, out_flag):
     record("oracle_agreement", delta <= THRESHOLDS["oracle_delta_rel"],
            f"relative delta {delta:.3e}")
 
-    ev = result.evaluator
-    # the scan starts above the certified upper end of rho(R) and below
-    # lambda0, even where the two are within 1e-4 of each other
-    _, radius = collatz_wielandt(ev.split.remainder, start=result.eigenfunction.values)
-    start = min(radius * 1.0001, 0.5 * (radius + lam))
-    grid = np.geomspace(max(start, lam * 1e-3), 10 * ev.operator_norm, 64)
+    grid = _dcurve_grid(result, _remainder_bracket(result)[1], 64)
     # the scan, the finite-difference probes and lambda0 are one grid, so
     # one factorization serves all of them
     probes = np.array([lam * 1.5, lam * 3.0])
@@ -613,7 +601,7 @@ def verify(config_path, out_flag):
 
     lam_test = 2.0 * ev.operator_norm
     probes = np.random.default_rng(seed).uniform(0.0, 1.0, (kernel.size, PROBES)) - 0.5
-    ident = probe_resolvent_identity(split, lam_test, probes)
+    ident = probe_resolvent_identity(ev.split, lam_test, probes)
     record(
         "kernel_resolvent_identity",
         ident.relative_residual <= 1e-9,

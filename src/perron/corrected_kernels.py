@@ -41,7 +41,7 @@ import numpy as np
 
 from .doeblin import RankOneSplit
 from .errors import DimensionMismatchError, NotConvergentError
-from .kernel_op import Kernel
+from .kernel_op import Kernel, _pow2_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,22 +69,22 @@ def _apply(kernel: Kernel, block: np.ndarray) -> np.ndarray:
     return kernel.entries @ (kernel.space.weights[:, np.newaxis] * block)
 
 
-def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int) -> list:
+def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: float = 1.0) -> list:
     """G_0 B .. G_m B for a start block B = G_0 B, cross-checking the two
     defining forms (subtract-then-integrate vs remainder-compose) at every
-    step.  The block is K itself for the kernels, K o V for probes V."""
+    step.  The block is K itself for the kernels, K o V for probes V.  With
+    ``unit`` a power of two every operator is taken times it, exactly, and
+    the n-th block comes out times unit^n."""
     kernel = split.kernel
-    # the block enters at its own size, unfloored: a centred probe block is
-    # small, and a defect must show at the same relative size as in K
+    # the tolerance is relative to max|K| |W| max|B|, a bound on the first
+    # composition, with no floor on any factor: a centred probe block is
+    # small, and a defect must show at the same relative size as in K, at
+    # any scale of the kernel
     block = float(np.abs(start).max()) or 1.0
-    scale = (
-        max(1.0, float(np.abs(kernel.entries).max()))
-        * max(1.0, kernel.space.total_mass())
-        * block
-    )
+    scale = unit * float(np.abs(kernel.entries).max()) * kernel.space.total_mass() * block
     blocks = [start]
     for n in range(1, m + 1):
-        current = blocks[-1]
+        current = unit * blocks[-1]
         subtract_form = _apply(kernel, current) - _rank_one_image(split, current)
         compose_form = _apply(split.remainder, current)
         gap = float(np.max(np.abs(subtract_form - compose_form)))
@@ -139,39 +139,30 @@ def neumann_tail_bound(c: float, lam: float, m: int) -> float:
     return (c / lam) ** (m + 2) / (1.0 - r)
 
 
-def _series_block(
-    split: RankOneSplit, blocks: list, lam: float, tol: float, max_terms: int
-) -> np.ndarray:
-    """Partial sums of sum_n lam^-(n+1) G_n B until the tail bound meets
-    tol; terms beyond the given blocks are generated on the fly."""
+def _series_block(split: RankOneSplit, start: np.ndarray, lam: float, tol: float,
+                  max_terms: int) -> np.ndarray:
+    """Partial sums of sum_n lam^-(n+1) R^n B for the start block B, until
+    the tail bound meets tol relative to the running sum.  Each term is
+    carried as R term / lam, with R and lam times the power of two that
+    brings lam into [1/2, 1): exact, and no power of lam over- or
+    underflows.  The terms shrink at least by ||R||_inf / lam per step,
+    which bounds the tail after each."""
     r_norm = split.remainder.weighted_inf_norm()
     if lam <= r_norm:
         raise NotConvergentError(
             f"kernel resolvent series requires lambda > {r_norm:.6e}, got {lam}"
         )
-    c = split.kernel.weighted_inf_norm() + rank_one_norm(split)
-    acc = blocks[0] / lam
-    current = blocks[0]
-    scale = max(1.0, float(np.abs(acc).max()))
+    unit = _pow2_scale(lam)
     ratio = r_norm / lam
-    for n in range(1, max_terms + 1):
-        if n < len(blocks):
-            current = blocks[n]
-        else:
-            current = _apply(split.remainder, current)
-        term = current / lam ** (n + 1)
+    term = start / lam
+    acc = term
+    for _ in range(max_terms):
+        term = _apply(split.remainder, unit * term) / (unit * lam)
         acc = acc + term
         term_size = float(np.abs(term).max())
-        if term_size == 0.0:
-            break
-        scale = max(scale, float(np.abs(acc).max()))
-        crude = neumann_tail_bound(c, lam, n)
-        sharp = term_size * ratio / (1.0 - ratio)
-        if min(crude, sharp) <= tol * scale:
-            break
-    else:
-        raise NotConvergentError("kernel resolvent series exhausted its term budget")
-    return acc
+        if term_size * ratio / (1.0 - ratio) <= tol * float(np.abs(acc).max()):
+            return acc
+    raise NotConvergentError("kernel resolvent series exhausted its term budget")
 
 
 def neumann_kernel_resolvent(
@@ -182,13 +173,12 @@ def neumann_kernel_resolvent(
 ) -> Kernel:
     """Partial sums of sum_n lam^-(n+1) G_n until the tail bound meets tol.
 
-    Convergence needs lam above the weighted sup-norm of the remainder;
-    the tail is bounded both by the crude constant c = ||T|| + ||P|| and
-    by the sharper remainder-norm geometric bound, whichever is smaller.
-    Terms beyond the stored sequence are generated on the fly.
+    Convergence needs lam above the weighted sup-norm of the remainder,
+    and the tail is bounded by the remainder-norm geometric bound.  The
+    terms R^n K / lam^(n+1) are carried as in ``_series_block``.
     """
-    blocks = [kernel.entries for kernel in seq.kernels]
-    return Kernel(_series_block(seq.split, blocks, lam, tol, max_terms), seq.split.kernel.space)
+    return Kernel(_series_block(seq.split, seq.kernels[0].entries, lam, tol, max_terms),
+                  seq.split.kernel.space)
 
 
 @dataclass(frozen=True)
@@ -206,7 +196,8 @@ def _identity_report(
     rhs = start - _rank_one_image(split, h)
     residual = float(np.abs(lhs - rhs).max())
     scale = float(np.abs(start).max())
-    return SubtractionIdentityReport(lam, residual, residual / max(scale, 1e-300))
+    # an all-zero start block gives a zero residual, relative or not
+    return SubtractionIdentityReport(lam, residual, residual / (scale or 1.0))
 
 
 def verify_resolvent_identity(
@@ -241,6 +232,8 @@ def probe_resolvent_identity(
             f"probes must be {split.kernel.size} x k, got {probes.shape}"
         )
     start = _apply(split.kernel, probes)
-    blocks = _corrected_blocks(split, start, 6)
-    h = _series_block(split, blocks, lam, 1e-13, 10_000)
+    # on the operators times the power of two of the series, so the
+    # blocks neither over- nor underflow at any scale of the kernel
+    _corrected_blocks(split, start, 6, _pow2_scale(lam))
+    h = _series_block(split, start, lam, 1e-13, 10_000)
     return _identity_report(split, start, h, lam)

@@ -106,13 +106,10 @@ LU_CACHE_SHIFTS = 2
 class _Shift:
     """One cached shift lam with its inverse and the solves made there:
     R_lam u, R_lam^2 u and R_lam 1.  The inverse is the float64 LU factors
-    of (lam*I - R)^T or, with factors None, the kernel's compression
-    applied to scale * (lam*I - R), with scale the power of two that
-    brings ||lam*I - R||_inf into [1/2, 1)."""
+    of (lam*I - R)^T or, with factors None, the kernel's compression."""
 
     lam: float
     factors: tuple | None = None
-    scale: float = 1.0
     ru: GridFunction | None = None
     r2u: GridFunction | None = None
     inv_ones: np.ndarray | None = None
@@ -220,6 +217,9 @@ class BirmanSchwingerEvaluator:
         # of the transposed solve
         self._rem_col_offdiag = w * rem.sum(axis=0) - self._rem_diag
         self.operator_norm = split.kernel.weighted_inf_norm()
+        # the power of two that brings ||T||_inf into [1/2, 1): the secular
+        # sums run on shifts and eigenvalues times it, exact to undo
+        self._scale = _pow2_scale(self.operator_norm)
         self._lu_cache: dict[float, _Shift] = {}
 
     @property
@@ -243,12 +243,9 @@ class BirmanSchwingerEvaluator:
         if entry is not None:
             return entry
         entry = _Shift(key)
-        norm = float(self._shifted_inf_norm(key))
         if self._solve_compression is None:
             self._factor(entry)
-        else:
-            entry.scale = _pow2_scale(norm)
-        self._certify(entry, norm)
+        self._certify(entry, float(self._shifted_inf_norm(key)))
         # a refinement that stalls has left float64 factors behind already
         if entry.factors is None and entry.condition > COMPRESSED_MAX_CONDITION:
             self._factor(entry)
@@ -323,12 +320,12 @@ class BirmanSchwingerEvaluator:
         """One correction of ``_solve``: (lam*I - R)^-1 r, or its transpose
         with trans = 1, in O(n k) on the compression, with S taken as 0 off
         its k columns and R as T - alpha*u x phi (see
-        ``_symmetric_resolvents``).  r and lam*I - R go into range by powers
-        of two, r's own and the scale of the entry, and back, so the secular
-        sums run on shifts and eigenvalues of order 1 and neither a tiny nor
-        a huge kernel over- or underflows them."""
+        ``_symmetric_resolvents``).  r and the operator go into range by
+        powers of two, r's own and the evaluator's one of ||T||_inf, and
+        back, so the secular sums run on shifts and eigenvalues of order 1
+        and neither a tiny nor a huge kernel over- or underflows them."""
         r_scale = _pow2_scale(float(np.max(np.abs(r))))
-        scale = entry.scale
+        scale = self._scale
         mu, v, a, b, e, s = self._secular_basis(self._solve_compression, r * r_scale, trans)
         z = self._pole_free(np.array([scale * entry.lam]), scale * mu, scale * a, b, e)[0]
         return ((v @ z[:, 0]) / s) * (scale / r_scale)
@@ -435,11 +432,11 @@ class BirmanSchwingerEvaluator:
         differs from the clamped remainder of ``rank_one_split`` only by
         its slack.  V is the full eigenbasis from a dense eigh, or the k
         columns of a ``compression`` of S (``_secular_basis``).  As in
-        ``_pole_free_apply`` the sums run on lam, mu and a times the power
-        of two that brings ||T||_inf into [1/2, 1), exact to undo.
+        ``_pole_free_apply`` the sums run on lam, mu and a times the
+        evaluator's power of two of ||T||_inf, exact to undo.
         """
         mu, v, a, b, e, s = self._secular_basis(compression, np.ones(self.space.size))
-        scale = _pow2_scale(self.operator_norm)
+        scale = self._scale
         a = scale * a
         z, delta, inv, denom = self._pole_free(scale * lams, scale * mu, a, b, e)
         d_values = delta / denom
@@ -513,7 +510,7 @@ class BirmanSchwingerEvaluator:
         as in ``_symmetric_resolvents``.
         """
         s, q = schur(self.split.remainder.operator_matrix(), output="real", overwrite_a=True)
-        scale = _pow2_scale(self.operator_norm)
+        scale = self._scale
         s *= scale
         lams = scale * lams
         n, m = self.space.size, lams.size

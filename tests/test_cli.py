@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import perron as pr
 import perron.cli
+import perron.doeblin
 import perron.kernel_op
 import perron.mollified
 import perron.resolvent
@@ -286,6 +287,36 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", "--config", path])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("command", ["solve", "dcurve", "verify"])
+    def test_power_two_certificate_exit_one(self, runner, tmp_path, command):
+        (tmp_path / "m.csv").write_text("2,1\n1,2\n")
+        cert = {"alpha": 1.0, "power": 2, "profile": [1.0, 1.0], "density": [1.0, 1.0]}
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        cfg = write_config(tmp_path / "m.json", {
+            "kernel": {"family": "csv", "path": "m.csv"},
+            "space": {"kind": "counting", "n": 2},
+            "certificate": {"path": "cert.json"},
+        })
+        result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("config error: certificate ")
+        assert "has power 2" in result.output and "perron power-doeblin" in result.output
+
+    def test_residual_over_threshold_exits_three(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setitem(perron.cli.THRESHOLDS, "eig_residual", 0.0)
+        cfg = write_config(tmp_path / "g.json", gaussian_config(64))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        over = [line for line in result.output.splitlines()
+                if line.startswith("residual over threshold: ")]
+        assert len(over) == 1 and over[0].startswith("residual over threshold: eig_residual = ")
+        assert over[0].endswith(" > 0.0e+00")
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+
     def test_out_dir_from_environment(self, runner, constant_config, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("PERRON_OUT", str(env_dir))
@@ -517,6 +548,20 @@ class TestDcurveCommand:
         above = min(lam for lam, d, _ in rows if d >= 0)
         assert below < 3.0 <= above
 
+    def test_range_below_the_root_has_no_sign_change(self, runner, constant_config, tmp_path):
+        # the constant kernel has R = 0 and lambda0 = 1: the grid starts at
+        # 1e-6 and ends below the root
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["dcurve", "--config", constant_config, "--lambda-max", "0.5", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "no sign change in the sampled range" in result.output
+        assert "bracketed" not in result.output
+        rows = np.loadtxt(out / "dcurve.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (200, 3)
+        assert rows[-1, 0] == pytest.approx(0.5) and np.all(rows[:, 1] < 0)
+
     def test_below_radius_rejected(self, runner, tmp_path):
         (tmp_path / "m.csv").write_text("2,1\n1,2\n")
         cfg = write_config(
@@ -644,6 +689,34 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert "FAIL  bs_curve_matches_lu" in result.output
 
+    def test_one_split_per_kernel(self, runner, tmp_path, monkeypatch):
+        # the split of the solve serves the reconstruction check and the
+        # probe identity; the conjugate kernel's solve makes the other
+        calls = count_calls(monkeypatch, perron.doeblin, "rank_one_split")
+        cfg = write_config(tmp_path / "g.json", gaussian_config(64))
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2
+
+    def test_tiny_kernel_gives_the_same_verdicts(self, runner, tmp_path):
+        # 1e300 K is checked on the probe identity alone, in
+        # test_corrected_kernels.py: its mollified study overflows
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.35)
+        verdicts = []
+        for scale in (1.0, 1e-300):
+            np.savetxt(tmp_path / "k.csv", scale * kernel.entries, delimiter=",", fmt="%.17g")
+            cfg = write_config(tmp_path / "k.json", {
+                "kernel": {"family": "csv", "path": "k.csv"},
+                "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 200, "rule": "midpoint"},
+            })
+            result = runner.invoke(main, ["verify", "--config", cfg])
+            assert result.exit_code == 0, result.output
+            # the derivative probes are named by their shift, which scales
+            verdicts.append([line.split(":")[0].split("_at_")[0] for line in
+                             result.output.splitlines()])
+        assert verdicts[1] == verdicts[0]
+        assert "PASS  kernel_resolvent_identity" in verdicts[1]
+
     def test_random_positive_kernel_passes(self, runner, tmp_path):
         rng = np.random.default_rng(99)
         rows = "\n".join(
@@ -753,6 +826,23 @@ class TestPowerDoeblinConfig:
         assert seen == [{"n_max": 8, "strategy": "column_profile", "tol": 1e-10}]
         assert result.output.splitlines()[:2] == CHAIN_REPORT[:2]
 
+    def test_verify_fallback_reads_strategy_and_tol(self, runner, tmp_path, monkeypatch):
+        seen = []
+        real = perron.cli.power_doeblin_analyze
+
+        def recording(kernel, **kwargs):
+            seen.append(kwargs)
+            return real(kernel, **kwargs)
+
+        monkeypatch.setattr(perron.cli, "power_doeblin_analyze", recording)
+        path = self.chain_config(
+            tmp_path, certificate={"strategy": "column_profile"}, solver={"tol": 1e-10}
+        )
+        result = runner.invoke(main, ["verify", "--config", path])
+        assert result.exit_code == 0, result.output
+        assert seen == [{"strategy": "column_profile", "tol": 1e-10}]
+        assert "PASS  power_doeblin_certificate: N = 2" in result.output
+
 
 @pytest.mark.parametrize(
     "name, command, code, expected", SHIPPED, ids=[f"{c[0]}-{c[1]}" for c in SHIPPED]
@@ -818,7 +908,7 @@ def test_click_parse_errors_exit_two(runner, tmp_path):
     [
         ("solve", "solve"),
         ("verify", "solve"),
-        ("dcurve", "rank_one_split"),
+        ("dcurve", "solve"),
         ("power-doeblin", "power_doeblin_analyze"),
     ],
 )

@@ -295,6 +295,19 @@ class TestProbeIdentity:
         )
         assert dense == probe
 
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_scaled_kernel_gives_the_same_residual(self, c):
+        # the recursion and the series run on R and lambda times a power of
+        # two, so no power of lambda over- or underflows
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        reports = []
+        for scale in (1.0, c):
+            split = split_for(pr.Kernel(scale * pr.gaussian_kernel(sp, 0.35).entries, sp))
+            lam = 2.0 * split.kernel.weighted_inf_norm()
+            reports.append(pr.probe_resolvent_identity(split, lam, centred_block(200)))
+        assert reports[0].relative_residual <= 1e-12
+        assert reports[1].relative_residual == pytest.approx(reports[0].relative_residual, rel=0.05)
+
     def test_all_zero_probe_block_passes(self):
         split = gaussian_split(20)
         report = pr.probe_resolvent_identity(split, 2.0, np.zeros((20, 4)))
@@ -310,7 +323,7 @@ class TestProbeIdentity:
         )
         gap = np.abs(subtract_form - split.remainder.entries @ (w * k.entries)).max()
         top = k.entries.max()
-        tolerance = 1e-10 * max(1.0, top) * max(1.0, k.space.total_mass()) * top
+        tolerance = 1e-10 * top * k.space.total_mass() * top
         with pytest.raises(NotConvergentError) as info:
             pr.build_corrected_kernels(split, 6)
         found = re.search(r"step n = (\d+): gap (\S+) > tolerance (\S+);", str(info.value))

@@ -6,7 +6,7 @@ from scipy.linalg import schur
 
 import perron as pr
 import perron.resolvent
-from perron.cli import _dcurve
+from perron.cli import _dcurve_grid
 from perron.errors import BelowSpectralRadiusError, IllConditionedError
 from perron.resolvent import MAX_CONDITION, _certified_condition
 from perron.spectral import collatz_wielandt
@@ -174,7 +174,7 @@ class TestOperatorResolvent:
         res = pr.solve(pr.gaussian_kernel(sp, 0.35))
         ev = res.evaluator
         assert len(ev._lu_cache) <= 2
-        _dcurve(ev, None, None, 200, remainder_radius(ev), res.lambda0)
+        ev.curve(_dcurve_grid(res, remainder_radius(ev), 200))
         assert len(ev._lu_cache) <= 2
 
     def test_profile_solves_are_dropped_with_their_shift(self, monkeypatch):
