@@ -64,9 +64,8 @@ def changed_space(mc: MeasureChange) -> MeasureSpace:
 def conjugate_kernel(kernel: Kernel, mc: MeasureChange) -> Kernel:
     """h^(1/p)-weighted conjugate over the nu-space; same spectrum."""
     check_same_space(kernel.space, mc.density.space)
-    entries = (
-        mc.row_factor()[:, np.newaxis] * kernel.entries * mc.col_factor()[np.newaxis, :]
-    )
+    # one outer product: at p = 2 a symmetric kernel stays bit-symmetric
+    entries = np.outer(mc.row_factor(), mc.col_factor()) * kernel.entries
     return Kernel(entries, changed_space(mc))
 
 

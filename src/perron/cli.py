@@ -43,6 +43,7 @@ from .errors import (
 from .expressions import ExpressionError, evaluate
 from .kernel_op import (
     Kernel,
+    _pow2_scale,
     constant_kernel,
     gaussian_kernel,
     kernel_from_csv,
@@ -475,7 +476,7 @@ def power_doeblin(config_path, n_max, out_flag):
     if n_max < 1:
         raise ConfigError(f"--n-max must be at least 1, got {n_max}")
     if kernel.space.kind != "counting":
-        _echo_fail(EXIT_CONFIG, "power-doeblin analysis expects a counting-space matrix")
+        raise ConfigError("power-doeblin analysis expects a counting-space matrix")
     report = power_doeblin_analyze(kernel, n_max=n_max, strategy=strategy, tol=tol)
     if isinstance(report, NotFoundWithin):
         _echo_fail(EXIT_NOT_MINORIZABLE, str(report))
@@ -627,7 +628,11 @@ def verify(config_path, out_flag):
         span = kernel.space.nodes[-1] - kernel.space.nodes[0]
         mid = 0.5 * (kernel.space.nodes[0] + kernel.space.nodes[-1])
         widths = (0.2 * span, 0.1 * span)
-        study = convergence_study(kernel, mid, mid, widths, 3)
+        # on T times the power of two of ||T||_inf, exact: no power of T
+        # over- or underflows, and the slack below is relative
+        unit = _pow2_scale(ev.operator_norm)
+        unit_kernel = kernel if unit == 1.0 else Kernel(unit * kernel.entries, kernel.space)
+        study = convergence_study(unit_kernel, mid, mid, widths, 3)
         record(
             "mollified_convergence",
             study.errors[1] <= study.errors[0] + 1e-12,

@@ -35,6 +35,7 @@ recursion; they live with the tests, in ``tests/bell_expansion.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,6 @@ def _rank_one_image(split: RankOneSplit, columns: np.ndarray) -> np.ndarray:
     return cert.alpha * np.outer(cert.profile.values, row)
 
 
-def _apply(kernel: Kernel, block: np.ndarray) -> np.ndarray:
-    """The kernel composed onto an n x k column block: A_ik w_k B_kj."""
-    return kernel.entries @ (kernel.space.weights[:, np.newaxis] * block)
-
-
 def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: float = 1.0) -> list:
     """G_0 B .. G_m B for a start block B = G_0 B, cross-checking the two
     defining forms (subtract-then-integrate vs remainder-compose) at every
@@ -85,8 +81,8 @@ def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: floa
     blocks = [start]
     for n in range(1, m + 1):
         current = unit * blocks[-1]
-        subtract_form = _apply(kernel, current) - _rank_one_image(split, current)
-        compose_form = _apply(split.remainder, current)
+        subtract_form = kernel.matvec(current) - _rank_one_image(split, current)
+        compose_form = split.remainder.matvec(current)
         gap = float(np.max(np.abs(subtract_form - compose_form)))
         if gap > 1e-10 * scale:
             raise NotConvergentError(
@@ -99,8 +95,7 @@ def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: floa
 
 
 def build_corrected_kernels(split: RankOneSplit, m: int) -> CorrectedKernelSequence:
-    """Run the recursion to order m, cross-checking its two defining forms
-    (subtract-then-integrate vs remainder-compose) at every step."""
+    """Run the cross-checked recursion of ``_corrected_blocks`` to order m."""
     if m < 0:
         raise ValueError("m must be >= 0")
     blocks = _corrected_blocks(split, split.kernel.entries, m)
@@ -123,11 +118,8 @@ def moment_scalars(split: RankOneSplit, m: int) -> list:
 def rank_one_norm(split: RankOneSplit) -> float:
     """Weighted sup-norm of the subtracted rank-one operator."""
     cert = split.certificate
-    return float(
-        cert.alpha
-        * np.max(cert.profile.values)
-        * np.dot(cert.functional.density, split.kernel.space.weights)
-    )
+    mass = np.dot(cert.functional.density, split.kernel.space.weights)
+    return float(cert.alpha * np.max(cert.profile.values) * mass)
 
 
 def neumann_tail_bound(c: float, lam: float, m: int) -> float:
@@ -139,14 +131,15 @@ def neumann_tail_bound(c: float, lam: float, m: int) -> float:
     return (c / lam) ** (m + 2) / (1.0 - r)
 
 
-def _series_block(split: RankOneSplit, start: np.ndarray, lam: float, tol: float,
+def _series_block(split: RankOneSplit, blocks: list, lam: float, tol: float,
                   max_terms: int) -> np.ndarray:
-    """Partial sums of sum_n lam^-(n+1) R^n B for the start block B, until
-    the tail bound meets tol relative to the running sum.  Each term is
-    carried as R term / lam, with R and lam times the power of two that
-    brings lam into [1/2, 1): exact, and no power of lam over- or
-    underflows.  The terms shrink at least by ||R||_inf / lam per step,
-    which bounds the tail after each."""
+    """Partial sums of sum_n lam^-(n+1) R^n B until the tail bound meets
+    tol relative to the running sum.  ``blocks`` are the recursion's
+    unit^n R^n B, n = 0 .. m, with unit the power of two that brings lam
+    into [1/2, 1): term n is block n over lam (unit lam)^n, a divisor
+    carried step by step, and each later term is (unit R) term / (unit lam),
+    so no power of lam is formed to over- or underflow.  The terms shrink
+    at least by ||R||_inf / lam per step, which bounds the tail after each."""
     r_norm = split.remainder.weighted_inf_norm()
     if lam <= r_norm:
         raise NotConvergentError(
@@ -154,10 +147,14 @@ def _series_block(split: RankOneSplit, start: np.ndarray, lam: float, tol: float
         )
     unit = _pow2_scale(lam)
     ratio = r_norm / lam
-    term = start / lam
-    acc = term
-    for _ in range(max_terms):
-        term = _apply(split.remainder, unit * term) / (unit * lam)
+    divisor = lam
+    acc = term = blocks[0] / lam
+    for n in range(1, max_terms + 1):
+        if n < len(blocks):
+            divisor *= unit * lam
+            term = blocks[n] / divisor
+        else:
+            term = split.remainder.matvec(unit * term) / (unit * lam)
         acc = acc + term
         term_size = float(np.abs(term).max())
         if term_size * ratio / (1.0 - ratio) <= tol * float(np.abs(acc).max()):
@@ -175,10 +172,12 @@ def neumann_kernel_resolvent(
 
     Convergence needs lam above the weighted sup-norm of the remainder,
     and the tail is bounded by the remainder-norm geometric bound.  The
-    terms R^n K / lam^(n+1) are carried as in ``_series_block``.
+    terms are carried as in ``_series_block``, whose first blocks are the
+    sequence's G_n times unit^n, an exact exponent shift.
     """
-    return Kernel(_series_block(seq.split, seq.kernels[0].entries, lam, tol, max_terms),
-                  seq.split.kernel.space)
+    exponent = math.frexp(_pow2_scale(lam))[1] - 1
+    blocks = [np.ldexp(g.entries, n * exponent) for n, g in enumerate(seq.kernels)]
+    return Kernel(_series_block(seq.split, blocks, lam, tol, max_terms), seq.split.kernel.space)
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def _identity_report(
     split: RankOneSplit, start: np.ndarray, h: np.ndarray, lam: float
 ) -> SubtractionIdentityReport:
     """(lam*I - T) H B against K B - P H B, for the start block K B and H B."""
-    lhs = lam * h - _apply(split.kernel, h)
+    lhs = lam * h - split.kernel.matvec(h)
     rhs = start - _rank_one_image(split, h)
     residual = float(np.abs(lhs - rhs).max())
     scale = float(np.abs(start).max())
@@ -231,9 +230,9 @@ def probe_resolvent_identity(
         raise DimensionMismatchError(
             f"probes must be {split.kernel.size} x k, got {probes.shape}"
         )
-    start = _apply(split.kernel, probes)
-    # on the operators times the power of two of the series, so the
-    # blocks neither over- nor underflow at any scale of the kernel
-    _corrected_blocks(split, start, 6, _pow2_scale(lam))
-    h = _series_block(split, start, lam, 1e-13, 10_000)
+    start = split.kernel.matvec(probes)
+    # on the operators times the power of two of the series, which sums
+    # these blocks: they neither over- nor underflow at any kernel scale
+    blocks = _corrected_blocks(split, start, 6, _pow2_scale(lam))
+    h = _series_block(split, blocks, lam, 1e-13, 10_000)
     return _identity_report(split, start, h, lam)

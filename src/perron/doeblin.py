@@ -294,7 +294,7 @@ def positivity_improving_check(
         if not f.any():
             f[rng.integers(space.size)] = 1.0
     # T^N F and the floors alpha * profile * phi[f] of all probes at once
-    images = powered.entries @ (space.weights[:, np.newaxis] * probes)
+    images = powered.matvec(probes)
     floors = np.outer(cert.alpha * cert.profile.values, cert.functional.acting_vector() @ probes)
     return bool(np.all(images > 0) and not np.any(images - floors < -SLACK * scale))
 

@@ -80,11 +80,13 @@ class Kernel:
         return self.entries * self.space.weights[np.newaxis, :]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """T x = K (w x) for a node-value vector x, read off the entries.  A
-        complex x goes as two real products: numpy would cast K to complex."""
+        """T x = K (w x) for a node-value vector x or for each column of an
+        n x k block, read off the entries.  A complex x goes as two real
+        products: numpy would cast K to complex."""
         if np.iscomplexobj(x):
             return self.matvec(x.real) + 1j * self.matvec(x.imag)
-        return self.entries @ (self.space.weights * x)
+        w = self.space.weights
+        return self.entries @ ((w if x.ndim == 1 else w[:, np.newaxis]) * x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """T^T y = w (K^T y), the transpose of ``matvec``."""
@@ -124,7 +126,7 @@ def apply(kernel: Kernel, f: GridFunction) -> GridFunction:
 def compose(a: Kernel, b: Kernel) -> Kernel:
     """Kernel of the operator product: (A o B)_ij = sum_k A_ik w_k B_kj."""
     check_same_space(a.space, b.space)
-    return Kernel(a.entries @ (a.space.weights[:, np.newaxis] * b.entries), a.space)
+    return Kernel(a.matvec(b.entries), a.space)
 
 
 def iterate_kernel(kernel: Kernel, n: int) -> Kernel:
@@ -243,10 +245,9 @@ def verify_schur(kernel: Kernel, bound: SchurBound, rel_slack: float = 1e-12) ->
     psi = bound.col_weight.values
     if not (np.all(phi > 0) and np.all(psi > 0)):
         raise ValueError("Schur weights must be strictly positive")
-    w = kernel.space.weights
     c = bound.constant
-    row = (kernel.entries @ (psi * w)) / (c * phi)
-    col = (kernel.entries.T @ (phi * w)) / (c * psi)
+    row = kernel.matvec(psi) / (c * phi)
+    col = (kernel.entries.T @ (phi * kernel.space.weights)) / (c * psi)
     max_row = float(row.max())
     max_col = float(col.max())
     return SchurReport(max_row, max_col, holds=max_row <= 1 + rel_slack and max_col <= 1 + rel_slack)
@@ -275,22 +276,25 @@ def spectral_radius_oracle(
     checked against; it never touches the rank-one machinery.  The
     returned vector is nonnegative with sup-norm 1.  For strictly
     positive iterates a Collatz-Wielandt bracket of relative width tol
-    certifies the result; otherwise the successive eigenvalue-estimate
-    change, relative to the estimate, is used.  Both tests are relative,
-    so the result of c K is c times that of K.
+    certifies the result.  The successive change of the estimate max(T x)
+    ends it only at a step where that bracket does not narrow, or where
+    x has a zero entry and so no bracket: on the flat interior of a narrow
+    Gaussian the estimate repeats long before the bracket closes.  Both
+    tests are relative, so the result of c K is c times that of K.
     Non-convergence (peripheral multiplicity) raises PowerIterationError.
     Each step is one ``kernel.matvec``; no n x n array is formed.
     """
     if not kernel.entries.any():
         return PowerIterationResult(0.0, kernel.space.ones(), 0)
     x = np.ones(kernel.size)
-    rho_prev = None
+    rho_prev, width = None, np.inf
     for it in range(1, max_iter + 1):
         y = kernel.matvec(x)
         rho = float(y.max())
         if rho <= 0.0:
             # the nonnegative iterate died: nilpotent direction
             return PowerIterationResult(0.0, GridFunction(x, kernel.space), it)
+        narrowed = False
         if np.all(x > 0):
             ratios = y / x
             lo, hi = float(ratios.min()), float(ratios.max())
@@ -298,7 +302,8 @@ def spectral_radius_oracle(
                 return PowerIterationResult(
                     0.5 * (lo + hi), GridFunction(y / rho, kernel.space), it
                 )
-        if rho_prev is not None and abs(rho - rho_prev) <= tol * rho:
+            narrowed, width = hi - lo < width, hi - lo
+        if not narrowed and rho_prev is not None and abs(rho - rho_prev) <= tol * rho:
             return PowerIterationResult(rho, GridFunction(y / rho, kernel.space), it)
         rho_prev = rho
         x = y / rho

@@ -20,17 +20,16 @@ Both recursions subtract multiples of K, so every iterate is a
 combination sum_j c_j K^(j) of the iterated kernels with j <= n+1, and
 a functional enters only through its values on the powers.
 ``point_recursion`` and ``mollified_recursion`` iterate the kernels
-directly, one composition per step.  Their iterates are signed, so each
-is a read-only array paired with the kernel's space on a
-``LiftedKernelState``, never a ``Kernel``, whose entries are validated
-nonnegative; ``kernel_space_norm`` and ``mollified_functional`` read
-the entries of either.  ``convergence_study`` instead runs both
-recursions on the coefficients c_j, with the powers shared between the
-point recursion and every width; the error of each step is the norm of
-one combination, sum_j (c_j^{e} - c_j) K^(j).  A symmetric
-kernel with a low-rank compression (``Kernel.compression``) forms no
-power: a combination costs one O(n^2 k) product.  Any other kernel
-composes K^(2) .. K^(m+1) once, m O(n^3) products.
+directly in one loop, one composition per step; their iterates are
+signed, so each is a read-only ``LiftedKernelState`` array, never a
+``Kernel``, whose entries are validated nonnegative.
+``convergence_study`` instead runs both recursions on the coefficients
+c_j, with the powers shared between the point recursion and every
+width; the error of each step is the norm of one combination,
+sum_j (c_j^{e} - c_j) K^(j).  A symmetric kernel with a low-rank
+compression (``Kernel.compression``) forms no power: a combination
+costs one O(n^2 k) product.  Any other kernel composes
+K^(2) .. K^(m+1) once, m O(n^3) products.
 """
 
 from __future__ import annotations
@@ -116,11 +115,10 @@ def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
     """The iterated kernels K^(1) .. K^(m+1), stacked: m compositions."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    w = kernel.space.weights[:, np.newaxis]
     powers = np.empty((m + 1, kernel.size, kernel.size))
     powers[0] = kernel.entries
     for j in range(1, m + 1):
-        powers[j] = kernel.entries @ (w * powers[j - 1])
+        powers[j] = kernel.matvec(powers[j - 1])
     return powers
 
 
@@ -198,24 +196,12 @@ def mollified_recursion(
     if m < 0:
         raise ValueError("m must be >= 0")
     if direction == "profile":
-        profile_values = np.asarray(
-            profile.values if hasattr(profile, "values") else profile, dtype=float
-        )
-        subtract_direction = alpha * profile_values[:, np.newaxis] * np.ones(
-            (1, kernel.size)
-        )
+        values = np.asarray(getattr(profile, "values", profile), dtype=float)
+        subtract_direction = alpha * values[:, np.newaxis] * np.ones((1, kernel.size))
     else:
         subtract_direction = kernel.entries
-    states = [LiftedKernelState.from_entries(kernel.entries, kernel.space, p)]
-    for _ in range(m):
-        current = states[-1].entries
-        scalar = float(psi.acting_vector() @ current @ eta.acting_vector())
-        nxt = (
-            kernel.entries @ (kernel.space.weights[:, np.newaxis] * current)
-            - subtract_direction * scalar
-        )
-        states.append(LiftedKernelState.from_entries(nxt, kernel.space, p))
-    return states
+    a, b = psi.acting_vector(), eta.acting_vector()
+    return _lifted_recursion(kernel, subtract_direction, lambda g: float(a @ g @ b), m, p)
 
 
 def point_recursion(kernel: Kernel, x0_index: int, y0_index: int, m: int) -> list:
@@ -225,13 +211,18 @@ def point_recursion(kernel: Kernel, x0_index: int, y0_index: int, m: int) -> lis
     n = kernel.size
     if not (0 <= x0_index < n and 0 <= y0_index < n):
         raise IndexError("reference indices out of range")
-    states = [LiftedKernelState.from_entries(kernel.entries, kernel.space)]
-    w = kernel.space.weights
+    return _lifted_recursion(kernel, kernel.entries, lambda g: float(g[x0_index, y0_index]), m)
+
+
+def _lifted_recursion(kernel: Kernel, direction: np.ndarray, functional, m: int,
+                      p: float = np.inf) -> list:
+    """G_0 = K, G_{n+1} = K-compose(G_n) - direction * functional(G_n), as
+    ``LiftedKernelState`` iterates G_0 .. G_m."""
+    states = [LiftedKernelState.from_entries(kernel.entries, kernel.space, p)]
     for _ in range(m):
         current = states[-1].entries
-        scalar = float(current[x0_index, y0_index])
-        nxt = kernel.entries @ (w[:, np.newaxis] * current) - kernel.entries * scalar
-        states.append(LiftedKernelState.from_entries(nxt, kernel.space))
+        nxt = kernel.matvec(current) - direction * functional(current)
+        states.append(LiftedKernelState.from_entries(nxt, kernel.space, p))
     return states
 
 

@@ -34,6 +34,17 @@ class TestConjugation:
         lam_e = pr.solve(ke).lambda0
         assert lam_e == pytest.approx(lam, rel=1e-10)
 
+    def test_p2_conjugate_of_a_symmetric_kernel_is_symmetric(self, interval_kernel):
+        # h^(1/2) on both sides, one outer product: bit-symmetric, so a
+        # solve of the conjugate may take the symmetric routes
+        mc = pr.MeasureChange(density_on(interval_kernel.space, seed=7), 2.0)
+        ke = pr.conjugate_kernel(interval_kernel, mc)
+        assert ke.symmetric
+        root = np.sqrt(mc.density.values)
+        np.testing.assert_allclose(
+            ke.entries, root[:, np.newaxis] * interval_kernel.entries * root, rtol=1e-15
+        )
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_spectral_invariance_random_density(self, interval_kernel, p):
         mc = pr.MeasureChange(density_on(interval_kernel.space, seed=int(p * 10)), p)

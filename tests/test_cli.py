@@ -443,7 +443,8 @@ class TestSolveCommand:
 class TestOperationCounts:
     """perron solve then perron verify on the shape of the benchmark's CLI
     workload: one compression of S per command serves the D-curve, the
-    verify scan and the mollified study, and no n x n eigensolver runs."""
+    verify scan and the mollified study, the conjugate kernel of verify's
+    measure-change check builds its own, and no n x n eigensolver runs."""
 
     def test_one_compression_per_command(self, runner, tmp_path, monkeypatch):
         n = 600
@@ -457,7 +458,9 @@ class TestOperationCounts:
                 (perron.kernel_op, "compress_symmetric"),
             )
         }
-        for command, builds in (("solve", 1), ("verify", 2)):
+        # cumulative: verify builds one for the kernel and one for its
+        # symmetric conjugate
+        for command, builds in (("solve", 1), ("verify", 3)):
             result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
             assert result.exit_code == 0, result.output
             assert len(calls["compress_symmetric"]) == builds
@@ -466,6 +469,15 @@ class TestOperationCounts:
         assert calls["_kernel_powers"] == []
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["curve"]["route"] == "compressed"
+
+    def test_verify_factors_nothing(self, runner, tmp_path, monkeypatch):
+        # the p = 2 conjugate of the symmetric kernel is symmetric bit for
+        # bit, so its solve takes the compression too
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        cfg = write_config(tmp_path / "g.json", gaussian_config(600))
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert factored == []
 
     def test_library_solve_builds_one_compression_and_no_lu(self, monkeypatch):
         # from COMPRESSED_SOLVE_MIN_DIM nodes on the compression replaces
@@ -611,6 +623,17 @@ class TestPowerDoeblinCommand:
         )
         assert result.exit_code == 2
 
+    def test_interval_config_is_a_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "g.json", gaussian_config(20))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["power-doeblin", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "config error: power-doeblin analysis expects a counting-space matrix\n"
+        )
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_constant_kernel_all_pass(self, runner, constant_config):
@@ -698,9 +721,25 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert len(calls) == 2
 
+    def test_mollified_study_runs_on_one_scale(self, runner, tmp_path):
+        # the study runs on T times the power of two of ||T||_inf, which
+        # undoes a power-of-two scale of the kernel exactly, so its powers
+        # of T neither overflow nor underflow
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.35)
+        lines = []
+        for scale in (1.0, 2.0**996, 2.0**-996):
+            np.savetxt(tmp_path / "k.csv", scale * kernel.entries, delimiter=",", fmt="%.17g")
+            cfg = write_config(tmp_path / "k.json", {
+                "kernel": {"family": "csv", "path": "k.csv"},
+                "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 200, "rule": "midpoint"},
+            })
+            result = runner.invoke(main, ["verify", "--config", cfg])
+            assert result.exit_code == 0, result.output
+            lines.append(result.output.splitlines()[-1])
+        assert lines[0].startswith("PASS  mollified_convergence: errors ")
+        assert lines[1] == lines[2] == lines[0]
+
     def test_tiny_kernel_gives_the_same_verdicts(self, runner, tmp_path):
-        # 1e300 K is checked on the probe identity alone, in
-        # test_corrected_kernels.py: its mollified study overflows
         kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.35)
         verdicts = []
         for scale in (1.0, 1e-300):

@@ -118,9 +118,63 @@ class TestNeumannKernelResolvent:
         with pytest.raises(NotConvergentError):
             pr.neumann_kernel_resolvent(seq, 0.5, tol=1e-10)
 
+    def test_zero_remainder_at_tiny_scale(self, constant_unit):
+        # lambda^7 underflows here: the terms are carried on lambda times a
+        # power of two, so G_6 = 0 meets no infinite factor
+        c = 2.0**-400
+        kernel = pr.Kernel(c * constant_unit.entries, constant_unit.space)
+        seq = pr.build_corrected_kernels(split_for(kernel), 6)
+        h = pr.neumann_kernel_resolvent(seq, 2.0 * c, tol=1e-14)
+        np.testing.assert_allclose(h.entries, 0.5, rtol=1e-13)
+
     def test_tail_bound_formula(self):
         assert pr.neumann_tail_bound(1.0, 2.0, 3) == pytest.approx((0.5**5) / 0.5)
         assert pr.neumann_tail_bound(2.0, 2.0, 3) == np.inf
+
+
+def count_block_products(monkeypatch):
+    """List of the shapes of the blocks ``Kernel.matvec`` is applied to."""
+    calls = []
+    real = pr.Kernel.matvec
+
+    def counted(self, x):
+        if np.ndim(x) == 2:
+            calls.append(np.shape(x))
+        return real(self, x)
+
+    monkeypatch.setattr(pr.Kernel, "matvec", counted)
+    return calls
+
+
+class TestSeriesSumsTheRecursion:
+    """The resolvent series takes its first terms from the recursion's own
+    blocks, so each R G_n is formed once."""
+
+    def test_probe_identity_forms_35_block_products(self, monkeypatch):
+        # K V, two forms at each of 6 steps, 21 series terms past the 6
+        # blocks and the identity's K H: each R G_n V is formed once
+        split = gaussian_split(600)
+        lam = 2.0 * split.kernel.weighted_inf_norm()
+        calls = count_block_products(monkeypatch)
+        report = pr.probe_resolvent_identity(split, lam, centred_block(600))
+        assert calls == [(600, 4)] * 35
+        assert report.relative_residual <= 1e-12
+
+    def test_dense_series_reads_the_sequence(self, monkeypatch):
+        split = gaussian_split()
+        lam = 2.0 * split.kernel.weighted_inf_norm()
+        direct = np.linalg.solve(
+            lam * np.eye(200) - split.remainder.operator_matrix(), split.kernel.entries
+        )
+        counts = []
+        for m in (0, 6):
+            seq = pr.build_corrected_kernels(split, m)
+            calls = count_block_products(monkeypatch)
+            h = pr.neumann_kernel_resolvent(seq, lam, tol=1e-12)
+            counts.append(len(calls))
+            np.testing.assert_allclose(h.entries, direct, rtol=0,
+                                       atol=1e-11 * np.abs(direct).max())
+        assert counts == [25, 19]
 
 
 class TestSubtractionIdentity:
