@@ -61,7 +61,6 @@ from .kernel_op import (
     tight_schur_bound,
     verify_schur,
 )
-from .matrix_pf import PeripheralReport, power_doeblin_analyze
 from .measure import (
     GridFunction,
     MeasureSpace,
@@ -84,11 +83,13 @@ from .mollified import (
 from .resolvent import BirmanSchwingerEvaluator, RankOneOperator
 from .spectral import (
     DominanceReport,
+    PeripheralReport,
     SpectralDiagnostics,
     SpectralResult,
     eigenfunction_from_residue,
     eigenfunction_series,
     find_dominant,
+    power_doeblin_analyze,
     series_term_norms,
     solve,
     spectral_projection,

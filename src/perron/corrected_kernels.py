@@ -44,6 +44,8 @@ from .doeblin import RankOneSplit
 from .errors import DimensionMismatchError, NotConvergentError
 from .kernel_op import Kernel, _pow2_scale
 
+SERIES_MAX_TERMS = 10_000  # terms of the kernel resolvent series before it gives up
+
 
 @dataclass(frozen=True, eq=False)
 class CorrectedKernelSequence:
@@ -131,8 +133,7 @@ def neumann_tail_bound(c: float, lam: float, m: int) -> float:
     return (c / lam) ** (m + 2) / (1.0 - r)
 
 
-def _series_block(split: RankOneSplit, blocks: list, lam: float, tol: float,
-                  max_terms: int) -> np.ndarray:
+def _series_block(split: RankOneSplit, blocks: list, lam: float, tol: float) -> np.ndarray:
     """Partial sums of sum_n lam^-(n+1) R^n B until the tail bound meets
     tol relative to the running sum.  ``blocks`` are the recursion's
     unit^n R^n B, n = 0 .. m, with unit the power of two that brings lam
@@ -149,7 +150,7 @@ def _series_block(split: RankOneSplit, blocks: list, lam: float, tol: float,
     ratio = r_norm / lam
     divisor = lam
     acc = term = blocks[0] / lam
-    for n in range(1, max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         if n < len(blocks):
             divisor *= unit * lam
             term = blocks[n] / divisor
@@ -163,10 +164,7 @@ def _series_block(split: RankOneSplit, blocks: list, lam: float, tol: float,
 
 
 def neumann_kernel_resolvent(
-    seq: CorrectedKernelSequence,
-    lam: float,
-    tol: float = 1e-12,
-    max_terms: int = 10_000,
+    seq: CorrectedKernelSequence, lam: float, tol: float = 1e-12
 ) -> Kernel:
     """Partial sums of sum_n lam^-(n+1) G_n until the tail bound meets tol.
 
@@ -177,7 +175,7 @@ def neumann_kernel_resolvent(
     """
     exponent = math.frexp(_pow2_scale(lam))[1] - 1
     blocks = [np.ldexp(g.entries, n * exponent) for n, g in enumerate(seq.kernels)]
-    return Kernel(_series_block(seq.split, blocks, lam, tol, max_terms), seq.split.kernel.space)
+    return Kernel(_series_block(seq.split, blocks, lam, tol), seq.split.kernel.space)
 
 
 @dataclass(frozen=True)
@@ -234,5 +232,5 @@ def probe_resolvent_identity(
     # on the operators times the power of two of the series, which sums
     # these blocks: they neither over- nor underflow at any kernel scale
     blocks = _corrected_blocks(split, start, 6, _pow2_scale(lam))
-    h = _series_block(split, blocks, lam, 1e-13, 10_000)
+    h = _series_block(split, blocks, lam, 1e-13)
     return _identity_report(split, start, h, lam)

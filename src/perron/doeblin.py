@@ -27,6 +27,7 @@ from .kernel_op import Kernel, compose, iterate_kernel
 from .measure import GridFunction, WeightFunctional, check_same_space
 
 SLACK = 1e-14  # absolute slack (scaled by kernel magnitude) for entrywise checks
+POSITIVITY_TRIALS = 32  # random probes of the positivity-improving battery
 
 STRATEGIES = ("row_min", "column_profile", "user")
 
@@ -257,10 +258,10 @@ def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSpli
     return RankOneSplit(kernel, cert, Kernel(remainder, kernel.space))
 
 
-def power_doeblin_search(
-    kernel: Kernel, n_max: int, strategy: str = "row_min"
-):
-    """Smallest N <= n_max whose iterated kernel admits a strict certificate."""
+def power_doeblin_search(kernel: Kernel, n_max: int, strategy: str = "row_min"):
+    """Smallest N <= n_max whose iterated kernel admits a strict
+    certificate: that certificate, with power N, and the kernel of T^N it
+    certifies, or :class:`NotFoundWithin` when no such N exists."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     powered = kernel
@@ -269,15 +270,12 @@ def power_doeblin_search(
             powered = compose(powered, kernel)
         cert = extract_minorization(powered, strategy)
         if isinstance(cert, MinorizationCertificate) and cert.strict:
-            return dataclasses.replace(cert, power=n)
+            return dataclasses.replace(cert, power=n), powered
     return NotFoundWithin(n_max)
 
 
 def positivity_improving_check(
-    kernel: Kernel,
-    cert: MinorizationCertificate,
-    trials: int = 32,
-    seed: int = 20240808,
+    kernel: Kernel, cert: MinorizationCertificate, seed: int = 20240808
 ) -> bool:
     """Random battery: T^N f > 0 everywhere and T^N f >= alpha*profile*phi[f]
     for nonnegative, not identically zero f."""
@@ -287,7 +285,7 @@ def positivity_improving_check(
     space = kernel.space
     # column t is probe t, drawn trial by trial, so a seed gives the same
     # probes as a loop over the trials
-    probes = np.empty((space.size, trials))
+    probes = np.empty((space.size, POSITIVITY_TRIALS))
     for f in probes.T:
         f[:] = rng.uniform(0.0, 1.0, space.size)
         f[rng.random(space.size) < 0.5] = 0.0

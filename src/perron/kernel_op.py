@@ -24,6 +24,8 @@ from .measure import (
 )
 
 NONNEG_SLACK = 1e-14  # float noise must not disqualify a nonnegative kernel
+SCHUR_SLACK = 1e-12  # a Schur ratio up to 1 + SCHUR_SLACK holds
+ORACLE_MAX_ITER = 10_000  # power steps of the oracle before it gives up
 SYMMETRY_TILE = 256
 
 
@@ -238,7 +240,7 @@ class SchurReport:
     holds: bool
 
 
-def verify_schur(kernel: Kernel, bound: SchurBound, rel_slack: float = 1e-12) -> SchurReport:
+def verify_schur(kernel: Kernel, bound: SchurBound) -> SchurReport:
     check_same_space(kernel.space, bound.row_weight.space)
     check_same_space(kernel.space, bound.col_weight.space)
     phi = bound.row_weight.values
@@ -250,7 +252,9 @@ def verify_schur(kernel: Kernel, bound: SchurBound, rel_slack: float = 1e-12) ->
     col = (kernel.entries.T @ (phi * kernel.space.weights)) / (c * psi)
     max_row = float(row.max())
     max_col = float(col.max())
-    return SchurReport(max_row, max_col, holds=max_row <= 1 + rel_slack and max_col <= 1 + rel_slack)
+    return SchurReport(
+        max_row, max_col, holds=max_row <= 1 + SCHUR_SLACK and max_col <= 1 + SCHUR_SLACK
+    )
 
 
 def tight_schur_bound(kernel: Kernel) -> SchurBound:
@@ -267,9 +271,7 @@ class PowerIterationResult:
     iterations: int
 
 
-def spectral_radius_oracle(
-    kernel: Kernel, tol: float = 1e-12, max_iter: int = 10000
-) -> PowerIterationResult:
+def spectral_radius_oracle(kernel: Kernel, tol: float = 1e-12) -> PowerIterationResult:
     """Spectral radius of the weighted operator by plain power iteration.
 
     This is the independent oracle the factorization-based solver is
@@ -288,7 +290,7 @@ def spectral_radius_oracle(
         return PowerIterationResult(0.0, kernel.space.ones(), 0)
     x = np.ones(kernel.size)
     rho_prev, width = None, np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, ORACLE_MAX_ITER + 1):
         y = kernel.matvec(x)
         rho = float(y.max())
         if rho <= 0.0:
@@ -308,7 +310,7 @@ def spectral_radius_oracle(
         rho_prev = rho
         x = y / rho
     raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in {ORACLE_MAX_ITER} iterations "
         "(possible peripheral multiplicity)"
     )
 

@@ -130,12 +130,6 @@ class RankOneOperator:
         """b[a], the only spectral datum of a rank-one operator."""
         return pair(self.functional, self.range_vector)
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        return GridFunction(
-            self.range_vector.values * pair(self.functional, f),
-            self.range_vector.space,
-        )
-
     def matrix(self) -> np.ndarray:
         """Dense matrix acting on node-value vectors."""
         return np.outer(self.range_vector.values, self.functional.acting_vector())

@@ -14,19 +14,28 @@ The eigenfunction and the rank-one spectral projection fall out of the
 residue of the factorized resolvent at that root; the spectral radius
 of the deflated operator (Arnoldi, or dense at small n) certifies strict
 dominance.
+
+A kernel with zero entries has no strict one-step certificate, yet some
+power T^N may have one (a power-Doeblin condition, on any space).  Then
+the dominant data of T^N transfer back to T, and the peripheral spectrum
+of T lies among rho(T) times the N-th roots of unity; the spectral
+radius of T deflated by the projection of T^N decides which of them
+occur (``power_doeblin_analyze``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .doeblin import (
     MinorizationCertificate,
+    NotFoundWithin,
     NotMinorizable,
     extract_minorization,
+    power_doeblin_search,
     rank_one_split,
 )
 from .errors import (
@@ -47,6 +56,8 @@ MIN_TOL = 1e-13
 # shifts of the root search: bisection alone closes [0, hi] to rounding
 # level in about 50 + log2(hi / lambda0)
 MAX_SHIFTS = 200
+# terms of the eigenfunction series before it gives up
+SERIES_MAX_TERMS = 20_000
 
 
 @dataclass(frozen=True)
@@ -241,10 +252,7 @@ def series_term_norms(
 
 
 def eigenfunction_series(
-    ev: BirmanSchwingerEvaluator,
-    lambda0: float,
-    tol: float = 1e-12,
-    max_terms: int = 20_000,
+    ev: BirmanSchwingerEvaluator, lambda0: float, tol: float = 1e-12
 ) -> GridFunction:
     """Eigenfunction through the geometric series sum_n lambda0^-(n+1) R^n profile.
 
@@ -256,14 +264,14 @@ def eigenfunction_series(
     running sum.  Likewise the running max q_lo of the min_i ratios bounds
     the decay from below, t_n+k >= q_lo^k t_n, and the running sum from
     above, so the loop raises SlowConvergenceError as soon as q_lo shows
-    that max_terms terms cannot meet tol, rather than after them.  The
+    that SERIES_MAX_TERMS terms cannot meet tol, rather than after them.  The
     result carries the same pairing normalization as the residue route.
     """
     rem = ev.split.remainder
     term = ev.profile.values / lambda0
     acc = term.copy()
     q_lo, q_hi = 0.0, np.inf
-    for n in range(1, max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         # scaled recurrence: unscaled numerator and denominator both
         # underflow for long series when lambda0 < 1
         nxt = rem.matvec(term) / lambda0
@@ -290,14 +298,15 @@ def eigenfunction_series(
             # <= tol times a bound on the final sum
             final = total + size * q_hi / (1.0 - q_hi)
             reach = tol * final * (1.0 - q_lo) / (q_lo * size)
-            if reach < 1.0 and n + math.log(reach) / math.log(q_lo) > max_terms:
+            if reach < 1.0 and n + math.log(reach) / math.log(q_lo) > SERIES_MAX_TERMS:
                 raise SlowConvergenceError(
-                    f"series needs more than {max_terms} terms (ratio in "
+                    f"series needs more than {SERIES_MAX_TERMS} terms (ratio in "
                     f"[{q_lo:.6f}, {q_hi:.6f}] after {n} terms)"
                 )
     else:
         raise SlowConvergenceError(
-            f"series needed more than {max_terms} terms (ratio in [{q_lo:.6f}, {q_hi:.6f}])"
+            f"series needed more than {SERIES_MAX_TERMS} terms "
+            f"(ratio in [{q_lo:.6f}, {q_hi:.6f}])"
         )
     raw = GridFunction(acc, ev.space)
     mass = pair(ev.functional, raw)
@@ -325,7 +334,7 @@ def solve(
     """Full pipeline: certificate, split, root of D, residue extraction.
 
     Raises NotMinorizableError when no strict certificate of the chosen
-    shape exists (callers may fall back to a power-Doeblin analysis).
+    shape exists (callers may fall back to :func:`power_doeblin_analyze`).
     ``solver`` names the shifted solve and accepts only "direct_lu", the
     cached LU factorization of the evaluator.
     """
@@ -335,8 +344,6 @@ def solve(
         certificate = extract_minorization(kernel, strategy)
         if isinstance(certificate, NotMinorizable):
             raise NotMinorizableError(certificate)
-    if certificate.power != 1:
-        raise ValueError("solve requires a power-1 certificate; iterate the kernel first")
     split = rank_one_split(kernel, certificate)
     ev = BirmanSchwingerEvaluator(split)
     lambda0 = find_dominant(ev, tol=tol)
@@ -424,4 +431,62 @@ def verify_dominance(result: SpectralResult) -> DominanceReport:
         proj_idempotency=result.diagnostics.proj_idempotency,
         residual=second.residual,
         route=second.route,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PeripheralReport:
+    """Peripheral spectrum analysis under a power-Doeblin certificate."""
+
+    rho: float                    # spectral radius of T
+    power: int                    # smallest N with a strict certificate for T^N
+    roots_of_unity_candidates: list  # rho * zeta, zeta^N = 1: the a priori set
+    peripheral_candidates: list   # candidates confirmed to be eigenvalues of T
+    simple: bool                  # dominant eigenvalue of T^N is simple
+    second_modulus: float         # next |eigenvalue| of T below rho
+    rank_one_defect: float        # column proportionality defect of T^N's projection
+    certificate: MinorizationCertificate
+    power_result: SpectralResult  # full solve of T^N
+
+
+def power_doeblin_analyze(
+    kernel: Kernel,
+    n_max: int = 8,
+    strategy: str = "row_min",
+    tol: float = 1e-12,
+) -> PeripheralReport:
+    """Find the smallest usable power, solve it, and classify the
+    peripheral spectrum of T.
+
+    Raises NotMinorizableError with :class:`NotFoundWithin` when no power
+    up to n_max admits a strict certificate (cyclic structure keeps zeros
+    in every power).
+    """
+    found = power_doeblin_search(kernel, n_max, strategy)
+    if isinstance(found, NotFoundWithin):
+        raise NotMinorizableError(found)
+    certificate, powered = found
+    n = certificate.power
+    result = solve(powered, certificate=replace(certificate, power=1), tol=tol)
+    rho = result.lambda0 ** (1.0 / n)
+
+    candidates = [rho * np.exp(2j * np.pi * k / n) for k in range(n)]
+    # strict dominance of T^N forces a single peripheral eigenvalue of T,
+    # which must be rho itself
+    second = growth_radius(
+        kernel,
+        result.projection.range_vector.values,
+        result.projection.functional.acting_vector(),
+    ).radius
+    simple = second**n < result.lambda0 * (1.0 - 1e-8)
+    return PeripheralReport(
+        rho=float(rho),
+        power=n,
+        roots_of_unity_candidates=candidates,
+        peripheral_candidates=[complex(rho)] if simple else candidates,
+        simple=bool(simple),
+        second_modulus=float(second),
+        rank_one_defect=float(result.diagnostics.rank_one_defect),
+        certificate=certificate,
+        power_result=result,
     )

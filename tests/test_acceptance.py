@@ -109,7 +109,7 @@ def test_criterion_03_two_state_chain_regression():
     chain = pr.Kernel(np.array([[0.0, 1.0], [0.5, 0.5]]), sp)
     no_n1 = isinstance(pr.extract_minorization(chain, "row_min"), pr.NotMinorizable)
     no_n1 &= isinstance(pr.extract_minorization(chain, "column_profile"), pr.NotMinorizable)
-    cert = pr.power_doeblin_search(chain, 8)
+    cert, _ = pr.power_doeblin_search(chain, 8)
     squared = pr.iterate_kernel(chain, 2)
     square_ok = np.allclose(squared.entries, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
     report = pr.power_doeblin_analyze(chain, n_max=8)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,37 @@ class TestSolveCommand:
         for command in every:
             result = runner.invoke(main, [command, "--config", path])
             assert result.exit_code == 1 and "config error" in result.output
+
+    @pytest.mark.parametrize("block, value, message", [
+        ("space", {"kind": "interval", "b": 1.0, "n": 8}, "bad space config: 'a'"),
+        ("space", {"kind": "sphere", "n": 8}, "unknown space kind 'sphere'"),
+        ("kernel", {"family": "bessel"}, "unknown kernel family 'bessel'"),
+    ])
+    def test_unknown_space_or_kernel_exit_one(self, runner, tmp_path, constant_config,
+                                              block, value, message):
+        cfg = {**json.loads(Path(constant_config).read_text()), block: value}
+        path = write_config(tmp_path / "bad.json", cfg)
+        result = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"config error: {message}\n"
+
+    def test_certificate_file_with_a_blind_functional_exit_two(self, runner, tmp_path):
+        (tmp_path / "m.csv").write_text("2,1\n1,2\n")
+        sp = pr.make_counting_space(2)
+        k = pr.kernel_from_csv(tmp_path / "m.csv", sp)
+        pr.save_certificate(pr.extract_minorization(k, "user", [1.0, 1.0], [0.0, 1.0]),
+                            tmp_path / "cert.json")
+        cfg = write_config(tmp_path / "m.json", {
+            "kernel": {"family": "csv", "path": "m.csv"},
+            "space": {"kind": "counting", "n": 2},
+            "certificate": {"path": "cert.json"},
+        })
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == (
+            "not minorizable: root finding requires a strictly positive functional\n"
+        )
 
     def test_csv_dimension_mismatch_exit_one(self, runner, tmp_path):
         (tmp_path / "m.csv").write_text("1,2\n3,4\n")
@@ -623,16 +655,40 @@ class TestPowerDoeblinCommand:
         )
         assert result.exit_code == 2
 
-    def test_interval_config_is_a_config_error(self, runner, tmp_path):
+    def test_interval_config(self, runner, tmp_path):
         cfg = write_config(tmp_path / "g.json", gaussian_config(20))
         out = tmp_path / "out"
         result = runner.invoke(main, ["power-doeblin", "--config", cfg, "--out", str(out)])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output == (
-            "config error: power-doeblin analysis expects a counting-space matrix\n"
-        )
-        assert not out.exists()
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "power-Doeblin certificate found at N = 1"
+        assert (out / "power_doeblin.txt").read_text() == result.output
+        assert not (out / "report.json").exists()
+
+    def test_report_leaves_the_solve_report_alone(self, runner, tmp_path):
+        # outputs.report names the JSON report of solve; power-doeblin
+        # writes its text to power_doeblin.txt in the same directory
+        (tmp_path / "m.csv").write_text("2,1\n1,2\n")
+        cfg = write_config(tmp_path / "m.json", {
+            "kernel": {"family": "csv", "path": "m.csv"},
+            "space": {"kind": "counting", "n": 2},
+            "outputs": {"report": "report.json"},
+        })
+        out = tmp_path / "out"
+        for command in ("solve", "power-doeblin"):
+            result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        assert json.loads((out / "report.json").read_text())["lambda0"] == pytest.approx(3.0)
+        assert (out / "power_doeblin.txt").read_text() == result.output
+
+    def test_interval_kernel_with_zeros_follows_the_hint(self, runner, tmp_path):
+        path = str(CONFIGS / "banded_interval.json")
+        result = runner.invoke(main, ["solve", "--config", path, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        hint = f"hint: run 'perron power-doeblin --config {path}' to look for a usable power"
+        assert result.output.splitlines()[-1] == hint
+        result = runner.invoke(main, ["power-doeblin", "--config", path, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[:2] == BANDED_REPORT[:2]
 
 
 class TestVerifyCommand:
@@ -801,6 +857,35 @@ CHAIN_REPORT = [
     "rank-one projection defect: 0.000e+00",
 ]
 
+# a power-Doeblin report line whose digits are rounding is pinned by a
+# pattern: the rank-one defect of any kernel larger than 2 x 2
+ROUNDING_DEFECT = re.compile(r"rank-one projection defect: \d\.\d{3}e-1[5-9]")
+
+BANDED_REPORT = [
+    "power-Doeblin certificate found at N = 4",
+    "spectral radius rho = 0.0865904682685",
+    "candidates (N-th roots): 0.0865905+0j, 5.30214e-18+0.0865905j, "
+    "-0.0865905+1.06043e-17j, -1.59064e-17-0.0865905j",
+    "peripheral eigenvalues: 0.0865905+0j",
+    "dominant eigenvalue of the N-th power simple: True",
+    "second modulus: 0.0727783667972",
+    ROUNDING_DEFECT,
+]
+
+
+def _positive_report(rho):
+    """The first five report lines of a strictly positive kernel whose
+    spectral radius prints as ``rho``."""
+    short = f"{float(rho):.6g}+0j"
+    return [
+        "power-Doeblin certificate found at N = 1",
+        f"spectral radius rho = {rho}",
+        f"candidates (N-th roots): {short}",
+        f"peripheral eigenvalues: {short}",
+        "dominant eigenvalue of the N-th power simple: True",
+    ]
+
+
 SHIPPED = [
     ("gaussian_interval", "solve", 0, None),
     ("gaussian_interval", "verify", 0,
@@ -810,6 +895,18 @@ SHIPPED = [
     ("separable_growth", "verify", 0,
      _battery("bs_derivative_at_1.34454", "bs_derivative_at_2.68909")),
     ("separable_growth", "dcurve", 0, None),
+    ("gaussian_interval", "power-doeblin", 0,
+     [*_positive_report("0.648334097153"), re.compile(r"second modulus: 0\.2696117193\d*"),
+      ROUNDING_DEFECT]),
+    ("separable_growth", "power-doeblin", 0,
+     # a rank-one kernel: the second modulus is rounding
+     [*_positive_report("0.896363209297"), re.compile(r"second modulus: \d\.\d+e-1[5-9]"),
+      ROUNDING_DEFECT]),
+    ("banded_interval", "solve", 2, None),
+    ("banded_interval", "dcurve", 2, None),
+    ("banded_interval", "verify", 0,
+     [("FAIL", "doeblin_minorization_n1"), ("PASS", "power_doeblin_certificate")]),
+    ("banded_interval", "power-doeblin", 0, BANDED_REPORT),
     ("two_state_chain", "solve", 2, None),
     ("two_state_chain", "verify", 0,
      [("FAIL", "doeblin_minorization_n1"), ("PASS", "power_doeblin_certificate")]),
@@ -888,7 +985,8 @@ class TestPowerDoeblinConfig:
 )
 def test_shipped_config_outputs(runner, tmp_path, name, command, code, expected):
     """Exit codes, the ordered verdicts of ``verify`` and the text of
-    ``power-doeblin`` on every shipped config stay as they are."""
+    ``power-doeblin`` on every shipped config stay as they are; a pattern
+    stands for a report line whose last digits are rounding."""
     result = runner.invoke(
         main, [command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]
     )
@@ -898,7 +996,10 @@ def test_shipped_config_outputs(runner, tmp_path, name, command, code, expected)
                     if line.startswith(("PASS", "FAIL"))]
         assert verdicts == expected
     elif command == "power-doeblin":
-        assert result.output.splitlines() == expected
+        lines = result.output.splitlines()
+        assert len(lines) == len(expected), lines
+        for line, want in zip(lines, expected):
+            assert want.fullmatch(line) if isinstance(want, re.Pattern) else line == want
 
 
 @pytest.mark.parametrize(

@@ -156,14 +156,17 @@ class TestSplit:
 
 class TestPowerSearch:
     def test_chain_needs_two_steps(self, two_state_chain):
-        cert = pr.power_doeblin_search(two_state_chain, 8)
+        cert, powered = pr.power_doeblin_search(two_state_chain, 8)
         assert cert.power == 2
         squared = pr.iterate_kernel(two_state_chain, 2)
         np.testing.assert_allclose(squared.entries, [[0.5, 0.5], [0.25, 0.75]])
+        np.testing.assert_array_equal(powered.entries, squared.entries)
         assert pr.verify_certificate(two_state_chain, cert).holds
 
     def test_strictly_positive_kernel_needs_one(self, symmetric_2x2):
-        assert pr.power_doeblin_search(symmetric_2x2, 8).power == 1
+        cert, powered = pr.power_doeblin_search(symmetric_2x2, 8)
+        assert cert.power == 1
+        assert powered is symmetric_2x2
 
     def test_permutation_never_found(self, counting2):
         perm = pr.Kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), counting2)
@@ -178,7 +181,7 @@ class TestPositivityImproving:
         assert pr.positivity_improving_check(constant_unit, cert)
 
     def test_chain_square_certificate(self, two_state_chain):
-        cert = pr.power_doeblin_search(two_state_chain, 4)
+        cert, _ = pr.power_doeblin_search(two_state_chain, 4)
         assert pr.positivity_improving_check(two_state_chain, cert)
         # direct spot check: indicator of the first state spreads out
         squared = pr.iterate_kernel(two_state_chain, 2)

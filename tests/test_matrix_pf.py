@@ -1,9 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import perron as pr
+import perron.kernel_op
 from perron.errors import NotMinorizableError
-from conftest import characteristic_polynomial, eigenvalues_via_charpoly, random_positive_kernel
+from conftest import (
+    characteristic_polynomial,
+    count_calls,
+    eigenvalues_via_charpoly,
+    random_positive_kernel,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestCharacteristicPolynomial:
@@ -81,8 +91,9 @@ class TestPowerDoeblinAnalyze:
 
     def test_permutation_not_found(self, counting2):
         perm = pr.Kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), counting2)
-        out = pr.power_doeblin_analyze(perm, n_max=10)
-        assert isinstance(out, pr.NotFoundWithin)
+        with pytest.raises(NotMinorizableError) as info:
+            pr.power_doeblin_analyze(perm, n_max=10)
+        assert info.value.details == pr.NotFoundWithin(n_max=10)
 
     def test_strictly_positive_reduces_to_n_equals_one(self, symmetric_2x2):
         report = pr.power_doeblin_analyze(symmetric_2x2, n_max=4)
@@ -116,6 +127,30 @@ class TestPowerDoeblinAnalyze:
         moduli = np.sort(np.abs(np.linalg.eigvals(k.operator_matrix())))
         assert report.second_modulus == pytest.approx(moduli[-2], rel=1e-8)
 
+    def test_builds_each_power_once(self, monkeypatch):
+        # A^5 is the first positive power; the search forms A^2 .. A^5 and
+        # the analysis solves the A^5 it certified.  rho is the plastic
+        # number, the real root of x^3 = x + 1.
+        composed = count_calls(monkeypatch, perron.kernel_op, "compose")
+        k = pr.Kernel(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+                      pr.make_counting_space(3))
+        report = pr.power_doeblin_analyze(k)
+        assert report.power == 5
+        assert len(composed) == 4
+        assert report.rho == pytest.approx(1.3247179572447460, rel=1e-12)
+
+    def test_interval_kernel_with_zeros(self):
+        # max(0, 0.3 - |x - y|) on [0, 1] at 12 midpoints: zero entries off
+        # the band, a strictly positive fourth power
+        k = pr.kernel_from_csv(CONFIGS / "banded_interval.csv",
+                               pr.make_interval_space(0.0, 1.0, 12, "midpoint"))
+        assert isinstance(pr.extract_minorization(k), pr.NotMinorizable)
+        report = pr.power_doeblin_analyze(k)
+        assert report.power == 4
+        assert report.simple
+        dense = np.max(np.abs(np.linalg.eigvals(k.operator_matrix())))
+        assert report.rho == pytest.approx(dense, rel=1e-12)
+
 
 class TestPowerConsistency:
     def test_dominant_of_power_is_power_of_dominant(self):
@@ -143,7 +178,7 @@ class TestPowerConsistency:
         # N=1 has no strict certificate; N=2 does; spectrum is {1, -1/2};
         # only +1 is peripheral
         assert isinstance(pr.extract_minorization(two_state_chain), pr.NotMinorizable)
-        cert = pr.power_doeblin_search(two_state_chain, 8)
+        cert, _ = pr.power_doeblin_search(two_state_chain, 8)
         assert cert.power == 2 and cert.strict
         roots = np.sort_complex(
             eigenvalues_via_charpoly(two_state_chain.operator_matrix())

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -492,6 +493,13 @@ class TestSeries:
             # lambda barely above the remainder radius: ratio ~ 1
             pr.eigenfunction_series(ev, remainder_radius(ev) * (1 + 1e-9), tol=1e-10)
 
+    def test_below_the_remainder_radius_terms_do_not_decay(self):
+        # R > 0 grows every term by at least rho(R) / lambda > 1 once the
+        # terms align with its Perron vector
+        ev = evaluator_for(pr.gaussian_kernel(pr.make_interval_space(0, 1, 40, "midpoint"), 0.4))
+        with pytest.raises(SlowConvergenceError, match="series terms do not decay"):
+            pr.eigenfunction_series(ev, 0.5 * remainder_radius(ev))
+
 
 class TestDominance:
     @pytest.mark.parametrize(
@@ -647,6 +655,22 @@ class TestSolvePipeline:
     def test_not_minorizable_raises(self, two_state_chain):
         with pytest.raises(pr.errors.NotMinorizableError):
             pr.solve(two_state_chain)
+
+    def test_user_density_with_a_zero_raises(self, symmetric_2x2):
+        # the shape holds with a positive alpha, but its functional does
+        # not see the first node, so no shift pairs strictly positively
+        cert = pr.extract_minorization(symmetric_2x2, "user", [1.0, 1.0], [0.0, 1.0])
+        assert cert.alpha == 1.0 and not cert.strict
+        with pytest.raises(pr.errors.NotMinorizableError, match="strictly positive functional"):
+            pr.solve(symmetric_2x2, certificate=cert)
+
+    def test_power_two_certificate_refused_before_any_factorization(
+        self, lu_calls, symmetric_2x2
+    ):
+        cert, _ = pr.power_doeblin_search(symmetric_2x2, 1)
+        with pytest.raises(ValueError, match="rank_one_split requires a power-1 certificate"):
+            pr.solve(symmetric_2x2, certificate=dataclasses.replace(cert, power=2))
+        assert lu_calls == []
 
     def test_diagnostics_populated(self):
         rng = np.random.default_rng(56)
