@@ -546,7 +546,7 @@ def verify(config_path, out_flag):
     recon = cert.lower_bound_matrix() + ev.split.remainder.entries - kernel.entries
     record(
         "split_reconstruction",
-        np.abs(recon).max() <= 1e-12 * max(1.0, kernel.entries.max()),
+        np.abs(recon).max() <= 1e-12 * max(1.0, kernel.max_entry),
         f"max defect {np.abs(recon).max():.3e}",
     )
     record(

@@ -79,7 +79,7 @@ def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: floa
     # small, and a defect must show at the same relative size as in K, at
     # any scale of the kernel
     block = float(np.abs(start).max()) or 1.0
-    scale = unit * float(np.abs(kernel.entries).max()) * kernel.space.total_mass() * block
+    scale = unit * kernel.max_entry * kernel.space.total_mass() * block
     blocks = [start]
     for n in range(1, m + 1):
         current = unit * blocks[-1]

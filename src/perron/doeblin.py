@@ -194,7 +194,13 @@ def extract_minorization(
         return NotMinorizable(
             "zero kernel entries prevent a strictly positive rank-one lower bound"
         )
-    alpha = _maximal_alpha(entries, prof, dens)
+    if strategy == "row_min" and np.all(prof * dens > 0):
+        # the density is flat, so row i of K is divided by the one positive
+        # number prof_i dens_i, and rounding is monotone: its least ratio is
+        # that of its least entry, prof_i, bit for bit as _maximal_alpha
+        alpha = float((prof / (prof * dens)).min())
+    else:
+        alpha = _maximal_alpha(entries, prof, dens)
     if alpha <= 0:
         return NotMinorizable("maximal alpha is zero for this shape")
     return MinorizationCertificate(
@@ -230,7 +236,7 @@ def _gap(
         if out is not None:
             np.maximum(gap, 0.0, out=gap)
     # kernel entries are nonnegative, so their max is their sup norm
-    scale = max(1.0, float(entries.max()))
+    scale = max(1.0, powered.max_entry)
     return CertificateReport(
         holds=worst >= -SLACK * scale,
         worst_slack=worst,
@@ -280,7 +286,7 @@ def positivity_improving_check(
     """Random battery: T^N f > 0 everywhere and T^N f >= alpha*profile*phi[f]
     for nonnegative, not identically zero f."""
     powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
-    scale = max(1.0, float(np.abs(powered.entries).max()))
+    scale = max(1.0, powered.max_entry)
     rng = np.random.default_rng(seed)
     space = kernel.space
     # column t is probe t, drawn trial by trial, so a seed gives the same

@@ -9,7 +9,7 @@ algebra is consistent with the quadrature rule at every order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +41,9 @@ class Kernel:
 
     entries: np.ndarray
     space: MeasureSpace
+    # the largest entry, from the screen of ``__post_init__``: the sup norm
+    # of the nonnegative entries, kept so that no caller passes over K again
+    max_entry: float = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = self.entries
@@ -69,8 +72,10 @@ class Kernel:
             raise ValueError("kernel entries must be nonnegative")
         if lo < 0:
             entries = np.maximum(entries, 0.0, out=entries if entries.flags.writeable else None)
+            hi = max(hi, 0.0)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "max_entry", hi)
 
     @property
     def size(self) -> int:
@@ -197,7 +202,7 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     # on every kernel would move some small eigenvalues by an ulp: the
     # pivot threshold of LAPACK's MRRR eigensolver is not scale-invariant.
     w = kernel.space.weights
-    exponent = math.frexp(float(kernel.entries.max()))[1] + math.frexp(float(w.max()))[1]
+    exponent = math.frexp(kernel.max_entry)[1] + math.frexp(float(w.max()))[1]
     scale = math.ldexp(1.0, -exponent) if abs(exponent) > COMPRESSION_EXPONENT else 1.0
     root_w = np.sqrt(w)[:, np.newaxis]
     scaled_root_w = scale * root_w

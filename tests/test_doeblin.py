@@ -74,6 +74,50 @@ class TestExtraction:
             assert pr.pair(cert.functional, sp.ones()) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestRowMinAlpha:
+    """row_min finds alpha from the row minima in O(n), bit for bit as the
+    pass over every entry of ``_maximal_alpha``."""
+
+    @staticmethod
+    def assert_matches_the_full_pass(k):
+        cert = pr.extract_minorization(k, "row_min")
+        prof, dens = cert.profile.values, cert.functional.density
+        assert cert.alpha == perron.doeblin._maximal_alpha(k.entries, prof, dens)
+        assert cert.alpha == old_maximal_alpha(k.entries, prof, dens)
+        return cert
+
+    def test_seeded_random_kernels(self):
+        rng = np.random.default_rng(74)
+        for n in (1, 2, 9, 64, 301):
+            interval = pr.make_interval_space(0, 3, n, "gauss_legendre")
+            for space in (pr.make_counting_space(n), interval):
+                self.assert_matches_the_full_pass(random_positive_kernel(space, rng))
+                entries = np.exp(3.0 * rng.standard_normal((n, n)))
+                self.assert_matches_the_full_pass(pr.Kernel(entries, space))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(75)
+        space = pr.make_interval_space(0, 1, 120, "midpoint")
+        k = random_positive_kernel(space, rng)
+        scaled = pr.Kernel(scale * k.entries, space)
+        cert = self.assert_matches_the_full_pass(scaled)
+        assert np.all(cert.profile.values * cert.functional.density > 0)
+
+    def test_underflowing_shape_takes_the_full_pass_without_a_warning(self):
+        # row 3 holds the least subnormal, so prof_3 * dens_3 rounds to 0:
+        # that row gives no ratio, and no entry is divided by zero
+        rng = np.random.default_rng(76)
+        space = pr.make_counting_space(40)
+        entries = random_positive_kernel(space, rng).entries.copy()
+        entries[3] = 5e-324
+        k = pr.Kernel(entries, space)
+        cert = self.assert_matches_the_full_pass(k)
+        shape = cert.profile.values * cert.functional.density
+        assert shape[3] == 0.0 and np.all(np.delete(shape, 3) > 0)
+        assert cert.alpha == min(entries[i].min() / shape[i] for i in range(40) if i != 3)
+
+
 class TestVerification:
     def test_weakened_alpha_still_holds(self, symmetric_2x2):
         cert = pr.extract_minorization(symmetric_2x2, "row_min")

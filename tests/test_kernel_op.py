@@ -276,6 +276,28 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             pr.Kernel(np.array([[1.0, -1e-3], [0.5, 2.0]]), counting2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_bad_entry_in_the_last_row_of_a_large_kernel_is_rejected(self, bad):
+        # the screen and the stored max both come from numpy's reductions,
+        # which carry a nan through, where Python's min(x, nan) returns x
+        n = 600
+        space = pr.make_counting_space(n)
+        entries = random_positive_kernel(space, np.random.default_rng(3)).entries.copy()
+        entries[n - 1, 417] = bad
+        with pytest.raises(ValueError) as info:
+            pr.Kernel(entries, space)
+        assert str(info.value) == f"kernel entries must be finite: {bad} at ({n - 1}, 417)"
+
+    def test_stored_max_is_that_of_the_entries(self, counting2):
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 300):
+            k = random_positive_kernel(pr.make_counting_space(n), rng)
+            assert k.max_entry == k.entries.max()
+        # negative slack is clamped to 0 before the max is kept
+        for entries in ([[1.0, -1e-17], [0.5, 2.0]], [[-1e-17, -2e-17], [-1e-18, -3e-17]]):
+            k = pr.Kernel(np.array(entries), counting2)
+            assert k.max_entry == k.entries.max() == max(0.0, np.max(entries))
+
 
 class TestSymmetry:
     """``Kernel.symmetric`` compares tiles of the upper triangle with their

@@ -495,7 +495,9 @@ class TestCompressedSolve:
         factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         res = pr.solve(kernel)
         compressed_factorizations = len(factored)
-        monkeypatch.setattr(perron.resolvent, "COMPRESSED_SOLVE_MIN_DIM", n + 1)
+        # every shift factored in float64; the compression stays, and with it
+        # the start of the root search's bracket (``_compressed_start``)
+        monkeypatch.setattr(perron.resolvent, "COMPRESSED_MAX_CONDITION", 0.0)
         lu = pr.solve(kernel)
         entry = res.evaluator._lu_cache[res.lambda0]
         if sigma == 0.1:

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh
 
 import perron as pr
 import perron.kernel_op
 import perron.resolvent
+import perron.spectral
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
 from perron.kernel_op import DENSE_RADIUS_MAX_DIM
 from conftest import (
@@ -161,6 +163,30 @@ def lu_calls(monkeypatch):
     return count_calls(monkeypatch, perron.resolvent, "lu_factor")
 
 
+def bracket_spy(monkeypatch, kernel):
+    """Lists of (start, bracket) per call of ``collatz_wielandt`` from the
+    root search, and of the ``Kernel.matvec`` calls on ``kernel`` that each
+    made."""
+    brackets, steps, inside = [], [], []
+    real_cw, real_matvec = perron.spectral.collatz_wielandt, pr.Kernel.matvec
+
+    def cw(k, start=None):
+        steps.append(0)
+        inside.append(True)
+        brackets.append((start, real_cw(k, start)))
+        inside.pop()
+        return brackets[-1][1]
+
+    def matvec(self, x):
+        if self is kernel and inside:
+            steps[-1] += 1
+        return real_matvec(self, x)
+
+    monkeypatch.setattr(perron.spectral, "collatz_wielandt", cw)
+    monkeypatch.setattr(pr.Kernel, "matvec", matvec)
+    return brackets, steps
+
+
 class TestRootSearch:
     def test_solve_makes_one_solve_per_right_hand_side(self, monkeypatch):
         # R_lam 1, which certifies the shift, R_lam u, R_lam^2 u and the
@@ -279,6 +305,36 @@ class TestRootSearch:
             rho = remainder_radius(res.evaluator)
             assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
             assert hi < res.lambda0
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_bracket_from_the_compression_takes_three_steps(self, n, monkeypatch):
+        space = pr.make_interval_space(0, 1, n, "midpoint")
+        k = pr.gaussian_kernel(space, 0.35)
+        root_w = np.sqrt(space.weights)
+        lambda0 = eigvalsh(root_w[:, None] * k.entries * root_w)[-1]
+        brackets, steps = bracket_spy(monkeypatch, k)
+        res = pr.solve(k)
+        (start, (lo, hi)), = brackets
+        assert start is not None and steps[0] <= 3
+        assert lo <= lambda0 <= hi
+        assert abs(res.lambda0 - lambda0) <= 1e-14 * lambda0
+
+    def test_ritz_vector_with_a_nonpositive_entry_starts_from_ones(self, monkeypatch):
+        n = 600
+        space = pr.make_interval_space(0, 1, n, "midpoint")
+        k = pr.gaussian_kernel(space, 0.35)
+        root_w = np.sqrt(space.weights)
+        lambda0 = eigvalsh(root_w[:, None] * k.entries * root_w)[-1]
+        c = k.compression
+        vectors = c.vectors.copy()
+        vectors[n // 2, -1] = 0.0
+        patched = perron.kernel_op.Compression(c.values, vectors, c.probe_bound)
+        monkeypatch.setitem(k.__dict__, "compression", patched)
+        brackets, steps = bracket_spy(monkeypatch, k)
+        res = pr.solve(k)
+        (start, _), = brackets
+        assert start is None and steps[0] > 3
+        assert abs(res.lambda0 - lambda0) <= 1e-14 * lambda0
 
     def test_bracket_keeps_its_ends_through_a_zero_entry(self, constant_unit):
         # the ratios need x > 0 only: an iterate with a zero entry ends the
@@ -531,6 +587,19 @@ class TestDominance:
         res = pr.solve(constant_unit)
         report = pr.verify_dominance(res)
         assert report.second_radius <= 1e-8
+
+    def test_one_rule_for_verify_and_the_power_route(self):
+        # eigenvalues 1 and -(1 - g): a relative gap g between the 1e-9 of
+        # verify_dominance and the 1e-8 on T^N the power route once used
+        for g in (3e-9, 5e-9):
+            a = 0.5 * g
+            k = pr.Kernel(np.array([[a, 1.0 - a], [1.0 - a, a]]), pr.make_counting_space(2))
+            report = pr.verify_dominance(pr.solve(k))
+            peripheral = pr.power_doeblin_analyze(k)
+            assert 1e-9 < 1.0 - report.gap_ratio < 1e-8
+            assert peripheral.power == 1
+            assert peripheral.second_modulus == report.second_radius
+            assert report.strictly_dominant and peripheral.simple
 
     def test_random_kernel_strictly_dominant(self):
         rng = np.random.default_rng(55)
