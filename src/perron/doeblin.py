@@ -194,11 +194,14 @@ def extract_minorization(
         return NotMinorizable(
             "zero kernel entries prevent a strictly positive rank-one lower bound"
         )
-    if strategy == "row_min" and np.all(prof * dens > 0):
-        # the density is flat, so row i of K is divided by the one positive
-        # number prof_i dens_i, and rounding is monotone: its least ratio is
-        # that of its least entry, prof_i, bit for bit as _maximal_alpha
-        alpha = float((prof / (prof * dens)).min())
+    if strategy == "row_min":
+        # the density is flat, so row i of K is divided by the one number
+        # prof_i dens_i, and rounding is monotone: where that shape is
+        # positive the row's least ratio is that of its least entry, prof_i,
+        # bit for bit as _maximal_alpha, and 0 where it is positive nowhere
+        shape = prof * dens
+        positive = shape > 0
+        alpha = float((prof[positive] / shape[positive]).min()) if positive.any() else 0.0
     else:
         alpha = _maximal_alpha(entries, prof, dens)
     if alpha <= 0:

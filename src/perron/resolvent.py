@@ -310,6 +310,19 @@ class BirmanSchwingerEvaluator:
             return None
         return self._route()[1]
 
+    def perron_start(self) -> np.ndarray | None:
+        """W^-1/2 v_top, v_top the top eigenvector of the compression shifts
+        are solved through, sign-fixed and sup-normalized: T = K W is
+        similar to S = W^1/2 K W^1/2, so this is its Perron vector to the
+        accuracy of the compression.  None, the ones vector, without such a
+        compression or where the vector is not entrywise positive."""
+        compression = self._solve_compression
+        if compression is None:
+            return None
+        v = compression.vectors[:, -1]
+        x = (v / v[np.argmax(np.abs(v))]) / np.sqrt(self.space.weights)
+        return x if np.all(x > 0) else None
+
     def _pole_free_apply(self, entry: _Shift, r: np.ndarray, trans: int) -> np.ndarray:
         """One correction of ``_solve``: (lam*I - R)^-1 r, or its transpose
         with trans = 1, in O(n k) on the compression, with S taken as 0 off

@@ -141,7 +141,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     rho(T) = lambda0 (see collatz_wielandt); its first shift is lo, which
     on a tight bracket is all the solve needs.  Where the evaluator solves
     shifts through a compression, the bracket starts from W^-1/2 v_top,
-    the compression's top eigenvector (``_compressed_start``), and closes
+    the compression's top eigenvector (``perron_start``), and closes
     in two or three steps, where the ones vector takes 15 to 21 for the
     Gaussians of width 0.3 to 0.4 at n = 2000; the compression chooses
     only the start, and every bound comes from exact steps of T.  A shift
@@ -168,7 +168,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
         raise NotMinorizableError(
             NotMinorizable("root finding requires a strictly positive functional")
         )
-    lo, hi = cw = collatz_wielandt(ev.split.kernel, _compressed_start(ev))
+    lo, hi = cw = collatz_wielandt(ev.split.kernel, ev.perron_start())
     x, certified, d_last = lo, False, None
     for _ in range(MAX_SHIFTS):
         try:
@@ -199,20 +199,6 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     raise NotConvergentError(
         f"root search did not converge in {MAX_SHIFTS} shifts (fences [{lo:.6e}, {hi:.6e}])"
     )
-
-
-def _compressed_start(ev: BirmanSchwingerEvaluator) -> np.ndarray | None:
-    """W^-1/2 v_top, v_top the top eigenvector of the compression ev solves
-    shifts through, sign-fixed and sup-normalized: T = K W is similar to
-    S = W^1/2 K W^1/2, so this is its Perron vector to the accuracy of the
-    compression.  None, the ones vector, without such a compression or
-    where the vector is not entrywise positive."""
-    compression = ev._solve_compression
-    if compression is None:
-        return None
-    v = compression.vectors[:, -1]
-    x = (v / v[np.argmax(np.abs(v))]) / np.sqrt(ev.space.weights)
-    return x if np.all(x > 0) else None
 
 
 def _no_sign_change(

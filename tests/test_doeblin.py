@@ -104,7 +104,7 @@ class TestRowMinAlpha:
         cert = self.assert_matches_the_full_pass(scaled)
         assert np.all(cert.profile.values * cert.functional.density > 0)
 
-    def test_underflowing_shape_takes_the_full_pass_without_a_warning(self):
+    def test_underflowing_shape_leaves_its_row_out_without_a_warning(self):
         # row 3 holds the least subnormal, so prof_3 * dens_3 rounds to 0:
         # that row gives no ratio, and no entry is divided by zero
         rng = np.random.default_rng(76)

@@ -495,9 +495,13 @@ class TestCompressedSolve:
         factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         res = pr.solve(kernel)
         compressed_factorizations = len(factored)
-        # every shift factored in float64; the compression stays, and with it
-        # the start of the root search's bracket (``_compressed_start``)
-        monkeypatch.setattr(perron.resolvent, "COMPRESSED_MAX_CONDITION", 0.0)
+        # every shift factored in float64, from the same start of the root
+        # search's bracket as the compressed path
+        start = res.evaluator.perron_start()
+        monkeypatch.setattr(perron.resolvent, "COMPRESSED_SOLVE_MIN_DIM", n + 1)
+        monkeypatch.setattr(
+            pr.BirmanSchwingerEvaluator, "perron_start", lambda self: start
+        )
         lu = pr.solve(kernel)
         entry = res.evaluator._lu_cache[res.lambda0]
         if sigma == 0.1:
