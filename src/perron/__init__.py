@@ -90,7 +90,6 @@ from .spectral import (
     eigenfunction_series,
     find_dominant,
     power_doeblin_analyze,
-    series_term_norms,
     solve,
     spectral_projection,
     verify_dominance,

@@ -533,6 +533,16 @@ def verify(config_path, out_flag):
             f"N = {report.power}, rho = {report.rho:.12g}, "
             f"peripheral = {[f'{c:.6g}' for c in report.peripheral_candidates]}",
         )
+        # the residuals of the T^N solve, and the eigen-residual of its
+        # eigenfunction on T itself, relative to ||T||_inf as in ``solve``
+        diagnostics = report.power_result.diagnostics
+        for name in ("eig_residual", "left_residual"):
+            value = getattr(diagnostics, name)
+            record(f"power_{name}", value <= THRESHOLDS[name], f"{value:.3e} on T^{report.power}")
+        w = report.power_result.eigenfunction
+        misfit = np.max(np.abs(kernel.matvec(w.values) - report.rho * w.values))
+        on_t = float(misfit / (w.sup_norm() * kernel.weighted_inf_norm()))
+        record("power_eig_residual_on_T", on_t <= THRESHOLDS["eig_residual"], f"{on_t:.3e}")
         ok = all(p for name, p, _ in checks if name != "doeblin_minorization_n1")
         sys.exit(EXIT_OK if ok else EXIT_NUMERICAL)
     cert_report = verify_certificate(kernel, cert)

@@ -84,6 +84,8 @@ def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: floa
     for n in range(1, m + 1):
         current = unit * blocks[-1]
         subtract_form = kernel.matvec(current) - _rank_one_image(split, current)
+        # the split's explicit remainder: R applied as T - P would make the
+        # two forms one and the cross-check vacuous
         compose_form = split.remainder.matvec(current)
         gap = float(np.max(np.abs(subtract_form - compose_form)))
         if gap > 1e-10 * scale:

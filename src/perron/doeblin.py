@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,17 @@ class MinorizationCertificate:
     def lower_bound_matrix(self) -> np.ndarray:
         return self.alpha * np.outer(self.profile.values, self.functional.density)
 
+    @cached_property
+    def _flat_shape(self) -> np.ndarray | None:
+        """For a density that is one number d0, the rank-one part of each
+        row i, fl(fl(profile_i d0) alpha), rounded as ``_gap`` forms it at
+        every entry of the row but formed once; None for any other
+        density."""
+        density = self.functional.density
+        if not np.all(density == density[0]):
+            return None
+        return np.multiply(self.profile.values, density[0]) * self.alpha
+
 
 @dataclass(frozen=True)
 class NotMinorizable:
@@ -96,13 +108,41 @@ class NotFoundWithin:
         return f"no power-Doeblin certificate found for N <= {self.n_max}"
 
 
-@dataclass(frozen=True, eq=False)
+class _Remainder:
+    """The ``remainder`` field of :class:`RankOneSplit`, a descriptor: the
+    Kernel given to the split, or else the clamped gap
+    max(K - alpha * profile x density, 0), written by ``_gap`` on first read
+    and kept with the split.  Read on the class it gives the field's
+    default, None."""
+
+    def __get__(self, split, owner=None):
+        if split is None:
+            return None
+        remainder = split.__dict__["_remainder"]
+        if remainder is None:
+            entries = np.empty((split.kernel.size, split.kernel.size))
+            _gap(split.kernel, split.certificate, out=entries)
+            entries.flags.writeable = False
+            remainder = split.__dict__["_remainder"] = Kernel(entries, split.kernel.space)
+        return remainder
+
+    def __set__(self, split, remainder):
+        split.__dict__["_remainder"] = remainder
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class RankOneSplit:
-    """T = alpha * (profile x functional) + remainder, with remainder >= 0."""
+    """T = alpha * (profile x functional) + remainder, with remainder >= 0.
+
+    The solve never reads ``remainder``: it applies R as the implicit
+    T - alpha * profile x phi (see ``resolvent``).  The explicit n x n
+    Kernel is the clamped gap of ``_gap``, built when first read and then
+    kept; ``dataclasses.replace(split, remainder=...)`` sets it instead.
+    The two differ only where the clamp lifts a float-noise slack to 0."""
 
     kernel: Kernel
     certificate: MinorizationCertificate
-    remainder: Kernel
+    remainder: Kernel | None = _Remainder()
 
     def __post_init__(self):
         if self.certificate.power != 1:
@@ -172,7 +212,7 @@ def extract_minorization(
         )
 
     if strategy == "row_min":
-        prof = entries.min(axis=1)
+        prof = kernel.row_minima
         dens = np.full(space.size, 1.0 / space.total_mass())
     else:  # column_profile
         blocks = _row_blocks(space.size)
@@ -221,20 +261,30 @@ class CertificateReport:
 def _gap(
     kernel: Kernel, cert: MinorizationCertificate, out: np.ndarray | None = None
 ) -> CertificateReport:
-    """The certificate report of K^(N) - alpha * profile x density, made
-    row block by row block.  With ``out`` the gap is written there, clamped
-    at zero after its block is read; without, one block buffer is reused."""
+    """The certificate report of K^(N) - alpha * profile x density.  With
+    ``out`` the gap is written there row block by row block, clamped at
+    zero after its block is read.  Without, a flat density is checked in
+    O(n) from the row minima of K^(N), any other in one pass that reuses
+    one block buffer."""
     check_same_space(kernel.space, cert.profile.space)
     powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
     entries, profile, density = powered.entries, cert.profile.values, cert.functional.density
-    blocks = _row_blocks(kernel.size)
-    buf = np.empty((blocks[0].stop, kernel.size)) if out is None else None
-    worst = np.inf
+    flat = cert._flat_shape
+    if out is None and flat is not None:
+        # row i of the gap is K_ij - c_i and rounding is monotone, so its
+        # least entry is fl(min_j K_ij - c_i): the worst slack bit for bit
+        blocks, worst = [], float(np.subtract(powered.row_minima, flat).min())
+    else:
+        blocks, worst = _row_blocks(kernel.size), np.inf
+    buf = np.empty((blocks[0].stop, kernel.size)) if out is None and blocks else None
     for rows in blocks:
         gap = buf[: rows.stop - rows.start] if out is None else out[rows]
-        np.multiply(profile[rows, np.newaxis], density, out=gap)
-        gap *= cert.alpha
-        np.subtract(entries[rows], gap, out=gap)
+        if flat is None:
+            np.multiply(profile[rows, np.newaxis], density, out=gap)
+            gap *= cert.alpha
+            np.subtract(entries[rows], gap, out=gap)
+        else:
+            np.subtract(entries[rows], flat[rows, np.newaxis], out=gap)
         worst = min(worst, float(gap.min()))
         if out is not None:
             np.maximum(gap, 0.0, out=gap)
@@ -253,18 +303,17 @@ def verify_certificate(kernel: Kernel, cert: MinorizationCertificate) -> Certifi
 
 
 def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSplit:
-    """Subtract the certified rank-one part; remainder is clamped at the
-    float-noise slack and guaranteed nonnegative."""
+    """Check the certified rank-one part beneath K (``_gap``: O(n) for a
+    flat density, one read-only pass for any other) and split it off; no
+    remainder is written (see :class:`RankOneSplit`)."""
     if cert.power != 1:
         raise ValueError("rank_one_split requires a power-1 certificate")
-    remainder = np.empty((kernel.size, kernel.size))
-    report = _gap(kernel, cert, out=remainder)
+    report = _gap(kernel, cert)
     if not report.holds:
         raise InvalidCertificateError(
             f"certificate fails with worst slack {report.worst_slack:.3e}"
         )
-    remainder.flags.writeable = False
-    return RankOneSplit(kernel, cert, Kernel(remainder, kernel.space))
+    return RankOneSplit(kernel, cert)
 
 
 def power_doeblin_search(kernel: Kernel, n_max: int, strategy: str = "row_min"):

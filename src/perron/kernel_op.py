@@ -41,9 +41,12 @@ class Kernel:
 
     entries: np.ndarray
     space: MeasureSpace
-    # the largest entry, from the screen of ``__post_init__``: the sup norm
-    # of the nonnegative entries, kept so that no caller passes over K again
+    # the largest entry and the least of each row, from the screen of
+    # ``__post_init__``: the sup norm of the nonnegative entries and the
+    # profile of the row_min certificate, kept so that no caller passes over
+    # K again
     max_entry: float = field(init=False, repr=False)
+    row_minima: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = self.entries
@@ -62,7 +65,8 @@ class Kernel:
                 f"kernel must be {n} x {n}, got {entries.shape}"
             )
         # min and max propagate nan and reach inf, so they screen every entry
-        lo, hi = float(entries.min()), float(entries.max())
+        row_minima = entries.min(axis=1)
+        lo, hi = float(row_minima.min()), float(entries.max())
         if not (np.isfinite(lo) and np.isfinite(hi)):
             bad = np.argwhere(~np.isfinite(entries))
             where = ", ".join(f"{entries[i, j]} at ({i}, {j})" for i, j in bad[:3])
@@ -72,10 +76,13 @@ class Kernel:
             raise ValueError("kernel entries must be nonnegative")
         if lo < 0:
             entries = np.maximum(entries, 0.0, out=entries if entries.flags.writeable else None)
+            row_minima = entries.min(axis=1)
             hi = max(hi, 0.0)
         entries.flags.writeable = False
+        row_minima.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "max_entry", hi)
+        object.__setattr__(self, "row_minima", row_minima)
 
     @property
     def size(self) -> int:

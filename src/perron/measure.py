@@ -13,6 +13,7 @@ frozen so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,8 +149,9 @@ class WeightFunctional:
         if not np.all(self.density >= 0):
             raise ValueError("functional densities must be nonnegative")
 
-    @property
+    @cached_property
     def strictly_positive(self) -> bool:
+        """Every density value positive, decided once per functional."""
         return bool(np.all(self.density > 0))
 
     def acting_vector(self) -> np.ndarray:

@@ -22,12 +22,17 @@ least COMPRESSED_SOLVE_MIN_DIM nodes with a low-rank compression
 (below), it is that compression: Sherman-Morrison in its eigenbasis with
 the top pole divided out applies (lam*I - R)^-1 and its transpose in
 O(n k), the shift holds no n x n array, and every solve is refined to
-double precision against a float64 residual from the remainder's own
-entries, as LAPACK dsgesv refines float32 factors (Langou et al. 2006;
-Carson & Higham 2018).  The compression is kept where lam*I - R is well
-conditioned (condition number at most 1e4).  Any other shift, and one
-whose refinement stalls, is one float64 LU factorization of lam*I - R,
-built from the entries of R and solved directly.  The solve against 1
+double precision against a float64 residual of the implicit remainder
+R = T - alpha*u x phi, applied as K (w x) - alpha u phi[x] from the
+kernel's own entries, as LAPACK dsgesv refines float32 factors (Langou
+et al. 2006; Carson & Higham 2018).  The compression is kept where
+lam*I - R is well conditioned (condition number at most 1e4).  Any
+other shift, and one whose refinement stalls, is one float64 LU
+factorization of lam*I - R, with R the clamped gap
+max(K - alpha*u x d, 0) of the split written straight into the one
+n x n array of the shift, and solved directly.  The two routes solve
+the two forms of R, which differ only where the clamp lifts a
+float-noise slack to 0; no n x n remainder is kept.  The solve against 1
 that certifies a shift also gives its condition number exactly, and a
 shift above MAX_CONDITION is refused by it.  A whole grid of
 shifts (the D-curve, the verify scan) shares one factorization instead.
@@ -80,7 +85,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, schur
 
-from .doeblin import RankOneSplit
+from .doeblin import RankOneSplit, _gap
 from .errors import BelowSpectralRadiusError, IllConditionedError
 from .kernel_op import Compression, _pow2_scale
 from .measure import GridFunction, WeightFunctional, check_same_space, pair
@@ -180,12 +185,14 @@ def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
 class BirmanSchwingerEvaluator:
     """Evaluates D(lam), its derivative, and resolvent applications.
 
-    T = K W and R act on node-value vectors through the kernels' own
-    entries (``Kernel.matvec``); neither is formed as a weighted n x n
-    copy.  A shift lam is solved, (lam*I - R) x = v, through a cached
+    T = K W acts on node-value vectors through the kernel's own entries
+    (``Kernel.matvec``) and R as T - alpha*u x phi (``_apply_remainder``):
+    neither is formed as an n x n array, and the split's ``remainder`` is
+    not read.  A shift lam is solved, (lam*I - R) x = v, through a cached
     inverse: the kernel's low-rank compression (no n x n array), refined
-    against R, where lam*I - R is well conditioned and the kernel has one,
-    and float64 LU factors otherwise; it is kept only when
+    against that implicit R, where lam*I - R is well conditioned and the
+    kernel has one, and float64 LU factors of the clamped gap otherwise
+    (see the module docstring); it is kept only when
     (lam*I - R)^-1 1 > 0, that is above rho(R), and the condition number
     it gives is at most MAX_CONDITION.  ``curve`` evaluates a
     whole grid of shifts through one eigendecomposition of a symmetric
@@ -201,24 +208,48 @@ class BirmanSchwingerEvaluator:
         self.alpha = split.certificate.alpha
         self.profile = split.certificate.profile
         self.functional = split.certificate.functional
-        rem, w = split.remainder.entries, self.space.weights
-        # T, R >= 0, so their row sums K w and R w are those of |T| and |R|:
-        # they give the inf-norm of T and, less the diagonal of R W,
-        # ||lam*I - R||_inf in O(n) per shift
-        self._rem_diag = np.diagonal(rem) * w
-        self._rem_offdiag = rem @ w - self._rem_diag
-        # the column sums w R^T 1 give ||lam*I - R||_1 the same way, the norm
-        # of the transposed solve
-        self._rem_col_offdiag = w * rem.sum(axis=0) - self._rem_diag
-        self.operator_norm = split.kernel.weighted_inf_norm()
+        kernel, w = split.kernel, self.space.weights
+        u, density = self.profile.values, self.functional.density
+        # the diagonal of R W, with R's entries rounded and clamped as in
+        # ``_gap``, so that the shifted matrix of ``_factor`` is the one of
+        # the clamped gap bit for bit
+        gap_diag = np.diagonal(kernel.entries) - (u * density) * self.alpha
+        self._rem_diag = np.maximum(gap_diag, 0.0) * w
+        # T >= 0 and R >= 0 up to the clamp, so the row sums K w and
+        # R w = K w - alpha u phi[1] are those of |T| and |R|: they give the
+        # inf-norm of T and, less the diagonal of R W, ||lam*I - R||_inf in
+        # O(n) per shift
+        kw = kernel.entries @ w
+        self.operator_norm = float(kw.max())
+        self._phi = self.functional.acting_vector()
+        self._rem_offdiag = kw - self.alpha * u * self._phi.sum() - self._rem_diag
         # the power of two that brings ||T||_inf into [1/2, 1): the secular
         # sums run on shifts and eigenvalues times it, exact to undo
         self._scale = _pow2_scale(self.operator_norm)
         self._lu_cache: dict[float, _Shift] = {}
 
+    @cached_property
+    def _rem_col_offdiag(self) -> np.ndarray:
+        """The column sums w R^T 1 = w (K^T 1 - alpha d sum(u)) less the
+        diagonal of R W, which give ||lam*I - R||_1, the norm of the
+        transposed solve, as the row sums give ||lam*I - R||_inf; made on
+        the first transposed refinement."""
+        column_sums = self.split.kernel.entries.sum(axis=0)
+        column_sums -= self.alpha * self.profile.values.sum() * self.functional.density
+        return self.space.weights * column_sums - self._rem_diag
+
     @property
     def phi_strictly_positive(self) -> bool:
         return self.functional.strictly_positive
+
+    def _apply_remainder(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        """R x = T x - alpha u phi[x], or R^T x = T^T x - alpha phi (u . x)
+        with trans = 1: the remainder applied as T less its rank-one part,
+        one pass over K per product and no n x n array."""
+        u = self.profile.values
+        if trans:
+            return self.split.kernel.rmatvec(x) - self.alpha * (u @ x) * self._phi
+        return self.split.kernel.matvec(x) - self.alpha * (self._phi @ x) * u
 
     def _shifted_inf_norm(self, lam, trans: int = 0):
         """||lam*I - R||_inf for a shift or an array of shifts, O(n) each;
@@ -260,36 +291,42 @@ class BirmanSchwingerEvaluator:
         """Factor (lam*I - R)^T into entry, in float64.  An exactly zero
         pivot is not reported here: it leaves the solves non-finite, and
         ``_certify`` refuses the shift."""
-        lam, n = entry.lam, self.space.size
-        # the one n x n array of this shift, from the entries of R in C
-        # order: its transpose is a Fortran-ordered view, which LAPACK
-        # factors in place
-        shifted = np.empty((n, n))
-        np.multiply(self.split.remainder.entries, -self.space.weights, out=shifted)
-        shifted.flat[:: n + 1] = lam - self._rem_diag
+        # the one n x n array of this shift, in C order: its transpose is a
+        # Fortran-ordered view, which LAPACK factors in place
+        shifted = self._weighted_gap(-1.0)
+        shifted.flat[:: self.space.size + 1] = entry.lam - self._rem_diag
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
             entry.factors = lu_factor(shifted.T, overwrite_a=True, check_finite=False)
 
+    def _weighted_gap(self, sign: float) -> np.ndarray:
+        """sign * R W in one fresh n x n array: the clamped gap of the split
+        (``_gap``), entry for entry the remainder a ``RankOneSplit`` builds
+        when read, written straight into it, then its columns scaled."""
+        n = self.space.size
+        out = np.empty((n, n))
+        _gap(self.split.kernel, self.split.certificate, out=out)
+        out *= sign * self.space.weights
+        return out
+
     def _solve(self, entry: _Shift, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """(lam*I - R)^-1 b, or (lam*I - R)^-T b with trans = 1, from the
-        inverse of lam.  Float64 factors solve directly.  The compression
-        goes through iterative refinement, as in LAPACK dsgesv: each
-        correction applies it to the float64 residual from R's own entries,
-        until ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system
+        inverse of lam.  Float64 factors, of the clamped gap, solve
+        directly.  The compression goes through iterative refinement, as in
+        LAPACK dsgesv: each correction applies it to the float64 residual of
+        the implicit R = T - alpha*u x phi (``_apply_remainder``), until
+        ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system
         matrix A and the unit roundoff u.  So the answer is that of R,
         whatever the error of the compression.  After REFINE_STEPS
         corrections that miss that rule, lam is factored in float64."""
         lam = entry.lam
         if entry.factors is None:
-            rem = self.split.remainder
-            op = rem.rmatvec if trans else rem.matvec
             unit = 0.5 * np.finfo(float).eps
             bound = math.sqrt(b.size) * unit * float(self._shifted_inf_norm(lam, trans))
             x, r = np.zeros(b.size), b
             for _ in range(REFINE_STEPS + 1):
                 x += self._pole_free_apply(entry, r, trans)
-                r = b - (lam * x - op(x))
+                r = b - (lam * x - self._apply_remainder(x, trans))
                 if np.max(np.abs(r)) <= bound * np.max(np.abs(x)):
                     # the rule bounds the backward error; one more O(n k)
                     # correction from the residual at hand takes the
@@ -516,7 +553,7 @@ class BirmanSchwingerEvaluator:
         (giving D), its own solution again (giving D'), and Q^T 1, scaled
         as in ``_symmetric_resolvents``.
         """
-        s, q = schur(self.split.remainder.operator_matrix(), output="real", overwrite_a=True)
+        s, q = schur(self._weighted_gap(1.0), output="real", overwrite_a=True)
         scale = self._scale
         s *= scale
         lams = scale * lams

@@ -250,22 +250,6 @@ def spectral_projection(ev: BirmanSchwingerEvaluator, lambda0: float) -> RankOne
     )
 
 
-def series_term_norms(
-    ev: BirmanSchwingerEvaluator, lambda0: float, n_terms: int
-) -> np.ndarray:
-    """Sup norms of the series terms lambda0^-(n+1) * R^n profile.
-
-    The term recurrence is carried in scaled form, term -> (R term)/lam,
-    so nothing underflows even when the unscaled factors would."""
-    rem = ev.split.remainder
-    term = ev.profile.values / lambda0
-    norms = np.empty(n_terms)
-    for n in range(n_terms):
-        norms[n] = float(np.max(np.abs(term)))
-        term = rem.matvec(term) / lambda0
-    return norms
-
-
 def eigenfunction_series(
     ev: BirmanSchwingerEvaluator, lambda0: float, tol: float = 1e-12
 ) -> GridFunction:

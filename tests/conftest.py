@@ -117,6 +117,21 @@ def remainder_radius(ev) -> float:
     return float(np.abs(np.linalg.eigvals(ev.split.remainder.operator_matrix())).max())
 
 
+def series_term_norms(ev, lambda0: float, n_terms: int) -> np.ndarray:
+    """Sup norms of the series terms lambda0^-(n+1) * R^n profile of the
+    eigenfunction series, R the split's explicit remainder.
+
+    The term recurrence is carried in scaled form, term -> (R term)/lam,
+    so nothing underflows even when the unscaled factors would."""
+    rem = ev.split.remainder
+    term = ev.profile.values / lambda0
+    norms = np.empty(n_terms)
+    for n in range(n_terms):
+        norms[n] = float(np.max(np.abs(term)))
+        term = rem.matvec(term) / lambda0
+    return norms
+
+
 def random_positive_kernel(space, rng, low=0.05, high=1.05):
     return pr.Kernel(rng.uniform(low, high, (space.size, space.size)), space)
 

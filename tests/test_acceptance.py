@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import perron as pr
 from perron.cli import main as cli_main
 import bell_expansion
-from conftest import eigenvalues_via_charpoly, remainder_radius
+from conftest import eigenvalues_via_charpoly, remainder_radius, series_term_norms
 
 SEED = 20240808
 
@@ -273,7 +273,7 @@ def test_criterion_07_bell_combinatorics():
 
 
 def _measured_series_ratio(ev, lam0):
-    norms = pr.series_term_norms(ev, lam0, 400)
+    norms = series_term_norms(ev, lam0, 400)
     floor = norms[0] * 1e-10
     live = np.where(norms > floor)[0]
     m = int(live[-1])

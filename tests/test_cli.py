@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -704,6 +705,45 @@ class TestVerifyCommand:
         assert "PASS  power_doeblin_certificate" in result.output
         assert "N = 2" in result.output
 
+    @pytest.mark.parametrize("name", ["eig_residual", "left_residual"])
+    def test_power_route_fails_on_a_residual_of_the_power_solve(
+        self, runner, chain_config, monkeypatch, name
+    ):
+        real = perron.cli.power_doeblin_analyze
+
+        def defective(kernel, **kwargs):
+            report = real(kernel, **kwargs)
+            result = report.power_result
+            diagnostics = dataclasses.replace(result.diagnostics, **{name: 1e-3})
+            result = dataclasses.replace(result, diagnostics=diagnostics)
+            return dataclasses.replace(report, power_result=result)
+
+        monkeypatch.setattr(perron.cli, "power_doeblin_analyze", defective)
+        result = runner.invoke(main, ["verify", "--config", chain_config])
+        assert result.exit_code == 3, result.output
+        assert f"FAIL  power_{name}: 1.000e-03 on T^2" in result.output
+        assert "PASS  power_eig_residual_on_T" in result.output
+
+    def test_power_route_fails_on_the_eigen_residual_on_t(
+        self, runner, chain_config, monkeypatch
+    ):
+        # a vector in place of the eigenfunction that T does not map to rho
+        # times itself: the chain's T = [[0, 1], [1/2, 1/2]] and rho = 1 take
+        # (1, 2) to (2, 3/2), a residual of 1 / (2 ||T||_inf) = 1/2
+        real = perron.cli.power_doeblin_analyze
+
+        def defective(kernel, **kwargs):
+            report = real(kernel, **kwargs)
+            w = pr.GridFunction(np.array([1.0, 2.0]), kernel.space)
+            result = dataclasses.replace(report.power_result, eigenfunction=w)
+            return dataclasses.replace(report, power_result=result)
+
+        monkeypatch.setattr(perron.cli, "power_doeblin_analyze", defective)
+        result = runner.invoke(main, ["verify", "--config", chain_config])
+        assert result.exit_code == 3, result.output
+        assert "PASS  power_eig_residual: " in result.output
+        assert "FAIL  power_eig_residual_on_T: 5.000e-01" in result.output
+
     def test_curve_is_checked_against_the_lu_path(self, runner, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         cfg = write_config(tmp_path / "g.json", gaussian_config(100))
@@ -886,6 +926,16 @@ def _positive_report(rho):
     ]
 
 
+# the verdicts of ``verify`` on a kernel with zeros: the power route, judged
+# by the residuals of the T^N solve and of its eigenfunction on T
+POWER_BATTERY = [
+    ("FAIL", "doeblin_minorization_n1"),
+    ("PASS", "power_doeblin_certificate"),
+    ("PASS", "power_eig_residual"),
+    ("PASS", "power_left_residual"),
+    ("PASS", "power_eig_residual_on_T"),
+]
+
 SHIPPED = [
     ("gaussian_interval", "solve", 0, None),
     ("gaussian_interval", "verify", 0,
@@ -904,12 +954,10 @@ SHIPPED = [
       ROUNDING_DEFECT]),
     ("banded_interval", "solve", 2, None),
     ("banded_interval", "dcurve", 2, None),
-    ("banded_interval", "verify", 0,
-     [("FAIL", "doeblin_minorization_n1"), ("PASS", "power_doeblin_certificate")]),
+    ("banded_interval", "verify", 0, POWER_BATTERY),
     ("banded_interval", "power-doeblin", 0, BANDED_REPORT),
     ("two_state_chain", "solve", 2, None),
-    ("two_state_chain", "verify", 0,
-     [("FAIL", "doeblin_minorization_n1"), ("PASS", "power_doeblin_certificate")]),
+    ("two_state_chain", "verify", 0, POWER_BATTERY),
     ("two_state_chain", "power-doeblin", 0, CHAIN_REPORT),
 ]
 

@@ -7,7 +7,7 @@ import pytest
 import perron as pr
 from perron.errors import DimensionMismatchError, NotConvergentError
 import bell_expansion
-from conftest import random_positive_kernel
+from conftest import random_positive_kernel, series_term_norms
 
 
 def split_for(kernel, strategy="row_min"):
@@ -491,7 +491,7 @@ class TestSeriesStructureSharing:
         seq = pr.build_corrected_kernels(split, 6)
         ev = pr.BirmanSchwingerEvaluator(split)
         lam0 = pr.find_dominant(ev)
-        term_norms = pr.series_term_norms(ev, lam0, 6)
+        term_norms = series_term_norms(ev, lam0, 6)
         rem_op = split.remainder.operator_matrix()
         vec = split.certificate.profile.values.copy()
         for n in range(6):

@@ -6,7 +6,7 @@ import pytest
 import perron as pr
 import perron.doeblin
 from perron.errors import InvalidCertificateError
-from conftest import random_positive_kernel
+from conftest import count_calls, random_positive_kernel
 
 
 class TestExtraction:
@@ -425,3 +425,115 @@ class TestRowBlocks:
                     assert split.remainder.entries.tobytes() == remainder.tobytes()
         nowhere = pr.extract_minorization(k, "user", profile=np.zeros(n), density=dens)
         assert isinstance(nowhere, pr.NotMinorizable)
+
+
+def subnormal_row_kernel(rng):
+    """A positive 40 x 40 kernel whose row 7 is subnormal."""
+    entries = rng.uniform(0.05, 1.05, (40, 40))
+    entries[7] = rng.uniform(1000.0, 4000.0, 40) * 5e-324
+    return pr.Kernel(entries, pr.make_counting_space(40))
+
+
+def flat_kernels():
+    """Seeded random kernels, 1e+-300 times one, and one with a subnormal row."""
+    rng = np.random.default_rng(74)
+    for n in (3, 40, 301):
+        for space in (pr.make_counting_space(n), pr.make_interval_space(0, 1, n, "gauss_legendre")):
+            k = random_positive_kernel(space, rng)
+            yield k
+    for c in (1e300, 1e-300):
+        yield pr.Kernel(c * k.entries, k.space)
+    yield subnormal_row_kernel(rng)
+
+
+def flat_cases():
+    """(kernel, certificate with a flat density): the row_min certificate of
+    each of ``flat_kernels``, the same with alpha bumped so that the check
+    fails or nearly does, and a flat user shape."""
+    rng = np.random.default_rng(75)
+    for k in flat_kernels():
+        cert = pr.extract_minorization(k, "row_min")
+        yield k, cert
+        for bump in (1 + 1e-15, 1 + 1e-9, 3.0):
+            yield k, dataclasses.replace(cert, alpha=cert.alpha * bump)
+        profile = rng.uniform(0.1, 1.0, k.size) * k.max_entry
+        density = pr.WeightFunctional(np.full(k.size, 0.3), k.space)
+        yield k, pr.MinorizationCertificate(0.5, pr.GridFunction(profile, k.space), density)
+
+
+def entrywise_report(kernel, cert):
+    """The report of ``_gap`` from its pass over every entry of the gap."""
+    return perron.doeblin._gap(kernel, cert, out=np.empty((kernel.size, kernel.size)))
+
+
+class TestFlatCheck:
+    """The certificate check of a flat density is O(n), from the kernel's
+    row minima, with the report of the entrywise pass bit for bit."""
+
+    def test_worst_slack_is_that_of_the_entrywise_pass_bit_for_bit(self):
+        verdicts = set()
+        for k, cert in flat_cases():
+            assert cert.functional.density.min() == cert.functional.density.max()
+            flat = pr.verify_certificate(k, cert)
+            full = entrywise_report(k, cert)
+            assert np.float64(flat.worst_slack).tobytes() == np.float64(full.worst_slack).tobytes()
+            assert flat.worst_slack == outer_remainder(k, cert)[1]
+            assert flat == full
+            verdicts.add(flat.holds)
+        assert verdicts == {True, False}
+
+    def test_subnormal_row_leaves_a_subnormal_slack(self):
+        # the case the monotone-rounding argument must also cover: row 7's
+        # gap is formed from subnormal entries and a subnormal product
+        k = subnormal_row_kernel(np.random.default_rng(76))
+        cert = pr.extract_minorization(k, "row_min")
+        shape = (cert.profile.values[7] * cert.functional.density[0]) * cert.alpha
+        assert 0.0 < shape < np.finfo(float).tiny
+        assert pr.verify_certificate(k, cert) == entrywise_report(k, cert)
+
+    def test_a_flat_split_makes_no_pass_over_the_kernel(self, monkeypatch):
+        passes = count_calls(monkeypatch, perron.doeblin, "_row_blocks")
+        k = random_positive_kernel(pr.make_counting_space(30), np.random.default_rng(77))
+        split = pr.rank_one_split(k, pr.extract_minorization(k, "row_min"))
+        assert passes == []
+        split.remainder  # built on first read, by one pass
+        assert len(passes) == 1
+
+    def test_a_flat_user_certificate_with_too_large_alpha_is_refused(self):
+        k = random_positive_kernel(pr.make_counting_space(12), np.random.default_rng(78))
+        density = np.full(12, 0.5)
+        cert = pr.extract_minorization(k, "user", profile=k.row_minima, density=density)
+        assert pr.rank_one_split(k, cert).certificate is cert
+        bad = dataclasses.replace(cert, alpha=cert.alpha * (1 + 1e-9))
+        worst = float((k.entries - bad.lower_bound_matrix()).min())
+        with pytest.raises(InvalidCertificateError) as info:
+            pr.rank_one_split(k, bad)
+        assert str(info.value) == f"certificate fails with worst slack {worst:.3e}"
+
+    def test_row_min_certificate_is_that_of_the_entries_bit_for_bit(self):
+        for k in flat_kernels():
+            cert = pr.extract_minorization(k, "row_min")
+            prof = k.entries.min(axis=1)
+            dens = np.full(k.size, 1.0 / k.space.total_mass())
+            assert cert.profile.values.tobytes() == prof.tobytes()
+            assert cert.functional.density.tobytes() == dens.tobytes()
+            assert cert.alpha == old_maximal_alpha(k.entries, prof, dens)
+
+class TestLazyRemainder:
+    """The split writes no remainder until one is read."""
+
+    def test_built_on_first_read_and_kept(self):
+        k = random_positive_kernel(pr.make_counting_space(20), np.random.default_rng(79))
+        cert = pr.extract_minorization(k, "row_min")
+        split = pr.rank_one_split(k, cert)
+        first = split.remainder
+        assert first is split.remainder
+        assert first.entries.tobytes() == outer_remainder(k, cert)[0].tobytes()
+
+    def test_replace_injects_a_remainder(self):
+        k = random_positive_kernel(pr.make_counting_space(20), np.random.default_rng(80))
+        split = pr.rank_one_split(k, pr.extract_minorization(k, "row_min"))
+        injected = pr.Kernel(np.ones((20, 20)), k.space)
+        assert dataclasses.replace(split, remainder=injected).remainder is injected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            split.remainder = injected

@@ -298,6 +298,19 @@ class TestKernelValidation:
             k = pr.Kernel(np.array(entries), counting2)
             assert k.max_entry == k.entries.max() == max(0.0, np.max(entries))
 
+    def test_stored_row_minima_are_those_of_the_entries(self, counting2):
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 300):
+            k = random_positive_kernel(pr.make_counting_space(n), rng)
+            assert k.row_minima.tobytes() == k.entries.min(axis=1).tobytes()
+            assert not k.row_minima.flags.writeable
+        # negative slack is clamped to 0 along with the entries
+        for entries in ([[1.0, -1e-17], [0.5, 2.0]], [[-1e-17, -2e-17], [-1e-18, -3e-17]],
+                        [[-0.0, 1.0], [-1e-17, -0.0]]):
+            k = pr.Kernel(np.array(entries), counting2)
+            assert k.row_minima.tobytes() == k.entries.min(axis=1).tobytes()
+            assert np.all(k.row_minima >= 0.0)
+
 
 class TestSymmetry:
     """``Kernel.symmetric`` compares tiles of the upper triangle with their

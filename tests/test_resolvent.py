@@ -1,7 +1,9 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import schur
 
 import perron as pr
@@ -259,6 +261,61 @@ class TestFloat64Factors:
             assert res.lambda0 == pytest.approx(oracle, rel=1e-10)
         assert factored == certified
         assert len(lu_calls) == len(factored)
+
+    def test_factored_matrix_is_that_of_the_explicit_remainder_bit_for_bit(self, monkeypatch):
+        # the LU writes the clamped gap itself, for flat and other densities,
+        # and factors what it did when the split wrote R out
+        factored = []
+
+        def capturing(a, **kwargs):
+            factored.append(a.copy())
+            return scipy.linalg.lu_factor(a, **kwargs)
+
+        monkeypatch.setattr(perron.resolvent, "lu_factor", capturing)
+        rng = np.random.default_rng(81)
+        cases = []
+        for space in (pr.make_counting_space(37), pr.make_interval_space(0, 1, 300, "gauss_legendre")):
+            k = random_positive_kernel(space, rng)
+            cases += [(k, pr.extract_minorization(k, strategy))
+                      for strategy in ("row_min", "column_profile")]
+        # a certificate over its maximal alpha within the slack, on a kernel
+        # whose rows are least on the diagonal: the gap rounds below 0
+        # there, and the clamp is part of the diagonal
+        entries = rng.uniform(0.05, 1.05, (40, 40))
+        np.fill_diagonal(entries, rng.uniform(0.01, 0.02, 40))
+        k = pr.Kernel(entries, pr.make_counting_space(40))
+        cert = pr.extract_minorization(k, "row_min")
+        cert = dataclasses.replace(cert, alpha=cert.alpha * (1 + 1e-15))
+        assert (np.diagonal(entries) - cert.profile.values * cert.functional.density * cert.alpha).min() < 0
+        cases.append((k, cert))
+        for k, cert in cases:
+            split = pr.rank_one_split(k, cert)
+            ev = pr.BirmanSchwingerEvaluator(split)
+            lam = 1.5 * ev.operator_norm
+            factored.clear()
+            ev.condition(lam)
+            w = k.space.weights
+            shifted = split.remainder.entries * -w
+            shifted.flat[:: k.size + 1] = lam - np.diagonal(split.remainder.entries) * w
+            assert factored[0].tobytes() == shifted.T.tobytes()
+            # at a shift of the size of a slack the clamped diagonal shows
+            assert ev._rem_diag.tobytes() == (np.diagonal(split.remainder.entries) * w).tobytes()
+            assert ev.operator_norm == k.weighted_inf_norm()
+
+    def test_shifted_norms_are_those_of_the_explicit_remainder(self):
+        # ||lam*I - R W||_inf and ||lam*I - R W||_1 from the row and column
+        # sums of K and the two factors, against the dense matrix of R
+        rng = np.random.default_rng(82)
+        for k in (random_positive_kernel(pr.make_interval_space(0, 1, 50, "gauss_legendre"), rng),
+                  pr.gaussian_kernel(pr.make_interval_space(0, 1, 80, "trapezoid"), 0.3)):
+            for strategy in ("row_min", "column_profile"):
+                split = pr.rank_one_split(k, pr.extract_minorization(k, strategy))
+                ev = pr.BirmanSchwingerEvaluator(split)
+                for lam in (0.5 * ev.operator_norm, 2.0 * ev.operator_norm):
+                    a = lam * np.eye(k.size) - split.remainder.operator_matrix()
+                    for trans, norm in ((0, np.inf), (1, 1)):
+                        assert ev._shifted_inf_norm(lam, trans) == pytest.approx(
+                            np.linalg.norm(a, norm), rel=1e-13)
 
     @pytest.mark.parametrize("c", [1e-300, 1e-42, 1e250, 1e300])
     def test_lambda0_scales_with_the_kernel(self, c):

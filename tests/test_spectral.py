@@ -9,6 +9,7 @@ from scipy.linalg import eigvalsh
 
 import perron as pr
 import perron.kernel_op
+import perron.doeblin
 import perron.resolvent
 import perron.spectral
 from perron.errors import IllConditionedError, NoSignChangeError, SlowConvergenceError
@@ -19,6 +20,7 @@ from conftest import (
     count_solves,
     random_positive_kernel,
     remainder_radius,
+    series_term_norms,
 )
 
 
@@ -197,8 +199,9 @@ class TestRootSearch:
         assert len(solves) <= 4
 
     def test_solve_holds_at_most_five_square_arrays(self):
-        # the remainder, the matrices of T and R and the LU of the root,
-        # plus transients; the dense projection and its defect held seven
+        # the LU of the root, written from the clamped gap, plus transients;
+        # the dense projection and its defect held seven, and the remainder
+        # with the matrices of T and R five
         n = 500
         k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
         pr.solve(k)
@@ -210,10 +213,11 @@ class TestRootSearch:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n * n
 
-    def test_solve_holds_the_remainder_and_no_factorization(self):
-        # R (n^2 doubles), and the shifts solved through the kernel's
-        # compression: no LU, no weighted copy of K or R, no n x n
-        # temporary of the certificate or the split
+    def test_solve_holds_no_square_array(self):
+        # the shifts solved through the kernel's compression and refined
+        # against the implicit remainder: no LU, no weighted copy of K or R,
+        # no n x n temporary of the certificate or the split; R itself, n^2
+        # doubles, was held until it was made implicit
         n = 600
         k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
         pr.solve(k)
@@ -224,6 +228,34 @@ class TestRootSearch:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * 8 * n * n
+
+    def test_large_solve_builds_no_remainder(self, monkeypatch):
+        # a cold solve, its compression included: no pass over the gap, so
+        # no remainder, and a peak of a few n x 32 blocks
+        n = 2000
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        passes = count_calls(monkeypatch, perron.doeblin, "_row_blocks")
+        tracemalloc.start()
+        try:
+            result = pr.solve(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert passes == []
+        assert vars(result.evaluator.split)["_remainder"] is None
+        assert peak < 0.25 * 8 * n * n
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_nearly_constant_kernels_solve_to_rounding(self, n):
+        # K = 1 + eps G: the remainder, of order eps, is applied as T less
+        # its rank-one part, which are of order 1 and cancel to it
+        space = pr.make_interval_space(0, 1, n, "midpoint")
+        g = pr.gaussian_kernel(space, 0.35).entries
+        root_w = np.sqrt(space.weights)
+        for e in range(2, 12):
+            k = pr.Kernel(1.0 + 10.0**-e * g, space)
+            exact = np.linalg.eigvalsh(root_w[:, None] * k.entries * root_w)[-1]
+            assert abs(pr.solve(k).lambda0 - exact) <= 2e-15 * exact, e
 
     def test_gaussian_needs_few_factorizations(self, lu_calls):
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
@@ -520,7 +552,7 @@ class TestSeries:
         lam = pr.find_dominant(ev)
         w = pr.eigenfunction_series(ev, lam, tol=1e-12)
         np.testing.assert_allclose(w.values, 1.0, atol=1e-11)
-        norms = pr.series_term_norms(ev, lam, 4)
+        norms = series_term_norms(ev, lam, 4)
         assert norms[0] > 0
         np.testing.assert_allclose(norms[1:], 0.0, atol=1e-300)
 
@@ -530,7 +562,7 @@ class TestSeries:
         w_series = pr.eigenfunction_series(ev, lam, tol=1e-12)
         w_residue = pr.eigenfunction_from_residue(ev, lam)
         np.testing.assert_allclose(w_series.values, w_residue.values, atol=1e-10)
-        norms = pr.series_term_norms(ev, lam, 12)
+        norms = series_term_norms(ev, lam, 12)
         ratios = norms[1:] / norms[:-1]
         np.testing.assert_allclose(ratios, 1.0 / 3.0, rtol=1e-12)
 
