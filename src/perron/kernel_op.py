@@ -160,10 +160,12 @@ def iterate_kernel(kernel: Kernel, n: int) -> Kernel:
 # The randomized range finder takes one block of COMPRESSION_BLOCK columns;
 # kernels below 4 COMPRESSION_BLOCK nodes are not compressed.  Every
 # Gaussian of the benchmark (sigma 0.1 to 0.4) meets the rank rule with it.
-# BLAS on one thread, the block costs 5 to 6 ms at n = 600 and 53 to 58 ms
-# at n = 2000 (a dense eigh of S: 38 to 92 ms and 1.3 to 2.0 s), and that
-# is all a full-rank kernel spends before its eigh, or, in a library solve
-# from 512 nodes on, before its LU.
+# BLAS on one thread, sigma = 0.35 costs 1.8 ms at n = 600 and 12 to 13 ms
+# at n = 2000 without the power step; sigma = 0.1 at n = 600 takes the step
+# (2.6 ms), as does a full-rank kernel before it gives up: 2.6 ms and 18 ms
+# for e^-|x-y| (a dense eigh of its S: 32 ms and 0.9 s).  That is all such a
+# kernel spends before its eigh, or, in a library solve from 512 nodes on,
+# before its LU.
 COMPRESSION_BLOCK = 32
 COMPRESSION_PROBES = 10
 COMPRESSION_EXPONENT = 100
@@ -186,18 +188,23 @@ class Compression:
 def compress_symmetric(kernel: Kernel) -> Compression | None:
     """Low-rank eigendecomposition of S = W^1/2 K W^1/2 for a symmetric
     kernel, by the randomized range finder of Halko, Martinsson & Tropp
-    (2011, SIAM Rev. 53, Alg. 4.2 with one power step and Rayleigh-Ritz).
+    (2011, SIAM Rev. 53, Alg. 4.2 with Rayleigh-Ritz, and one power step
+    where the probes ask for it).
 
-    A block of COMPRESSION_BLOCK seeded Gaussian columns gives the
-    orthonormal range Q of S S Omega (orthonormalized after each
-    product), and the eigenpairs of Q^T S Q give V and the values.
-    COMPRESSION_PROBES further Gaussian columns omega_i bound the range
-    error: with probability at least 1 - 10^-10,
+    COMPRESSION_PROBES seeded Gaussian columns omega_i and a block Omega
+    of COMPRESSION_BLOCK more go through S in one product.  The
+    orthonormal range Q of S Omega and the eigenpairs of Q^T S Q give V
+    and the values.  The probes bound the range error: with probability
+    at least 1 - 10^-10,
     ||(I - Q Q^T) S|| <= 10 sqrt(2/pi) max_i ||(I - Q Q^T) S omega_i||
     (their section 4.3).  The compression is taken when that bound is at
-    most n eps |mu_1|, the backward error of a dense eigh; otherwise, for
-    a nonsymmetric kernel and for n below 4 COMPRESSION_BLOCK, the result
-    is None.  The seed is fixed, so the result repeats bit for bit.
+    most n eps |mu_1|, the backward error of a dense eigh.  Where it is
+    not, the Rayleigh-Ritz product S Q is the power step: Q becomes the
+    orthonormal range of S S Omega, and the same test decides again.
+    The probes are independent of both ranges, so the pair of tests
+    holds with probability at least 1 - 2 10^-10.  A second miss, a
+    nonsymmetric kernel and n below 4 COMPRESSION_BLOCK give None.  The
+    seed is fixed, so the result repeats bit for bit.
     """
     n = kernel.size
     if 4 * COMPRESSION_BLOCK > n or not kernel.symmetric:
@@ -217,18 +224,26 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     def apply_s(x):
         return root_w * (kernel.entries @ (scaled_root_w * x))
 
+    def orth(y):
+        return qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+
     rng = np.random.default_rng(1234567)
-    s_probes = apply_s(rng.standard_normal((n, COMPRESSION_PROBES)))
-    q = apply_s(rng.standard_normal((n, COMPRESSION_BLOCK)))
-    q = qr(q, mode="economic", overwrite_a=True, check_finite=False)[0]
-    q = qr(apply_s(q), mode="economic", overwrite_a=True, check_finite=False)[0]
-    b = q.T @ apply_s(q)
-    values, u = eigh(0.5 * (b + b.T))
-    miss = s_probes - q @ (q.T @ s_probes)
-    bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
-    if bound > n * np.finfo(float).eps * float(np.abs(values).max()):
-        return None
-    return Compression(values / scale, q @ u, bound / scale)
+    s_omega = apply_s(np.hstack([rng.standard_normal((n, COMPRESSION_PROBES)),
+                                 rng.standard_normal((n, COMPRESSION_BLOCK))]))
+    s_probes = s_omega[:, :COMPRESSION_PROBES]
+    q = orth(s_omega[:, COMPRESSION_PROBES:])
+    for stepped in (False, True):
+        y = apply_s(q)
+        b = q.T @ y
+        values, u = eigh(0.5 * (b + b.T))
+        miss = s_probes - q @ (q.T @ s_probes)
+        bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
+        if bound <= n * np.finfo(float).eps * float(np.abs(values).max()):
+            return Compression(values / scale, q @ u, bound / scale)
+        if stepped:
+            return None
+        # the gate missed: the Rayleigh-Ritz product S q is the power step
+        q = orth(y)
 
 
 @dataclass(frozen=True, eq=False)

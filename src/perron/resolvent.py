@@ -51,27 +51,24 @@ nonsymmetric kernels is not done.
 
 Measured on a 2-core Xeon with BLAS on one thread, for the Gaussian
 sigma = 0.35 on [0, 1]: a new well-conditioned shift (inverse, D and
-D') costs 8.8 ms at n = 600 and 0.16 s at n = 2000 with a float64 LU,
-and 1.7 ms and 7.3 ms on a compression (k = 32) that exists.  The
-compression costs 6 to 8 ms and 55 to 60 ms, once per kernel.  A
-library solve, which makes the compression for its one shift, breaks
-even with the float64 LU between n = 640 and n = 800 (medians of 20
-runs: 17.7 to 18.3 against 17.5 to 17.9 ms at n = 640, 25 to 27
-against 29 to 32 ms at n = 800); below it the LU wins (12.5 to 13.1
-against 10.7 to 10.8 ms at n = 512, 7.4 to 8.1 against 5.1 to 5.8 ms
-at n = 384, 4.0 to 5.2 against 2.4 to 2.9 ms at n = 256), above it the
-compression (32 against 47 ms at n = 1000).  COMPRESSED_SOLVE_MIN_DIM
-stays at 512, the break-even with the float32 LU this module used
-before, at a cost of at most about 2 ms per library solve from 512 to
-640 nodes.  A symmetric kernel of full rank pays the compression block
-that gives up before its LU: 5 to 9 ms at n = 600 and about 55 ms at
-n = 2000 for e^-|x-y|.  A whole grid of 5 to 200 shifts on the
-compression costs as much as 1 to 2 LU shifts at n = 600 (10 to 14 ms,
-the compression included) and less than one at n = 2000 (83 to 91 ms);
-the dense eigh route about 6 (50 ms) and 8 (1.3 s), the Schur form
-about 50 (0.44 s) and 34 (5.5 s).  So on a compressible kernel a grid
-of 2 or more shifts asked for with `perron dcurve --points` is faster
-than one LU per shift; on other kernels a grid shorter than the
+D') costs 4.2 to 5.1 ms at n = 600 and 84 to 90 ms at n = 2000 with a
+float64 LU, and 1.2 ms and 3.8 ms on a compression (k = 32) that
+exists.  The compression costs 1.8 ms and 12 to 13 ms, once per kernel.
+A library solve, which makes the compression for its one shift, breaks
+even with the float64 LU between n = 384 and n = 512 (medians of 20
+interleaved runs, two sets, the LU forced by a floor of n + 1: 2.7
+against 2.5 to 2.6 ms at n = 384, 4.3 to 4.7 against 4.8 to 5.2 ms at
+n = 512, 5.8 to 6.3 against 8.4 to 9.0 ms at n = 640, 8.1 to 8.2
+against 13.8 to 13.9 ms at n = 800), so COMPRESSED_SOLVE_MIN_DIM = 512
+is at or above it.  A symmetric kernel of full rank pays the
+compression that gives up before its LU, one power step included: 2.6
+ms at n = 600 and 18 ms at n = 2000 for e^-|x-y|.  A whole grid of 5 to
+200 shifts on the compression costs less than one LU shift at both
+sizes (2.0 to 2.5 ms and 13 to 15 ms, the compression included); the
+dense eigh route about 4 (19 to 22 ms) and 8 (0.70 to 0.73 s), the
+Schur form about 40 (0.17 to 0.19 s) and 30 (2.5 to 2.8 s).  So on a
+compressible kernel any grid asked for with `perron dcurve --points` is
+faster than one LU per shift; on other kernels a grid shorter than the
 break-even is slower.
 """
 
@@ -98,9 +95,8 @@ MAX_CONDITION = 1e12
 COMPRESSED_MAX_CONDITION = 1e4
 REFINE_STEPS = 30
 # from this many nodes on, a symmetric kernel with a compression solves its
-# shifts through the compression: where a library solve that makes it broke
-# even with a float32 LU; the float64 LU wins up to 640 nodes or more (see
-# the module docstring)
+# shifts through the compression: a library solve that makes it breaks even
+# with the float64 LU between 384 and 512 nodes (see the module docstring)
 COMPRESSED_SOLVE_MIN_DIM = 512
 # Newton, the residue extraction and value/derivative pairs revisit only
 # the current shift; older shifts are dropped
@@ -424,10 +420,10 @@ class BirmanSchwingerEvaluator:
         not finite, and it is refused as singular.  Past the factorization
         each shift costs O(n k) on a compression of rank k and O(n^2) on the
         dense routes, where the vector of the condition guard dominates.  The
-        factorization costs as much as 1 to 2 LU shifts on a compressible
-        kernel at n = 600, 6 to 8 for the dense eigh and 34 to 50 for the
-        Schur form at n = 600 to 2000 (see the module docstring), so only a
-        grid with fewer shifts is faster by one LU per shift.
+        factorization costs less than one LU shift on a compressible kernel
+        at n = 600 to 2000, about 4 to 8 for the dense eigh and 30 to 40 for
+        the Schur form (see the module docstring), so only a grid with fewer
+        shifts is faster by one LU per shift.
         """
         lams = np.asarray(lams, dtype=float)
         route, compression = self._route()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perron as pr
+import perron.kernel_op
 from perron.errors import DimensionMismatchError
-from conftest import random_positive_kernel
+from perron.kernel_op import COMPRESSION_BLOCK, compress_symmetric
+from perron.measure import INTERVAL_RULES
+from conftest import count_calls, random_positive_kernel
 
 
 class TestApply:
@@ -331,3 +335,56 @@ class TestSymmetry:
         assert kernel.symmetric
         monkeypatch.setattr(np, "array_equal", lambda *args: False)
         assert kernel.symmetric
+
+
+def weighted_s(kernel):
+    """S = W^1/2 K W^1/2 as a dense array."""
+    root_w = np.sqrt(kernel.space.weights)
+    return root_w[:, np.newaxis] * kernel.entries * root_w[np.newaxis, :]
+
+
+class TestCompression:
+    """``compress_symmetric`` takes its power step only where the probe
+    gate of the first Rayleigh-Ritz stage misses, and a compression it
+    returns passes the gate."""
+
+    @pytest.mark.parametrize(
+        "n, sigma, stages", [(600, 0.35, 1), (2000, 0.35, 1), (600, 0.1, 2)]
+    )
+    def test_power_step_only_where_the_first_gate_misses(self, n, sigma, stages, monkeypatch):
+        qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
+        eighs = count_calls(monkeypatch, perron.kernel_op, "eigh")
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), sigma)
+        c = compress_symmetric(kernel)
+        # one orthonormal range and one Rayleigh-Ritz eigh per stage
+        assert qrs == [(n, COMPRESSION_BLOCK)] * stages
+        assert eighs == [(COMPRESSION_BLOCK, COMPRESSION_BLOCK)] * stages
+        assert c.rank == COMPRESSION_BLOCK
+        backward = n * np.finfo(float).eps * float(np.abs(c.values).max())
+        assert c.probe_bound <= backward
+        top = scipy.linalg.eigvalsh(weighted_s(kernel), subset_by_index=[n - 1, n - 1])[0]
+        assert abs(c.values[-1] - top) <= backward
+
+    def test_probe_bound_bounds_the_range_error(self, monkeypatch):
+        # symmetric nonnegative kernels F F^T of rank 5 to 40, the columns
+        # of F decaying geometrically: most pass the first gate, some only
+        # after the power step, and some of rank above the block give up
+        qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
+        stages = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, rank = int(rng.integers(128, 301)), int(rng.integers(5, 41))
+            decay = rng.uniform(0.5, 0.8)
+            factor = rng.uniform(0, 1, (n, rank)) * decay ** np.arange(rank)
+            gram = factor @ factor.T
+            space = pr.make_interval_space(0, 1, n, INTERVAL_RULES[seed % 3])
+            kernel = pr.Kernel(0.5 * (gram + gram.T), space)
+            qrs.clear()
+            c = compress_symmetric(kernel)
+            if c is None:
+                continue
+            stages.append(len(qrs))
+            s = weighted_s(kernel)
+            v = c.vectors
+            assert c.probe_bound >= np.linalg.norm(s - v @ (v.T @ s), 2)
+        assert set(stages) == {1, 2}

@@ -505,7 +505,8 @@ class TestCompressedCurve:
         lams = np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20)
         d, dp = ev.curve(lams)
         assert kernel.compression is None
-        # one block with one power step is tried before the fallback
+        # the first Rayleigh-Ritz stage misses the probe gate, and so does
+        # the one power step after it, before the fallback
         assert qrs == [(kernel.size, perron.kernel_op.COMPRESSION_BLOCK)] * 2
         assert ev.curve_route() == {"route": "eigh", "rank": kernel.size, "probe_bound": None}
         assert calls.count((kernel.size, kernel.size)) == 1
