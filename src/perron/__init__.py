@@ -15,18 +15,14 @@ from .change_of_measure import (
     MeasureChange,
     changed_space,
     conjugate_kernel,
-    inverse_change,
     transform_schur,
-    transport_function,
 )
 from .corrected_kernels import (
     CorrectedKernelSequence,
     build_corrected_kernels,
     moment_scalars,
     neumann_kernel_resolvent,
-    neumann_tail_bound,
     probe_resolvent_identity,
-    rank_one_norm,
     verify_resolvent_identity,
 )
 from .doeblin import (
@@ -40,7 +36,6 @@ from .doeblin import (
     positivity_improving_check,
     power_doeblin_search,
     rank_one_split,
-    save_certificate,
     verify_certificate,
 )
 from .kernel_op import (
@@ -49,7 +44,6 @@ from .kernel_op import (
     SchurBound,
     SchurReport,
     SecondRadius,
-    apply,
     compose,
     constant_kernel,
     gaussian_kernel,
@@ -72,13 +66,8 @@ from .measure import (
 )
 from .mollified import (
     ConvergenceStudy,
-    LiftedKernelState,
     Mollifier,
     convergence_study,
-    kernel_space_norm,
-    mollified_functional,
-    mollified_recursion,
-    point_recursion,
 )
 from .resolvent import BirmanSchwingerEvaluator, RankOneOperator
 from .spectral import (

@@ -7,7 +7,7 @@ the isometric conjugate of the operator over mu:
 
 acting against the nu-weights w_i / h_i.  Conjugation is an exact
 similarity on the discrete level, so the spectrum is preserved to
-rounding error and eigenvectors transport through f -> h^(1/p) f.
+rounding error; the isometry moves a function f to h^(1/p) f.
 
 Row/column Schur certificates transport with both weights multiplied by
 h^(1/p) (the same isometry that moves the functions).  That transport
@@ -69,12 +69,6 @@ def conjugate_kernel(kernel: Kernel, mc: MeasureChange) -> Kernel:
     return Kernel(entries, changed_space(mc))
 
 
-def transport_function(f: GridFunction, mc: MeasureChange) -> GridFunction:
-    """Image of f under the isometry: h^(1/p) * f on the nu-space."""
-    check_same_space(f.space, mc.density.space)
-    return GridFunction(mc.row_factor() * f.values, changed_space(mc))
-
-
 def transform_schur(bound: SchurBound, mc: MeasureChange) -> SchurBound:
     """Transport a Schur certificate along the isometry, keeping C.
 
@@ -91,10 +85,3 @@ def transform_schur(bound: SchurBound, mc: MeasureChange) -> SchurBound:
         bound.constant,
     )
 
-
-def inverse_change(mc: MeasureChange) -> MeasureChange:
-    """The change that undoes mc, defined on the nu-space."""
-    space = changed_space(mc)
-    return MeasureChange(
-        GridFunction(1.0 / mc.density.values, space), mc.exponent
-    )

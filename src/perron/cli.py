@@ -194,7 +194,7 @@ def _resolve_certificate(cfg: dict, kernel: Kernel, config_dir: Path):
             path = config_dir / path
         try:
             cert = load_certificate(path, kernel.space)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError,
                 DimensionMismatchError) as exc:
             raise ConfigError(f"cannot load certificate {path}: {exc}") from exc
         if cert.power != 1:

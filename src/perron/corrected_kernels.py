@@ -119,22 +119,6 @@ def moment_scalars(split: RankOneSplit, m: int) -> list:
     return out
 
 
-def rank_one_norm(split: RankOneSplit) -> float:
-    """Weighted sup-norm of the subtracted rank-one operator."""
-    cert = split.certificate
-    mass = np.dot(cert.functional.density, split.kernel.space.weights)
-    return float(cert.alpha * np.max(cert.profile.values) * mass)
-
-
-def neumann_tail_bound(c: float, lam: float, m: int) -> float:
-    """A priori truncation bound after summing terms 0..m: the geometric
-    tail of ||G_n|| <= c^(n+1) at ratio c / lam; infinite when lam <= c."""
-    if lam <= c:
-        return np.inf
-    r = c / lam
-    return (c / lam) ** (m + 2) / (1.0 - r)
-
-
 def _series_block(split: RankOneSplit, blocks: list, lam: float, tol: float) -> np.ndarray:
     """Partial sums of sum_n lam^-(n+1) R^n B until the tail bound meets
     tol relative to the running sum.  ``blocks`` are the recursion's

@@ -108,45 +108,30 @@ class NotFoundWithin:
         return f"no power-Doeblin certificate found for N <= {self.n_max}"
 
 
-class _Remainder:
-    """The ``remainder`` field of :class:`RankOneSplit`, a descriptor: the
-    Kernel given to the split, or else the clamped gap
-    max(K - alpha * profile x density, 0), written by ``_gap`` on first read
-    and kept with the split.  Read on the class it gives the field's
-    default, None."""
-
-    def __get__(self, split, owner=None):
-        if split is None:
-            return None
-        remainder = split.__dict__["_remainder"]
-        if remainder is None:
-            entries = np.empty((split.kernel.size, split.kernel.size))
-            _gap(split.kernel, split.certificate, out=entries)
-            entries.flags.writeable = False
-            remainder = split.__dict__["_remainder"] = Kernel(entries, split.kernel.space)
-        return remainder
-
-    def __set__(self, split, remainder):
-        split.__dict__["_remainder"] = remainder
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class RankOneSplit:
     """T = alpha * (profile x functional) + remainder, with remainder >= 0.
 
     The solve never reads ``remainder``: it applies R as the implicit
     T - alpha * profile x phi (see ``resolvent``).  The explicit n x n
-    Kernel is the clamped gap of ``_gap``, built when first read and then
-    kept; ``dataclasses.replace(split, remainder=...)`` sets it instead.
-    The two differ only where the clamp lifts a float-noise slack to 0."""
+    Kernel is read-only: the clamped gap of ``_gap``, built when first
+    read and then kept.  The two differ only where the clamp lifts a
+    float-noise slack to 0."""
 
     kernel: Kernel
     certificate: MinorizationCertificate
-    remainder: Kernel | None = _Remainder()
 
     def __post_init__(self):
         if self.certificate.power != 1:
             raise ValueError("splits require a power-1 certificate")
+
+    @cached_property
+    def remainder(self) -> Kernel:
+        """max(K - alpha * profile x density, 0), written by ``_gap``."""
+        entries = np.empty((self.kernel.size, self.kernel.size))
+        _gap(self.kernel, self.certificate, out=entries)
+        entries.flags.writeable = False
+        return Kernel(entries, self.kernel.space)
 
 
 def _maximal_alpha(entries: np.ndarray, profile: np.ndarray, density: np.ndarray) -> float:
@@ -359,22 +344,30 @@ def positivity_improving_check(
 # Certificate files: pin a certificate across runs
 
 
-def save_certificate(cert: MinorizationCertificate, path) -> None:
-    payload = {
-        "alpha": cert.alpha,
-        "power": cert.power,
-        "profile": cert.profile.values.tolist(),
-        "density": cert.functional.density.tolist(),
-        "normalization": "pairing of the constant function 1 equals 1 for built-in shapes",
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _is_number(value) -> bool:
+    """A JSON number: bool is an int in Python, but true is no number in JSON."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_certificate(path, space) -> MinorizationCertificate:
+    """The certificate of a JSON file: an object with a number ``alpha``,
+    the arrays of numbers ``profile`` and ``density`` and an optional
+    integer ``power``, 1 by default.  A field of the wrong type raises
+    ValueError naming it."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"a certificate file holds a JSON object, not {type(payload).__name__}")
+    alpha, power = payload["alpha"], payload.get("power", 1)
+    if not _is_number(alpha):
+        raise ValueError(f"certificate alpha must be a number, got {json.dumps(alpha)}")
+    if not (_is_number(power) and isinstance(power, int)):
+        raise ValueError(f"certificate power must be an integer, got {json.dumps(power)}")
+    for name in ("profile", "density"):
+        if not (isinstance(payload[name], list) and all(map(_is_number, payload[name]))):
+            raise ValueError(f"certificate {name} must be an array of numbers")
     return MinorizationCertificate(
-        alpha=float(payload["alpha"]),
+        alpha=float(alpha),
         profile=GridFunction(np.asarray(payload["profile"], dtype=float), space),
         functional=WeightFunctional(np.asarray(payload["density"], dtype=float), space),
-        power=int(payload.get("power", 1)),
+        power=power,
     )

@@ -131,12 +131,6 @@ class Kernel:
         return compress_symmetric(self)
 
 
-def apply(kernel: Kernel, f: GridFunction) -> GridFunction:
-    """T f, the weighted matrix-vector product."""
-    check_same_space(kernel.space, f.space)
-    return GridFunction(kernel.matvec(f.values), kernel.space)
-
-
 def compose(a: Kernel, b: Kernel) -> Kernel:
     """Kernel of the operator product: (A o B)_ij = sum_k A_ik w_k B_kj."""
     check_same_space(a.space, b.space)

@@ -74,12 +74,6 @@ class MeasureSpace:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def function(self, values) -> "GridFunction":
-        return GridFunction(values, self)
-
-    def functional(self, density) -> "WeightFunctional":
-        return WeightFunctional(density, self)
-
     def ones(self) -> "GridFunction":
         return GridFunction(np.ones(self.size), self)
 
@@ -120,8 +114,8 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def is_nonnegative(self, slack: float = 0.0) -> bool:
-        return bool(np.all(self.values >= -slack))
+    def is_nonnegative(self) -> bool:
+        return bool(np.all(self.values >= 0))
 
     def is_strictly_positive(self) -> bool:
         return bool(np.all(self.values > 0))

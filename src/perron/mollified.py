@@ -1,31 +1,25 @@
-"""Kernel-space recursion with mollified point evaluation.
+"""Mollified point evaluation and its convergence study.
 
-Kernels are lifted to a space normed by the worst column,
-``|F| = max_y |F(., y)|_E``; the operator acts in the first variable and
-the rank-one direction is the kernel K itself.  Point evaluation at a
-reference pair (x0, y0) is not bounded there, so it is approximated by
-a mollified functional: a normalized double box average
+Point evaluation of a kernel at a reference pair (x0, y0) is
+approximated by a mollified functional: a normalized double box average
 
     phi_{e,d}[F] = sum_{x,y} F(x, y) psi_e(x) eta_d(y) w_x w_y,
 
 which has norm at most one and converges to F(x0, y0) at continuity
-points as the widths shrink.  The recursion
+points as the widths shrink.  The rank-one-subtracted recursion
 
-    G_{n+1} = K-compose(G_n) - K * phi_{e,d}[G_n]
+    G_0 = K,    G_{n+1} = K-compose(G_n) - K * phi_{e,d}[G_n]
 
-then converges to the exact point-subtraction recursion, which
-``convergence_study`` measures against shrinking widths.
+then converges to the exact point-subtraction recursion, with
+G_n(x0, y0) in place of phi_{e,d}[G_n], which ``convergence_study``
+measures in the sup norm against shrinking widths.
 
 Both recursions subtract multiples of K, so every iterate is a
 combination sum_j c_j K^(j) of the iterated kernels with j <= n+1, and
 a functional enters only through its values on the powers.
-``point_recursion`` and ``mollified_recursion`` iterate the kernels
-directly in one loop, one composition per step; their iterates are
-signed, so each is a read-only ``LiftedKernelState`` array, never a
-``Kernel``, whose entries are validated nonnegative.
-``convergence_study`` instead runs both recursions on the coefficients
-c_j, with the powers shared between the point recursion and every
-width; the error of each step is the norm of one combination,
+``convergence_study`` runs both recursions on the coefficients c_j, with
+the powers shared between the point recursion and every width; the
+error of each step is the sup norm of one combination,
 sum_j (c_j^{e} - c_j) K^(j).  A symmetric kernel with a low-rank
 compression (``Kernel.compression``) forms no power: a combination
 costs one O(n^2 k) product.  Any other kernel composes
@@ -40,7 +34,7 @@ import numpy as np
 
 from .errors import EmptySupportError, GridTooCoarseError
 from .kernel_op import Kernel
-from .measure import MeasureSpace, check_same_space
+from .measure import MeasureSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,48 +61,6 @@ class Mollifier:
 
     def acting_vector(self) -> np.ndarray:
         return self.density * self.space.weights
-
-
-def kernel_space_norm(kernel, p: float = np.inf) -> float:
-    """max over columns y of the E-norm of the column function F(., y), for
-    a ``Kernel`` or a ``LiftedKernelState``."""
-    return _column_norm(np.abs(kernel.entries), kernel.space.weights, p)
-
-
-def _column_norm(magnitudes: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """``kernel_space_norm`` of the entries |F| = magnitudes."""
-    if np.isinf(p):
-        return float(magnitudes.max())
-    return float(((magnitudes**p * weights[:, np.newaxis]).sum(axis=0) ** (1.0 / p)).max())
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedKernelState:
-    """One iterate of a lifted recursion: its entries over the kernel's
-    space, with their norm.  The iterates are corrections, signed in
-    general, so they are read-only arrays and not ``Kernel`` objects,
-    whose entries are nonnegative."""
-
-    entries: np.ndarray
-    space: MeasureSpace
-    norm: float
-
-    @classmethod
-    def from_entries(
-        cls, entries: np.ndarray, space: MeasureSpace, p: float = np.inf
-    ) -> "LiftedKernelState":
-        """The state of a read-only copy of ``entries``."""
-        entries = np.array(entries, dtype=float)
-        entries.flags.writeable = False
-        return cls(entries, space, _column_norm(np.abs(entries), space.weights, p))
-
-
-def mollified_functional(state, psi: Mollifier, eta: Mollifier) -> float:
-    """Double box average of a ``Kernel`` or a ``LiftedKernelState``
-    against the two mollifiers."""
-    check_same_space(state.space, psi.space)
-    check_same_space(state.space, eta.space)
-    return float(psi.acting_vector() @ state.entries @ eta.acting_vector())
 
 
 def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
@@ -172,60 +124,6 @@ def _subtraction_coefficients(values: np.ndarray, m: int) -> np.ndarray:
     return coeffs
 
 
-def mollified_recursion(
-    kernel: Kernel,
-    alpha: float,
-    profile,
-    psi: Mollifier,
-    eta: Mollifier,
-    m: int,
-    direction: str = "kernel",
-    p: float = np.inf,
-) -> list:
-    """Iterate the rank-one-subtracted lift m times, starting from K.
-
-    ``direction`` selects what multiplies the subtracted scalar:
-    ``"kernel"`` (default) subtracts K(x, y) * phi[G_n], keeping the
-    rank-one range equal to span{K}; ``"profile"`` subtracts
-    alpha * profile(x) * phi[G_n] instead, matching the minorization
-    shape.  Both variants are exposed because they coincide only when
-    the kernel itself is the certified direction.
-    """
-    if direction not in ("kernel", "profile"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if direction == "profile":
-        values = np.asarray(getattr(profile, "values", profile), dtype=float)
-        subtract_direction = alpha * values[:, np.newaxis] * np.ones((1, kernel.size))
-    else:
-        subtract_direction = kernel.entries
-    a, b = psi.acting_vector(), eta.acting_vector()
-    return _lifted_recursion(kernel, subtract_direction, lambda g: float(a @ g @ b), m, p)
-
-
-def point_recursion(kernel: Kernel, x0_index: int, y0_index: int, m: int) -> list:
-    """Exact point-subtraction recursion using the node value at (x0, y0):
-    G_{n+1} = K-compose(G_n) - K * G_n(x0, y0), as ``LiftedKernelState``
-    iterates G_0 .. G_m."""
-    n = kernel.size
-    if not (0 <= x0_index < n and 0 <= y0_index < n):
-        raise IndexError("reference indices out of range")
-    return _lifted_recursion(kernel, kernel.entries, lambda g: float(g[x0_index, y0_index]), m)
-
-
-def _lifted_recursion(kernel: Kernel, direction: np.ndarray, functional, m: int,
-                      p: float = np.inf) -> list:
-    """G_0 = K, G_{n+1} = K-compose(G_n) - direction * functional(G_n), as
-    ``LiftedKernelState`` iterates G_0 .. G_m."""
-    states = [LiftedKernelState.from_entries(kernel.entries, kernel.space, p)]
-    for _ in range(m):
-        current = states[-1].entries
-        nxt = kernel.matvec(current) - direction * functional(current)
-        states.append(LiftedKernelState.from_entries(nxt, kernel.space, p))
-    return states
-
-
 @dataclass(frozen=True)
 class ConvergenceStudy:
     x0: float
@@ -233,7 +131,7 @@ class ConvergenceStudy:
     x0_index: int
     y0_index: int
     widths: tuple
-    errors: tuple          # max_n |G_n^{e,e} - G_n| in the lifted norm, per width
+    errors: tuple          # max_n sup |G_n^{e,e} - G_n|, per width
     per_step: tuple        # tuple of per-n error tuples, one per width
 
 
@@ -243,7 +141,6 @@ def convergence_study(
     y0: float,
     widths,
     m: int,
-    p: float = np.inf,
 ) -> ConvergenceStudy:
     """Distance between the mollified and the point recursions as the
     mollifier width shrinks.
@@ -277,9 +174,7 @@ def convergence_study(
         eta = Mollifier(cy, eps, kernel.space)
         mollified = forms(psi.acting_vector(), eta.acting_vector())
         gap = _subtraction_coefficients(mollified, m) - exact
-        step_errors = tuple(
-            _column_norm(magnitudes(c), kernel.space.weights, p) for c in gap
-        )
+        step_errors = tuple(float(magnitudes(c).max()) for c in gap)
         per_step.append(step_errors)
         errors.append(max(step_errors))
     return ConvergenceStudy(

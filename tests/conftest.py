@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -130,6 +131,47 @@ def series_term_norms(ev, lambda0: float, n_terms: int) -> np.ndarray:
         norms[n] = float(np.max(np.abs(term)))
         term = rem.matvec(term) / lambda0
     return norms
+
+
+def rank_one_norm(split) -> float:
+    """Weighted sup-norm of the split's subtracted rank-one operator."""
+    cert = split.certificate
+    mass = np.dot(cert.functional.density, split.kernel.space.weights)
+    return float(cert.alpha * np.max(cert.profile.values) * mass)
+
+
+def neumann_tail_bound(c: float, lam: float, m: int) -> float:
+    """A priori truncation bound of the corrected-kernel series after the
+    terms 0..m: the geometric tail of ||G_n|| <= c^(n+1) at ratio c / lam;
+    infinite when lam <= c."""
+    if lam <= c:
+        return np.inf
+    r = c / lam
+    return r ** (m + 2) / (1.0 - r)
+
+
+def transport_function(f, mc):
+    """Image of f under the isometry of the change of measure mc:
+    h^(1/p) f on the nu-space."""
+    return pr.GridFunction(mc.row_factor() * f.values, pr.changed_space(mc))
+
+
+def inverse_change(mc):
+    """The change of measure that undoes mc, defined on the nu-space."""
+    return pr.MeasureChange(pr.GridFunction(1.0 / mc.density.values, pr.changed_space(mc)),
+                            mc.exponent)
+
+
+def save_certificate(cert, path) -> None:
+    """Write cert in the format ``perron.load_certificate`` reads."""
+    payload = {
+        "alpha": cert.alpha,
+        "power": cert.power,
+        "profile": cert.profile.values.tolist(),
+        "density": cert.functional.density.tolist(),
+        "normalization": "pairing of the constant function 1 equals 1 for built-in shapes",
+    }
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def random_positive_kernel(space, rng, low=0.05, high=1.05):

@@ -16,7 +16,14 @@ from click.testing import CliRunner
 import perron as pr
 from perron.cli import main as cli_main
 import bell_expansion
-from conftest import eigenvalues_via_charpoly, remainder_radius, series_term_norms
+from conftest import (
+    eigenvalues_via_charpoly,
+    neumann_tail_bound,
+    rank_one_norm,
+    remainder_radius,
+    series_term_norms,
+    transport_function,
+)
 
 SEED = 20240808
 
@@ -209,7 +216,7 @@ def test_criterion_06_kernel_resolvent_identity(solved):
         split = inst.result.evaluator.split
         k = inst.kernel
         lam = 2.0 * k.weighted_inf_norm()
-        c = k.weighted_inf_norm() + pr.rank_one_norm(split)
+        c = k.weighted_inf_norm() + rank_one_norm(split)
         if lam <= c:
             continue
         direct = np.linalg.solve(
@@ -223,7 +230,7 @@ def test_criterion_06_kernel_resolvent_identity(solved):
             measured = float(
                 (np.abs(partial - direct) * k.space.weights[np.newaxis, :]).sum(axis=1).max()
             )
-            assert measured <= pr.neumann_tail_bound(c, lam, m) * (1 + 1e-12), inst.label
+            assert measured <= neumann_tail_bound(c, lam, m) * (1 + 1e-12), inst.label
             checked += 1
     announce(
         6,
@@ -335,7 +342,7 @@ def test_criterion_09_change_of_measure():
         res = pr.solve(kernel)
         res_e = pr.solve(pr.conjugate_kernel(kernel, mc))
         d_lam = abs(res_e.lambda0 - res.lambda0) / res.lambda0
-        transported = pr.transport_function(res.eigenfunction, mc)
+        transported = transport_function(res.eigenfunction, mc)
         scale = res_e.eigenfunction.values[0] / transported.values[0]
         d_w = float(
             np.max(np.abs(res_e.eigenfunction.values - scale * transported.values))

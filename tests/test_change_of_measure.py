@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import perron as pr
-from conftest import random_positive_kernel
+from conftest import inverse_change, random_positive_kernel, transport_function
 
 
 @pytest.fixture
@@ -67,7 +67,7 @@ class TestConjugation:
             ke = pr.conjugate_kernel(interval_kernel, mc)
             w_mu = pr.solve(interval_kernel).eigenfunction
             w_nu = pr.solve(ke).eigenfunction
-            transported = pr.transport_function(w_mu, mc)
+            transported = transport_function(w_mu, mc)
             scale = w_nu.values[0] / transported.values[0]
             defect = np.max(np.abs(w_nu.values - scale * transported.values))
             assert defect <= 1e-8 * np.max(np.abs(w_nu.values))
@@ -75,7 +75,7 @@ class TestConjugation:
     def test_involution(self, interval_kernel):
         mc = pr.MeasureChange(density_on(interval_kernel.space, seed=84), 2.0)
         ke = pr.conjugate_kernel(interval_kernel, mc)
-        back = pr.conjugate_kernel(ke, pr.inverse_change(mc))
+        back = pr.conjugate_kernel(ke, inverse_change(mc))
         np.testing.assert_allclose(back.entries, interval_kernel.entries, atol=1e-12)
         np.testing.assert_allclose(
             back.space.weights, interval_kernel.space.weights, atol=1e-15

@@ -18,7 +18,7 @@ import perron.mollified
 import perron.resolvent
 from perron.cli import main
 from perron.errors import IllConditionedError
-from conftest import count_calls, perturb_top_value, remainder_radius
+from conftest import count_calls, perturb_top_value, remainder_radius, save_certificate
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -289,8 +289,8 @@ class TestSolveCommand:
         (tmp_path / "m.csv").write_text("2,1\n1,2\n")
         sp = pr.make_counting_space(2)
         k = pr.kernel_from_csv(tmp_path / "m.csv", sp)
-        pr.save_certificate(pr.extract_minorization(k, "user", [1.0, 1.0], [0.0, 1.0]),
-                            tmp_path / "cert.json")
+        save_certificate(pr.extract_minorization(k, "user", [1.0, 1.0], [0.0, 1.0]),
+                         tmp_path / "cert.json")
         cfg = write_config(tmp_path / "m.json", {
             "kernel": {"family": "csv", "path": "m.csv"},
             "space": {"kind": "counting", "n": 2},
@@ -335,6 +335,35 @@ class TestSolveCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("config error: certificate ")
         assert "has power 2" in result.output and "perron power-doeblin" in result.output
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("payload, field", [
+        ([1, 2], "JSON object"),
+        ({"alpha": None}, "alpha"),
+        ({"power": None}, "power"),
+        ({"power": 1.5}, "power"),
+        ({"power": True}, "power"),
+        ({"profile": {"x": 1.0}}, "profile"),
+        ({"alpha": 10**400}, "too large"),
+    ])
+    def test_malformed_certificate_file_exit_one(self, runner, tmp_path, command,
+                                                 payload, field):
+        (tmp_path / "m.csv").write_text("2,1\n1,2\n")
+        cert = {"alpha": 1.0, "power": 1, "profile": [1.0, 1.0], "density": [0.5, 0.5]}
+        if isinstance(payload, dict):
+            payload = {**cert, **payload}
+        (tmp_path / "cert.json").write_text(json.dumps(payload))
+        cfg = write_config(tmp_path / "m.json", {
+            "kernel": {"family": "csv", "path": "m.csv"},
+            "space": {"kind": "counting", "n": 2},
+            "certificate": {"path": "cert.json"},
+        })
+        result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.startswith("config error: cannot load certificate ")
+        assert field in result.output
 
     def test_residual_over_threshold_exits_three(self, runner, tmp_path, monkeypatch):
         monkeypatch.setitem(perron.cli.THRESHOLDS, "eig_residual", 0.0)

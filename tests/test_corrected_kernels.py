@@ -7,7 +7,12 @@ import pytest
 import perron as pr
 from perron.errors import DimensionMismatchError, NotConvergentError
 import bell_expansion
-from conftest import random_positive_kernel, series_term_norms
+from conftest import (
+    neumann_tail_bound,
+    random_positive_kernel,
+    rank_one_norm,
+    series_term_norms,
+)
 
 
 def split_for(kernel, strategy="row_min"):
@@ -79,7 +84,7 @@ class TestRecursion:
         k = random_positive_kernel(sp, rng)
         split = split_for(k)
         seq = pr.build_corrected_kernels(split, 10)
-        c = k.weighted_inf_norm() + pr.rank_one_norm(split)
+        c = k.weighted_inf_norm() + rank_one_norm(split)
         for n, kern in enumerate(seq.kernels):
             assert kern.weighted_inf_norm() < c ** (n + 1)
 
@@ -128,8 +133,8 @@ class TestNeumannKernelResolvent:
         np.testing.assert_allclose(h.entries, 0.5, rtol=1e-13)
 
     def test_tail_bound_formula(self):
-        assert pr.neumann_tail_bound(1.0, 2.0, 3) == pytest.approx((0.5**5) / 0.5)
-        assert pr.neumann_tail_bound(2.0, 2.0, 3) == np.inf
+        assert neumann_tail_bound(1.0, 2.0, 3) == pytest.approx((0.5**5) / 0.5)
+        assert neumann_tail_bound(2.0, 2.0, 3) == np.inf
 
 
 def count_block_products(monkeypatch):
@@ -223,17 +228,25 @@ def identity_verdict(run):
     return "pass" if report.relative_residual <= 1e-9 else "fail"
 
 
+def with_remainder(split, remainder, certificate=None):
+    """A split of the same kernel whose explicit remainder is the given
+    Kernel, written where the split keeps the one it builds."""
+    out = pr.RankOneSplit(split.kernel, certificate or split.certificate)
+    out.__dict__["remainder"] = remainder
+    return out
+
+
 def remainder_entry(split, eps):
     entries = split.remainder.entries.copy()
     n = split.kernel.size
     entries[n // 3, n // 2] *= 1 + eps
-    return dataclasses.replace(split, remainder=pr.Kernel(entries, split.kernel.space))
+    return with_remainder(split, pr.Kernel(entries, split.kernel.space))
 
 
 def remainder_column(split, eps):
     entries = split.remainder.entries.copy()
     entries[:, split.kernel.size // 2] *= 1 + eps
-    return dataclasses.replace(split, remainder=pr.Kernel(entries, split.kernel.space))
+    return with_remainder(split, pr.Kernel(entries, split.kernel.space))
 
 
 def moved_mass(split, eps):
@@ -247,12 +260,13 @@ def moved_mass(split, eps):
     delta = eps * entries[i, j1]
     entries[i, j1] += delta
     entries[i, j2] -= delta
-    return dataclasses.replace(split, remainder=pr.Kernel(entries, split.kernel.space))
+    return with_remainder(split, pr.Kernel(entries, split.kernel.space))
 
 
 def scaled_alpha(split, eps):
+    """The certificate's alpha scaled, with the remainder of the old alpha."""
     cert = dataclasses.replace(split.certificate, alpha=split.certificate.alpha * (1 + eps))
-    return dataclasses.replace(split, certificate=cert)
+    return with_remainder(split, split.remainder, cert)
 
 
 def dense_identity(split, lam):

@@ -78,24 +78,25 @@ class TestIntervalSpace:
 class TestPairing:
     def test_unit_integral(self, unit_interval_64):
         sp = unit_interval_64
-        assert pr.pair(sp.functional(np.ones(64)), sp.ones()) == pytest.approx(1.0, abs=1e-14)
+        phi = pr.WeightFunctional(np.ones(64), sp)
+        assert pr.pair(phi, sp.ones()) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_functional(self, unit_interval_64):
         sp = unit_interval_64
-        f = sp.function(np.random.default_rng(0).normal(size=64))
-        assert pr.pair(sp.functional(np.zeros(64)), f) == 0.0
+        f = pr.GridFunction(np.random.default_rng(0).normal(size=64), sp)
+        assert pr.pair(pr.WeightFunctional(np.zeros(64), sp), f) == 0.0
 
     def test_quadratic_moment(self):
         # closed form: integral of y^2 over (0,1) is 1/3
         sp = pr.make_interval_space(0, 1, 200, "midpoint")
-        phi = sp.functional(sp.nodes)
-        f = sp.function(sp.nodes)
+        phi = pr.WeightFunctional(sp.nodes, sp)
+        f = pr.GridFunction(sp.nodes, sp)
         assert pr.pair(phi, f) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
     def test_dimension_mismatch(self, unit_interval_64):
         other = pr.make_interval_space(0, 1, 32, "midpoint")
         with pytest.raises(DimensionMismatchError):
-            pr.pair(unit_interval_64.functional(np.ones(64)), other.ones())
+            pr.pair(pr.WeightFunctional(np.ones(64), unit_interval_64), other.ones())
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -106,21 +107,21 @@ class TestPairing:
     def test_linearity(self, a, b, seed):
         rng = np.random.default_rng(seed)
         sp = pr.make_interval_space(0, 1, 16, "midpoint")
-        phi = sp.functional(rng.uniform(0, 2, 16))
+        phi = pr.WeightFunctional(rng.uniform(0, 2, 16), sp)
         f = rng.normal(size=16)
         h = rng.normal(size=16)
-        lhs = pr.pair(phi, sp.function(a * f + b * h))
-        rhs = a * pr.pair(phi, sp.function(f)) + b * pr.pair(phi, sp.function(h))
+        lhs = pr.pair(phi, pr.GridFunction(a * f + b * h, sp))
+        rhs = a * pr.pair(phi, pr.GridFunction(f, sp)) + b * pr.pair(phi, pr.GridFunction(h, sp))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_strict_positivity(self):
         sp = pr.make_counting_space(5)
-        phi = sp.functional(np.full(5, 0.2))
+        phi = pr.WeightFunctional(np.full(5, 0.2), sp)
         assert phi.strictly_positive
         for i in range(5):
             f = np.zeros(5)
             f[i] = 1.0
-            assert pr.pair(phi, sp.function(f)) > 0
+            assert pr.pair(phi, pr.GridFunction(f, sp)) > 0
 
     def test_midpoint_second_order_convergence(self):
         # halving h should divide the error by about 4 on a smooth integrand
@@ -128,7 +129,8 @@ class TestPairing:
         errs = []
         for n in (50, 100, 200):
             sp = pr.make_interval_space(0, 1, n, "midpoint")
-            errs.append(abs(pr.pair(sp.functional(np.ones(n)), sp.function(np.exp(sp.nodes))) - exact))
+            phi = pr.WeightFunctional(np.ones(n), sp)
+            errs.append(abs(pr.pair(phi, pr.GridFunction(np.exp(sp.nodes), sp)) - exact))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
 

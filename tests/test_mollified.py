@@ -6,6 +6,7 @@ import perron.kernel_op
 import perron.mollified
 from perron.errors import EmptySupportError, GridTooCoarseError
 from conftest import count_calls
+from subtraction_recursion import box_average, subtraction_recursion
 
 
 @pytest.fixture
@@ -29,21 +30,28 @@ class TestMollifier:
         assert float(m.density @ fine_space.weights) == pytest.approx(1.0, abs=1e-12)
 
 
+def point_recursion(kernel, ix, iy, m):
+    return subtraction_recursion(kernel, lambda g: float(g[ix, iy]), m)
+
+
+def mollified_recursion(kernel, psi, eta, m):
+    return subtraction_recursion(kernel, lambda g: box_average(g, psi, eta), m)
+
+
 class TestMollifiedFunctional:
     def test_constant_kernel_exact(self, fine_space):
         k = pr.constant_kernel(fine_space, 3.7)
         psi = pr.Mollifier(0.3, 0.05, fine_space)
         eta = pr.Mollifier(0.7, 0.08, fine_space)
-        assert pr.mollified_functional(k, psi, eta) == pytest.approx(3.7, rel=1e-12)
+        assert box_average(k.entries, psi, eta) == pytest.approx(3.7, rel=1e-12)
 
     def test_coordinate_function_near_center(self, fine_space):
         # kernel F(x, y) = x averaged around x0 = 0.5
         entries = np.outer(fine_space.nodes, np.ones(400))
-        k = pr.Kernel(entries, fine_space)
         for eps in (0.1, 0.05, 0.02):
             psi = pr.Mollifier(0.5, eps, fine_space)
             eta = pr.Mollifier(0.5, eps, fine_space)
-            assert pr.mollified_functional(k, psi, eta) == pytest.approx(0.5, abs=eps)
+            assert box_average(entries, psi, eta) == pytest.approx(0.5, abs=eps)
 
     def test_converges_to_point_value(self, fine_space):
         k = pr.gaussian_kernel(fine_space, 0.25)
@@ -55,7 +63,7 @@ class TestMollifiedFunctional:
         for eps in (0.1, 0.05, 0.025):
             psi = pr.Mollifier(cx, eps, fine_space)
             eta = pr.Mollifier(cy, eps, fine_space)
-            errors.append(abs(pr.mollified_functional(k, psi, eta) - target))
+            errors.append(abs(box_average(k.entries, psi, eta) - target))
         assert errors[0] > errors[1] > errors[2]
         assert errors[-1] <= 0.025 * 10  # first-order envelope
 
@@ -63,35 +71,9 @@ class TestMollifiedFunctional:
         # |phi[F]| <= sup |F| for normalized box pairs
         rng = np.random.default_rng(91)
         entries = rng.normal(size=(400, 400))
-        state = pr.LiftedKernelState.from_entries(entries, fine_space)
         psi = pr.Mollifier(0.5, 0.07, fine_space)
         eta = pr.Mollifier(0.25, 0.07, fine_space)
-        assert abs(pr.mollified_functional(state, psi, eta)) <= state.norm
-
-
-class TestKernelSpaceNorm:
-    def test_sup_norm(self, fine_space):
-        k = pr.constant_kernel(fine_space, 2.0)
-        assert pr.kernel_space_norm(k) == 2.0
-
-    def test_weighted_p_norm(self):
-        sp = pr.make_counting_space(2)
-        k = pr.Kernel(np.array([[3.0, 0.0], [4.0, 1.0]]), sp)
-        # columns under the weighted 2-norm: sqrt(9+16) = 5 and 1
-        assert pr.kernel_space_norm(k, p=2) == pytest.approx(5.0)
-
-    def test_lifted_operator_norm_bound(self, fine_space):
-        # the lift acts columnwise, so its norm never exceeds the
-        # operator norm on functions
-        k = pr.gaussian_kernel(fine_space, 0.3)
-        t_norm = k.weighted_inf_norm()
-        rng = np.random.default_rng(92)
-        for _ in range(5):
-            f = pr.LiftedKernelState.from_entries(rng.normal(size=(400, 400)), fine_space)
-            lifted = pr.LiftedKernelState.from_entries(
-                k.entries @ (fine_space.weights[:, np.newaxis] * f.entries), fine_space
-            )
-            assert pr.kernel_space_norm(lifted) <= t_norm * pr.kernel_space_norm(f) + 1e-12
+        assert abs(box_average(entries, psi, eta)) <= np.abs(entries).max()
 
 
 class TestMollifiedRecursion:
@@ -99,18 +81,18 @@ class TestMollifiedRecursion:
         k = pr.constant_kernel(fine_space, 1.0)
         psi = pr.Mollifier(0.5, 0.1, fine_space)
         eta = pr.Mollifier(0.5, 0.1, fine_space)
-        states = pr.mollified_recursion(k, 1.0, None, psi, eta, 3)
+        states = mollified_recursion(k, psi, eta, 3)
         for st in states[1:]:
-            assert st.norm <= 1e-12
+            assert np.abs(st).max() <= 1e-12
 
     def test_rank_one_subtraction_range_is_kernel_span(self, fine_space):
         # every subtracted term is a scalar multiple of K itself
         k = pr.gaussian_kernel(fine_space, 0.4)
         psi = pr.Mollifier(0.5, 0.1, fine_space)
         eta = pr.Mollifier(0.5, 0.1, fine_space)
-        states = pr.mollified_recursion(k, 1.0, None, psi, eta, 2)
-        composed = k.entries @ (fine_space.weights[:, np.newaxis] * states[0].entries)
-        diff = composed - states[1].entries
+        states = mollified_recursion(k, psi, eta, 2)
+        composed = k.entries @ (fine_space.weights[:, np.newaxis] * states[0])
+        diff = composed - states[1]
         # diff = K * scalar: all entries proportional to K
         ratio = diff / k.entries
         assert np.max(np.abs(ratio - ratio[0, 0])) <= 1e-10
@@ -120,30 +102,13 @@ class TestMollifiedRecursion:
         k = pr.gaussian_kernel(fine_space, 0.35)
         psi = pr.Mollifier(0.4, 0.08, fine_space)
         eta = pr.Mollifier(0.6, 0.08, fine_space)
-        states = pr.mollified_recursion(k, 1.0, None, psi, eta, 3)
+        states = mollified_recursion(k, psi, eta, 3)
         w = fine_space.weights
         for n in range(3):
-            g = states[n].entries
+            g = states[n]
             scalar = float(psi.acting_vector() @ g @ eta.acting_vector())
             explicit = k.entries @ (w[:, np.newaxis] * g) - k.entries * scalar
-            np.testing.assert_allclose(
-                states[n + 1].entries, explicit, atol=1e-10
-            )
-
-    def test_profile_direction_variant(self, fine_space):
-        k = pr.gaussian_kernel(fine_space, 0.35)
-        cert = pr.extract_minorization(k)
-        psi = pr.Mollifier(0.5, 0.1, fine_space)
-        eta = pr.Mollifier(0.5, 0.1, fine_space)
-        states = pr.mollified_recursion(
-            k, cert.alpha, cert.profile, psi, eta, 2, direction="profile"
-        )
-        g0 = states[0].entries
-        scalar = float(psi.acting_vector() @ g0 @ eta.acting_vector())
-        explicit = k.entries @ (fine_space.weights[:, np.newaxis] * g0) - (
-            cert.alpha * cert.profile.values[:, np.newaxis]
-        ) * scalar
-        np.testing.assert_allclose(states[1].entries, explicit, atol=1e-10)
+            np.testing.assert_allclose(states[n + 1], explicit, atol=1e-10)
 
     def test_wide_mollifier_matches_global_average_subtraction(self, fine_space):
         # a box covering the whole domain makes the mollified functional a
@@ -151,53 +116,46 @@ class TestMollifiedRecursion:
         k = pr.gaussian_kernel(fine_space, 0.5)
         psi = pr.Mollifier(0.5, 0.5, fine_space)
         eta = pr.Mollifier(0.5, 0.5, fine_space)
-        states = pr.mollified_recursion(k, 1.0, None, psi, eta, 1)
+        states = mollified_recursion(k, psi, eta, 1)
         w = fine_space.weights
         global_avg = float(w @ k.entries @ w) / (w.sum() ** 2)
         direct = k.entries @ (w[:, np.newaxis] * k.entries) - k.entries * global_avg
-        np.testing.assert_allclose(states[1].entries, direct, atol=1e-12)
+        np.testing.assert_allclose(states[1], direct, atol=1e-12)
 
 
 class TestPointRecursion:
     def test_constant_kernel(self, fine_space):
         k = pr.constant_kernel(fine_space, 1.0)
-        out = pr.point_recursion(k, 200, 200, 2)
-        np.testing.assert_allclose(out[1].entries, 0.0, atol=1e-13)
+        out = point_recursion(k, 200, 200, 2)
+        np.testing.assert_allclose(out[1], 0.0, atol=1e-13)
 
     def test_chain_first_step(self, two_state_chain):
         # reference entry (0, 0) is zero, so the first subtraction vanishes
-        out = pr.point_recursion(two_state_chain, 0, 0, 1)
-        np.testing.assert_allclose(out[1].entries, [[0.5, 0.5], [0.25, 0.75]])
+        out = point_recursion(two_state_chain, 0, 0, 1)
+        np.testing.assert_allclose(out[1], [[0.5, 0.5], [0.25, 0.75]])
 
     def test_symmetric_2x2_by_hand(self, symmetric_2x2):
-        out = pr.point_recursion(symmetric_2x2, 0, 0, 1)
-        np.testing.assert_allclose(out[1].entries, [[1.0, 2.0], [2.0, 1.0]])
-
-    def test_index_validation(self, symmetric_2x2):
-        with pytest.raises(IndexError):
-            pr.point_recursion(symmetric_2x2, 5, 0, 1)
+        out = point_recursion(symmetric_2x2, 0, 0, 1)
+        np.testing.assert_allclose(out[1], [[1.0, 2.0], [2.0, 1.0]])
 
 
 def loop_study_errors(kernel, ix, iy, widths, m):
-    """Per-step errors of ``convergence_study`` from the public recursions,
+    """Per-step errors of ``convergence_study`` from the reference loops,
     which compose once per step and per width."""
-    exact = pr.point_recursion(kernel, ix, iy, m)
+    exact = point_recursion(kernel, ix, iy, m)
     cx, cy = kernel.space.nodes[ix], kernel.space.nodes[iy]
     per_step = []
     for eps in widths:
         psi = pr.Mollifier(cx, eps, kernel.space)
         eta = pr.Mollifier(cy, eps, kernel.space)
-        states = pr.mollified_recursion(kernel, 1.0, None, psi, eta, m)
-        per_step.append(
-            [np.abs(st.entries - e.entries).max() for st, e in zip(states, exact)]
-        )
+        states = mollified_recursion(kernel, psi, eta, m)
+        per_step.append([np.abs(st - e).max() for st, e in zip(states, exact)])
     return np.array(per_step)
 
 
 class TestSharedPowers:
     """The coefficient recursions of ``convergence_study`` over shared
-    powers of K against the loops of ``point_recursion`` and
-    ``mollified_recursion``."""
+    powers of K against the reference loop of ``subtraction_recursion``."""
 
     @pytest.mark.parametrize(
         "n, sigma, widths, m",

@@ -52,7 +52,9 @@ class TestFindDominant:
         # without a certified shift where D < 0, and the error names them
         k = pr.Kernel(np.array([[1.0, 1.0], [1.0, 1.0]]), counting2)
         cert = pr.MinorizationCertificate(
-            alpha=1e-12, profile=counting2.ones(), functional=counting2.functional([0.5, 0.5])
+            alpha=1e-12,
+            profile=counting2.ones(),
+            functional=pr.WeightFunctional([0.5, 0.5], counting2),
         )
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(k, cert))
         with pytest.raises(NoSignChangeError, match=r"fences \[2\.000000e\+00, 2\.000000e\+00\]"):
@@ -242,7 +244,7 @@ class TestRootSearch:
         finally:
             tracemalloc.stop()
         assert passes == []
-        assert vars(result.evaluator.split)["_remainder"] is None
+        assert "remainder" not in vars(result.evaluator.split)
         assert peak < 0.25 * 8 * n * n
 
     @pytest.mark.parametrize("n", [600, 2000])
@@ -446,7 +448,7 @@ class TestProjection:
         lam = pr.find_dominant(ev)
         proj = pr.spectral_projection(ev, lam)
         # rank-one projection onto constants: P f = mean(f)
-        f = unit_interval_64.function(np.sin(unit_interval_64.nodes * 7))
+        f = pr.GridFunction(np.sin(unit_interval_64.nodes * 7), unit_interval_64)
         out = proj.matrix() @ f.values
         np.testing.assert_allclose(out, f.integral(), rtol=1e-9)
 
