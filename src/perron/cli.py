@@ -347,6 +347,7 @@ def solve_cmd(config_path, out_flag):
         },
         "curve": None if curve is None else result.evaluator.curve_route(),
         "lambda0": result.lambda0,
+        "lambda0_bracket": result.diagnostics.lambda0_bracket,
         "oracle_rho": oracle_rho,
         "remainder_radius_bracket": list(bracket),
         "spectral_gap": {

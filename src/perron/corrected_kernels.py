@@ -42,7 +42,7 @@ import numpy as np
 
 from .doeblin import RankOneSplit
 from .errors import DimensionMismatchError, NotConvergentError
-from .kernel_op import Kernel, _pow2_scale
+from .kernel_op import Kernel, _pow2_scale, overflow_raises
 
 SERIES_MAX_TERMS = 10_000  # terms of the kernel resolvent series before it gives up
 
@@ -99,13 +99,17 @@ def _corrected_blocks(split: RankOneSplit, start: np.ndarray, m: int, unit: floa
 
 
 def build_corrected_kernels(split: RankOneSplit, m: int) -> CorrectedKernelSequence:
-    """Run the cross-checked recursion of ``_corrected_blocks`` to order m."""
+    """Run the cross-checked recursion of ``_corrected_blocks`` to order m.
+    G_n grows like ||T||_inf^n max K: where that overflows, it raises
+    ScaleOverflowError (see ``overflow_raises``)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    blocks = _corrected_blocks(split, split.kernel.entries, m)
+    with overflow_raises(split.kernel, f"the corrected kernels G_1 .. G_{m}"):
+        blocks = _corrected_blocks(split, split.kernel.entries, m)
+        moments = moment_scalars(split, m)
     space = split.kernel.space
     kernels = [split.kernel] + [Kernel(block, space) for block in blocks[1:]]
-    return CorrectedKernelSequence(split, kernels, moment_scalars(split, m))
+    return CorrectedKernelSequence(split, kernels, moments)
 
 
 def moment_scalars(split: RankOneSplit, m: int) -> list:

@@ -54,6 +54,10 @@ class NoSignChangeError(PerronError):
     """Bracketing found no sign change for the scalar spectral function."""
 
 
+class ScaleOverflowError(PerronError):
+    """A result overflows double precision at the scale of the kernel."""
+
+
 class PowerIterationError(PerronError):
     """Power iteration failed to converge within its iteration budget."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, GridTooCoarseError
-from .kernel_op import Kernel
+from .kernel_op import Kernel, overflow_raises
 from .measure import MeasureSpace
 
 
@@ -148,7 +148,9 @@ def convergence_study(
     The reference point snaps to the nearest node (both recursions then
     target the same limit).  Raises GridTooCoarseError when the smallest
     width captures fewer than two nodes, since nothing is being averaged
-    at that resolution.
+    at that resolution, and ScaleOverflowError where the powers up to
+    K^(m+1), which grow like ||T||_inf^m max K, overflow (see
+    ``overflow_raises``).
     """
     widths = tuple(float(e) for e in widths)
     if not widths:
@@ -162,21 +164,22 @@ def convergence_study(
         raise GridTooCoarseError(
             f"width {smallest} captures fewer than two nodes around {cx}"
         )
-    forms, magnitudes = _power_basis(kernel, m)
-    # the point values K^(j+1)(x0, y0) are the forms of two unit vectors
-    units = np.zeros((2, kernel.size))
-    units[0, ix] = units[1, iy] = 1.0
-    exact = _subtraction_coefficients(forms(*units), m)
     errors = []
     per_step = []
-    for eps in widths:
-        psi = Mollifier(cx, eps, kernel.space)
-        eta = Mollifier(cy, eps, kernel.space)
-        mollified = forms(psi.acting_vector(), eta.acting_vector())
-        gap = _subtraction_coefficients(mollified, m) - exact
-        step_errors = tuple(float(magnitudes(c).max()) for c in gap)
-        per_step.append(step_errors)
-        errors.append(max(step_errors))
+    with overflow_raises(kernel, f"the mollified study's powers K^(2) .. K^({m + 1})"):
+        forms, magnitudes = _power_basis(kernel, m)
+        # the point values K^(j+1)(x0, y0) are the forms of two unit vectors
+        units = np.zeros((2, kernel.size))
+        units[0, ix] = units[1, iy] = 1.0
+        exact = _subtraction_coefficients(forms(*units), m)
+        for eps in widths:
+            psi = Mollifier(cx, eps, kernel.space)
+            eta = Mollifier(cy, eps, kernel.space)
+            mollified = forms(psi.acting_vector(), eta.acting_vector())
+            gap = _subtraction_coefficients(mollified, m) - exact
+            step_errors = tuple(float(magnitudes(c).max()) for c in gap)
+            per_step.append(step_errors)
+            errors.append(max(step_errors))
     return ConvergenceStudy(
         x0=cx,
         y0=cy,

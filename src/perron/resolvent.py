@@ -25,7 +25,15 @@ O(n k), the shift holds no n x n array, and every solve is refined to
 double precision against a float64 residual of the implicit remainder
 R = T - alpha*u x phi, applied as K (w x) - alpha u phi[x] from the
 kernel's own entries, as LAPACK dsgesv refines float32 factors (Langou
-et al. 2006; Carson & Higham 2018).  The compression is kept where
+et al. 2006; Carson & Higham 2018).  As dsgesv refines a block of
+right-hand sides, a new shift refines its solves against 1 (which
+certifies it), u (which gives D) and, transposed, phi (the left factor
+of the residue) in lockstep: the kernel is symmetric, so
+R^T y = w (K y) - alpha phi (u . y), and each step is one product
+K [w x_1, w x_2, y] for all three, bound by one read of K; each solve
+keeps its own stopping rule.  R_lam^2 u, which gives D', stays its own
+solve, so that D' and the idempotency of the residue come from two
+independent routes.  The compression is kept where
 lam*I - R is well conditioned (condition number at most 1e4).  Any
 other shift, and one whose refinement stalls, is one float64 LU
 factorization of lam*I - R, with R the clamped gap
@@ -52,8 +60,13 @@ nonsymmetric kernels is not done.
 Measured on a 2-core Xeon with BLAS on one thread, for the Gaussian
 sigma = 0.35 on [0, 1]: a new well-conditioned shift (inverse, D and
 D') costs 4.2 to 5.1 ms at n = 600 and 84 to 90 ms at n = 2000 with a
-float64 LU, and 1.2 ms and 3.8 ms on a compression (k = 32) that
-exists.  The compression costs 1.8 ms and 12 to 13 ms, once per kernel.
+float64 LU.  On a compression (k = 32) that exists, a new shift with D,
+D' and the left solve costs 1.5 ms and 3.5 to 4.8 ms, where it cost 1.8
+and 5.3 to 6.5 ms with each solve reading K on its own: at n = 2000 a
+step of the lockstep refinement takes 1.0 ms in row panels
+(``Kernel.product``, 3 columns padded to 4), against 0.92 ms for one
+vector and 2.6 ms for 3 columns in one plain BLAS call, which packs all
+of K first.  The compression costs 1.8 ms and 12 to 13 ms, once per kernel.
 A library solve, which makes the compression for its one shift, breaks
 even with the float64 LU between n = 384 and n = 512 (medians of 20
 interleaved runs, two sets, the LU forced by a floor of n + 1: 2.7
@@ -106,14 +119,16 @@ LU_CACHE_SHIFTS = 2
 @dataclass(eq=False)
 class _Shift:
     """One cached shift lam with its inverse and the solves made there:
-    R_lam u, R_lam^2 u and R_lam 1.  The inverse is the float64 LU factors
-    of (lam*I - R)^T or, with factors None, the kernel's compression."""
+    R_lam u, R_lam^2 u, R_lam 1 and the left solve R_lam^-T phi.  The
+    inverse is the float64 LU factors of (lam*I - R)^T or, with factors
+    None, the kernel's compression."""
 
     lam: float
     factors: tuple | None = None
     ru: GridFunction | None = None
     r2u: GridFunction | None = None
     inv_ones: np.ndarray | None = None
+    left: np.ndarray | None = None
     condition: float = math.nan
 
 
@@ -182,9 +197,9 @@ class BirmanSchwingerEvaluator:
     """Evaluates D(lam), its derivative, and resolvent applications.
 
     T = K W acts on node-value vectors through the kernel's own entries
-    (``Kernel.matvec``) and R as T - alpha*u x phi (``_apply_remainder``):
-    neither is formed as an n x n array, and the split's ``remainder`` is
-    not read.  A shift lam is solved, (lam*I - R) x = v, through a cached
+    (``operator_products``) and R as T - alpha*u x phi: neither is formed
+    as an n x n array, and the split's ``remainder`` is not read.  A shift
+    lam is solved, (lam*I - R) x = v, through a cached
     inverse: the kernel's low-rank compression (no n x n array), refined
     against that implicit R, where lam*I - R is well conditioned and the
     kernel has one, and float64 LU factors of the clamped gap otherwise
@@ -211,41 +226,48 @@ class BirmanSchwingerEvaluator:
         # the clamped gap bit for bit
         gap_diag = np.diagonal(kernel.entries) - (u * density) * self.alpha
         self._rem_diag = np.maximum(gap_diag, 0.0) * w
-        # T >= 0 and R >= 0 up to the clamp, so the row sums K w and
-        # R w = K w - alpha u phi[1] are those of |T| and |R|: they give the
+        # shifts are solved through the compression only for a symmetric
+        # kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes, and there
+        # K = K^T lets one product over K serve T and T^T alike
+        # (``operator_products``); below, the symmetry scan would cost more
+        # than the product it saves
+        self._symmetric = self.space.size >= COMPRESSED_SOLVE_MIN_DIM and kernel.symmetric
+        # T >= 0 and R >= 0 up to the clamp, so the row sums T 1 = K w and
+        # R 1 = T 1 - alpha u phi[1] are those of |T| and |R|: they give the
         # inf-norm of T and, less the diagonal of R W, ||lam*I - R||_inf in
-        # O(n) per shift
-        kw = kernel.entries @ w
-        self.operator_norm = float(kw.max())
+        # O(n) per shift; the column sums T^T 1 - alpha phi sum(u) give
+        # ||lam*I - R||_1, the norm of the transposed solve
+        ones = np.ones(self.space.size)
+        t_ones, tt_ones = self.operator_products([ones], [ones])
+        self.operator_norm = float(t_ones.max())
         self._phi = self.functional.acting_vector()
-        self._rem_offdiag = kw - self.alpha * u * self._phi.sum() - self._rem_diag
+        self._rem_offdiag = t_ones - self.alpha * u * self._phi.sum() - self._rem_diag
+        self._rem_col_offdiag = tt_ones - self.alpha * u.sum() * self._phi - self._rem_diag
         # the power of two that brings ||T||_inf into [1/2, 1): the secular
         # sums run on shifts and eigenvalues times it, exact to undo
         self._scale = _pow2_scale(self.operator_norm)
         self._lu_cache: dict[float, _Shift] = {}
 
-    @cached_property
-    def _rem_col_offdiag(self) -> np.ndarray:
-        """The column sums w R^T 1 = w (K^T 1 - alpha d sum(u)) less the
-        diagonal of R W, which give ||lam*I - R||_1, the norm of the
-        transposed solve, as the row sums give ||lam*I - R||_inf; made on
-        the first transposed refinement."""
-        column_sums = self.split.kernel.entries.sum(axis=0)
-        column_sums -= self.alpha * self.profile.values.sum() * self.functional.density
-        return self.space.weights * column_sums - self._rem_diag
-
     @property
     def phi_strictly_positive(self) -> bool:
         return self.functional.strictly_positive
 
-    def _apply_remainder(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        """R x = T x - alpha u phi[x], or R^T x = T^T x - alpha phi (u . x)
-        with trans = 1: the remainder applied as T less its rank-one part,
-        one pass over K per product and no n x n array."""
-        u = self.profile.values
-        if trans:
-            return self.split.kernel.rmatvec(x) - self.alpha * (u @ x) * self._phi
-        return self.split.kernel.matvec(x) - self.alpha * (self._phi @ x) * u
+    def operator_products(self, right: list, left: list) -> list:
+        """T x for each vector x of ``right``, then T^T y for each y of
+        ``left``.  For a symmetric kernel (decided from
+        COMPRESSED_SOLVE_MIN_DIM nodes on) T^T y = w (K y), so all of them
+        are one ``Kernel.product`` with the block [w x.., y..], which a
+        narrow block takes in row panels: one read of K.  Otherwise each is
+        its own ``matvec`` or ``rmatvec``."""
+        kernel, w = self.split.kernel, self.space.weights
+        if not self._symmetric:
+            return [kernel.matvec(x) for x in right] + [kernel.rmatvec(y) for y in left]
+        columns = [w * x for x in right] + list(left)
+        if len(columns) == 1:
+            products = [kernel.product(columns[0])]
+        else:
+            products = list(kernel.product(np.column_stack(columns)).T)
+        return products[: len(right)] + [w * p for p in products[len(right) :]]
 
     def _shifted_inf_norm(self, lam, trans: int = 0):
         """||lam*I - R||_inf for a shift or an array of shifts, O(n) each;
@@ -258,29 +280,45 @@ class BirmanSchwingerEvaluator:
         """The cache entry of lam, made on first use and ``_certify``-ed.
         A kernel with a ``_solve_compression`` certifies lam through it, at
         no LU, and keeps it when the condition number is at most
-        COMPRESSED_MAX_CONDITION; any other shift is factored in float64."""
+        COMPRESSED_MAX_CONDITION; any other shift is factored in float64.
+        On the compression, the three solves of a shift are refined in
+        lockstep, one read of K per step (``_refine``): R_lam 1, which
+        certifies it, R_lam u, which gives D, and the left solve
+        R_lam^-T phi of the residue.  A shift that ends factored, and a
+        solve that stalls, solve again from the factors when asked."""
         key = float(lam)
         entry = self._lu_cache.get(key)
         if entry is not None:
             return entry
         entry = _Shift(key)
+        ru = left = None
         if self._solve_compression is None:
             self._factor(entry)
+        else:
+            u = self.profile.values
+            entry.inv_ones, ru, left = self._refine(entry, (np.ones(u.size), u, self._phi), (0, 0, 1))
+            if entry.inv_ones is None:
+                self._factor(entry)
         self._certify(entry, float(self._shifted_inf_norm(key)))
-        # a refinement that stalls has left float64 factors behind already
-        if entry.factors is None and entry.condition > COMPRESSED_MAX_CONDITION:
+        if entry.factors is None and (
+            entry.condition > COMPRESSED_MAX_CONDITION or ru is None or left is None
+        ):
             self._factor(entry)
+        if entry.factors is None:
+            entry.ru, entry.left = GridFunction(ru, self.space), left
         self._lu_cache[key] = entry
         if len(self._lu_cache) > LU_CACHE_SHIFTS:
             del self._lu_cache[next(iter(self._lu_cache))]
         return entry
 
     def _certify(self, entry: _Shift, norm: float) -> None:
-        """Solve x = (lam*I - R)^-1 1 into entry, with the condition number
-        of lam*I - R, unless ``_certified_condition`` refuses lam.  A
+        """Put the condition number of lam*I - R into entry, from
+        x = (lam*I - R)^-1 1, solved here unless the refinement of
+        ``_shift`` made it, unless ``_certified_condition`` refuses lam.  A
         certified x > 0 makes lam*I - R a nonsingular M-matrix, and above
         rho(R) x >= 1 / lam."""
-        entry.inv_ones = self._solve(entry, np.ones(self.space.size))
+        if entry.inv_ones is None:
+            entry.inv_ones = self._solve(entry, np.ones(self.space.size))
         entry.condition = float(_certified_condition(entry.lam, entry.inv_ones, norm)[0])
 
     def _factor(self, entry: _Shift) -> None:
@@ -308,31 +346,56 @@ class BirmanSchwingerEvaluator:
     def _solve(self, entry: _Shift, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """(lam*I - R)^-1 b, or (lam*I - R)^-T b with trans = 1, from the
         inverse of lam.  Float64 factors, of the clamped gap, solve
-        directly.  The compression goes through iterative refinement, as in
-        LAPACK dsgesv: each correction applies it to the float64 residual of
-        the implicit R = T - alpha*u x phi (``_apply_remainder``), until
-        ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system
-        matrix A and the unit roundoff u.  So the answer is that of R,
-        whatever the error of the compression.  After REFINE_STEPS
-        corrections that miss that rule, lam is factored in float64."""
-        lam = entry.lam
+        directly; the compression is refined (``_refine``), and a
+        refinement that stalls factors lam in float64."""
         if entry.factors is None:
-            unit = 0.5 * np.finfo(float).eps
-            bound = math.sqrt(b.size) * unit * float(self._shifted_inf_norm(lam, trans))
-            x, r = np.zeros(b.size), b
-            for _ in range(REFINE_STEPS + 1):
-                x += self._pole_free_apply(entry, r, trans)
-                r = b - (lam * x - self._apply_remainder(x, trans))
-                if np.max(np.abs(r)) <= bound * np.max(np.abs(x)):
+            (x,) = self._refine(entry, (b,), (trans,))
+            if x is not None:
+                return x
+            self._factor(entry)
+        # the factors are those of the transpose
+        return lu_solve(entry.factors, b, trans=1 - trans, check_finite=False)
+
+    def _refine(self, entry: _Shift, rhs: tuple, trans: tuple) -> list:
+        """x = (lam*I - R)^-1 b, or (lam*I - R)^-T b where trans is 1, for
+        each b of rhs, by iterative refinement on the compression, as in
+        LAPACK dsgesv: each correction applies the compression to the
+        float64 residual of the implicit R = T - alpha*u x phi, until
+        ||r||_inf <= sqrt(n) u ||A||_inf ||x||_inf for the system matrix A
+        and the unit roundoff u.  So the answer is that of R, whatever the
+        error of the compression.  The systems go in lockstep, as dsgesv
+        refines a block of right-hand sides: a step takes the residuals of
+        all that still miss the rule from one ``operator_products``, one
+        read of K, and each system leaves the block once it meets the rule.
+        None for a system still missing it after REFINE_STEPS corrections."""
+        lam, n = entry.lam, self.space.size
+        u, phi = self.profile.values, self._phi
+        unit = 0.5 * np.finfo(float).eps
+        bounds = [math.sqrt(n) * unit * float(self._shifted_inf_norm(lam, t)) for t in trans]
+        solved = [None] * len(rhs)
+        x = [np.zeros(n) for _ in rhs]
+        r = list(rhs)
+        active = range(len(rhs))
+        for _ in range(REFINE_STEPS + 1):
+            for i in active:
+                x[i] += self._pole_free_apply(entry, r[i], trans[i])
+            right = [i for i in active if not trans[i]]
+            left = [i for i in active if trans[i]]
+            products = self.operator_products([x[i] for i in right], [x[i] for i in left])
+            for i, tx in zip(right + left, products):
+                # R x = T x - alpha u phi[x], R^T x = T^T x - alpha phi (u . x)
+                rx = tx - self.alpha * ((u @ x[i]) * phi if trans[i] else (phi @ x[i]) * u)
+                r[i] = rhs[i] - (lam * x[i] - rx)
+                if np.max(np.abs(r[i])) <= bounds[i] * np.max(np.abs(x[i])):
                     # the rule bounds the backward error; one more O(n k)
                     # correction from the residual at hand takes the
                     # forward error of the compression's steps down to that
                     # of a factorization
-                    x += self._pole_free_apply(entry, r, trans)
-                    return x
-            self._factor(entry)
-        # the factors are those of the transpose
-        return lu_solve(entry.factors, b, trans=1 - trans, check_finite=False)
+                    solved[i] = x[i] + self._pole_free_apply(entry, r[i], trans[i])
+            active = [i for i in active if solved[i] is None]
+            if not active:
+                break
+        return solved
 
     @cached_property
     def _solve_compression(self) -> Compression | None:
@@ -357,7 +420,7 @@ class BirmanSchwingerEvaluator:
         return x if np.all(x > 0) else None
 
     def _pole_free_apply(self, entry: _Shift, r: np.ndarray, trans: int) -> np.ndarray:
-        """One correction of ``_solve``: (lam*I - R)^-1 r, or its transpose
+        """One correction of ``_refine``: (lam*I - R)^-1 r, or its transpose
         with trans = 1, in O(n k) on the compression, with S taken as 0 off
         its k columns and R as T - alpha*u x phi (see
         ``_symmetric_resolvents``).  r and the operator go into range by
@@ -579,6 +642,10 @@ class BirmanSchwingerEvaluator:
 
         Solves the transposed shifted system against the functional's
         acting vector; z realizes f -> phi[(lam*I - R)^-1 f] as z . f,
-        reusing the factorization of lam.
+        made with the shift's other solves on the compression and kept with
+        the shift.
         """
-        return self._solve(self._shift(lam), self.functional.acting_vector(), trans=1)
+        entry = self._shift(lam)
+        if entry.left is None:
+            entry.left = self._solve(entry, self._phi, trans=1)
+        return entry.left

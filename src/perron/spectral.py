@@ -74,6 +74,9 @@ class SpectralDiagnostics:
     left_residual: float         # sup |T^T r - lambda0 r| / (sup |r| ||T||_inf), r the left row
     rank_one_defect: float       # rounding of the projection's column scales
     min_eigenfunction_value: float
+    # [min, max] of (T w)_i / w_i, which encloses rho(T) = lambda0 for w > 0
+    # (Collatz-Wielandt); None where w has an entry <= 0
+    lambda0_bracket: tuple[float, float] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,24 +360,29 @@ def solve(
         projection_raw.functional.density / left_scale, ev.space
     )
 
-    # both residuals are relative to ||T||_inf, so c K has those of K
+    # both residuals are relative to ||T||_inf, so c K has those of K; T w
+    # and T^T r share one read of K where the kernel is symmetric
     norm = ev.operator_norm
-    tw = kernel.matvec(w_fun.values)
-    eig_residual = float(np.max(np.abs(tw - lambda0 * w_fun.values)) / (w_fun.sup_norm() * norm))
+    w = w_fun.values
+    lr = left_row.acting_vector()
+    tw, t_lr = ev.operator_products([w], [lr])
+    eig_residual = float(np.max(np.abs(tw - lambda0 * w)) / (w_fun.sup_norm() * norm))
     # P = a z^T, so P^2 - P = (z . a - 1) P and ||P||_inf = max|a| sum|z|
     a = projection_raw.range_vector.values
     proj_idem = abs(projection_raw.coupling() - 1.0) * float(np.abs(a).max() * np.abs(z).sum())
-    lr = left_row.acting_vector()
-    left_residual = float(
-        np.max(np.abs(kernel.rmatvec(lr) - lambda0 * lr)) / (np.max(np.abs(lr)) * norm)
-    )
+    left_residual = float(np.max(np.abs(t_lr - lambda0 * lr)) / (np.max(np.abs(lr)) * norm))
+    bracket = None
+    if w.min() > 0:
+        ratios = tw / w
+        bracket = (float(ratios.min()), float(ratios.max()))
     diagnostics = SpectralDiagnostics(
         eig_residual=eig_residual,
         proj_idempotency=proj_idem,
         bs_at_lambda0=ev.value(lambda0),
         left_residual=left_residual,
         rank_one_defect=_proportionality_defect(z),
-        min_eigenfunction_value=float(w_fun.values.min()),
+        min_eigenfunction_value=float(w.min()),
+        lambda0_bracket=bracket,
     )
     return SpectralResult(
         lambda0=lambda0,

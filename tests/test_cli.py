@@ -213,6 +213,9 @@ class TestSolveCommand:
         rho = remainder_radius(pr.solve(kernel).evaluator)
         assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
         assert hi < report["lambda0"]
+        # and the Collatz-Wielandt bracket of lambda0 from the solve's T w
+        lo, hi = report["lambda0_bracket"]
+        assert lo <= np.linalg.eigvalsh(kernel.operator_matrix()).max() <= hi
 
     def test_not_minorizable_exit_two(self, runner, chain_config, tmp_path):
         result = runner.invoke(

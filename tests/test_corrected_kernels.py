@@ -1,11 +1,12 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import perron as pr
-from perron.errors import DimensionMismatchError, NotConvergentError
+from perron.errors import DimensionMismatchError, NotConvergentError, ScaleOverflowError
 import bell_expansion
 from conftest import (
     neumann_tail_bound,
@@ -52,6 +53,21 @@ class TestRecursion:
             np.testing.assert_allclose(
                 seq.kernels[n].entries, symmetric_split.kernel.entries, atol=1e-12
             )
+
+    def test_overflow_is_a_named_failure(self):
+        # G_1 of 1e300 K is about 1e600: a named failure with the scale and
+        # the power of two that rescales it, and no warning; rescaled, the
+        # recursion is finite
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        big = pr.Kernel(1e300 * pr.gaussian_kernel(sp, 0.35).entries, sp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScaleOverflowError) as info:
+                pr.build_corrected_kernels(split_for(big), 6)
+            exponent = int(re.search(r"by 2\^(-?\d+)", str(info.value)).group(1))
+            assert f"||T||_inf = {big.weighted_inf_norm():.3e}" in str(info.value)
+            seq = pr.build_corrected_kernels(split_for(pr.Kernel(np.ldexp(big.entries, exponent), sp)), 6)
+        assert all(np.all(np.isfinite(g.entries)) for g in seq.kernels)
 
     def test_matches_operator_power_oracle(self):
         rng = np.random.default_rng(62)

@@ -224,6 +224,31 @@ class TestMatvec:
         )
 
 
+class TestProduct:
+    """``Kernel.product`` is K x, one read of K: a narrow block of a large
+    kernel goes in row panels, which change only the rounding."""
+
+    @pytest.mark.parametrize("n", [200, 700])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4, 5])
+    def test_block_is_the_plain_product(self, n, columns):
+        rng = np.random.default_rng(14)
+        kernel = random_positive_kernel(pr.make_counting_space(n), rng)
+        block = rng.standard_normal((n, columns))
+        out = kernel.product(block)
+        assert out.shape == (n, columns)
+        plain = kernel.entries @ block
+        if n < perron.kernel_op.PANEL_MIN_DIM or columns > perron.kernel_op.PANEL_MAX_COLUMNS:
+            assert np.array_equal(out, plain)
+        scale = kernel.entries.sum(axis=1).max() * np.abs(block).max()
+        np.testing.assert_allclose(out, plain, rtol=0, atol=1e-14 * scale)
+
+    def test_vector_is_one_blas_call(self):
+        rng = np.random.default_rng(15)
+        kernel = random_positive_kernel(pr.make_counting_space(700), rng)
+        x = rng.standard_normal(700)
+        assert np.array_equal(kernel.product(x), kernel.entries @ x)
+
+
 class TestBuilders:
     def test_csv_roundtrip(self, tmp_path, two_state_chain):
         path = tmp_path / "m.csv"

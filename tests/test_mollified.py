@@ -1,10 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 import perron as pr
 import perron.kernel_op
 import perron.mollified
-from perron.errors import EmptySupportError, GridTooCoarseError
+from perron.errors import EmptySupportError, GridTooCoarseError, ScaleOverflowError
 from conftest import count_calls
 from subtraction_recursion import box_average, subtraction_recursion
 
@@ -214,6 +217,24 @@ class TestConvergenceStudy:
         study = pr.convergence_study(k, 0.5, 0.5, [0.2, 0.1, 0.05, 0.025], 3)
         assert study.errors[-1] > 0.25 * study.errors[0]
         assert study.errors[-1] > 0.05
+
+    def test_overflow_is_a_named_failure(self):
+        # the powers of 1e300 K overflow: a named failure with the scale and
+        # the power of two that rescales it, and no warning; rescaled, the
+        # study is finite
+        sp = pr.make_interval_space(0, 1, 200, "midpoint")
+        k = pr.gaussian_kernel(sp, 0.35)
+        big = pr.Kernel(1e300 * k.entries, sp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScaleOverflowError) as info:
+                pr.convergence_study(big, 0.5, 0.5, (0.2, 0.1), 3)
+            exponent = int(re.search(r"by 2\^(-?\d+)", str(info.value)).group(1))
+            assert f"||T||_inf = {big.weighted_inf_norm():.3e}" in str(info.value)
+            rescaled = pr.Kernel(np.ldexp(big.entries, exponent), sp)
+            study = pr.convergence_study(rescaled, 0.5, 0.5, (0.2, 0.1), 3)
+        assert np.all(np.isfinite(study.errors))
+        assert 0.5 <= rescaled.weighted_inf_norm() < 1.0
 
     def test_grid_too_coarse(self):
         sp = pr.make_interval_space(0, 1, 10, "midpoint")

@@ -660,6 +660,107 @@ class TestCompressedSolve:
         assert compressed.value.smallest == pytest.approx(lu.value.smallest, rel=1e-8)
 
 
+def gaussian_evaluator(n, sigma=0.35):
+    kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), sigma)
+    return pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+
+
+def count_products(monkeypatch):
+    """List of the column counts of every product over K, one entry per
+    call of ``Kernel.product``, ``matvec`` or ``rmatvec`` (``matvec``
+    goes through ``product`` and counts once)."""
+    widths = []
+    real_product, real_rmatvec = pr.Kernel.product, pr.Kernel.rmatvec
+
+    def product(self, x):
+        widths.append(1 if x.ndim == 1 else x.shape[1])
+        return real_product(self, x)
+
+    def rmatvec(self, y):
+        widths.append(1 if y.ndim == 1 else y.shape[1])
+        return real_rmatvec(self, y)
+
+    monkeypatch.setattr(pr.Kernel, "product", product)
+    monkeypatch.setattr(pr.Kernel, "rmatvec", rmatvec)
+    return widths
+
+
+class TestLockstepShift:
+    """At a compressed shift the solves against 1, u and (transposed) phi
+    are refined as one block, one product over K per step, and the left
+    solve is kept with the shift; R_lam^2 u stays its own solve."""
+
+    @pytest.mark.parametrize("route", ["compressed", "lu", "stalled"])
+    def test_value_derivative_and_left_solve_match_a_dense_solve(self, route, monkeypatch):
+        if route == "stalled":
+            # a top eigenvalue off by 1e-8 leaves the first correction far
+            # from the rule, and no further correction is allowed
+            perturb_top_value(monkeypatch, 1e-8)
+            monkeypatch.setattr(perron.resolvent, "REFINE_STEPS", 0)
+        ev = gaussian_evaluator(200 if route == "lu" else 600)
+        lam = 1.1 * pr.find_dominant(ev)
+        values = ev.value(lam), ev.derivative(lam), ev.left_remainder_solve(lam)
+        assert (ev._lu_cache[lam].factors is None) == (route == "compressed")
+        a = lam * np.eye(ev.space.size) - ev.split.remainder.operator_matrix()
+        u, phi = ev.profile.values, ev.functional.acting_vector()
+        ru = np.linalg.solve(a, u)
+        dense = 1.0 - ev.alpha * phi @ ru, ev.alpha * phi @ np.linalg.solve(a, ru)
+        np.testing.assert_allclose(values[:2], dense, rtol=1e-12)
+        np.testing.assert_allclose(values[2], np.linalg.solve(a.T, phi), rtol=1e-12)
+
+    def test_each_refinement_step_is_one_product(self, monkeypatch):
+        # a top eigenvalue off by 1e-6: several corrections per solve
+        perturb_top_value(monkeypatch, 1e-6)
+        ev = gaussian_evaluator(600)
+        lam = 1.1 * ev.operator_norm
+        widths = count_products(monkeypatch)
+        corrections = []
+        real = pr.BirmanSchwingerEvaluator._pole_free_apply
+
+        def correcting(self, entry, r, trans):
+            corrections.append(trans)
+            return real(self, entry, r, trans)
+
+        monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "_pole_free_apply", correcting)
+        ev.condition(lam)
+        # each step corrects every system still in the block, then takes
+        # their residuals from one product; each system that meets the rule
+        # takes one more correction and leaves
+        assert widths[0] == 3 and len(widths) >= 2
+        assert widths == sorted(widths, reverse=True)
+        assert sum(widths) == len(corrections) - 3
+        assert ev._lu_cache[lam].factors is None
+
+    def test_projection_after_the_root_makes_no_product(self, monkeypatch):
+        ev = gaussian_evaluator(600)
+        lambda0 = pr.find_dominant(ev)
+        widths = count_products(monkeypatch)
+        factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
+        projection = pr.spectral_projection(ev, lambda0)
+        assert widths == [] and factored == []
+        assert projection.coupling() == pytest.approx(1.0, abs=1e-13)
+
+    def test_defect_in_the_second_solve_fails_idempotency(self, monkeypatch):
+        # D' comes from R_lam^2 u, the projection's scale from D': a defect
+        # of 1e-6 in that one solve must show in P^2 - P, on the route
+        # whose other solves are one block
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35)
+        assert pr.solve(kernel).diagnostics.proj_idempotency <= 1e-14
+        real = pr.BirmanSchwingerEvaluator.resolve_remainder
+
+        def defective(self, lam, v):
+            out = real(self, lam, v)
+            if v is self._lu_cache[float(lam)].ru:
+                return pr.GridFunction(out.values * (1.0 + 1e-6), self.space)
+            return out
+
+        monkeypatch.setattr(pr.BirmanSchwingerEvaluator, "resolve_remainder", defective)
+        res = pr.solve(kernel)
+        assert res.evaluator._lu_cache[res.lambda0].factors is None
+        assert res.diagnostics.proj_idempotency > 1e-8
+        assert res.diagnostics.eig_residual <= 1e-14
+
+
 class TestCertifiedCondition:
     """The one rule that refuses a shift, pointwise and on a grid, from
     x = (lam*I - R)^-1 1 (a column per shift) and ||lam*I - R||_inf."""

@@ -788,6 +788,18 @@ class TestSolvePipeline:
         assert d.left_residual <= 1e-8
         assert d.min_eigenfunction_value > 0
 
+    @pytest.mark.parametrize("n", [200, 600, 2000])
+    @pytest.mark.parametrize("sigma", [0.1, 0.35, 1.0])
+    def test_lambda0_bracket_encloses_the_dense_eigenvalue(self, sigma, n):
+        # the Collatz-Wielandt ratios of the solve's own T w
+        sp = pr.make_interval_space(0, 1, n, "midpoint")
+        k = pr.gaussian_kernel(sp, sigma)
+        lo, hi = pr.solve(k).diagnostics.lambda0_bracket
+        root_w = np.sqrt(sp.weights)
+        dense = eigvalsh(root_w[:, None] * k.entries * root_w, subset_by_index=[n - 1, n - 1])[0]
+        assert lo <= dense <= hi
+        assert hi - lo <= 1e-13 * dense
+
     def test_strict_positivity_of_eigenfunction(self):
         rng = np.random.default_rng(57)
         sp = pr.make_counting_space(40)
