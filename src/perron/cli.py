@@ -86,10 +86,6 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_text(path: Path, text: str) -> None:
     """Write over the file in place and cut it to the new length.
 
@@ -113,10 +109,11 @@ def _write_text(path: Path, text: str) -> None:
         os.close(fd)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, template: str, rows) -> None:
+    """Write a CSV with CRLF line ends, each row formatted by one
+    %-template: ``%.17g`` for a float round-trips it, ``%d`` an index."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(template % row for row in rows)
     _write_text(path, "\r\n".join(lines) + "\r\n")
 
 
@@ -371,16 +368,14 @@ def solve_cmd(config_path, out_flag):
     _write_csv(
         eig_path,
         ["index", "node", "weight", "eigenfunction", "left_density"],
-        [
-            (
-                i,
-                float(kernel.space.nodes[i]),
-                float(kernel.space.weights[i]),
-                float(result.eigenfunction.values[i]),
-                float(result.left_row.density[i]),
-            )
-            for i in range(kernel.size)
-        ],
+        "%d,%.17g,%.17g,%.17g,%.17g",
+        zip(
+            range(kernel.size),
+            kernel.space.nodes.tolist(),
+            kernel.space.weights.tolist(),
+            result.eigenfunction.values.tolist(),
+            result.left_row.density.tolist(),
+        ),
     )
     if curve is not None:
         _write_dcurve(out / outputs["dcurve"], *curve)
@@ -426,7 +421,8 @@ def _write_dcurve(path: Path, grid, values, slopes):
     _write_csv(
         path,
         ["lambda", "D", "D_prime"],
-        [(float(lam), float(d), float(dp)) for lam, d, dp in zip(grid, values, slopes)],
+        "%.17g,%.17g,%.17g",
+        zip(grid.tolist(), values.tolist(), slopes.tolist()),
     )
     for i in range(1, len(values)):
         if values[i - 1] < 0 <= values[i]:

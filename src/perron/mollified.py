@@ -76,35 +76,45 @@ def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
 
 def _power_basis(kernel: Kernel, m: int):
     """The iterated kernels K^(1) .. K^(m+1) as two maps: ``forms(a, b)``,
-    the values a^T K^(j+1) b for j = 0 .. m, and ``magnitudes(c)``, the
-    entries of |sum_j c_j K^(j+1)| in one fresh array.
+    the values a^T K^(j+1) b for j = 0 .. m, and ``sup_norm(c)``, the
+    largest entry of |sum_j c_j K^(j+1)|.
 
     With a compression S ~ V diag(mu) V^T of S = W^1/2 K W^1/2,
     K^(j+1) = W^-1/2 S^(j+1) W^-1/2, so for j >= 1
     K^(j+1) = L diag(mu^(j+1)) L^T with L = W^-1/2 V, while K^(1) keeps the
     exact entries: a form costs O(n k) and a combination is
     c_0 K + L diag(sum_j c_j mu^(j+1)) L^T, one O(n^2 k) product, with no
-    power formed.  Without one, the stack of ``_kernel_powers``."""
+    power formed.  Without one, the stack of ``_kernel_powers``.  The first
+    steps of a recursion reach no power past K^(1), and rounding is
+    monotone, so such a combination's sup norm is |c_0| max K, bit for bit,
+    with no pass over K."""
     compression = kernel.compression if m else None
     if compression is None:
         powers = _kernel_powers(kernel, m)
-        return (lambda a, b: powers @ b @ a), (lambda c: np.abs(np.tensordot(c, powers, axes=1)))
-    left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
-    mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]   # row j - 1: mu^(j+1)
 
-    def forms(a, b):
-        return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
+        def forms(a, b):
+            return powers @ b @ a
 
-    def magnitudes(c):
-        # the first steps of a recursion reach no power past K^(1)
-        if c[1:].any():
+        def combination(c):
+            return np.tensordot(c, powers, axes=1)
+    else:
+        left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
+        mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]   # row j - 1: mu^(j+1)
+
+        def forms(a, b):
+            return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
+
+        def combination(c):
             out = (left * (c[1:] @ mu)) @ left.T
             out += c[0] * kernel.entries
-        else:
-            out = c[0] * kernel.entries
-        return np.abs(out, out=out)
+            return out
 
-    return forms, magnitudes
+    def sup_norm(c):
+        if not c[1:].any():
+            return float(abs(c[0] * kernel.max_entry))
+        return float(np.abs(combination(c)).max())
+
+    return forms, sup_norm
 
 
 def _subtraction_coefficients(values: np.ndarray, m: int) -> np.ndarray:
@@ -167,7 +177,7 @@ def convergence_study(
     errors = []
     per_step = []
     with overflow_raises(kernel, f"the mollified study's powers K^(2) .. K^({m + 1})"):
-        forms, magnitudes = _power_basis(kernel, m)
+        forms, sup_norm = _power_basis(kernel, m)
         # the point values K^(j+1)(x0, y0) are the forms of two unit vectors
         units = np.zeros((2, kernel.size))
         units[0, ix] = units[1, iy] = 1.0
@@ -177,7 +187,7 @@ def convergence_study(
             eta = Mollifier(cy, eps, kernel.space)
             mollified = forms(psi.acting_vector(), eta.acting_vector())
             gap = _subtraction_coefficients(mollified, m) - exact
-            step_errors = tuple(float(magnitudes(c).max()) for c in gap)
+            step_errors = tuple(sup_norm(c) for c in gap)
             per_step.append(step_errors)
             errors.append(max(step_errors))
     return ConvergenceStudy(

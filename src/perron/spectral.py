@@ -258,16 +258,27 @@ def eigenfunction_series(
 ) -> GridFunction:
     """Eigenfunction through the geometric series sum_n lambda0^-(n+1) R^n profile.
 
-    The terms t_n >= 0 bound their own tail.  Once R t_m <= c t_m
+    The terms t_n >= 0 enclose their own tail.  Once R t_m <= c t_m
     entrywise, applying R >= 0 gives R t_n <= c t_n for every later term,
-    so q, the running min of max_i (t_n+1)_i / (t_n)_i (a Collatz-Wielandt
-    upper end of rho(R)/lambda0), bounds the tail after t_n by
-    t_n q / (1 - q); summing stops once that is at most tol times the
-    running sum.  Likewise the running max q_lo of the min_i ratios bounds
-    the decay from below, t_n+k >= q_lo^k t_n, and the running sum from
-    above, so the loop raises SlowConvergenceError as soon as q_lo shows
-    that SERIES_MAX_TERMS terms cannot meet tol, rather than after them.  The
-    result carries the same pairing normalization as the residue route.
+    and likewise for >=.  So q_hi, the running min of max_i (t_n+1)_i /
+    (t_n)_i, and q_lo, the running max of the min_i ratios, are
+    Collatz-Wielandt bounds of rho(R)/lambda0 that bound every later term,
+    and the tail after t_n lies entrywise in [t_n a(q_lo), t_n a(q_hi)],
+    a(q) = q / (1 - q).  Summing stops once t_n times the half-width of
+    that enclosure is at most tol times the running sum, and the midpoint
+    t_n (a(q_lo) + a(q_hi)) / 2 closes the sum: the rigorous form of
+    Aitken's geometric-tail estimate.  The half-width carries the rounding
+    of a(q_hi), about eps a(q_hi) / (1 - q_hi), since q_lo and q_hi may meet
+    exactly (a rank-one remainder) while 1 - q leaves few digits of either.
+    As a(q_lo) >= 0, the stop comes no later than the uncorrected one,
+    t_n a(q_hi) <= tol times the running sum.
+
+    The loop raises SlowConvergenceError as soon as q_lo shows that
+    SERIES_MAX_TERMS terms cannot meet tol, rather than after them: the
+    decay t_n+k >= q_lo^k t_n bounds from below the terms the uncorrected
+    tail test would need, and that test is what the early raise judges.
+    The result carries the same pairing normalization as the residue
+    route.
     """
     rem = ev.split.remainder
     term = ev.profile.values / lambda0
@@ -277,7 +288,7 @@ def eigenfunction_series(
         # scaled recurrence: unscaled numerator and denominator both
         # underflow for long series when lambda0 < 1
         nxt = rem.matvec(term) / lambda0
-        acc = acc + nxt
+        acc += nxt
         if not nxt.any():
             break
         # an entry where both terms vanish constrains no ratio
@@ -289,21 +300,30 @@ def eigenfunction_series(
         # geometric tail, relative to the running sum: the normalization
         # at the end is a scalar, so relative accuracy is what survives
         size, total = float(term.max()), float(acc.max())
-        if q_hi < 1.0 and size * q_hi / (1.0 - q_hi) <= tol * total:
-            break
+        if q_hi < 1.0:
+            # rounding may lift q_lo an ulp past q_hi; the rounding term
+            # of the half-width covers that
+            lo = min(q_lo, q_hi)
+            a_lo, a_hi = lo / (1.0 - lo), q_hi / (1.0 - q_hi)
+            half = 0.5 * (a_hi - a_lo) + np.finfo(float).eps * a_hi / (1.0 - q_hi)
+            if size * half <= tol * total:
+                acc += (0.5 * (a_lo + a_hi)) * term
+                break
         if q_lo >= 1.0:
             raise SlowConvergenceError(
                 f"series terms do not decay: ratio at least {q_lo:.6f}"
             )
         if q_hi < 1.0 and q_lo > 0.0:
-            # the tail test at term n + k needs q_lo^k size q_lo / (1 - q_lo)
-            # <= tol times a bound on the final sum
+            # the uncorrected tail test at term n + k needs
+            # q_lo^k size q_lo / (1 - q_lo) <= tol times a bound on the
+            # final sum
             final = total + size * q_hi / (1.0 - q_hi)
             reach = tol * final * (1.0 - q_lo) / (q_lo * size)
             if reach < 1.0 and n + math.log(reach) / math.log(q_lo) > SERIES_MAX_TERMS:
                 raise SlowConvergenceError(
-                    f"series needs more than {SERIES_MAX_TERMS} terms (ratio in "
-                    f"[{q_lo:.6f}, {q_hi:.6f}] after {n} terms)"
+                    f"series needs more than {SERIES_MAX_TERMS} terms by its "
+                    f"uncorrected tail test (ratio in [{q_lo:.6f}, {q_hi:.6f}] "
+                    f"after {n} terms)"
                 )
     else:
         raise SlowConvergenceError(

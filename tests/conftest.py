@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 import perron as pr
 import perron.kernel_op
 from perron.cli import _prepare, _resolve_certificate
+from perron.errors import SlowConvergenceError
+from perron.spectral import SERIES_MAX_TERMS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -185,3 +188,38 @@ def config_kernels():
         cert = _resolve_certificate(cfg, kernel, config_dir)
         if isinstance(cert, pr.MinorizationCertificate):
             yield path.stem, kernel, cert
+
+
+def plain_eigenfunction_series(ev, lambda0: float, tol: float = 1e-12):
+    """The eigenfunction series summed with no tail correction: the loop
+    stops once the Collatz-Wielandt bound t_n q_hi / (1 - q_hi) of the
+    dropped tail is at most tol times the running sum, and raises where
+    ``perron.eigenfunction_series`` does.  Returns the normalized sum and
+    the number of products with R it took."""
+    rem = ev.split.remainder
+    term = ev.profile.values / lambda0
+    acc = term.copy()
+    q_lo, q_hi = 0.0, np.inf
+    for n in range(1, SERIES_MAX_TERMS + 1):
+        nxt = rem.matvec(term) / lambda0
+        acc = acc + nxt
+        if not nxt.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = nxt / term
+        q_lo = max(q_lo, float(np.nanmin(ratios)))
+        q_hi = min(q_hi, float(np.nanmax(ratios)))
+        term = nxt
+        size, total = float(term.max()), float(acc.max())
+        if q_hi < 1.0 and size * q_hi / (1.0 - q_hi) <= tol * total:
+            break
+        if q_lo >= 1.0:
+            raise SlowConvergenceError(f"series terms do not decay: ratio at least {q_lo:.6f}")
+        if q_hi < 1.0 and q_lo > 0.0:
+            final = total + size * q_hi / (1.0 - q_hi)
+            reach = tol * final * (1.0 - q_lo) / (q_lo * size)
+            if reach < 1.0 and n + math.log(reach) / math.log(q_lo) > SERIES_MAX_TERMS:
+                raise SlowConvergenceError(f"series needs more than its budget after {n} terms")
+    else:
+        raise SlowConvergenceError("series needed more than its budget")
+    return acc / pr.pair(ev.functional, pr.GridFunction(acc, ev.space)), n

@@ -181,6 +181,27 @@ class TestSolveCommand:
         assert "series_vs_residue" not in report["residuals"]
         assert 0 < len(matvecs) < 200
 
+    def test_solve_product_budget_on_the_benchmark_shape(self, runner, tmp_path, monkeypatch):
+        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 91
+        # kernel product columns (the series 15, growth_radius 28, the two
+        # Collatz-Wielandt brackets 22, the oracle 14, the solve 12); the
+        # series summed without its tail closure took 108 on its own
+        columns = []
+        real_product = pr.Kernel.product
+
+        def counted(self, x):
+            columns.append(1 if x.ndim == 1 else x.shape[1])
+            return real_product(self, x)
+
+        monkeypatch.setattr(pr.Kernel, "product", counted)
+        cfg = write_config(tmp_path / "g.json", {
+            "kernel": {"family": "gaussian", "sigma": 0.35},
+            "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 600, "rule": "midpoint"},
+        })
+        result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert sum(columns) <= 95, sum(columns)
+
     @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e300])
     def test_scaled_kernel_passes_every_check(self, runner, tmp_path, c):
         # the checks are relative: c K passes where K does, and its curve
@@ -1081,6 +1102,57 @@ def test_shipped_config_outputs(runner, tmp_path, name, command, code, expected)
         for line, want in zip(lines, expected):
             assert want.fullmatch(line) if isinstance(want, re.Pattern) else line == want
 
+
+def _csv_field_by_field(header, rows) -> bytes:
+    """The CSV text formatted one field at a time: ``format(v, ".17g")``
+    for a float, ``str`` for anything else."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+@pytest.mark.parametrize(
+    "header, template, rows",
+    [
+        (["index", "a", "b", "c", "d"], "%d,%.17g,%.17g,%.17g,%.17g",
+         [(0, float("nan"), float("inf"), float("-inf"), -0.0),
+          (1, 5e-324, 1e300, -1e300, 0.1),
+          (123456789, 1.0 / 3.0, -2.0**60, 0.0, 1.0)]),
+        (["lambda", "D", "D_prime"], "%.17g,%.17g,%.17g",
+         [(5e-324, -0.0, float("nan")), (np.float64(1e300), float("inf"), -1.5)]),
+    ],
+)
+def test_csv_template_matches_field_by_field_formatting(tmp_path, header, template, rows):
+    path = tmp_path / "out.csv"
+    perron.cli._write_csv(path, header, template, rows)
+    assert path.read_bytes() == _csv_field_by_field(header, rows)
+
+
+def test_solve_csvs_hold_every_float_to_17_digits(runner, tmp_path):
+    # every float field is the .17g text of a float64, and the nodes and
+    # weights read back bit for bit
+    space = pr.make_interval_space(0, 1, 60, "midpoint")
+    cfg = write_config(tmp_path / "g.json", {
+        "kernel": {"family": "gaussian", "sigma": 0.35},
+        "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 60, "rule": "midpoint"},
+        "outputs": {"dcurve": "dcurve.csv"},
+    })
+    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    rows = {}
+    for name, width in (("eigenfunction.csv", 5), ("dcurve.csv", 3)):
+        lines = (tmp_path / "out" / name).read_bytes().decode().split("\r\n")
+        assert lines[-1] == ""
+        rows[name] = [line.split(",") for line in lines[1:-1]]
+        assert all(len(row) == width for row in rows[name])
+        # the eigenfunction's first column is the index
+        floats = [field for row in rows[name] for field in row[width == 5:]]
+        assert floats == [format(float(field), ".17g") for field in floats]
+    index, nodes, weights = list(zip(*rows["eigenfunction.csv"]))[:3]
+    assert index == tuple(str(i) for i in range(60))
+    assert [float(v) for v in nodes] == space.nodes.tolist()
+    assert [float(v) for v in weights] == space.weights.tolist()
 
 @pytest.mark.parametrize(
     "command, args, message",

@@ -194,6 +194,59 @@ class TestSharedPowers:
         np.testing.assert_allclose(compressed.errors, dense.errors, rtol=1e-12, atol=0)
 
 
+def _combination_power_basis(kernel, m):
+    """``mollified._power_basis`` with every sup norm taken over the
+    formed combination sum_j c_j K^(j+1), also where only c_0 is nonzero."""
+    compression = kernel.compression if m else None
+    if compression is None:
+        powers = perron.mollified._kernel_powers(kernel, m)
+        return (lambda a, b: powers @ b @ a), (
+            lambda c: float(np.abs(np.tensordot(c, powers, axes=1)).max()))
+    left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
+    mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]
+
+    def forms(a, b):
+        return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
+
+    def sup_norm(c):
+        if c[1:].any():
+            out = (left * (c[1:] @ mu)) @ left.T
+            out += c[0] * kernel.entries
+        else:
+            out = c[0] * kernel.entries
+        return float(np.abs(out).max())
+
+    return forms, sup_norm
+
+
+class TestSupNormShortcut:
+    @pytest.mark.parametrize("name", ["gaussian-0.35", "gaussian-0.1", "lognormal"])
+    def test_study_is_bit_identical_to_the_formed_combinations(self, name, monkeypatch):
+        # rows with c[1:] == 0 take |c_0| max K; the first two of the m + 1
+        # steps are such rows
+        sp = pr.make_interval_space(0, 1, 300, "midpoint")
+        if name == "lognormal":
+            k = pr.Kernel(np.exp(np.random.default_rng(7).standard_normal((300, 300))), sp)
+        else:
+            k = pr.gaussian_kernel(sp, float(name.split("-")[1]))
+        assert (k.compression is None) == (name == "lognormal")
+        study = pr.convergence_study(k, 0.5, 0.5, (0.2, 0.1), 3)
+        monkeypatch.setattr(perron.mollified, "_power_basis", _combination_power_basis)
+        formed = pr.convergence_study(k, 0.5, 0.5, (0.2, 0.1), 3)
+        assert np.array(study.per_step).tobytes() == np.array(formed.per_step).tobytes()
+        assert study.errors == formed.errors
+        assert all(step[1] > 0 for step in study.per_step)
+
+    @pytest.mark.parametrize("c0", [0.0, -0.0, 0.097, -0.147, 3e-300])
+    def test_scaled_kernel_sup_norm_is_exact(self, c0):
+        k = pr.Kernel(np.exp(np.random.default_rng(3).standard_normal((40, 40))),
+                      pr.make_interval_space(0, 1, 40, "midpoint"))
+        _, sup_norm = perron.mollified._power_basis(k, 2)
+        c = np.array([c0, 0.0, 0.0])
+        expected = float(np.abs(c0 * k.entries).max())
+        assert np.float64(sup_norm(c)).tobytes() == np.float64(expected).tobytes()
+
+
 class TestConvergenceStudy:
     def test_gaussian_errors_decrease(self):
         sp = pr.make_interval_space(0, 1, 400, "midpoint")

@@ -18,6 +18,7 @@ from conftest import (
     config_kernels,
     count_calls,
     count_solves,
+    plain_eigenfunction_series,
     random_positive_kernel,
     remainder_radius,
     series_term_norms,
@@ -589,6 +590,95 @@ class TestSeries:
         ev = evaluator_for(pr.gaussian_kernel(pr.make_interval_space(0, 1, 40, "midpoint"), 0.4))
         with pytest.raises(SlowConvergenceError, match="series terms do not decay"):
             pr.eigenfunction_series(ev, 0.5 * remainder_radius(ev))
+
+
+def _series_kernels():
+    """Seeded Gaussians and log-normal matrices exp(s Z): the series
+    converges on the Gaussians and at s = 1; at s = 4 the certificate is so
+    weak that it raises, at a term that depends on the matrix."""
+    for sigma in (0.25, 0.35, 0.5, 1.0):
+        yield f"gaussian-{sigma}", pr.gaussian_kernel(pr.make_interval_space(0, 1, 100, "midpoint"), sigma)
+    for seed in range(4):
+        for spread in (1.0, 4.0):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(20, 41))
+            entries = np.exp(spread * rng.standard_normal((n, n)))
+            yield f"lognormal-{seed}-{spread}", pr.Kernel(entries, pr.make_counting_space(n))
+
+
+SERIES_KERNELS = dict(_series_kernels())
+CONVERGENT_SERIES = [name for name in SERIES_KERNELS if not name.endswith("-4.0")]
+
+
+def _products_of(fn, monkeypatch):
+    """(fn(), or the SlowConvergenceError it raises; the number of products
+    with a kernel it made)."""
+    calls = []
+    real = pr.Kernel.matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(pr.Kernel, "matvec", counted)
+    try:
+        out = fn()
+    except SlowConvergenceError as exc:
+        out = exc
+    finally:
+        monkeypatch.setattr(pr.Kernel, "matvec", real)
+    return out, len(calls)
+
+
+def _dense_eigenfunction(ev, lam):
+    """(lam I - R)^-1 profile by a dense solve, with the pairing
+    normalization of the series."""
+    x = np.linalg.solve(lam * np.eye(ev.space.size) - ev.split.remainder.operator_matrix(),
+                        ev.profile.values)
+    return x / pr.pair(ev.functional, pr.GridFunction(x, ev.space))
+
+
+class TestSeriesTail:
+    @pytest.mark.parametrize("name", SERIES_KERNELS)
+    def test_closed_series_stops_no_later_than_the_plain_sum(self, name, monkeypatch):
+        res = pr.solve(SERIES_KERNELS[name])
+        ev, lam = res.evaluator, res.lambda0
+        plain, plain_products = _products_of(lambda: plain_eigenfunction_series(ev, lam), monkeypatch)
+        closed, products = _products_of(lambda: pr.eigenfunction_series(ev, lam), monkeypatch)
+        assert products <= plain_products
+        if isinstance(closed, SlowConvergenceError):
+            # a raise comes where the plain sum raises, at the same term
+            assert isinstance(plain, SlowConvergenceError) and products == plain_products
+
+    @pytest.mark.parametrize("name", CONVERGENT_SERIES)
+    def test_within_tol_of_a_dense_solve(self, name):
+        res = pr.solve(SERIES_KERNELS[name])
+        ev, lam = res.evaluator, res.lambda0
+        w = pr.eigenfunction_series(ev, lam, tol=1e-12).values
+        x = _dense_eigenfunction(ev, lam)
+        assert np.abs(w - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_cli_config_shape_takes_at_most_20_products(self, monkeypatch):
+        # sigma = 0.35 at n = 600: the plain sum takes 108 products
+        res = pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35))
+        w, products = _products_of(lambda: pr.eigenfunction_series(res.evaluator, res.lambda0),
+                                   monkeypatch)
+        assert products <= 20
+        x = _dense_eigenfunction(res.evaluator, res.lambda0)
+        assert np.abs(w.values - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_rank_one_remainder_closes_after_one_term(self, monkeypatch):
+        # K = f g^T: the row_min split leaves R = f (g - alpha min(g) d)^T, so
+        # every term is a multiple of f and the ratio q = 0.552 is exact from
+        # the first product; the plain sum needs 46 products
+        f, g = np.array([1.0, 2.0, 3.0, 1.5]), np.array([1.0, 3.0, 2.0, 2.5])
+        res = pr.solve(pr.Kernel(np.outer(f, g), pr.make_counting_space(4)))
+        ev, lam = res.evaluator, res.lambda0
+        assert 0.4 < remainder_radius(ev) / lam < 0.6
+        w, products = _products_of(lambda: pr.eigenfunction_series(ev, lam), monkeypatch)
+        assert products == 1
+        x = _dense_eigenfunction(ev, lam)
+        np.testing.assert_allclose(w.values, x, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestDominance:
