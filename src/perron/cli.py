@@ -29,6 +29,7 @@ from .corrected_kernels import probe_resolvent_identity
 from .doeblin import (
     STRATEGIES,
     NotMinorizable,
+    _is_number,
     extract_minorization,
     load_certificate,
     positivity_improving_check,
@@ -136,15 +137,31 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
+def _number(cfg: dict, key: str, field: str, default=None, integer: bool = False):
+    """The JSON number ``cfg[key]``, or ``default`` where the key is absent
+    and a default is given (a missing key without one raises KeyError).
+    A bool, a string, or a fraction where ``integer`` asks for an integer,
+    is a config error naming ``field``: Python would read true as 1, "0.3"
+    as 0.3 and 200.7 nodes as 200."""
+    if key not in cfg and default is not None:
+        return default
+    value = cfg[key]
+    if not _is_number(value) or (integer and not isinstance(value, int)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{field} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _build_space(cfg: dict):
     try:
         kind = cfg["kind"]
         if kind == "interval":
             return make_interval_space(
-                float(cfg["a"]), float(cfg["b"]), int(cfg["n"]), cfg.get("rule", "midpoint")
+                float(_number(cfg, "a", "space.a")), float(_number(cfg, "b", "space.b")),
+                _number(cfg, "n", "space.n", integer=True), cfg.get("rule", "midpoint"),
             )
         if kind == "counting":
-            return make_counting_space(int(cfg["n"]))
+            return make_counting_space(_number(cfg, "n", "space.n", integer=True))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad space config: {exc}") from exc
     raise ConfigError(f"unknown space kind {kind!r}")
@@ -154,9 +171,9 @@ def _build_kernel(cfg: dict, space, config_dir: Path) -> Kernel:
     try:
         family = cfg["family"]
         if family == "constant":
-            return constant_kernel(space, float(cfg.get("c", 1.0)))
+            return constant_kernel(space, float(_number(cfg, "c", "kernel.c", default=1.0)))
         if family == "gaussian":
-            return gaussian_kernel(space, float(cfg["sigma"]))
+            return gaussian_kernel(space, float(_number(cfg, "sigma", "kernel.sigma")))
         if family == "separable":
             v = evaluate(cfg["v"], space.nodes)
             u = evaluate(cfg["u"], space.nodes)
@@ -212,10 +229,7 @@ def _solver_tol(cfg: dict) -> float:
                           "use 'direct_lu' or leave the mode out")
     if mode != "direct_lu":
         raise ConfigError(f"unknown solver mode {mode!r}: the only mode is 'direct_lu'")
-    try:
-        tol = float(solver_cfg.get("tol", 1e-12))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver tol: {exc}") from exc
+    tol = float(_number(solver_cfg, "tol", "solver.tol", default=1e-12))
     if not tol >= MIN_TOL:
         raise ConfigError(f"solver tol {tol!r} is below {MIN_TOL:g}, which double "
                           "precision does not resolve")
@@ -508,10 +522,7 @@ def verify(config_path, out_flag):
     cfg, config_dir, kernel = _prepare(config_path)
     cert = _resolve_certificate(cfg, kernel, config_dir)
     tol = _solver_tol(cfg)
-    try:
-        seed = int(cfg.get("seed", DEFAULT_SEED))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed: {exc}") from exc
+    seed = _number(cfg, "seed", "seed", default=DEFAULT_SEED, integer=True)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     checks = []

@@ -198,16 +198,25 @@ def iterate_kernel(kernel: Kernel, n: int) -> Kernel:
     return out
 
 
-# The randomized range finder takes one block of COMPRESSION_BLOCK columns;
-# kernels below 4 COMPRESSION_BLOCK nodes are not compressed.  Every
-# Gaussian of the benchmark (sigma 0.1 to 0.4) meets the rank rule with it.
-# BLAS on one thread, sigma = 0.35 costs 1.8 ms at n = 600 and 12 to 13 ms
-# at n = 2000 without the power step; sigma = 0.1 at n = 600 takes the step
-# (2.6 ms), as does a full-rank kernel before it gives up: 2.6 ms and 18 ms
-# for e^-|x-y| (a dense eigh of its S: 32 ms and 0.9 s).  That is all such a
-# kernel spends before its eigh, or, in a library solve from 512 nodes on,
-# before its LU.
-COMPRESSION_BLOCK = 32
+# The randomized range finder grows its basis by blocks of COMPRESSION_BLOCK
+# columns up to COMPRESSION_MAX_RANK; kernels below COMPRESSION_MIN_DIM nodes
+# are not compressed.  On [0, 1] the Gaussians with sigma 0.3 and above
+# (the benchmark's) meet the rank rule with one block, sigma 0.12 to 0.25
+# with two, and sigma 0.1 with two (n = 2000) or after the power step
+# (n = 600; none at n = 200); sigma 0.08 and below, e^-|x-y| and
+# log-normal matrices give up.
+# BLAS on one thread, medians of two sets on a shared 2-core Xeon,
+# sigma = 0.35 costs 1.7 to 1.8 ms at n = 600 and 15 to 18 ms at n = 2000,
+# and e^-|x-y| spends 4.7 to 4.8 and 27 to 37 ms before it gives up (a
+# dense eigh of its S: 32 ms and 0.9 s).  That is all such a kernel spends
+# before its eigh, or, in a library solve from 512 nodes on, before its LU.
+# A cap of 64 compresses sigma 0.05 to 0.08 too (rank 48 to 64), but a
+# full-rank kernel then pays 154 product columns to give up, its power step
+# at 64 columns included, against 90 at a cap of 32: 8.1 ms at n = 600 and
+# 62 ms at n = 2000.
+COMPRESSION_BLOCK = 16
+COMPRESSION_MAX_RANK = 32
+COMPRESSION_MIN_DIM = 128
 COMPRESSION_PROBES = 10
 COMPRESSION_EXPONENT = 100
 
@@ -228,9 +237,10 @@ class Compression:
 
 def compress_symmetric(kernel: Kernel) -> Compression | None:
     """Low-rank eigendecomposition of S = W^1/2 K W^1/2 for a symmetric
-    kernel, by the randomized range finder of Halko, Martinsson & Tropp
-    (2011, SIAM Rev. 53, Alg. 4.2 with Rayleigh-Ritz, and one power step
-    where the probes ask for it).
+    kernel, by the adaptive randomized range finder of Halko, Martinsson &
+    Tropp (2011, SIAM Rev. 53: Alg. 4.2 grown by blocks as in their
+    section 4.4, over the block Krylov space of their section 4.6, with
+    Rayleigh-Ritz, and one power step where the probes ask for it).
 
     COMPRESSION_PROBES seeded Gaussian columns omega_i and a block Omega
     of COMPRESSION_BLOCK more go through S in one product.  The
@@ -240,15 +250,21 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     ||(I - Q Q^T) S|| <= 10 sqrt(2/pi) max_i ||(I - Q Q^T) S omega_i||
     (their section 4.3).  The compression is taken when that bound is at
     most n eps |mu_1|, the backward error of a dense eigh.  Where it is
-    not, the Rayleigh-Ritz product S Q is the power step: Q becomes the
-    orthonormal range of S S Omega, and the same test decides again.
-    The probes are independent of both ranges, so the pair of tests
-    holds with probability at least 1 - 2 10^-10.  A second miss, a
-    nonsymmetric kernel and n below 4 COMPRESSION_BLOCK give None.  The
-    seed is fixed, so the result repeats bit for bit.
+    not, and Q holds fewer than COMPRESSION_MAX_RANK columns, Q grows by
+    a block: the last block of the Rayleigh-Ritz product S Q, twice
+    orthogonalized against Q (as in the blocked randQB of Martinsson &
+    Voronin 2016, SIAM J. Sci. Comput. 38(5)), so that Q spans
+    [S Omega, S^2 Omega, ...] and each block costs the one product that
+    extends S Q.  At the cap a miss takes the power step: Q becomes the
+    orthonormal range of S Q, and the same test decides again.  The
+    probes are independent of every range, so the tests hold together
+    with probability at least 1 - 3 10^-10.  A miss after the power step,
+    a nonsymmetric kernel and n below COMPRESSION_MIN_DIM give None.  The
+    seed is fixed, so the result repeats bit for bit.  Product columns:
+    42 at rank 16, 58 at rank 32 and 90 with the power step.
     """
     n = kernel.size
-    if 4 * COMPRESSION_BLOCK > n or not kernel.symmetric:
+    if n < COMPRESSION_MIN_DIM or not kernel.symmetric:
         return None
     # the range finder runs on scale * S, scale a power of two and so
     # exact: 2^-e where max(K) max(w) < 2^e bounds the entries of S and
@@ -263,7 +279,7 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     scaled_root_w = scale * root_w
 
     def apply_s(x):
-        return root_w * (kernel.entries @ (scaled_root_w * x))
+        return root_w * kernel.product(scaled_root_w * x)
 
     def orth(y):
         return qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
@@ -273,18 +289,28 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
                                  rng.standard_normal((n, COMPRESSION_BLOCK))]))
     s_probes = s_omega[:, :COMPRESSION_PROBES]
     q = orth(s_omega[:, COMPRESSION_PROBES:])
-    for stepped in (False, True):
-        y = apply_s(q)
+    y = apply_s(q)
+    stepped = False
+    while True:
         b = q.T @ y
         values, u = eigh(0.5 * (b + b.T))
         miss = s_probes - q @ (q.T @ s_probes)
         bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
         if bound <= n * np.finfo(float).eps * float(np.abs(values).max()):
             return Compression(values / scale, q @ u, bound / scale)
-        if stepped:
+        if q.shape[1] < COMPRESSION_MAX_RANK:
+            block = y[:, -COMPRESSION_BLOCK:]
+            for _ in range(2):
+                block = orth(block - q @ (q.T @ block))
+            q = np.hstack([q, block])
+            y = np.hstack([y, apply_s(block)])
+        elif stepped:
             return None
-        # the gate missed: the Rayleigh-Ritz product S q is the power step
-        q = orth(y)
+        else:
+            # the gate missed at the cap: the Rayleigh-Ritz product S q is
+            # the power step
+            q, stepped = orth(y), True
+            y = apply_s(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +414,9 @@ def spectral_radius_oracle(kernel: Kernel, tol: float = 1e-12) -> PowerIteration
 # wins on both.  The n = 60 warm-up of a CLI process stays dense.
 DENSE_RADIUS_MAX_DIM = 64
 ARNOLDI_RESTARTS = 28   # 25 + 20 * 28 = 585 mat-vecs, no more than 600 power steps
+# the backward error a second radius's eigenpair must meet: ARPACK's
+# tolerance, and the acceptance test of the compression's pair
+RADIUS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -396,7 +425,7 @@ class SecondRadius:
     # ||A x - theta x|| / (max(|theta|, ||T||_inf) ||x||) of the top eigenpair:
     # a backward error on the scale of T, not a relative error of theta
     residual: float
-    route: str        # "arnoldi" or "dense"
+    route: str        # "compression", "arnoldi" or "dense"
 
 
 def _deflate(t_op: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -428,6 +457,46 @@ def _top_pair(theta, x, ax, norm: float, scale: float, route: str) -> SecondRadi
     return SecondRadius(radius / scale, misfit / size if misfit else 0.0, route)
 
 
+def _compressed_pair(kernel: Kernel, compression: Compression, a, b, norm: float,
+                     scale: float, threshold: float) -> SecondRadius | None:
+    """The second radius of (I - P) T (I - P), P = a b^T, from the
+    kernel's compression S ~ V diag(mu) V^T, or None where the compression
+    cannot decide it.
+
+    T = W^-1/2 S W^1/2, and for the Perron projection P its deflation
+    has the spectrum of S without mu_top, its largest Ritz value, and 0.
+    Weyl's inequality puts that spectrum within 2 probe_bound of the Ritz
+    values other than mu_top and 0: ||S - V diag(mu) V^T|| is at most
+    twice the probe bound.  The solve's own P enters in two ways.  Its
+    distance d from the compression's Perron projection v v^T, in the
+    coordinates of S, moves the deflation by at most |mu_top| d (2 + d),
+    and the deflation with v v^T is symmetric, so by Bauer-Fike no
+    eigenvalue moves further.  And one product of T checks the candidate
+    pair (mu_k, W^-1/2 v_k), mu_k the Ritz value of largest modulus below
+    the top, against the deflation with P itself: the backward error of
+    ``_top_pair``, in the units of the Arnoldi route.  The radius |mu_k|
+    is taken when that error is at most RADIUS_TOL and the two slacks
+    together cannot carry it across ``threshold``, the radius at which
+    the verdict on dominance changes; a wrong P or a wrong compression
+    fails one of the tests."""
+    values, vectors = compression.values, compression.vectors
+    k = int(np.argmax(np.abs(values[:-1])))
+    root_w = np.sqrt(kernel.space.weights)
+    x = vectors[:, k] / root_w
+    y = x - (b @ x) * a
+    ty = kernel.matvec(scale * y)
+    pair = _top_pair(scale * values[k], x, ty - (b @ ty) * a, norm, scale, "compression")
+    # P in the coordinates of S is a_s b_s^T; with g = v . a_s,
+    # a_s b_s^T - v v^T = (a_s - g v) b_s^T + v (g b_s - v)^T
+    v, a_s, b_s = vectors[:, -1], root_w * a, b / root_w
+    g = float(v @ a_s)
+    d = float(np.linalg.norm(a_s - g * v) * np.linalg.norm(b_s) + np.linalg.norm(g * b_s - v))
+    slack = 2.0 * compression.probe_bound + abs(values[-1]) * d * (2.0 + d)
+    if not (pair.residual <= RADIUS_TOL and abs(pair.radius - threshold) > slack):
+        return None
+    return pair
+
+
 def _inverse_iteration(a: np.ndarray, theta, norm: float) -> np.ndarray:
     """An eigenvector of a for its computed eigenvalue theta, by two steps
     of inverse iteration from a fixed start, in complex arithmetic for a
@@ -447,13 +516,18 @@ def _inverse_iteration(a: np.ndarray, theta, norm: float) -> np.ndarray:
     return x
 
 
-def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> SecondRadius:
+def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray, threshold: float) -> SecondRadius:
     """Spectral radius of (I - P) T (I - P) for T the operator of
-    ``kernel`` and P = a b^T, with the residual of its top eigenpair.
+    ``kernel`` and P = a b^T, with the residual of its top eigenpair;
+    ``threshold`` is the radius at which the caller's verdict changes.
 
-    Above ``DENSE_RADIUS_MAX_DIM`` the radius comes from implicitly
+    A symmetric kernel with a compression (``Kernel.compression``) reads
+    the radius from its Ritz values, checked against P by one product of
+    T (``_compressed_pair``); where that check cannot decide the verdict,
+    and for every other kernel, the radius is computed as follows.
+    Above ``DENSE_RADIUS_MAX_DIM`` it comes from implicitly
     restarted Arnoldi (ARPACK ``eigs``: the 3 eigenvalues of largest
-    modulus, 24 Krylov vectors, tolerance 1e-10, a fixed seeded start
+    modulus, 24 Krylov vectors, tolerance RADIUS_TOL, a fixed seeded start
     vector) on the deflation applied as a rank-two update of
     ``kernel.matvec``, so neither T nor its deflation is formed as an
     n x n array; ||T||_inf is ``weighted_inf_norm``.  A run that
@@ -467,14 +541,19 @@ def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> SecondRadius:
     max(|theta|, ||T||_inf), so on a rank-one T, where the deflation
     leaves only rounding, it reads at rounding level too.  It is a
     backward error on the scale of T and does not bound the relative
-    error of theta.  Both routes run on scale T, with scale the power of
-    two that brings ||T||_inf into [1/2, 1), and divide theta by it: so
+    error of theta.  Every route runs on scale T, with scale the power of
+    two that brings ||T||_inf into [1/2, 1), and divides theta by it: so
     ARPACK's convergence test, absolute below |theta| = eps^(2/3), and the
     norms of the residual see a T of order 1 whatever the kernel's scale.
     """
     n = kernel.size
     norm = kernel.weighted_inf_norm()
     scale = _pow2_scale(norm)
+    compression = kernel.compression
+    if compression is not None:
+        pair = _compressed_pair(kernel, compression, a, b, norm, scale, threshold)
+        if pair is not None:
+            return pair
     if n > DENSE_RADIUS_MAX_DIM:
         # lazy: at module level scipy.sparse adds ~30 ms and 2.4 MB to every perron process
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
@@ -486,7 +565,7 @@ def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> SecondRadius:
         )
         start = np.random.default_rng(1234567).uniform(0.5, 1.5, n)
         try:
-            vals, vecs = eigs(op, k=3, which="LM", ncv=min(n, 24), tol=1e-10, v0=start,
+            vals, vecs = eigs(op, k=3, which="LM", ncv=min(n, 24), tol=RADIUS_TOL, v0=start,
                               maxiter=ARNOLDI_RESTARTS)
         except ArpackError:
             pass

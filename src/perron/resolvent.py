@@ -60,22 +60,25 @@ nonsymmetric kernels is not done.
 Measured on a 2-core Xeon with BLAS on one thread, for the Gaussian
 sigma = 0.35 on [0, 1]: a new well-conditioned shift (inverse, D and
 D') costs 4.2 to 5.1 ms at n = 600 and 84 to 90 ms at n = 2000 with a
-float64 LU.  On a compression (k = 32) that exists, a new shift with D,
+float64 LU.  On a compression of rank 32 (this kernel's rank is 16
+since the range finder grows by blocks), a new shift with D,
 D' and the left solve costs 1.5 ms and 3.5 to 4.8 ms, where it cost 1.8
 and 5.3 to 6.5 ms with each solve reading K on its own: at n = 2000 a
 step of the lockstep refinement takes 1.0 ms in row panels
 (``Kernel.product``, 3 columns padded to 4), against 0.92 ms for one
 vector and 2.6 ms for 3 columns in one plain BLAS call, which packs all
-of K first.  The compression costs 1.8 ms and 12 to 13 ms, once per kernel.
-A library solve, which makes the compression for its one shift, breaks
-even with the float64 LU between n = 384 and n = 512 (medians of 20
-interleaved runs, two sets, the LU forced by a floor of n + 1: 2.7
-against 2.5 to 2.6 ms at n = 384, 4.3 to 4.7 against 4.8 to 5.2 ms at
-n = 512, 5.8 to 6.3 against 8.4 to 9.0 ms at n = 640, 8.1 to 8.2
-against 13.8 to 13.9 ms at n = 800), so COMPRESSED_SOLVE_MIN_DIM = 512
-is at or above it.  A symmetric kernel of full rank pays the
-compression that gives up before its LU, one power step included: 2.6
-ms at n = 600 and 18 ms at n = 2000 for e^-|x-y|.  A whole grid of 5 to
+of K first.  The compression costs 1.7 to 1.8 ms and 15 to 18 ms, once
+per kernel (see ``kernel_op.COMPRESSION_BLOCK``, measured on a busier
+machine).  A library solve, which makes the compression for its one
+shift, breaks even with the float64 LU at or just below n = 384 (medians
+of 20 interleaved runs, two sets, the LU forced by a floor of n + 1, on
+the busier machine: 3.9 to 5.4 against 4.1 to 5.6 ms at n = 384, 5.8 to
+8.0 against 7.8 to 10.4 ms at n = 512, 9.0 to 9.7 against 13.2 to 14.0
+ms at n = 640).  COMPRESSED_SOLVE_MIN_DIM = 512 is above it: the gain at
+384 lies within the spread of the sets, and a symmetric kernel of full
+rank pays the compression that gives up before its LU, one power step
+included: 4.7 to 4.8 ms at n = 600 and 27 to 37 ms at n = 2000 for
+e^-|x-y| on that machine.  A whole grid of 5 to
 200 shifts on the compression costs less than one LU shift at both
 sizes (2.0 to 2.5 ms and 13 to 15 ms, the compression included); the
 dense eigh route about 4 (19 to 22 ms) and 8 (0.70 to 0.73 s), the

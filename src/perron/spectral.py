@@ -14,8 +14,8 @@ lower end already meets the stopping rule it is the root, and the solve
 factorizes only there.
 The eigenfunction and the rank-one spectral projection fall out of the
 residue of the factorized resolvent at that root; the spectral radius
-of the deflated operator (Arnoldi, or dense at small n) certifies strict
-dominance.
+of the deflated operator (from the kernel's compression where it
+decides, else Arnoldi, or dense at small n) certifies strict dominance.
 
 A kernel with zero entries has no strict one-step certificate, yet some
 power T^N may have one (a power-Doeblin condition, on any space).  Then
@@ -110,7 +110,13 @@ def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[f
     narrows it, once an iterate has a zero entry (the ratios need x > 0
     only, so the bracket found so far stands: a zero T gets [0, 0]), or
     after max(8, min(n / 6, 128)) steps, about the cost of D at one new
-    shift (factorization and solve).  Measured with
+    shift (factorization and solve).  From a given start the rounding-level
+    width stops it only from the third step on: the first two ratios
+    still carry the rounding of the start and of its first product, and
+    the later ones sit closer to rho(T) (on 1 + 10^-e G, G the Gaussian of
+    width 0.35 at n = 2000, 41 values of e from 2 to 12, lo lies 2 ulps
+    below an eigvalsh of S on average, against 6 when the second step may
+    stop it).  Measured with
     BLAS on one thread, such a shift costs 4-10 steps below n = 100, about
     n / 6 steps from n = 200 to 800, and 130-150 steps from n = 1200 to
     2000, where the matrix no longer fits in cache and a step is bound by
@@ -124,12 +130,14 @@ def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[f
     if not np.all(x > 0):
         raise ValueError("the start of a Collatz-Wielandt bracket must be entrywise positive")
     lo, hi = 0.0, np.inf
-    for _ in range(max(8, min(kernel.size // 6, 128))):
+    first_close = 0 if start is None else 2
+    for step in range(max(8, min(kernel.size // 6, 128))):
         y = kernel.matvec(x)
         ratios = y / x
         width = hi - lo
         lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
-        if hi - lo <= 16 * np.finfo(float).eps * hi or hi - lo >= width or not np.all(y > 0):
+        closed = hi - lo <= 16 * np.finfo(float).eps * hi and step >= first_close
+        if closed or hi - lo >= width or not np.all(y > 0):
             break
         x = y / y.max()
     return lo, hi
@@ -426,34 +434,40 @@ class DominanceReport:
     # backward error of the second radius's eigenpair on the scale of T (see
     # growth_radius); it does not bound the relative error of the radius
     residual: float
-    route: str                  # "arnoldi" or "dense", see growth_radius
+    route: str                  # "compression", "arnoldi" or "dense", see growth_radius
 
 
 def verify_dominance(result: SpectralResult) -> DominanceReport:
     """Deflation check: the spectral radius of (I - P) T (I - P), with P
     the rank-one projection of ``result``, against lambda0.
 
-    The radius is computed to rounding level, not estimated: by ARPACK on
-    the implicitly deflated T above ``DENSE_RADIUS_MAX_DIM`` (64) nodes,
-    and by dense ``eigvals`` with inverse iteration at or below it or
-    when ARPACK has not converged within 585 mat-vecs.  The slow case
-    is a deflated spectrum of many equal moduli, as for a cyclic
-    permutation plus a constant: it pays both routes.  ``route`` names
-    the one taken and ``residual`` is the misfit of its top eigenpair
-    relative to max(|theta|, ||T||_inf), a backward error on the scale of
-    T that does not bound the relative error of theta; see
+    The radius is computed to rounding level, not estimated.  A symmetric
+    kernel with a compression reads it from the Ritz values, within
+    twice the probe bound (Weyl), after one product of T has checked the
+    candidate eigenpair against P; where that bound or that check leaves
+    the verdict open, and on every other kernel, ARPACK runs on the
+    implicitly deflated T above ``DENSE_RADIUS_MAX_DIM`` (64) nodes, and
+    dense ``eigvals`` with inverse iteration at or below it or when ARPACK
+    has not converged within 585 mat-vecs.  The slow case is a deflated
+    spectrum of many equal moduli, as for a cyclic permutation plus a
+    constant: it pays both routes.  ``route`` names the one taken and
+    ``residual`` is the misfit of its top eigenpair relative to
+    max(|theta|, ||T||_inf), a backward error on the scale of T that does
+    not bound the relative error of theta; see
     :func:`perron.kernel_op.growth_radius`.
     """
+    threshold = result.lambda0 * (1.0 - DOMINANCE_GAP)
     second = growth_radius(
         result.evaluator.split.kernel,
         result.projection.range_vector.values,
         result.projection.functional.acting_vector(),
+        threshold,
     )
     return DominanceReport(
         lambda0=result.lambda0,
         second_radius=second.radius,
         gap_ratio=second.radius / result.lambda0,
-        strictly_dominant=second.radius < result.lambda0 * (1.0 - DOMINANCE_GAP),
+        strictly_dominant=second.radius < threshold,
         eig_residual=result.diagnostics.eig_residual,
         proj_idempotency=result.diagnostics.proj_idempotency,
         residual=second.residual,
@@ -500,12 +514,14 @@ def power_doeblin_analyze(
     candidates = [rho * np.exp(2j * np.pi * k / n) for k in range(n)]
     # strict dominance of T^N forces a single peripheral eigenvalue of T,
     # which must be rho itself
+    threshold = rho * (1.0 - DOMINANCE_GAP)
     second = growth_radius(
         kernel,
         result.projection.range_vector.values,
         result.projection.functional.acting_vector(),
+        threshold,
     ).radius
-    simple = second < rho * (1.0 - DOMINANCE_GAP)
+    simple = second < threshold
     return PeripheralReport(
         rho=float(rho),
         power=n,

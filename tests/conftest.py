@@ -62,6 +62,26 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_products(monkeypatch):
+    """List of the column counts of every product over K, one entry per
+    call of ``Kernel.product``, ``matvec`` or ``rmatvec`` (``matvec``
+    goes through ``product`` and counts once)."""
+    widths = []
+    real_product, real_rmatvec = pr.Kernel.product, pr.Kernel.rmatvec
+
+    def product(self, x):
+        widths.append(1 if x.ndim == 1 else x.shape[1])
+        return real_product(self, x)
+
+    def rmatvec(self, y):
+        widths.append(1 if y.ndim == 1 else y.shape[1])
+        return real_rmatvec(self, y)
+
+    monkeypatch.setattr(pr.Kernel, "product", product)
+    monkeypatch.setattr(pr.Kernel, "rmatvec", rmatvec)
+    return widths
+
+
 def perturb_top_value(monkeypatch, rel):
     """Make every kernel's compression come out with its top eigenvalue
     off by ``rel`` relative, for kernels made after the call."""

@@ -83,6 +83,26 @@ def chain_config(tmp_path):
     )
 
 
+# config payloads with a field that is no JSON number, or no integer where
+# one is due, and the field the config error names
+NUMBER_FIELD_CASES = [
+    ({"kernel": {"sigma": True}, "solver": {"tol": True}}, "kernel.sigma"),
+    ({"solver": {"tol": True}}, "solver.tol"),
+    ({"space": {"a": False, "b": True}}, "space.a"),
+    ({"space": {"b": True}}, "space.b"),
+    ({"space": {"n": 200.7}}, "space.n"),
+    ({"space": {"n": 200.0}}, "space.n"),
+    ({"space": {"n": "200"}}, "space.n"),
+    ({"space": {"kind": "counting", "n": True}}, "space.n"),
+    ({"kernel": {"sigma": "0.3"}}, "kernel.sigma"),
+    ({"kernel": {"family": "constant", "c": True}}, "kernel.c"),
+    ({"kernel": {"family": "constant", "c": "2"}}, "kernel.c"),
+    ({"solver": {"tol": "1e-12"}}, "solver.tol"),
+    ({"seed": True}, "seed"),
+    ({"seed": 3.5}, "seed"),
+]
+
+
 class TestSolveCommand:
     def test_constant_kernel_exit_zero(self, runner, constant_config, tmp_path):
         out = tmp_path / "out"
@@ -126,8 +146,9 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["residuals"]["oracle_delta_rel"] <= 1e-8
         assert report["residuals"]["series_vs_residue"] <= 1e-8
-        # n = 200 takes Arnoldi, whose eigenpair residual is reported
-        assert report["spectral_gap"]["route"] == "arnoldi"
+        # sigma = 0.2 at n = 200 has a compression, which gives the second
+        # radius; the residual of its eigenpair against P is reported
+        assert report["spectral_gap"]["route"] == "compression"
         assert report["spectral_gap"]["residual"] <= 1e-8
 
     def test_near_degenerate_gap_omits_series_residual(self, runner, tmp_path):
@@ -182,25 +203,36 @@ class TestSolveCommand:
         assert 0 < len(matvecs) < 200
 
     def test_solve_product_budget_on_the_benchmark_shape(self, runner, tmp_path, monkeypatch):
-        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 91
-        # kernel product columns (the series 15, growth_radius 28, the two
-        # Collatz-Wielandt brackets 22, the oracle 14, the solve 12); the
-        # series summed without its tail closure took 108 on its own
-        columns = []
-        real_product = pr.Kernel.product
+        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 65
+        # kernel product columns (the series 15, the two Collatz-Wielandt
+        # brackets 23, the oracle 14, the solve 12, growth_radius 1) besides
+        # the compression's 42 (26 + 16); growth_radius took 28 through
+        # ARPACK, and the compression 74 with one block of 32 columns
+        columns = {"compression": 0, "other": 0}
+        where = ["other"]
+        real_product, real_compress = pr.Kernel.product, perron.kernel_op.compress_symmetric
 
         def counted(self, x):
-            columns.append(1 if x.ndim == 1 else x.shape[1])
+            columns[where[-1]] += 1 if x.ndim == 1 else x.shape[1]
             return real_product(self, x)
 
+        def compress(kernel):
+            where.append("compression")
+            try:
+                return real_compress(kernel)
+            finally:
+                where.pop()
+
         monkeypatch.setattr(pr.Kernel, "product", counted)
+        monkeypatch.setattr(perron.kernel_op, "compress_symmetric", compress)
         cfg = write_config(tmp_path / "g.json", {
             "kernel": {"family": "gaussian", "sigma": 0.35},
             "space": {"kind": "interval", "a": 0.0, "b": 1.0, "n": 600, "rule": "midpoint"},
         })
         result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
-        assert sum(columns) <= 95, sum(columns)
+        assert columns["other"] <= 69, columns
+        assert columns["compression"] == 42
 
     @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e300])
     def test_scaled_kernel_passes_every_check(self, runner, tmp_path, c):
@@ -294,6 +326,25 @@ class TestSolveCommand:
         for command in every:
             result = runner.invoke(main, [command, "--config", path])
             assert result.exit_code == 1 and "config error" in result.output
+
+    @pytest.mark.parametrize("command, changes, field", [
+        (command, changes, field)
+        for changes, field in NUMBER_FIELD_CASES
+        # solve reads no seed
+        for command in ("solve", "verify") if field != "seed" or command == "verify"
+    ])
+    def test_config_numbers_must_be_json_numbers(self, runner, tmp_path, command, changes, field):
+        # Python reads true as 1, "0.3" as 0.3 and 200.7 nodes as 200; JSON
+        # does not, and neither does the config: a bool, a string or a
+        # fraction where an integer is due exits 1 naming the field
+        cfg = gaussian_config(40)
+        for block, value in changes.items():
+            cfg[block] = {**cfg[block], **value} if isinstance(value, dict) else value
+        path = write_config(tmp_path / "c.json", cfg)
+        result = runner.invoke(main, [command, "--config", path, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"config error: {field} must be ")
 
     @pytest.mark.parametrize("block, value, message", [
         ("space", {"kind": "interval", "b": 1.0, "n": 8}, "bad space config: 'a'"),
@@ -510,7 +561,8 @@ class TestSolveCommand:
         report = json.loads((outs[0] / "report.json").read_text())
         curve = report["curve"]
         assert curve["route"] == "compressed"
-        assert curve["rank"] == 32
+        # sigma = 0.35 meets the probe gate with the first block
+        assert curve["rank"] == 16
         assert 0 < curve["probe_bound"] <= 200 * np.finfo(float).eps * report["lambda0"]
         # the compression starts from a fixed seed
         assert (outs[0] / "dcurve.csv").read_bytes() == (outs[1] / "dcurve.csv").read_bytes()

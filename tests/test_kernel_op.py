@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import perron as pr
 import perron.kernel_op
 from perron.errors import DimensionMismatchError
-from perron.kernel_op import COMPRESSION_BLOCK, compress_symmetric
+from perron.kernel_op import compress_symmetric
 from perron.measure import INTERVAL_RULES
-from conftest import count_calls, random_positive_kernel
+from conftest import count_calls, count_products, random_positive_kernel
 
 
 class TestApply:
@@ -368,22 +368,33 @@ def weighted_s(kernel):
 
 
 class TestCompression:
-    """``compress_symmetric`` takes its power step only where the probe
-    gate of the first Rayleigh-Ritz stage misses, and a compression it
-    returns passes the gate."""
+    """``compress_symmetric`` grows its basis by blocks of COMPRESSION_BLOCK
+    columns until the probe gate passes, takes its power step only where
+    the gate misses at COMPRESSION_MAX_RANK, and a compression it returns
+    passes the gate."""
 
     @pytest.mark.parametrize(
-        "n, sigma, stages", [(600, 0.35, 1), (2000, 0.35, 1), (600, 0.1, 2)]
+        "n, sigma, ranks, widths",
+        [
+            (600, 0.35, [16], [26, 16]),
+            (2000, 0.35, [16], [26, 16]),
+            (600, 0.2, [16, 32], [26, 16, 16]),
+            (600, 0.1, [16, 32, 32], [26, 16, 16, 32]),
+        ],
     )
-    def test_power_step_only_where_the_first_gate_misses(self, n, sigma, stages, monkeypatch):
-        qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
+    def test_grows_by_blocks_until_the_gate_passes(self, n, sigma, ranks, widths, monkeypatch):
         eighs = count_calls(monkeypatch, perron.kernel_op, "eigh")
         kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), sigma)
+        products = count_products(monkeypatch)
         c = compress_symmetric(kernel)
-        # one orthonormal range and one Rayleigh-Ritz eigh per stage
-        assert qrs == [(n, COMPRESSION_BLOCK)] * stages
-        assert eighs == [(COMPRESSION_BLOCK, COMPRESSION_BLOCK)] * stages
-        assert c.rank == COMPRESSION_BLOCK
+        # one Rayleigh-Ritz eigh per stage, on the basis so far
+        assert eighs == [(r, r) for r in ranks]
+        # the 10 probes and the first block go through S in one product; a
+        # block after it is drawn from the last product S q, so it costs
+        # only the product that extends S q; a third stage at the cap is
+        # the power step, which applies S to the whole new basis
+        assert products == widths
+        assert c.rank == ranks[-1]
         backward = n * np.finfo(float).eps * float(np.abs(c.values).max())
         assert c.probe_bound <= backward
         top = scipy.linalg.eigvalsh(weighted_s(kernel), subset_by_index=[n - 1, n - 1])[0]
@@ -392,8 +403,9 @@ class TestCompression:
     def test_probe_bound_bounds_the_range_error(self, monkeypatch):
         # symmetric nonnegative kernels F F^T of rank 5 to 40, the columns
         # of F decaying geometrically: most pass the first gate, some only
-        # after the power step, and some of rank above the block give up
-        qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
+        # after a block of growth or the power step, and some of rank above
+        # the cap give up
+        eighs = count_calls(monkeypatch, perron.kernel_op, "eigh")
         stages = []
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -403,12 +415,13 @@ class TestCompression:
             gram = factor @ factor.T
             space = pr.make_interval_space(0, 1, n, INTERVAL_RULES[seed % 3])
             kernel = pr.Kernel(0.5 * (gram + gram.T), space)
-            qrs.clear()
+            eighs.clear()
             c = compress_symmetric(kernel)
             if c is None:
                 continue
-            stages.append(len(qrs))
+            stages.append(len(eighs))
             s = weighted_s(kernel)
             v = c.vectors
             assert c.probe_bound >= np.linalg.norm(s - v @ (v.T @ s), 2)
-        assert set(stages) == {1, 2}
+            assert np.allclose(v.T @ v, np.eye(c.rank), rtol=0, atol=1e-14)
+        assert set(stages) == {1, 2, 3}

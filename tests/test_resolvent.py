@@ -15,6 +15,7 @@ from perron.spectral import collatz_wielandt
 from conftest import (
     config_kernels,
     count_calls,
+    count_products,
     count_solves,
     perturb_top_value,
     random_positive_kernel,
@@ -466,12 +467,12 @@ class TestSymmetricCurve:
 
 
 class TestCompressedCurve:
-    """Symmetric kernels from 4 * COMPRESSION_BLOCK nodes on take the
+    """Symmetric kernels from COMPRESSION_MIN_DIM nodes on take the
     kernel's low-rank compression where its probe bound reaches the
     backward error of a dense eigh, and the dense eigh where it does not."""
 
-    @pytest.mark.parametrize("sigma", [0.1, 0.35, 0.4])
-    def test_rank_rule_matches_pointwise(self, sigma):
+    @pytest.mark.parametrize("sigma, rank", [(0.1, 32), (0.35, 16), (0.4, 16)])
+    def test_rank_rule_matches_pointwise(self, sigma, rank):
         kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), sigma)
         res = pr.solve(kernel)
         ev = res.evaluator
@@ -479,7 +480,7 @@ class TestCompressedCurve:
         d, dp = ev.curve(lams)
         route = ev.curve_route()
         assert route["route"] == "compressed"
-        assert route["rank"] == perron.kernel_op.COMPRESSION_BLOCK
+        assert route["rank"] == rank
         assert route["probe_bound"] <= 600 * np.finfo(float).eps * res.lambda0
         d_ref, dp_ref = pointwise_curve(ev, lams)
         np.testing.assert_allclose(d, d_ref, rtol=1e-9, atol=1e-9)
@@ -505,9 +506,12 @@ class TestCompressedCurve:
         lams = np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20)
         d, dp = ev.curve(lams)
         assert kernel.compression is None
-        # the first Rayleigh-Ritz stage misses the probe gate, and so does
-        # the one power step after it, before the fallback
-        assert qrs == [(kernel.size, perron.kernel_op.COMPRESSION_BLOCK)] * 2
+        # the stages at one and two blocks miss the probe gate, and so does
+        # the power step at the cap after them, before the fallback: one
+        # orthonormal range for the first block, two passes for the block of
+        # growth and one for the power step
+        block, cap = perron.kernel_op.COMPRESSION_BLOCK, perron.kernel_op.COMPRESSION_MAX_RANK
+        assert qrs == [(kernel.size, block)] * 3 + [(kernel.size, cap)]
         assert ev.curve_route() == {"route": "eigh", "rank": kernel.size, "probe_bound": None}
         assert calls.count((kernel.size, kernel.size)) == 1
         d_ref, dp_ref = pointwise_curve(ev, lams)
@@ -665,26 +669,6 @@ def gaussian_evaluator(n, sigma=0.35):
     return pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
 
 
-def count_products(monkeypatch):
-    """List of the column counts of every product over K, one entry per
-    call of ``Kernel.product``, ``matvec`` or ``rmatvec`` (``matvec``
-    goes through ``product`` and counts once)."""
-    widths = []
-    real_product, real_rmatvec = pr.Kernel.product, pr.Kernel.rmatvec
-
-    def product(self, x):
-        widths.append(1 if x.ndim == 1 else x.shape[1])
-        return real_product(self, x)
-
-    def rmatvec(self, y):
-        widths.append(1 if y.ndim == 1 else y.shape[1])
-        return real_rmatvec(self, y)
-
-    monkeypatch.setattr(pr.Kernel, "product", product)
-    monkeypatch.setattr(pr.Kernel, "rmatvec", rmatvec)
-    return widths
-
-
 class TestLockstepShift:
     """At a compressed shift the solves against 1, u and (transposed) phi
     are refined as one block, one product over K per step, and the left
@@ -713,6 +697,8 @@ class TestLockstepShift:
         perturb_top_value(monkeypatch, 1e-6)
         ev = gaussian_evaluator(600)
         lam = 1.1 * ev.operator_norm
+        # the compression's own products come first and are not counted
+        assert ev.split.kernel.compression is not None
         widths = count_products(monkeypatch)
         corrections = []
         real = pr.BirmanSchwingerEvaluator._pole_free_apply

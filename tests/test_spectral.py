@@ -1,11 +1,14 @@
 import dataclasses
+import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
+from scipy.optimize import brentq
 
 import perron as pr
 import perron.kernel_op
@@ -17,6 +20,7 @@ from perron.kernel_op import DENSE_RADIUS_MAX_DIM
 from conftest import (
     config_kernels,
     count_calls,
+    count_products,
     count_solves,
     plain_eigenfunction_series,
     random_positive_kernel,
@@ -767,29 +771,115 @@ def _deflated_dense(res):
     )
 
 
+def _with_projection(res, a, b):
+    """``res`` with its projection replaced by a x b, b the acting vector
+    of the functional: all that the deflation reads of it.  A wrong
+    projection may have a signed left factor, which a WeightFunctional
+    does not hold."""
+    projection = types.SimpleNamespace(
+        range_vector=types.SimpleNamespace(values=a),
+        functional=types.SimpleNamespace(acting_vector=lambda: b),
+    )
+    return dataclasses.replace(res, projection=projection)
+
+
 class TestSecondRadius:
     """The second radius against the largest modulus of the dense deflated
-    spectrum, on both routes."""
+    spectrum, on every route."""
 
     @staticmethod
-    def check_against_dense(kernel):
+    def check_against_dense(kernel, route):
         res = pr.solve(kernel)
         report = pr.verify_dominance(res)
         dense = np.abs(np.linalg.eigvals(_deflated_dense(res))).max()
         assert report.second_radius == pytest.approx(dense, rel=1e-8)
-        assert report.route == ("arnoldi" if kernel.size > DENSE_RADIUS_MAX_DIM else "dense")
+        assert report.route == route
         assert report.residual <= 1e-8
 
-    @pytest.mark.parametrize("n", [200, 600])
-    @pytest.mark.parametrize("sigma", [0.1, 0.35])
-    def test_gaussian_matches_dense_eigenvalues(self, n, sigma):
-        self.check_against_dense(_gaussian(n, sigma))
+    # sigma = 0.1 at n = 200 has no compression
+    @pytest.mark.parametrize(
+        "n, sigma, route",
+        [(200, 0.1, "arnoldi"), (600, 0.1, "compression"),
+         (200, 0.35, "compression"), (600, 0.35, "compression")],
+    )
+    def test_gaussian_matches_dense_eigenvalues(self, n, sigma, route):
+        self.check_against_dense(_gaussian(n, sigma), route)
 
     # seeds 11 and 20 add a matrix each where ARPACK asked for fewer than
     # 3 eigenvalues converges to one about 1e-3 off the largest modulus
     @pytest.mark.parametrize("seed, index", [(3, i) for i in range(40)] + [(11, 28), (20, 10)])
     def test_lognormal_matches_dense_eigenvalues(self, seed, index):
-        self.check_against_dense(_lognormal(seed, index))
+        # nonsymmetric: no compression
+        kernel = _lognormal(seed, index)
+        self.check_against_dense(kernel, "arnoldi" if kernel.size > DENSE_RADIUS_MAX_DIM else "dense")
+
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("n", [600, 1000, 2000])
+    @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.35, 1.0])
+    def test_compression_matches_arnoldi(self, sigma, n, rule, monkeypatch):
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, rule), sigma)
+        res = pr.solve(kernel)
+        report = pr.verify_dominance(res)
+        assert report.route == "compression"
+        assert report.residual <= perron.kernel_op.RADIUS_TOL
+        monkeypatch.setattr(perron.kernel_op, "_compressed_pair", lambda *args: None)
+        reference = pr.verify_dominance(res)
+        assert reference.route == "arnoldi"
+        assert abs(report.second_radius - reference.second_radius) <= 1e-12 * res.lambda0
+        assert report.strictly_dominant and reference.strictly_dominant
+
+    def test_wrong_second_ritz_value_falls_back_to_arnoldi(self, monkeypatch):
+        kernel = _gaussian(600, 0.35)
+        res = pr.solve(kernel)
+        compression = kernel.compression
+        values = compression.values.copy()
+        values[-2] *= 1.0 + 1e-8
+        wrong = perron.kernel_op.Compression(values, compression.vectors, compression.probe_bound)
+        monkeypatch.setitem(vars(kernel), "compression", wrong)
+        report = pr.verify_dominance(res)
+        assert report.route == "arnoldi"
+        assert report.second_radius == pytest.approx(compression.values[-2], rel=1e-12)
+        assert report.residual <= perron.kernel_op.RADIUS_TOL
+
+    def test_projection_from_a_wrong_vector_is_not_dominant(self):
+        # P deflates the second eigenvector instead of the Perron vector:
+        # lambda0 stays in the deflated spectrum
+        kernel = _gaussian(600, 0.35)
+        res = pr.solve(kernel)
+        root_w = np.sqrt(kernel.space.weights)
+        v = kernel.compression.vectors[:, -2]
+        report = pr.verify_dominance(_with_projection(res, v / root_w, root_w * v))
+        assert report.route != "compression"
+        assert not report.strictly_dominant
+        assert report.second_radius == pytest.approx(res.lambda0, rel=1e-8)
+
+    def test_projection_off_the_perron_pair_leaves_the_ritz_values(self):
+        # P mixes the Perron vector with the third eigenvector: the second
+        # eigenpair still checks against it, but the deflated radius lies
+        # between the first and third eigenvalues; only the distance of P
+        # from the compression's Perron projection shows it
+        kernel = _gaussian(600, 0.35)
+        res = pr.solve(kernel)
+        root_w = np.sqrt(kernel.space.weights)
+        v = kernel.compression.vectors[:, -1] + kernel.compression.vectors[:, -3]
+        wrong = _with_projection(res, v / root_w, 0.5 * root_w * v)
+        report = pr.verify_dominance(wrong)
+        assert report.route == "arnoldi"
+        dense = np.abs(np.linalg.eigvals(_deflated_dense(wrong))).max()
+        assert report.second_radius == pytest.approx(dense, rel=1e-8)
+        assert report.second_radius > 1.1 * kernel.compression.values[-2]
+
+    def test_radius_near_the_threshold_falls_back_to_arnoldi(self):
+        # Weyl's slack of the compression could carry a radius at the
+        # threshold across it
+        kernel = _gaussian(600, 0.35)
+        res = pr.solve(kernel)
+        a = res.projection.range_vector.values
+        b = res.projection.functional.acting_vector()
+        radius = pr.verify_dominance(res).second_radius
+        second = perron.kernel_op.growth_radius(kernel, a, b, radius)
+        assert second.route == "arnoldi"
+        assert second.radius == pytest.approx(radius, rel=1e-12)
 
     def test_equal_moduli_fall_back_to_dense(self):
         res = pr.solve(_cycle(100))
@@ -813,28 +903,64 @@ class TestSecondRadius:
         assert report.residual <= 1e-8
 
     @pytest.mark.parametrize("n", [40, 200])
-    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-100, 1e300])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-100, 1e-6, 1e6, 1e100, 1e300])
     def test_scaled_kernel_keeps_the_gap_ratio(self, c, n):
-        # both routes run on T scaled into range by a power of two: unscaled,
-        # 1e-300 K fell below ARPACK's absolute convergence test and the
-        # norms of the residual under- or overflowed at the extremes
+        # every route runs on T scaled into range by a power of two:
+        # unscaled, 1e-300 K fell below ARPACK's absolute convergence test
+        # and the norms of the residual under- or overflowed at the
+        # extremes; n = 200 takes the compression, n = 40 the dense route
         kernel = _gaussian(n, 0.35)
         reference = pr.verify_dominance(pr.solve(kernel))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = pr.verify_dominance(pr.solve(pr.Kernel(c * kernel.entries, kernel.space)))
-        assert report.route == reference.route
+        assert report.route == reference.route == ("compression" if n == 200 else "dense")
         assert report.gap_ratio == pytest.approx(reference.gap_ratio, abs=1e-10)
         assert np.isfinite(report.residual) and report.residual <= 1e-14
 
     def test_arnoldi_forms_no_deflated_copy(self, monkeypatch):
-        res = pr.solve(_gaussian(600, 0.35))
+        # nonsymmetric, so no compression: the Arnoldi route
+        sp = pr.make_interval_space(0, 1, 600, "midpoint")
+        kernel = pr.Kernel(_gaussian(600, 0.35).entries * (1.0 + sp.nodes), sp)
+        res = pr.solve(kernel)
         deflations = count_calls(monkeypatch, perron.kernel_op, "_deflate")
         matvecs = count_calls(monkeypatch, perron.kernel_op, "_deflated_matvec")
         report = pr.verify_dominance(res)
         assert report.route == "arnoldi"
         assert len(deflations) == 0
         assert 0 < len(matvecs) <= 60
+
+
+def _exp_abs_lambda0(c):
+    """The Perron root of e^-c|x-y| on [0, 1]: 2c / (c^2 + w^2), w the
+    smallest positive root of 2 c w cos w = (w^2 - c^2) sin w, which lies
+    in (0, pi): the left side less the right is (2c + c^2) w near 0 and
+    -2 c pi at pi."""
+    w = brentq(lambda w: 2 * c * w * math.cos(w) - (w * w - c * c) * math.sin(w),
+               1e-6, math.pi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    return 2 * c / (c * c + w * w)
+
+
+class TestClosedForm:
+    """The continuum Perron root of a kernel with a closed form, from the
+    midpoint rule and one Richardson step."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+    def test_midpoint_with_richardson_meets_the_closed_form(self, c, monkeypatch):
+        lams = {}
+        for n in (200, 400):
+            space = pr.make_interval_space(0, 1, n, "midpoint")
+            x = space.nodes
+            kernel = pr.Kernel(np.exp(-c * np.abs(x[:, None] - x[None, :])), space)
+            lams[n] = pr.solve(kernel).lambda0
+        # the midpoint rule's error is O(h^2)
+        richardson = (4.0 * lams[400] - lams[200]) / 3.0
+        assert abs(richardson - _exp_abs_lambda0(c)) <= 1e-11
+        # full rank: the range finder grows to its cap, takes the power
+        # step and gives up, after 26 + 16 + 16 + 32 = 90 product columns
+        products = count_products(monkeypatch)
+        assert kernel.compression is None
+        assert products == [26, 16, 16, 32]
 
 
 class TestSolvePipeline:
