@@ -262,6 +262,15 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     a nonsymmetric kernel and n below COMPRESSION_MIN_DIM give None.  The
     seed is fixed, so the result repeats bit for bit.  Product columns:
     42 at rank 16, 58 at rank 32 and 90 with the power step.
+
+    The top value is the Rayleigh quotient of its Ritz vector x against
+    the product S q the stage made, x . (S q u_top) / x . x, each sum
+    rounded once (``math.fsum``): D-curves on the compression divide
+    lam - mu_top out of D, so at lambda0 an ulp of mu_top moves D by
+    about D'(lambda0) ulp(mu_top), 2e-10 for the Gaussian of width 0.1 at
+    n = 600.  Over Gaussians of width 0.1 to 1 at n = 600 and 1000 the
+    quotient lies within 0.7 ulps of a long-double one, the eigenvalue of
+    q^T S q up to 14 ulps off.
     """
     n = kernel.size
     if n < COMPRESSION_MIN_DIM or not kernel.symmetric:
@@ -297,7 +306,10 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
         miss = s_probes - q @ (q.T @ s_probes)
         bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
         if bound <= n * np.finfo(float).eps * float(np.abs(values).max()):
-            return Compression(values / scale, q @ u, bound / scale)
+            vectors = q @ u
+            top = vectors[:, -1]
+            values[-1] = math.fsum(top * (y @ u[:, -1])) / math.fsum(top * top)
+            return Compression(values / scale, vectors, bound / scale)
         if q.shape[1] < COMPRESSION_MAX_RANK:
             block = y[:, -COMPRESSION_BLOCK:]
             for _ in range(2):

@@ -111,12 +111,14 @@ def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[f
     only, so the bracket found so far stands: a zero T gets [0, 0]), or
     after max(8, min(n / 6, 128)) steps, about the cost of D at one new
     shift (factorization and solve).  From a given start the rounding-level
-    width stops it only from the third step on: the first two ratios
-    still carry the rounding of the start and of its first product, and
-    the later ones sit closer to rho(T) (on 1 + 10^-e G, G the Gaussian of
-    width 0.35 at n = 2000, 41 values of e from 2 to 12, lo lies 2 ulps
-    below an eigvalsh of S on average, against 6 when the second step may
-    stop it).  Measured with
+    width stops it one step later: the start's error along the next
+    eigenvectors still decays at that width, slowly where the spectral gap
+    is small, and lo is the lambda0 of a solve whose first shift meets the
+    stopping rule (on 1 + 10^-e G, G the Gaussian of width 0.35 at n =
+    2000, 41 values of e from 2 to 12, lo lies 1.7 ulps below an eigvalsh
+    of S on average, against 6 without the extra step; on the Gaussian of
+    width 0.1 at n = 600, trapezoid rule, 2.5e-15 below relative, against
+    3.0e-15).  Measured with
     BLAS on one thread, such a shift costs 4-10 steps below n = 100, about
     n / 6 steps from n = 200 to 800, and 130-150 steps from n = 1200 to
     2000, where the matrix no longer fits in cache and a step is bound by
@@ -124,21 +126,25 @@ def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[f
     [min, max] of the row sums, at worst [0, ||T||_inf].  ``find_dominant``
     may start from the Perron vector of the kernel's compression instead
     (see there): a start near the Perron vector closes the bracket in two
-    or three steps, and the bounds still come from exact steps of T alone.
+    or three steps, one more past the close, and the bounds still come
+    from exact steps of T alone.
     """
     x = np.ones(kernel.size) if start is None else np.asarray(start, dtype=float)
     if not np.all(x > 0):
         raise ValueError("the start of a Collatz-Wielandt bracket must be entrywise positive")
     lo, hi = 0.0, np.inf
-    first_close = 0 if start is None else 2
-    for step in range(max(8, min(kernel.size // 6, 128))):
+    past_close = 0 if start is None else 1   # steps taken past the close
+    for _ in range(max(8, min(kernel.size // 6, 128))):
         y = kernel.matvec(x)
         ratios = y / x
         width = hi - lo
         lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
-        closed = hi - lo <= 16 * np.finfo(float).eps * hi and step >= first_close
-        if closed or hi - lo >= width or not np.all(y > 0):
+        if hi - lo >= width or not np.all(y > 0):
             break
+        if hi - lo <= 16 * np.finfo(float).eps * hi:
+            if past_close == 0:
+                break
+            past_close -= 1
         x = y / y.max()
     return lo, hi
 
@@ -153,7 +159,7 @@ def find_dominant(ev: BirmanSchwingerEvaluator, tol: float = 1e-12) -> float:
     on a tight bracket is all the solve needs.  Where the evaluator solves
     shifts through a compression, the bracket starts from W^-1/2 v_top,
     the compression's top eigenvector (``perron_start``), and closes
-    in two or three steps, where the ones vector takes 15 to 21 for the
+    in three or four steps, where the ones vector takes 15 to 21 for the
     Gaussians of width 0.3 to 0.4 at n = 2000; the compression chooses
     only the start, and every bound comes from exact steps of T.  A shift
     x is returned once |D(x)| <= tol * max(1, D'(x) x), whatever the sign

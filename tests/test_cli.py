@@ -203,9 +203,9 @@ class TestSolveCommand:
         assert 0 < len(matvecs) < 200
 
     def test_solve_product_budget_on_the_benchmark_shape(self, runner, tmp_path, monkeypatch):
-        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 65
+        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 66
         # kernel product columns (the series 15, the two Collatz-Wielandt
-        # brackets 23, the oracle 14, the solve 12, growth_radius 1) besides
+        # brackets 24, the oracle 14, the solve 12, growth_radius 1) besides
         # the compression's 42 (26 + 16); growth_radius took 28 through
         # ARPACK, and the compression 74 with one block of 32 columns
         columns = {"compression": 0, "other": 0}
@@ -231,7 +231,7 @@ class TestSolveCommand:
         })
         result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
-        assert columns["other"] <= 69, columns
+        assert columns["other"] <= 70, columns
         assert columns["compression"] == 42
 
     @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e300])

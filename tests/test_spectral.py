@@ -346,7 +346,9 @@ class TestRootSearch:
             assert hi < res.lambda0
 
     @pytest.mark.parametrize("n", [600, 2000])
-    def test_bracket_from_the_compression_takes_three_steps(self, n, monkeypatch):
+    def test_bracket_from_the_compression_takes_four_steps(self, n, monkeypatch):
+        # the bracket closes to rounding level in two or three steps, and
+        # a bracket from a start takes one step past the close
         space = pr.make_interval_space(0, 1, n, "midpoint")
         k = pr.gaussian_kernel(space, 0.35)
         root_w = np.sqrt(space.weights)
@@ -354,7 +356,7 @@ class TestRootSearch:
         brackets, steps = bracket_spy(monkeypatch, k)
         res = pr.solve(k)
         (start, (lo, hi)), = brackets
-        assert start is not None and steps[0] <= 3
+        assert start is not None and steps[0] <= 4
         assert lo <= lambda0 <= hi
         assert abs(res.lambda0 - lambda0) <= 1e-14 * lambda0
 
