@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs, qr
+from scipy.linalg import eigh, get_lapack_funcs, qr, toeplitz
 
 from .errors import DimensionMismatchError, PowerIterationError, ScaleOverflowError
 from .measure import (
     GridFunction,
     MeasureSpace,
     check_same_space,
+    lattice_step,
     make_counting_space,
 )
 
@@ -615,13 +616,28 @@ def separable_kernel(space: MeasureSpace, v, u) -> Kernel:
 
 
 def gaussian_kernel(space: MeasureSpace, sigma: float) -> Kernel:
+    """exp(-d^2 / (2 sigma^2)) with d the distance of two nodes.
+
+    On the midpoint or trapezoid lattice of an interval the kernel is a
+    symmetric Toeplitz matrix: the n values ``g_k`` at ``d = k h`` fill
+    ``K_ij = g_|i-j|`` in one n x n write, where the direct formula takes
+    n^2 exponentials.  ``lattice_step`` decides the route from the nodes
+    themselves, so a hand-built space whose nodes are off its rule's
+    lattice, and every Gauss-Legendre space, takes the direct formula
+    ``x_i - x_j``.  The lattice's ``(i - j) h`` is also the more accurate
+    distance: ``x_i - x_j`` cancels the rounding of nodes far from 0, which
+    on [1000, 1001] costs up to 1.1e-11 relative in an entry.  Either route
+    is symmetric entry for entry.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    h = lattice_step(space)
     # one buffer, filled in place: d^2 / (-2 sigma^2) rounds as -d^2 / (2 sigma^2)
-    entries = np.subtract.outer(space.nodes, space.nodes)
-    np.square(entries, out=entries)
-    entries /= -2.0 * sigma**2
-    np.exp(entries, out=entries)
+    d = np.subtract.outer(space.nodes, space.nodes) if h is None else np.arange(space.size) * h
+    np.square(d, out=d)
+    d /= -2.0 * sigma**2
+    np.exp(d, out=d)
+    entries = d if h is None else toeplitz(d)
     entries.flags.writeable = False
     return Kernel(entries, space)
 

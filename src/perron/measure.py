@@ -159,6 +159,30 @@ def pair(phi: WeightFunctional, f: GridFunction) -> float:
     return float(np.dot(phi.acting_vector(), f.values))
 
 
+def _uniform_lattice(a: float, b: float, n: int, rule: str) -> tuple[np.ndarray, float]:
+    """Nodes and spacing h of the midpoint lattice ``a + (i + 1/2) h`` or
+    the trapezoid lattice ``a + i h`` (its last node b) with n nodes."""
+    if rule == "midpoint":
+        h = (b - a) / n
+        return a + (np.arange(n) + 0.5) * h, h
+    return np.linspace(a, b, n), (b - a) / (n - 1)
+
+
+def lattice_step(space: MeasureSpace) -> float | None:
+    """The spacing h when the nodes of an interval space are exactly the
+    midpoint or trapezoid lattice that ``make_interval_space`` puts on its
+    interval, else None.  The nodes themselves decide, in one O(n)
+    comparison: a hand-built space may carry any increasing nodes under a
+    rule's name."""
+    if space.kind != "interval":
+        return None
+    a, b, rule = space.interval
+    if rule not in ("midpoint", "trapezoid") or (rule == "trapezoid" and space.size < 2):
+        return None
+    nodes, h = _uniform_lattice(a, b, space.size, rule)
+    return h if np.array_equal(nodes, space.nodes) else None
+
+
 def make_interval_space(a: float, b: float, n: int, rule: str = "midpoint") -> MeasureSpace:
     """Quadrature rule with n nodes for Lebesgue measure on [a, b].
 
@@ -173,14 +197,12 @@ def make_interval_space(a: float, b: float, n: int, rule: str = "midpoint") -> M
     if rule not in INTERVAL_RULES:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     if rule == "midpoint":
-        h = (b - a) / n
-        nodes = a + (np.arange(n) + 0.5) * h
+        nodes, h = _uniform_lattice(a, b, n, rule)
         weights = np.full(n, h)
     elif rule == "trapezoid":
         if n < 2:
             raise ValueError("trapezoid rule needs at least 2 nodes")
-        nodes = np.linspace(a, b, n)
-        h = (b - a) / (n - 1)
+        nodes, h = _uniform_lattice(a, b, n, rule)
         weights = np.full(n, h)
         weights[0] = weights[-1] = h / 2
     else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -257,19 +259,77 @@ class TestBuilders:
         np.testing.assert_allclose(k.entries, two_state_chain.entries)
         assert k.space.kind == "counting"
 
-    def test_gaussian_positive_symmetric(self):
-        sp = pr.make_interval_space(0, 1, 20, "midpoint")
-        k = pr.gaussian_kernel(sp, 0.4)
+    @pytest.mark.parametrize("rule", INTERVAL_RULES)
+    @pytest.mark.parametrize("n", [20, 600])
+    def test_gaussian_positive_symmetric(self, rule, n):
+        # entry for entry: a kernel symmetric only to rounding would lose the
+        # compression and the eigh routes (600 >= COMPRESSED_SOLVE_MIN_DIM)
+        assert 20 < perron.resolvent.COMPRESSED_SOLVE_MIN_DIM <= 600
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, rule), 0.4)
         assert np.all(k.entries > 0)
-        np.testing.assert_allclose(k.entries, k.entries.T)
+        assert np.array_equal(k.entries, k.entries.T)
+        assert k.symmetric
 
-    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("rule", INTERVAL_RULES)
     def test_gaussian_equals_the_first_formula_bit_for_bit(self, rule):
+        # Gauss-Legendre nodes at the distances x_i - x_j; the uniform rules at
+        # the lattice distances k h, k = |i - j|
+        a, b = -0.5, 2.0
         for n, sigma in ((7, 0.05), (40, 0.35), (101, 1.7)):
-            sp = pr.make_interval_space(-0.5, 2.0, n, rule)
-            diff = sp.nodes[:, np.newaxis] - sp.nodes[np.newaxis, :]
+            sp = pr.make_interval_space(a, b, n, rule)
+            if rule == "gauss_legendre":
+                diff = sp.nodes[:, np.newaxis] - sp.nodes[np.newaxis, :]
+            else:
+                h = (b - a) / (n if rule == "midpoint" else n - 1)
+                diff = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * h
             first = np.exp(-(diff**2) / (2.0 * sigma**2))
             assert pr.gaussian_kernel(sp, sigma).entries.tobytes() == first.tobytes()
+
+    def test_gaussian_off_the_lattice_takes_the_direct_formula(self):
+        # a hand-built space that names the midpoint rule but has one node
+        # moved: only the nodes can tell that it is not the lattice
+        nodes = pr.make_interval_space(0, 1, 40, "midpoint").nodes.copy()
+        nodes[17] += 1e-3
+        sp = pr.MeasureSpace(nodes, np.full(40, 1 / 40), kind="interval",
+                             interval=(0.0, 1.0, "midpoint"))
+        diff = sp.nodes[:, np.newaxis] - sp.nodes[np.newaxis, :]
+        first = np.exp(-(diff**2) / (2.0 * 0.35**2))
+        assert pr.gaussian_kernel(sp, 0.35).entries.tobytes() == first.tobytes()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs an extended-precision long double")
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.5, 2.0), (1000.0, 1001.0)])
+    def test_gaussian_on_the_lattice_is_accurate_entry_for_entry(self, rule, a, b):
+        # against exp(t) at the exact lattice distances k (b - a) / m in long
+        # double: within 4 (1 + |t|) eps wherever the entry does not
+        # underflow.  x_i - x_j loses the nodes' rounding far from 0 and
+        # misses this by three orders of magnitude on [1000, 1001]
+        n = 101
+        m = n if rule == "midpoint" else n - 1
+        k = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(np.longdouble)
+        d = k * (np.longdouble(b) - np.longdouble(a)) / m
+        eps = np.finfo(float).eps
+        for sigma in (0.1, 0.35, 1.7):
+            t = -(d**2) / (2 * np.longdouble(sigma) ** 2)
+            exact = np.exp(t)
+            entries = pr.gaussian_kernel(pr.make_interval_space(a, b, n, rule), sigma).entries
+            kept = exact >= np.finfo(float).tiny
+            error = np.abs(entries.astype(np.longdouble) - exact) / exact
+            assert np.all(error[kept] <= 4 * (1 + np.abs(t[kept])) * eps)
+
+    @pytest.mark.parametrize("rule", ["midpoint", "gauss_legendre"])
+    def test_gaussian_holds_one_square_array(self, rule):
+        n = 1000
+        sp = pr.make_interval_space(0, 1, n, rule)
+        pr.gaussian_kernel(sp, 0.35)
+        tracemalloc.start()
+        try:
+            pr.gaussian_kernel(sp, 0.35)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * n * n
 
 
 class TestKernelValidation:
