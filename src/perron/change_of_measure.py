@@ -64,8 +64,12 @@ def changed_space(mc: MeasureChange) -> MeasureSpace:
 def conjugate_kernel(kernel: Kernel, mc: MeasureChange) -> Kernel:
     """h^(1/p)-weighted conjugate over the nu-space; same spectrum."""
     check_same_space(kernel.space, mc.density.space)
-    # one outer product: at p = 2 a symmetric kernel stays bit-symmetric
-    entries = np.outer(mc.row_factor(), mc.col_factor()) * kernel.entries
+    # one outer product, multiplied in place and frozen, so that the Kernel
+    # shares it: one n x n array; at p = 2 a symmetric kernel stays
+    # bit-symmetric
+    entries = np.outer(mc.row_factor(), mc.col_factor())
+    entries *= kernel.entries
+    entries.flags.writeable = False
     return Kernel(entries, changed_space(mc))
 
 

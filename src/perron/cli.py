@@ -293,10 +293,24 @@ def _residuals(kernel: Kernel, result) -> tuple[dict, float]:
 
 
 def _remainder_bracket(result) -> tuple[float, float]:
-    """A certified bracket of rho(R), from power steps of R on the
-    eigenfunction w of ``result``: its first step, [lambda0 - alpha max u/w,
-    lambda0 - alpha min u/w], already lies below lambda0."""
-    return collatz_wielandt(result.evaluator.split.remainder, start=result.eigenfunction.values)
+    """A certified bracket of rho(R), R the split's clamped remainder, from
+    steps of the implicit T - alpha u x phi clamped at 0
+    (``remainder_product``), whose upper ends add the clamp's O(n) lift
+    (``remainder_lift``): no n x n remainder is formed.  The steps start
+    from the Perron vector of R's compression (``remainder_start``) and
+    close in 3 to 5.  Without one, or where that bracket does not lie
+    below lambda0, they start from the eigenfunction w of ``result``,
+    whose first step,
+    [lambda0 - alpha max u/w, lambda0 - alpha min u/w], lies below
+    lambda0."""
+    ev = result.evaluator
+    start = ev.remainder_start()
+    if start is not None:
+        bracket = collatz_wielandt(ev.remainder_product, start, lift=ev.remainder_lift)
+        if bracket[1] < result.lambda0:
+            return bracket
+    return collatz_wielandt(ev.remainder_product, result.eigenfunction.values,
+                            lift=ev.remainder_lift)
 
 
 @click.group()
@@ -561,11 +575,7 @@ def verify(config_path, out_flag):
     )
     result = solve(kernel, certificate=cert, tol=tol)
     lam, ev = result.lambda0, result.evaluator
-    # (alpha u (x) phi + R) - K in one fresh buffer, then its largest modulus
-    recon = cert.lower_bound_matrix()
-    recon += ev.split.remainder.entries
-    recon -= kernel.entries
-    defect = np.abs(recon, out=recon).max()
+    defect = ev.split.reconstruction_defect()
     record(
         "split_reconstruction",
         defect <= 1e-12 * max(1.0, kernel.max_entry),
@@ -653,7 +663,12 @@ def verify(config_path, out_flag):
         # on T times the power of two of ||T||_inf, exact: no power of T
         # over- or underflows, and the slack below is relative
         unit = _pow2_scale(ev.operator_norm)
-        unit_kernel = kernel if unit == 1.0 else Kernel(unit * kernel.entries, kernel.space)
+        unit_kernel = kernel
+        if unit != 1.0:
+            # frozen, so the Kernel shares the product and does not copy it
+            entries = unit * kernel.entries
+            entries.flags.writeable = False
+            unit_kernel = Kernel(entries, kernel.space)
         study = convergence_study(unit_kernel, mid, mid, widths, 3)
         record(
             "mollified_convergence",

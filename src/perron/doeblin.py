@@ -112,11 +112,13 @@ class NotFoundWithin:
 class RankOneSplit:
     """T = alpha * (profile x functional) + remainder, with remainder >= 0.
 
-    The solve never reads ``remainder``: it applies R as the implicit
-    T - alpha * profile x phi (see ``resolvent``).  The explicit n x n
-    Kernel is read-only: the clamped gap of ``_gap``, built when first
-    read and then kept.  The two differ only where the clamp lifts a
-    float-noise slack to 0."""
+    Neither the solve nor the diagnostics of ``perron solve`` and ``perron
+    dcurve`` read ``remainder``: they apply R as the implicit
+    T - alpha * profile x phi (see ``resolvent``), and only the
+    cross-checks of ``perron verify`` read it.  The explicit n x n Kernel
+    is read-only: the clamped gap of ``_gap``, built when first read and
+    then kept.  The two differ only where the clamp lifts a float-noise
+    slack to 0, by at most ``clamp_lift`` in each row."""
 
     kernel: Kernel
     certificate: MinorizationCertificate
@@ -132,6 +134,34 @@ class RankOneSplit:
         _gap(self.kernel, self.certificate, out=entries)
         entries.flags.writeable = False
         return Kernel(entries, self.kernel.space)
+
+    @cached_property
+    def clamp_lift(self) -> np.ndarray:
+        """Per row i, the most the clamp of ``remainder`` lifts an entry of
+        that row, max(0, -min_j gap_ij) with the gap rounded as ``_gap``
+        writes it: so remainder <= K - alpha * profile x density +
+        clamp_lift x 1 entrywise, up to the rounding of that difference.
+        O(n) for a flat density (``_row_slack``), one read-only pass over
+        K for any other."""
+        return np.maximum(-_row_slack(self.kernel, self.certificate), 0.0)
+
+    def reconstruction_defect(self) -> float:
+        """max |alpha * profile x density + remainder - K| over the entries,
+        each rounded as the n x n sum would be, in blocks of rows of one
+        reused buffer."""
+        cert, entries, rem = self.certificate, self.kernel.entries, self.remainder.entries
+        blocks = _row_blocks(self.kernel.size)
+        buf = np.empty((blocks[0].stop, self.kernel.size))
+        worst = 0.0
+        for rows in blocks:
+            # alpha * outer(profile, density), as ``lower_bound_matrix``
+            recon = np.multiply(cert.profile.values[rows, np.newaxis], cert.functional.density,
+                                out=buf[: rows.stop - rows.start])
+            recon *= cert.alpha
+            recon += rem[rows]
+            recon -= entries[rows]
+            worst = np.maximum(worst, np.abs(recon, out=recon).max())
+        return float(worst)
 
 
 def _maximal_alpha(entries: np.ndarray, profile: np.ndarray, density: np.ndarray) -> float:
@@ -246,22 +276,38 @@ class CertificateReport:
 def _gap(
     kernel: Kernel, cert: MinorizationCertificate, out: np.ndarray | None = None
 ) -> CertificateReport:
-    """The certificate report of K^(N) - alpha * profile x density.  With
-    ``out`` the gap is written there row block by row block, clamped at
-    zero after its block is read.  Without, a flat density is checked in
-    O(n) from the row minima of K^(N), any other in one pass that reuses
-    one block buffer."""
+    """The certificate report of K^(N) - alpha * profile x density, from
+    the least entry of each row (``_row_slack``); with ``out`` the gap is
+    written there."""
     check_same_space(kernel.space, cert.profile.space)
     powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
+    worst = float(_row_slack(powered, cert, out).min())
+    # kernel entries are nonnegative, so their max is their sup norm
+    scale = max(1.0, powered.max_entry)
+    return CertificateReport(
+        holds=worst >= -SLACK * scale,
+        worst_slack=worst,
+        strict_phi=cert.functional.strictly_positive,
+    )
+
+
+def _row_slack(
+    powered: Kernel, cert: MinorizationCertificate, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The least entry of each row of the gap powered - alpha * profile x
+    density, rounded as it is written.  With ``out`` the gap is written
+    there row block by row block, clamped at zero after its block is read.
+    Without, a flat density is read in O(n) from the row minima of
+    ``powered``, any other in one pass that reuses one block buffer."""
     entries, profile, density = powered.entries, cert.profile.values, cert.functional.density
     flat = cert._flat_shape
     if out is None and flat is not None:
         # row i of the gap is K_ij - c_i and rounding is monotone, so its
-        # least entry is fl(min_j K_ij - c_i): the worst slack bit for bit
-        blocks, worst = [], float(np.subtract(powered.row_minima, flat).min())
-    else:
-        blocks, worst = _row_blocks(kernel.size), np.inf
-    buf = np.empty((blocks[0].stop, kernel.size)) if out is None and blocks else None
+        # least entry is fl(min_j K_ij - c_i), bit for bit
+        return np.subtract(powered.row_minima, flat)
+    blocks = _row_blocks(powered.size)
+    buf = np.empty((blocks[0].stop, powered.size)) if out is None else None
+    least = np.empty(powered.size)
     for rows in blocks:
         gap = buf[: rows.stop - rows.start] if out is None else out[rows]
         if flat is None:
@@ -270,16 +316,10 @@ def _gap(
             np.subtract(entries[rows], gap, out=gap)
         else:
             np.subtract(entries[rows], flat[rows, np.newaxis], out=gap)
-        worst = min(worst, float(gap.min()))
+        gap.min(axis=1, out=least[rows])
         if out is not None:
             np.maximum(gap, 0.0, out=gap)
-    # kernel entries are nonnegative, so their max is their sup norm
-    scale = max(1.0, powered.max_entry)
-    return CertificateReport(
-        holds=worst >= -SLACK * scale,
-        worst_slack=worst,
-        strict_phi=cert.functional.strictly_positive,
-    )
+    return least
 
 
 def verify_certificate(kernel: Kernel, cert: MinorizationCertificate) -> CertificateReport:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doeblin import _row_blocks
 from .errors import EmptySupportError, GridTooCoarseError
 from .kernel_op import Kernel, overflow_raises
 from .measure import MeasureSpace
@@ -84,8 +85,10 @@ def _power_basis(kernel: Kernel, m: int):
     K^(j+1) = L diag(mu^(j+1)) L^T with L = W^-1/2 V, while K^(1) keeps the
     exact entries: a form costs O(n k) and a combination is
     c_0 K + L diag(sum_j c_j mu^(j+1)) L^T, one O(n^2 k) product, with no
-    power formed.  Without one, the stack of ``_kernel_powers``.  The first
-    steps of a recursion reach no power past K^(1), and rounding is
+    power formed.  Without one, the stack of ``_kernel_powers``.  Either
+    combination is formed in blocks of rows of one reused buffer, of which
+    only the largest modulus is kept: no n x n combination is formed.  The
+    first steps of a recursion reach no power past K^(1), and rounding is
     monotone, so such a combination's sup norm is |c_0| max K, bit for bit,
     with no pass over K."""
     compression = kernel.compression if m else None
@@ -95,8 +98,8 @@ def _power_basis(kernel: Kernel, m: int):
         def forms(a, b):
             return powers @ b @ a
 
-        def combination(c):
-            return np.tensordot(c, powers, axes=1)
+        def combination(c, rows, out):
+            out[...] = np.tensordot(c, powers[:, rows], axes=1)
     else:
         left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
         mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]   # row j - 1: mu^(j+1)
@@ -104,15 +107,22 @@ def _power_basis(kernel: Kernel, m: int):
         def forms(a, b):
             return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
 
-        def combination(c):
-            out = (left * (c[1:] @ mu)) @ left.T
-            out += c[0] * kernel.entries
-            return out
+        def combination(c, rows, out):
+            np.matmul(left[rows] * (c[1:] @ mu), left.T, out=out)
+            out += c[0] * kernel.entries[rows]
+
+    blocks = _row_blocks(kernel.size)
+    buf = np.empty((blocks[0].stop, kernel.size))
 
     def sup_norm(c):
         if not c[1:].any():
             return float(abs(c[0] * kernel.max_entry))
-        return float(np.abs(combination(c)).max())
+        worst = 0.0
+        for rows in blocks:
+            out = buf[: rows.stop - rows.start]
+            combination(c, rows, out)
+            worst = np.maximum(worst, np.abs(out, out=out).max())
+        return float(worst)
 
     return forms, sup_norm
 

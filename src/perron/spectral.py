@@ -28,6 +28,7 @@ occur (``power_doeblin_analyze``).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,15 +98,27 @@ class SpectralResult:
     evaluator: BirmanSchwingerEvaluator
 
 
-def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[float, float]:
-    """Bracket lo <= rho(T) <= hi from power steps of the operator T of
-    ``kernel`` on ``start``, an entrywise positive vector (the ones vector
-    by default), each step one ``kernel.matvec``.
+def collatz_wielandt(
+    operator: Kernel | Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray | None = None,
+    lift: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[float, float]:
+    """Bracket lo <= rho(A) <= hi from power steps of a nonnegative A on
+    ``start``, an entrywise positive vector (the ones vector by default).
+    ``operator`` is a Kernel, whose operator T is stepped by ``matvec``,
+    or a function x -> A x, such as ``remainder_product`` of an
+    evaluator, which needs a start; each step is one product.
 
-    For nonnegative T and positive x, min_i (Tx)_i/x_i and max_i (Tx)_i/x_i
-    enclose rho(T) (Collatz 1942, Wielandt 1950).  Every positive iterate
+    For nonnegative A and positive x, min_i (Ax)_i/x_i and max_i (Ax)_i/x_i
+    enclose rho(A) (Collatz 1942, Wielandt 1950).  Every positive iterate
     gives such a pair, so the running max of the lower ends and the running
-    min of the upper ends is still a bracket.  Stepping stops once its
+    min of the upper ends is still a bracket.  ``lift``, a function of x,
+    bounds entrywise what the operator's product may lack of A x: the upper
+    ends read (Ax + lift(x))_i / x_i.  So steps of the implicit remainder
+    T - alpha*u x phi, clamped at 0 (``remainder_product``), bracket the
+    radius of the split's clamped remainder, whose lift above them
+    ``remainder_lift`` bounds in O(n), with no n x n remainder formed.
+    Stepping stops once the bracket's
     relative width is at rounding level (16 eps), once a step no longer
     narrows it, once an iterate has a zero entry (the ratios need x > 0
     only, so the bracket found so far stands: a zero T gets [0, 0]), or
@@ -123,22 +136,32 @@ def collatz_wielandt(kernel: Kernel, start: np.ndarray | None = None) -> tuple[f
     n / 6 steps from n = 200 to 800, and 130-150 steps from n = 1200 to
     2000, where the matrix no longer fits in cache and a step is bound by
     memory traffic.  From the ones vector the first step already gives
-    [min, max] of the row sums, at worst [0, ||T||_inf].  ``find_dominant``
-    may start from the Perron vector of the kernel's compression instead
-    (see there): a start near the Perron vector closes the bracket in two
-    or three steps, one more past the close, and the bounds still come
-    from exact steps of T alone.
+    [min, max] of the row sums, at worst [0, ||T||_inf].  A start near the
+    Perron vector closes the bracket in two or three steps, one more past
+    the close: ``find_dominant`` may start from the Perron vector of the
+    kernel's compression, and the bracket of rho(R) in ``perron solve``
+    from that of R's (``remainder_start``), which takes 3 to 5 steps on the
+    Gaussians of width 0.1 to 0.35 at n = 600 and 2000, where the
+    eigenfunction w took 21 to 69.  The compression chooses only the
+    start: the bounds still come from exact steps of A alone.
     """
-    x = np.ones(kernel.size) if start is None else np.asarray(start, dtype=float)
+    if isinstance(operator, Kernel):
+        apply, size = operator.matvec, operator.size
+    elif start is None:
+        raise ValueError("a Collatz-Wielandt bracket of a function needs a start vector")
+    else:
+        apply, size = operator, len(start)
+    x = np.ones(size) if start is None else np.asarray(start, dtype=float)
     if not np.all(x > 0):
         raise ValueError("the start of a Collatz-Wielandt bracket must be entrywise positive")
     lo, hi = 0.0, np.inf
     past_close = 0 if start is None else 1   # steps taken past the close
-    for _ in range(max(8, min(kernel.size // 6, 128))):
-        y = kernel.matvec(x)
+    for _ in range(max(8, min(size // 6, 128))):
+        y = apply(x)
         ratios = y / x
+        upper = ratios if lift is None else (y + lift(x)) / x
         width = hi - lo
-        lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        lo, hi = max(lo, float(ratios.min())), min(hi, float(upper.max()))
         if hi - lo >= width or not np.all(y > 0):
             break
         if hi - lo <= 16 * np.finfo(float).eps * hi:
@@ -287,6 +310,11 @@ def eigenfunction_series(
     As a(q_lo) >= 0, the stop comes no later than the uncorrected one,
     t_n a(q_hi) <= tol times the running sum.
 
+    R is the evaluator's implicit remainder, stepped by
+    ``remainder_product``: one product over K per term and no n x n
+    remainder, with every term clamped at 0, so the terms stay
+    nonnegative where T - alpha*u x phi rounds below 0.
+
     The loop raises SlowConvergenceError as soon as q_lo shows that
     SERIES_MAX_TERMS terms cannot meet tol, rather than after them: the
     decay t_n+k >= q_lo^k t_n bounds from below the terms the uncorrected
@@ -294,14 +322,13 @@ def eigenfunction_series(
     The result carries the same pairing normalization as the residue
     route.
     """
-    rem = ev.split.remainder
     term = ev.profile.values / lambda0
     acc = term.copy()
     q_lo, q_hi = 0.0, np.inf
     for n in range(1, SERIES_MAX_TERMS + 1):
         # scaled recurrence: unscaled numerator and denominator both
         # underflow for long series when lambda0 < 1
-        nxt = rem.matvec(term) / lambda0
+        nxt = ev.remainder_product(term) / lambda0
         acc += nxt
         if not nxt.any():
             break

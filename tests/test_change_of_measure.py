@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,25 @@ class TestConjugation:
         np.testing.assert_allclose(
             ke.entries, root[:, np.newaxis] * interval_kernel.entries * root, rtol=1e-15
         )
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_conjugate_holds_one_square_array(self, p):
+        # the outer product is multiplied in place and frozen, so the
+        # Kernel shares it: entries as (r x c) * K, bit for bit
+        n = 600
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        mc = pr.MeasureChange(density_on(k.space, seed=85), p)
+        pr.conjugate_kernel(k, mc)
+        tracemalloc.start()
+        try:
+            ke = pr.conjugate_kernel(k, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * n * n
+        expected = np.outer(mc.row_factor(), mc.col_factor()) * k.entries
+        assert ke.entries.tobytes() == expected.tobytes()
+        assert ke.symmetric == (p == 2.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_spectral_invariance_random_density(self, interval_kernel, p):

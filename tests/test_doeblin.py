@@ -405,6 +405,26 @@ class TestRowBlocks:
             assert pr.verify_certificate(k, cert).worst_slack == worst
 
     @pytest.mark.parametrize("block_entries", [None, 1000])
+    @pytest.mark.parametrize("strategy", ["row_min", "column_profile"])
+    def test_clamp_lift_and_defect_match_bit_for_bit(self, strategy, block_entries, monkeypatch):
+        # the lift is max(0, -least gap) per row, so the clamped remainder
+        # lies within it of the unclamped gap; the defect is the largest
+        # modulus of the n x n sum, entry for entry
+        if block_entries is not None:
+            monkeypatch.setattr(perron.doeblin, "BLOCK_ENTRIES", block_entries)
+        for k in self.kernels():
+            cert = pr.extract_minorization(k, strategy)
+            split = pr.rank_one_split(k, cert)
+            gap = np.outer(cert.profile.values, cert.functional.density)
+            gap *= cert.alpha
+            np.subtract(k.entries, gap, out=gap)
+            lift = np.maximum(-gap.min(axis=1), 0.0)
+            assert split.clamp_lift.tobytes() == lift.tobytes()
+            assert np.all(split.remainder.entries - gap <= lift[:, np.newaxis])
+            recon = cert.lower_bound_matrix() + split.remainder.entries - k.entries
+            assert split.reconstruction_defect() == float(np.abs(recon).max())
+
+    @pytest.mark.parametrize("block_entries", [None, 1000])
     def test_user_shapes_with_zeros_match_bit_for_bit(self, block_entries, monkeypatch):
         if block_entries is not None:
             monkeypatch.setattr(perron.doeblin, "BLOCK_ENTRIES", block_entries)
@@ -500,6 +520,16 @@ class TestFlatCheck:
         assert passes == []
         split.remainder  # built on first read, by one pass
         assert len(passes) == 1
+
+    def test_a_flat_clamp_lift_makes_no_pass_over_the_kernel(self, monkeypatch):
+        passes = count_calls(monkeypatch, perron.doeblin, "_row_blocks")
+        for k, cert in flat_cases():
+            if not pr.verify_certificate(k, cert).holds:
+                continue
+            lift = pr.rank_one_split(k, cert).clamp_lift
+            gap = k.entries - cert.lower_bound_matrix()
+            assert lift.tobytes() == np.maximum(-gap.min(axis=1), 0.0).tobytes()
+        assert passes == []
 
     def test_a_flat_user_certificate_with_too_large_alpha_is_refused(self):
         k = random_positive_kernel(pr.make_counting_space(12), np.random.default_rng(78))

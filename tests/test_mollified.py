@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -236,6 +237,29 @@ class TestSupNormShortcut:
         assert np.array(study.per_step).tobytes() == np.array(formed.per_step).tobytes()
         assert study.errors == formed.errors
         assert all(step[1] > 0 for step in study.per_step)
+
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_sup_norm_forms_no_square_array(self, compressed, monkeypatch):
+        # the combination goes in blocks of rows of one reused buffer, each
+        # entry rounded as the formed combination's: what is left are the
+        # temporaries of a block, 0.07 n^2 doubles on the compression and
+        # 0.26 from the stack of powers, where the formed combination took 1
+        n = 1000
+        if not compressed:
+            monkeypatch.setattr(perron.kernel_op, "compress_symmetric", lambda kernel: None)
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        _, sup_norm = perron.mollified._power_basis(k, 2)
+        _, formed = _combination_power_basis(k, 2)
+        c = np.array([0.7, -0.3, 0.05])
+        sup_norm(c)
+        tracemalloc.start()
+        try:
+            value = sup_norm(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * 8 * n * n
+        assert np.float64(value).tobytes() == np.float64(formed(c)).tobytes()
 
     @pytest.mark.parametrize("c0", [0.0, -0.0, 0.097, -0.147, 3e-300])
     def test_scaled_kernel_sup_norm_is_exact(self, c0):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.linalg
 from scipy.linalg import schur
 
 import perron as pr
+import perron.cli
 import perron.resolvent
 from perron.cli import _dcurve_grid
 from perron.errors import BelowSpectralRadiusError, IllConditionedError
@@ -855,3 +857,108 @@ class TestCurve:
         assert condition[0] == pytest.approx(condition[1], rel=1e-2)
         ev.curve([0.8, 10.0])
         ev.value(0.8)
+
+
+def remainder_bracket_steps(result, monkeypatch):
+    """The bracket of ``perron.cli._remainder_bracket`` on ``result``, the
+    start it stepped from and the number of products of R it took."""
+    ev = result.evaluator
+    real = pr.BirmanSchwingerEvaluator.remainder_product
+    steps, starts = [], []
+
+    def counted(self, x):
+        if self is ev:
+            steps.append(1)
+        return real(self, x)
+
+    def cw(operator, start, lift=None):
+        starts.append(start)
+        return collatz_wielandt(operator, start, lift)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pr.BirmanSchwingerEvaluator, "remainder_product", counted)
+        patch.setattr(perron.cli, "collatz_wielandt", cw)
+        bracket = perron.cli._remainder_bracket(result)
+    return bracket, starts[0], len(steps)
+
+
+class TestRemainderStart:
+    """The Collatz-Wielandt bracket of rho(R) from the Perron vector of R's
+    compression, ``BirmanSchwingerEvaluator.remainder_start``."""
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    @pytest.mark.parametrize("sigma", [0.1, 0.15, 0.35])
+    def test_bracket_closes_in_at_most_five_steps(self, sigma, n, monkeypatch):
+        # from the eigenfunction it took 21 (sigma = 0.35) to 69 (0.1) steps
+        res = pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), sigma))
+        (lo, hi), start, steps = remainder_bracket_steps(res, monkeypatch)
+        assert start is not None and start is not res.eigenfunction.values
+        assert steps <= 5
+        assert hi - lo <= 32 * np.finfo(float).eps * hi
+        assert hi < res.lambda0
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.15, 0.35])
+    def test_bracket_encloses_the_clamped_remainders_radius(self, sigma, monkeypatch):
+        res = pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), sigma))
+        (lo, hi), _, _ = remainder_bracket_steps(res, monkeypatch)
+        rho = remainder_radius(res.evaluator)
+        assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+        assert hi < res.lambda0
+
+    @pytest.mark.parametrize("name", ["exp_abs", "nonsymmetric", "below_128_nodes"])
+    def test_falls_back_to_the_eigenfunction(self, name, monkeypatch):
+        # e^-|x-y| has no compression, a nonsymmetric kernel none is made
+        # for, and none is made below COMPRESSION_MIN_DIM nodes
+        k = {
+            "exp_abs": lambda: exp_abs_kernel(pr.make_interval_space(0, 1, 600, "midpoint")),
+            "nonsymmetric": lambda: random_positive_kernel(pr.make_counting_space(200),
+                                                           np.random.default_rng(86)),
+            "below_128_nodes": lambda: pr.gaussian_kernel(
+                pr.make_interval_space(0, 1, 127, "midpoint"), 0.35),
+        }[name]()
+        res = pr.solve(k)
+        assert res.evaluator.remainder_start() is None
+        (lo, hi), start, _ = remainder_bracket_steps(res, monkeypatch)
+        assert start is res.eigenfunction.values
+        rho = remainder_radius(res.evaluator)
+        assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+        assert hi < res.lambda0
+
+    def test_a_bracket_not_below_lambda0_falls_back_to_the_eigenfunction(self, monkeypatch):
+        # the eigenfunction's first step lies below lambda0 wherever
+        # alpha min u/w does not round away
+        res = pr.solve(pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.35))
+        starts = []
+
+        def cw(operator, start, lift=None):
+            starts.append(start)
+            if len(starts) == 1:
+                return res.lambda0, 2 * res.lambda0
+            return collatz_wielandt(operator, start, lift)
+
+        monkeypatch.setattr(perron.cli, "collatz_wielandt", cw)
+        lo, hi = perron.cli._remainder_bracket(res)
+        assert len(starts) == 2 and starts[1] is res.eigenfunction.values
+        assert lo <= hi < res.lambda0
+
+    def test_scaled_kernels_take_the_same_steps(self, monkeypatch):
+        # 2^+-996 c K is c K scaled exactly, and the start runs on inputs
+        # scaled by powers of two: the same steps and the same bracket, bit
+        # for bit; 1e+-300 K rounds its entries, so it may close a step
+        # apart, but nothing over- or underflows
+        space = pr.make_interval_space(0, 1, 600, "midpoint")
+        k = pr.gaussian_kernel(space, 0.35)
+        bracket, _, steps = remainder_bracket_steps(pr.solve(k), monkeypatch)
+        for e in (-996, 996):
+            c = math.ldexp(1.0, e)
+            scaled = pr.solve(pr.Kernel(c * k.entries, space))
+            assert remainder_bracket_steps(scaled, monkeypatch)[::2] == (
+                (bracket[0] * c, bracket[1] * c), steps)
+        for c in (1e-300, 1e300):
+            scaled = pr.solve(pr.Kernel(c * k.entries, space))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (lo, hi), start, scaled_steps = remainder_bracket_steps(scaled, monkeypatch)
+            assert start is not scaled.eigenfunction.values
+            assert abs(scaled_steps - steps) <= 1 and scaled_steps <= 5
+            assert lo <= hi < scaled.lambda0

@@ -335,6 +335,16 @@ class TestRootSearch:
         with pytest.raises(ValueError, match="positive"):
             perron.spectral.collatz_wielandt(k, start=-res.eigenfunction.values)
 
+    def test_bracket_of_a_function_needs_a_start_and_lifts_its_upper_end(self):
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, 40, "midpoint"), 0.35)
+        with pytest.raises(ValueError, match="start"):
+            perron.spectral.collatz_wielandt(k.matvec)
+        start = np.ones(k.size)
+        lo, hi = perron.spectral.collatz_wielandt(k, start=start)
+        assert perron.spectral.collatz_wielandt(k.matvec, start) == (lo, hi)
+        lifted = perron.spectral.collatz_wielandt(k.matvec, start, lift=lambda x: 1e-3 * x)
+        assert lifted[0] == lo and hi < lifted[1] <= hi + 1e-3
+
     def test_remainder_bracket_from_the_eigenfunction_lies_below_lambda0(self):
         for k in (pr.gaussian_kernel(pr.make_interval_space(0, 1, 200, "midpoint"), 0.1),
                   random_positive_kernel(pr.make_counting_space(30), np.random.default_rng(5))):
