@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, get_lapack_funcs, qr, toeplitz
+from scipy.linalg.blas import dsymv
 
 from .errors import DimensionMismatchError, PowerIterationError, ScaleOverflowError
 from .measure import (
@@ -33,9 +34,11 @@ SYMMETRY_TILE = 256
 # call packs all of K first; in row panels each panel is packed in cache.
 # At n = 2000, BLAS on one thread, 2 to 4 columns take 1.0 ms in panels
 # against 2.0 to 2.6 ms plain (3 columns only when padded to 4: 1.43 ms
-# otherwise), and one vector 0.92 ms; 32 columns are faster plain (4.0
-# against 4.7 ms).  Below about 512 nodes K stays in cache and 2 columns
-# are faster plain (n = 400: 0.017 against 0.025 ms).
+# otherwise), and one vector 0.92 ms in dgemv; 32 columns are faster plain
+# (4.0 against 4.7 ms).  Below about 512 nodes K stays in cache and 2
+# columns are faster plain (n = 400: 0.017 against 0.025 ms).  One vector
+# on a symmetric kernel reads one triangle (dsymv): 0.70 against 1.4 ms
+# at n = 2000 and 0.038 against 0.114 ms at n = 600.
 PANEL_ROWS = 64
 PANEL_MAX_COLUMNS = 4
 PANEL_MIN_DIM = 512
@@ -80,13 +83,14 @@ class Kernel:
 
     def __post_init__(self):
         entries = self.entries
-        # a read-only float64 array that owns its data is frozen: shared,
-        # not copied
+        # a read-only contiguous float64 array that owns its data is
+        # frozen: shared, not copied
         if not (
             isinstance(entries, np.ndarray)
             and entries.dtype == np.float64
             and entries.flags.owndata
             and not entries.flags.writeable
+            and (entries.flags.c_contiguous or entries.flags.f_contiguous)
         ):
             entries = np.array(entries, dtype=float)
         n = self.space.size
@@ -125,12 +129,21 @@ class Kernel:
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """K x for a real vector x or each column of a real n x k block, one
-        read of the entries.  From PANEL_MIN_DIM nodes on, a block of 2 to
-        PANEL_MAX_COLUMNS columns goes through K in row panels of
-        PANEL_ROWS rows, 3 columns padded to 4 with a zero column; a vector
-        and any other block are one BLAS call."""
+        read of the entries.  A vector on a ``symmetric`` kernel is one read
+        of one triangle: BLAS dsymv on the lower triangle of whichever of K
+        and K^T is Fortran-ordered, the same matrix, so no copy is made.
+        The triangle fixes the order of the sums, and with it the rounding:
+        the lower one is as accurate as dgemv, the upper one 3 times less
+        (see the README's numerical notes).  From PANEL_MIN_DIM nodes on, a
+        block of 2 to PANEL_MAX_COLUMNS columns goes through K in row panels
+        of PANEL_ROWS rows, 3 columns padded to 4 with a zero column; a
+        vector of any other kernel and any other block are one BLAS call."""
         k = self.entries
-        if x.ndim == 1 or self.size < PANEL_MIN_DIM or not 2 <= x.shape[1] <= PANEL_MAX_COLUMNS:
+        if x.ndim == 1:
+            if self.symmetric:
+                return dsymv(1.0, k if k.flags.f_contiguous else k.T, x, lower=1)
+            return k @ x
+        if self.size < PANEL_MIN_DIM or not 2 <= x.shape[1] <= PANEL_MAX_COLUMNS:
             return k @ x
         columns = x.shape[1]
         if columns == 3:
@@ -150,21 +163,25 @@ class Kernel:
         w = self.space.weights
         return self.product((w if x.ndim == 1 else w[:, np.newaxis]) * x)
 
+    def transposed_product(self, y: np.ndarray) -> np.ndarray:
+        """K^T y for a real vector y: ``product`` where K is symmetric."""
+        return self.product(y) if self.symmetric else self.entries.T @ y
+
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """T^T y = w (K^T y), the transpose of ``matvec``."""
-        return self.space.weights * (self.entries.T @ y)
+        return self.space.weights * self.transposed_product(y)
 
     def weighted_inf_norm(self) -> float:
         """||T||_inf = max(K w), the largest weighted row sum of the
         nonnegative entries; an upper bound for the spectral radius."""
-        return float((self.entries @ self.space.weights).max())
+        return float(self.product(self.space.weights).max())
 
     @cached_property
     def symmetric(self) -> bool:
-        """K == K^T entry for entry, decided once per kernel.  Each tile of
-        the upper triangle is compared with its mirror tile, a transpose
-        that stays in cache, and the first tile that differs ends the
-        scan."""
+        """K == K^T entry for entry, decided once per kernel, at its first
+        vector ``product`` at the latest.  Each tile of the upper triangle
+        is compared with its mirror tile, a transpose that stays in cache,
+        and the first tile that differs ends the scan."""
         k, t = self.entries, SYMMETRY_TILE
         return all(
             np.array_equal(k[i : i + t, j : j + t], k[j : j + t, i : i + t].T)
@@ -356,7 +373,7 @@ def verify_schur(kernel: Kernel, bound: SchurBound) -> SchurReport:
         raise ValueError("Schur weights must be strictly positive")
     c = bound.constant
     row = kernel.matvec(psi) / (c * phi)
-    col = (kernel.entries.T @ (phi * kernel.space.weights)) / (c * psi)
+    col = kernel.transposed_product(phi * kernel.space.weights) / (c * psi)
     max_row = float(row.max())
     max_col = float(col.max())
     return SchurReport(
@@ -366,7 +383,8 @@ def verify_schur(kernel: Kernel, bound: SchurBound) -> SchurReport:
 
 def tight_schur_bound(kernel: Kernel) -> SchurBound:
     """Flat-weight bound with C = max weighted row/column sum."""
-    c = max(kernel.weighted_inf_norm(), float((kernel.space.weights @ kernel.entries).max()))
+    col_sums = kernel.transposed_product(kernel.space.weights)
+    c = max(kernel.weighted_inf_norm(), float(col_sums.max()))
     ones = kernel.space.ones()
     return SchurBound(ones, ones, c)
 
@@ -529,10 +547,13 @@ def _inverse_iteration(a: np.ndarray, theta, norm: float) -> np.ndarray:
     return x
 
 
-def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray, threshold: float) -> SecondRadius:
+def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray, threshold: float,
+                  norm: float | None = None) -> SecondRadius:
     """Spectral radius of (I - P) T (I - P) for T the operator of
     ``kernel`` and P = a b^T, with the residual of its top eigenpair;
-    ``threshold`` is the radius at which the caller's verdict changes.
+    ``threshold`` is the radius at which the caller's verdict changes,
+    and ``norm`` is ||T||_inf where the caller has it, else
+    ``weighted_inf_norm`` reads it from K.
 
     A symmetric kernel with a compression (``Kernel.compression``) reads
     the radius from its Ritz values, checked against P by one product of
@@ -543,7 +564,7 @@ def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray, threshold: float
     modulus, 24 Krylov vectors, tolerance RADIUS_TOL, a fixed seeded start
     vector) on the deflation applied as a rank-two update of
     ``kernel.matvec``, so neither T nor its deflation is formed as an
-    n x n array; ||T||_inf is ``weighted_inf_norm``.  A run that
+    n x n array.  A run that
     has not converged after ``ARNOLDI_RESTARTS`` restarts (585 mat-vecs)
     falls back to the dense route, as do small n: the largest modulus among all eigenvalues of
     the dense deflated matrix (``numpy.linalg.eigvals``), exact up to
@@ -560,7 +581,8 @@ def growth_radius(kernel: Kernel, a: np.ndarray, b: np.ndarray, threshold: float
     norms of the residual see a T of order 1 whatever the kernel's scale.
     """
     n = kernel.size
-    norm = kernel.weighted_inf_norm()
+    if norm is None:
+        norm = kernel.weighted_inf_norm()
     scale = _pow2_scale(norm)
     compression = kernel.compression
     if compression is not None:

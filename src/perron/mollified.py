@@ -105,7 +105,7 @@ def _power_basis(kernel: Kernel, m: int):
         mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]   # row j - 1: mu^(j+1)
 
         def forms(a, b):
-            return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
+            return np.concatenate([[a @ kernel.product(b)], mu @ ((a @ left) * (b @ left))])
 
         def combination(c, rows, out):
             np.matmul(left[rows] * (c[1:] @ mu), left.T, out=out)

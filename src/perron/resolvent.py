@@ -66,9 +66,9 @@ D' and the left solve costs 1.5 ms and 3.5 to 4.8 ms, where it cost 1.8
 and 5.3 to 6.5 ms with each solve reading K on its own: at n = 2000 a
 step of the lockstep refinement takes 1.0 ms in row panels
 (``Kernel.product``, 3 columns padded to 4), against 0.92 ms for one
-vector and 2.6 ms for 3 columns in one plain BLAS call, which packs all
-of K first.  The compression costs 1.7 to 1.8 ms and 15 to 18 ms, once
-per kernel (see ``kernel_op.COMPRESSION_BLOCK``, measured on a busier
+vector in dgemv (0.70 ms in dsymv, which reads one triangle) and 2.6 ms
+for 3 columns in one plain BLAS call, which packs all of K first.  The
+compression costs 1.7 to 1.8 ms and 15 to 18 ms, once per kernel (see ``kernel_op.COMPRESSION_BLOCK``, measured on a busier
 machine).  A library solve, which makes the compression for its one
 shift, breaks even with the float64 LU at or just below n = 384 (medians
 of 20 interleaved runs, two sets, the LU forced by a floor of n + 1, on
@@ -176,18 +176,31 @@ def _certified_condition(lams, inv_ones: np.ndarray, norms) -> np.ndarray:
     MAX_CONDITION."""
     lams = np.atleast_1d(lams)
     x = inv_ones.reshape(inv_ones.shape[0], lams.size)
-    singular = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    # min and max propagate nan and reach +-inf: they screen every entry
+    smallest, largest = x.min(axis=0), x.max(axis=0)
+    singular = np.flatnonzero(~(np.isfinite(smallest) & np.isfinite(largest)))
     if singular.size:
         raise _ill_conditioned(float(lams[singular[0]]), math.inf)
-    smallest = x.min(axis=0)
     below = np.flatnonzero(~(smallest > 0.0))
     if below.size:
         raise BelowSpectralRadiusError(float(lams[below[0]]), float(smallest[below[0]]))
-    condition = norms * x.max(axis=0)
+    condition = norms * largest
     bad = np.flatnonzero(~(condition <= MAX_CONDITION))
     if bad.size:
         raise _ill_conditioned(float(lams[bad[0]]), float(condition[bad[0]]))
     return condition
+
+
+def _basis_product(basis: tuple, z: np.ndarray) -> np.ndarray:
+    """[C | V] z for the basis (V, C) of ``_secular_basis``, C the two
+    complement columns of a compression or None, as V z[2:] + C z[:2]: the
+    n x (k + 2) matrix is not formed."""
+    v, rest = basis
+    if rest is None:
+        return v @ z
+    out = v @ z[2:]
+    out += rest @ z[:2]
+    return out
 
 
 def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
@@ -233,8 +246,8 @@ class BirmanSchwingerEvaluator:
         # shifts are solved through the compression only for a symmetric
         # kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes, and there
         # K = K^T lets one product over K serve T and T^T alike
-        # (``operator_products``); below, the symmetry scan would cost more
-        # than the product it saves
+        # (``operator_products``); below, each vector is its own product,
+        # one triangle of a symmetric K (``Kernel.product``)
         self._symmetric = self.space.size >= COMPRESSED_SOLVE_MIN_DIM and kernel.symmetric
         # T >= 0 and R >= 0 up to the clamp, so the row sums T 1 = K w and
         # R 1 = T 1 - alpha u phi[1] are those of |T| and |R|: they give the
@@ -251,6 +264,7 @@ class BirmanSchwingerEvaluator:
         # sums run on shifts and eigenvalues times it, exact to undo
         self._scale = _pow2_scale(self.operator_norm)
         self._lu_cache: dict[float, _Shift] = {}
+        self._range_bases: dict[int, tuple] = {}
 
     @property
     def phi_strictly_positive(self) -> bool:
@@ -261,8 +275,9 @@ class BirmanSchwingerEvaluator:
         ``left``.  For a symmetric kernel (decided from
         COMPRESSED_SOLVE_MIN_DIM nodes on) T^T y = w (K y), so all of them
         are one ``Kernel.product`` with the block [w x.., y..], which a
-        narrow block takes in row panels: one read of K.  Otherwise each is
-        its own ``matvec`` or ``rmatvec``."""
+        narrow block takes in row panels: one read of K, and a lone vector
+        one read of one triangle.  Otherwise each is its own ``matvec`` or
+        ``rmatvec``."""
         kernel, w = self.split.kernel, self.space.weights
         if not self._symmetric:
             return [kernel.matvec(x) for x in right] + [kernel.rmatvec(y) for y in left]
@@ -273,12 +288,18 @@ class BirmanSchwingerEvaluator:
             products = list(kernel.product(np.column_stack(columns)).T)
         return products[: len(right)] + [w * p for p in products[len(right) :]]
 
-    def _shifted_inf_norm(self, lam, trans: int = 0):
-        """||lam*I - R||_inf for a shift or an array of shifts, O(n) each;
-        with trans = 1 that of the transpose, ||lam*I - R||_1."""
+    def _shifted_inf_norm(self, lam: float, trans: int = 0) -> float:
+        """||lam*I - R||_inf for a shift, O(n); with trans = 1 that of the
+        transpose, ||lam*I - R||_1."""
         offdiag = self._rem_col_offdiag if trans else self._rem_offdiag
-        shifted_diag = np.abs(np.subtract.outer(lam, self._rem_diag))
-        return np.max(shifted_diag + offdiag, axis=-1)
+        return float(np.max(np.abs(lam - self._rem_diag) + offdiag))
+
+    def _grid_inf_norms(self, lams: np.ndarray) -> np.ndarray:
+        """||lam*I - R||_inf at every shift of lams, in O(n + m) for m
+        shifts: with d the diagonal of R W and o its off-diagonal row sums,
+        max_i |lam - d_i| + o_i = max(lam + max(o - d), max(o + d) - lam)."""
+        d, o = self._rem_diag, self._rem_offdiag
+        return np.maximum(lams + float(np.max(o - d)), float(np.max(o + d)) - lams)
 
     def _shift(self, lam: float) -> _Shift:
         """The cache entry of lam, made on first use and ``_certify``-ed.
@@ -303,7 +324,7 @@ class BirmanSchwingerEvaluator:
             entry.inv_ones, ru, left = self._refine(entry, (np.ones(u.size), u, self._phi), (0, 0, 1))
             if entry.inv_ones is None:
                 self._factor(entry)
-        self._certify(entry, float(self._shifted_inf_norm(key)))
+        self._certify(entry, self._shifted_inf_norm(key))
         if entry.factors is None and (
             entry.condition > COMPRESSED_MAX_CONDITION or ru is None or left is None
         ):
@@ -375,7 +396,7 @@ class BirmanSchwingerEvaluator:
         lam, n = entry.lam, self.space.size
         u, phi = self.profile.values, self._phi
         unit = 0.5 * np.finfo(float).eps
-        bounds = [math.sqrt(n) * unit * float(self._shifted_inf_norm(lam, t)) for t in trans]
+        bounds = [math.sqrt(n) * unit * self._shifted_inf_norm(lam, t) for t in trans]
         solved = [None] * len(rhs)
         x = [np.zeros(n) for _ in rhs]
         r = list(rhs)
@@ -499,9 +520,9 @@ class BirmanSchwingerEvaluator:
         and neither a tiny nor a huge kernel over- or underflows them."""
         r_scale = _pow2_scale(float(np.max(np.abs(r))))
         scale = self._scale
-        mu, v, a, b, e, s = self._secular_basis(self._solve_compression, r * r_scale, trans)
+        mu, basis, a, b, e, s = self._secular_basis(self._solve_compression, r * r_scale, trans)
         z = self._pole_free(np.array([scale * entry.lam]), scale * mu, scale * a, b, e)[0]
-        return ((v @ z[:, 0]) / s) * (scale / r_scale)
+        return (_basis_product(basis, z[:, 0]) / s) * (scale / r_scale)
 
     def resolve_remainder(self, lam: float, v: GridFunction) -> GridFunction:
         """(lam*I - R)^-1 v for lam above rho(R)."""
@@ -565,7 +586,7 @@ class BirmanSchwingerEvaluator:
                 d_values, d_prime, inv_ones = self._schur_resolvents(lams)
             else:
                 d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, compression)
-        _certified_condition(lams, inv_ones, self._shifted_inf_norm(lams))
+        _certified_condition(lams, inv_ones, self._grid_inf_norms(lams))
         return d_values, d_prime
 
     def curve_route(self) -> dict:
@@ -608,22 +629,26 @@ class BirmanSchwingerEvaluator:
         ``_pole_free_apply`` the sums run on lam, mu and a times the
         evaluator's power of two of ||T||_inf, exact to undo.
         """
-        mu, v, a, b, e, s = self._secular_basis(compression, np.ones(self.space.size))
+        mu, basis, a, b, e, s = self._secular_basis(compression, np.ones(self.space.size))
         scale = self._scale
         a = scale * a
         z, delta, inv, denom = self._pole_free(scale * lams, scale * mu, a, b, e)
         d_values = delta / denom
         ab = a[:-1] * b[:-1]
         d_prime = self.alpha * (a[-1] * b[-1] + delta**2 * (ab @ inv**2)) / denom**2
-        return d_values, scale * d_prime, scale * (v @ z) / s[:, None]
+        inv_ones = _basis_product(basis, z)
+        inv_ones *= scale
+        inv_ones /= s[:, None]
+        return d_values, scale * d_prime, inv_ones
 
     def _secular_basis(self, compression: Compression | None, rhs: np.ndarray, trans: int = 0):
         """The eigenbasis of S in which (lam*I - R) x = rhs, or its transpose
         with trans = 1, becomes (lam*I - S + alpha a x b) y = e: the
-        eigenvalues mu, ascending, the basis V, the coordinates a, b, e of
-        the range vector s u, the functional phi / s and the right-hand
-        side s rhs, and s, with x = y / s.  s is W^1/2; with trans = 1 it is
-        W^-1/2, and u and phi trade places: T^T = W K is W^1/2 S W^-1/2.
+        eigenvalues mu, ascending, the basis (see ``_basis_product``), the
+        coordinates a, b, e of the range vector s u, the functional phi / s
+        and the right-hand side s rhs, and s, with x = y / s.  s is W^1/2;
+        with trans = 1 it is W^-1/2, and u and phi trade places:
+        T^T = W K is W^1/2 S W^-1/2.
 
         V is the full eigenbasis from a dense eigh, or the k columns of a
         ``compression`` of S.  There S is taken as 0 on the complement
@@ -632,24 +657,54 @@ class BirmanSchwingerEvaluator:
         right-hand side.  Two columns carry it, the complement parts of the
         range vector (a = 1, b = a.b - sum a_k b_k, e = 0) and of the
         right-hand side (a = 0, b = b.e - sum b_k e_k, e = 1), so the sums
-        run over them unchanged.
+        run over them unchanged.  All that does not depend on rhs is made
+        once per transposition and kept (``_range_basis``); a call adds
+        e = V^T (s rhs), the complement of s rhs and its weight, in O(n k).
         """
-        root_w = np.sqrt(self.space.weights)
-        u, phi = self.profile.values, self.functional.acting_vector()
-        s, ends = (1.0 / root_w, (phi, u)) if trans else (root_w, (u, phi))
-        vecs = np.stack([s * ends[0], ends[1] / s, s * rhs])
         if compression is None:
+            s, range_vector, functional = self._secular_ends(trans)
+            root_w = np.sqrt(self.space.weights)
             mu, v = eigh(root_w[:, None] * self.split.kernel.entries * root_w)
-            a, b, e = vecs @ v
-        else:
-            v = compression.vectors
-            a, b, e = vecs @ v
-            rest = vecs[[0, 2]] - np.stack([a, e]) @ v.T
-            heads = ([1.0, 0.0], [vecs[0] @ vecs[1] - a @ b, vecs[1] @ vecs[2] - b @ e], [0.0, 1.0])
-            a, b, e = (np.concatenate([head, x]) for head, x in zip(heads, (a, b, e)))
-            mu = np.concatenate([[0.0, 0.0], compression.values])
-            v = np.concatenate([rest.T, v], axis=1)
-        return mu, v, a, b, e, s
+            a, b, e = np.stack([range_vector, functional, s * rhs]) @ v
+            return mu, (v, None), a, b, e, s
+        mu, v, rest_a, a, b, functional, s = self._range_basis(compression, trans)
+        target = s * rhs
+        e = target @ v
+        rest_e = target - v @ e
+        b = b.copy()
+        b[1] = functional @ target - b[2:] @ e
+        e = np.concatenate([[0.0, 1.0], e])
+        return mu, (v, np.column_stack([rest_a, rest_e])), a, b, e, s
+
+    def _secular_ends(self, trans: int) -> tuple:
+        """s, the range vector s u and the functional phi / s of
+        ``_secular_basis``: s = W^1/2, or W^-1/2 with u and phi traded
+        where trans is 1."""
+        root_w = np.sqrt(self.space.weights)
+        u, phi = self.profile.values, self._phi
+        s, ends = (1.0 / root_w, (phi, u)) if trans else (root_w, (u, phi))
+        return s, s * ends[0], ends[1] / s
+
+    def _range_basis(self, compression: Compression, trans: int) -> tuple:
+        """The parts of ``_secular_basis`` on a compression that do not
+        depend on the right-hand side, made once per transposition: the
+        poles mu with the two at 0, V, the complement of the range vector
+        s u, the coordinates a of s u and b of phi / s with their heads
+        (b's second entry, the weight of the right-hand side, is left 0),
+        phi / s itself and s."""
+        parts = self._range_bases.get(trans)
+        if parts is not None and parts[0] is compression:
+            return parts[1:]
+        s, range_vector, functional = self._secular_ends(trans)
+        v = compression.vectors
+        a, b = range_vector @ v, functional @ v
+        rest_a = range_vector - v @ a
+        a = np.concatenate([[1.0, 0.0], a])
+        b = np.concatenate([[range_vector @ functional - a[2:] @ b, 0.0], b])
+        mu = np.concatenate([[0.0, 0.0], compression.values])
+        parts = (compression, mu, v, rest_a, a, b, functional, s)
+        self._range_bases[trans] = parts
+        return parts[1:]
 
     def _pole_free(self, lams: np.ndarray, mu, a, b, e):
         """Per shift, the coordinates z of the solution y of

@@ -64,21 +64,23 @@ def count_calls(monkeypatch, module, name):
 
 def count_products(monkeypatch):
     """List of the column counts of every product over K, one entry per
-    call of ``Kernel.product``, ``matvec`` or ``rmatvec`` (``matvec``
-    goes through ``product`` and counts once)."""
+    call of ``Kernel.product`` or ``transposed_product`` (``matvec``,
+    ``rmatvec`` and the transposed product of a symmetric kernel go
+    through ``product`` and count once)."""
     widths = []
-    real_product, real_rmatvec = pr.Kernel.product, pr.Kernel.rmatvec
+    real_product, real_transposed = pr.Kernel.product, pr.Kernel.transposed_product
 
     def product(self, x):
         widths.append(1 if x.ndim == 1 else x.shape[1])
         return real_product(self, x)
 
-    def rmatvec(self, y):
-        widths.append(1 if y.ndim == 1 else y.shape[1])
-        return real_rmatvec(self, y)
+    def transposed_product(self, y):
+        if not self.symmetric:
+            widths.append(1 if y.ndim == 1 else y.shape[1])
+        return real_transposed(self, y)
 
     monkeypatch.setattr(pr.Kernel, "product", product)
-    monkeypatch.setattr(pr.Kernel, "rmatvec", rmatvec)
+    monkeypatch.setattr(pr.Kernel, "transposed_product", transposed_product)
     return widths
 
 

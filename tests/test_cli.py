@@ -204,14 +204,17 @@ class TestSolveCommand:
         assert 0 < len(matvecs) < 200
 
     def test_solve_product_budget_on_the_benchmark_shape(self, runner, tmp_path, monkeypatch):
-        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 45
-        # kernel product columns (the series 15, the oracle 14, the two
-        # Collatz-Wielandt brackets 8, 4 each, the solve's refinement and
-        # residuals 7, growth_radius 1) besides the compression's 42
-        # (26 + 16).  The bracket of rho(R) took 21 from the eigenfunction,
-        # where it now starts from the Perron vector of R's compression;
-        # growth_radius took 28 through ARPACK, and the compression 74 with
-        # one block of 32 columns
+        # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 44
+        # kernel product columns with BLAS on one thread, 45 on two,
+        # besides the compression's 42 (26 + 16): the series 15, the oracle
+        # 14, the Collatz-Wielandt brackets of lambda0 3 and of rho(R) 3 (4
+        # on two threads, where dsymv sums in another order), the
+        # evaluator's row and column sums 2, the refinement at the root 4,
+        # the solve's residuals 2 and growth_radius 1, which takes
+        # ||T||_inf from the evaluator.  The bracket of rho(R) took 21 from
+        # the eigenfunction, where it now starts from the Perron vector of
+        # R's compression; growth_radius took 28 through ARPACK, and the
+        # compression 74 with one block of 32 columns
         columns = {"compression": 0, "other": 0}
         where = ["other"]
         real_product, real_compress = pr.Kernel.product, perron.kernel_op.compress_symmetric
@@ -647,13 +650,14 @@ class TestOperationCounts:
         (solved,) = results
         assert "remainder" not in vars(solved.evaluator.split)
 
-    @pytest.mark.parametrize("command, arrays", [("solve", 2.2), ("verify", 3.6)])
+    @pytest.mark.parametrize("command, arrays", [("solve", 1.85), ("verify", 3.6)])
     def test_memory_peak(self, runner, tmp_path, command, arrays):
-        # tracemalloc peaks in n x n arrays at sigma = 0.35, n = 600: 2.09
-        # for solve, K and the D-curve's 200 x n blocks, where the stored
-        # remainder made 3.09; 3.51 for verify, K, the remainder its
-        # cross-checks read and the conjugate kernel, where the
-        # reconstruction's and the study's n x n temporaries and the
+        # tracemalloc peaks in n x n arrays at sigma = 0.35, n = 600: 1.77
+        # for solve, K and two n x 200 blocks of the D-curve's solves
+        # against 1, where the grid's shifted norms and finiteness mask
+        # made 2.09 and the stored remainder 3.09; 3.53 for verify, K, the
+        # remainder its cross-checks read and the conjugate kernel, where
+        # the reconstruction's and the study's n x n temporaries and the
         # conjugate's copies made 6.15
         n = 600
         cfg = write_config(tmp_path / "g.json", gaussian_config(n))

@@ -251,6 +251,90 @@ class TestProduct:
         assert np.array_equal(kernel.product(x), kernel.entries @ x)
 
 
+def _symmetric_entries(name, n):
+    if name == "random":
+        a = np.random.default_rng(16).uniform(0.05, 1.05, (n, n))
+        return a + a.T
+    return pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), float(name)).entries
+
+
+class TestSymmetricProduct:
+    """A vector on a symmetric kernel is one read of the lower triangle
+    (BLAS dsymv); every other product keeps its route."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs an extended-precision long double")
+    @pytest.mark.parametrize("name, n", [("0.1", 600), ("0.2", 1000), ("1.0", 600),
+                                         ("1.0", 1000), ("random", 800)])
+    def test_as_accurate_as_the_full_product(self, name, n):
+        # the root mean square of the entries' relative errors against a
+        # long-double product, over 8 positive vectors: the lower triangle
+        # reads 0.5 to 1.1 times that of dgemv here, the upper one 2.2 to
+        # 3.8 times; the largest entry's error is one draw of the tail and
+        # swings by a factor 2 either way
+        entries = _symmetric_entries(name, n)
+        kernel = pr.Kernel(entries, pr.make_counting_space(n))
+        assert kernel.symmetric
+        x = np.random.default_rng(17).uniform(0.0, 1.0, (8, n))
+        exact = x.astype(np.longdouble) @ entries.astype(np.longdouble)
+
+        def error(products):
+            relative = ((products - exact) / exact).astype(float)
+            return float(np.sqrt(np.mean(relative**2)))
+
+        dsymv = error(np.array([kernel.product(row) for row in x]))
+        dgemv = error(np.array([entries @ row for row in x]))
+        assert dsymv <= 1.5 * dgemv
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_makes_no_copy_of_k(self, order):
+        n = 1000
+        entries = np.array(_symmetric_entries("0.35", n), order=order)
+        entries.flags.writeable = False
+        kernel = pr.Kernel(entries, pr.make_counting_space(n))
+        assert kernel.entries is entries
+        x = np.ones(n)
+        kernel.product(x)
+        tracemalloc.start()
+        try:
+            kernel.product(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * n * n
+
+    def test_layout_and_first_read_leave_the_result(self):
+        # K and K^T are one matrix: either order is one dsymv over the same
+        # memory, and the symmetry scan runs at the first vector product
+        n = 700
+        entries = _symmetric_entries("random", n)
+        fortran = np.asfortranarray(entries)
+        fortran.flags.writeable = False
+        x = np.random.default_rng(18).standard_normal(n)
+        fresh = pr.Kernel(entries, pr.make_counting_space(n))
+        out = fresh.product(x)
+        assert "symmetric" in vars(fresh)
+        read = pr.Kernel(entries, pr.make_counting_space(n))
+        assert read.symmetric
+        assert read.product(x).tobytes() == out.tobytes()
+        assert pr.Kernel(fortran, read.space).product(x).tobytes() == out.tobytes()
+        np.testing.assert_allclose(out, entries @ x, rtol=0,
+                                   atol=1e-14 * np.abs(entries).sum(axis=1).max() * np.abs(x).max())
+
+    def test_nonsymmetric_kernels_keep_the_full_product(self):
+        n = 700
+        rng = np.random.default_rng(19)
+        kernel = random_positive_kernel(pr.make_interval_space(0, 1, n, "trapezoid"), rng)
+        assert not kernel.symmetric
+        x, w = rng.standard_normal(n), kernel.space.weights
+        entries = kernel.entries
+        assert kernel.product(x).tobytes() == (entries @ x).tobytes()
+        assert kernel.rmatvec(x).tobytes() == (w * (entries.T @ x)).tobytes()
+        assert kernel.weighted_inf_norm() == float((entries @ w).max())
+        bound = pr.tight_schur_bound(kernel)
+        assert bound.constant == max(float((entries @ w).max()), float((w @ entries).max()))
+
+
 class TestBuilders:
     def test_csv_roundtrip(self, tmp_path, two_state_chain):
         path = tmp_path / "m.csv"

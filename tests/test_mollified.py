@@ -207,7 +207,7 @@ def _combination_power_basis(kernel, m):
     mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]
 
     def forms(a, b):
-        return np.concatenate([[a @ kernel.entries @ b], mu @ ((a @ left) * (b @ left))])
+        return np.concatenate([[a @ kernel.product(b)], mu @ ((a @ left) * (b @ left))])
 
     def sup_norm(c):
         if c[1:].any():

@@ -319,6 +319,12 @@ class TestFloat64Factors:
                     for trans, norm in ((0, np.inf), (1, 1)):
                         assert ev._shifted_inf_norm(lam, trans) == pytest.approx(
                             np.linalg.norm(a, norm), rel=1e-13)
+                # a grid's norms, in closed form, differ from the pointwise
+                # ones only in the order of their roundings
+                lams = np.array([0.0, 0.01, 0.5, 2.0]) * ev.operator_norm
+                pointwise = [ev._shifted_inf_norm(lam) for lam in lams]
+                np.testing.assert_allclose(ev._grid_inf_norms(lams), pointwise,
+                                           rtol=4 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("c", [1e-300, 1e-42, 1e250, 1e300])
     def test_lambda0_scales_with_the_kernel(self, c):
@@ -768,7 +774,7 @@ class TestCertifiedCondition:
         np.testing.assert_array_equal(condition, [6.0, 2.0, 2.5])
         assert _certified_condition(2.0, np.array([1.0, 2.0]), 3.0).tolist() == [6.0]
 
-    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
     def test_non_finite_vector_is_ill_conditioned(self, entry):
         with pytest.raises(IllConditionedError, match=r"lambda = 3\.0 has condition number inf"):
             _certified_condition(self.lams, self.vectors(entry), self.norms)

@@ -355,6 +355,20 @@ class TestRootSearch:
             assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
             assert hi < res.lambda0
 
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.35, 1.0])
+    def test_gaussian_lambda0_within_rounding_of_eigvalsh(self, sigma, n, rule):
+        # the worst measured is 1.96e-15 with BLAS on one thread (sigma =
+        # 0.1, n = 600, midpoint) and 2.30e-15 on two (trapezoid); lambda0
+        # is the lower end of a Collatz-Wielandt bracket here, whose
+        # products' rounding it carries
+        space = pr.make_interval_space(0, 1, n, rule)
+        k = pr.gaussian_kernel(space, sigma)
+        root_w = np.sqrt(space.weights)
+        exact = eigvalsh(root_w[:, None] * k.entries * root_w, subset_by_index=[n - 1, n - 1])[0]
+        assert abs(pr.solve(k).lambda0 - exact) <= 2.5e-15 * exact
+
     @pytest.mark.parametrize("n", [600, 2000])
     def test_bracket_from_the_compression_takes_four_steps(self, n, monkeypatch):
         # the bracket closes to rounding level in two or three steps, and
