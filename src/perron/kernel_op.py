@@ -279,16 +279,9 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     with probability at least 1 - 3 10^-10.  A miss after the power step,
     a nonsymmetric kernel and n below COMPRESSION_MIN_DIM give None.  The
     seed is fixed, so the result repeats bit for bit.  Product columns:
-    42 at rank 16, 58 at rank 32 and 90 with the power step.
-
-    The top value is the Rayleigh quotient of its Ritz vector x against
-    the product S q the stage made, x . (S q u_top) / x . x, each sum
-    rounded once (``math.fsum``): D-curves on the compression divide
-    lam - mu_top out of D, so at lambda0 an ulp of mu_top moves D by
-    about D'(lambda0) ulp(mu_top), 2e-10 for the Gaussian of width 0.1 at
-    n = 600.  Over Gaussians of width 0.1 to 1 at n = 600 and 1000 the
-    quotient lies within 0.7 ulps of a long-double one, the eigenvalue of
-    q^T S q up to 14 ulps off.
+    42 at rank 16, 58 at rank 32 and 90 with the power step.  The top
+    value is the ``_rayleigh_quotient`` of its Ritz vector x, with
+    S x = (S q) u_top from the product the stage made.
     """
     n = kernel.size
     if n < COMPRESSION_MIN_DIM or not kernel.symmetric:
@@ -325,8 +318,7 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
         bound = 10.0 * math.sqrt(2.0 / math.pi) * float(np.linalg.norm(miss, axis=0).max())
         if bound <= n * np.finfo(float).eps * float(np.abs(values).max()):
             vectors = q @ u
-            top = vectors[:, -1]
-            values[-1] = math.fsum(top * (y @ u[:, -1])) / math.fsum(top * top)
+            values[-1] = _rayleigh_quotient(vectors[:, -1], y @ u[:, -1])
             return Compression(values / scale, vectors, bound / scale)
         if q.shape[1] < COMPRESSION_MAX_RANK:
             block = y[:, -COMPRESSION_BLOCK:]
@@ -341,6 +333,28 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
             # the power step
             q, stepped = orth(y), True
             y = apply_s(q)
+
+
+def full_eigenbasis(kernel: Kernel) -> Compression:
+    """S = W^1/2 K W^1/2 = V diag(values) V^T of a symmetric kernel in
+    full, from one dense eigh: a compression of rank n with probe bound 0,
+    not kept with the kernel.  The top value is the ``_rayleigh_quotient``
+    of the top vector x, with S x from one ``Kernel.product``."""
+    root_w = np.sqrt(kernel.space.weights)
+    values, vectors = eigh(root_w[:, np.newaxis] * kernel.entries * root_w)
+    top = vectors[:, -1]
+    values[-1] = _rayleigh_quotient(top, root_w * kernel.product(root_w * top))
+    return Compression(values, vectors, 0.0)
+
+
+def _rayleigh_quotient(x: np.ndarray, sx: np.ndarray) -> float:
+    """x . S x / x . x, each sum rounded once (``math.fsum``), the top value
+    of an eigenbasis: D-curves divide lam - mu_top out of D, so at lambda0
+    an ulp of mu_top moves D by about D'(lambda0) ulp(mu_top), 2e-10 for
+    the Gaussian of width 0.1 at n = 600.  On Gaussians of width 0.1 to 1
+    at n = 600 and 1000 it lies within 0.7 ulps of a long-double quotient,
+    where the eigh of q^T S q was up to 14 ulps off, and that of S a few."""
+    return math.fsum(x * sx) / math.fsum(x * x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,18 +44,17 @@ float-noise slack to 0; no n x n remainder is kept.  The solve against 1
 that certifies a shift also gives its condition number exactly, and a
 shift above MAX_CONDITION is refused by it.  A whole grid of
 shifts (the D-curve, the verify scan) shares one factorization instead.
-For a symmetric kernel that is an eigendecomposition of
-S = W^1/2 K W^1/2, after which D and D' are secular sums per shift
-(Golub 1973): the kernel's seeded low-rank compression, k eigenpairs
-from a randomized range finder (Halko, Martinsson & Tropp 2011) at
-O(n^2 k) and O(n k) per shift, made once per kernel and shared by every
-grid, the pointwise shifts and the mollified study, or, where the
-compression gives up (full-rank kernels, n < 128), one dense eigh at
-O(n^3) and O(n^2) per shift.  For any other kernel it is one real
-Schur form R = Q S Q^T, and back-substitution on the quasi-triangular S
-costs O(n^2) per shift, the Bartels-Stewart reduction used for
-frequency responses (Laub 1981); a two-sided compression of
-nonsymmetric kernels is not done.
+For a symmetric kernel that is an eigenbasis of S = W^1/2 K W^1/2, one
+``Compression`` whatever its rank, in which D and D' are secular sums
+per shift (Golub 1973): the kernel's seeded low-rank compression from a
+randomized range finder (Halko, Martinsson & Tropp 2011), O(n^2 k) once
+per kernel and O(n k) per shift, or, where it gives up (full-rank
+kernels, n < 128), the ``full_eigenbasis`` of one dense eigh, O(n^3)
+per grid and O(n^2) per shift; this module decomposes no kernel itself.
+For any other kernel it is one real Schur form R = Q S Q^T, and
+back-substitution on the quasi-triangular S costs O(n^2) per shift, the
+Bartels-Stewart reduction used for frequency responses (Laub 1981); a
+two-sided compression of nonsymmetric kernels is not done.
 
 Measured on a 2-core Xeon with BLAS on one thread, for the Gaussian
 sigma = 0.35 on [0, 1]: a new well-conditioned shift (inverse, D and
@@ -68,24 +67,24 @@ step of the lockstep refinement takes 1.0 ms in row panels
 (``Kernel.product``, 3 columns padded to 4), against 0.92 ms for one
 vector in dgemv (0.70 ms in dsymv, which reads one triangle) and 2.6 ms
 for 3 columns in one plain BLAS call, which packs all of K first.  The
-compression costs 1.7 to 1.8 ms and 15 to 18 ms, once per kernel (see ``kernel_op.COMPRESSION_BLOCK``, measured on a busier
-machine).  A library solve, which makes the compression for its one
-shift, breaks even with the float64 LU at or just below n = 384 (medians
-of 20 interleaved runs, two sets, the LU forced by a floor of n + 1, on
-the busier machine: 3.9 to 5.4 against 4.1 to 5.6 ms at n = 384, 5.8 to
-8.0 against 7.8 to 10.4 ms at n = 512, 9.0 to 9.7 against 13.2 to 14.0
-ms at n = 640).  COMPRESSED_SOLVE_MIN_DIM = 512 is above it: the gain at
+compression costs 1.7 to 1.8 ms and 15 to 18 ms, once per kernel
+(``kernel_op.COMPRESSION_BLOCK``, on a busier machine).  A library
+solve, which makes the compression for its one shift, breaks even
+with the float64 LU at or just below n = 384 (medians of 20
+interleaved runs, two sets, the LU forced by a floor of n + 1, on the
+busier machine: 3.9 to 5.4 against 4.1 to 5.6 ms at n = 384, 5.8 to
+8.0 against 7.8 to 10.4 ms at n = 512, 9.0 to 9.7 against 13.2 to
+14.0 ms at n = 640).  COMPRESSED_SOLVE_MIN_DIM = 512 is above it: the gain at
 384 lies within the spread of the sets, and a symmetric kernel of full
 rank pays the compression that gives up before its LU, one power step
 included: 4.7 to 4.8 ms at n = 600 and 27 to 37 ms at n = 2000 for
-e^-|x-y| on that machine.  A whole grid of 5 to
-200 shifts on the compression costs less than one LU shift at both
-sizes (2.0 to 2.5 ms and 13 to 15 ms, the compression included); the
-dense eigh route about 4 (19 to 22 ms) and 8 (0.70 to 0.73 s), the
-Schur form about 40 (0.17 to 0.19 s) and 30 (2.5 to 2.8 s).  So on a
-compressible kernel any grid asked for with `perron dcurve --points` is
-faster than one LU per shift; on other kernels a grid shorter than the
-break-even is slower.
+e^-|x-y| on that machine.  A whole grid of 5 to 200 shifts on the
+compression costs less than one LU shift at both sizes (2.0 to 2.5 ms
+and 13 to 15 ms, the compression included), on the full eigenbasis
+about 4 (19 to 22 ms) and 8 (0.70 to 0.73 s), on the Schur form about
+40 (0.17 to 0.19 s) and 30 (2.5 to 2.8 s).  So on a compressible
+kernel any grid is faster than one LU per shift; on other kernels a
+grid shorter than the break-even is slower.
 """
 
 from __future__ import annotations
@@ -96,11 +95,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, lu_factor, lu_solve, schur
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, schur
 
 from .doeblin import RankOneSplit, _gap
 from .errors import BelowSpectralRadiusError, IllConditionedError
-from .kernel_op import Compression, _pow2_scale
+from .kernel_op import Compression, _pow2_scale, full_eigenbasis
 from .measure import GridFunction, WeightFunctional, check_same_space, pair
 
 MAX_CONDITION = 1e12
@@ -192,15 +191,25 @@ def _certified_condition(lams, inv_ones: np.ndarray, norms) -> np.ndarray:
 
 
 def _basis_product(basis: tuple, z: np.ndarray) -> np.ndarray:
-    """[C | V] z for the basis (V, C) of ``_secular_basis``, C the two
-    complement columns of a compression or None, as V z[2:] + C z[:2]: the
-    n x (k + 2) matrix is not formed."""
+    """[C | V] z for the basis (V, C) of ``_secular_basis``, C its two
+    complement columns, as V z[2:] + C z[:2]: the n x (k + 2) matrix is
+    not formed."""
     v, rest = basis
-    if rest is None:
-        return v @ z
     out = v @ z[2:]
     out += rest @ z[:2]
     return out
+
+
+def _complement(v: np.ndarray, functional: np.ndarray, functional_coords: np.ndarray,
+                x: np.ndarray) -> tuple:
+    """x in the basis V of ``_secular_basis``: c = V^T x, the complement
+    x - V c and its weight functional . x - functional_coords . c, both
+    exactly 0 for a full basis (V square), whose rounding noise would
+    otherwise enter the sums at the two poles at 0."""
+    coords = x @ v
+    if v.shape[1] == x.size:
+        return coords, np.zeros(x.size), 0.0
+    return coords, x - v @ coords, functional @ x - functional_coords @ coords
 
 
 def _ill_conditioned(lam: float, condition: float) -> IllConditionedError:
@@ -427,9 +436,7 @@ class BirmanSchwingerEvaluator:
         """The compression shifts are solved through: the kernel's own, for
         a symmetric kernel of at least COMPRESSED_SOLVE_MIN_DIM nodes whose
         compression exists; otherwise None, and shifts are factored."""
-        if self.space.size < COMPRESSED_SOLVE_MIN_DIM:
-            return None
-        return self._route()[1]
+        return self.split.kernel.compression if self._symmetric else None
 
     def perron_start(self) -> np.ndarray | None:
         """W^-1/2 v_top, v_top the top eigenvector of the compression shifts
@@ -562,53 +569,47 @@ class BirmanSchwingerEvaluator:
     def curve(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """D and D' at every shift of lams, from one factorization for the grid.
 
-        A symmetric kernel goes through ``_symmetric_resolvents``, on the
-        kernel's low-rank compression (``Kernel.compression``, made once per
-        kernel and shared with every later grid) or, where that gives up,
-        on one dense eigendecomposition; any other kernel goes through one
-        real Schur form of R (``_schur_resolvents``).  ``curve_route`` names
-        the route, which follows from the kernel entries alone.  All give,
-        per shift, D, D' and (lam*I - R)^-1 1, and ``_certified_condition``
-        refuses a shift by that vector as it refuses a pointwise one.  A
-        shift exactly at a pole of the route divides by zero: its vector is
-        not finite, and it is refused as singular.  Past the factorization
-        each shift costs O(n k) on a compression of rank k and O(n^2) on the
-        dense routes, where the vector of the condition guard dominates.  The
+        A symmetric kernel goes through ``_symmetric_resolvents`` on the
+        kernel's compression (made once per kernel and shared with every
+        later grid) or, where that gives up, on the ``full_eigenbasis``,
+        made for this grid only; any other kernel through one real Schur
+        form of R (``_schur_resolvents``).  ``curve_route`` names the route,
+        which follows from the kernel entries alone.  All give, per shift,
+        D, D' and (lam*I - R)^-1 1, and ``_certified_condition`` refuses a
+        shift by that vector as it refuses a pointwise one; at a pole of the
+        route the vector is not finite, and the shift is refused as
+        singular.  Past the factorization a shift costs O(n k) in an
+        eigenbasis of rank k and O(n^2) on the Schur form.  The
         factorization costs less than one LU shift on a compressible kernel
-        at n = 600 to 2000, about 4 to 8 for the dense eigh and 30 to 40 for
-        the Schur form (see the module docstring), so only a grid with fewer
-        shifts is faster by one LU per shift.
+        at n = 600 to 2000, about 4 to 8 for the full eigenbasis and 30 to
+        40 for the Schur form (see the module docstring), so only a grid
+        with fewer shifts is faster by one LU per shift.
         """
         lams = np.asarray(lams, dtype=float)
-        route, compression = self._route()
+        kernel = self.split.kernel
         with np.errstate(divide="ignore", invalid="ignore"):
-            if route == "schur":
-                d_values, d_prime, inv_ones = self._schur_resolvents(lams)
+            if kernel.symmetric:
+                basis = kernel.compression or full_eigenbasis(kernel)
+                d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, basis)
             else:
-                d_values, d_prime, inv_ones = self._symmetric_resolvents(lams, compression)
+                d_values, d_prime, inv_ones = self._schur_resolvents(lams)
         _certified_condition(lams, inv_ones, self._grid_inf_norms(lams))
         return d_values, d_prime
 
     def curve_route(self) -> dict:
-        """The route of ``curve``: "compressed", "eigh" or "schur", the rank
-        of the eigenbasis it works in (None for the Schur form) and the
-        compression's probe bound on ||S - V V^T S||_2 (None for the dense
-        routes)."""
-        route, compression = self._route()
-        if compression is not None:
-            return {"route": route, "rank": compression.rank, "probe_bound": compression.probe_bound}
-        rank = self.split.kernel.size if route == "eigh" else None
-        return {"route": route, "rank": rank, "probe_bound": None}
-
-    def _route(self) -> tuple[str, Compression | None]:
-        """The route of ``curve`` with the compression it runs on, if any."""
+        """The route of ``curve``: "compressed" on the kernel's compression,
+        "eigh" on a full eigenbasis or "schur", the rank of the eigenbasis
+        (None for the Schur form) and the compression's probe bound on
+        ||S - V V^T S||_2 (None for the other two)."""
         kernel = self.split.kernel
         if not kernel.symmetric:
-            return "schur", None
+            return {"route": "schur", "rank": None, "probe_bound": None}
         compression = kernel.compression
-        return ("eigh" if compression is None else "compressed"), compression
+        if compression is None:
+            return {"route": "eigh", "rank": kernel.size, "probe_bound": None}
+        return {"route": "compressed", "rank": compression.rank, "probe_bound": compression.probe_bound}
 
-    def _symmetric_resolvents(self, lams: np.ndarray, compression: Compression | None = None):
+    def _symmetric_resolvents(self, lams: np.ndarray, compression: Compression):
         """D, D' and (lam*I - R)^-1 1 per shift, for a symmetric kernel.
 
         With R = T - alpha*u x phi, det(lam*I - T) = det(lam*I - R) D(lam)
@@ -624,10 +625,10 @@ class BirmanSchwingerEvaluator:
         (``_pole_free``, with e = V^T W^1/2 1), with one n x k by k x m
         product back.  The formulas hold for T - alpha*u x phi, which
         differs from the clamped remainder of ``rank_one_split`` only by
-        its slack.  V is the full eigenbasis from a dense eigh, or the k
-        columns of a ``compression`` of S (``_secular_basis``).  As in
-        ``_pole_free_apply`` the sums run on lam, mu and a times the
-        evaluator's power of two of ||T||_inf, exact to undo.
+        its slack.  V is the k columns of ``compression``, of any rank
+        (``_secular_basis``).  As in ``_pole_free_apply`` the sums run on
+        lam, mu and a times the evaluator's power of two of ||T||_inf,
+        exact to undo.
         """
         mu, basis, a, b, e, s = self._secular_basis(compression, np.ones(self.space.size))
         scale = self._scale
@@ -641,7 +642,7 @@ class BirmanSchwingerEvaluator:
         inv_ones /= s[:, None]
         return d_values, scale * d_prime, inv_ones
 
-    def _secular_basis(self, compression: Compression | None, rhs: np.ndarray, trans: int = 0):
+    def _secular_basis(self, compression: Compression, rhs: np.ndarray, trans: int = 0):
         """The eigenbasis of S in which (lam*I - R) x = rhs, or its transpose
         with trans = 1, becomes (lam*I - S + alpha a x b) y = e: the
         eigenvalues mu, ascending, the basis (see ``_basis_product``), the
@@ -650,60 +651,44 @@ class BirmanSchwingerEvaluator:
         with trans = 1 it is W^-1/2, and u and phi trade places:
         T^T = W K is W^1/2 S W^-1/2.
 
-        V is the full eigenbasis from a dense eigh, or the k columns of a
-        ``compression`` of S.  There S is taken as 0 on the complement
-        I - V V^T: one more pole at 0, with weight a.b - sum a_k b_k in
-        the sums of ``_pole_free`` and b.e - sum b_k e_k in that of the
-        right-hand side.  Two columns carry it, the complement parts of the
-        range vector (a = 1, b = a.b - sum a_k b_k, e = 0) and of the
-        right-hand side (a = 0, b = b.e - sum b_k e_k, e = 1), so the sums
-        run over them unchanged.  All that does not depend on rhs is made
-        once per transposition and kept (``_range_basis``); a call adds
+        S is taken as 0 on the complement I - V V^T of the k columns V of
+        ``compression``: one more pole at 0, carried by two columns, the
+        complement parts of the range vector (a = 1, b = a.b - sum a_k b_k,
+        e = 0) and of the right-hand side (a = 0, b = b.e - sum b_k e_k,
+        e = 1), so the sums of ``_pole_free`` run over them unchanged; both
+        are 0 for a full eigenbasis (``_complement``).  All that does not
+        depend on rhs comes from ``_range_basis``; a call adds
         e = V^T (s rhs), the complement of s rhs and its weight, in O(n k).
         """
-        if compression is None:
-            s, range_vector, functional = self._secular_ends(trans)
-            root_w = np.sqrt(self.space.weights)
-            mu, v = eigh(root_w[:, None] * self.split.kernel.entries * root_w)
-            a, b, e = np.stack([range_vector, functional, s * rhs]) @ v
-            return mu, (v, None), a, b, e, s
         mu, v, rest_a, a, b, functional, s = self._range_basis(compression, trans)
-        target = s * rhs
-        e = target @ v
-        rest_e = target - v @ e
-        b = b.copy()
-        b[1] = functional @ target - b[2:] @ e
+        e, rest_e, weight = _complement(v, functional, b[2:], s * rhs)
+        b = np.concatenate([b[:1], [weight], b[2:]])
         e = np.concatenate([[0.0, 1.0], e])
         return mu, (v, np.column_stack([rest_a, rest_e])), a, b, e, s
 
-    def _secular_ends(self, trans: int) -> tuple:
-        """s, the range vector s u and the functional phi / s of
-        ``_secular_basis``: s = W^1/2, or W^-1/2 with u and phi traded
-        where trans is 1."""
-        root_w = np.sqrt(self.space.weights)
-        u, phi = self.profile.values, self._phi
-        s, ends = (1.0 / root_w, (phi, u)) if trans else (root_w, (u, phi))
-        return s, s * ends[0], ends[1] / s
-
     def _range_basis(self, compression: Compression, trans: int) -> tuple:
-        """The parts of ``_secular_basis`` on a compression that do not
-        depend on the right-hand side, made once per transposition: the
-        poles mu with the two at 0, V, the complement of the range vector
-        s u, the coordinates a of s u and b of phi / s with their heads
-        (b's second entry, the weight of the right-hand side, is left 0),
-        phi / s itself and s."""
+        """The parts of ``_secular_basis`` that do not depend on the
+        right-hand side: the poles mu with the two at 0, V, the complement
+        of the range vector s u, the coordinates a of s u and b of phi / s
+        with their heads (b's second entry, the weight of the right-hand
+        side, is left 0), phi / s itself and s = W^1/2, or W^-1/2 with u
+        and phi traded where trans is 1.  Kept per transposition for the
+        kernel's compression only: no full eigenbasis outlives ``curve``."""
         parts = self._range_bases.get(trans)
         if parts is not None and parts[0] is compression:
             return parts[1:]
-        s, range_vector, functional = self._secular_ends(trans)
-        v = compression.vectors
-        a, b = range_vector @ v, functional @ v
-        rest_a = range_vector - v @ a
+        root_w = np.sqrt(self.space.weights)
+        u, phi = self.profile.values, self._phi
+        s, ends = (1.0 / root_w, (phi, u)) if trans else (root_w, (u, phi))
+        functional, v = ends[1] / s, compression.vectors
+        b = functional @ v
+        a, rest_a, weight = _complement(v, functional, b, s * ends[0])
         a = np.concatenate([[1.0, 0.0], a])
-        b = np.concatenate([[range_vector @ functional - a[2:] @ b, 0.0], b])
+        b = np.concatenate([[weight, 0.0], b])
         mu = np.concatenate([[0.0, 0.0], compression.values])
         parts = (compression, mu, v, rest_a, a, b, functional, s)
-        self._range_bases[trans] = parts
+        if compression is self.split.kernel.compression:
+            self._range_bases[trans] = parts
         return parts[1:]
 
     def _pole_free(self, lams: np.ndarray, mu, a, b, e):

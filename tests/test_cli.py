@@ -597,7 +597,7 @@ class TestOperationCounts:
         calls = {
             name: count_calls(monkeypatch, module, name)
             for module, name in (
-                (perron.resolvent, "eigh"),
+                (perron.kernel_op, "eigh"),
                 (perron.resolvent, "schur"),
                 (perron.mollified, "_kernel_powers"),
                 (perron.kernel_op, "compress_symmetric"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import perron.cli
 import perron.resolvent
 from perron.cli import _dcurve_grid
 from perron.errors import BelowSpectralRadiusError, IllConditionedError
+from perron.kernel_op import full_eigenbasis
 from perron.resolvent import MAX_CONDITION, _certified_condition
 from perron.spectral import collatz_wielandt
 from conftest import (
@@ -439,7 +441,10 @@ class TestSymmetricCurve:
         np.testing.assert_allclose(dp, dp_ref, rtol=1e-9)
 
     def test_route_follows_the_symmetry_of_the_kernel(self, monkeypatch):
-        calls = {name: count_calls(monkeypatch, perron.resolvent, name) for name in ("schur", "eigh")}
+        calls = {
+            "schur": count_calls(monkeypatch, perron.resolvent, "schur"),
+            "eigh": count_calls(monkeypatch, perron.kernel_op, "eigh"),
+        }
         symmetric = symmetric_counting_kernel(20, 67)
         entries = symmetric.entries.copy()
         entries[3, 5] = np.nextafter(entries[3, 5], np.inf)  # one ulp off symmetry
@@ -470,8 +475,9 @@ class TestSymmetricCurve:
         lams = np.append(np.geomspace(remainder_radius(ev) * 1.001, 10 * ev.operator_norm, 20), res.lambda0)
         shifted = lams[:, None, None] * np.eye(80) - ev.split.remainder.operator_matrix()
         dense = np.linalg.solve(shifted, np.ones((lams.size, 80, 1)))[..., 0].T
-        for route in (ev._symmetric_resolvents, ev._schur_resolvents):
-            np.testing.assert_allclose(route(lams)[2], dense, rtol=1e-9)
+        basis = full_eigenbasis(ev.split.kernel)
+        for inv_ones in (ev._symmetric_resolvents(lams, basis)[2], ev._schur_resolvents(lams)[2]):
+            np.testing.assert_allclose(inv_ones, dense, rtol=1e-9)
 
 
 class TestCompressedCurve:
@@ -508,7 +514,7 @@ class TestCompressedCurve:
     )
     def test_full_rank_kernels_fall_back_to_eigh(self, kernel, monkeypatch):
         assert kernel.symmetric
-        calls = count_calls(monkeypatch, perron.resolvent, "eigh")
+        calls = count_calls(monkeypatch, perron.kernel_op, "eigh")
         qrs = count_calls(monkeypatch, perron.kernel_op, "qr")
         ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
         lams = np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20)
@@ -549,6 +555,54 @@ class TestCompressedCurve:
         lopsided = random_positive_kernel(space, np.random.default_rng(70))
         assert not lopsided.symmetric
         assert lopsided.compression is None
+
+
+class TestFullEigenbasis:
+    """A symmetric kernel the compression gives up on draws its D-curve
+    from ``full_eigenbasis``: a compression of rank n with no complement,
+    whose top value is an exactly summed Rayleigh quotient, made for one
+    grid and not kept."""
+
+    def test_top_value_is_the_exactly_summed_quotient(self):
+        kernel = exp_abs_kernel(pr.make_interval_space(0, 1, 300, "midpoint"))
+        basis = full_eigenbasis(kernel)
+        assert (basis.rank, basis.probe_bound) == (kernel.size, 0.0)
+        root_w = np.sqrt(kernel.space.weights)
+        top = basis.vectors[:, -1]
+        s_top = root_w * kernel.product(root_w * top)
+        assert basis.values[-1] == math.fsum(top * s_top) / math.fsum(top * top)
+        dense = scipy.linalg.eigvalsh(root_w[:, None] * kernel.entries * root_w)
+        np.testing.assert_allclose(basis.values, dense, rtol=0, atol=1e-13 * dense[-1])
+
+    @pytest.mark.parametrize("n", [1000, 1500])
+    def test_curve_meets_the_pointwise_value_at_lambda0(self, n):
+        # sigma = 0.09 needs more than COMPRESSION_MAX_RANK columns.  At
+        # lambda0 the D gap of bs_curve_matches_lu took 78 and 88 % of its
+        # bound (101 and 110 % on two BLAS threads) with the top value of
+        # the eigh itself, and takes 33 and 24 % (33 and 2 %) with the
+        # quotient
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.09)
+        res = pr.solve(kernel)
+        ev, lam = res.evaluator, res.lambda0
+        d_curve = ev.curve([lam])[0][0]
+        assert ev.curve_route() == {"route": "eigh", "rank": n, "probe_bound": None}
+        d_lu = ev.value(lam)
+        bound = max(1e-9, ev.condition(lam) * np.finfo(float).eps * abs(1.0 - d_lu))
+        assert abs(d_curve - d_lu) <= 0.5 * bound
+
+    def test_no_n_by_n_array_outlives_the_curve(self):
+        n = 600
+        kernel = exp_abs_kernel(pr.make_interval_space(0, 1, n, "midpoint"))
+        ev = pr.BirmanSchwingerEvaluator(pr.rank_one_split(kernel, pr.extract_minorization(kernel)))
+        lams = np.geomspace(remainder_radius(ev) * 1.01, 10 * ev.operator_norm, 20)
+        tracemalloc.start()
+        try:
+            ev.curve(lams)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ev.curve_route()["route"] == "eigh"
+        assert held < 0.5 * n * n * 8
 
 
 class TestCompressedSolve:
