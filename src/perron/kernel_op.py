@@ -70,16 +70,43 @@ def overflow_raises(kernel: Kernel, what: str):
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Dense nonnegative n x n kernel matrix over a measure space."""
+    """Dense nonnegative n x n kernel matrix over a measure space.
+
+    ``Kernel(entries, space)`` screens the n^2 entries in ``__post_init__``.
+    A symmetric Toeplitz kernel ``K_ij = g_|i-j|`` is built by ``_toeplitz``
+    from its n generator values, and screened from them."""
 
     entries: np.ndarray
     space: MeasureSpace
-    # the largest entry and the least of each row, from the screen of
-    # ``__post_init__``: the sup norm of the nonnegative entries and the
-    # profile of the row_min certificate, kept so that no caller passes over
-    # K again
+    # the largest entry and the least of each row, from the screen: the sup
+    # norm of the nonnegative entries and the profile of the row_min
+    # certificate, kept so that no caller passes over K again
     max_entry: float = field(init=False, repr=False)
     row_minima: np.ndarray = field(init=False, repr=False)
+
+    @classmethod
+    def _toeplitz(cls, g: np.ndarray, space: MeasureSpace) -> Kernel:
+        """The symmetric Toeplitz kernel ``K_ij = g_|i-j|``, its entries
+        written here from g, and screened from g in O(n): row i holds
+        exactly g_0 .. g_max(i, n-1-i), so its least entry is the running
+        minimum of g there, the largest entry is max(g), and K is symmetric
+        by construction, so the tile scan of ``symmetric`` never runs.  The
+        fields equal those of ``Kernel(entries, space)`` bit for bit.  A g
+        that is not finite and nonnegative, or not of the space's size,
+        takes that full screen, which raises its errors."""
+        entries = toeplitz(g)
+        entries.flags.writeable = False
+        lo, hi = float(g.min()), float(g.max())
+        if g.shape != (space.size,) or not (lo >= 0 and np.isfinite(hi)):
+            return cls(entries, space)
+        i = np.arange(g.size)
+        row_minima = np.minimum.accumulate(g)[np.maximum(i, g.size - 1 - i)]
+        row_minima.flags.writeable = False
+        kernel = object.__new__(cls)
+        for name, value in (("entries", entries), ("space", space), ("max_entry", hi),
+                            ("row_minima", row_minima), ("symmetric", True)):
+            object.__setattr__(kernel, name, value)
+        return kernel
 
     def __post_init__(self):
         entries = self.entries
@@ -179,7 +206,8 @@ class Kernel:
     @cached_property
     def symmetric(self) -> bool:
         """K == K^T entry for entry, decided once per kernel, at its first
-        vector ``product`` at the latest.  Each tile of the upper triangle
+        vector ``product`` at the latest; a ``_toeplitz`` kernel is built
+        symmetric and never scanned.  Each tile of the upper triangle
         is compared with its mirror tile, a transpose that stays in cache,
         and the first tile that differs ends the scan."""
         k, t = self.entries, SYMMETRY_TILE
@@ -663,7 +691,9 @@ def gaussian_kernel(space: MeasureSpace, sigma: float) -> Kernel:
     ``x_i - x_j``.  The lattice's ``(i - j) h`` is also the more accurate
     distance: ``x_i - x_j`` cancels the rounding of nodes far from 0, which
     on [1000, 1001] costs up to 1.1e-11 relative in an entry.  Either route
-    is symmetric entry for entry.
+    is symmetric entry for entry.  The lattice's kernel is screened from
+    its n values (``Kernel._toeplitz``), the direct formula's from its n^2
+    entries.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -673,9 +703,10 @@ def gaussian_kernel(space: MeasureSpace, sigma: float) -> Kernel:
     np.square(d, out=d)
     d /= -2.0 * sigma**2
     np.exp(d, out=d)
-    entries = d if h is None else toeplitz(d)
-    entries.flags.writeable = False
-    return Kernel(entries, space)
+    if h is not None:
+        return Kernel._toeplitz(d, space)
+    d.flags.writeable = False
+    return Kernel(d, space)
 
 
 def kernel_from_csv(path, space: MeasureSpace | None = None) -> Kernel:

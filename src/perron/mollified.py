@@ -22,8 +22,9 @@ the powers shared between the point recursion and every width; the
 error of each step is the sup norm of one combination,
 sum_j (c_j^{e} - c_j) K^(j).  A symmetric kernel with a low-rank
 compression (``Kernel.compression``) forms no power: a combination
-costs one O(n^2 k) product.  Any other kernel composes
-K^(2) .. K^(m+1) once, m O(n^3) products.
+costs one O(n^2 k) product.  Any other kernel composes K^(2) .. K^(m+1)
+once, in blocks of columns, m O(n^3) products in all, and every
+combination of the study is read off each block as it is made.
 """
 
 from __future__ import annotations
@@ -64,42 +65,56 @@ class Mollifier:
         return self.density * self.space.weights
 
 
-def _kernel_powers(kernel: Kernel, m: int) -> np.ndarray:
-    """The iterated kernels K^(1) .. K^(m+1), stacked: m compositions."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    powers = np.empty((m + 1, kernel.size, kernel.size))
-    powers[0] = kernel.entries
-    for j in range(1, m + 1):
-        powers[j] = kernel.matvec(powers[j - 1])
-    return powers
+def _kernel_powers(kernel: Kernel, m: int):
+    """The iterated kernels K^(1) .. K^(m+1) in blocks of columns: yields,
+    for each block J in turn, the (m + 1) x n x |J| stack of
+    K^(j+1)[:, J] = (K W)^j K[:, J], in one buffer that each block
+    overwrites.  A block has about n / (2 (m + 1)) columns, so its stack
+    holds half as many doubles as K, and the blocks' products add up to m
+    compositions."""
+    n = kernel.size
+    width = -(-n // (2 * (m + 1)))
+    buf = np.empty((m + 1) * n * width)
+    for start in range(0, n, width):
+        cols = slice(start, min(start + width, n))
+        stack = buf[: (m + 1) * n * (cols.stop - start)].reshape(m + 1, n, -1)
+        stack[0] = kernel.entries[:, cols]
+        for j in range(1, m + 1):
+            stack[j] = kernel.matvec(stack[j - 1])
+        yield stack
 
 
 def _power_basis(kernel: Kernel, m: int):
     """The iterated kernels K^(1) .. K^(m+1) as two maps: ``forms(a, b)``,
-    the values a^T K^(j+1) b for j = 0 .. m, and ``sup_norm(c)``, the
-    largest entry of |sum_j c_j K^(j+1)|.
+    the values a^T K^(j+1) b for j = 0 .. m, and ``sup_norms(coeffs)``, for
+    each row c of coeffs the largest entry of |sum_j c_j K^(j+1)|.
 
     With a compression S ~ V diag(mu) V^T of S = W^1/2 K W^1/2,
     K^(j+1) = W^-1/2 S^(j+1) W^-1/2, so for j >= 1
     K^(j+1) = L diag(mu^(j+1)) L^T with L = W^-1/2 V, while K^(1) keeps the
     exact entries: a form costs O(n k) and a combination is
     c_0 K + L diag(sum_j c_j mu^(j+1)) L^T, one O(n^2 k) product, with no
-    power formed.  Without one, the stack of ``_kernel_powers``.  Either
-    combination is formed in blocks of rows of one reused buffer, of which
-    only the largest modulus is kept: no n x n combination is formed.  The
-    first steps of a recursion reach no power past K^(1), and rounding is
-    monotone, so such a combination's sup norm is |c_0| max K, bit for bit,
-    with no pass over K."""
+    power formed, in blocks of rows of one reused buffer.  Without one, a
+    form is m + 1 vector products, K b then (K W)^j K b, and the sup norms
+    take one sweep of ``_kernel_powers``: each block's combinations are
+    formed from its stack and only their largest moduli kept.  No n x n
+    combination or power is formed.  The first steps of a recursion reach
+    no power past K^(1), and rounding is monotone, so such a combination's
+    sup norm is |c_0| max K, bit for bit, with no pass over K."""
     compression = kernel.compression if m else None
     if compression is None:
-        powers = _kernel_powers(kernel, m)
 
         def forms(a, b):
-            return powers @ b @ a
+            v = kernel.product(b)
+            values = [a @ v]
+            for _ in range(m):
+                v = kernel.matvec(v)
+                values.append(a @ v)
+            return np.array(values)
 
-        def combination(c, rows, out):
-            out[...] = np.tensordot(c, powers[:, rows], axes=1)
+        def combination_norms(coeffs):
+            return np.max([[np.abs(np.tensordot(c, stack, axes=1)).max() for c in coeffs]
+                           for stack in _kernel_powers(kernel, m)], axis=0)
     else:
         left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
         mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]   # row j - 1: mu^(j+1)
@@ -107,24 +122,27 @@ def _power_basis(kernel: Kernel, m: int):
         def forms(a, b):
             return np.concatenate([[a @ kernel.product(b)], mu @ ((a @ left) * (b @ left))])
 
-        def combination(c, rows, out):
-            np.matmul(left[rows] * (c[1:] @ mu), left.T, out=out)
-            out += c[0] * kernel.entries[rows]
+        blocks = _row_blocks(kernel.size)
+        buf = np.empty((blocks[0].stop, kernel.size))
 
-    blocks = _row_blocks(kernel.size)
-    buf = np.empty((blocks[0].stop, kernel.size))
+        def combination_norms(coeffs):
+            worst = np.zeros(len(coeffs))
+            for i, c in enumerate(coeffs):
+                for rows in blocks:
+                    out = buf[: rows.stop - rows.start]
+                    np.matmul(left[rows] * (c[1:] @ mu), left.T, out=out)
+                    out += c[0] * kernel.entries[rows]
+                    worst[i] = np.maximum(worst[i], np.abs(out, out=out).max())
+            return worst
 
-    def sup_norm(c):
-        if not c[1:].any():
-            return float(abs(c[0] * kernel.max_entry))
-        worst = 0.0
-        for rows in blocks:
-            out = buf[: rows.stop - rows.start]
-            combination(c, rows, out)
-            worst = np.maximum(worst, np.abs(out, out=out).max())
-        return float(worst)
+    def sup_norms(coeffs):
+        formed = coeffs[:, 1:].any(axis=1)
+        norms = np.abs(coeffs[:, 0] * kernel.max_entry)
+        if formed.any():
+            norms[formed] = combination_norms(coeffs[formed])
+        return norms
 
-    return forms, sup_norm
+    return forms, sup_norms
 
 
 def _subtraction_coefficients(values: np.ndarray, m: int) -> np.ndarray:
@@ -175,6 +193,8 @@ def convergence_study(
     widths = tuple(float(e) for e in widths)
     if not widths:
         raise ValueError("need at least one width")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     nodes = kernel.space.nodes
     ix = int(np.argmin(np.abs(nodes - x0)))
     iy = int(np.argmin(np.abs(nodes - y0)))
@@ -184,28 +204,26 @@ def convergence_study(
         raise GridTooCoarseError(
             f"width {smallest} captures fewer than two nodes around {cx}"
         )
-    errors = []
-    per_step = []
     with overflow_raises(kernel, f"the mollified study's powers K^(2) .. K^({m + 1})"):
-        forms, sup_norm = _power_basis(kernel, m)
+        forms, sup_norms = _power_basis(kernel, m)
         # the point values K^(j+1)(x0, y0) are the forms of two unit vectors
         units = np.zeros((2, kernel.size))
         units[0, ix] = units[1, iy] = 1.0
         exact = _subtraction_coefficients(forms(*units), m)
+        gaps = []
         for eps in widths:
             psi = Mollifier(cx, eps, kernel.space)
             eta = Mollifier(cy, eps, kernel.space)
             mollified = forms(psi.acting_vector(), eta.acting_vector())
-            gap = _subtraction_coefficients(mollified, m) - exact
-            step_errors = tuple(sup_norm(c) for c in gap)
-            per_step.append(step_errors)
-            errors.append(max(step_errors))
+            gaps.append(_subtraction_coefficients(mollified, m) - exact)
+        norms = sup_norms(np.concatenate(gaps)).reshape(len(widths), m + 1)
+    per_step = tuple(tuple(float(e) for e in step) for step in norms)
     return ConvergenceStudy(
         x0=cx,
         y0=cy,
         x0_index=ix,
         y0_index=iy,
         widths=widths,
-        errors=tuple(errors),
-        per_step=tuple(per_step),
+        errors=tuple(max(step) for step in per_step),
+        per_step=per_step,
     )

@@ -416,6 +416,90 @@ class TestBuilders:
         assert peak <= 1.05 * 8 * n * n
 
 
+def _spy_scan(monkeypatch):
+    """List that grows by one on every tile compare of ``Kernel.symmetric``:
+    a ``np.array_equal`` of two matrices (``lattice_step`` compares nodes)."""
+    tiles = []
+    real = np.array_equal
+
+    def spy(a, b):
+        if np.ndim(a) == 2:
+            tiles.append(np.shape(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "array_equal", spy)
+    return tiles
+
+
+LATTICE_CASES = [("midpoint", n) for n in (1, 2, 3, 257, 600)] + [
+    ("trapezoid", n) for n in (2, 3, 257, 600)]
+
+
+class TestGeneratorScreen:
+    """A Gaussian on the midpoint or trapezoid lattice is the symmetric
+    Toeplitz kernel of its n values g_k, screened from them: the fields of
+    the full screen of its n^2 entries, without a read of K."""
+
+    @pytest.mark.parametrize("rule, n", LATTICE_CASES)
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05, 0.35, 1e3])
+    def test_fields_are_those_of_the_full_screen(self, rule, n, sigma):
+        # sigma = 1e-3 underflows g to 0 past the first few nodes
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, rule), sigma)
+        dense = pr.Kernel(k.entries.copy(), k.space)
+        assert k.entries.tobytes() == dense.entries.tobytes()
+        assert k.row_minima.tobytes() == dense.row_minima.tobytes()
+        assert np.float64(k.max_entry).tobytes() == np.float64(dense.max_entry).tobytes()
+        assert k.symmetric is dense.symmetric is True
+        assert not (k.entries.flags.writeable or k.row_minima.flags.writeable)
+        if sigma == 1e-3 and n > 2:
+            assert k.row_minima.min() == 0.0
+
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+    def test_reads_no_entry(self, rule, monkeypatch):
+        # neither __post_init__ (entries.min(axis=1), entries.max()) nor the
+        # tile scan of Kernel.symmetric runs, not even at the first product
+        n = 300
+        screens = []
+        real = pr.Kernel.__post_init__
+        monkeypatch.setattr(pr.Kernel, "__post_init__",
+                            lambda self: screens.append(1) or real(self))
+        scans = _spy_scan(monkeypatch)
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, rule), 0.35)
+        assert "symmetric" in vars(k)
+        k.product(np.ones(n))
+        assert k.symmetric and screens == [] and scans == []
+
+    @pytest.mark.parametrize("off_lattice", [False, True])
+    def test_other_spaces_keep_the_full_screen(self, off_lattice, monkeypatch):
+        n = 40
+        if off_lattice:
+            nodes = pr.make_interval_space(0, 1, n, "midpoint").nodes.copy()
+            nodes[17] += 1e-3
+            sp = pr.MeasureSpace(nodes, np.full(n, 1 / n), kind="interval",
+                                 interval=(0.0, 1.0, "midpoint"))
+        else:
+            sp = pr.make_interval_space(0, 1, n, "gauss_legendre")
+        screens = []
+        real = pr.Kernel.__post_init__
+        monkeypatch.setattr(pr.Kernel, "__post_init__",
+                            lambda self: screens.append(1) or real(self))
+        scans = _spy_scan(monkeypatch)
+        k = pr.gaussian_kernel(sp, 0.35)
+        assert screens == [1] and "symmetric" not in vars(k)
+        assert k.symmetric and scans
+
+    @pytest.mark.parametrize("rule, n", [("midpoint", 5), ("trapezoid", 5), ("gauss_legendre", 5)])
+    def test_nan_width_raises_the_full_screen_error(self, rule, n):
+        # every entry is nan: the message of Kernel(entries, space), word for word
+        sp = pr.make_interval_space(0, 1, n, rule)
+        with pytest.raises(ValueError) as expected:
+            pr.Kernel(np.full((n, n), np.nan), sp)
+        with pytest.raises(ValueError) as got:
+            pr.gaussian_kernel(sp, float("nan"))
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("kernel entries must be finite: nan at (0, 0)")
+
+
 class TestKernelValidation:
     def test_float_noise_below_zero_is_clipped(self, counting2):
         k = pr.Kernel(np.array([[1.0, -1e-17], [0.5, 2.0]]), counting2)
@@ -499,7 +583,10 @@ class TestSymmetry:
         assert not np.array_equal(entries, entries.T)
 
     def test_decided_once_per_kernel(self, monkeypatch):
-        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 300, "midpoint"), 0.35)
+        # a lattice Gaussian is built symmetric: its entries go through the
+        # full screen and the scan
+        gaussian = pr.gaussian_kernel(pr.make_interval_space(0, 1, 300, "midpoint"), 0.35)
+        kernel = pr.Kernel(gaussian.entries.copy(), gaussian.space)
         assert kernel.symmetric
         monkeypatch.setattr(np, "array_equal", lambda *args: False)
         assert kernel.symmetric

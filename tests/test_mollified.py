@@ -195,19 +195,29 @@ class TestSharedPowers:
         np.testing.assert_allclose(compressed.errors, dense.errors, rtol=1e-12, atol=0)
 
 
+def _stacked_power_basis(kernel, m):
+    """Forms and sup norms of the stack of K^(1) .. K^(m+1), each power
+    composed in full."""
+    powers = [kernel.entries]
+    for _ in range(m):
+        powers.append(kernel.matvec(powers[-1]))
+    powers = np.array(powers)
+    return (lambda a, b: powers @ b @ a), (lambda coeffs: np.array(
+        [np.abs(np.tensordot(c, powers, axes=1)).max() for c in coeffs]))
+
+
+_power_basis = perron.mollified._power_basis
+
+
 def _combination_power_basis(kernel, m):
     """``mollified._power_basis`` with every sup norm taken over the
     formed combination sum_j c_j K^(j+1), also where only c_0 is nonzero."""
+    forms, _ = _power_basis(kernel, m)
     compression = kernel.compression if m else None
     if compression is None:
-        powers = perron.mollified._kernel_powers(kernel, m)
-        return (lambda a, b: powers @ b @ a), (
-            lambda c: float(np.abs(np.tensordot(c, powers, axes=1)).max()))
+        return forms, _stacked_power_basis(kernel, m)[1]
     left = compression.vectors / np.sqrt(kernel.space.weights)[:, np.newaxis]
     mu = compression.values ** np.arange(2, m + 2)[:, np.newaxis]
-
-    def forms(a, b):
-        return np.concatenate([[a @ kernel.product(b)], mu @ ((a @ left) * (b @ left))])
 
     def sup_norm(c):
         if c[1:].any():
@@ -217,7 +227,7 @@ def _combination_power_basis(kernel, m):
             out = c[0] * kernel.entries
         return float(np.abs(out).max())
 
-    return forms, sup_norm
+    return forms, lambda coeffs: np.array([sup_norm(c) for c in coeffs])
 
 
 class TestSupNormShortcut:
@@ -240,35 +250,82 @@ class TestSupNormShortcut:
 
     @pytest.mark.parametrize("compressed", [True, False])
     def test_sup_norm_forms_no_square_array(self, compressed, monkeypatch):
-        # the combination goes in blocks of rows of one reused buffer, each
-        # entry rounded as the formed combination's: what is left are the
-        # temporaries of a block, 0.07 n^2 doubles on the compression and
-        # 0.26 from the stack of powers, where the formed combination took 1
+        # the compressed combination goes in blocks of rows of one reused
+        # buffer, the powers in blocks of columns, each entry rounded as the
+        # formed combination's: what is left are the temporaries of a block,
+        # 0.07 n^2 doubles on the compression, and on the powers 0.83: the
+        # stack of a block of n / 6 columns (half of K) and two of its
+        # products, where the stack of all powers alone took m + 1 = 3
         n = 1000
         if not compressed:
             monkeypatch.setattr(perron.kernel_op, "compress_symmetric", lambda kernel: None)
         k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
-        _, sup_norm = perron.mollified._power_basis(k, 2)
+        _, sup_norms = perron.mollified._power_basis(k, 2)
         _, formed = _combination_power_basis(k, 2)
-        c = np.array([0.7, -0.3, 0.05])
-        sup_norm(c)
+        c = np.array([[0.7, -0.3, 0.05]])
+        sup_norms(c)
         tracemalloc.start()
         try:
-            value = sup_norm(c)
+            value = sup_norms(c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.3 * 8 * n * n
-        assert np.float64(value).tobytes() == np.float64(formed(c)).tobytes()
+        assert peak <= (0.3 if compressed else 0.9) * 8 * n * n
+        assert value.tobytes() == formed(c).tobytes()
 
     @pytest.mark.parametrize("c0", [0.0, -0.0, 0.097, -0.147, 3e-300])
     def test_scaled_kernel_sup_norm_is_exact(self, c0):
         k = pr.Kernel(np.exp(np.random.default_rng(3).standard_normal((40, 40))),
                       pr.make_interval_space(0, 1, 40, "midpoint"))
-        _, sup_norm = perron.mollified._power_basis(k, 2)
-        c = np.array([c0, 0.0, 0.0])
+        _, sup_norms = perron.mollified._power_basis(k, 2)
+        c = np.array([[c0, 0.0, 0.0]])
         expected = float(np.abs(c0 * k.entries).max())
-        assert np.float64(sup_norm(c)).tobytes() == np.float64(expected).tobytes()
+        assert sup_norms(c)[0].tobytes() == np.float64(expected).tobytes()
+
+
+class TestPowerSweep:
+    """Without a compression the study composes the powers in blocks of
+    columns and reads every combination off each block's stack."""
+
+    @pytest.fixture
+    def narrow(self):
+        # symmetric and full-rank: no compression
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), 0.05)
+        assert k.symmetric and k.compression is None
+        return k
+
+    def test_study_holds_less_than_one_square_array(self, narrow):
+        # the stack of a block is half of K, two products of a block add
+        # 1/4; the stack of all powers K^(1) .. K^(4) peaked at 6
+        n = narrow.size
+        pr.convergence_study(narrow, 0.5, 0.5, (0.2, 0.1), 3)
+        tracemalloc.start()
+        try:
+            pr.convergence_study(narrow, 0.5, 0.5, (0.2, 0.1), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * 8 * n * n
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_products_are_those_of_m_compositions(self, narrow, m, monkeypatch):
+        # the blocks: m products of K with n columns in all, none at m = 1,
+        # whose steps reach no power past K^(1); the forms, of the point and
+        # of each width: m + 1 vector products each
+        widths = (0.2, 0.1, 0.05)
+        shapes = []
+        real = pr.Kernel.product
+        monkeypatch.setattr(pr.Kernel, "product",
+                            lambda self, x: shapes.append(x.shape) or real(self, x))
+        pr.convergence_study(narrow, 0.5, 0.5, widths, m)
+        assert sum(s[1] for s in shapes if len(s) == 2) == (m > 1) * m * narrow.size
+        assert sum(len(s) == 1 for s in shapes) == (m + 1) * (1 + len(widths))
+
+    def test_errors_match_the_formed_powers(self, narrow, monkeypatch):
+        study = pr.convergence_study(narrow, 0.5, 0.43, (0.2, 0.1, 0.05), 3)
+        monkeypatch.setattr(perron.mollified, "_power_basis", _stacked_power_basis)
+        stacked = pr.convergence_study(narrow, 0.5, 0.43, (0.2, 0.1, 0.05), 3)
+        np.testing.assert_allclose(study.per_step, stacked.per_step, rtol=1e-12, atol=0)
 
 
 class TestConvergenceStudy:
