@@ -28,7 +28,6 @@ from .kernel_op import Kernel, compose, iterate_kernel
 from .measure import GridFunction, WeightFunctional, check_same_space
 
 SLACK = 1e-14  # absolute slack (scaled by kernel magnitude) for entrywise checks
-POSITIVITY_TRIALS = 32  # random probes of the positivity-improving battery
 
 STRATEGIES = ("row_min", "column_profile", "user")
 
@@ -274,13 +273,12 @@ class CertificateReport:
 
 
 def _gap(
-    kernel: Kernel, cert: MinorizationCertificate, out: np.ndarray | None = None
+    powered: Kernel, cert: MinorizationCertificate, out: np.ndarray | None = None
 ) -> CertificateReport:
-    """The certificate report of K^(N) - alpha * profile x density, from
-    the least entry of each row (``_row_slack``); with ``out`` the gap is
-    written there."""
-    check_same_space(kernel.space, cert.profile.space)
-    powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
+    """The certificate report of K^(N) - alpha * profile x density, K^(N)
+    the kernel ``powered``, from the least entry of each row
+    (``_row_slack``); with ``out`` the gap is written there."""
+    check_same_space(powered.space, cert.profile.space)
     worst = float(_row_slack(powered, cert, out).min())
     # kernel entries are nonnegative, so their max is their sup norm
     scale = max(1.0, powered.max_entry)
@@ -324,7 +322,7 @@ def _row_slack(
 
 def verify_certificate(kernel: Kernel, cert: MinorizationCertificate) -> CertificateReport:
     """Entrywise check of K^(N) >= alpha * profile x density, with float slack."""
-    return _gap(kernel, cert)
+    return _gap(iterate_kernel(kernel, cert.power), cert)
 
 
 def rank_one_split(kernel: Kernel, cert: MinorizationCertificate) -> RankOneSplit:
@@ -357,27 +355,16 @@ def power_doeblin_search(kernel: Kernel, n_max: int, strategy: str = "row_min"):
     return NotFoundWithin(n_max)
 
 
-def positivity_improving_check(
-    kernel: Kernel, cert: MinorizationCertificate, seed: int = 20240808
-) -> bool:
-    """Random battery: T^N f > 0 everywhere and T^N f >= alpha*profile*phi[f]
-    for nonnegative, not identically zero f."""
-    powered = kernel if cert.power == 1 else iterate_kernel(kernel, cert.power)
-    scale = max(1.0, powered.max_entry)
-    rng = np.random.default_rng(seed)
-    space = kernel.space
-    # column t is probe t, drawn trial by trial, so a seed gives the same
-    # probes as a loop over the trials
-    probes = np.empty((space.size, POSITIVITY_TRIALS))
-    for f in probes.T:
-        f[:] = rng.uniform(0.0, 1.0, space.size)
-        f[rng.random(space.size) < 0.5] = 0.0
-        if not f.any():
-            f[rng.integers(space.size)] = 1.0
-    # T^N F and the floors alpha * profile * phi[f] of all probes at once
-    images = powered.matvec(probes)
-    floors = np.outer(cert.alpha * cert.profile.values, cert.functional.acting_vector() @ probes)
-    return bool(np.all(images > 0) and not np.any(images - floors < -SLACK * scale))
+def positivity_improving_check(kernel: Kernel, cert: MinorizationCertificate) -> bool:
+    """Whether T^N f > 0 everywhere and T^N f >= alpha * profile * phi[f]
+    for every nonnegative f that is not identically zero, decided exactly
+    from the entries of K^N.  The weights are positive and
+    (T^N f)_i - alpha profile_i phi[f] = sum_j (K^N_ij - alpha profile_i
+    density_j) w_j f_j, so the first holds exactly when every entry of
+    K^N is positive (take f = e_j), and the second exactly when the
+    certificate holds entrywise, to its own slack (``_gap``)."""
+    powered = iterate_kernel(kernel, cert.power)
+    return bool(powered.row_minima.min() > 0) and _gap(powered, cert).holds
 
 
 # ---------------------------------------------------------------------------

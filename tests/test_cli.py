@@ -587,9 +587,10 @@ class TestSolveCommand:
 
 class TestOperationCounts:
     """perron solve then perron verify on the shape of the benchmark's CLI
-    workload: one compression of S per command serves the D-curve, the
-    verify scan and the mollified study, the conjugate kernel of verify's
-    measure-change check builds its own, and no n x n eigensolver runs."""
+    workload: each command runs one solve, whose compression of S serves
+    the D-curve, the verify scan and the mollified study; verify's
+    measure-change check applies the conjugate kernel to the transported
+    eigenfunction once and solves nothing; no n x n eigensolver runs."""
 
     def test_one_compression_per_command(self, runner, tmp_path, monkeypatch):
         n = 600
@@ -601,14 +602,14 @@ class TestOperationCounts:
                 (perron.resolvent, "schur"),
                 (perron.mollified, "_kernel_powers"),
                 (perron.kernel_op, "compress_symmetric"),
+                (perron.spectral, "solve"),
             )
         }
-        # cumulative: verify builds one for the kernel and one for its
-        # symmetric conjugate
-        for command, builds in (("solve", 1), ("verify", 3)):
+        # cumulative: one solve and one compression per command
+        for command, runs in (("solve", 1), ("verify", 2)):
             result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
             assert result.exit_code == 0, result.output
-            assert len(calls["compress_symmetric"]) == builds
+            assert len(calls["solve"]) == len(calls["compress_symmetric"]) == runs
         for name in ("eigh", "schur"):
             assert (n, n) not in calls[name]
         assert calls["_kernel_powers"] == []
@@ -616,8 +617,8 @@ class TestOperationCounts:
         assert report["curve"]["route"] == "compressed"
 
     def test_verify_factors_nothing(self, runner, tmp_path, monkeypatch):
-        # the p = 2 conjugate of the symmetric kernel is symmetric bit for
-        # bit, so its solve takes the compression too
+        # the one solve takes the compression, and the measure-change
+        # check applies the conjugate kernel without solving it
         factored = count_calls(monkeypatch, perron.resolvent, "lu_factor")
         cfg = write_config(tmp_path / "g.json", gaussian_config(600))
         result = runner.invoke(main, ["verify", "--config", cfg])
@@ -655,7 +656,7 @@ class TestOperationCounts:
         # tracemalloc peaks in n x n arrays at sigma = 0.35, n = 600: 1.77
         # for solve, K and two n x 200 blocks of the D-curve's solves
         # against 1, where the grid's shifted norms and finiteness mask
-        # made 2.09 and the stored remainder 3.09; 3.53 for verify, K, the
+        # made 2.09 and the stored remainder 3.09; 3.49 for verify, K, the
         # remainder its cross-checks read and the conjugate kernel, where
         # the reconstruction's and the study's n x n temporaries and the
         # conjugate's copies made 6.15
@@ -901,9 +902,9 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 0, result.output
         assert "PASS  bs_curve_matches_lu" in result.output
-        # one LU for the solve, two for the measure-change solve; the
-        # comparison reuses the factorization at lambda0
-        assert len(calls) == 3
+        # one LU for the solve; the comparison reuses the factorization at
+        # lambda0, and the measure-change check solves nothing
+        assert len(calls) == 1
 
     def test_kernel_checks_compose_no_kernels(self, runner, monkeypatch):
         # the corrected-kernel recursion and the resolvent identity run on
@@ -961,12 +962,35 @@ class TestVerifyCommand:
 
     def test_one_split_per_kernel(self, runner, tmp_path, monkeypatch):
         # the split of the solve serves the reconstruction check and the
-        # probe identity; the conjugate kernel's solve makes the other
+        # probe identity; the conjugate kernel is not split
         calls = count_calls(monkeypatch, perron.doeblin, "rank_one_split")
         cfg = write_config(tmp_path / "g.json", gaussian_config(64))
         result = runner.invoke(main, ["verify", "--config", cfg])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("defect", ["weights", "row_factor"])
+    def test_wrong_conjugation_fails_the_measure_change_check(
+        self, runner, tmp_path, monkeypatch, defect
+    ):
+        # the nu-weights w/h off by 1e-6 x, or h^(1/3) in place of h^(1/2)
+        # on the rows: the transported eigenfunction is then no eigenvector
+        real = perron.cli.conjugate_kernel
+
+        def wrong(kernel, mc):
+            conj = real(kernel, mc)
+            space = conj.space
+            if defect == "weights":
+                weights = space.weights * (1.0 + 1e-6 * space.nodes)
+                return pr.Kernel(conj.entries, pr.MeasureSpace(space.nodes, weights, "weighted"))
+            h = mc.density.values
+            return pr.Kernel(np.outer(h ** (1 / 3), h ** 0.5) * kernel.entries, space)
+
+        monkeypatch.setattr(perron.cli, "conjugate_kernel", wrong)
+        cfg = write_config(tmp_path / "g.json", gaussian_config(200))
+        result = runner.invoke(main, ["verify", "--config", cfg])
+        assert result.exit_code == 3, result.output
+        assert "FAIL  measure_change_invariance" in result.output
 
     def test_mollified_study_runs_on_one_scale(self, runner, tmp_path):
         # the study runs on T times the power of two of ||T||_inf, which

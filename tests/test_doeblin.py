@@ -233,32 +233,33 @@ class TestPositivityImproving:
         np.testing.assert_allclose(image, [0.5, 0.25])
         assert np.all(image > 0)
 
-    @pytest.mark.parametrize("alpha, zero_row, holds", [
-        (0.01, False, True), (0.9, False, False), (0.01, True, False),
+    @pytest.mark.parametrize("alpha, zero_row, zero_entry, holds", [
+        (0.01, False, False, True), (0.9, False, False, False), (0.01, True, False, False),
+        (0.01, False, True, False),
     ])
-    def test_block_battery_matches_one_probe_at_a_time(self, alpha, zero_row, holds):
-        # the probes of the first battery, drawn and checked one by one
+    def test_exact_check_matches_the_basis_vectors(self, alpha, zero_row, zero_entry, holds):
+        # every nonnegative f is a nonnegative sum of basis vectors, so the
+        # property holds for all such f exactly when it holds for each e_j,
+        # whose image is column j of K W
         rng = np.random.default_rng(80)
         sp = pr.make_interval_space(0, 1, 50, "midpoint")
         entries = rng.uniform(0.05, 1.05, (50, 50))
         entries[7] *= 0.0 if zero_row else 1.0
+        profile, density = np.ones(50), np.ones(50)
+        if zero_entry:
+            # a zero entry under a profile that is zero at its row: the
+            # certificate holds, but T e_3 vanishes at node 7
+            entries[7, 3] = profile[7] = 0.0
         k = pr.Kernel(entries, sp)
-        ones = np.ones(50)
         cert = pr.MinorizationCertificate(
-            alpha, pr.GridFunction(ones, sp), pr.WeightFunctional(ones, sp)
+            alpha, pr.GridFunction(profile, sp), pr.WeightFunctional(density, sp)
         )
-        draws = np.random.default_rng(7)
-        expected = True
-        for _ in range(32):
-            f = draws.uniform(0.0, 1.0, 50)
-            f[draws.random(50) < 0.5] = 0.0
-            if not f.any():
-                f[draws.integers(50)] = 1.0
-            image = k.operator_matrix() @ f
-            floor = alpha * np.dot(sp.weights, f)
-            expected &= bool(np.all(image > 0) and np.all(image - floor >= -1e-14))
+        images = k.operator_matrix()
+        floors = alpha * np.outer(profile, density * sp.weights)
+        expected = bool(np.all(images > 0) and np.all(images - floors >= -1e-14))
         assert expected == holds
-        assert pr.positivity_improving_check(k, cert, seed=7) == holds
+        assert pr.positivity_improving_check(k, cert) == holds
+        assert pr.verify_certificate(k, cert).holds == (holds or zero_entry)
 
     def test_kernel_with_zero_row_fails(self, counting2):
         k = pr.Kernel(np.array([[0.0, 0.0], [1.0, 1.0]]), counting2)
