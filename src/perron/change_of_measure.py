@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doeblin import _row_blocks
 from .kernel_op import Kernel, SchurBound
 from .measure import GridFunction, MeasureSpace, check_same_space
 
@@ -62,15 +63,34 @@ def changed_space(mc: MeasureChange) -> MeasureSpace:
 
 
 def conjugate_kernel(kernel: Kernel, mc: MeasureChange) -> Kernel:
-    """h^(1/p)-weighted conjugate over the nu-space; same spectrum."""
+    """h^(1/p)-weighted conjugate over the nu-space; same spectrum.
+
+    The entries (r_i c_j) K_ij are written into one n x n array in blocks
+    of rows, and each block is screened as it is written, while it is in
+    cache: its row minima and its largest entry, which propagate nan and
+    reach inf.  A product that is not finite and nonnegative takes the full
+    screen of ``Kernel``, which raises its errors.  Where the row and
+    column factors are equal (p = 2) and K is symmetric, the products
+    round the same on both sides of the diagonal, so the conjugate is
+    symmetric bit for bit and is built so, with no scan."""
     check_same_space(kernel.space, mc.density.space)
-    # one outer product, multiplied in place and frozen, so that the Kernel
-    # shares it: one n x n array; at p = 2 a symmetric kernel stays
-    # bit-symmetric
-    entries = np.outer(mc.row_factor(), mc.col_factor())
-    entries *= kernel.entries
-    entries.flags.writeable = False
-    return Kernel(entries, changed_space(mc))
+    space = changed_space(mc)
+    row, col = mc.row_factor(), mc.col_factor()
+    entries = np.empty((kernel.size, kernel.size))
+    row_minima = np.empty(kernel.size)
+    hi = 0.0
+    for rows in _row_blocks(kernel.size):
+        block = entries[rows]
+        block[:] = col
+        block *= row[rows, np.newaxis]
+        block *= kernel.entries[rows]
+        block.min(axis=1, out=row_minima[rows])
+        hi = max(hi, float(block.max()))
+    if not (float(row_minima.min()) >= 0 and np.isfinite(hi)):
+        entries.flags.writeable = False
+        return Kernel(entries, space)
+    symmetric = np.array_equal(row, col) and kernel.symmetric
+    return Kernel._screened(entries, space, hi, row_minima, symmetric)
 
 
 def transform_schur(bound: SchurBound, mc: MeasureChange) -> SchurBound:

@@ -34,11 +34,15 @@ SYMMETRY_TILE = 256
 # call packs all of K first; in row panels each panel is packed in cache.
 # At n = 2000, BLAS on one thread, 2 to 4 columns take 1.0 ms in panels
 # against 2.0 to 2.6 ms plain (3 columns only when padded to 4: 1.43 ms
-# otherwise), and one vector 0.92 ms in dgemv; 32 columns are faster plain
-# (4.0 against 4.7 ms).  Below about 512 nodes K stays in cache and 2
-# columns are faster plain (n = 400: 0.017 against 0.025 ms).  One vector
-# on a symmetric kernel reads one triangle (dsymv): 0.70 against 1.4 ms
-# at n = 2000 and 0.038 against 0.114 ms at n = 600.
+# otherwise), and one vector 0.92 ms in dgemv.  Below about 512 nodes K
+# stays in cache and 2 columns are faster plain (n = 400: 0.017 against
+# 0.025 ms).  One vector on a symmetric kernel reads one triangle (dsymv):
+# 0.70 against 1.4 ms at n = 2000 and 0.038 against 0.114 ms at n = 600.
+# A wider block goes as (x^T K^T)^T, which puts K's rows on the
+# register-blocked side of the GEMM (Goto & van de Geijn 2008): at
+# n = 2000, 10 columns take 3.3 against 4.5 ms as K x, 26 take 5.1 against
+# 6.6 and 42 take 6.4 against 8.9; 16 columns and square blocks do not
+# change.
 PANEL_ROWS = 64
 PANEL_MAX_COLUMNS = 4
 PANEL_MIN_DIM = 512
@@ -95,17 +99,31 @@ class Kernel:
         that is not finite and nonnegative, or not of the space's size,
         takes that full screen, which raises its errors."""
         entries = toeplitz(g)
-        entries.flags.writeable = False
         lo, hi = float(g.min()), float(g.max())
         if g.shape != (space.size,) or not (lo >= 0 and np.isfinite(hi)):
+            entries.flags.writeable = False
             return cls(entries, space)
         i = np.arange(g.size)
         row_minima = np.minimum.accumulate(g)[np.maximum(i, g.size - 1 - i)]
+        return cls._screened(entries, space, hi, row_minima, symmetric=True)
+
+    @classmethod
+    def _screened(cls, entries: np.ndarray, space: MeasureSpace, max_entry: float,
+                  row_minima: np.ndarray, symmetric: bool) -> Kernel:
+        """The kernel of finite nonnegative n x n ``entries`` that its
+        builder screened as it wrote them, with the fields that
+        ``Kernel(entries, space)`` would find, so that no pass over the n^2
+        entries is made again; a kernel built ``symmetric`` is never
+        scanned, and any other one is scanned by ``symmetric`` as usual.
+        The arrays are frozen and shared."""
+        entries.flags.writeable = False
         row_minima.flags.writeable = False
         kernel = object.__new__(cls)
-        for name, value in (("entries", entries), ("space", space), ("max_entry", hi),
-                            ("row_minima", row_minima), ("symmetric", True)):
+        for name, value in (("entries", entries), ("space", space), ("max_entry", max_entry),
+                            ("row_minima", row_minima)):
             object.__setattr__(kernel, name, value)
+        if symmetric:
+            object.__setattr__(kernel, "symmetric", True)
         return kernel
 
     def __post_init__(self):
@@ -163,14 +181,20 @@ class Kernel:
         the lower one is as accurate as dgemv, the upper one 3 times less
         (see the README's numerical notes).  From PANEL_MIN_DIM nodes on, a
         block of 2 to PANEL_MAX_COLUMNS columns goes through K in row panels
-        of PANEL_ROWS rows, 3 columns padded to 4 with a zero column; a
-        vector of any other kernel and any other block are one BLAS call."""
+        of PANEL_ROWS rows, 3 columns padded to 4 with a zero column.  A
+        wider block is one BLAS call with K's rows on the register-blocked
+        side of the GEMM, (x^T K^T)^T: the same entries as K x, bit for bit
+        up to 200 columns with OpenBLAS, returned Fortran-ordered.  A
+        vector of any other kernel is one dgemv, and a narrow block below
+        PANEL_MIN_DIM nodes one plain BLAS call."""
         k = self.entries
         if x.ndim == 1:
             if self.symmetric:
                 return dsymv(1.0, k if k.flags.f_contiguous else k.T, x, lower=1)
             return k @ x
-        if self.size < PANEL_MIN_DIM or not 2 <= x.shape[1] <= PANEL_MAX_COLUMNS:
+        if x.shape[1] > PANEL_MAX_COLUMNS:
+            return (x.T @ k.T).T
+        if self.size < PANEL_MIN_DIM or x.shape[1] < 2:
             return k @ x
         columns = x.shape[1]
         if columns == 3:
@@ -327,7 +351,10 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     scaled_root_w = scale * root_w
 
     def apply_s(x):
-        return root_w * kernel.product(scaled_root_w * x)
+        # in C order, the layout of K x: the QR and Rayleigh-Ritz products
+        # round as on K x, and a column slice is a copy, so no QR below
+        # overwrites a block that is read again
+        return np.multiply(root_w, kernel.product(scaled_root_w * x), order="C")
 
     def orth(y):
         return qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]

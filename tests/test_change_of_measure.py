@@ -49,8 +49,8 @@ class TestConjugation:
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_conjugate_holds_one_square_array(self, p):
-        # the outer product is multiplied in place and frozen, so the
-        # Kernel shares it: entries as (r x c) * K, bit for bit
+        # the entries are written in row blocks into one array, which the
+        # Kernel shares: (r x c) * K, bit for bit
         n = 600
         k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
         mc = pr.MeasureChange(density_on(k.space, seed=85), p)
@@ -65,6 +65,29 @@ class TestConjugation:
         expected = np.outer(mc.row_factor(), mc.col_factor()) * k.entries
         assert ke.entries.tobytes() == expected.tobytes()
         assert ke.symmetric == (p == 2.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [50, 600])
+    def test_conjugate_is_screened_as_it_is_written(self, p, n):
+        # the row blocks are screened as they are written: the fields equal
+        # those of the full screen, and at p = 2 a symmetric kernel's
+        # conjugate is built symmetric, with no tile scan
+        k = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        mc = pr.MeasureChange(density_on(k.space, seed=86), p)
+        ke = pr.conjugate_kernel(k, mc)
+        assert ("symmetric" in vars(ke)) == (p == 2.0)
+        screened = pr.Kernel(ke.entries.copy(), ke.space)
+        assert ke.max_entry == screened.max_entry
+        assert np.array_equal(ke.row_minima, screened.row_minima)
+        assert not ke.entries.flags.writeable and not ke.row_minima.flags.writeable
+        assert ke.symmetric == screened.symmetric == (p == 2.0)
+
+    def test_conjugate_that_overflows_takes_the_full_screen(self):
+        sp = pr.make_interval_space(0, 1, 8, "midpoint")
+        k = pr.Kernel(np.full((8, 8), 1e300), sp)
+        mc = pr.MeasureChange(pr.GridFunction(np.full(8, 1e20), sp), 2.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            pr.conjugate_kernel(k, mc)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_spectral_invariance_random_density(self, interval_kernel, p):

@@ -244,6 +244,34 @@ class TestProduct:
         scale = kernel.entries.sum(axis=1).max() * np.abs(block).max()
         np.testing.assert_allclose(out, plain, rtol=0, atol=1e-14 * scale)
 
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("width", [5, 16, 26, 42, "n/8"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_wide_block_is_as_accurate_as_the_plain_product(self, n, width, symmetric, order):
+        # a block wider than the panels goes as (x^T K^T)^T, with K's rows
+        # on BLAS's register-blocked side: as accurate as K x against a
+        # long-double product, whatever the layout of K or of the block
+        columns = n // 8 if width == "n/8" else width
+        rng = np.random.default_rng(columns)
+        space = pr.make_interval_space(0, 1, n, "midpoint")
+        if symmetric:
+            kernel = pr.gaussian_kernel(space, 0.35)
+        else:
+            kernel = random_positive_kernel(space, rng)
+        kernel = pr.Kernel(np.array(kernel.entries, order=order), space)
+        assert kernel.symmetric == symmetric
+        block = rng.standard_normal((n, columns))
+        out = kernel.product(block)
+        assert out.shape == (n, columns)
+        assert np.array_equal(kernel.product(np.asfortranarray(block)), out)
+        exact = kernel.entries.astype(np.longdouble) @ block.astype(np.longdouble)
+
+        def rms(y):
+            return float(np.sqrt(np.mean((y - exact).astype(float) ** 2)))
+
+        assert rms(out) <= 1.5 * rms(kernel.entries @ block)
+
     def test_vector_is_one_blas_call(self):
         rng = np.random.default_rng(15)
         kernel = random_positive_kernel(pr.make_counting_space(700), rng)
@@ -630,6 +658,25 @@ class TestCompression:
         assert c.probe_bound <= backward
         top = scipy.linalg.eigvalsh(weighted_s(kernel), subset_by_index=[n - 1, n - 1])[0]
         assert abs(c.values[-1] - top) <= backward
+
+    @pytest.mark.parametrize("sigma, columns", [(0.35, 42), (0.2, 58), (0.1, 90), (0.05, 90)])
+    def test_repeats_bit_for_bit(self, sigma, columns, monkeypatch):
+        # the seed is fixed and the products come back in C order, so a
+        # second call on the same kernel makes the same products, takes
+        # the same gate decisions and returns the same bits
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, 600, "midpoint"), sigma)
+        products = count_products(monkeypatch)
+        first = compress_symmetric(kernel)
+        assert sum(products) == columns
+        products.clear()
+        second = compress_symmetric(kernel)
+        assert sum(products) == columns
+        if first is None:
+            assert second is None
+            return
+        assert first.probe_bound == second.probe_bound
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.vectors, second.vectors)
 
     def test_probe_bound_bounds_the_range_error(self, monkeypatch):
         # symmetric nonnegative kernels F F^T of rank 5 to 40, the columns
