@@ -271,19 +271,19 @@ def iterate_kernel(kernel: Kernel, n: int) -> Kernel:
 # The randomized range finder grows its basis by blocks of COMPRESSION_BLOCK
 # columns up to COMPRESSION_MAX_RANK; kernels below COMPRESSION_MIN_DIM nodes
 # are not compressed.  On [0, 1] the Gaussians with sigma 0.3 and above
-# (the benchmark's) meet the rank rule with one block, sigma 0.12 to 0.25
-# with two, and sigma 0.1 with two (n = 2000) or after the power step
-# (n = 600; none at n = 200); sigma 0.08 and below, e^-|x-y| and
-# log-normal matrices give up.
+# (the benchmark's) meet the rank rule with one block, sigma 0.15 to 0.25
+# with two, and sigma 0.1 after the power step (none at n = 200); sigma 0.12,
+# and 0.15 at n = 512, take the power step on the midpoint and trapezoid
+# rules; sigma 0.08 and below, e^-|x-y| and log-normal matrices give up.
 # BLAS on one thread, medians of two sets on a shared 2-core Xeon,
-# sigma = 0.35 costs 1.7 to 1.8 ms at n = 600 and 15 to 18 ms at n = 2000,
-# and e^-|x-y| spends 4.7 to 4.8 and 27 to 37 ms before it gives up (a
+# sigma = 0.35 costs 1.2 to 1.6 ms at n = 600 and 7.8 to 8.7 ms at n = 2000,
+# and e^-|x-y| spends 4.4 to 4.5 and 24 to 28 ms before it gives up (a
 # dense eigh of its S: 32 ms and 0.9 s).  That is all such a kernel spends
 # before its eigh, or, in a library solve from 512 nodes on, before its LU.
 # A cap of 64 compresses sigma 0.05 to 0.08 too (rank 48 to 64), but a
-# full-rank kernel then pays 154 product columns to give up, its power step
-# at 64 columns included, against 90 at a cap of 32: 8.1 ms at n = 600 and
-# 62 ms at n = 2000.
+# full-rank kernel then pays 138 product columns to give up, its power step
+# at 64 columns included, against 74 at a cap of 32: 7.8 to 8.1 ms at
+# n = 600 and 46 to 56 ms at n = 2000.
 COMPRESSION_BLOCK = 16
 COMPRESSION_MAX_RANK = 32
 COMPRESSION_MIN_DIM = 128
@@ -312,28 +312,32 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     section 4.4, over the block Krylov space of their section 4.6, with
     Rayleigh-Ritz, and one power step where the probes ask for it).
 
-    COMPRESSION_PROBES seeded Gaussian columns omega_i and a block Omega
-    of COMPRESSION_BLOCK more go through S in one product.  The
-    orthonormal range Q of S Omega and the eigenpairs of Q^T S Q give V
+    The first range Q is that of the skeleton C = S E_J: the columns of
+    S at COMPRESSION_BLOCK indices J evenly spaced over 0..n-1, read from
+    K and its weights, not a product (the column-skeleton, or Nystrom,
+    start of Gittens & Mahoney 2016, JMLR 17).  Q and COMPRESSION_PROBES
+    seeded Gaussian columns omega_i go through S in one product: S Q
+    is the Rayleigh-Ritz product, and the eigenpairs of Q^T S Q give V
     and the values.  The probes bound the range error: with probability
     at least 1 - 10^-10,
     ||(I - Q Q^T) S|| <= 10 sqrt(2/pi) max_i ||(I - Q Q^T) S omega_i||
-    (their section 4.3).  The compression is taken when that bound is at
-    most n eps |mu_1|, the backward error of a dense eigh.  Where it is
-    not, and Q holds fewer than COMPRESSION_MAX_RANK columns, Q grows by
-    a block: the last block of the Rayleigh-Ritz product S Q, twice
-    orthogonalized against Q (as in the blocked randQB of Martinsson &
-    Voronin 2016, SIAM J. Sci. Comput. 38(5)), so that Q spans
-    [S Omega, S^2 Omega, ...] and each block costs the one product that
-    extends S Q.  At the cap a miss takes the power step: Q becomes the
-    orthonormal range of S Q, and the same test decides again.  The
-    probes are independent of every range, so the tests hold together
-    with probability at least 1 - 3 10^-10.  A miss after the power step,
-    a nonsymmetric kernel and n below COMPRESSION_MIN_DIM give None.  The
-    seed is fixed, so the result repeats bit for bit.  Product columns:
-    42 at rank 16, 58 at rank 32 and 90 with the power step.  The top
-    value is the ``_rayleigh_quotient`` of its Ritz vector x, with
-    S x = (S q) u_top from the product the stage made.
+    (their section 4.3), for any Q that does not depend on the probes.
+    The compression is taken when that bound is at most n eps |mu_1|, the
+    backward error of a dense eigh.  Where it is not, and Q holds fewer
+    than COMPRESSION_MAX_RANK columns, Q grows by a block: the last block
+    of the Rayleigh-Ritz product S Q, twice orthogonalized against Q (as
+    in the blocked randQB of Martinsson & Voronin 2016, SIAM J. Sci.
+    Comput. 38(5)), so that Q spans [C, S C, ...] and each block costs
+    the one product that extends S Q.  At the cap a miss takes the power
+    step: Q becomes the orthonormal range of S Q, and the same test
+    decides again.  The probes are independent of every range, so the
+    tests hold together with probability at least 1 - 3 10^-10.  A miss
+    after the power step, a nonsymmetric kernel and n below
+    COMPRESSION_MIN_DIM give None.  The seed is fixed, so the result
+    repeats bit for bit.  Product columns: 26 at rank 16, 42 at rank 32
+    and 74 with the power step.  The top value is the
+    ``_rayleigh_quotient`` of its Ritz vector x, with S x = (S q) u_top
+    from the product the stage made.
     """
     n = kernel.size
     if n < COMPRESSION_MIN_DIM or not kernel.symmetric:
@@ -359,12 +363,13 @@ def compress_symmetric(kernel: Kernel) -> Compression | None:
     def orth(y):
         return qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
 
-    rng = np.random.default_rng(1234567)
-    s_omega = apply_s(np.hstack([rng.standard_normal((n, COMPRESSION_PROBES)),
-                                 rng.standard_normal((n, COMPRESSION_BLOCK))]))
-    s_probes = s_omega[:, :COMPRESSION_PROBES]
-    q = orth(s_omega[:, COMPRESSION_PROBES:])
-    y = apply_s(q)
+    # the skeleton: the columns J of scale * W^1/2 K span those of
+    # scale * S = scale * W^1/2 K W^1/2, and are read, not a product
+    skeleton = np.arange(COMPRESSION_BLOCK) * (n - 1) // (COMPRESSION_BLOCK - 1)
+    q = orth(scaled_root_w * kernel.entries[:, skeleton])
+    probes = np.random.default_rng(1234567).standard_normal((n, COMPRESSION_PROBES))
+    s_q = apply_s(np.hstack([q, probes]))
+    y, s_probes = s_q[:, :COMPRESSION_BLOCK], s_q[:, COMPRESSION_BLOCK:]
     stepped = False
     while True:
         b = q.T @ y

@@ -67,24 +67,23 @@ step of the lockstep refinement takes 1.0 ms in row panels
 (``Kernel.product``, 3 columns padded to 4), against 0.92 ms for one
 vector in dgemv (0.70 ms in dsymv, which reads one triangle) and 2.6 ms
 for 3 columns in one plain BLAS call, which packs all of K first.  The
-compression costs 1.7 to 1.8 ms and 15 to 18 ms, once per kernel
-(``kernel_op.COMPRESSION_BLOCK``, on a busier machine).  A library
-solve, which makes the compression for its one shift, breaks even
-with the float64 LU at or just below n = 384 (medians of 20
-interleaved runs, two sets, the LU forced by a floor of n + 1, on the
-busier machine: 3.9 to 5.4 against 4.1 to 5.6 ms at n = 384, 5.8 to
-8.0 against 7.8 to 10.4 ms at n = 512, 9.0 to 9.7 against 13.2 to
-14.0 ms at n = 640).  COMPRESSED_SOLVE_MIN_DIM = 512 is above it: the gain at
-384 lies within the spread of the sets, and a symmetric kernel of full
-rank pays the compression that gives up before its LU, one power step
-included: 4.7 to 4.8 ms at n = 600 and 27 to 37 ms at n = 2000 for
-e^-|x-y| on that machine.  A whole grid of 5 to 200 shifts on the
-compression costs less than one LU shift at both sizes (2.0 to 2.5 ms
-and 13 to 15 ms, the compression included), on the full eigenbasis
-about 4 (19 to 22 ms) and 8 (0.70 to 0.73 s), on the Schur form about
-40 (0.17 to 0.19 s) and 30 (2.5 to 2.8 s).  So on a compressible
-kernel any grid is faster than one LU per shift; on other kernels a
-grid shorter than the break-even is slower.
+compression costs 1.2 to 1.6 ms and 7.8 to 8.7 ms, once per kernel
+(``kernel_op.COMPRESSION_BLOCK``; medians of two sets on a shared
+machine).  A library solve, which makes the compression for its one
+shift, breaks even with the float64 LU at about n = 320 (medians of 15
+runs in three sets, the LU forced by a floor of n + 1: 2.3 to 3.6
+against 2.3 to 3.2 ms at n = 320, 2.9 to 4.1 against 3.3 to 4.4 ms at
+n = 384, 3.6 to 5.0 against 5.7 to 7.9 ms at n = 512).
+COMPRESSED_SOLVE_MIN_DIM = 512 is above it: the gain at 384 is 0.2 to
+0.8 ms, and a symmetric kernel of full rank pays the compression that
+gives up before its LU, one power step included: 4.4 to 4.5 ms at
+n = 600 and 24 to 28 ms at n = 2000 for e^-|x-y|.  A whole grid of 5
+to 200 shifts on the compression costs less than one LU shift at both
+sizes (1.6 to 2.2 ms and 8.7 to 14 ms, the compression included), on
+the full eigenbasis about 4 (19 to 22 ms) and 8 (0.70 to 0.73 s), on
+the Schur form about 40 (0.17 to 0.19 s) and 30 (2.5 to 2.8 s).  So on
+a compressible kernel any grid is faster than one LU per shift; on
+other kernels a grid shorter than the break-even is slower.
 """
 
 from __future__ import annotations

@@ -205,16 +205,17 @@ class TestSolveCommand:
 
     def test_solve_product_budget_on_the_benchmark_shape(self, runner, tmp_path, monkeypatch):
         # sigma = 0.35 at n = 600, the shape of the cli_config benchmark: 44
-        # kernel product columns with BLAS on one thread, 45 on two,
-        # besides the compression's 42 (26 + 16): the series 15, the oracle
-        # 14, the Collatz-Wielandt brackets of lambda0 3 and of rho(R) 3 (4
-        # on two threads, where dsymv sums in another order), the
-        # evaluator's row and column sums 2, the refinement at the root 4,
-        # the solve's residuals 2 and growth_radius 1, which takes
-        # ||T||_inf from the evaluator.  The bracket of rho(R) took 21 from
-        # the eigenfunction, where it now starts from the Perron vector of
-        # R's compression; growth_radius took 28 through ARPACK, and the
-        # compression 74 with one block of 32 columns
+        # kernel product columns with BLAS on one thread and on two (45 has
+        # been seen on two, where dsymv sums in another order), besides the
+        # compression's 26 (its basis 16, the probes 10): the series 15, the
+        # oracle 14, the Collatz-Wielandt brackets of lambda0 3 and of
+        # rho(R) 3 (4 in the case of 45), the evaluator's row and column
+        # sums 2, the refinement at the root 4, the solve's residuals 2 and
+        # growth_radius 1, which takes ||T||_inf from the evaluator.  The
+        # bracket of rho(R) took 21 from the eigenfunction, where it now
+        # starts from the Perron vector of R's compression; growth_radius
+        # took 28 through ARPACK, and the compression 74 with one block of
+        # 32 columns
         columns = {"compression": 0, "other": 0}
         where = ["other"]
         real_product, real_compress = pr.Kernel.product, perron.kernel_op.compress_symmetric
@@ -239,7 +240,7 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert columns["other"] <= 45, columns
-        assert columns["compression"] == 42
+        assert columns["compression"] == 26
 
     @pytest.mark.parametrize("c", [1e-300, 1e-6, 1e300])
     def test_scaled_kernel_passes_every_check(self, runner, tmp_path, c):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import perron as pr
 import perron.kernel_op
 from perron.errors import DimensionMismatchError
-from perron.kernel_op import compress_symmetric
+from perron.kernel_op import COMPRESSION_BLOCK, COMPRESSION_PROBES, compress_symmetric
 from perron.measure import INTERVAL_RULES
 from conftest import count_calls, count_products, random_positive_kernel
 
@@ -626,6 +627,16 @@ def weighted_s(kernel):
     return root_w[:, np.newaxis] * kernel.entries * root_w[np.newaxis, :]
 
 
+def assert_gate_and_top_hold(kernel, c):
+    """The compression passes the probe gate, and its top value lies within
+    the gate's n eps |mu_1| of a dense eigvalsh of S."""
+    n = kernel.size
+    backward = n * np.finfo(float).eps * float(np.abs(c.values).max())
+    assert c.probe_bound <= backward
+    top = scipy.linalg.eigvalsh(weighted_s(kernel), subset_by_index=[n - 1, n - 1])[0]
+    assert abs(c.values[-1] - top) <= backward
+
+
 class TestCompression:
     """``compress_symmetric`` grows its basis by blocks of COMPRESSION_BLOCK
     columns until the probe gate passes, takes its power step only where
@@ -635,10 +646,10 @@ class TestCompression:
     @pytest.mark.parametrize(
         "n, sigma, ranks, widths",
         [
-            (600, 0.35, [16], [26, 16]),
-            (2000, 0.35, [16], [26, 16]),
-            (600, 0.2, [16, 32], [26, 16, 16]),
-            (600, 0.1, [16, 32, 32], [26, 16, 16, 32]),
+            (600, 0.35, [16], [26]),
+            (2000, 0.35, [16], [26]),
+            (600, 0.2, [16, 32], [26, 16]),
+            (600, 0.1, [16, 32, 32], [26, 16, 32]),
         ],
     )
     def test_grows_by_blocks_until_the_gate_passes(self, n, sigma, ranks, widths, monkeypatch):
@@ -648,18 +659,16 @@ class TestCompression:
         c = compress_symmetric(kernel)
         # one Rayleigh-Ritz eigh per stage, on the basis so far
         assert eighs == [(r, r) for r in ranks]
-        # the 10 probes and the first block go through S in one product; a
-        # block after it is drawn from the last product S q, so it costs
-        # only the product that extends S q; a third stage at the cap is
-        # the power step, which applies S to the whole new basis
+        # the first basis is read from K's columns, and goes through S with
+        # the 10 probes in one product; a block after it is drawn from the
+        # last product S q, so it costs only the product that extends S q;
+        # a third stage at the cap is the power step, which applies S to
+        # the whole new basis
         assert products == widths
         assert c.rank == ranks[-1]
-        backward = n * np.finfo(float).eps * float(np.abs(c.values).max())
-        assert c.probe_bound <= backward
-        top = scipy.linalg.eigvalsh(weighted_s(kernel), subset_by_index=[n - 1, n - 1])[0]
-        assert abs(c.values[-1] - top) <= backward
+        assert_gate_and_top_hold(kernel, c)
 
-    @pytest.mark.parametrize("sigma, columns", [(0.35, 42), (0.2, 58), (0.1, 90), (0.05, 90)])
+    @pytest.mark.parametrize("sigma, columns", [(0.35, 26), (0.2, 42), (0.1, 74), (0.05, 74)])
     def test_repeats_bit_for_bit(self, sigma, columns, monkeypatch):
         # the seed is fixed and the products come back in C order, so a
         # second call on the same kernel makes the same products, takes
@@ -703,3 +712,94 @@ class TestCompression:
             assert c.probe_bound >= np.linalg.norm(s - v @ (v.T @ s), 2)
             assert np.allclose(v.T @ v, np.eye(c.rank), rtol=0, atol=1e-14)
         assert set(stages) == {1, 2, 3}
+
+    def test_probes_are_the_seeded_draws(self, monkeypatch):
+        # the first product is S [Q | Omega_p]: its last 10 columns are the
+        # first draws of the seeded generator, scaled by W^1/2
+        n = 600
+        kernel = pr.gaussian_kernel(pr.make_interval_space(0, 1, n, "midpoint"), 0.35)
+        inputs = []
+        real_product = pr.Kernel.product
+
+        def product(self, x):
+            inputs.append(x.copy())
+            return real_product(self, x)
+
+        monkeypatch.setattr(pr.Kernel, "product", product)
+        compress_symmetric(kernel)
+        probes = np.random.default_rng(1234567).standard_normal((n, COMPRESSION_PROBES))
+        root_w = np.sqrt(kernel.space.weights)[:, np.newaxis]
+        assert len(inputs) == 1
+        assert np.array_equal(inputs[0][:, COMPRESSION_BLOCK:], root_w * probes)
+
+    @pytest.mark.parametrize("rule", INTERVAL_RULES)
+    @pytest.mark.parametrize("n", [128, 601])
+    @pytest.mark.parametrize("shape", ["constant", "rank_one", "min"])
+    def test_degenerate_skeletons(self, shape, n, rule):
+        # the skeleton's columns are all parallel (a constant kernel, v x v)
+        # or include a zero column (min(x, y) on the trapezoid rule, whose
+        # first node is 0): the QR still gives an orthonormal Q, and the
+        # gate decides as on any other start
+        space = pr.make_interval_space(0, 1, n, rule)
+        x = space.nodes
+        if shape == "constant":
+            entries = np.full((n, n), 0.7)
+        elif shape == "rank_one":
+            entries = np.outer(np.exp(np.sin(3 * x)), np.exp(np.sin(3 * x)))
+        else:
+            entries = np.minimum.outer(x, x)
+        kernel = pr.Kernel(entries, space)
+        c = compress_symmetric(kernel)
+        if c is not None:
+            assert_gate_and_top_hold(kernel, c)
+
+    def test_bump_between_skeleton_columns(self, monkeypatch):
+        # a narrow rank-one bump centred between two skeleton columns is
+        # missed by the first range: the gate asks for a second block, and
+        # the compression has rank 32 and the exact top value
+        n = 600
+        space = pr.make_interval_space(0, 1, n, "midpoint")
+        x = space.nodes
+        skeleton = np.arange(COMPRESSION_BLOCK) * (n - 1) // (COMPRESSION_BLOCK - 1)
+        bump = np.exp(-0.5 * ((x - 0.5 * (x[skeleton[7]] + x[skeleton[8]])) / 0.005) ** 2)
+        kernel = pr.Kernel(pr.gaussian_kernel(space, 0.35).entries + np.outer(bump, bump), space)
+        products = count_products(monkeypatch)
+        c = compress_symmetric(kernel)
+        assert products == [26, 16]
+        assert c.rank == 32
+        s = weighted_s(kernel)
+        assert c.probe_bound >= np.linalg.norm(s - c.vectors @ (c.vectors.T @ s), 2)
+        assert_gate_and_top_hold(kernel, c)
+
+    @pytest.mark.parametrize("sigma", [0.35, 0.2, 0.1, 0.05])
+    def test_scaled_kernels_take_the_same_gate_decisions(self, sigma, monkeypatch):
+        # the skeleton carries the range finder's power-of-two scale: 1e-300
+        # K and 1e300 K grow, step and give up as K does
+        space = pr.make_interval_space(0, 1, 600, "midpoint")
+        kernel = pr.gaussian_kernel(space, sigma)
+        products = count_products(monkeypatch)
+        c = compress_symmetric(kernel)
+        widths = list(products)
+        for scale in (1e-300, 1e300):
+            products.clear()
+            scaled = compress_symmetric(pr.Kernel(scale * kernel.entries, space))
+            assert products == widths
+            assert (scaled is None) == (c is None)
+            if c is not None:
+                assert scaled.rank == c.rank
+                # the small values of 1e-300 K are subnormal; the top is not
+                assert scaled.values[-1] / scale == pytest.approx(c.values[-1], rel=1e-14)
+
+    @pytest.mark.parametrize("sigma", [0.35, 0.2])
+    def test_power_of_two_scaled_kernels_compress_bit_for_bit(self, sigma):
+        # 2^-+996 K is K scaled exactly, and the skeleton carries the
+        # range finder's scale: the basis is K's bit for bit, where a
+        # skeleton of magnitude 2^-1000 rounds its QR otherwise
+        space = pr.make_interval_space(0, 1, 600, "midpoint")
+        kernel = pr.gaussian_kernel(space, sigma)
+        c = compress_symmetric(kernel)
+        for e in (-996, 996):
+            factor = math.ldexp(1.0, e)
+            scaled = compress_symmetric(pr.Kernel(factor * kernel.entries, space))
+            assert np.array_equal(scaled.vectors, c.vectors)
+            assert scaled.values[-1] / factor == c.values[-1]

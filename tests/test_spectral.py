@@ -983,10 +983,10 @@ class TestClosedForm:
         richardson = (4.0 * lams[400] - lams[200]) / 3.0
         assert abs(richardson - _exp_abs_lambda0(c)) <= 1e-11
         # full rank: the range finder grows to its cap, takes the power
-        # step and gives up, after 26 + 16 + 16 + 32 = 90 product columns
+        # step and gives up, after 26 + 16 + 32 = 74 product columns
         products = count_products(monkeypatch)
         assert kernel.compression is None
-        assert products == [26, 16, 16, 32]
+        assert products == [26, 16, 32]
 
 
     def test_min_kernel_with_richardson_meets_four_over_pi_squared(self):
